@@ -51,7 +51,7 @@ fn timeline(test_mode: bool) -> Timeline {
 }
 
 /// One elasticity arm: the E23 cluster (3 statement-replicated backends
-/// costed at 8x CPU, quarantine on) under 1700/s open-loop Poisson
+/// costed at 22x CPU, quarantine on) under 1700/s open-loop Poisson
 /// arrivals, with admin ops injected mid-run. Returns the driver metrics
 /// plus the per-backend key sets of the write table for the loss gate.
 fn elasticity_arm(
@@ -70,7 +70,7 @@ fn elasticity_arm(
     cfg.mw.policy = Policy::RoundRobin;
     cfg.mw.quarantine = Some(QuarantineConfig::default());
     cfg.mw.initial_removed = initial_removed;
-    cfg.backend_speed = vec![8.0];
+    cfg.backend_speed = vec![22.0];
     let mut cluster = Cluster::build(cfg);
     let mut olc = OpenLoopConfig::new(ArrivalProcess::Poisson { rate_per_sec: 1_700.0 });
     olc.seed = 10;

@@ -11,7 +11,7 @@
 //! matching the other timing benches.
 
 use replimid_bench::timing::Runner;
-use replimid_bench::tps;
+use replimid_bench::{saturating_fleet_think_us, tps};
 use replimid_core::{
     Cluster, ClusterConfig, FleetMetrics, Mode, Policy, QuarantineConfig, ReadPolicy,
 };
@@ -49,10 +49,9 @@ fn run_point(sessions: usize, backends: usize) -> FleetMetrics {
     let mut cluster = Cluster::build(cfg);
     let fleet = cluster.add_session_fleet(0, sessions, |fc| {
         // Think time grows with the fleet so both corner points offer the
-        // same aggregate demand (~33k req/s, the E19 part (c) level) and
-        // differ only in session-table scale; 100-key shards keep the
-        // per-read scan cost constant (~140µs) across fleet sizes.
-        fc.think_time_us = sessions as u64 * 30;
+        // same aggregate demand (the E19 part (c) level, past what three
+        // slaves serve) and differ only in session-table scale.
+        fc.think_time_us = saturating_fleet_think_us(sessions, 100);
         fc.write_permille = 100;
         fc.keys_per_table = 100;
         fc.ramp_us = 1_000_000;

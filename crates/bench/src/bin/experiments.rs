@@ -352,7 +352,7 @@ fn e5_multimaster_saturation() {
             let mut cfg = mm_statement_cfg(500);
             cfg.backends_per_mw = replicas;
             let mut cluster = Cluster::build(cfg);
-            let clients: Vec<NodeId> = (0..replicas * 8)
+            let clients: Vec<NodeId> = (0..replicas * 16)
                 .map(|_| {
                     cluster.add_client(
                         micro::ReadWriteMix { total_keys: 500, write_fraction: wf },
@@ -469,7 +469,7 @@ fn e7_load_balancing() {
             cfg.mw.granularity = gran;
             cfg.mw.policy = policy;
             let mut cluster = Cluster::build(cfg);
-            let clients: Vec<NodeId> = (0..10)
+            let clients: Vec<NodeId> = (0..40)
                 .map(|_| {
                     cluster.add_client(micro::PointReads { total_keys: 300 }, |cc| {
                         cc.think_time_us = 200
@@ -1053,9 +1053,9 @@ fn e15_slave_lag() {
 // adaptive detection, degraded read-only
 // ---------------------------------------------------------------------
 
-/// Read-mostly mix with occasional full scans. The scans matter: under a
-/// brownout they occupy the backend long enough to cross a fixed silence
-/// timeout, which a point read (~40µs) never does.
+/// Read-mostly mix of point reads and point updates with, when
+/// `scan_fraction` > 0, occasional full scans: one scan costs as much as
+/// `total_keys / 40` point reads.
 struct GrayMix {
     total_keys: i64,
     write_fraction: f64,
@@ -1122,8 +1122,12 @@ fn e16_gray_failure_campaign() {
         // health-driven mechanisms (LPRF would partially route around a
         // backlogged replica on its own).
         cfg.mw.policy = Policy::RoundRobin;
+        // Backends costed at 100x CPU (the E22 idiom): a statement takes
+        // ~4 ms, so a 6-10x brownout holds one for longer than the 30 ms
+        // silence timeout below. A 41 µs point read never would.
+        cfg.backend_speed = vec![100.0];
         // Aggressive fixed detector: the tuning that finds real crashes
-        // fast is exactly the one a browned-out scan or a jitter spike
+        // fast is exactly the one a browned-out statement or a jitter spike
         // fools (§4.3.4.2).
         cfg.mw.heartbeat = HeartbeatConfig { interval_us: 10_000, timeout_us: 30_000 };
         cfg.mw.op_timeout_us = 1_000_000;
@@ -1146,7 +1150,7 @@ fn e16_gray_failure_campaign() {
                     GrayMix {
                         total_keys: rows as i64,
                         write_fraction: 0.05,
-                        scan_fraction: 0.06,
+                        scan_fraction: 0.0,
                     },
                     |cc| {
                         cc.think_time_us = 500;
@@ -1574,13 +1578,10 @@ fn e19_arm(
     gray: bool,
     saturate: bool,
 ) -> (FleetMetrics, MwMetrics) {
-    // Point queries cost a scan of their table (no index fast path in the
-    // engine), so the fleet's keyspace is sharded over fixed-size tables:
-    // per-read cost stays constant however large the fleet, and
-    // session-table scale is measured instead of scan cost. The saturated
-    // scale sweep uses 100-key shards (~140us/read) so its 10^5-request
-    // bursts stay cheap to execute; the sub-saturation arms keep one
-    // 120-key table.
+    // The fleet's keyspace is sharded over fixed-size tables
+    // (`keys_per_table`), a layout kept from when a point query cost a
+    // scan of its table; with the primary-key access path the shard size
+    // no longer changes what a read costs.
     let kpt = if saturate { 100 } else { 1_000 };
     let mut cfg = ClusterConfig::new(
         Mode::MasterSlave {
@@ -1701,7 +1702,7 @@ fn e19_freshness_routing() {
 
     // -- (c) sessions x backends: does read capacity still scale-out? --
     println!(
-        "\n  (c) fleet size x backend count under `fresh` — 10ms shipping, 10%\n  writes, ~140µs/read (100-key shards), think time grown with the fleet\n  so every cell offers the same ~33k req/s demand: past what 1, 3, or\n  7 slaves can serve, so added slaves turn into throughput. The failure detector is set to\n  the paper's tcp-default anti-pattern so deliberate queueing is\n  measured as latency instead of evicting live nodes (detection under\n  load is E11/E16's subject), and closed-loop p50/p99 absorb the\n  oversubscription in the capacity-limited cells. The session table is\n  the middleware structure under test at 10^5 entries; scale-out is\n  sublinear in slaves because every slave also pays the apply cost of\n  every write (the lazy-replication tax from E1).\n"
+        "\n  (c) fleet size x backend count under `fresh` — 10ms shipping, 10%\n  writes, 3s per cell. Think time grows with the fleet so every cell\n  offers the same demand, derived from the measured cost of one point\n  read (41µs): what five read-only backends could serve, ~122k req/s.\n  That is past what 1, 3, or 7 slaves deliver, so added slaves turn into\n  throughput. The failure detector is set to\n  the paper's tcp-default anti-pattern so deliberate queueing is\n  measured as latency instead of evicting live nodes (detection under\n  load is E11/E16's subject), and closed-loop p50/p99 absorb the\n  oversubscription in the capacity-limited cells. The session table is\n  the middleware structure under test at 10^5 entries; scale-out is\n  sublinear in slaves because every slave also pays the apply cost of\n  every write (the lazy-replication tax from E1).\n"
     );
     let mut t = Table::new(&[
         "sessions",
@@ -1719,8 +1720,11 @@ fn e19_freshness_routing() {
     if std::env::var("REPLIMID_HEAVY").as_deref() == Ok("1") {
         fleet_sizes.push(1_000_000);
     }
+    // Saturated cells serve 30k-90k requests per virtual second: three
+    // seconds (one of ramp, two steady) keep the sweep affordable.
+    let sweep_secs = 3u64;
     for sessions in fleet_sizes {
-        let think_us = sessions as u64 * 30;
+        let think_us = replimid_bench::saturating_fleet_think_us(sessions, 100);
         let mut base_tps = 0.0f64;
         for backends in [2usize, 4, 8] {
             let (f, _m) = e19_arm(
@@ -1730,11 +1734,11 @@ fn e19_freshness_routing() {
                 10,
                 100,
                 think_us,
-                secs,
+                sweep_secs,
                 false,
                 true,
             );
-            let rtps = tps(f.reads, secs);
+            let rtps = tps(f.reads, sweep_secs);
             if backends == 2 {
                 base_tps = rtps;
             }
@@ -2419,9 +2423,8 @@ fn e23_arm(
     stop_s: u64,
 ) -> (replimid_workload::OpenLoopMetrics, MwMetrics) {
     let mut schema = micro::schema("bench", 100);
-    // Writes land in their own table: point reads are scans in this
-    // engine, so a shared table would make read cost climb with every
-    // insert and confound the management-op dips with table growth.
+    // Writes land in their own table, so the read table stays at its 100
+    // rows whatever the run inserts.
     schema.push("CREATE TABLE olw (k INT PRIMARY KEY, v INT NOT NULL)".to_string());
     let mut cfg = ClusterConfig::new(
         Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject },
@@ -2432,9 +2435,11 @@ fn e23_arm(
     cfg.mw.policy = Policy::RoundRobin;
     cfg.mw.quarantine = Some(QuarantineConfig::default());
     cfg.mw.initial_removed = initial_removed;
-    // Backends costed at 8x CPU (the E22 idiom): capacity sits near the
-    // arrival rate, so losing or gaining a replica moves the needle.
-    cfg.backend_speed = vec![8.0];
+    // Backends costed at 22x CPU (the E22 idiom): a point read is ~0.9 ms
+    // and an insert ~1.3 ms on every replica, so 1700/s keeps three
+    // backends ~63% busy and two ~90%. Capacity sits near the arrival
+    // rate: losing or gaining a replica moves the needle.
+    cfg.backend_speed = vec![22.0];
     let mut cluster = Cluster::build(cfg);
     let mut olc = replimid_workload::OpenLoopConfig::new(
         replimid_workload::ArrivalProcess::Poisson { rate_per_sec: rate },
@@ -2577,11 +2582,11 @@ fn e23_elasticity() {
 
     // -- (c) WAN multi-site arm: examples/wan_sites.rs as data ----------
     println!(
-        "\n  (c) three sites (EU/US/Asia), one backend per middleware, synchronous\n  statement ordering across sites; the open-loop driver is colocated\n  with the site-1 middleware, so every write (30% of arrivals) pays the\n  cross-ocean trip to the ordering site. At 600/s the LAN cluster\n  answers in microseconds while the WAN cluster's p50 passes 100ms —\n  every in-flight slot tied up in ~160ms ordering round trips; at 900/s\n  both saturate, and the WAN arm sheds twice as hard. (Fig. 4's\n  '1-copy-serializability is unlikely to be successful in the WAN',\n  measured under load that does not politely slow down.)\n"
+        "\n  (c) three sites (EU/US/Asia), one backend per middleware, synchronous\n  statement ordering across sites; the open-loop driver is colocated\n  with the site-1 middleware, so every write (30% of arrivals) pays the\n  cross-ocean trip to the ordering site. The LAN cluster answers in\n  under a millisecond at every rate; the WAN cluster's p50 is 33ms at\n  600/s and 262ms at 1200/s — every in-flight slot tied up in ~160ms\n  ordering round trips — where it starts to shed. (Fig. 4's\n  '1-copy-serializability is unlikely to be successful in the WAN',\n  measured under load that does not politely slow down.)\n"
     );
     let mut t = Table::new(&["net", "rate/s", "completed tps", "p50 µs", "p99 µs", "shed"]);
     for wan in [false, true] {
-        for rate in [150.0f64, 600.0, 900.0] {
+        for rate in [150.0f64, 600.0, 1_200.0] {
             let mut cfg = mm_statement_cfg(100);
             cfg.backends_per_mw = 1;
             cfg.middlewares = 3;

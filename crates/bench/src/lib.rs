@@ -40,6 +40,25 @@ pub fn mm_statement_cfg(rows: usize) -> ClusterConfig {
     )
 }
 
+/// Think time for the saturated fleet arms (E19 part (c), BENCH_pr6): the
+/// whole fleet offers the demand five backends could serve if point reads
+/// were all they did, whatever its size. That is past what seven slaves
+/// deliver (each also replays every write), so the cell is capacity-
+/// limited and added slaves show up as throughput. The per-read cost is
+/// measured, not assumed: the fleet's own read statement is run on a
+/// scratch engine holding one `keys_per_table` shard.
+pub fn saturating_fleet_think_us(sessions: usize, keys_per_table: usize) -> u64 {
+    let schema = micro::sharded_schema("bench", keys_per_table, keys_per_table);
+    let mut engine = replimid_core::cluster::build_engine(Default::default(), &schema);
+    let conn = engine
+        .connect(replimid_sql::ADMIN_USER, replimid_sql::ADMIN_PASSWORD)
+        .expect("admin login");
+    let read = engine
+        .execute(conn, "SELECT v FROM bench.bench_0 WHERE k = 0")
+        .expect("fleet point read");
+    sessions as u64 * read.cost.cpu_us / 5
+}
+
 /// A fresh-key insert stream sharded round-robin over `t0..t7`; the E18 /
 /// PR5-bench write workload. Disjoint tables give the grouped batch apply
 /// at the backends parallelism to exploit.

@@ -49,9 +49,8 @@ pub struct FleetConfig {
     pub churn_every: u64,
     /// Shard the keyspace over `bench_<t>` tables of this many keys
     /// (matching the workload crate's `micro::sharded_schema`); 0 = the
-    /// single `bench` table.
-    /// Point queries cost a scan of their table, so sharding keeps
-    /// per-read cost constant as the fleet grows.
+    /// single `bench` table. Read cost no longer depends on it (point
+    /// reads use the primary-key index); the repo benchmark still sets it.
     pub keys_per_table: usize,
     /// Give up on a request after this long (counted as an error; the
     /// slot moves on so one lost reply cannot wedge it forever).

@@ -2,7 +2,7 @@
 //! partitioning on a per-table key column, plus the statement analysis that
 //! routes a statement to its partition(s).
 
-use replimid_sql::ast::{BinOp, Expr, InsertSource, Statement};
+use replimid_sql::ast::{Expr, InsertSource, Statement, TableRef};
 use replimid_sql::Value;
 
 /// Partitioning criterion for one table (§2.1: "range partitioning, list
@@ -131,14 +131,7 @@ impl Partitioner {
                 target.map(Route::Single).unwrap_or(Route::All)
             }
             Statement::Update { table, filter, .. } | Statement::Delete { table, filter } => {
-                match self.scheme_for(&table.name) {
-                    None => Route::All,
-                    Some(scheme) => filter
-                        .as_ref()
-                        .and_then(|f| extract_eq(f, scheme.column()))
-                        .map(|v| Route::Single(scheme.locate(&v)))
-                        .unwrap_or(Route::All),
-                }
+                self.route_by_key(&table.name, &table.name, filter.as_ref())
             }
             Statement::Select(s) => {
                 // Single-table selects with a key equality route to one
@@ -146,21 +139,29 @@ impl Partitioner {
                 // parallelism across partitions, §2.1).
                 let mut tables = Vec::new();
                 replimid_sql::ast::collect_select_tables(s, &mut tables);
-                if tables.len() != 1 {
-                    return Route::All;
-                }
-                match self.scheme_for(&tables[0].name) {
-                    None => Route::All,
-                    Some(scheme) => s
-                        .filter
-                        .as_ref()
-                        .and_then(|f| extract_eq(f, scheme.column()))
-                        .map(|v| Route::Single(scheme.locate(&v)))
-                        .unwrap_or(Route::All),
+                match (&s.from, tables.len()) {
+                    (Some(TableRef::Table { name, alias }), 1) => self.route_by_key(
+                        &name.name,
+                        alias.as_deref().unwrap_or(&name.name),
+                        s.filter.as_ref(),
+                    ),
+                    _ => Route::All,
                 }
             }
             _ => Route::All,
         }
+    }
+
+    /// The partition owning the key a filter pins `table`'s partition
+    /// column to; everywhere when it pins none. `qualifier` is the name the
+    /// statement knows the table by (its alias, else its name).
+    fn route_by_key(&self, table: &str, qualifier: &str, filter: Option<&Expr>) -> Route {
+        self.scheme_for(table)
+            .and_then(|scheme| {
+                let key = filter?.top_level_eq(scheme.column(), qualifier)?;
+                Some(Route::Single(scheme.locate(key)))
+            })
+            .unwrap_or(Route::All)
     }
 }
 
@@ -315,29 +316,6 @@ impl Placement {
     }
 }
 
-/// Find a top-level (AND-combined) `column = literal` predicate.
-fn extract_eq(filter: &Expr, column: &str) -> Option<Value> {
-    match filter {
-        Expr::Binary { left, op: BinOp::Eq, right } => {
-            if let (Expr::Column(c), Expr::Literal(v)) = (left.as_ref(), right.as_ref()) {
-                if c.name == column {
-                    return Some(v.clone());
-                }
-            }
-            if let (Expr::Literal(v), Expr::Column(c)) = (left.as_ref(), right.as_ref()) {
-                if c.name == column {
-                    return Some(v.clone());
-                }
-            }
-            None
-        }
-        Expr::Binary { left, op: BinOp::And, right } => {
-            extract_eq(left, column).or_else(|| extract_eq(right, column))
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,5 +418,19 @@ mod tests {
         assert_eq!(route("SELECT COUNT(*) FROM orders"), Route::All);
         assert_eq!(route("INSERT INTO other (id) VALUES (1)"), Route::All, "global table");
         assert_eq!(route("DELETE FROM orders WHERE id = 100"), Route::Single(1));
+        assert_eq!(route("DELETE FROM orders WHERE 100 = id"), Route::Single(1), "literal on the left");
+    }
+
+    #[test]
+    fn key_equality_must_name_the_statements_own_table() {
+        let p = range_partitioner();
+        let route = |sql: &str| p.route(&parse_statement(sql).unwrap());
+        assert_eq!(route("SELECT * FROM orders WHERE orders.id = 150"), Route::Single(1));
+        assert_eq!(route("SELECT * FROM orders o WHERE o.id = 150"), Route::Single(1));
+        // Another table's `id` says nothing about which partition of
+        // `orders` holds the rows.
+        assert_eq!(route("SELECT * FROM orders WHERE other.id = 150"), Route::All);
+        assert_eq!(route("SELECT * FROM orders o WHERE orders.id = 150"), Route::All);
+        assert_eq!(route("UPDATE orders SET v = 1 WHERE other.id = 150"), Route::All);
     }
 }

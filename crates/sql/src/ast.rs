@@ -316,6 +316,44 @@ impl Expr {
         Expr::Column(ColumnRef { table: None, name: name.into() })
     }
 
+    /// The literal this node compares `column` with, when the node is
+    /// exactly `<column> = <literal>` or `<literal> = <column>`. The column
+    /// reference must be unqualified or qualified with `qualifier` (the
+    /// statement's own table name, or its alias when it has one): a
+    /// reference to another table's column of the same name does not count.
+    pub fn as_column_eq(&self, column: &str, qualifier: &str) -> Option<&Value> {
+        let Expr::Binary { left, op: BinOp::Eq, right } = self else { return None };
+        let (c, v) = match (left.as_ref(), right.as_ref()) {
+            (Expr::Column(c), Expr::Literal(v)) | (Expr::Literal(v), Expr::Column(c)) => (c, v),
+            _ => return None,
+        };
+        let ours = c.table.as_deref().is_none_or(|t| t == qualifier);
+        (ours && c.name == column).then_some(v)
+    }
+
+    /// Find a top-level (AND-combined) `column = literal` predicate: every
+    /// row the filter accepts has that value in `column`. The one predicate
+    /// finder, shared by partition routing and the executor's access path.
+    pub fn top_level_eq(&self, column: &str, qualifier: &str) -> Option<&Value> {
+        match self {
+            Expr::Binary { left, op: BinOp::And, right } => left
+                .top_level_eq(column, qualifier)
+                .or_else(|| right.top_level_eq(column, qualifier)),
+            e => e.as_column_eq(column, qualifier),
+        }
+    }
+
+    /// The conjunct a top-level AND chain evaluates first (the predicate
+    /// itself when it is not an AND). AND short-circuits left to right, so
+    /// this is the only conjunct guaranteed to run on every row.
+    pub fn first_conjunct(&self) -> &Expr {
+        let mut e = self;
+        while let Expr::Binary { left, op: BinOp::And, .. } = e {
+            e = left;
+        }
+        e
+    }
+
     /// Walk the expression tree, calling `f` on every node (pre-order).
     pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
         f(self);

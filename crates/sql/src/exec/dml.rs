@@ -11,12 +11,7 @@ use crate::result::Outcome;
 use crate::storage::{ConflictOrError, Table};
 use crate::value::Value;
 
-use super::{StmtCtx, MAX_NESTING};
-
-/// Column names of a table schema, cloned for row-scope binding.
-fn column_names(table: &Table) -> Vec<String> {
-    table.schema.columns.iter().map(|c| c.name.clone()).collect()
-}
+use super::{access, StmtCtx, MAX_NESTING};
 
 fn conflict_err(table: &str, e: ConflictOrError) -> SqlError {
     match e {
@@ -209,41 +204,20 @@ pub fn execute_update(
 
     // Phase A: find matching rows and compute the new images.
     let mut env = ctx.eval_env(snap);
-    let loc = env.table_location(table_name)?;
-    let table = env.resolve_table(table_name)?;
-    let schema_cols = table.schema.columns.clone();
-    let names = column_names(table);
-    let qualifier = table_name.name.clone();
-
-    let matches: Vec<(RowId, Vec<Value>)> = {
-        let table = env.table_at(&loc)?;
-        let mut out = Vec::new();
-        for (id, vals) in table.scan(snap) {
-            out.push((id, vals.to_vec()));
-        }
-        out
-    };
-    env.rows_read += matches.len() as u64;
+    let m = access::matching_rows(&mut env, table_name, None, filter, &RowScope::empty())?;
+    let (loc, names) = (m.loc, m.columns);
+    let schema_cols = m.table.schema.columns.clone();
+    let qualifier = &table_name.name;
 
     let mut updates: Vec<(RowId, Vec<Value>, Vec<Value>)> = Vec::new(); // (id, old, new)
-    for (id, old) in matches {
-        let keep = match filter {
-            None => true,
-            Some(pred) => {
-                let scope = RowScope::with(&qualifier, &names, &old);
-                eval(pred, &mut env, &scope)?.as_bool().unwrap_or(false)
-            }
-        };
-        if !keep {
-            continue;
-        }
+    for (id, old) in m.rows {
         let mut new = old.clone();
         for (col, e) in assignments {
             let idx = schema_cols
                 .iter()
                 .position(|c| &c.name == col)
                 .ok_or_else(|| SqlError::UnknownColumn(col.clone()))?;
-            let scope = RowScope::with(&qualifier, &names, &old);
+            let scope = RowScope::with(qualifier, &names, &old);
             let v = eval(e, &mut env, &scope)?;
             new[idx] = v.coerce_to(schema_cols[idx].data_type)?;
             if new[idx].is_null() && schema_cols[idx].not_null {
@@ -294,31 +268,9 @@ pub fn execute_delete(
     let first_committer_wins = fcw(ctx);
 
     let mut env = ctx.eval_env(snap);
-    let loc = env.table_location(table_name)?;
-    let table = env.resolve_table(table_name)?;
-    let schema_cols = table.schema.columns.clone();
-    let names = column_names(table);
-    let qualifier = table_name.name.clone();
-
-    let all: Vec<(RowId, Vec<Value>)> = {
-        let table = env.table_at(&loc)?;
-        table.scan(snap).map(|(id, v)| (id, v.to_vec())).collect()
-    };
-    env.rows_read += all.len() as u64;
-
-    let mut doomed: Vec<(RowId, Vec<Value>)> = Vec::new();
-    for (id, vals) in all {
-        let keep = match filter {
-            None => true,
-            Some(pred) => {
-                let scope = RowScope::with(&qualifier, &names, &vals);
-                eval(pred, &mut env, &scope)?.as_bool().unwrap_or(false)
-            }
-        };
-        if keep {
-            doomed.push((id, vals));
-        }
-    }
+    let m = access::matching_rows(&mut env, table_name, None, filter, &RowScope::empty())?;
+    let (loc, doomed) = (m.loc, m.rows);
+    let schema_cols = m.table.schema.columns.clone();
     let (read_log, rows_read) = (std::mem::take(&mut env.read_log), env.rows_read);
     drop(env);
     ctx.absorb(read_log, rows_read);
@@ -355,7 +307,7 @@ pub fn lock_for_update(
     select: &crate::ast::Select,
 ) -> Result<(), SqlError> {
     use crate::ast::TableRef;
-    let Some(TableRef::Table { name, .. }) = &select.from else {
+    let Some(TableRef::Table { name, alias }) = &select.from else {
         return Err(SqlError::Unsupported(
             "FOR UPDATE requires a single-table FROM".into(),
         ));
@@ -363,35 +315,17 @@ pub fn lock_for_update(
     if !select.group_by.is_empty() {
         return Err(SqlError::Unsupported("FOR UPDATE with GROUP BY".into()));
     }
-    let name = name.clone();
     let snap = ctx.snapshot()?;
     let first_committer_wins = fcw(ctx);
 
     let mut env = ctx.eval_env(snap);
-    let loc = env.table_location(&name)?;
-    let table = env.resolve_table(&name)?;
-    let names = column_names(table);
-    let qualifier = name.name.clone();
-    let all: Vec<(RowId, Vec<Value>)> = {
-        let table = env.table_at(&loc)?;
-        table.scan(snap).map(|(id, v)| (id, v.to_vec())).collect()
-    };
-    let mut locked = Vec::new();
-    for (id, vals) in all {
-        let keep = match &select.filter {
-            None => true,
-            Some(pred) => {
-                let scope = RowScope::with(&qualifier, &names, &vals);
-                eval(pred, &mut env, &scope)?.as_bool().unwrap_or(false)
-            }
-        };
-        if keep {
-            locked.push((id, vals));
-        }
-    }
-    let (read_log, rows_read) = (std::mem::take(&mut env.read_log), env.rows_read);
+    let filter = select.filter.as_ref();
+    let m = access::matching_rows(&mut env, name, alias.as_deref(), filter, &RowScope::empty())?;
+    let (loc, locked) = (m.loc, m.rows);
+    let read_log = std::mem::take(&mut env.read_log);
     drop(env);
-    ctx.absorb(read_log, rows_read);
+    // The SELECT that matched these rows has already been charged for them.
+    ctx.absorb(read_log, 0);
 
     {
         let table = table_mut(ctx, &loc)?;

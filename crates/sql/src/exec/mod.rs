@@ -1,6 +1,7 @@
 //! Statement execution: SELECT pipeline, DML with trigger firing, stored
 //! procedures, and the shared statement context.
 
+mod access;
 pub mod dml;
 pub mod select;
 pub mod stmt;

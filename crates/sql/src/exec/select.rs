@@ -1,11 +1,13 @@
 //! SELECT execution: FROM materialization (nested-loop joins), filtering,
 //! grouping/aggregation, ordering, and projection.
 
-use crate::ast::{Expr, Select, SelectItem, TableRef};
+use crate::ast::{Expr, ObjectName, Select, SelectItem, TableRef};
 use crate::error::SqlError;
 use crate::expr::{eval, is_aggregate, EvalEnv, RowScope};
 use crate::result::ResultSet;
 use crate::value::Value;
+
+use super::access;
 
 /// One table (or alias) in the materialized relation.
 struct RelPart {
@@ -38,28 +40,13 @@ pub fn execute_select(
     env: &mut EvalEnv<'_>,
     outer: &RowScope<'_>,
 ) -> Result<ResultSet, SqlError> {
-    let relation = materialize_from(select.from.as_ref(), env, outer)?;
-
-    // Filter.
-    let mut kept: Vec<usize> = Vec::new();
-    for (i, row) in relation.rows.iter().enumerate() {
-        let keep = match &select.filter {
-            None => true,
-            Some(pred) => {
-                let scope = relation.scope(row, outer);
-                eval(pred, env, &scope)?.as_bool().unwrap_or(false)
-            }
-        };
-        if keep {
-            kept.push(i);
-        }
-    }
+    let relation = filtered_relation(select, env, outer)?;
 
     let aggregated = !select.group_by.is_empty() || has_aggregates(select);
     let mut out = if aggregated {
-        execute_aggregate(select, &relation, &kept, env, outer)?
+        execute_aggregate(select, &relation, env, outer)?
     } else {
-        execute_plain(select, &relation, &kept, env, outer)?
+        execute_plain(select, &relation, env, outer)?
     };
 
     // LIMIT/OFFSET apply after ORDER BY (both executors sort internally).
@@ -73,6 +60,51 @@ pub fn execute_select(
     Ok(out)
 }
 
+/// The FROM relation restricted to the rows WHERE accepts. A single-table
+/// FROM filters while it reads (see [`access`]); a join, or no FROM at all,
+/// is materialized first and filtered after.
+fn filtered_relation(
+    select: &Select,
+    env: &mut EvalEnv<'_>,
+    outer: &RowScope<'_>,
+) -> Result<Relation, SqlError> {
+    let filter = select.filter.as_ref();
+    if let Some(TableRef::Table { name, alias }) = &select.from {
+        return read_table(name, alias.as_deref(), filter, env, outer);
+    }
+    let mut relation = materialize_from(select.from.as_ref(), env, outer)?;
+    if let Some(pred) = filter {
+        let mut kept = Vec::new();
+        for row in std::mem::take(&mut relation.rows) {
+            let scope = relation.scope(&row, outer);
+            let keep = eval(pred, env, &scope)?.as_bool().unwrap_or(false);
+            if keep {
+                kept.push(row);
+            }
+        }
+        relation.rows = kept;
+    }
+    Ok(relation)
+}
+
+/// One table's rows that pass `filter`, as a single-part relation.
+fn read_table(
+    name: &ObjectName,
+    alias: Option<&str>,
+    filter: Option<&Expr>,
+    env: &mut EvalEnv<'_>,
+    outer: &RowScope<'_>,
+) -> Result<Relation, SqlError> {
+    let m = access::matching_rows(env, name, alias, filter, outer)?;
+    let part = RelPart {
+        qualifier: alias.unwrap_or(&name.name).to_string(),
+        width: m.columns.len(),
+        columns: m.columns,
+        offset: 0,
+    };
+    Ok(Relation { parts: vec![part], rows: m.rows.into_iter().map(|(_, row)| row).collect() })
+}
+
 fn materialize_from(
     from: Option<&TableRef>,
     env: &mut EvalEnv<'_>,
@@ -84,18 +116,7 @@ fn materialize_from(
             rows: vec![Vec::new()], // one empty row: SELECT 1 returns one row
         }),
         Some(TableRef::Table { name, alias }) => {
-            let qualifier = alias.clone().unwrap_or_else(|| name.name.clone());
-            let snap = env.snap;
-            let table = env.resolve_table(name)?;
-            let columns: Vec<String> =
-                table.schema.columns.iter().map(|c| c.name.clone()).collect();
-            let rows: Vec<Vec<Value>> =
-                table.scan(snap).map(|(_, vals)| vals.to_vec()).collect();
-            env.rows_read += rows.len() as u64;
-            Ok(Relation {
-                parts: vec![RelPart { qualifier, columns: columns.clone(), offset: 0, width: columns.len() }],
-                rows,
-            })
+            read_table(name, alias.as_deref(), None, env, outer)
         }
         Some(TableRef::Join { left, right, on }) => {
             let l = materialize_from(Some(left), env, outer)?;
@@ -180,14 +201,12 @@ fn projection_exprs(
 fn execute_plain(
     select: &Select,
     relation: &Relation,
-    kept: &[usize],
     env: &mut EvalEnv<'_>,
     outer: &RowScope<'_>,
 ) -> Result<ResultSet, SqlError> {
     let (names, exprs) = projection_exprs(select, relation);
-    let mut rows: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(kept.len()); // (sort keys, output)
-    for &i in kept {
-        let row = &relation.rows[i];
+    let mut rows: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(relation.rows.len()); // (sort keys, output)
+    for row in &relation.rows {
         let scope = relation.scope(row, outer);
         let mut out_row = Vec::with_capacity(exprs.len());
         for e in &exprs {
@@ -242,15 +261,13 @@ fn sort_rows(rows: &mut [(Vec<Value>, Vec<Value>)], select: &Select) {
 fn execute_aggregate(
     select: &Select,
     relation: &Relation,
-    kept: &[usize],
     env: &mut EvalEnv<'_>,
     outer: &RowScope<'_>,
 ) -> Result<ResultSet, SqlError> {
     // Group rows by evaluated GROUP BY keys (stable: first-seen order, then
     // sorted by ORDER BY at the end).
     let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
-    for &i in kept {
-        let row = &relation.rows[i];
+    for (i, row) in relation.rows.iter().enumerate() {
         let scope = relation.scope(row, outer);
         let mut key = Vec::with_capacity(select.group_by.len());
         for g in &select.group_by {

@@ -48,7 +48,7 @@ pub enum TableLoc {
     Db(String, String),
 }
 
-impl EvalEnv<'_> {
+impl<'a> EvalEnv<'a> {
     /// Resolve a table name: unqualified names check session temp tables
     /// first, then the current database; qualified names go straight to the
     /// named database.
@@ -65,19 +65,24 @@ impl EvalEnv<'_> {
         Ok(TableLoc::Db(db.to_string(), name.name.clone()))
     }
 
-    pub fn table_at(&self, loc: &TableLoc) -> Result<&Table, SqlError> {
+    /// The table at `loc`. The borrow is of the catalog, not of this env,
+    /// so rows can be read in place while expressions evaluate against them.
+    pub fn table_at(&self, loc: &TableLoc) -> Result<&'a Table, SqlError> {
+        let (catalog, temp) = (self.catalog, self.temp);
         match loc {
-            TableLoc::Temp(name) => self
-                .temp
-                .get(name)
-                .ok_or_else(|| SqlError::UnknownTable(name.clone())),
-            TableLoc::Db(db, name) => self.catalog.database(db)?.table(name),
+            TableLoc::Temp(name) => {
+                temp.get(name).ok_or_else(|| SqlError::UnknownTable(name.clone()))
+            }
+            TableLoc::Db(db, name) => catalog.database(db)?.table(name),
         }
     }
 
     /// Resolve a table for reading and record the read for serializable
     /// validation (temp tables are connection-private and not tracked).
-    pub fn resolve_table(&mut self, name: &crate::ast::ObjectName) -> Result<&Table, SqlError> {
+    pub fn resolve_table(
+        &mut self,
+        name: &crate::ast::ObjectName,
+    ) -> Result<&'a Table, SqlError> {
         let loc = self.table_location(name)?;
         if let TableLoc::Db(db, table) = &loc {
             self.read_log.push((db.clone(), table.clone()));

@@ -179,6 +179,24 @@ impl Table {
             }))
     }
 
+    /// Every row visible to `snap` whose primary key is `key`, in row-id
+    /// order — the order [`scan`](Self::scan) yields them. More than one
+    /// only once a transaction on a stale snapshot has committed a key that
+    /// was inserted after it began (`pk_occupied` sees neither row).
+    pub fn rows_with_pk<'a>(
+        &'a self,
+        key: &'a Value,
+        snap: Snapshot,
+    ) -> impl Iterator<Item = (RowId, &'a [Value])> + 'a {
+        let mut ids = self.pk_index.get(&IndexKey(key.clone())).cloned().unwrap_or_default();
+        ids.sort_unstable();
+        ids.dedup();
+        ids.into_iter().filter_map(move |id| {
+            let vals = self.get(id, snap)?;
+            (vals[self.schema.primary_key?] == *key).then_some((id, vals))
+        })
+    }
+
     /// True if any version of a row with this PK is visible to `snap` *or*
     /// pending from an uncommitted transaction (uniqueness must account for
     /// concurrent inserts).

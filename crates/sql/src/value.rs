@@ -153,6 +153,9 @@ impl Value {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Text(a), Value::Text(b)) => a.cmp(b),
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
+            // Integer kinds compare exactly: through f64, two keys above
+            // 2^53 that differ by one are the same number.
+            (Value::Int(a) | Value::Timestamp(a), Value::Int(b) | Value::Timestamp(b)) => a.cmp(b),
             _ if rank(self) == 2 && rank(other) == 2 => {
                 let a = self.as_f64().unwrap_or(f64::NAN);
                 let b = other.as_f64().unwrap_or(f64::NAN);
@@ -302,6 +305,18 @@ mod tests {
         vs.sort_by(|a, b| a.total_cmp(b));
         assert_eq!(vs[0], Value::Null);
         assert_eq!(vs[2], Value::Text("a".into()));
+    }
+
+    #[test]
+    fn total_cmp_is_exact_for_integers() {
+        let (big, next) = (i64::MAX - 1, i64::MAX);
+        assert_eq!(big as f64, next as f64, "the pair collides in f64");
+        assert_eq!(Value::Int(big).total_cmp(&Value::Int(next)), Ordering::Less);
+        assert_eq!(Value::Timestamp(next).total_cmp(&Value::Timestamp(big)), Ordering::Greater);
+        assert_eq!(Value::Int(big).total_cmp(&Value::Timestamp(next)), Ordering::Less);
+        // A pair that involves a float still compares as floats.
+        assert_eq!(Value::Int(3).total_cmp(&Value::Float(3.0)), Ordering::Equal);
+        assert_eq!(Value::Float(2.5).total_cmp(&Value::Int(3)), Ordering::Less);
     }
 
     #[test]

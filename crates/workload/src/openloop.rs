@@ -121,9 +121,8 @@ pub struct OpenLoopConfig {
     /// Table point reads select from.
     pub table: String,
     /// Table writes insert into. Defaults to `table`; experiments that
-    /// run long enough for table growth to matter point it at a separate
-    /// write-only table, so read cost (a scan in this engine) stays
-    /// constant over the run instead of climbing with every insert.
+    /// check which acknowledged writes survived point it at a separate
+    /// write-only table, which then holds nothing but the run's inserts.
     pub write_table: String,
     /// Writes insert fresh keys `insert_base + n` (`n` = write counter):
     /// unique keys make "every acknowledged write is present" checkable.

@@ -29,6 +29,9 @@
 #      BENCH_pr10.json (the bin asserts zero committed-write loss, full
 #      arrival accounting, and that a classic closed-loop arm is
 #      bit-identical across reruns — the driver-off guarantee)
+#  12. repo benchmark: its own unit tests, then all five workloads at
+#      smoke size (asserts replica convergence, RYW = 0 and cross-process
+#      bit-identity of the virtual metrics; benchmark/README.md)
 #
 # The guard exists because this workspace is built in environments with no
 # registry access: a single external crate in a Cargo.toml breaks the build
@@ -42,7 +45,7 @@ fail=0
 # --- 1. No-external-dependency guard -----------------------------------
 # Every dependency line in every crate manifest must be a workspace or
 # path dependency. Anything else would be fetched from the registry.
-for manifest in Cargo.toml crates/*/Cargo.toml; do
+for manifest in Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml; do
     # Lines inside [dependencies]/[dev-dependencies]/[build-dependencies]
     # sections that are not workspace/path references.
     bad=$(awk '
@@ -64,7 +67,7 @@ done
 # Belt and braces: the crates this repo historically depended on must not
 # reappear anywhere in a crate manifest.
 if grep -rnE '^[[:space:]]*(rand|proptest|criterion)[[:space:]]*[.=]' \
-        Cargo.toml crates/*/Cargo.toml; then
+        Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml; then
     echo "ERROR: banned external crate referenced above" >&2
     fail=1
 fi
@@ -159,5 +162,16 @@ echo "verify: partial-replication trajectory OK (BENCH_pr9.json written)"
 # reruns, so E1..E22 stay untouched by the new machinery.
 cargo run --release -q --offline -p replimid-bench --bin bench_pr10
 echo "verify: elasticity trajectory OK (BENCH_pr10.json written)"
+
+# --- 12. Repo benchmark --------------------------------------------------
+# The benchmark is a package of its own outside the workspace, so steps 2-4
+# never build it. Run its unit tests and one smoke pass over all five
+# workloads: each asserts its own correctness checks (replica convergence,
+# zero RYW/monotonic violations, no acknowledged write lost) and that the
+# virtual metrics are bit-identical between the traced run and an untraced
+# child process.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --smoke
+echo "verify: repo benchmark OK (unit tests + smoke run of all workloads)"
 
 echo "verify: OK"

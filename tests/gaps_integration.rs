@@ -52,7 +52,9 @@ fn lprf_outperforms_round_robin_on_heterogeneous_cluster() {
         cfg.mw.granularity = Granularity::Query;
         let mut cluster = Cluster::build(cfg);
         let mut clients = Vec::new();
-        for _ in 0..8 {
+        // A point read costs 41 µs (164 µs on the slow replica): it takes
+        // this many clients for round-robin to queue behind that replica.
+        for _ in 0..32 {
             clients.push(
                 cluster.add_client(micro::PointReads { total_keys: 200 }, |cc| {
                     cc.think_time_us = 200
