@@ -593,7 +593,7 @@ fn e9_recovery() {
             cluster.restart_backend_at(SimTime::from_millis(1_000 + outage_ms), 0, 2);
             cluster.run_for(dur::secs(12));
             let mw = cluster.mw_metrics(0);
-            let head = cluster.with_middleware(0, |m| m.log.head());
+            let head = cluster.with_middleware(0, |m| m.log().head());
             let rejoin = mw
                 .recoveries
                 .iter()
@@ -1970,8 +1970,8 @@ fn e20_episode(
         // escalate to a full resync (the PR 5 truncated-rejoin path, now
         // exercised against a node that ALSO lost local WAL tail).
         cluster.with_middleware(0, |m| {
-            let head = m.log.head();
-            m.log.force_truncate(head);
+            let head = m.log().head();
+            m.log().force_truncate(head);
         });
     }
     cluster.run_for(dur::millis(250));
@@ -2172,7 +2172,7 @@ fn e21_plan_cache() {
     }
     t.print();
     println!(
-        "  (A miss still ships the parsed form — the parse happens once at the\n   middleware instead of once per replica — so even the thrashing cells\n   beat `off`, and the virtual-time columns are flat in hit rate:\n   middleware-side parse CPU is outside the simulator's cost model\n   (admission is a zero-width stage). What a hit buys over a miss is\n   wall-clock middleware CPU, and bench_pr8 measures it honestly: for\n   statements this small a hit (normalize+bind) costs about half a miss\n   but about the SAME as one plain parse (binding clones the template),\n   so admission CPU is roughly unchanged and the pipeline's real win is\n   the three downstream parses it removes on hit and miss alike. The\n   off arm is the pre-cache code path byte-for-byte: plan_cache = 0\n   changes no message, cost, or decision in E1-E20.)\n"
+        "  (A miss still ships the parsed form — the parse happens once at the\n   middleware instead of once per replica — so even the thrashing cells\n   beat `off`, and the virtual-time columns are flat in hit rate:\n   middleware-side parse CPU is outside the simulator's cost model\n   (admission is a zero-width stage). What a hit buys over a miss is\n   wall-clock middleware CPU, and the repo benchmark's sql.plan.hit_ns /\n   miss_ns / sql.parser.parse_ns probes price it honestly: for\n   statements this small a hit (normalize+bind) costs about half a miss\n   but about the SAME as one plain parse (binding clones the template),\n   so admission CPU is roughly unchanged and the pipeline's real win is\n   the three downstream parses it removes on hit and miss alike. The\n   off arm is the pre-cache code path byte-for-byte: plan_cache = 0\n   changes no message, cost, or decision in E1-E20.)\n"
     );
 }
 
@@ -2344,7 +2344,7 @@ fn e22_partial_replication() {
     }
     t.print();
     println!(
-        "  (A trivial placement — one group hosted everywhere — is normalized\n   away at build time and runs the global single-sequencer path\n   byte-for-byte, so E1-E21 are unchanged by any of this; bench_pr9\n   asserts that identity on every run.)\n"
+        "  (Full replication is the one-group placement hosted everywhere: the\n   no-placement arms above and E1-E21 run this same per-group pipeline\n   with G = 1, and the trivial_placement_is_byte_identical test asserts\n   that no placement and the explicit one-group placement agree on\n   every counter, certifier stat and checksum.)\n"
     );
 }
 

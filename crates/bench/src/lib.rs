@@ -1,10 +1,7 @@
-//! Shared harness helpers for the experiment binary and the in-tree
-//! micro-benchmarks: cluster builders, workload shorthands, table printing,
-//! and the [`timing`] harness. Every experiment runs on the deterministic
-//! simulator, so regenerated numbers are reproducible bit-for-bit from the
-//! seed.
-
-pub mod timing;
+//! Shared harness helpers for the experiment binary and its tests: cluster
+//! builders, workload shorthands, table printing. Every experiment runs on
+//! the deterministic simulator, so regenerated numbers are reproducible
+//! bit-for-bit from the seed.
 
 use replimid_core::{ClientMetrics, Cluster, ClusterConfig, Mode, NondetPolicy, Placement, TxSource};
 use replimid_simnet::dur;
@@ -40,7 +37,7 @@ pub fn mm_statement_cfg(rows: usize) -> ClusterConfig {
     )
 }
 
-/// Think time for the saturated fleet arms (E19 part (c), BENCH_pr6): the
+/// Think time for the saturated fleet arms (E19 part (c)): the
 /// whole fleet offers the demand five backends could serve if point reads
 /// were all they did, whatever its size. That is past what seven slaves
 /// deliver (each also replays every write), so the cell is capacity-
@@ -59,8 +56,8 @@ pub fn saturating_fleet_think_us(sessions: usize, keys_per_table: usize) -> u64 
     sessions as u64 * read.cost.cpu_us / 5
 }
 
-/// A fresh-key insert stream sharded round-robin over `t0..t7`; the E18 /
-/// PR5-bench write workload. Disjoint tables give the grouped batch apply
+/// A fresh-key insert stream sharded round-robin over `t0..t7`; the E18
+/// write workload. Disjoint tables give the grouped batch apply
 /// at the backends parallelism to exploit.
 pub struct ShardedInsert {
     next: i64,
@@ -117,10 +114,9 @@ pub fn striped_placement(tables: usize, backends: usize, replicas: usize) -> Pla
 }
 
 /// Writeset-mode cluster over `tables` disjoint single-row tables with an
-/// optional table-group placement. `None` is full replication — the exact
-/// global single-sequencer path (as is any trivial placement, which the
-/// middleware normalizes away). Round-robin routing so scaling numbers
-/// are not shaped by latency-aware placement.
+/// optional table-group placement. `None` is full replication: the
+/// one-group placement hosted by every backend. Round-robin routing so
+/// scaling numbers are not shaped by latency-aware placement.
 pub fn partial_ws_cfg(tables: usize, backends: usize, placement: Option<Placement>) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(
         Mode::MultiMasterWriteset,

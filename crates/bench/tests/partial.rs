@@ -1,8 +1,7 @@
 //! Partial replication end-to-end properties: outcome preservation vs the
 //! full-replication baseline, row flow restricted to hosting backends,
 //! cross-group (2PC-style) commit atomicity including crash injection
-//! mid-protocol, batched writeset fan-out equivalence, and the
-//! trivial-placement byte-identity guarantee.
+//! mid-protocol, and the trivial-placement byte-identity guarantee.
 
 use replimid_bench::{aggregate, partial_ws_cfg, run_and_drain, striped_placement};
 use replimid_core::{Cluster, Placement};
@@ -234,50 +233,18 @@ fn cross_group_commit_is_atomic() {
     });
 }
 
-/// Satellite 3: grouping remote writeset applications into one
-/// `ApplyWritesetBatch` per backend per flush changes the transport only.
-/// With a fixed transaction budget, the batched and unbatched runs commit
-/// the same transactions and converge to identical data checksums.
-#[test]
-fn ws_apply_batch_outcomes_unchanged() {
-    let run = |batched: bool| {
-        let mut cfg = partial_ws_cfg(4, 3, None);
-        cfg.seed = 13;
-        cfg.mw.batch_max = 8;
-        cfg.mw.batch_deadline_us = 200;
-        cfg.mw.ws_apply_batch = batched;
-        let mut cluster = Cluster::build(cfg);
-        let clients: Vec<NodeId> = (0..4)
-            .map(|g| {
-                cluster.add_client(DisjointInsert::new(1_000_000 * (g as i64 + 1), g), |cc| {
-                    cc.think_time_us = 500;
-                    cc.tx_limit = 100;
-                })
-            })
-            .collect();
-        run_and_drain(&mut cluster, 5);
-        let agg = aggregate(&mut cluster, &clients);
-        let sums = cluster.backend_checksums();
-        (agg.committed, agg.aborted, agg.failed, sums, cluster.mw_metrics(0))
-    };
-    let (c_off, a_off, f_off, sums_off, mw_off) = run(false);
-    let (c_on, a_on, f_on, sums_on, mw_on) = run(true);
-    assert_eq!((c_off, a_off, f_off), (400, 0, 0), "unbatched run incomplete");
-    assert_eq!((c_on, a_on, f_on), (400, 0, 0), "batched run incomplete");
-    assert_eq!(sums_off, sums_on, "batched fan-out changed backend contents");
-    assert_eq!(mw_off.counters.ws_apply_batch_flushes, 0);
-    assert!(mw_on.counters.ws_apply_batch_flushes > 0, "batch path never taken");
-}
-
-/// The compatibility guarantee the whole PR hangs on: a trivial placement
-/// (one group hosted everywhere) is normalized away and runs the global
-/// single-sequencer path byte-for-byte — same counters, same certifier
-/// stats, same backend contents as no placement at all.
+/// Full replication is the one-group placement, not a sibling
+/// implementation: no placement at all and the explicit one-group-everywhere
+/// placement run the same pipeline with G = 1 and agree on every counter,
+/// certifier stat and backend byte — with group commit off and on — and the
+/// no-placement arm reruns bit-identically (the closed-loop same-seed
+/// guarantee every E-table rests on).
 #[test]
 fn trivial_placement_is_byte_identical() {
-    let run = |placement: Option<Placement>| {
+    let run = |placement: Option<Placement>, batch_max: usize| {
         let mut cfg = partial_ws_cfg(3, 3, placement);
         cfg.seed = 21;
+        cfg.mw.batch_max = batch_max;
         let mut cluster = Cluster::build(cfg);
         for g in 0..3usize {
             cluster.add_client(DisjointInsert::new(1_000_000 * (g as i64 + 1), g), |cc| {
@@ -289,14 +256,25 @@ fn trivial_placement_is_byte_identical() {
         let groups = cluster.with_middleware(0, |m| m.partial_groups());
         (cluster.mw_metrics(0), sums, groups)
     };
-    let (mw_none, sums_none, groups_none) = run(None);
-    let trivial = Placement::new(vec![vec![0, 1, 2]]).assign("t0", 0).assign("t1", 0);
-    let (mw_triv, sums_triv, groups_triv) = run(Some(trivial));
-    assert_eq!(groups_none, 1);
-    assert_eq!(groups_triv, 1, "trivial placement was not normalized away");
-    assert_eq!(mw_none.counters, mw_triv.counters, "counters diverge");
-    assert_eq!(mw_none.certifier, mw_triv.certifier, "certifier stats diverge");
-    assert_eq!(sums_none, sums_triv, "backend contents diverge");
+    let trivial = || Placement::new(vec![vec![0, 1, 2]]).assign("t0", 0).assign("t1", 0);
+    for batch_max in [1usize, 8] {
+        let (mw_none, sums_none, groups_none) = run(None, batch_max);
+        let (mw_triv, sums_triv, groups_triv) = run(Some(trivial()), batch_max);
+        assert_eq!((groups_none, groups_triv), (1, 1), "batch_max {batch_max}");
+        assert!(mw_none.certifier.commits > 0, "batch_max {batch_max}: nothing certified");
+        assert_eq!(mw_none.counters, mw_triv.counters, "batch_max {batch_max}: counters diverge");
+        assert_eq!(mw_none.certifier, mw_triv.certifier, "batch_max {batch_max}: certifier stats diverge");
+        assert_eq!(sums_none, sums_triv, "batch_max {batch_max}: backend contents diverge");
+        assert_eq!(
+            mw_none.batch_sizes.count() > 0,
+            batch_max > 1,
+            "batch_max {batch_max}: group commit observable exactly when on"
+        );
+        let (mw_rerun, sums_rerun, _) = run(None, batch_max);
+        assert_eq!(mw_none.counters, mw_rerun.counters, "batch_max {batch_max}: rerun counters differ");
+        assert_eq!(mw_none.certifier, mw_rerun.certifier, "batch_max {batch_max}: rerun certifier stats differ");
+        assert_eq!(sums_none, sums_rerun, "batch_max {batch_max}: rerun backend contents differ");
+    }
 }
 
 /// Striped placements compose with more groups than backends (several

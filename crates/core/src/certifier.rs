@@ -119,24 +119,6 @@ impl Certifier {
         Verdict::Commit
     }
 
-    /// Certify a group-committed batch in admission order. Exactly
-    /// equivalent to calling [`certify`](Self::certify) once per item:
-    /// conflict state (window, `last_writer`, position) carries across the
-    /// batch, so an earlier batch member's commit aborts a later overlapping
-    /// member whose `start_pos` predates it — the one-call form exists so
-    /// the middleware hands the whole flush to the certifier at once and
-    /// the order inside the batch cannot be perturbed by interleaving.
-    pub fn certify_batch(
-        &mut self,
-        items: &[(u64, &Writeset)],
-        pk_of: impl Fn(&str, &str) -> Option<usize>,
-    ) -> Vec<Verdict> {
-        items
-            .iter()
-            .map(|&(start_pos, ws)| self.certify(start_pos, ws, &pk_of))
-            .collect()
-    }
-
     /// Undo the certification recorded at `pos` (cross-group 2PC abort:
     /// this group voted yes — optimistically inserting its keys — but
     /// another involved group voted no, so the reservation is released).
@@ -280,32 +262,6 @@ mod tests {
         assert_eq!(st.aborts, 1);
         assert_eq!(st.keys_checked, 4);
         assert_eq!(st.max_window, 2);
-    }
-
-    #[test]
-    fn batch_certification_matches_sequential() {
-        let sets = [ws(&[1, 2]), ws(&[2, 3]), ws(&[4]), ws(&[2])];
-        let starts = [0u64, 0, 0, 2];
-
-        let mut seq = Certifier::new();
-        let sequential: Vec<Verdict> = starts
-            .iter()
-            .zip(&sets)
-            .map(|(&s, w)| seq.certify(s, w, pk))
-            .collect();
-
-        let mut bat = Certifier::new();
-        let items: Vec<(u64, &Writeset)> =
-            starts.iter().copied().zip(sets.iter()).collect();
-        let batched = bat.certify_batch(&items, pk);
-
-        assert_eq!(batched, sequential);
-        // Conflict state carried across the batch: member 1 aborted against
-        // member 0's in-batch commit, member 3 started after it and passed.
-        assert_eq!(batched, vec![Verdict::Commit, Verdict::Abort, Verdict::Commit, Verdict::Commit]);
-        assert_eq!(bat.position(), seq.position());
-        assert_eq!(bat.stats(), seq.stats());
-        assert_eq!(bat.window_len(), seq.window_len());
     }
 
     #[test]

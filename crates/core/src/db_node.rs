@@ -196,14 +196,7 @@ impl DbNode {
         match op {
             DbOp::Execute { op, conn, sql, seq } => {
                 if let Some(sq) = seq {
-                    if std::env::var("REPLIMID_DEBUG2").is_ok() {
-                        eprintln!(
-                            "[{} n{}] exec arrive seq {sq}",
-                            ctx.now().micros(),
-                            ctx.me.0
-                        );
-                    }
-                    if sq <= self.ordered_applied && std::env::var("REPLIMID_DEBUG").is_ok() {
+                    if sq <= self.ordered_applied && crate::debug_on() {
                         eprintln!(
                             "[{}] skip exec seq {sq} (ordered_applied={}) sql={sql}",
                             ctx.now().micros(),
@@ -430,31 +423,6 @@ impl DbNode {
                 };
                 Some(resp)
             }
-            DbOp::ApplyWritesetBatch { op, parts } => {
-                // Each part is an independent transaction; parts touching
-                // disjoint tables apply concurrently, so the batch is
-                // charged the longest dependent chain (same model as
-                // `ExecuteBatch`), while outcomes stay per-part.
-                let mut results = Vec::with_capacity(parts.len());
-                let mut tables: Vec<Vec<(String, String)>> = Vec::with_capacity(parts.len());
-                let mut costs: Vec<u64> = Vec::with_capacity(parts.len());
-                for ws in &parts {
-                    match self.engine.apply_writeset(ws) {
-                        Ok(res) => {
-                            tables.push(ws.tables());
-                            costs.push(res.cost.cpu_us.max(ws.len() as u64 * 4));
-                            results.push(None);
-                        }
-                        Err(err) => {
-                            tables.push(ws.tables());
-                            costs.push(ws.len() as u64 * 4);
-                            results.push(Some(err));
-                        }
-                    }
-                }
-                ctx.consume(self.scaled(grouped_chain_cost(&tables, &costs)));
-                Some(DbResp::ApplyBatchOut { op, results })
-            }
             DbOp::ApplyBinlog { op, entries, use_writesets, parallel_apply, space } => {
                 Some(self.apply_binlog(ctx, op, entries, use_writesets, parallel_apply, space))
             }
@@ -670,7 +638,6 @@ fn op_id(op: &DbOp) -> Option<u64> {
         | DbOp::ExecuteBatchPlan { op, .. }
         | DbOp::PrepareWriteset { op, .. }
         | DbOp::ApplyWriteset { op, .. }
-        | DbOp::ApplyWritesetBatch { op, .. }
         | DbOp::ApplyBinlog { op, .. }
         | DbOp::BinlogAfter { op, .. }
         | DbOp::Dump { op, .. }

@@ -270,7 +270,7 @@ impl SessionFleet {
                             .unwrap_or(0);
                         if (seen as u64) < slot.acked_val {
                             self.metrics.ryw_violations += 1;
-                            if std::env::var("REPLIMID_DEBUG").is_ok() {
+                            if crate::debug_on() {
                                 eprintln!(
                                     "[fleet] RYW violation t={now} session={session} key={slot_idx} seen={seen} acked={}",
                                     slot.acked_val
@@ -279,7 +279,7 @@ impl SessionFleet {
                         }
                         if (seen as u64) < slot.last_seen_val {
                             self.metrics.monotonic_violations += 1;
-                            if std::env::var("REPLIMID_DEBUG").is_ok() {
+                            if crate::debug_on() {
                                 eprintln!(
                                     "[fleet] monotonic violation t={now} session={session} key={slot_idx} seen={seen} floor={}",
                                     slot.last_seen_val

@@ -37,3 +37,10 @@ pub use recovery::{RecoveryLog, ReplayMode};
 pub use rewrite::NondetPolicy;
 pub use session::SessionTable;
 pub use trace::{CompletedTrace, SpanRec, Stage, TraceId, TraceSink, TraceSummary};
+
+/// `REPLIMID_DEBUG` is set: stream middleware-level event traces to stderr.
+/// Read once per process — several call sites sit on per-request paths.
+pub(crate) fn debug_on() -> bool {
+    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ON.get_or_init(|| std::env::var("REPLIMID_DEBUG").is_ok())
+}

@@ -263,9 +263,6 @@ pub struct Counters {
     /// LPRF picks where folding replication lag into the score demoted the
     /// backend that plain least-pending would have chosen.
     pub lprf_lag_demotions: u64,
-    /// Writeset-mode fan-out flushes sent as one `ApplyWritesetBatch`
-    /// message per backend instead of one `ApplyWriteset` per transaction.
-    pub ws_apply_batch_flushes: u64,
     /// Graceful drains started (`AdminCmd::DrainBackend` accepted).
     pub drains_started: u64,
     /// Drains that reached `Removed` — gracefully (in-flight work allowed

@@ -26,8 +26,8 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use replimid_gcs::{
-    Action as GAction, AdaptiveConfig, AdaptiveThreshold, GcsConfig, GroupMember,
-    HeartbeatConfig, MemberId, ShardedMember,
+    Action as GAction, AdaptiveConfig, AdaptiveThreshold, GcsConfig, HeartbeatConfig, MemberId,
+    ShardedMember,
 };
 use replimid_simnet::{Actor, Ctx, NodeId};
 use replimid_sql::ast::Statement;
@@ -47,11 +47,9 @@ use crate::rewrite::{prepare_for_broadcast, NondetPolicy};
 use crate::session::SessionTable;
 use crate::trace::{Stage, TraceId, TraceSink};
 
-/// Timer tags (1 is reserved by the GCS tick).
+/// Timer tags.
 const TIMER_PING: u64 = 2;
 const TIMER_SHIP: u64 = 3;
-/// Group-commit flush deadline (write-path batching).
-const TIMER_BATCH: u64 = 4;
 /// Op-timeout timers: TIMER_OP_BASE + op id.
 const TIMER_OP_BASE: u64 = 1_000_000_000;
 /// Freshness-wait deadlines: TIMER_FRESH_BASE + waiter id. A read parked
@@ -63,15 +61,14 @@ const TIMER_FRESH_BASE: u64 = 500_000_000;
 const TIMER_RETRY_BASE: u64 = 1_000;
 const APPLY_RETRY_DELAY_US: u64 = 5_000;
 const APPLY_RETRY_MAX: u32 = 100;
-/// Partial replication: per-group sequencer heartbeat ticks, tagged
-/// `SHARD_TICK_BASE + group` so `on_timer` can route each tick back to its
-/// shard (the embedded `GroupMember`s all arm the same `TICK_TAG`).
+/// Per-group sequencer heartbeat ticks, tagged `SHARD_TICK_BASE + group` so
+/// `on_timer` can route each tick back to its shard (the embedded
+/// `GroupMember`s all arm the same `TICK_TAG`).
 const SHARD_TICK_BASE: u64 = 100;
-/// Partial replication: per-group group-commit flush deadlines, tagged
-/// `SHARD_BATCH_BASE + group`.
+/// Per-group group-commit flush deadlines, tagged `SHARD_BATCH_BASE + group`.
 const SHARD_BATCH_BASE: u64 = 500;
 /// Hard cap on table groups — keeps the shard timer-tag ranges disjoint
-/// from each other and from the global tags above.
+/// from each other and from the tags above.
 pub(crate) const MAX_GROUPS: usize = 64;
 
 /// Replication strategy.
@@ -217,9 +214,8 @@ pub struct MwConfig {
     /// its own group-commit buffer; writesets fan out only to the backends
     /// hosting their group. Placement restricts *replication and read
     /// routing*, not schema — every backend keeps the full schema, only
-    /// row flow is partial. `None`, and any trivial placement (one group
-    /// hosted everywhere — normalized away at construction), is full
-    /// replication: the single-sequencer path runs byte-for-byte.
+    /// row flow is partial. `None` is full replication: the one-group
+    /// placement hosted by every backend, the same pipeline with G = 1.
     /// Writeset mode only.
     pub placement: Option<Placement>,
     /// Freshness-aware LPRF: fold each backend's replication lag
@@ -228,12 +224,6 @@ pub struct MwConfig {
     /// stops looking idle to the balancer. Off by default (scores are
     /// byte-identical when off).
     pub lag_aware_lprf: bool,
-    /// Batch remote writeset applications into ONE `ApplyWritesetBatch`
-    /// message per backend per group-commit flush (the writeset-mode
-    /// sibling of the statement path's `ExecuteBatch` fan-out).
-    /// Per-statement outcomes, retries, and watermark advancement are
-    /// unchanged — only the transport is grouped. Off by default.
-    pub ws_apply_batch: bool,
     /// Conflict-class cache capacity: written-table sets keyed by plan
     /// template identity, so repeated statement shapes skip the
     /// delivery-time AST walk. Effective with the plan cache on (shared
@@ -274,7 +264,6 @@ impl MwConfig {
             plan_cache: 0,
             placement: None,
             lag_aware_lprf: false,
-            ws_apply_batch: false,
             class_cache: 0,
             class_cost_us: 0,
             initial_removed: Vec::new(),
@@ -345,8 +334,6 @@ struct Backend {
     applied_seq: u64,
     /// Binlog LSN this backend reported applied (master-slave).
     applied_lsn: Lsn,
-    /// Certified-writeset positions durably applied (writeset mode).
-    cert_mark: Watermark,
     /// Virtual time the current drain started (0 = not draining).
     drain_started_us: u64,
 }
@@ -416,20 +403,19 @@ struct Sess {
     sticky: Option<BackendId>,
     temp_pinned: bool,
     temp_tables: HashSet<String>,
-    start_cert_pos: u64,
-    /// Partial replication: per-group certification start positions,
-    /// sampled from the delegate's per-group watermarks when its BEGIN
-    /// executes (indexed by group; the whole vector is sampled at once).
+    /// Per-group certification start positions, sampled from the
+    /// delegate's per-group watermarks when its BEGIN executes (indexed by
+    /// group; the whole vector is sampled at once).
     gstart: Vec<u64>,
-    /// Partial replication: the session's per-group freshness stamps —
-    /// the position of its last committed write in each group's certified
+    /// Writeset mode: the session's per-group freshness stamps — the
+    /// position of its last committed write in each group's certified
     /// stream (grown on demand; groups the session never wrote stay 0).
     gstamps: Vec<u64>,
     last_write_us: u64,
     last_write_backend: Option<BackendId>,
-    /// The session's freshness stamp: position of its last acknowledged
-    /// write in the mode's replication space (recovery-log seq for
-    /// statement replication, certification position for writeset mode,
+    /// The session's freshness stamp outside writeset mode (which stamps
+    /// `gstamps`): position of its last acknowledged write in the mode's
+    /// replication space (recovery-log seq for statement replication,
     /// master binlog LSN for master-slave). A replica is fresh for this
     /// session iff its applied position has reached the stamp.
     last_commit_stamp: u64,
@@ -459,7 +445,6 @@ impl Sess {
             sticky: None,
             temp_pinned: false,
             temp_tables: HashSet::new(),
-            start_cert_pos: 0,
             gstart: Vec::new(),
             gstamps: Vec::new(),
             last_write_us: 0,
@@ -492,18 +477,12 @@ enum Pending {
     /// backend; `groups` are the per-statement exec groups, in batch order.
     GroupExecBatch { groups: Vec<u64>, backend: BackendId },
     Prepare { session: SessionId, backend: BackendId },
-    DelegateCommit { session: SessionId, backend: BackendId, pos: u64 },
-    ApplyWs { session: Option<SessionId>, backend: BackendId, ws: Writeset, attempts: u32, pos: u64 },
-    /// Partial replication: the delegate's single COMMIT for a (possibly
-    /// multi-group) transaction; `marks` are the (group, position) pairs
-    /// its ack credits to the backend's per-group watermarks.
+    /// The delegate's single COMMIT for a (possibly multi-group)
+    /// transaction; `marks` are the (group, position) pairs its ack
+    /// credits to the backend's per-group watermarks.
     PwCommit { session: SessionId, backend: BackendId, marks: Vec<(u32, u64)> },
-    /// Partial replication: one group's writeset slice applied at one
-    /// hosting backend.
+    /// One group's writeset slice applied at one hosting backend.
     PwApply { session: Option<SessionId>, backend: BackendId, group: u32, ws: Writeset, attempts: u32, pos: u64 },
-    /// One grouped `ApplyWritesetBatch` covering a flush's remote applies
-    /// at one backend (`cfg.ws_apply_batch`).
-    ApplyWsBatch { backend: BackendId, parts: Vec<WsBatchPart> },
     /// Partial resync: dump request at the donor for `target`; `heads` are
     /// the per-group log heads snapshotted when the dump was requested.
     PwResyncDump { target: BackendId, donor: BackendId, heads: Vec<u64> },
@@ -520,16 +499,6 @@ enum Pending {
     BackupDump { backend: BackendId, hot: bool, started_us: u64 },
     ResyncRestore { backend: BackendId, baseline: Lsn, log_pos: u64 },
     FireAndForget,
-}
-
-/// One remote apply inside a grouped `ApplyWritesetBatch` flush: enough to
-/// resolve the per-statement outcome (origin countdown, watermark mark,
-/// retry fallback) exactly as an individual `ApplyWs` reply would.
-#[derive(Debug, Clone)]
-struct WsBatchPart {
-    session: Option<SessionId>,
-    ws: Writeset,
-    pos: u64,
 }
 
 /// Aggregated metrics exposed to the harness.
@@ -604,7 +573,6 @@ pub struct Middleware {
     peers: Vec<NodeId>,
     #[allow(dead_code)]
     me_idx: usize,
-    group: GroupMember<ReplEvent>,
     backends: Vec<Backend>,
     balancer: Balancer,
     /// Per-session state, keyed by `SessionId.0`. A flat slab + index
@@ -617,11 +585,8 @@ pub struct Middleware {
     next_op: u64,
     exec_groups: HashMap<u64, ExecGroup>,
     next_group: u64,
-    pub log: RecoveryLog,
-    certifier: Certifier,
     /// Global barrier for a recovering replica's final catch-up hop.
     barrier_for: Option<BackendId>,
-    buffered_deliveries: VecDeque<ReplEvent>,
     /// Master-slave state.
     master: BackendId,
     shipping_inflight: bool,
@@ -631,9 +596,6 @@ pub struct Middleware {
     /// (deterministic and FIFO-fair).
     fresh_waiters: std::collections::BTreeMap<u64, FreshWaiter>,
     next_fresh: u64,
-    /// Writeset applications awaiting retry (timer tag -> work).
-    apply_retries: HashMap<u64, (BackendId, Writeset, Option<SessionId>, u32, u64)>,
-    next_retry: u64,
     /// Slaves with a shipping batch in flight (no overlapping batches).
     ship_busy: HashSet<BackendId>,
     /// Recovery start times (backend -> µs), for rejoin-duration metrics.
@@ -646,17 +608,19 @@ pub struct Middleware {
     probe_op: HashMap<BackendId, u64>,
     /// Per-backend learned silence thresholds (cfg.adaptive_detection).
     pong_adaptive: Vec<AdaptiveThreshold>,
-    /// Admitted write-path events awaiting a group-commit flush.
-    publish_batch: Vec<ReplEvent>,
-    /// A `TIMER_BATCH` deadline is outstanding.
-    batch_timer_armed: bool,
     /// Prepared-statement templates keyed by normalized SQL (capacity
     /// `cfg.plan_cache`; disabled at 0).
     plan_cache: PlanCache,
-    /// Partial-replication state (placement, per-group sequencers,
-    /// certifier shards, log streams, cross-group transactions). `None` =
-    /// full replication — every partial branch below is skipped.
-    parts: Option<Partial>,
+    /// Per-group replication state: ordering, certification, logging,
+    /// apply tracking. Full replication is the one group every backend
+    /// hosts.
+    shards: Shards,
+    /// The placement is non-trivial. Selects the request entry
+    /// ([`Self::pw_request`] defers BEGIN until the group set is known)
+    /// and the rejoin entry ([`Self::start_pw_resync`] has no incremental
+    /// log path); everything between publish and apply acknowledgement is
+    /// one pipeline whatever this says.
+    partial: bool,
     /// Conflict-class cache: plan-template pointer -> (pinned template,
     /// written tables). Holding the `Arc` in the value pins the allocation
     /// so the pointer key can never be reused by a different template
@@ -676,7 +640,7 @@ enum FlushReason {
 /// group set plus the per-group positions a candidate must have applied.
 type PartialNeeds = (Vec<usize>, Vec<(usize, u64)>);
 
-/// Retry payload for a partial-mode apply:
+/// Retry payload for a writeset apply:
 /// (backend, group, writeset, origin session, attempt count, position).
 type PwRetry = (BackendId, u32, Writeset, Option<SessionId>, u32, u64);
 
@@ -698,12 +662,14 @@ struct FreshWaiter {
     pneeds: Option<PartialNeeds>,
 }
 
-/// Per-group replication state for partial replication. Group `g` has its
-/// own sequencer (`member` shard `g`), certifier shard, recovery-log
-/// stream, and group-commit buffer; backends advance one watermark per
-/// group. All of it is deterministic from the per-group ordered streams,
-/// so every middleware peer's copy agrees.
-struct Partial {
+/// Per-group replication state. Group `g` has its own sequencer (`member`
+/// shard `g`), certifier shard, recovery-log stream, and group-commit
+/// buffer; backends advance one watermark per group. All of it is
+/// deterministic from the per-group ordered streams, so every middleware
+/// peer's copy agrees. Without a placement there is one group hosted by
+/// every backend; its stream also carries the `Statement` and `SessionEnd`
+/// events of statement and master-slave replication.
+struct Shards {
     placement: Placement,
     member: ShardedMember<ReplEvent>,
     certs: Vec<Certifier>,
@@ -718,16 +684,50 @@ struct Partial {
     /// votes collected between the first involved delivery and the
     /// decision.
     xtx: HashMap<(u64, u64), XTx>,
-    /// Shard deliveries buffered behind a recovery barrier (the partial
-    /// sibling of `buffered_deliveries`).
+    /// Deliveries buffered behind a recovery barrier, in arrival order.
     buffered: VecDeque<(usize, ReplEvent)>,
-    /// Apply retries on the partial path (timer id -> work).
+    /// Writeset applications awaiting retry (timer id -> work).
     retries: HashMap<u64, PwRetry>,
+    next_retry: u64,
     /// Rejoining backends in per-group catch-up replay.
     resync: HashMap<usize, PwCatchup>,
 }
 
-impl Partial {
+/// What [`Shards::admit`] decided for one write-path event.
+#[derive(Debug)]
+enum Admit {
+    /// Batching is off: the event takes a total-order slot of its own.
+    Direct(ReplEvent),
+    /// Buffered, and the group's batch is now full: flush it.
+    Full,
+    /// Buffered as the first event of a batch: arm the group's deadline.
+    Arm,
+    /// Buffered behind an already armed deadline.
+    Held,
+}
+
+impl Shards {
+    fn new(placement: Placement, me: MemberId, peers: usize, gcs: GcsConfig, backends: usize) -> Self {
+        let groups = placement.groups();
+        let members: Vec<MemberId> = (0..peers).map(MemberId).collect();
+        Shards {
+            member: ShardedMember::new(me, members, gcs, 0, groups),
+            certs: (0..groups).map(|_| Certifier::new()).collect(),
+            logs: (0..groups).map(|_| RecoveryLog::new()).collect(),
+            marks: (0..backends)
+                .map(|_| (0..groups).map(|_| Watermark::new()).collect())
+                .collect(),
+            batches: (0..groups).map(|_| Vec::new()).collect(),
+            batch_armed: vec![false; groups],
+            xtx: HashMap::new(),
+            buffered: VecDeque::new(),
+            retries: HashMap::new(),
+            next_retry: 0,
+            resync: HashMap::new(),
+            placement,
+        }
+    }
+
     fn groups(&self) -> usize {
         self.placement.groups()
     }
@@ -752,6 +752,45 @@ impl Partial {
             agg.max_window = agg.max_window.max(s.max_window);
         }
         agg
+    }
+
+    /// Group-commit admission on group `g`'s stream: buffer `ev` until
+    /// `batch_max` events are waiting or the deadline the caller arms on
+    /// [`Admit::Arm`] fires. `batch_max <= 1` buffers nothing and arms
+    /// nothing, so the unbatched write path has no extra timers.
+    fn admit(&mut self, g: usize, ev: ReplEvent, batch_max: usize) -> Admit {
+        if batch_max <= 1 {
+            return Admit::Direct(ev);
+        }
+        self.batches[g].push(ev);
+        if self.batches[g].len() >= batch_max {
+            Admit::Full
+        } else if !self.batch_armed[g] {
+            self.batch_armed[g] = true;
+            Admit::Arm
+        } else {
+            Admit::Held
+        }
+    }
+
+    /// Take group `g`'s buffered events (admission order) for a flush and
+    /// disarm its deadline. Empty when a stale deadline fires after a size
+    /// flush already emptied the buffer.
+    fn take_batch(&mut self, g: usize) -> Vec<ReplEvent> {
+        self.batch_armed[g] = false;
+        std::mem::take(&mut self.batches[g])
+    }
+
+    /// Park a writeset application until its retry timer fires; returns
+    /// the timer id [`Self::take_retry`] redeems.
+    fn park_retry(&mut self, work: PwRetry) -> u64 {
+        self.next_retry += 1;
+        self.retries.insert(self.next_retry, work);
+        self.next_retry
+    }
+
+    fn take_retry(&mut self, id: u64) -> Option<PwRetry> {
+        self.retries.remove(&id)
     }
 }
 
@@ -792,8 +831,6 @@ fn grow(v: &mut Vec<u64>, g: usize) {
 
 impl Middleware {
     pub fn new(cfg: MwConfig, me_idx: usize, peers: Vec<NodeId>, backends: Vec<NodeId>) -> Self {
-        let members: Vec<MemberId> = (0..peers.len()).map(MemberId).collect();
-        let group = GroupMember::new(MemberId(me_idx), members, cfg.gcs, 0);
         let n = backends.len();
         let balancer = Balancer::new(cfg.granularity, cfg.policy.clone(), n);
         let qcfg = cfg.quarantine.unwrap_or_default();
@@ -802,8 +839,7 @@ impl Middleware {
             Some(ad) => (0..n).map(|_| AdaptiveThreshold::new(ad)).collect(),
             None => Vec::new(),
         };
-        let mut placement = cfg.placement.clone();
-        if let Some(p) = &placement {
+        if let Some(p) = &cfg.placement {
             assert!(
                 matches!(cfg.mode, Mode::MultiMasterWriteset),
                 "partial replication requires writeset mode"
@@ -812,38 +848,18 @@ impl Middleware {
                 panic!("invalid placement: {e}");
             }
             assert!(p.groups() <= MAX_GROUPS, "at most {MAX_GROUPS} table groups");
-            // A trivial placement (one group hosted by every backend) IS
-            // full replication: normalize it away so the single-sequencer
-            // path runs byte-for-byte.
-            if p.is_trivial(n) {
-                placement = None;
-            }
         }
-        let parts = placement.map(|placement| {
-            let groups = placement.groups();
-            let members: Vec<MemberId> = (0..peers.len()).map(MemberId).collect();
-            Partial {
-                member: ShardedMember::new(MemberId(me_idx), members, cfg.gcs, 0, groups),
-                certs: (0..groups).map(|_| Certifier::new()).collect(),
-                logs: (0..groups).map(|_| RecoveryLog::new()).collect(),
-                marks: (0..n)
-                    .map(|_| (0..groups).map(|_| Watermark::new()).collect())
-                    .collect(),
-                batches: (0..groups).map(|_| Vec::new()).collect(),
-                batch_armed: vec![false; groups],
-                xtx: HashMap::new(),
-                buffered: VecDeque::new(),
-                retries: HashMap::new(),
-                resync: HashMap::new(),
-                placement,
-            }
-        });
+        // Full replication is a value of the placement: one group, hosted
+        // by every backend.
+        let placement =
+            cfg.placement.clone().unwrap_or_else(|| Placement::new(vec![(0..n).collect()]));
+        let partial = !placement.is_trivial(n);
+        let shards = Shards::new(placement, MemberId(me_idx), peers.len(), cfg.gcs, n);
         let initial_removed = cfg.initial_removed.clone();
         Middleware {
             cfg,
             peers,
             me_idx,
-            group,
             backends: backends
                 .into_iter()
                 .enumerate()
@@ -857,7 +873,6 @@ impl Middleware {
                     last_pong_us: 0,
                     applied_seq: 0,
                     applied_lsn: Lsn(0),
-                    cert_mark: Watermark::new(),
                     drain_started_us: 0,
                 })
                 .collect(),
@@ -868,27 +883,21 @@ impl Middleware {
             next_op: 1,
             exec_groups: HashMap::new(),
             next_group: 1,
-            log: RecoveryLog::new(),
-            certifier: Certifier::new(),
             barrier_for: None,
-            buffered_deliveries: VecDeque::new(),
             master: BackendId(0),
             shipping_inflight: false,
             metrics: MwMetrics::default(),
             fresh_waiters: std::collections::BTreeMap::new(),
             next_fresh: 0,
-            apply_retries: HashMap::new(),
-            next_retry: 0,
             ship_busy: HashSet::new(),
             recovery_started: HashMap::new(),
             health: (0..n).map(|_| HealthTracker::new(qcfg)).collect(),
             health_seen: vec![0; n],
             probe_op: HashMap::new(),
             pong_adaptive,
-            publish_batch: Vec::new(),
-            batch_timer_armed: false,
             plan_cache,
-            parts,
+            shards,
+            partial,
             class_cache: HashMap::new(),
         }
     }
@@ -1004,74 +1013,8 @@ impl Middleware {
         op
     }
 
-    fn run_gcs_actions(&mut self, ctx: &mut Ctx<'_, Msg>, actions: Vec<GAction<ReplEvent>>) {
-        for a in actions {
-            match a {
-                GAction::Send { to, msg } => {
-                    let node = self.peers[to.0];
-                    ctx.send(node, Msg::Group(msg));
-                }
-                GAction::SetTimer { delay_us, tag } => ctx.set_timer(delay_us, tag),
-                GAction::Deliver { payload, .. } => self.on_delivery(ctx, payload),
-                GAction::ViewInstalled { .. } | GAction::Suspected { .. } => {}
-            }
-        }
-    }
-
-    fn publish(&mut self, ctx: &mut Ctx<'_, Msg>, ev: ReplEvent) {
-        let actions = self.group.publish(ev, ctx.now().micros());
-        self.run_gcs_actions(ctx, actions);
-    }
-
-    /// Route a write-path event through group-commit batching: buffer it
-    /// until the batch fills (`batch_max`) or the flush deadline fires.
-    /// With batching off (`batch_max <= 1`) this IS [`publish`] — no
-    /// buffering, no timers, no extra RNG draws — so the unbatched write
-    /// path reproduces the pre-batching implementation bit for bit.
-    fn publish_write(&mut self, ctx: &mut Ctx<'_, Msg>, ev: ReplEvent) {
-        if self.cfg.batch_max <= 1 {
-            self.publish(ctx, ev);
-            return;
-        }
-        self.publish_batch.push(ev);
-        if self.publish_batch.len() >= self.cfg.batch_max {
-            self.flush_batch(ctx, FlushReason::Size);
-        } else if !self.batch_timer_armed {
-            self.batch_timer_armed = true;
-            ctx.set_timer(self.cfg.batch_deadline_us, TIMER_BATCH);
-        }
-    }
-
-    /// Ship the buffered batch as ONE total-order slot. The buffered
-    /// admission order is preserved verbatim inside the `Batch` event.
-    fn flush_batch(&mut self, ctx: &mut Ctx<'_, Msg>, reason: FlushReason) {
-        if self.publish_batch.is_empty() {
-            return;
-        }
-        self.batch_timer_armed = false;
-        let events = std::mem::take(&mut self.publish_batch);
-        self.metrics.batch_sizes.record(events.len() as u64);
-        match reason {
-            FlushReason::Size => self.metrics.counters.batch_flush_size += 1,
-            FlushReason::Deadline => self.metrics.counters.batch_flush_deadline += 1,
-        }
-        // Each origin statement waited in the buffer from its admission-side
-        // publish until now: that window is `BatchWait`, so E17-style tiling
-        // still reconciles (the `Order` span then covers flush → delivery).
-        let now = ctx.now().micros();
-        for ev in &events {
-            let (session, stmt_seq) = match ev {
-                ReplEvent::Statement { session, stmt_seq, .. } => (*session, *stmt_seq),
-                ReplEvent::Certify { session, stmt_seq, .. } => (*session, *stmt_seq),
-                _ => continue,
-            };
-            self.mw_span(session, stmt_seq, Stage::BatchWait, now);
-        }
-        self.publish(ctx, ReplEvent::Batch { events });
-    }
-
     // ------------------------------------------------------------------
-    // Partial replication: per-group sequencer plumbing
+    // Ordering: per-group sequencers, group commit, delivery
     // ------------------------------------------------------------------
 
     fn run_shard_actions(&mut self, ctx: &mut Ctx<'_, Msg>, actions: Vec<(usize, GAction<ReplEvent>)>) {
@@ -1093,52 +1036,42 @@ impl Middleware {
     }
 
     fn shard_publish(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, ev: ReplEvent) {
-        let now = ctx.now().micros();
-        let actions = self.parts.as_mut().expect("partial mode").member.publish(g, ev, now);
+        let actions = self.shards.member.publish(g, ev, ctx.now().micros());
         self.run_shard_actions(ctx, actions);
     }
 
-    /// Group-commit batching per group stream (mirrors [`publish_write`]:
-    /// `batch_max <= 1` publishes directly, byte-identical to unbatched).
+    /// Route a write-path event through group `g`'s group-commit buffer
+    /// (see [`Shards::admit`]).
     fn shard_publish_write(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, ev: ReplEvent) {
-        if self.cfg.batch_max <= 1 {
-            self.shard_publish(ctx, g, ev);
-            return;
-        }
-        let full = {
-            let parts = self.parts.as_mut().unwrap();
-            parts.batches[g].push(ev);
-            parts.batches[g].len() >= self.cfg.batch_max
-        };
-        if full {
-            self.flush_shard_batch(ctx, g, FlushReason::Size);
-        } else {
-            let parts = self.parts.as_mut().unwrap();
-            if !parts.batch_armed[g] {
-                parts.batch_armed[g] = true;
-                ctx.set_timer(self.cfg.batch_deadline_us, SHARD_BATCH_BASE + g as u64);
-            }
+        match self.shards.admit(g, ev, self.cfg.batch_max) {
+            Admit::Direct(ev) => self.shard_publish(ctx, g, ev),
+            Admit::Full => self.flush_shard_batch(ctx, g, FlushReason::Size),
+            Admit::Arm => ctx.set_timer(self.cfg.batch_deadline_us, SHARD_BATCH_BASE + g as u64),
+            Admit::Held => {}
         }
     }
 
+    /// Ship group `g`'s buffered batch as ONE total-order slot. The
+    /// buffered admission order is preserved verbatim inside the `Batch`
+    /// event.
     fn flush_shard_batch(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, reason: FlushReason) {
-        let events = {
-            let parts = self.parts.as_mut().unwrap();
-            parts.batch_armed[g] = false;
-            if parts.batches[g].is_empty() {
-                return;
-            }
-            std::mem::take(&mut parts.batches[g])
-        };
+        let events = self.shards.take_batch(g);
+        if events.is_empty() {
+            return;
+        }
         self.metrics.batch_sizes.record(events.len() as u64);
         match reason {
             FlushReason::Size => self.metrics.counters.batch_flush_size += 1,
             FlushReason::Deadline => self.metrics.counters.batch_flush_deadline += 1,
         }
+        // Each origin statement waited in the buffer from its admission-side
+        // publish until now: that window is `BatchWait`, so E17-style tiling
+        // still reconciles (the `Order` span then covers flush → delivery).
         let now = ctx.now().micros();
         for ev in &events {
             let (session, stmt_seq) = match ev {
-                ReplEvent::Certify { session, stmt_seq, .. }
+                ReplEvent::Statement { session, stmt_seq, .. }
+                | ReplEvent::Certify { session, stmt_seq, .. }
                 | ReplEvent::XPrepare { session, stmt_seq, .. } => (*session, *stmt_seq),
                 _ => continue,
             };
@@ -1147,11 +1080,11 @@ impl Middleware {
         self.shard_publish(ctx, g, ReplEvent::Batch { events });
     }
 
-    /// A shard's totally-ordered event arrives. The recovery barrier
-    /// buffers shard deliveries exactly as it buffers global ones.
+    /// Group `g`'s totally-ordered event arrives (identically at every
+    /// peer). The recovery barrier buffers deliveries of every group.
     fn on_shard_delivery(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, ev: ReplEvent) {
         if self.barrier_for.is_some() {
-            self.parts.as_mut().unwrap().buffered.push_back((g, ev));
+            self.shards.buffered.push_back((g, ev));
             return;
         }
         self.apply_shard_delivery(ctx, g, ev);
@@ -1159,6 +1092,9 @@ impl Middleware {
 
     fn apply_shard_delivery(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, ev: ReplEvent) {
         match ev {
+            ReplEvent::Statement { session, stmt_seq, sql, ast } => {
+                self.deliver_statement(ctx, session, stmt_seq, sql, ast)
+            }
             ReplEvent::Certify { session, stmt_seq, start_pos, ws } => {
                 self.deliver_shard_certify(ctx, g, session, stmt_seq, start_pos, ws)
             }
@@ -1166,24 +1102,40 @@ impl Middleware {
                 self.deliver_xprepare(ctx, g, session, stmt_seq, groups, start_pos, part)
             }
             ReplEvent::SessionEnd { session } => self.end_session(session),
-            ReplEvent::Batch { events } => {
-                for ev in events {
-                    self.apply_shard_delivery(ctx, g, ev);
-                }
-            }
-            ReplEvent::Statement { .. } => {}
+            ReplEvent::Batch { events } => self.deliver_batch(ctx, g, events),
         }
     }
 
-    /// Drain shard deliveries buffered behind a (now released) barrier.
-    fn drain_shard_buffer(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        loop {
-            if self.barrier_for.is_some() {
-                break;
+    /// A group-committed batch arrives (one total-order slot): session
+    /// ends first, then the batch's statements fan out to each backend as
+    /// ONE grouped message, then its certification requests one by one.
+    /// Each class keeps the admission order recorded in the event vector.
+    fn deliver_batch(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, events: Vec<ReplEvent>) {
+        let mut stmts: Vec<(SessionId, u64, String, PlanExec)> = Vec::new();
+        let mut certs: Vec<ReplEvent> = Vec::new();
+        for ev in events {
+            match ev {
+                ReplEvent::Statement { session, stmt_seq, sql, ast } => {
+                    stmts.push((session, stmt_seq, sql, ast))
+                }
+                ReplEvent::SessionEnd { session } => self.end_session(session),
+                // Batches never nest (`Shards::admit` only buffers leaves).
+                ReplEvent::Batch { .. } => {}
+                ev @ (ReplEvent::Certify { .. } | ReplEvent::XPrepare { .. }) => certs.push(ev),
             }
-            let Some((g, ev)) = self.parts.as_mut().and_then(|p| p.buffered.pop_front()) else {
-                break;
-            };
+        }
+        if !stmts.is_empty() {
+            self.deliver_statement_batch(ctx, stmts);
+        }
+        for ev in certs {
+            self.apply_shard_delivery(ctx, g, ev);
+        }
+    }
+
+    /// Drain deliveries buffered behind a (now released) barrier.
+    fn drain_shard_buffer(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        while self.barrier_for.is_none() {
+            let Some((g, ev)) = self.shards.buffered.pop_front() else { break };
             self.apply_shard_delivery(ctx, g, ev);
         }
     }
@@ -1193,7 +1145,9 @@ impl Middleware {
         if !self.cfg.require_majority {
             return true;
         }
-        self.group.view().members.len() * 2 > self.peers.len()
+        // Every group's sequencer spans the same peers: stream 0's view
+        // stands for all of them.
+        self.shards.member.view(0).members.len() * 2 > self.peers.len()
     }
 
     fn session(&mut self, id: SessionId, client: Option<NodeId>) -> &mut Sess {
@@ -1532,7 +1486,11 @@ impl Middleware {
                 }
             }
         }
-        self.publish_write(ctx, ReplEvent::Statement { session: req.session, stmt_seq: req.stmt_seq, sql, ast });
+        self.shard_publish_write(
+            ctx,
+            0,
+            ReplEvent::Statement { session: req.session, stmt_seq: req.stmt_seq, sql, ast },
+        );
     }
 
     fn route_read(&mut self, ctx: &mut Ctx<'_, Msg>, req: ClientRequest, ms_mode: bool, plan: Option<PlanExec>) {
@@ -1674,9 +1632,20 @@ impl Middleware {
             }
         } else {
             match self.cfg.mode {
-                Mode::MultiMasterWriteset => self.backends[b.0].cert_mark.value(),
+                Mode::MultiMasterWriteset => self.shards.marks[b.0][0].value(),
                 _ => self.backends[b.0].applied_seq,
             }
+        }
+    }
+
+    /// Position of the session's last acknowledged write in the space
+    /// [`Self::fresh_pos`] reports (writeset mode: stream 0's certified
+    /// positions — under a non-trivial placement [`Self::pw_route_read`]
+    /// compares per group instead).
+    fn write_stamp(&self, s: &Sess) -> u64 {
+        match self.cfg.mode {
+            Mode::MultiMasterWriteset => s.gstamps.first().copied().unwrap_or(0),
+            _ => s.last_commit_stamp,
         }
     }
 
@@ -1706,8 +1675,8 @@ impl Middleware {
             .sessions
             .get(req.session.0)
             .map(|s| match self.cfg.read_policy {
-                ReadPolicy::MonotonicReads => s.last_commit_stamp.max(s.last_read_pos),
-                _ => s.last_commit_stamp,
+                ReadPolicy::MonotonicReads => self.write_stamp(s).max(s.last_read_pos),
+                _ => self.write_stamp(s),
             })
             .unwrap_or(0);
         // Half-open probes keep working under Fresh, but only a probe
@@ -1789,14 +1758,14 @@ impl Middleware {
         is_probe: bool,
     ) {
         self.mw_span(session, stmt_seq, Stage::BalancerPick, ctx.now().micros());
-        if std::env::var("REPLIMID_DEBUG").is_ok() {
+        if crate::debug_on() {
             let ms = matches!(self.cfg.mode, Mode::MasterSlave { .. });
             eprintln!(
                 "[{}us] fresh dispatch sess={} -> b{} stamp={} pos={} probe={is_probe}",
                 ctx.now().micros(),
                 session.0,
                 backend.0,
-                self.sessions.get(session.0).map(|s| s.last_commit_stamp).unwrap_or(0),
+                self.sessions.get(session.0).map(|s| self.write_stamp(s)).unwrap_or(0),
                 self.fresh_pos(backend, ms),
             );
         }
@@ -1841,7 +1810,7 @@ impl Middleware {
             self.sync_health_events(backend.0);
         } else if self.is_quarantined(backend) {
             self.metrics.counters.reads_routed_to_quarantined += 1;
-            if std::env::var("REPLIMID_DEBUG").is_ok() {
+            if crate::debug_on() {
                 eprintln!("[{}us] QUARANTINED read -> b{}", ctx.now().micros(), backend.0);
             }
         }
@@ -1877,14 +1846,9 @@ impl Middleware {
                 // Partial-replication waiter: candidates are restricted to
                 // backends hosting every involved group, freshness is the
                 // per-(backend, group) mark vector.
-                let candidates: Vec<BackendId> = {
-                    let hosts = self
-                        .parts
-                        .as_ref()
-                        .map(|p| p.placement.hosts_of_all(&gset))
-                        .unwrap_or_default();
-                    self.routable().into_iter().filter(|b| hosts.contains(&b.0)).collect()
-                };
+                let hosts = self.shards.placement.hosts_of_all(&gset);
+                let candidates: Vec<BackendId> =
+                    self.routable().into_iter().filter(|b| hosts.contains(&b.0)).collect();
                 let fresh_mask: Vec<bool> =
                     candidates.iter().map(|&b| self.pw_backend_fresh(b, &needs)).collect();
                 let Some(b) = self.balancer.pick_fresh(&candidates, &fresh_mask) else { continue };
@@ -1928,21 +1892,13 @@ impl Middleware {
             let _ = needs;
             // Liveness escape hatch, partial flavor: the most caught-up
             // hosting backend, summed over the involved groups.
-            let hosts = self
-                .parts
-                .as_ref()
-                .map(|p| p.placement.hosts_of_all(&gset))
-                .unwrap_or_default();
+            let hosts = self.shards.placement.hosts_of_all(&gset);
             let fallback = self
                 .routable()
                 .into_iter()
                 .filter(|b| hosts.contains(&b.0))
                 .max_by_key(|&b| {
-                    let sum: u64 = self
-                        .parts
-                        .as_ref()
-                        .map(|p| gset.iter().map(|&g| p.marks[b.0][g].value()).sum())
-                        .unwrap_or(0);
+                    let sum: u64 = gset.iter().map(|&g| self.shards.marks[b.0][g].value()).sum();
                     (sum, std::cmp::Reverse(b.0))
                 });
             self.mw_span(w.session, w.stmt_seq, Stage::FreshnessWait, ctx.now().micros());
@@ -2017,65 +1973,6 @@ impl Middleware {
         }
     }
 
-    /// Totally-ordered event arrives (identically at every peer).
-    fn on_delivery(&mut self, ctx: &mut Ctx<'_, Msg>, ev: ReplEvent) {
-        if self.barrier_for.is_some() {
-            self.buffered_deliveries.push_back(ev);
-            return;
-        }
-        self.apply_delivery(ctx, ev);
-    }
-
-    fn apply_delivery(&mut self, ctx: &mut Ctx<'_, Msg>, ev: ReplEvent) {
-        match ev {
-            ReplEvent::Statement { session, stmt_seq, sql, ast } => {
-                self.deliver_statement(ctx, session, stmt_seq, sql, ast)
-            }
-            ReplEvent::Certify { session, stmt_seq, start_pos, ws } => {
-                self.deliver_certify(ctx, session, stmt_seq, start_pos, ws)
-            }
-            ReplEvent::SessionEnd { session } => {
-                self.end_session(session);
-            }
-            ReplEvent::Batch { events } => self.deliver_batch(ctx, events),
-            // Cross-group prepares only travel per-group streams; the
-            // global stream never carries one.
-            ReplEvent::XPrepare { .. } => {}
-        }
-    }
-
-    /// A group-committed batch arrives (one total-order slot). Statements
-    /// fan out to each backend as ONE grouped message; certification
-    /// requests go to the certifier in one call. Both preserve the
-    /// admission order recorded in the event vector.
-    fn deliver_batch(&mut self, ctx: &mut Ctx<'_, Msg>, events: Vec<ReplEvent>) {
-        let mut stmts: Vec<(SessionId, u64, String, PlanExec)> = Vec::new();
-        let mut certs: Vec<(SessionId, u64, u64, Writeset)> = Vec::new();
-        for ev in events {
-            match ev {
-                ReplEvent::Statement { session, stmt_seq, sql, ast } => {
-                    stmts.push((session, stmt_seq, sql, ast))
-                }
-                ReplEvent::Certify { session, stmt_seq, start_pos, ws } => {
-                    certs.push((session, stmt_seq, start_pos, ws))
-                }
-                ReplEvent::SessionEnd { session } => {
-                    self.end_session(session);
-                }
-                // Batches never nest (publish_write only buffers leaves).
-                ReplEvent::Batch { .. } => {}
-                // Never on the global stream (per-group only).
-                ReplEvent::XPrepare { .. } => {}
-            }
-        }
-        if !stmts.is_empty() {
-            self.deliver_statement_batch(ctx, stmts);
-        }
-        if !certs.is_empty() {
-            self.deliver_certify_batch(ctx, certs);
-        }
-    }
-
     /// Grouped form of [`deliver_statement`]: the batch's statements take a
     /// dense recovery-log seq range and each backend receives one
     /// `ExecuteBatch` message instead of one `Execute` per statement, which
@@ -2095,7 +1992,7 @@ impl Middleware {
             // reads it directly instead of re-parsing the statement text
             // (the old second parse per delivered statement).
             let tables: Vec<String> = self.written_tables_of(ctx, &ast);
-            let log_seq = self.log.append_sql(self.cfg.default_db.clone(), sql.clone(), tables);
+            let log_seq = self.shards.logs[0].append_sql(self.cfg.default_db.clone(), sql.clone(), tables);
             let origin = {
                 let s = self.session(session, None);
                 matches!(&s.current, Some(c) if c.stmt_seq == stmt_seq)
@@ -2109,7 +2006,7 @@ impl Middleware {
         let targets = self.healthy();
         if targets.is_empty() {
             for (session, stmt_seq, _, _, log_seq, origin) in entries {
-                self.log.void(log_seq);
+                self.shards.logs[0].void(log_seq);
                 if origin {
                     self.reply(ctx, session, stmt_seq, Err(ReplyError::Unavailable("no backend".into())));
                 }
@@ -2172,57 +2069,6 @@ impl Middleware {
         }
     }
 
-    /// Grouped form of [`deliver_certify`]: the whole flush goes to the
-    /// certifier in one call, conflict state carrying across the batch in
-    /// admission order, then each verdict finalizes exactly as in the
-    /// unbatched path.
-    fn deliver_certify_batch(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        certs: Vec<(SessionId, u64, u64, Writeset)>,
-    ) {
-        let pk_map = &self.cfg.pk_map;
-        let items: Vec<(u64, &Writeset)> =
-            certs.iter().map(|(_, _, start_pos, ws)| (*start_pos, ws)).collect();
-        let verdicts = self.certifier.certify_batch(&items, |db, t| {
-            pk_map.get(&(db.to_string(), t.to_string())).copied()
-        });
-        self.metrics.certifier = self.certifier.stats();
-        if !self.cfg.ws_apply_batch {
-            for ((session, stmt_seq, _, ws), verdict) in certs.into_iter().zip(verdicts) {
-                self.finish_certify(ctx, session, stmt_seq, ws, verdict, None);
-            }
-            return;
-        }
-        // Satellite: batched apply fan-out. Collect every non-delegate
-        // apply this flush produces, then send ONE message per backend
-        // carrying all of its parts — N certified writesets cost each
-        // backend one wire round-trip instead of N.
-        let mut sink: Vec<(BackendId, WsBatchPart)> = Vec::new();
-        for ((session, stmt_seq, _, ws), verdict) in certs.into_iter().zip(verdicts) {
-            self.finish_certify(ctx, session, stmt_seq, ws, verdict, Some(&mut sink));
-        }
-        for i in 0..self.backends.len() {
-            let backend = BackendId(i);
-            let metas: Vec<WsBatchPart> = sink
-                .iter()
-                .filter(|(b, _)| *b == backend)
-                .map(|(_, m)| m.clone())
-                .collect();
-            if metas.is_empty() {
-                continue;
-            }
-            let wire: Vec<Writeset> = metas.iter().map(|m| m.ws.clone()).collect();
-            self.metrics.counters.ws_apply_batch_flushes += 1;
-            self.send_db(
-                ctx,
-                backend,
-                Pending::ApplyWsBatch { backend, parts: metas },
-                move |op| DbOp::ApplyWritesetBatch { op, parts: wire },
-            );
-        }
-    }
-
     /// Satellite: conflict-class extraction with a plan-template cache.
     /// The written-table walk is pure in the template, and the plan cache
     /// already dedups templates behind `Arc`s — so the pointer is a sound
@@ -2269,7 +2115,7 @@ impl Middleware {
         // come from the event's admission-time parse — this used to be the
         // pipeline's second parse of the same text.
         let tables: Vec<String> = self.written_tables_of(ctx, &ast);
-        let log_seq = self.log.append_sql(self.cfg.default_db.clone(), sql.clone(), tables);
+        let log_seq = self.shards.logs[0].append_sql(self.cfg.default_db.clone(), sql.clone(), tables);
 
         // Shadow session for non-origin peers.
         let origin = {
@@ -2285,7 +2131,7 @@ impl Middleware {
         if targets.is_empty() {
             // Nobody executed it: void the log slot so recovery replay does
             // not resurrect a transaction the client was told failed.
-            self.log.void(log_seq);
+            self.shards.logs[0].void(log_seq);
             if origin {
                 self.reply(ctx, session, stmt_seq, Err(ReplyError::Unavailable("no backend".into())));
             }
@@ -2310,9 +2156,6 @@ impl Middleware {
         }
         let plan_wire = self.cfg.plan_cache > 0;
         for backend in targets {
-            if std::env::var("REPLIMID_DEBUG2").is_ok() {
-                eprintln!("[{}] send exec seq {log_seq} -> b{}", ctx.now().micros(), backend.0);
-            }
             if plan_wire {
                 let plan = ast.clone();
                 self.send_db(ctx, backend, Pending::GroupExec { group: group_id, backend }, move |op| {
@@ -2338,7 +2181,7 @@ impl Middleware {
         stmt: Statement,
         plan: Option<PlanExec>,
     ) {
-        if self.parts.is_some() {
+        if self.partial {
             self.pw_request(ctx, req, stmt, plan);
             return;
         }
@@ -2380,8 +2223,8 @@ impl Middleware {
                     s.sticky = Some(backend);
                     s.current = Some(Current {
                         stmt_seq: req.stmt_seq,
-                        // start_cert_pos is sampled from the delegate's
-                        // watermark when the BEGIN's response arrives.
+                        // gstart is sampled from the delegate's watermarks
+                        // when the BEGIN's response arrives.
                         kind: CurrentKind::WsBegin { then_sql: None, then_autocommit: false },
                     });
                 }
@@ -2502,13 +2345,13 @@ impl Middleware {
     }
 
     // ------------------------------------------------------------------
-    // Partial replication: request path, cross-group commit, read routing
+    // Non-trivial placement: request entry
     // ------------------------------------------------------------------
 
     /// Table groups a statement touches (reads and writes), per the
     /// placement map. Unknown tables fall into the default group.
     fn stmt_groups(&self, stmt: &Statement) -> Vec<usize> {
-        let placement = &self.parts.as_ref().expect("partial mode").placement;
+        let placement = &self.shards.placement;
         let mut names: Vec<String> =
             stmt.read_tables().into_iter().map(|t| t.name).collect();
         names.extend(stmt.written_tables().into_iter().map(|t| t.name));
@@ -2518,7 +2361,7 @@ impl Middleware {
     /// Delegate candidates must host *every* group the transaction touches
     /// (the delegate executes all its statements locally).
     fn pw_pick_delegate(&mut self, gset: &[usize]) -> Option<BackendId> {
-        let hosts = self.parts.as_ref().unwrap().placement.hosts_of_all(gset);
+        let hosts = self.shards.placement.hosts_of_all(gset);
         let candidates: Vec<BackendId> =
             self.routable().into_iter().filter(|b| hosts.contains(&b.0)).collect();
         self.apply_lag_penalties();
@@ -2528,8 +2371,8 @@ impl Middleware {
     /// Client request entry point under a non-trivial placement. Mirrors
     /// [`mm_writeset_request`] except: the delegate is picked lazily at the
     /// first statement (BEGIN does not yet know which groups the
-    /// transaction will touch), and certification goes through the
-    /// per-group sequencers.
+    /// transaction will touch), and reads route by host set
+    /// ([`Self::pw_route_read`]).
     fn pw_request(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -2642,10 +2485,9 @@ impl Middleware {
                 let gset = self.stmt_groups(&stmt);
                 if in_tx {
                     if let Some(backend) = delegate {
-                        let hosts_all = {
-                            let p = self.parts.as_ref().unwrap();
-                            gset.iter().all(|&g| p.placement.hosts(g).contains(&backend.0))
-                        };
+                        let placement = &self.shards.placement;
+                        let hosts_all =
+                            gset.iter().all(|&g| placement.hosts(g).contains(&backend.0));
                         if !hosts_all {
                             // Documented limitation: the delegate was picked
                             // from the transaction's first statement; a later
@@ -2746,6 +2588,10 @@ impl Middleware {
         }
     }
 
+    // ------------------------------------------------------------------
+    // Certification and commit fan-out, per group
+    // ------------------------------------------------------------------
+
     /// Split the prepared writeset along group boundaries and publish:
     /// one group → a plain per-group Certify; several → an XPrepare slot in
     /// every involved group's stream (cross-group 2PC, deterministic votes).
@@ -2755,13 +2601,9 @@ impl Middleware {
             let s = self.sessions.get_mut(session.0).unwrap();
             s.current = Some(Current { stmt_seq, kind: CurrentKind::WsCertifyWait });
         }
-        let (mut slices, default_group) = {
-            let placement = &self.parts.as_ref().unwrap().placement;
-            (
-                ws.split_by(|_db, t| placement.group_of(t)),
-                placement.default_group(),
-            )
-        };
+        let placement = &self.shards.placement;
+        let mut slices = ws.split_by(|_db, t| placement.group_of(t));
+        let default_group = placement.default_group();
         if slices.is_empty() {
             // Read-only-looking writeset (e.g. all writes rolled back):
             // still certify through one stream so the commit acks in order.
@@ -2789,10 +2631,12 @@ impl Middleware {
         }
     }
 
-    /// Single-group certification request delivered on group `g`'s stream.
-    /// The group-local mirror of [`deliver_certify`] + [`finish_certify`]:
-    /// same verdict logic, but log position, conflict window and apply
-    /// fan-out are all group-scoped.
+    /// Single-group certification request delivered on group `g`'s stream:
+    /// certify against the group's conflict window, log the writeset at
+    /// the group's next position (in writeset mode the log holds exactly
+    /// the certified stream, so the log seq IS the certification
+    /// position), then reply to the origin on abort or fan the commit out
+    /// to the group's hosts.
     fn deliver_shard_certify(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -2802,25 +2646,23 @@ impl Middleware {
         start_pos: u64,
         ws: Writeset,
     ) {
-        let (verdict, cert_pos) = {
-            let pk_map = &self.cfg.pk_map;
-            let parts = self.parts.as_mut().unwrap();
-            let verdict = parts.certs[g].certify(start_pos, &ws, |db, t| {
-                pk_map.get(&(db.to_string(), t.to_string())).copied()
-            });
-            let cert_pos = if verdict == Verdict::Commit {
-                parts.logs[g].append_ws(ws.clone())
-            } else {
-                0
-            };
-            self.metrics.certifier = parts.agg_stats();
-            (verdict, cert_pos)
+        let pk_map = &self.cfg.pk_map;
+        let verdict = self.shards.certs[g].certify(start_pos, &ws, |db, t| {
+            pk_map.get(&(db.to_string(), t.to_string())).copied()
+        });
+        let cert_pos = if verdict == Verdict::Commit {
+            self.shards.logs[g].append_ws(ws.clone())
+        } else {
+            0
         };
+        self.metrics.certifier = self.shards.agg_stats();
         let origin = {
             let s = self.session(session, None);
             matches!(&s.current, Some(c) if c.stmt_seq == stmt_seq && matches!(c.kind, CurrentKind::WsCertifyWait))
         };
         if origin {
+            // Certify publish → delivery plus the (instantaneous) conflict
+            // check itself.
             self.mw_span(session, stmt_seq, Stage::Certify, ctx.now().micros());
         }
         match verdict {
@@ -2854,14 +2696,15 @@ impl Middleware {
             }
             Verdict::Commit => {
                 {
+                    // Freshness stamp: reads for this session must come
+                    // from a backend whose group mark reached this position.
                     let s = self.sessions.get_mut(session.0).unwrap();
                     grow(&mut s.gstamps, g);
                     s.gstamps[g] = s.gstamps[g].max(cert_pos);
                 }
                 let delegate =
                     if origin { self.sessions.get(session.0).and_then(|s| s.sticky) } else { None };
-                let hosts: Vec<usize> =
-                    self.parts.as_ref().unwrap().placement.hosts(g).to_vec();
+                let hosts: Vec<usize> = self.shards.placement.hosts(g).to_vec();
                 let targets: Vec<BackendId> =
                     self.healthy().into_iter().filter(|b| hosts.contains(&b.0)).collect();
                 let mut remaining = 0;
@@ -2934,13 +2777,13 @@ impl Middleware {
         let now = ctx.now().micros();
         let done = {
             let pk_map = &self.cfg.pk_map;
-            let parts = self.parts.as_mut().unwrap();
-            let verdict = parts.certs[g].certify(start_pos, &part, |db, t| {
+            let shards = &mut self.shards;
+            let verdict = shards.certs[g].certify(start_pos, &part, |db, t| {
                 pk_map.get(&(db.to_string(), t.to_string())).copied()
             });
             let vote = verdict == Verdict::Commit;
-            let rpos = if vote { parts.logs[g].append_ws(part.clone()) } else { 0 };
-            let entry = parts.xtx.entry((session.0, stmt_seq)).or_insert_with(|| XTx {
+            let rpos = if vote { shards.logs[g].append_ws(part.clone()) } else { 0 };
+            let entry = shards.xtx.entry((session.0, stmt_seq)).or_insert_with(|| XTx {
                 votes: vec![None; groups.len()],
                 pos: vec![0; groups.len()],
                 parts: vec![None; groups.len()],
@@ -2957,18 +2800,13 @@ impl Middleware {
             entry.parts[idx] = Some(part);
             entry.votes.iter().all(Option::is_some)
         };
-        {
-            let parts = self.parts.as_mut().unwrap();
-            self.metrics.certifier = parts.agg_stats();
-        }
+        self.metrics.certifier = self.shards.agg_stats();
         if done {
             let xtx = self
-                .parts
-                .as_mut()
-                .unwrap()
+                .shards
                 .xtx
                 .remove(&(session.0, stmt_seq))
-                .unwrap();
+                .expect("the entry whose last vote just arrived");
             self.finish_xgroup(ctx, session, stmt_seq, xtx);
             // The decision may unblock a recovering backend whose catch-up
             // was capped below the (previously undecided) reserved slot.
@@ -3003,22 +2841,22 @@ impl Middleware {
             self.metrics.counters.xgroup_aborts += 1;
             self.metrics.counters.certification_failures += 1;
             {
-                let parts = self.parts.as_mut().unwrap();
+                let shards = &mut self.shards;
                 for (idx, vote) in xtx.votes.iter().enumerate() {
                     if *vote != Some(true) {
                         continue;
                     }
                     let g = xtx.groups[idx] as usize;
                     let pos = xtx.pos[idx];
-                    parts.certs[g].retract(pos);
-                    parts.logs[g].void(pos);
+                    shards.certs[g].retract(pos);
+                    shards.logs[g].void(pos);
                     // A voided position never gets an apply ack: mark it
                     // applied everywhere or per-group watermarks stall.
-                    for marks in parts.marks.iter_mut() {
+                    for marks in shards.marks.iter_mut() {
                         marks[g].mark(pos);
                     }
                 }
-                self.metrics.certifier = parts.agg_stats();
+                self.metrics.certifier = shards.agg_stats();
             }
             if origin {
                 let delegate = self.sessions.get(session.0).and_then(|s| s.sticky);
@@ -3078,7 +2916,7 @@ impl Middleware {
             let g = gg as usize;
             let part = xtx.parts[idx].clone().expect("yes vote recorded its part");
             let pos = xtx.pos[idx];
-            let hosts: Vec<usize> = self.parts.as_ref().unwrap().placement.hosts(g).to_vec();
+            let hosts: Vec<usize> = self.shards.placement.hosts(g).to_vec();
             for &backend in healthy.iter().filter(|b| hosts.contains(&b.0)) {
                 if Some(backend) == delegate {
                     continue;
@@ -3115,8 +2953,7 @@ impl Middleware {
 
     /// Is backend `b` caught up to `needs` = per-group required positions?
     fn pw_backend_fresh(&self, b: BackendId, needs: &[(usize, u64)]) -> bool {
-        let Some(p) = self.parts.as_ref() else { return true };
-        needs.iter().all(|&(g, need)| p.marks[b.0][g].value() >= need)
+        needs.iter().all(|&(g, need)| self.shards.marks[b.0][g].value() >= need)
     }
 
     /// Read routing under partial replication: candidates are the backends
@@ -3125,7 +2962,7 @@ impl Middleware {
     fn pw_route_read(&mut self, ctx: &mut Ctx<'_, Msg>, req: ClientRequest, stmt: &Statement, plan: Option<PlanExec>) {
         self.metrics.counters.reads += 1;
         let gset = self.stmt_groups(stmt);
-        let hosts = self.parts.as_ref().unwrap().placement.hosts_of_all(&gset);
+        let hosts = self.shards.placement.hosts_of_all(&gset);
         let candidates: Vec<BackendId> =
             self.routable().into_iter().filter(|b| hosts.contains(&b.0)).collect();
         if candidates.is_empty() {
@@ -3216,154 +3053,16 @@ impl Middleware {
             return;
         }
         for i in 0..self.backends.len() {
-            let lag = if let Some(p) = self.parts.as_ref() {
-                p.hosted(i)
+            let p = &self.shards;
+            let lag = match self.cfg.mode {
+                Mode::MultiMasterWriteset => p
+                    .hosted(i)
                     .into_iter()
                     .map(|g| p.certs[g].position().saturating_sub(p.marks[i][g].value()))
-                    .sum()
-            } else {
-                match self.cfg.mode {
-                    Mode::MultiMasterWriteset => {
-                        self.certifier.position().saturating_sub(self.backends[i].cert_mark.value())
-                    }
-                    _ => self.log.head().saturating_sub(self.backends[i].applied_seq),
-                }
+                    .sum(),
+                _ => p.logs[0].head().saturating_sub(self.backends[i].applied_seq),
             };
             self.balancer.set_lag_penalty(BackendId(i), lag);
-        }
-    }
-
-    fn deliver_certify(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId, stmt_seq: u64, start_pos: u64, ws: Writeset) {
-        let pk_map = &self.cfg.pk_map;
-        let verdict = self.certifier.certify(start_pos, &ws, |db, t| {
-            pk_map.get(&(db.to_string(), t.to_string())).copied()
-        });
-        self.metrics.certifier = self.certifier.stats();
-        self.finish_certify(ctx, session, stmt_seq, ws, verdict, None);
-    }
-
-    /// Everything after the certification verdict: log the writeset, reply
-    /// to the origin on abort, or fan the commit out. Shared between the
-    /// single-event and batched delivery paths. With a `sink`, non-delegate
-    /// applies are collected into it (one wire message per backend per
-    /// flush, sent by the caller) instead of dispatched individually; the
-    /// per-statement accounting is identical either way.
-    fn finish_certify(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        session: SessionId,
-        stmt_seq: u64,
-        ws: Writeset,
-        verdict: Verdict,
-        mut sink: Option<&mut Vec<(BackendId, WsBatchPart)>>,
-    ) {
-        // Log certified writesets for recovery. In writeset mode the log
-        // holds exactly the certified stream, so the log seq IS the
-        // certification position.
-        let mut cert_pos = 0;
-        if verdict == Verdict::Commit {
-            cert_pos = self.log.append_ws(ws.clone());
-        }
-        let origin = {
-            let s = self.session(session, None);
-            matches!(&s.current, Some(c) if c.stmt_seq == stmt_seq && matches!(c.kind, CurrentKind::WsCertifyWait))
-        };
-        if origin {
-            // Certify publish → delivery plus the (instantaneous) conflict
-            // check itself.
-            self.mw_span(session, stmt_seq, Stage::Certify, ctx.now().micros());
-        }
-        match verdict {
-            Verdict::Abort => {
-                self.metrics.counters.certification_failures += 1;
-                if origin {
-                    let delegate = self.sessions.get(session.0).and_then(|s| s.sticky);
-                    if let Some(backend) = delegate {
-                        if self.backends[backend.0].online() {
-                            self.send_db(ctx, backend, Pending::FireAndForget, move |op| {
-                                DbOp::Execute { op, conn: session.0, sql: "ROLLBACK".into(), seq: None }
-                            });
-                        }
-                    }
-                    {
-                        let s = self.sessions.get_mut(session.0).unwrap();
-                        s.in_tx = false;
-                        s.wrote_in_tx = false;
-                    }
-                    self.metrics.counters.aborts += 1;
-                    self.reply(
-                        ctx,
-                        session,
-                        stmt_seq,
-                        Err(ReplyError::Sql(SqlError::WriteConflict {
-                            table: "certification".into(),
-                            detail: "first committer won".into(),
-                        })),
-                    );
-                }
-            }
-            Verdict::Commit => {
-                {
-                    // Freshness stamp: reads for this session must come
-                    // from a backend whose cert mark reached this position.
-                    let s = self.sessions.get_mut(session.0).unwrap();
-                    s.last_commit_stamp = s.last_commit_stamp.max(cert_pos);
-                }
-                let delegate = if origin { self.sessions.get(session.0).and_then(|s| s.sticky) } else { None };
-                let mut remaining = 0;
-                let targets = self.healthy();
-                for backend in targets {
-                    if Some(backend) == delegate {
-                        remaining += 1;
-                        self.send_db(
-                            ctx,
-                            backend,
-                            Pending::DelegateCommit { session, backend, pos: cert_pos },
-                            move |op| DbOp::Execute { op, conn: session.0, sql: "COMMIT".into(), seq: None },
-                        );
-                    } else {
-                        let sess = if origin { Some(session) } else { None };
-                        if origin {
-                            remaining += 1;
-                        }
-                        if let Some(sink) = sink.as_deref_mut() {
-                            sink.push((
-                                backend,
-                                WsBatchPart { session: sess, ws: ws.clone(), pos: cert_pos },
-                            ));
-                        } else {
-                            let ws_wire = ws.clone();
-                            let ws_keep = ws.clone();
-                            self.send_db(
-                                ctx,
-                                backend,
-                                Pending::ApplyWs {
-                                    session: sess,
-                                    backend,
-                                    ws: ws_keep,
-                                    attempts: 0,
-                                    pos: cert_pos,
-                                },
-                                move |op| DbOp::ApplyWriteset { op, ws: ws_wire },
-                            );
-                        }
-                    }
-                }
-                if origin {
-                    {
-                        let s = self.sessions.get_mut(session.0).unwrap();
-                        s.in_tx = false;
-                        s.current = Some(Current {
-                            stmt_seq,
-                            kind: CurrentKind::WsFinalize { remaining, failed: false },
-                        });
-                    }
-                    if remaining == 0 {
-                        self.metrics.counters.commits += 1;
-                        self.reply(ctx, session, stmt_seq, Ok(ReplyBody::Ack));
-                    }
-                }
-            }
         }
     }
 
@@ -3443,7 +3142,7 @@ impl Middleware {
             .min()
             .unwrap_or(Lsn(0));
         self.shipping_inflight = true;
-        if std::env::var("REPLIMID_DEBUG").is_ok() {
+        if crate::debug_on() {
             eprintln!("[{}us] ship fetch after {min_applied:?}", ctx.now().micros());
         }
         let master = self.master;
@@ -3604,26 +3303,11 @@ impl Middleware {
                 self.balancer.completed(backend);
                 self.finish_prepare(ctx, session, resp);
             }
-            Pending::DelegateCommit { session, backend, pos } => {
-                self.balancer.completed(backend);
-                if matches!(resp, DbResp::ExecOk { .. }) {
-                    self.backends[backend.0].cert_mark.mark(pos);
-                }
-                self.finish_ws_part(ctx, Some(session), resp);
-            }
-            Pending::ApplyWs { session, backend, ws, attempts, pos } => {
-                self.balancer.completed(backend);
-                if matches!(resp, DbResp::ApplyOk { .. }) {
-                    self.backends[backend.0].cert_mark.mark(pos);
-                }
-                self.finish_apply_ws(ctx, session, backend, ws, attempts, pos, resp);
-            }
             Pending::PwCommit { session, backend, marks } => {
                 self.balancer.completed(backend);
                 if matches!(resp, DbResp::ExecOk { .. }) {
-                    let p = self.parts.as_mut().unwrap();
                     for &(g, pos) in &marks {
-                        p.marks[backend.0][g as usize].mark(pos);
+                        self.shards.marks[backend.0][g as usize].mark(pos);
                     }
                 }
                 self.finish_ws_part(ctx, Some(session), resp);
@@ -3631,50 +3315,9 @@ impl Middleware {
             Pending::PwApply { session, backend, group, ws, attempts, pos } => {
                 self.balancer.completed(backend);
                 if matches!(resp, DbResp::ApplyOk { .. }) {
-                    self.parts.as_mut().unwrap().marks[backend.0][group as usize].mark(pos);
+                    self.shards.marks[backend.0][group as usize].mark(pos);
                 }
                 self.finish_pw_apply(ctx, session, backend, group, ws, attempts, pos, resp);
-            }
-            Pending::ApplyWsBatch { backend, parts } => {
-                self.balancer.completed(backend);
-                let now = ctx.now().micros();
-                self.touch_liveness(backend, now);
-                self.score_completion(now, backend, started, op);
-                if let DbResp::ApplyBatchOut { results, .. } = resp {
-                    // One batched response resolves every member exactly as
-                    // N individual ApplyWriteset replies would have.
-                    for (meta, r) in parts.into_iter().zip(results) {
-                        match r {
-                            None => {
-                                self.backends[backend.0].cert_mark.mark(meta.pos);
-                                self.finish_ws_part(
-                                    ctx,
-                                    meta.session,
-                                    DbResp::ApplyOk { op: 0, applied_lsn: Lsn(0) },
-                                );
-                            }
-                            Some(err) => {
-                                self.finish_apply_ws(
-                                    ctx,
-                                    meta.session,
-                                    backend,
-                                    meta.ws,
-                                    0,
-                                    meta.pos,
-                                    DbResp::ApplyErr { op: 0, err },
-                                );
-                            }
-                        }
-                    }
-                } else {
-                    for meta in parts {
-                        self.finish_ws_part(
-                            ctx,
-                            meta.session,
-                            DbResp::ApplyErr { op: 0, err: SqlError::Internal("batch apply failed".into()) },
-                        );
-                    }
-                }
             }
             Pending::PwResyncDump { target, donor, heads } => {
                 self.finish_pw_resync_dump(ctx, target, donor, heads, resp);
@@ -3727,7 +3370,7 @@ impl Middleware {
             }
             Pending::BackupDump { backend, hot, started_us } => {
                 self.balancer.completed(backend);
-                if std::env::var("REPLIMID_DEBUG").is_ok() {
+                if crate::debug_on() {
                     eprintln!("[backup] resp for b{} hot={hot}: {:?}", backend.0, std::mem::discriminant(&resp));
                 }
                 if let DbResp::DumpOut { dump, .. } = resp {
@@ -3786,17 +3429,10 @@ impl Middleware {
                 DbResp::ExecOk { .. } => {
                     // The delegate's snapshot now exists: every certified
                     // writeset at or below its watermark is visible to it.
-                    if let Some(p) = self.parts.as_ref() {
-                        let gstart: Vec<u64> =
-                            p.marks[backend.0].iter().map(|w| w.value()).collect();
-                        if let Some(s) = self.sessions.get_mut(session.0) {
-                            s.gstart = gstart;
-                        }
-                    } else {
-                        let mark = self.backends[backend.0].cert_mark.value();
-                        if let Some(s) = self.sessions.get_mut(session.0) {
-                            s.start_cert_pos = mark;
-                        }
+                    let gstart: Vec<u64> =
+                        self.shards.marks[backend.0].iter().map(|w| w.value()).collect();
+                    if let Some(s) = self.sessions.get_mut(session.0) {
+                        s.gstart = gstart;
                     }
                     let Some(sql) = then_sql else {
                         self.reply(ctx, session, stmt_seq, Ok(ReplyBody::Ack));
@@ -3886,7 +3522,7 @@ impl Middleware {
             if g.canonical.is_none() && g.log_seq > 0 {
                 // Every backend failed before executing: the entry must not
                 // survive into recovery replay (see RecoveryLog::void).
-                self.log.void(g.log_seq);
+                self.shards.logs[0].void(g.log_seq);
             }
             let result = match g.canonical {
                 Some(Ok(body)) => Ok(body),
@@ -3938,24 +3574,7 @@ impl Middleware {
         self.mw_span(session, current.stmt_seq, Stage::Execute, ctx.now().micros());
         match resp {
             DbResp::WritesetOut { ws, .. } => {
-                if self.parts.is_some() {
-                    self.pw_publish_prepare(ctx, session, current.stmt_seq, *ws);
-                    return;
-                }
-                let start_pos = self.sessions.get(session.0).map(|s| s.start_cert_pos).unwrap_or(0);
-                {
-                    let s = self.sessions.get_mut(session.0).unwrap();
-                    s.current = Some(Current {
-                        stmt_seq: current.stmt_seq,
-                        kind: CurrentKind::WsCertifyWait,
-                    });
-                }
-                self.publish_write(ctx, ReplEvent::Certify {
-                    session,
-                    stmt_seq: current.stmt_seq,
-                    start_pos,
-                    ws: *ws,
-                });
+                self.pw_publish_prepare(ctx, session, current.stmt_seq, *ws);
             }
             DbResp::ExecErr { err, .. } => {
                 self.reply(ctx, session, current.stmt_seq, Err(ReplyError::Sql(err)));
@@ -3966,49 +3585,8 @@ impl Middleware {
 
     /// A remote writeset application finished. Write conflicts mean a local
     /// *uncertified* transaction holds the rows; it will be aborted by its
-    /// own certification shortly, so the apply retries after a delay.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_apply_ws(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        session: Option<SessionId>,
-        backend: BackendId,
-        ws: Writeset,
-        attempts: u32,
-        pos: u64,
-        resp: DbResp,
-    ) {
-        if let DbResp::ApplyErr { err, .. } = &resp {
-            if err.is_retryable()
-                && attempts < APPLY_RETRY_MAX
-                && self.backends[backend.0].online()
-            {
-                self.next_retry += 1;
-                let id = self.next_retry;
-                self.apply_retries.insert(id, (backend, ws, session, attempts + 1, pos));
-                ctx.set_timer(APPLY_RETRY_DELAY_US, TIMER_RETRY_BASE + id);
-                return;
-            }
-            // Permanent failure: the certified transaction IS committed
-            // cluster-wide; a backend that cannot apply it is divergent and
-            // must be dropped and rebuilt through the recovery log.
-            self.metrics.counters.divergence_detected += 1;
-            if self.backends[backend.0].online() {
-                self.backend_failed(ctx, backend);
-                // A synthetic pong brings it straight back through recovery
-                // (the node itself is alive; only its state lagged).
-                // The node's durable ordered position is unknown here (no
-                // real pong was involved); u64::MAX defers to the
-                // middleware's own checkpoint.
-                let lsn = self.backends[backend.0].applied_lsn;
-                self.note_pong(ctx, backend, lsn, lsn, u64::MAX);
-            }
-        }
-        self.finish_ws_part(ctx, session, resp);
-    }
-
-    /// Partial-mode twin of [`finish_apply_ws`]: same retry/divergence
-    /// policy, but the retry re-targets the (backend, group) pair.
+    /// own certification shortly, so the apply retries the same (backend,
+    /// group, position) after a delay.
     #[allow(clippy::too_many_arguments)]
     fn finish_pw_apply(
         &mut self,
@@ -4026,19 +3604,21 @@ impl Middleware {
                 && attempts < APPLY_RETRY_MAX
                 && self.backends[backend.0].online()
             {
-                self.next_retry += 1;
-                let id = self.next_retry;
-                self.parts
-                    .as_mut()
-                    .unwrap()
-                    .retries
-                    .insert(id, (backend, group, ws, session, attempts + 1, pos));
+                let id = self.shards.park_retry((backend, group, ws, session, attempts + 1, pos));
                 ctx.set_timer(APPLY_RETRY_DELAY_US, TIMER_RETRY_BASE + id);
                 return;
             }
+            // Permanent failure: the certified transaction IS committed
+            // cluster-wide; a backend that cannot apply it is divergent and
+            // must be dropped and rebuilt through the recovery log.
             self.metrics.counters.divergence_detected += 1;
             if self.backends[backend.0].online() {
                 self.backend_failed(ctx, backend);
+                // A synthetic pong brings it straight back through recovery
+                // (the node itself is alive; only its state lagged). Its
+                // durable ordered position is unknown here (no real pong
+                // was involved); u64::MAX defers to the middleware's own
+                // checkpoint.
                 let lsn = self.backends[backend.0].applied_lsn;
                 self.note_pong(ctx, backend, lsn, lsn, u64::MAX);
             }
@@ -4047,27 +3627,7 @@ impl Middleware {
     }
 
     fn fire_apply_retry(&mut self, ctx: &mut Ctx<'_, Msg>, id: u64) {
-        if let Some((backend, group, ws, session, attempts, pos)) =
-            self.parts.as_mut().and_then(|p| p.retries.remove(&id))
-        {
-            if !self.backends[backend.0].online() {
-                self.finish_ws_part(
-                    ctx,
-                    session,
-                    DbResp::ApplyErr { op: 0, err: SqlError::Internal("backend lost".into()) },
-                );
-                return;
-            }
-            let ws2 = ws.clone();
-            self.send_db(
-                ctx,
-                backend,
-                Pending::PwApply { session, backend, group, ws, attempts, pos },
-                move |op| DbOp::ApplyWriteset { op, ws: ws2 },
-            );
-            return;
-        }
-        let Some((backend, ws, session, attempts, pos)) = self.apply_retries.remove(&id) else {
+        let Some((backend, group, ws, session, attempts, pos)) = self.shards.take_retry(id) else {
             return;
         };
         if !self.backends[backend.0].online() {
@@ -4082,7 +3642,7 @@ impl Middleware {
         self.send_db(
             ctx,
             backend,
-            Pending::ApplyWs { session, backend, ws, attempts, pos },
+            Pending::PwApply { session, backend, group, ws, attempts, pos },
             move |op| DbOp::ApplyWriteset { op, ws: ws2 },
         );
     }
@@ -4243,7 +3803,7 @@ impl Middleware {
     fn finish_ship_fetch(&mut self, ctx: &mut Ctx<'_, Msg>, resp: DbResp) {
         let Mode::MasterSlave { use_writesets, parallel_apply, .. } = self.cfg.mode else { return };
         let DbResp::BinlogOut { entries, head, resync_needed, .. } = resp else { return };
-        if std::env::var("REPLIMID_DEBUG").is_ok() {
+        if crate::debug_on() {
             eprintln!(
                 "[{}us] ship got {} entries head={head:?} resync={resync_needed}",
                 ctx.now().micros(),
@@ -4343,7 +3903,7 @@ impl Middleware {
             self.recovery_started.insert(backend, now);
             match self.cfg.mode {
                 Mode::MasterSlave { .. } => self.start_full_resync(ctx, backend),
-                _ if self.parts.is_some() => self.start_pw_resync(ctx, backend),
+                _ if self.partial => self.start_pw_resync(ctx, backend),
                 _ => self.start_log_recovery(ctx, backend, ordered_applied),
             }
         }
@@ -4413,7 +3973,7 @@ impl Middleware {
         // Record the log checkpoint now: if the backend is later re-added,
         // the recovery log (or its truncation escalation) covers the gap.
         let applied = self.backends[backend.0].applied_seq;
-        self.log.checkpoint(backend, applied);
+        self.shards.logs[0].checkpoint(backend, applied);
         // Sessions stuck to the draining backend re-route on their next
         // statement (same semantics as after a failure — an idle in-tx
         // session keeps its tx and picks a new delegate).
@@ -4458,7 +4018,7 @@ impl Middleware {
                 self.health[i].reset(now);
                 self.sync_health_events(i);
             }
-            if std::env::var("REPLIMID_DEBUG").is_ok() {
+            if crate::debug_on() {
                 eprintln!("[{now}us] drain of b{i} complete after {}us", now - started);
             }
         }
@@ -4473,7 +4033,7 @@ impl Middleware {
         }
         self.metrics.counters.backends_added += 1;
         self.backends[backend.0].state = BackendState::Down;
-        if std::env::var("REPLIMID_DEBUG").is_ok() {
+        if crate::debug_on() {
             eprintln!("[{}us] add_backend b{} -> Down (awaiting pong)", ctx.now().micros(), backend.0);
         }
     }
@@ -4492,18 +4052,12 @@ impl Middleware {
         let was_draining = self.backends[backend.0].state == BackendState::Draining;
         if self.barrier_for == Some(backend) {
             self.barrier_for = None;
-            let buffered: Vec<_> = self.buffered_deliveries.drain(..).collect();
-            for ev in buffered {
-                self.apply_delivery(ctx, ev);
-            }
             self.drain_shard_buffer(ctx);
         }
-        if let Some(p) = self.parts.as_mut() {
-            p.resync.remove(&backend.0);
-        }
+        self.shards.resync.remove(&backend.0);
         self.recovery_started.remove(&backend);
         let applied = self.backends[backend.0].applied_seq;
-        if std::env::var("REPLIMID_DEBUG").is_ok() {
+        if crate::debug_on() {
             eprintln!(
                 "[{}us] backend_failed b{} from state {:?} checkpoint={applied}",
                 ctx.now().micros(),
@@ -4526,7 +4080,7 @@ impl Middleware {
         // survive the outage as phantom load and starve the replica under
         // LPRF when it rejoins.
         self.balancer.reset(backend);
-        self.log.checkpoint(backend, applied);
+        self.shards.logs[0].checkpoint(backend, applied);
         self.metrics.counters.failovers += 1;
         self.metrics.failover_times.push(ctx.now().micros());
         // A dead backend's latency history is meaningless when it returns;
@@ -4581,16 +4135,9 @@ impl Middleware {
                         self.finish_group_exec(ctx, group, backend, DbResp::RestoreOk { op: 0 }, true);
                     }
                 }
-                Pending::DelegateCommit { session, .. }
-                | Pending::ApplyWs { session: Some(session), .. }
-                | Pending::PwCommit { session, .. }
+                Pending::PwCommit { session, .. }
                 | Pending::PwApply { session: Some(session), .. } => {
                     self.finish_ws_part(ctx, Some(session), DbResp::ApplyErr { op: 0, err: SqlError::Internal("backend failed".into()) });
-                }
-                Pending::ApplyWsBatch { parts, .. } => {
-                    for meta in parts {
-                        self.finish_ws_part(ctx, meta.session, DbResp::ApplyErr { op: 0, err: SqlError::Internal("backend failed".into()) });
-                    }
                 }
                 Pending::ShipApply { session: Some(session), .. } => {
                     self.finish_two_safe_part(ctx, session);
@@ -4651,11 +4198,12 @@ impl Middleware {
     /// from our own checkpoint would silently skip the lost suffix — §4.4.2:
     /// the database, not the middleware, knows what actually committed.
     fn start_log_recovery(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId, node_pos: u64) {
-        let from = self.log.checkpoint_of(backend).unwrap_or(0).min(node_pos);
-        if std::env::var("REPLIMID_DEBUG").is_ok() {
-            eprintln!("[{}us] start_log_recovery b{} from={from} head={}", ctx.now().micros(), backend.0, self.log.head());
+        let log = &self.shards.logs[0];
+        let from = log.checkpoint_of(backend).unwrap_or(0).min(node_pos);
+        if crate::debug_on() {
+            eprintln!("[{}us] start_log_recovery b{} from={from} head={}", ctx.now().micros(), backend.0, log.head());
         }
-        if self.log.read_after(from, 1).is_err() {
+        if log.read_after(from, 1).is_err() {
             // Log truncated past the checkpoint: full resync.
             self.start_full_resync(ctx, backend);
             return;
@@ -4671,25 +4219,20 @@ impl Middleware {
         if inflight {
             return;
         }
-        let head = self.log.head();
+        let head = self.shards.logs[0].head();
         let remaining = head.saturating_sub(next);
         if remaining == 0 {
             // Caught up: release any barrier and come online.
             self.backends[backend.0].state = BackendState::Online;
             self.backends[backend.0].applied_seq = head;
-            self.backends[backend.0].cert_mark = Watermark::at(head);
+            self.shards.marks[backend.0][0] = Watermark::at(head);
             if let Some(start) = self.recovery_started.remove(&backend) {
                 self.metrics.recoveries.push((backend.0, start, ctx.now().micros()));
             }
             self.update_degraded(ctx);
             if self.barrier_for == Some(backend) {
                 self.barrier_for = None;
-                while let Some(ev) = self.buffered_deliveries.pop_front() {
-                    self.apply_delivery(ctx, ev);
-                    if self.barrier_for.is_some() {
-                        break;
-                    }
-                }
+                self.drain_shard_buffer(ctx);
             }
             return;
         }
@@ -4697,7 +4240,7 @@ impl Middleware {
             // Final hop: global barrier (live writes buffer until done).
             self.barrier_for = Some(backend);
         }
-        let batch = match self.log.read_after(next, self.cfg.recovery_batch) {
+        let batch = match self.shards.logs[0].read_after(next, self.cfg.recovery_batch) {
             Ok(entries) => entries.to_vec(),
             Err(_) => {
                 // The log was truncated (e.g. purged past this replica's
@@ -4713,14 +4256,14 @@ impl Middleware {
             return;
         }
         let upto = batch.last().unwrap().seq;
-        if std::env::var("REPLIMID_DEBUG").is_ok() {
+        if crate::debug_on() {
             eprintln!(
                 "[{}us] recovery batch b{}: {}..={} (head {})",
                 ctx.now().micros(),
                 backend.0,
                 batch.first().unwrap().seq,
                 upto,
-                self.log.head()
+                head
             );
         }
         let entries = crate::recovery::to_binlog_entries(&batch);
@@ -4748,7 +4291,7 @@ impl Middleware {
             }
             other => {
                 // Replay failed (divergence): fall back to full resync.
-                if std::env::var("REPLIMID_DEBUG").is_ok() {
+                if crate::debug_on() {
                     eprintln!("[recovery] replay batch failed on b{}: {other:?}", backend.0);
                 }
                 self.metrics.counters.divergence_detected += 1;
@@ -4758,7 +4301,7 @@ impl Middleware {
     }
 
     fn start_full_resync(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId) {
-        if std::env::var("REPLIMID_DEBUG").is_ok() {
+        if crate::debug_on() {
             eprintln!("[{}us] start_full_resync b{}", ctx.now().micros(), backend.0);
         }
         // Dump from a healthy source (master in ms mode, any online backend
@@ -4779,7 +4322,7 @@ impl Middleware {
         // The dump will reflect every logged statement up to here (the dump
         // request travels the same FIFO link as the statement executions),
         // so post-resync catch-up replays from exactly this position.
-        let log_pos = self.log.head();
+        let log_pos = self.shards.logs[0].head();
         self.send_db(ctx, source, Pending::ResyncDumpReq { target: backend, log_pos }, move |op| {
             DbOp::Dump { op, include_programs: true, include_principals: true }
         });
@@ -4787,7 +4330,7 @@ impl Middleware {
 
     fn finish_resync_dump(&mut self, ctx: &mut Ctx<'_, Msg>, target: BackendId, log_pos: u64, resp: DbResp) {
         let DbResp::DumpOut { dump, head, .. } = resp else { return };
-        if std::env::var("REPLIMID_DEBUG").is_ok() {
+        if crate::debug_on() {
             eprintln!("[{}us] resync dump for b{} head={head:?} state={:?}", ctx.now().micros(), target.0, self.backends[target.0].state);
         }
         if self.backends[target.0].state != BackendState::Resyncing {
@@ -4809,7 +4352,7 @@ impl Middleware {
         log_pos: u64,
         resp: DbResp,
     ) {
-        if std::env::var("REPLIMID_DEBUG").is_ok() {
+        if crate::debug_on() {
             eprintln!("[?] resync restore b{} baseline={baseline:?} ok={}", backend.0, matches!(resp, DbResp::RestoreOk { .. }));
         }
         if !matches!(resp, DbResp::RestoreOk { .. }) {
@@ -4829,7 +4372,7 @@ impl Middleware {
             _ => {
                 // Catch up from the recovery log starting at the position
                 // the dump is consistent with.
-                self.log.checkpoint(backend, log_pos);
+                self.shards.logs[0].checkpoint(backend, log_pos);
                 self.backends[backend.0].applied_seq = log_pos;
                 self.backends[backend.0].state =
                     BackendState::Recovering { next: log_pos, inflight: false };
@@ -4850,14 +4393,11 @@ impl Middleware {
     /// within a group, and the dump baseline is the one point all hosted
     /// groups agree on.
     fn start_pw_resync(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId) {
-        let (target_hosted, heads) = {
-            let p = self.parts.as_ref().unwrap();
-            (p.hosted(backend.0), p.logs.iter().map(|l| l.head()).collect::<Vec<u64>>())
-        };
+        let target_hosted = self.shards.hosted(backend.0);
+        let heads: Vec<u64> = self.shards.logs.iter().map(|l| l.head()).collect();
         let donor = self.healthy().into_iter().find(|&b| {
             b != backend && {
-                let p = self.parts.as_ref().unwrap();
-                let dh = p.hosted(b.0);
+                let dh = self.shards.hosted(b.0);
                 target_hosted.iter().all(|g| dh.contains(g))
             }
         });
@@ -4894,7 +4434,7 @@ impl Middleware {
     /// below the baseline in a hosted group — those applies land at the
     /// donor *after* the dump, and catch-up would skip them.
     fn pw_resync_blocked(&self, hosted: &[usize], donor: BackendId, heads: &[u64]) -> bool {
-        let p = self.parts.as_ref().unwrap();
+        let p = &self.shards;
         let below = |g: u32, pos: u64| {
             let g = g as usize;
             hosted.contains(&g) && pos <= heads.get(g).copied().unwrap_or(u64::MAX)
@@ -4911,8 +4451,8 @@ impl Middleware {
     /// Lowest log position in group `g` reserved by a still-undecided
     /// cross-group transaction. `None` when every reserved slot is decided.
     fn pw_undecided_floor(&self, g: usize) -> Option<u64> {
-        let p = self.parts.as_ref()?;
-        p.xtx
+        self.shards
+            .xtx
             .values()
             .flat_map(|x| x.groups.iter().zip(&x.pos))
             .filter(|&(&gg, &pos)| gg as usize == g && pos != 0)
@@ -4930,7 +4470,7 @@ impl Middleware {
         // registers here before the dump response arrives, FIFO). The dump
         // then misses that position: abandon this attempt and let the next
         // pong start over.
-        let hosted = self.parts.as_ref().unwrap().hosted(target.0);
+        let hosted = self.shards.hosted(target.0);
         if self.pw_resync_blocked(&hosted, donor, &heads) {
             self.backends[target.0].state = BackendState::Down;
             return;
@@ -4947,15 +4487,14 @@ impl Middleware {
         if !matches!(resp, DbResp::RestoreOk { .. }) {
             return;
         }
-        let next: Vec<(usize, u64)> = {
-            let p = self.parts.as_ref().unwrap();
-            p.hosted(backend.0)
-                .into_iter()
-                .map(|g| (g, heads.get(g).copied().unwrap_or(0)))
-                .collect()
-        };
-        self.parts.as_mut().unwrap().resync.insert(backend.0, PwCatchup { next, inflight: false });
-        // The real cursor lives in `Partial::resync`; the state enum only
+        let next: Vec<(usize, u64)> = self
+            .shards
+            .hosted(backend.0)
+            .into_iter()
+            .map(|g| (g, heads.get(g).copied().unwrap_or(0)))
+            .collect();
+        self.shards.resync.insert(backend.0, PwCatchup { next, inflight: false });
+        // The real cursor lives in `Shards::resync`; the state enum only
         // gates liveness/visibility decisions.
         self.backends[backend.0].state = BackendState::Recovering { next: 0, inflight: false };
         self.pump_pw_recovery(ctx, backend);
@@ -4969,21 +4508,17 @@ impl Middleware {
             return;
         }
         let next = {
-            let Some(cu) = self.parts.as_ref().and_then(|p| p.resync.get(&backend.0)) else {
-                return;
-            };
+            let Some(cu) = self.shards.resync.get(&backend.0) else { return };
             if cu.inflight {
                 return;
             }
             cu.next.clone()
         };
-        let total_remaining: u64 = {
-            let p = self.parts.as_ref().unwrap();
-            next.iter().map(|&(g, n)| p.logs[g].head().saturating_sub(n)).sum()
-        };
+        let total_remaining: u64 =
+            next.iter().map(|&(g, n)| self.shards.logs[g].head().saturating_sub(n)).sum();
         if total_remaining == 0 {
             {
-                let p = self.parts.as_mut().unwrap();
+                let p = &mut self.shards;
                 for &(g, _) in &next {
                     p.marks[backend.0][g] = Watermark::at(p.logs[g].head());
                 }
@@ -4996,12 +4531,6 @@ impl Middleware {
             self.update_degraded(ctx);
             if self.barrier_for == Some(backend) {
                 self.barrier_for = None;
-                while let Some(ev) = self.buffered_deliveries.pop_front() {
-                    self.apply_delivery(ctx, ev);
-                    if self.barrier_for.is_some() {
-                        break;
-                    }
-                }
                 self.drain_shard_buffer(ctx);
             }
             return;
@@ -5021,21 +4550,20 @@ impl Middleware {
         // Cap each group's replay just below its lowest undecided position;
         // the decision re-pumps (see `deliver_xprepare`).
         let Some((g, n, cap)) = next.iter().find_map(|&(g, n)| {
-            let head = self.parts.as_ref().unwrap().logs[g].head();
+            let head = self.shards.logs[g].head();
             let cap = self.pw_undecided_floor(g).map(|f| f - 1).unwrap_or(head).min(head);
             (cap > n).then_some((g, n, cap))
         }) else {
             return;
         };
-        let batch = match self.parts.as_ref().unwrap().logs[g].read_after(n, self.cfg.recovery_batch)
-        {
+        let batch = match self.shards.logs[g].read_after(n, self.cfg.recovery_batch) {
             Ok(entries) => {
                 entries.iter().take_while(|e| e.seq <= cap).cloned().collect::<Vec<_>>()
             }
             Err(_) => {
                 // Group log truncated past the dump baseline: rebuild from
                 // a fresh dump.
-                self.parts.as_mut().unwrap().resync.remove(&backend.0);
+                self.shards.resync.remove(&backend.0);
                 self.start_pw_resync(ctx, backend);
                 return;
             }
@@ -5046,7 +4574,9 @@ impl Middleware {
         let upto = batch.last().unwrap().seq;
         let entries = crate::recovery::to_binlog_entries(&batch);
         let parallel_apply = self.cfg.replay_mode == ReplayMode::Parallel;
-        self.parts.as_mut().unwrap().resync.get_mut(&backend.0).unwrap().inflight = true;
+        if let Some(cu) = self.shards.resync.get_mut(&backend.0) {
+            cu.inflight = true;
+        }
         self.send_db(ctx, backend, Pending::PwRecoveryBatch { backend, group: g, upto }, move |op| {
             // The restore wiped the node, so replay is exactly-once. Group
             // streams reuse overlapping dense seq spaces, so the ordered-
@@ -5068,7 +4598,7 @@ impl Middleware {
         }
         match resp {
             DbResp::ApplyOk { .. } => {
-                if let Some(cu) = self.parts.as_mut().unwrap().resync.get_mut(&backend.0) {
+                if let Some(cu) = self.shards.resync.get_mut(&backend.0) {
                     cu.inflight = false;
                     if let Some(slot) = cu.next.iter_mut().find(|(g, _)| *g == group) {
                         slot.1 = upto;
@@ -5078,7 +4608,7 @@ impl Middleware {
             }
             _ => {
                 self.metrics.counters.divergence_detected += 1;
-                self.parts.as_mut().unwrap().resync.remove(&backend.0);
+                self.shards.resync.remove(&backend.0);
                 self.start_pw_resync(ctx, backend);
             }
         }
@@ -5086,7 +4616,7 @@ impl Middleware {
 
     /// Management operations (§4.4.1/§4.4.2).
     fn on_admin(&mut self, ctx: &mut Ctx<'_, Msg>, cmd: AdminCmd) {
-        if std::env::var("REPLIMID_DEBUG").is_ok() {
+        if crate::debug_on() {
             eprintln!("[{}us] admin {cmd:?}", ctx.now().micros());
         }
         match cmd {
@@ -5117,20 +4647,16 @@ impl Middleware {
             AdminCmd::EndSession { session } => {
                 // Teardown rides the total order so every peer drops its
                 // replicated copy of the session state at the same point.
-                // Under partial replication any one stream works (teardown
-                // is group-agnostic); group 0 keeps it deterministic.
-                if self.parts.is_some() {
-                    self.shard_publish_write(ctx, 0, ReplEvent::SessionEnd { session });
-                } else {
-                    self.publish_write(ctx, ReplEvent::SessionEnd { session });
-                }
+                // Any one stream works (teardown is group-agnostic); group 0
+                // keeps it deterministic.
+                self.shard_publish_write(ctx, 0, ReplEvent::SessionEnd { session });
             }
         }
     }
 
     fn op_timed_out(&mut self, ctx: &mut Ctx<'_, Msg>, op: u64) {
         let Some(p) = self.pending.get(&op).cloned() else { return };
-        if std::env::var("REPLIMID_DEBUG").is_ok() {
+        if crate::debug_on() {
             eprintln!("[{}us] op {op} timed out: {p:?}", ctx.now().micros());
         }
         self.pending.remove(&op);
@@ -5154,16 +4680,6 @@ impl Middleware {
             Pending::GroupExecBatch { groups, backend } => {
                 for &group in groups {
                     self.finish_group_exec(ctx, group, *backend, DbResp::RestoreOk { op: 0 }, true);
-                }
-            }
-            // Same already-out-of-`pending` reasoning as GroupExecBatch.
-            Pending::ApplyWsBatch { parts, .. } => {
-                for meta in parts.clone() {
-                    self.finish_ws_part(
-                        ctx,
-                        meta.session,
-                        DbResp::ApplyErr { op: 0, err: SqlError::Internal("backend failed".into()) },
-                    );
                 }
             }
             _ => {}
@@ -5263,19 +4779,26 @@ impl Middleware {
         )
     }
 
-    /// Number of table groups under the active placement (1 = global).
-    pub fn partial_groups(&self) -> usize {
-        self.parts.as_ref().map(|p| p.groups()).unwrap_or(1)
+    /// Stream 0's recovery log: the whole log under full replication
+    /// (harness introspection and log-pressure injection).
+    pub fn log(&mut self) -> &mut RecoveryLog {
+        &mut self.shards.logs[0]
     }
 
-    /// Per-(backend, group) applied watermark (partial mode only).
+    /// Number of table groups under the active placement (1 = full
+    /// replication).
+    pub fn partial_groups(&self) -> usize {
+        self.shards.groups()
+    }
+
+    /// Per-(backend, group) applied watermark.
     pub fn pw_mark(&self, b: BackendId, g: usize) -> u64 {
-        self.parts.as_ref().map(|p| p.marks[b.0][g].value()).unwrap_or(0)
+        self.shards.marks[b.0][g].value()
     }
 
     /// Cross-group transactions with at least one vote still outstanding.
     pub fn xtx_inflight(&self) -> usize {
-        self.parts.as_ref().map(|p| p.xtx.len()).unwrap_or(0)
+        self.shards.xtx.len()
     }
 }
 
@@ -5284,9 +4807,7 @@ fn pending_backend(p: &Pending) -> Option<BackendId> {
         Pending::ClientExec { backend, .. }
         | Pending::GroupExec { backend, .. }
         | Pending::GroupExecBatch { backend, .. }
-        | Pending::ApplyWs { backend, .. }
         | Pending::Prepare { backend, .. }
-        | Pending::DelegateCommit { backend, .. }
         | Pending::Ping { backend }
         | Pending::ShipApply { backend, .. }
         | Pending::RecoveryBatch { backend, .. }
@@ -5294,7 +4815,6 @@ fn pending_backend(p: &Pending) -> Option<BackendId> {
         | Pending::ResyncRestore { backend, .. }
         | Pending::PwCommit { backend, .. }
         | Pending::PwApply { backend, .. }
-        | Pending::ApplyWsBatch { backend, .. }
         | Pending::PwResyncRestore { backend, .. }
         | Pending::PwRecoveryBatch { backend, .. } => Some(*backend),
         // PwResyncDump targets the donor, which is not `target`; like
@@ -5305,13 +4825,8 @@ fn pending_backend(p: &Pending) -> Option<BackendId> {
 
 impl Actor<Msg> for Middleware {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if self.parts.is_some() {
-            let actions = self.parts.as_mut().unwrap().member.start(ctx.now().micros());
-            self.run_shard_actions(ctx, actions);
-        } else {
-            let actions = self.group.start(ctx.now().micros());
-            self.run_gcs_actions(ctx, actions);
-        }
+        let actions = self.shards.member.start(ctx.now().micros());
+        self.run_shard_actions(ctx, actions);
         ctx.set_timer(self.cfg.heartbeat.interval_us, TIMER_PING);
         if let Mode::MasterSlave { ship_interval_us, .. } = self.cfg.mode {
             ctx.set_timer(ship_interval_us, TIMER_SHIP);
@@ -5323,16 +4838,6 @@ impl Actor<Msg> for Middleware {
             Msg::Admin(cmd) => self.on_admin(ctx, cmd),
             Msg::Request(req) => self.on_request(ctx, from, req),
             Msg::DbR(resp) => self.on_db_resp(ctx, resp),
-            Msg::Group(gmsg) => {
-                let member = self
-                    .peers
-                    .iter()
-                    .position(|&n| n == from)
-                    .map(MemberId)
-                    .unwrap_or(MemberId(usize::MAX));
-                let actions = self.group.on_message(member, gmsg, ctx.now().micros());
-                self.run_gcs_actions(ctx, actions);
-            }
             Msg::GroupShard { group, msg } => {
                 let member = self
                     .peers
@@ -5340,8 +4845,8 @@ impl Actor<Msg> for Middleware {
                     .position(|&n| n == from)
                     .map(MemberId)
                     .unwrap_or(MemberId(usize::MAX));
-                let Some(parts) = self.parts.as_mut() else { return };
-                let actions = parts.member.on_message(group as usize, member, msg, ctx.now().micros());
+                let actions =
+                    self.shards.member.on_message(group as usize, member, msg, ctx.now().micros());
                 self.run_shard_actions(ctx, actions);
             }
             _ => {}
@@ -5350,20 +4855,12 @@ impl Actor<Msg> for Middleware {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
         match tag {
-            replimid_gcs::TICK_TAG => {
-                let actions = self.group.on_timer(tag, ctx.now().micros());
-                self.run_gcs_actions(ctx, actions);
-            }
             TIMER_PING => self.ping_tick(ctx),
             TIMER_SHIP => self.ship_tick(ctx),
-            TIMER_BATCH => {
-                self.batch_timer_armed = false;
-                self.flush_batch(ctx, FlushReason::Deadline);
-            }
             t if (SHARD_TICK_BASE..SHARD_TICK_BASE + MAX_GROUPS as u64).contains(&t) => {
                 let g = (t - SHARD_TICK_BASE) as usize;
-                let Some(parts) = self.parts.as_mut() else { return };
-                let actions = parts.member.on_timer(g, replimid_gcs::TICK_TAG, ctx.now().micros());
+                let actions =
+                    self.shards.member.on_timer(g, replimid_gcs::TICK_TAG, ctx.now().micros());
                 self.run_shard_actions(ctx, actions);
             }
             t if (SHARD_BATCH_BASE..SHARD_BATCH_BASE + MAX_GROUPS as u64).contains(&t) => {
@@ -5419,6 +4916,171 @@ mod tests {
             w.mark(pos);
         }
         assert_eq!(w.value(), 5);
+    }
+
+    fn shards(groups: usize) -> Shards {
+        let placement = Placement::new(vec![vec![0, 1]; groups]);
+        let gcs = GcsConfig::lan(replimid_gcs::OrderProtocol::FixedSequencer);
+        Shards::new(placement, MemberId(0), 1, gcs, 2)
+    }
+
+    fn end(session: u64) -> ReplEvent {
+        ReplEvent::SessionEnd { session: SessionId(session) }
+    }
+
+    fn ended(events: &[ReplEvent]) -> Vec<u64> {
+        events
+            .iter()
+            .map(|ev| match ev {
+                ReplEvent::SessionEnd { session } => session.0,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn group_commit_buffer_flushes_on_size_and_deadline_per_group() {
+        for groups in [1usize, 3] {
+            let mut sh = shards(groups);
+            for g in 0..groups {
+                // batch_max = 1 publishes directly: nothing buffered or armed.
+                match sh.admit(g, end(7), 1) {
+                    Admit::Direct(ev) => assert_eq!(ended(&[ev]), [7]),
+                    other => panic!("G={groups} g={g}: {other:?}"),
+                }
+                assert!(sh.batches[g].is_empty() && !sh.batch_armed[g]);
+                // Size flush: the first event arms the deadline, the
+                // batch_max-th fills the batch, admission order is kept.
+                assert!(matches!(sh.admit(g, end(1), 3), Admit::Arm));
+                assert!(matches!(sh.admit(g, end(2), 3), Admit::Held));
+                assert!(matches!(sh.admit(g, end(3), 3), Admit::Full));
+                assert_eq!(ended(&sh.take_batch(g)), [1, 2, 3]);
+                assert!(!sh.batch_armed[g]);
+                // The size flush left its deadline outstanding: when it
+                // fires there is nothing to ship.
+                assert!(sh.take_batch(g).is_empty());
+                // Deadline flush: a partial batch leaves when the timer
+                // fires, and the next event arms a fresh deadline.
+                assert!(matches!(sh.admit(g, end(4), 3), Admit::Arm));
+                assert_eq!(ended(&sh.take_batch(g)), [4]);
+                assert!(matches!(sh.admit(g, end(5), 3), Admit::Arm));
+                // Buffers are per group: the others saw none of this.
+                for other in (0..groups).filter(|&o| o != g) {
+                    assert_eq!(sh.batches[other].len(), usize::from(other < g), "G={groups} g={g}");
+                }
+            }
+        }
+    }
+
+    /// A backend that answers the writeset path from a script: statements
+    /// and COMMIT succeed, `PrepareWriteset` returns `ws`, and the first
+    /// `ApplyWriteset` hits a row lock (retryable) while later ones apply.
+    struct ScriptedDb {
+        ws: Writeset,
+        applies: Vec<Writeset>,
+    }
+
+    impl Actor<Msg> for ScriptedDb {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
+            let Msg::Db(op) = msg else { return };
+            let resp = match op {
+                DbOp::Execute { op, .. } => {
+                    DbResp::ExecOk { op, body: ReplyBody::Ack, commit: None, tainted: false }
+                }
+                DbOp::PrepareWriteset { op, .. } => {
+                    DbResp::WritesetOut { op, ws: Box::new(self.ws.clone()) }
+                }
+                DbOp::ApplyWriteset { op, ws } => {
+                    self.applies.push(ws);
+                    if self.applies.len() == 1 {
+                        let err = SqlError::WriteConflict { table: "t1".into(), detail: "row locked".into() };
+                        DbResp::ApplyErr { op, err }
+                    } else {
+                        DbResp::ApplyOk { op, applied_lsn: Lsn(0) }
+                    }
+                }
+                _ => return, // pings: an unanswered backend is never evicted
+            };
+            ctx.send(from, Msg::DbR(resp));
+        }
+    }
+
+    struct Sink;
+
+    impl Actor<Msg> for Sink {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, _msg: Msg) {}
+    }
+
+    #[test]
+    fn retried_apply_resends_the_same_backend_group_and_position() {
+        use replimid_simnet::{NetworkModel, Sim, SimTime};
+        use replimid_sql::mvcc::{RowId, WriteKind, WriteRecord};
+        use replimid_sql::Value;
+
+        let ws = Writeset {
+            entries: vec![WriteRecord {
+                database: "d".into(),
+                table: "t1".into(),
+                row: RowId(1),
+                kind: WriteKind::Insert,
+                old: None,
+                new: Some(vec![Value::Int(1), Value::Int(1)]),
+                temp: false,
+            }],
+            counters: None,
+        };
+        // G = 1: no placement. G = 2: both groups on both backends, `t1`
+        // in group 1. Either way the apply at the non-delegate is refused
+        // once, parks in the one retry table, and leaves through it.
+        let two = Placement::new(vec![vec![0, 1], vec![0, 1]]).assign("t1", 1);
+        for (placement, g) in [(None, 0usize), (Some(two), 1)] {
+            let mut sim: Sim<Msg> = Sim::new(NetworkModel::lan(), 5);
+            let dbs: Vec<NodeId> = (0..2)
+                .map(|_| sim.add_node(ScriptedDb { ws: ws.clone(), applies: Vec::new() }))
+                .collect();
+            let mut cfg = MwConfig::defaults(Mode::MultiMasterWriteset);
+            cfg.placement = placement;
+            let mw_id = NodeId(dbs.len());
+            let mw = sim.add_node(Middleware::new(cfg, 0, vec![mw_id], dbs.clone()));
+            assert_eq!(mw, mw_id);
+            let client = sim.add_node(Sink);
+            let req = ClientRequest {
+                session: SessionId(1),
+                stmt_seq: 1,
+                trace: 0,
+                sql: "INSERT INTO t1 VALUES (1, 1)".into(),
+            };
+            sim.inject_as(SimTime(1_000), client, mw, Msg::Request(req));
+
+            // BEGIN, statement, prepare, certify, fan-out and the refusal
+            // take six LAN round trips: well inside 4 ms, and the 5 ms
+            // retry delay has not elapsed.
+            sim.run_until(SimTime(5_000));
+            let (parked, groups) = sim.with_actor::<Middleware, _>(mw, |m| {
+                let parked: Vec<_> = m
+                    .shards
+                    .retries
+                    .values()
+                    .map(|(b, rg, _, sess, attempts, pos)| (*b, *rg, *sess, *attempts, *pos))
+                    .collect();
+                (parked, m.partial_groups())
+            });
+            assert_eq!(groups, g + 1);
+            let remote = parked.first().map(|p| p.0).expect("the refused apply parked for a retry");
+            assert_eq!(parked, [(remote, g as u32, Some(SessionId(1)), 1, 1)]);
+
+            sim.run_until(SimTime(20_000));
+            let applies = sim.with_actor::<ScriptedDb, _>(dbs[remote.0], |d| d.applies.clone());
+            assert_eq!(applies, [ws.clone(), ws.clone()], "the retry re-sent the same writeset");
+            sim.with_actor::<Middleware, _>(mw, |m| {
+                assert!(m.shards.retries.is_empty(), "the retry left the table");
+                for b in 0..2 {
+                    assert_eq!(m.pw_mark(BackendId(b), g), 1, "G={} backend {b}", g + 1);
+                }
+                assert_eq!(m.metrics.counters.commits, 1);
+                assert_eq!(m.metrics.counters.divergence_detected, 0);
+            });
+        }
     }
 
     #[test]

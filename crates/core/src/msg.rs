@@ -222,12 +222,6 @@ pub enum DbOp {
     PrepareWriteset { op: u64, conn: u64 },
     /// Apply a certified writeset as one transaction.
     ApplyWriteset { op: u64, ws: Writeset },
-    /// Apply several certified writesets in one message (the writeset-mode
-    /// twin of `ExecuteBatch`): one fan-out message per backend per
-    /// group-commit flush instead of one per transaction. Each part is
-    /// still its own transaction with its own outcome; disjoint-table parts
-    /// are charged the grouped parallel cost like batched statement apply.
-    ApplyWritesetBatch { op: u64, parts: Vec<Writeset> },
     /// Apply shipped binlog entries (slave side). `parallel_apply` groups
     /// entries touching disjoint tables and charges only the longest group
     /// (the §4.4.2 "extraction of parallelism from the log").
@@ -322,8 +316,6 @@ pub enum DbResp {
     },
     ApplyOk { op: u64, applied_lsn: Lsn },
     ApplyErr { op: u64, err: SqlError },
-    /// Per-part outcomes of an `ApplyWritesetBatch` (None = applied).
-    ApplyBatchOut { op: u64, results: Vec<Option<SqlError>> },
 }
 
 impl DbResp {
@@ -339,8 +331,7 @@ impl DbResp {
             | DbResp::ChecksumOut { op, .. }
             | DbResp::Pong { op, .. }
             | DbResp::ApplyOk { op, .. }
-            | DbResp::ApplyErr { op, .. }
-            | DbResp::ApplyBatchOut { op, .. } => *op,
+            | DbResp::ApplyErr { op, .. } => *op,
         }
     }
 }
@@ -441,10 +432,9 @@ pub enum Msg {
     Reply(ClientReply),
     Db(DbOp),
     DbR(DbResp),
-    Group(GcsMsg<ReplEvent>),
-    /// Partial replication: GCS traffic for one per-group sequencer. Each
-    /// table group runs its own independent `GroupMember` stream; the tag
-    /// routes the message to the right shard.
+    /// GCS traffic for one per-group sequencer. Each table group runs its
+    /// own independent `GroupMember` stream (full replication: the one
+    /// group 0); the tag routes the message to the right shard.
     GroupShard { group: u32, msg: GcsMsg<ReplEvent> },
     /// Master→slave binlog shipping (master-slave mode, no GCS involved).
     Ship { entries: Vec<BinlogEntry>, seq: u64 },

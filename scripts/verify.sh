@@ -5,31 +5,10 @@
 #   3. cargo test -q --offline
 #   4. cargo clippy --offline --all-targets -- -D warnings (lint-clean)
 #   5. determinism: the full experiments suite, run twice, must be
-#      byte-identical (same seeds => same numbers, see DESIGN.md)
-#   6. perf trajectory: re-measure the E18 group-commit operating points
-#      and write BENCH_pr5.json (tps + p50/p99 per point)
-#   7. freshness trajectory: re-measure the E19 session-scale corner
-#      points under ReadPolicy::Fresh and write BENCH_pr6.json (read tps
-#      + p50/p99 at 10^3 and 10^5 sessions; asserts zero RYW violations)
-#   8. durability trajectory: run the crash matrix (clean / lost-tail /
-#      torn-tail x checkpoint interval) and write BENCH_pr7.json (MTTR
-#      p50/p99 + replay entries/sec per interval; the bin asserts zero
-#      committed-transaction loss in every episode)
-#   9. statement-pipeline trajectory: re-measure the plan-cache stage
-#      attribution and the E18 corner points with the cache off/on and
-#      write BENCH_pr8.json (the bin asserts hit rate > 0 and that the
-#      cache-off compatibility arm is bit-identical across reruns)
-#  10. partial-replication trajectory: re-measure the E22 write-scaling
-#      curve (global vs striped partial at 2/4/8 backends) and write
-#      BENCH_pr9.json (the bin asserts partial beats global by > 2x at 8
-#      backends and that a trivial placement runs the global path
-#      byte-for-byte — counters, certifier stats, and data checksums)
-#  11. elasticity trajectory: run the E23 management operations (add /
-#      drain / rolling restart) under open-loop load and write
-#      BENCH_pr10.json (the bin asserts zero committed-write loss, full
-#      arrival accounting, and that a classic closed-loop arm is
-#      bit-identical across reruns — the driver-off guarantee)
-#  12. repo benchmark: its own unit tests, then all five workloads at
+#      byte-identical (same seeds => same numbers, see DESIGN.md) and must
+#      equal the committed experiments_output.txt (E1..E23 regenerate
+#      byte-identically, or the file is re-baselined in the same change)
+#   6. repo benchmark: its own unit tests, then all five workloads at
 #      smoke size (asserts replica convergence, RYW = 0 and cross-process
 #      bit-identity of the virtual metrics; benchmark/README.md)
 #
@@ -109,61 +88,17 @@ if ! diff -q "$out_a" "$out_b" > /dev/null; then
     exit 1
 fi
 echo "verify: determinism OK (two experiment runs byte-identical)"
+# The committed reference is what EXPERIMENTS.md quotes: a run that differs
+# from it either moved a number by accident or needs the file (and the
+# tables) re-baselined in the same change.
+if ! diff -q experiments_output.txt "$out_a" > /dev/null; then
+    echo "verify: experiments differ from the committed experiments_output.txt:" >&2
+    diff experiments_output.txt "$out_a" | head -20 >&2
+    exit 1
+fi
+echo "verify: reference OK (run equals the committed experiments_output.txt)"
 
-# --- 6. Perf trajectory -------------------------------------------------
-# Re-measure the E18 group-commit operating points through the timing
-# harness and leave BENCH_pr5.json at the repo root, so later PRs can
-# compare throughput/latency at fixed points instead of re-reading tables.
-cargo run --release -q --offline -p replimid-bench --bin bench_pr5
-echo "verify: perf trajectory OK (BENCH_pr5.json written)"
-
-# --- 7. Freshness trajectory --------------------------------------------
-# The E19 corner points (10^3 and 10^5 sessions, 4 backends) under
-# freshness-constrained routing. The bin itself asserts ryw_violations == 0
-# at both points, so this doubles as a read-your-writes gate.
-cargo run --release -q --offline -p replimid-bench --bin bench_pr6
-echo "verify: freshness trajectory OK (BENCH_pr6.json written)"
-
-# --- 8. Durability trajectory -------------------------------------------
-# The PR 7 crash matrix: every (crash kind x checkpoint interval) episode
-# crashes a durable backend mid-load, restarts it, and requires the
-# recovered replica to reconverge with its peers — zero committed loss —
-# while measuring MTTR (checkpoint load + WAL replay + rejoin) in virtual
-# time. Fails loudly if any episode diverges.
-cargo run --release -q --offline -p replimid-bench --bin bench_pr7
-echo "verify: durability trajectory OK (BENCH_pr7.json written)"
-
-# --- 9. Statement-pipeline trajectory ------------------------------------
-# The PR 8 fast path: plan-cache stage attribution (Admission + Execute
-# µs, cache off vs on) and write tps at the E18 corner points, written to
-# BENCH_pr8.json. The bin asserts the cache hits on the microbench mix and
-# that the cache-off arm — the compatibility path — is bit-identical
-# across same-seed reruns.
-cargo run --release -q --offline -p replimid-bench --bin bench_pr8
-echo "verify: statement-pipeline trajectory OK (BENCH_pr8.json written)"
-
-# --- 10. Partial-replication trajectory ----------------------------------
-# The PR 9 headline: disjoint write workloads scale near-linearly under a
-# striped one-replica placement while full replication saturates at one
-# backend's apply rate, written to BENCH_pr9.json. The bin asserts the
-# 8-backend partial/global ratio stays above 2x and that a trivial
-# placement is normalized away into the exact global single-sequencer
-# path (byte-identical counters, certifier stats, and checksums).
-cargo run --release -q --offline -p replimid-bench --bin bench_pr9
-echo "verify: partial-replication trajectory OK (BENCH_pr9.json written)"
-
-# --- 11. Elasticity trajectory -------------------------------------------
-# The PR 10 campaign: management operations (scale-out, graceful drain,
-# rolling restart) measured under open-loop Poisson load that does not
-# slow down when the cluster does. The bin asserts zero committed-write
-# loss (acked ⊆ present on every Online backend), full arrival accounting
-# (ok + err + shed == arrivals), and that a classic closed-loop arm —
-# no open-loop driver anywhere — is bit-identical across same-seed
-# reruns, so E1..E22 stay untouched by the new machinery.
-cargo run --release -q --offline -p replimid-bench --bin bench_pr10
-echo "verify: elasticity trajectory OK (BENCH_pr10.json written)"
-
-# --- 12. Repo benchmark --------------------------------------------------
+# --- 6. Repo benchmark ---------------------------------------------------
 # The benchmark is a package of its own outside the workspace, so steps 2-4
 # never build it. Run its unit tests and one smoke pass over all five
 # workloads: each asserts its own correctness checks (replica convergence,

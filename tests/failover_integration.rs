@@ -1,6 +1,6 @@
 //! Failover, failback, and partition behaviour (§2.2, §4.3.3, §4.3.4.3).
 
-use replimid_core::{Cluster, ClusterConfig, Mode, NondetPolicy, TxSource};
+use replimid_core::{Cluster, ClusterConfig, Mode, NondetPolicy, Placement, TxSource};
 use replimid_simnet::{dur, SimTime};
 
 struct SeqInsert {
@@ -142,15 +142,23 @@ fn middleware_failover_is_transparent_to_the_client() {
 
 #[test]
 fn split_brain_without_quorum_diverges_with_quorum_stays_safe() {
-    let run = |require_majority: bool| {
-        let mut cfg = ClusterConfig::new(
-            Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject },
-            schema(),
-            "shop",
-        );
+    // `placement`: writeset replication over two table groups, both hosted
+    // by each site's two backends (`items` rides stream 1) — the quorum
+    // rule must hold whichever per-group stream carries the writes.
+    let run = |require_majority: bool, placement: bool| {
+        let mode = if placement {
+            Mode::MultiMasterWriteset
+        } else {
+            Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject }
+        };
+        let mut cfg = ClusterConfig::new(mode, schema(), "shop");
         cfg.middlewares = 3;
-        cfg.backends_per_mw = 1;
+        cfg.backends_per_mw = if placement { 2 } else { 1 };
         cfg.mw.require_majority = require_majority;
+        if placement {
+            cfg.mw.placement =
+                Some(Placement::new(vec![vec![0, 1], vec![0, 1]]).assign("items", 1));
+        }
         let mut cluster = Cluster::build(cfg);
         let mk = |cluster: &mut Cluster, base: i64| {
             cluster.add_client(SeqInsert { next: base }, |cc| {
@@ -162,13 +170,10 @@ fn split_brain_without_quorum_diverges_with_quorum_stays_safe() {
         let _c0 = mk(&mut cluster, 10_000);
         let _c1 = mk(&mut cluster, 20_000);
         let c2 = mk(&mut cluster, 30_000);
-        // Partition middleware 2 (with its backend and client) away from
+        // Partition middleware 2 (with its backends and client) away from
         // the rest at 1s.
-        let minority = vec![
-            cluster.db_nodes[2][0],
-            cluster.mw_nodes[2],
-            cluster.client_nodes[2],
-        ];
+        let mut minority = cluster.db_nodes[2].clone();
+        minority.extend([cluster.mw_nodes[2], cluster.client_nodes[2]]);
         let mut majority: Vec<_> = Vec::new();
         for g in &cluster.db_nodes[..2] {
             majority.extend(g.iter().copied());
@@ -188,14 +193,17 @@ fn split_brain_without_quorum_diverges_with_quorum_stays_safe() {
         (late_minority_commits, sums)
     };
 
-    // Without majority enforcement: both halves keep accepting writes and
-    // diverge (§4.3.4.3's nightmare).
-    let (minority_commits, sums) = run(false);
-    assert!(minority_commits > 0, "without quorum the minority keeps committing");
-    assert_ne!(sums[2][0], sums[0][0], "split brain divergence");
+    for placement in [false, true] {
+        // Without majority enforcement: both halves keep accepting writes
+        // and diverge (§4.3.4.3's nightmare).
+        let (minority_commits, sums) = run(false, placement);
+        assert!(minority_commits > 0, "without quorum the minority keeps committing");
+        assert_ne!(sums[2][0], sums[0][0], "split brain divergence");
 
-    // With quorum: the minority suspends writes; majority stays consistent.
-    let (minority_commits, sums) = run(true);
-    assert_eq!(minority_commits, 0, "with quorum the minority suspends writes");
-    assert_eq!(sums[0][0], sums[1][0], "majority agrees");
+        // With quorum: the minority suspends writes; majority stays
+        // consistent.
+        let (minority_commits, sums) = run(true, placement);
+        assert_eq!(minority_commits, 0, "with quorum the minority suspends writes (placement: {placement})");
+        assert_eq!(sums[0][0], sums[1][0], "majority agrees");
+    }
 }

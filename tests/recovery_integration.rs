@@ -81,8 +81,8 @@ fn truncated_log_forces_full_resync() {
     // ("log full" pressure, §4.4.2): replay is impossible.
     cluster.run_for(dur::secs(2));
     cluster.with_middleware(0, |mw| {
-        let head = mw.log.head();
-        mw.log.force_truncate(head);
+        let head = mw.log().head();
+        mw.log().force_truncate(head);
     });
     cluster.run_for(dur::secs(6));
 
