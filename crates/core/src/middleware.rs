@@ -782,15 +782,11 @@ impl Shards {
     }
 
     /// Park a writeset application until its retry timer fires; returns
-    /// the timer id [`Self::take_retry`] redeems.
+    /// the timer id it is filed under in `retries`.
     fn park_retry(&mut self, work: PwRetry) -> u64 {
         self.next_retry += 1;
         self.retries.insert(self.next_retry, work);
         self.next_retry
-    }
-
-    fn take_retry(&mut self, id: u64) -> Option<PwRetry> {
-        self.retries.remove(&id)
     }
 }
 
@@ -3627,7 +3623,7 @@ impl Middleware {
     }
 
     fn fire_apply_retry(&mut self, ctx: &mut Ctx<'_, Msg>, id: u64) {
-        let Some((backend, group, ws, session, attempts, pos)) = self.shards.take_retry(id) else {
+        let Some((backend, group, ws, session, attempts, pos)) = self.shards.retries.remove(&id) else {
             return;
         };
         if !self.backends[backend.0].online() {

@@ -283,9 +283,10 @@ impl Placement {
         acc
     }
 
-    /// Trivial placements — one group hosted by every backend — carry no
-    /// partial-replication information: the middleware normalizes them away
-    /// and runs the exact global single-sequencer path, byte-for-byte.
+    /// Trivial placements — one group hosted by every backend — are full
+    /// replication: the same pipeline with G = 1 that runs when no
+    /// placement is configured, with the full-replication request entry
+    /// and rejoin.
     pub fn is_trivial(&self, backends: usize) -> bool {
         self.hosts.len() == 1 && self.hosts[0].len() == backends
     }

@@ -3,10 +3,10 @@
 //! the `crash_recovery_preserves_committed_state` detcheck property.
 //!
 //! The cluster-level counterpart (recovered replica reconverges with its
-//! peers) lives in the E20 campaign and `bench_pr7`; these tests pin the
-//! engine contract in isolation: recovery lands exactly on a state the
-//! engine passed through, never past the durable horizon, and identically
-//! on every same-seed rerun.
+//! peers) lives in the E20 campaign and the benchmark's crash-recover
+//! workload; these tests pin the engine contract in isolation: recovery
+//! lands exactly on a state the engine passed through, never past the
+//! durable horizon, and identically on every same-seed rerun.
 
 use replimid_det::{detcheck, DetRng};
 use replimid_sql::{
