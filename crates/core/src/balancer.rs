@@ -42,14 +42,6 @@ pub struct Balancer {
     rr_cursor: usize,
     outstanding: Vec<u64>,
     weighted_credit: Vec<f64>,
-    /// Freshness-aware LPRF: per-backend score penalty derived from
-    /// replication lag (positions behind the freshest replica, bucketed by
-    /// the middleware). All-zero — the default — leaves every policy's
-    /// pick bit-identical to plain least-pending.
-    lag_penalty: Vec<u64>,
-    /// LPRF picks where the lag penalty changed the winner (a chronically
-    /// lagging replica shed the read before tripping freshness parking).
-    pub lag_demotions: u64,
 }
 
 impl Balancer {
@@ -60,16 +52,6 @@ impl Balancer {
             rr_cursor: 0,
             outstanding: vec![0; backends],
             weighted_credit: vec![0.0; backends],
-            lag_penalty: vec![0; backends],
-            lag_demotions: 0,
-        }
-    }
-
-    /// Set the lag-derived LPRF penalty for `b` (0 clears it). The caller
-    /// translates replication lag into pending-request-equivalents.
-    pub fn set_lag_penalty(&mut self, b: BackendId, penalty: u64) {
-        if let Some(p) = self.lag_penalty.get_mut(b.0) {
-            *p = penalty;
         }
     }
 
@@ -80,10 +62,8 @@ impl Balancer {
         // requests still charged against it.
         self.outstanding.truncate(backends);
         self.weighted_credit.truncate(backends);
-        self.lag_penalty.truncate(backends);
         self.outstanding.resize(backends, 0);
         self.weighted_credit.resize(backends, 0.0);
-        self.lag_penalty.resize(backends, 0);
         // The stable-id cursor may point past the new range after a shrink.
         if backends > 0 {
             self.rr_cursor %= backends;
@@ -103,9 +83,6 @@ impl Balancer {
         }
         if let Some(c) = self.weighted_credit.get_mut(b.0) {
             *c = 0.0;
-        }
-        if let Some(p) = self.lag_penalty.get_mut(b.0) {
-            *p = 0;
         }
     }
 
@@ -132,24 +109,10 @@ impl Balancer {
                 self.rr_cursor = (choice.0 + 1) % modulus;
                 Some(choice)
             }
-            Policy::Lprf => {
-                let score = |b: &BackendId| {
-                    self.outstanding.get(b.0).copied().unwrap_or(0)
-                        + self.lag_penalty.get(b.0).copied().unwrap_or(0)
-                };
-                let choice = healthy.iter().copied().min_by_key(|b| (score(b), b.0));
-                // With every penalty zero, `score` == outstanding and this
-                // is bit-identical to plain least-pending (same tie-break).
-                if self.lag_penalty.iter().any(|&p| p > 0) {
-                    let plain = healthy.iter().copied().min_by_key(|b| {
-                        (self.outstanding.get(b.0).copied().unwrap_or(0), b.0)
-                    });
-                    if plain != choice {
-                        self.lag_demotions += 1;
-                    }
-                }
-                choice
-            }
+            Policy::Lprf => healthy
+                .iter()
+                .copied()
+                .min_by_key(|b| (self.outstanding.get(b.0).copied().unwrap_or(0), b.0)),
             Policy::Weighted(weights) => {
                 // Deterministic proportional selection: accumulate credit by
                 // weight, pick the richest, then spend it.
@@ -270,26 +233,6 @@ mod tests {
         let three = ids(&[0, 1, 2]);
         assert_eq!(b.pick(&three), Some(BackendId(2)), "new replica joins in turn");
         assert_eq!(b.pick(&three), Some(BackendId(0)));
-    }
-
-    #[test]
-    fn lprf_lag_penalty_demotes_lagging_replica() {
-        let mut b = Balancer::new(Granularity::Query, Policy::Lprf, 3);
-        let healthy = ids(&[0, 1, 2]);
-        // Plain LPRF would pick 0 (tie-break on id); a lag penalty on 0
-        // demotes it and counts the changed decision.
-        b.set_lag_penalty(BackendId(0), 3);
-        assert_eq!(b.pick(&healthy), Some(BackendId(1)));
-        assert_eq!(b.lag_demotions, 1);
-        // Penalty cleared: back to plain least-pending, no new demotion.
-        b.set_lag_penalty(BackendId(0), 0);
-        assert_eq!(b.pick(&healthy), Some(BackendId(0)));
-        assert_eq!(b.lag_demotions, 1);
-        // reset() clears the penalty of an evicted backend.
-        b.set_lag_penalty(BackendId(2), 9);
-        b.reset(BackendId(2));
-        assert_eq!(b.pick(&healthy), Some(BackendId(0)));
-        assert_eq!(b.lag_demotions, 1);
     }
 
     #[test]

@@ -260,9 +260,6 @@ pub struct Counters {
     /// Conflict-class cache misses (class derived by walking the AST and,
     /// when cacheable, inserted).
     pub cert_class_misses: u64,
-    /// LPRF picks where folding replication lag into the score demoted the
-    /// backend that plain least-pending would have chosen.
-    pub lprf_lag_demotions: u64,
     /// Graceful drains started (`AdminCmd::DrainBackend` accepted).
     pub drains_started: u64,
     /// Drains that reached `Removed` — gracefully (in-flight work allowed

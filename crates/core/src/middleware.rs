@@ -218,12 +218,6 @@ pub struct MwConfig {
     /// placement hosted by every backend, the same pipeline with G = 1.
     /// Writeset mode only.
     pub placement: Option<Placement>,
-    /// Freshness-aware LPRF: fold each backend's replication lag
-    /// (certified head − applied watermark) into its routing score as an
-    /// additive penalty, so a replica drowning in unapplied writesets
-    /// stops looking idle to the balancer. Off by default (scores are
-    /// byte-identical when off).
-    pub lag_aware_lprf: bool,
     /// Conflict-class cache capacity: written-table sets keyed by plan
     /// template identity, so repeated statement shapes skip the
     /// delivery-time AST walk. Effective with the plan cache on (shared
@@ -263,7 +257,6 @@ impl MwConfig {
             freshness_wait_max_us: 20_000,
             plan_cache: 0,
             placement: None,
-            lag_aware_lprf: false,
             class_cache: 0,
             class_cost_us: 0,
             initial_removed: Vec::new(),
@@ -407,22 +400,17 @@ struct Sess {
     /// delegate's per-group watermarks when its BEGIN executes (indexed by
     /// group; the whole vector is sampled at once).
     gstart: Vec<u64>,
-    /// Writeset mode: the session's per-group freshness stamps — the
-    /// position of its last committed write in each group's certified
-    /// stream (grown on demand; groups the session never wrote stay 0).
+    /// The session's per-group read floor: the position of its last
+    /// acknowledged write in each group's replication space (certified
+    /// stream in writeset mode; in group 0, recovery-log seq for statement
+    /// replication and master binlog LSN for master-slave), raised under
+    /// [`ReadPolicy::MonotonicReads`] to the highest position any of its
+    /// reads has observed. A replica is fresh for this session iff its
+    /// applied position has reached the floor in every group it reads.
+    /// Grown on demand; groups the session never touched stay 0.
     gstamps: Vec<u64>,
     last_write_us: u64,
     last_write_backend: Option<BackendId>,
-    /// The session's freshness stamp outside writeset mode (which stamps
-    /// `gstamps`): position of its last acknowledged write in the mode's
-    /// replication space (recovery-log seq for statement replication,
-    /// master binlog LSN for master-slave). A replica is fresh for this
-    /// session iff its applied position has reached the stamp.
-    last_commit_stamp: u64,
-    /// Highest replica position any of this session's reads has observed
-    /// ([`ReadPolicy::MonotonicReads`] only): the monotonic-reads floor for
-    /// its next read.
-    last_read_pos: u64,
     /// Open per-statement admission records (was the middleware-global
     /// `request_started` map, which `SessionEnd` leaked): (stmt_seq, meta).
     /// At most a handful in flight per session; dropped with the session.
@@ -449,8 +437,6 @@ impl Sess {
             gstamps: Vec::new(),
             last_write_us: 0,
             last_write_backend: None,
-            last_commit_stamp: 0,
-            last_read_pos: 0,
             open_reqs: Vec::new(),
             two_safe_body: None,
         }
@@ -594,7 +580,7 @@ pub struct Middleware {
     /// Reads parked for a fresh-enough replica ([`ReadPolicy::Fresh`]),
     /// keyed by waiter id: BTreeMap so drains run in park order
     /// (deterministic and FIFO-fair).
-    fresh_waiters: std::collections::BTreeMap<u64, FreshWaiter>,
+    fresh_waiters: std::collections::BTreeMap<u64, ReadReq>,
     next_fresh: u64,
     /// Slaves with a shipping batch in flight (no overlapping batches).
     ship_busy: HashSet<BackendId>,
@@ -615,11 +601,10 @@ pub struct Middleware {
     /// apply tracking. Full replication is the one group every backend
     /// hosts.
     shards: Shards,
-    /// The placement is non-trivial. Selects the request entry
-    /// ([`Self::pw_request`] defers BEGIN until the group set is known)
-    /// and the rejoin entry ([`Self::start_pw_resync`] has no incremental
-    /// log path); everything between publish and apply acknowledgement is
-    /// one pipeline whatever this says.
+    /// The placement is non-trivial. Selects the rejoin entry
+    /// ([`Self::start_pw_resync`] has no incremental log path) and nothing
+    /// else: requests, reads and everything between publish and apply
+    /// acknowledgement take one path whatever this says.
     partial: bool,
     /// Conflict-class cache: plan-template pointer -> (pinned template,
     /// written tables). Holding the `Arc` in the value pins the allocation
@@ -636,30 +621,24 @@ enum FlushReason {
     Deadline,
 }
 
-/// Partial-replication freshness demand for a parked read: the read's
-/// group set plus the per-group positions a candidate must have applied.
-type PartialNeeds = (Vec<usize>, Vec<(usize, u64)>);
-
 /// Retry payload for a writeset apply:
 /// (backend, group, writeset, origin session, attempt count, position).
 type PwRetry = (BackendId, u32, Writeset, Option<SessionId>, u32, u64);
 
-/// One read parked until a replica catches up to `stamp` (or the wait
+/// One client read on its way to a backend: dispatched at once, or parked in
+/// `fresh_waiters` until a replica catches up to `needs` (or the wait
 /// deadline fires).
 #[derive(Debug, Clone)]
-struct FreshWaiter {
+struct ReadReq {
     session: SessionId,
     stmt_seq: u64,
     sql: String,
-    /// Admission-time plan (plan cache on): dispatched as `ExecutePlan`
-    /// when the read finally routes.
+    /// Admission-time plan (plan cache on): dispatched as `ExecutePlan`.
     plan: Option<PlanExec>,
-    stamp: u64,
-    ms_mode: bool,
-    /// Partial replication: (read's group set, per-group freshness needs).
-    /// `Some` means the waiter drains on the per-(backend, group)
-    /// watermarks instead of the global freshness vector.
-    pneeds: Option<PartialNeeds>,
+    /// Table groups the statement reads: only their common hosts serve it.
+    gset: Vec<usize>,
+    /// (group, position) pairs a replica must have applied to serve it.
+    needs: Vec<(usize, u64)>,
 }
 
 /// Per-group replication state. Group `g` has its own sequencer (`member`
@@ -818,11 +797,13 @@ struct PwCatchup {
     inflight: bool,
 }
 
-/// Grow a per-group vector to cover group `g` (zero-filled).
-fn grow(v: &mut Vec<u64>, g: usize) {
+/// Raise entry `g` of a per-group vector to at least `pos`, growing the
+/// vector (zero-filled) to cover the group.
+fn raise(v: &mut Vec<u64>, g: usize, pos: u64) {
     if v.len() <= g {
         v.resize(g + 1, 0);
     }
+    v[g] = v[g].max(pos);
 }
 
 impl Middleware {
@@ -1205,9 +1186,6 @@ impl Middleware {
                 self.metrics.trace.end(TraceId(meta.trace), now);
             }
         }
-        if self.cfg.lag_aware_lprf {
-            self.metrics.counters.lprf_lag_demotions = self.balancer.lag_demotions;
-        }
     }
 
     /// Record a stage span on the trace window of an in-flight statement.
@@ -1418,7 +1396,7 @@ impl Middleware {
         nondet: NondetPolicy,
     ) {
         if stmt.is_read_only() && !matches!(stmt, Statement::Begin { .. } | Statement::Commit | Statement::Rollback) {
-            self.route_read(ctx, req, false, plan);
+            self.route_read(ctx, req, &stmt, plan);
             return;
         }
         if !self.have_quorum() {
@@ -1489,28 +1467,211 @@ impl Middleware {
         );
     }
 
-    fn route_read(&mut self, ctx: &mut Ctx<'_, Msg>, req: ClientRequest, ms_mode: bool, plan: Option<PlanExec>) {
+    // ------------------------------------------------------------------
+    // Read routing: one router for every mode, policy and placement
+    // ------------------------------------------------------------------
+
+    fn master_slave(&self) -> bool {
+        matches!(self.cfg.mode, Mode::MasterSlave { .. })
+    }
+
+    /// Table groups a statement touches (reads and writes), per the
+    /// placement map. Unknown tables fall into the default group. With one
+    /// group the answer needs no walk of the statement.
+    fn stmt_groups(&self, stmt: &Statement) -> Vec<usize> {
+        let placement = &self.shards.placement;
+        if placement.groups() == 1 {
+            return vec![0];
+        }
+        let mut names: Vec<String> =
+            stmt.read_tables().into_iter().map(|t| t.name).collect();
+        names.extend(stmt.written_tables().into_iter().map(|t| t.name));
+        placement.groups_of_tables(names.iter().map(|n| n.as_str()))
+    }
+
+    fn hosts_all(&self, b: BackendId, gset: &[usize]) -> bool {
+        gset.iter().all(|&g| self.shards.placement.hosts(g).contains(&b.0))
+    }
+
+    /// The position `b` has applied in group `g`, in the space session
+    /// floors ([`Sess::gstamps`]) live in. Writeset mode: the group's
+    /// certified-writeset positions. Statement modes and master-slave are
+    /// group 0 of their one-group placement: ordered-statement sequence
+    /// numbers, and the master's binlog LSN space (the master itself is
+    /// fresh by definition).
+    fn applied_pos(&self, b: BackendId, g: usize) -> u64 {
+        match self.cfg.mode {
+            Mode::MultiMasterWriteset => self.shards.marks[b.0][g].value(),
+            Mode::MasterSlave { .. } if b == self.master => u64::MAX,
+            Mode::MasterSlave { .. } => self.backends[b.0].applied_lsn.0,
+            _ => self.backends[b.0].applied_seq,
+        }
+    }
+
+    fn has_applied(&self, b: BackendId, needs: &[(usize, u64)]) -> bool {
+        needs.iter().all(|&(g, need)| self.applied_pos(b, g) >= need)
+    }
+
+    /// What a replica must have applied to serve `session` a read over
+    /// `gset`: per group, the session's floor less the policy's staleness
+    /// slack. Empty when the policy puts no freshness bar on reads or the
+    /// session has nothing to see yet, and then every host qualifies.
+    fn read_needs(&self, session: SessionId, gset: &[usize]) -> Vec<(usize, u64)> {
+        let (Some(slack), Some(s)) =
+            (self.cfg.read_policy.freshness_slack(), self.sessions.get(session.0))
+        else {
+            return Vec::new();
+        };
+        gset.iter()
+            .map(|&g| (g, s.gstamps.get(g).copied().unwrap_or(0).saturating_sub(slack)))
+            .filter(|&(_, need)| need > 0)
+            .collect()
+    }
+
+    /// In rotation, hosting every group the statement reads, and caught up
+    /// to the session's needs: what the half-open probe target must be.
+    fn can_serve(&self, b: BackendId, gset: &[usize], needs: &[(usize, u64)]) -> bool {
+        self.backends[b.0].online() && self.hosts_all(b, gset) && self.has_applied(b, needs)
+    }
+
+    /// The read-eligibility rule every routing decision applies: a replica
+    /// that can serve the read and is not quarantined.
+    fn eligible(&self, b: BackendId, gset: &[usize], needs: &[(usize, u64)]) -> bool {
+        !self.is_quarantined(b) && self.can_serve(b, gset, needs)
+    }
+
+    /// The set reads over `gset` balance across and delegates are picked
+    /// from: in-rotation hosts of every group, then quarantine-filtered —
+    /// in that order, so "a slow answer beats no answer" still fires when
+    /// every host is quarantined but some other backend is not. In
+    /// master-slave mode reads prefer the slaves and fall back to (or
+    /// include, with `read_master`) the master.
+    fn read_candidates(&self, gset: &[usize]) -> Vec<BackendId> {
+        let mut candidates = if self.master_slave() {
+            let read_master = matches!(self.cfg.mode, Mode::MasterSlave { read_master: true, .. });
+            let mut slaves = self.slaves();
+            if (slaves.is_empty() || read_master) && self.backends[self.master.0].online() {
+                slaves.push(self.master);
+            }
+            slaves
+        } else {
+            self.healthy()
+        };
+        candidates.retain(|&b| self.hosts_all(b, gset));
+        self.filter_quarantined(candidates)
+    }
+
+    /// Route a client read: to the half-open probe or the session's pinned
+    /// backend when one is eligible, else to a balanced pick among the
+    /// candidates that have applied what the session must see; when none
+    /// has, the read parks until one catches up (bounded by
+    /// `freshness_wait_max_us`).
+    fn route_read(&mut self, ctx: &mut Ctx<'_, Msg>, req: ClientRequest, stmt: &Statement, plan: Option<PlanExec>) {
         self.metrics.counters.reads += 1;
-        self.apply_lag_penalties();
-        if self.cfg.read_policy.freshness_slack().is_some() {
-            self.route_read_fresh(ctx, req, ms_mode, plan);
+        let gset = self.stmt_groups(stmt);
+        let needs = self.read_needs(req.session, &gset);
+        let r = ReadReq { session: req.session, stmt_seq: req.stmt_seq, sql: req.sql, plan, gset, needs };
+        if let Some((b, is_probe)) = self.pinned_read_backend(&r) {
+            self.dispatch_read(ctx, r, b, is_probe);
             return;
         }
-        let picked = self.pick_read_backend(req.session, ms_mode);
-        let Some((backend, is_probe)) = picked else {
-            self.reply_read(ctx, req.session, req.stmt_seq, Err(ReplyError::Unavailable("no backend for read".into())));
+        let candidates = self.read_candidates(&r.gset);
+        if candidates.is_empty() {
+            self.reply_read(ctx, r.session, r.stmt_seq, Err(ReplyError::Unavailable("no backend for read".into())));
+            return;
+        }
+        let caught_up: Vec<bool> =
+            candidates.iter().map(|&b| self.has_applied(b, &r.needs)).collect();
+        if caught_up.iter().any(|c| !c) {
+            self.metrics.counters.fresh_filtered_stale += 1;
+        }
+        let picked = self.balancer.pick_fresh(&candidates, &caught_up);
+        let Some(s) = self.sessions.get_mut(r.session.0) else { return };
+        let Some(b) = picked else {
+            self.metrics.counters.freshness_waits += 1;
+            s.current = Some(Current { stmt_seq: r.stmt_seq, kind: CurrentKind::FreshWait });
+            self.park_read(ctx, r);
             return;
         };
-        self.mw_span(req.session, req.stmt_seq, Stage::BalancerPick, ctx.now().micros());
-        {
-            let s = self.sessions.get_mut(req.session.0).unwrap();
-            s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::Read { backend } });
-            if self.balancer.granularity == Granularity::Connection && s.sticky.is_none() && !is_probe {
-                s.sticky = Some(backend);
+        match self.balancer.granularity {
+            Granularity::Connection => s.sticky = Some(b),
+            Granularity::Transaction if s.in_tx => s.sticky = Some(b),
+            _ => {}
+        }
+        self.dispatch_read(ctx, r, b, false);
+    }
+
+    /// A backend the read goes to ahead of the balancer, and whether the
+    /// read doubles as that backend's half-open quarantine probe.
+    fn pinned_read_backend(&self, r: &ReadReq) -> Option<(BackendId, bool)> {
+        // Half-open probes first: a quarantined backend whose dwell expired
+        // gets exactly one live read routed at it (lowest index wins) — but
+        // only a read it can serve: a stale probe would itself violate
+        // read-your-writes.
+        if self.cfg.quarantine.is_some() {
+            let probe = (0..self.backends.len())
+                .map(BackendId)
+                .find(|&b| self.health[b.0].wants_probe() && self.can_serve(b, &r.gset, &r.needs));
+            if let Some(b) = probe {
+                return Some((b, true));
             }
         }
-        let session = req.session;
-        let sql = req.sql;
+        // Granularity stickiness, then session consistency (read where you
+        // last wrote; in master-slave mode, else the master). Each holds
+        // only while its backend is eligible: health, placement and
+        // freshness beat stickiness.
+        let s = self.sessions.get(r.session.0)?;
+        let session_sticky = self.cfg.read_policy == ReadPolicy::SessionSticky;
+        let pins = [
+            match self.balancer.granularity {
+                Granularity::Connection => s.sticky,
+                Granularity::Transaction if s.in_tx => s.sticky,
+                _ => None,
+            },
+            s.last_write_backend.filter(|_| session_sticky),
+            Some(self.master).filter(|_| session_sticky && self.master_slave()),
+        ];
+        pins.into_iter()
+            .flatten()
+            .find(|&b| self.eligible(b, &r.gset, &r.needs))
+            .map(|b| (b, false))
+    }
+
+    /// The dispatch tail of every routed read.
+    fn dispatch_read(&mut self, ctx: &mut Ctx<'_, Msg>, r: ReadReq, backend: BackendId, is_probe: bool) {
+        let ReadReq { session, stmt_seq, sql, plan, gset, needs } = r;
+        let now = ctx.now().micros();
+        self.mw_span(session, stmt_seq, Stage::BalancerPick, now);
+        if crate::debug_on() {
+            eprintln!(
+                "[{now}us] read dispatch sess={} -> b{} groups={gset:?} needs={needs:?} probe={is_probe}",
+                session.0, backend.0
+            );
+        }
+        // Monotonic reads: the positions this read observes become the
+        // session's floor for its next read. Recorded at dispatch — the
+        // backend cannot regress below them by reply time.
+        let observed: Vec<(usize, u64)> = if self.cfg.read_policy == ReadPolicy::MonotonicReads {
+            gset.iter().map(|&g| (g, self.applied_pos(backend, g))).collect()
+        } else {
+            Vec::new()
+        };
+        let Some(s) = self.sessions.get_mut(session.0) else { return };
+        s.current = Some(Current { stmt_seq, kind: CurrentKind::Read { backend } });
+        if self.balancer.granularity == Granularity::Connection && s.sticky.is_none() && !is_probe {
+            s.sticky = Some(backend);
+        }
+        for (g, pos) in observed {
+            // The master reports the sentinel position (always fresh):
+            // folding it in pins the session to the master from here on.
+            // That is deliberate — the middleware cannot bound the position
+            // a master read observed, so any slave might be behind it;
+            // serving the master forever is the only sound floor. (The
+            // wait-or-primary deadline keeps such sessions live if the
+            // master blips.) Sessions that only ever read slaves keep
+            // balancing across every caught-up slave.
+            raise(&mut s.gstamps, g, pos);
+        }
         let op = self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
             match plan {
                 Some(plan) => DbOp::ExecutePlan { op, conn: session.0, plan, seq: None },
@@ -1518,7 +1679,6 @@ impl Middleware {
             }
         });
         if is_probe {
-            let now = ctx.now().micros();
             self.metrics.counters.quarantine_probes += 1;
             self.health[backend.0].probe_sent(now);
             self.probe_op.insert(backend, op);
@@ -1526,297 +1686,37 @@ impl Middleware {
         } else if self.is_quarantined(backend) {
             // Tripwire (should stay 0): a normal read slipped through the
             // quarantine filter — only the fallback path can do this, and
-            // only when every online backend is quarantined.
+            // only when every candidate is quarantined.
             self.metrics.counters.reads_routed_to_quarantined += 1;
-        }
-    }
-
-    /// Returns the backend to read from plus whether this read doubles as
-    /// the half-open quarantine probe.
-    fn pick_read_backend(&mut self, session: SessionId, ms_mode: bool) -> Option<(BackendId, bool)> {
-        // Half-open probes first: a quarantined backend whose dwell expired
-        // gets exactly one live read routed at it (lowest index wins).
-        if self.cfg.quarantine.is_some() {
-            for i in 0..self.backends.len() {
-                if self.backends[i].online() && self.health[i].wants_probe() {
-                    return Some((BackendId(i), true));
-                }
-            }
-        }
-        let s = self.sessions.get(session.0)?;
-        // Granularity stickiness. A quarantined sticky backend is treated
-        // like an offline one: health filtering beats stickiness.
-        match self.balancer.granularity {
-            Granularity::Connection => {
-                if let Some(b) = s.sticky {
-                    if self.read_ok(b) {
-                        return Some((b, false));
-                    }
-                }
-            }
-            Granularity::Transaction => {
-                if s.in_tx {
-                    if let Some(b) = s.sticky {
-                        if self.read_ok(b) {
-                            return Some((b, false));
-                        }
-                    }
-                }
-            }
-            Granularity::Query => {}
-        }
-        // Session consistency.
-        if self.cfg.read_policy == ReadPolicy::SessionSticky {
-            if let Some(b) = s.last_write_backend {
-                if self.read_ok(b) {
-                    return Some((b, false));
-                }
-            }
-            if ms_mode && self.read_ok(self.master) {
-                return Some((self.master, false));
-            }
-        }
-        let candidates = self.read_candidates(ms_mode);
-        let choice = self.balancer.pick(&candidates);
-        if let Some(b) = choice {
-            let sess = self.sessions.get_mut(session.0).unwrap();
-            match self.balancer.granularity {
-                Granularity::Connection => sess.sticky = Some(b),
-                Granularity::Transaction if sess.in_tx => sess.sticky = Some(b),
-                _ => {}
-            }
-        }
-        choice.map(|b| (b, false))
-    }
-
-    /// The candidate set reads route over: health-filtered, then
-    /// quarantine-filtered. In master-slave mode reads prefer the slaves
-    /// and fall back to (or include, with `read_master`) the master.
-    fn read_candidates(&self, ms_mode: bool) -> Vec<BackendId> {
-        let candidates = if ms_mode {
-            let read_master = matches!(self.cfg.mode, Mode::MasterSlave { read_master: true, .. });
-            let slaves = self.slaves();
-            if slaves.is_empty() || read_master {
-                let mut all = slaves;
-                if self.backends[self.master.0].online() {
-                    all.push(self.master);
-                }
-                all
-            } else {
-                slaves
-            }
-        } else {
-            self.healthy()
-        };
-        self.filter_quarantined(candidates)
-    }
-
-    // ------------------------------------------------------------------
-    // Freshness-constrained read routing (`ReadPolicy::Fresh`)
-    // ------------------------------------------------------------------
-
-    /// A backend's applied position in the space session stamps live in.
-    /// Master-slave: the master's binlog LSN space (the master itself is
-    /// fresh by definition). Writeset mode: certified-writeset positions.
-    /// Statement modes: ordered-statement sequence numbers.
-    fn fresh_pos(&self, b: BackendId, ms_mode: bool) -> u64 {
-        if ms_mode {
-            if b == self.master {
-                u64::MAX
-            } else {
-                self.backends[b.0].applied_lsn.0
-            }
-        } else {
-            match self.cfg.mode {
-                Mode::MultiMasterWriteset => self.shards.marks[b.0][0].value(),
-                _ => self.backends[b.0].applied_seq,
+            if crate::debug_on() {
+                eprintln!("[{now}us] QUARANTINED read -> b{}", backend.0);
             }
         }
     }
 
-    /// Position of the session's last acknowledged write in the space
-    /// [`Self::fresh_pos`] reports (writeset mode: stream 0's certified
-    /// positions — under a non-trivial placement [`Self::pw_route_read`]
-    /// compares per group instead).
-    fn write_stamp(&self, s: &Sess) -> u64 {
-        match self.cfg.mode {
-            Mode::MultiMasterWriteset => s.gstamps.first().copied().unwrap_or(0),
-            _ => s.last_commit_stamp,
-        }
-    }
-
-    /// Has `b` applied this session's last committed write — or come within
-    /// the policy's staleness slack of it?
-    fn backend_fresh(&self, b: BackendId, stamp: u64, ms_mode: bool) -> bool {
-        let need = stamp.saturating_sub(self.cfg.read_policy.freshness_slack().unwrap_or(0));
-        need == 0 || self.fresh_pos(b, ms_mode) >= need
-    }
-
-    /// Freshness-constrained read path. Mirrors `route_read`'s probe and
-    /// stickiness handling, but every routing decision is first cut down
-    /// to replicas that have applied the session's last committed write;
-    /// when none qualify the read parks until the freshness vector
-    /// catches up (bounded by `freshness_wait_max_us`).
-    fn route_read_fresh(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        req: ClientRequest,
-        ms_mode: bool,
-        plan: Option<PlanExec>,
-    ) {
-        // MonotonicReads folds the highest position this session has ever
-        // *read from* into the stamp: a later read may not see an earlier
-        // state, even one the session never wrote.
-        let stamp = self
-            .sessions
-            .get(req.session.0)
-            .map(|s| match self.cfg.read_policy {
-                ReadPolicy::MonotonicReads => self.write_stamp(s).max(s.last_read_pos),
-                _ => self.write_stamp(s),
-            })
-            .unwrap_or(0);
-        // Half-open probes keep working under Fresh, but only a probe
-        // target that is also fresh may carry this session's read — a
-        // stale probe would itself violate read-your-writes.
-        if self.cfg.quarantine.is_some() {
-            for i in 0..self.backends.len() {
-                if self.backends[i].online()
-                    && self.health[i].wants_probe()
-                    && self.backend_fresh(BackendId(i), stamp, ms_mode)
-                {
-                    self.dispatch_fresh_read(ctx, req.session, req.stmt_seq, req.sql, plan, BackendId(i), true);
-                    return;
-                }
-            }
-        }
-        // Granularity stickiness holds only while the sticky backend is
-        // both healthy and fresh.
-        let sticky = match (self.balancer.granularity, self.sessions.get(req.session.0)) {
-            (Granularity::Connection, Some(s)) => s.sticky,
-            (Granularity::Transaction, Some(s)) if s.in_tx => s.sticky,
-            _ => None,
-        };
-        if let Some(b) = sticky {
-            if self.read_ok(b) && self.backend_fresh(b, stamp, ms_mode) {
-                self.dispatch_fresh_read(ctx, req.session, req.stmt_seq, req.sql, plan, b, false);
-                return;
-            }
-        }
-        let candidates = self.read_candidates(ms_mode);
-        if candidates.is_empty() {
-            self.reply_read(ctx, req.session, req.stmt_seq, Err(ReplyError::Unavailable("no backend for read".into())));
-            return;
-        }
-        let fresh_mask: Vec<bool> =
-            candidates.iter().map(|&b| self.backend_fresh(b, stamp, ms_mode)).collect();
-        if fresh_mask.iter().any(|f| !f) {
-            self.metrics.counters.fresh_filtered_stale += 1;
-        }
-        if let Some(b) = self.balancer.pick_fresh(&candidates, &fresh_mask) {
-            {
-                let s = self.sessions.get_mut(req.session.0).unwrap();
-                match self.balancer.granularity {
-                    Granularity::Connection => s.sticky = Some(b),
-                    Granularity::Transaction if s.in_tx => s.sticky = Some(b),
-                    _ => {}
-                }
-            }
-            self.dispatch_fresh_read(ctx, req.session, req.stmt_seq, req.sql, plan, b, false);
-            return;
-        }
-        // No fresh replica right now: park until one catches up, with the
-        // wait-or-primary deadline as the escape hatch.
-        self.metrics.counters.freshness_waits += 1;
+    /// Park a read until a replica catches up to its needs, with the
+    /// wait-or-primary deadline as the escape hatch.
+    fn park_read(&mut self, ctx: &mut Ctx<'_, Msg>, r: ReadReq) {
         let id = self.next_fresh;
         self.next_fresh += 1;
-        {
-            let s = self.sessions.get_mut(req.session.0).unwrap();
-            s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::FreshWait });
-        }
-        self.fresh_waiters.insert(
-            id,
-            FreshWaiter { session: req.session, stmt_seq: req.stmt_seq, sql: req.sql, plan, stamp, ms_mode, pneeds: None },
-        );
+        self.fresh_waiters.insert(id, r);
         ctx.set_timer(self.cfg.freshness_wait_max_us, TIMER_FRESH_BASE + id);
     }
 
-    /// Common dispatch tail for freshness-routed reads — the same
-    /// bookkeeping `route_read` does after its pick.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_fresh_read(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        session: SessionId,
-        stmt_seq: u64,
-        sql: String,
-        plan: Option<PlanExec>,
-        backend: BackendId,
-        is_probe: bool,
-    ) {
-        self.mw_span(session, stmt_seq, Stage::BalancerPick, ctx.now().micros());
-        if crate::debug_on() {
-            let ms = matches!(self.cfg.mode, Mode::MasterSlave { .. });
-            eprintln!(
-                "[{}us] fresh dispatch sess={} -> b{} stamp={} pos={} probe={is_probe}",
-                ctx.now().micros(),
-                session.0,
-                backend.0,
-                self.sessions.get(session.0).map(|s| self.write_stamp(s)).unwrap_or(0),
-                self.fresh_pos(backend, ms),
-            );
-        }
-        // Monotonic reads: the position this read observes becomes the
-        // floor for the session's next read. Recorded at dispatch — the
-        // backend cannot regress below it by reply time.
-        let observed = if self.cfg.read_policy == ReadPolicy::MonotonicReads {
-            let ms = matches!(self.cfg.mode, Mode::MasterSlave { .. });
-            Some(self.fresh_pos(backend, ms))
-        } else {
-            None
-        };
-        {
-            let s = self.sessions.get_mut(session.0).unwrap();
-            s.current = Some(Current { stmt_seq, kind: CurrentKind::Read { backend } });
-            if self.balancer.granularity == Granularity::Connection && s.sticky.is_none() && !is_probe {
-                s.sticky = Some(backend);
-            }
-            if let Some(pos) = observed {
-                // The master reports the sentinel position (always fresh):
-                // folding it in pins the session to the master from here
-                // on. That is deliberate — the middleware cannot bound the
-                // position a master read observed, so any slave might be
-                // behind it; serving the master forever is the only sound
-                // floor. (The wait-or-primary deadline keeps such sessions
-                // live if the master blips.) Sessions that only ever read
-                // slaves keep balancing across every caught-up slave.
-                s.last_read_pos = s.last_read_pos.max(pos);
-            }
-        }
-        let op = self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-            match plan {
-                Some(plan) => DbOp::ExecutePlan { op, conn: session.0, plan, seq: None },
-                None => DbOp::Execute { op, conn: session.0, sql, seq: None },
-            }
-        });
-        if is_probe {
-            let now = ctx.now().micros();
-            self.metrics.counters.quarantine_probes += 1;
-            self.health[backend.0].probe_sent(now);
-            self.probe_op.insert(backend, op);
-            self.sync_health_events(backend.0);
-        } else if self.is_quarantined(backend) {
-            self.metrics.counters.reads_routed_to_quarantined += 1;
-            if crate::debug_on() {
-                eprintln!("[{}us] QUARANTINED read -> b{}", ctx.now().micros(), backend.0);
-            }
-        }
+    /// Is the session still waiting on this parked read? It may have moved
+    /// on (torn down, or the statement superseded).
+    fn still_parked(&self, r: &ReadReq) -> bool {
+        self.sessions
+            .get(r.session.0)
+            .and_then(|s| s.current.as_ref())
+            .is_some_and(|c| c.stmt_seq == r.stmt_seq && matches!(c.kind, CurrentKind::FreshWait))
     }
 
     /// Re-run the routing decision for parked reads after any event that
-    /// can advance the freshness vector (apply acks, pongs, recovery
-    /// completion, quarantine flips, master promotion). Allocation-free
-    /// no-op when nothing is parked, so hooks call it unconditionally
-    /// without disturbing the freshness-off byte path.
+    /// can advance a replica's applied positions (apply acks, pongs,
+    /// recovery completion, quarantine flips, master promotion).
+    /// Allocation-free no-op when nothing is parked, so hooks call it
+    /// unconditionally without disturbing the freshness-off byte path.
     fn drain_fresh_waiters(&mut self, ctx: &mut Ctx<'_, Msg>) {
         if self.fresh_waiters.is_empty() {
             return;
@@ -1825,44 +1725,21 @@ impl Middleware {
         // deterministic.
         let ids: Vec<u64> = self.fresh_waiters.keys().copied().collect();
         for id in ids {
-            let Some(w) = self.fresh_waiters.get(&id) else { continue };
-            // The session may have moved on (torn down, or the statement
-            // superseded): drop stale waiters instead of dispatching.
-            let still_wanted = self
-                .sessions
-                .get(w.session.0)
-                .and_then(|s| s.current.as_ref())
-                .map(|c| c.stmt_seq == w.stmt_seq && matches!(c.kind, CurrentKind::FreshWait))
-                .unwrap_or(false);
-            if !still_wanted {
+            let Some(r) = self.fresh_waiters.get(&id) else { continue };
+            if !self.still_parked(r) {
                 self.fresh_waiters.remove(&id);
                 continue;
             }
-            if let Some((gset, needs)) = w.pneeds.clone() {
-                // Partial-replication waiter: candidates are restricted to
-                // backends hosting every involved group, freshness is the
-                // per-(backend, group) mark vector.
-                let hosts = self.shards.placement.hosts_of_all(&gset);
-                let candidates: Vec<BackendId> =
-                    self.routable().into_iter().filter(|b| hosts.contains(&b.0)).collect();
-                let fresh_mask: Vec<bool> =
-                    candidates.iter().map(|&b| self.pw_backend_fresh(b, &needs)).collect();
-                let Some(b) = self.balancer.pick_fresh(&candidates, &fresh_mask) else { continue };
-                let w = self.fresh_waiters.remove(&id).unwrap();
-                self.mw_span(w.session, w.stmt_seq, Stage::FreshnessWait, ctx.now().micros());
-                self.pw_dispatch_read(ctx, w.session, w.stmt_seq, w.sql, w.plan, b);
-                continue;
-            }
-            let candidates = self.read_candidates(w.ms_mode);
-            let fresh_mask: Vec<bool> =
-                candidates.iter().map(|&b| self.backend_fresh(b, w.stamp, w.ms_mode)).collect();
-            let Some(b) = self.balancer.pick_fresh(&candidates, &fresh_mask) else { continue };
-            let w = self.fresh_waiters.remove(&id).unwrap();
+            let candidates = self.read_candidates(&r.gset);
+            let caught_up: Vec<bool> =
+                candidates.iter().map(|&b| self.has_applied(b, &r.needs)).collect();
+            let Some(b) = self.balancer.pick_fresh(&candidates, &caught_up) else { continue };
+            let Some(r) = self.fresh_waiters.remove(&id) else { continue };
             // The parked window is the FreshnessWait stage; the dispatch
             // below records its (zero-width) BalancerPick after it, so the
             // E17 stage tiling stays exact.
-            self.mw_span(w.session, w.stmt_seq, Stage::FreshnessWait, ctx.now().micros());
-            self.dispatch_fresh_read(ctx, w.session, w.stmt_seq, w.sql, w.plan, b, false);
+            self.mw_span(r.session, r.stmt_seq, Stage::FreshnessWait, ctx.now().micros());
+            self.dispatch_read(ctx, r, b, false);
         }
     }
 
@@ -1872,86 +1749,44 @@ impl Middleware {
     /// have no always-fresh node, so the deadline trades strictness for
     /// liveness: fall back to the most caught-up candidate.
     fn fresh_wait_timed_out(&mut self, ctx: &mut Ctx<'_, Msg>, id: u64) {
-        let Some(w) = self.fresh_waiters.get(&id) else { return };
-        let still_wanted = self
-            .sessions
-            .get(w.session.0)
-            .and_then(|s| s.current.as_ref())
-            .map(|c| c.stmt_seq == w.stmt_seq && matches!(c.kind, CurrentKind::FreshWait))
-            .unwrap_or(false);
-        let w = self.fresh_waiters.remove(&id).unwrap();
-        if !still_wanted {
+        let Some(r) = self.fresh_waiters.remove(&id) else { return };
+        if !self.still_parked(&r) {
             return;
         }
         self.metrics.counters.freshness_wait_timeouts += 1;
-        if let Some((gset, needs)) = w.pneeds.clone() {
-            let _ = needs;
-            // Liveness escape hatch, partial flavor: the most caught-up
-            // hosting backend, summed over the involved groups.
-            let hosts = self.shards.placement.hosts_of_all(&gset);
-            let fallback = self
-                .routable()
-                .into_iter()
-                .filter(|b| hosts.contains(&b.0))
-                .max_by_key(|&b| {
-                    let sum: u64 = gset.iter().map(|&g| self.shards.marks[b.0][g].value()).sum();
-                    (sum, std::cmp::Reverse(b.0))
-                });
-            self.mw_span(w.session, w.stmt_seq, Stage::FreshnessWait, ctx.now().micros());
-            match fallback {
-                Some(b) => {
-                    self.metrics.counters.fresh_fallback_primary += 1;
-                    self.pw_dispatch_read(ctx, w.session, w.stmt_seq, w.sql, w.plan, b);
-                }
-                None => {
-                    self.reply_read(
-                        ctx,
-                        w.session,
-                        w.stmt_seq,
-                        Err(ReplyError::Unavailable("no fresh backend for read".into())),
-                    );
-                }
-            }
-            return;
-        }
-        let fallback = if w.ms_mode {
-            if self.read_ok(self.master) {
-                Some(self.master)
-            } else {
+        let fallback = if self.master_slave() {
+            if !self.read_ok(self.master) {
                 // The master is unreadable (quarantined, or mid-failover):
                 // the most caught-up slave may still predate this session's
                 // write, and a stale answer is the one thing this policy
                 // must never give. Re-park — the read drains the moment a
                 // slave catches up or the master comes back.
-                let id = self.next_fresh;
-                self.next_fresh += 1;
-                self.fresh_waiters.insert(id, w);
-                ctx.set_timer(self.cfg.freshness_wait_max_us, TIMER_FRESH_BASE + id);
+                self.park_read(ctx, r);
                 return;
             }
+            Some(self.master)
         } else {
             // Writeset-replicated modes ack a commit only after every
-            // in-rotation replica applied it, so the most caught-up healthy
-            // candidate covers every acked stamp. Ties break to the lowest
-            // id (max_by_key keys are unique thanks to the Reverse(id)).
-            self.read_candidates(w.ms_mode)
-                .into_iter()
-                .max_by_key(|&b| (self.fresh_pos(b, w.ms_mode), std::cmp::Reverse(b.0)))
+            // in-rotation host applied it, so the candidate furthest along
+            // over the read's groups covers every acked stamp. Ties break
+            // to the lowest id (keys are unique thanks to the Reverse(id)).
+            self.read_candidates(&r.gset).into_iter().max_by_key(|&b| {
+                let applied: u64 = r.gset.iter().map(|&g| self.applied_pos(b, g)).sum();
+                (applied, std::cmp::Reverse(b.0))
+            })
         };
-        self.mw_span(w.session, w.stmt_seq, Stage::FreshnessWait, ctx.now().micros());
+        self.mw_span(r.session, r.stmt_seq, Stage::FreshnessWait, ctx.now().micros());
         match fallback {
             Some(b) => {
                 self.metrics.counters.fresh_fallback_primary += 1;
-                self.dispatch_fresh_read(ctx, w.session, w.stmt_seq, w.sql, w.plan, b, false);
+                self.dispatch_read(ctx, r, b, false);
             }
-            None => {
-                self.reply_read(
-                    ctx,
-                    w.session,
-                    w.stmt_seq,
-                    Err(ReplyError::Unavailable("no fresh backend for read".into())),
-                );
-            }
+            None => self.reply_read(
+                ctx,
+                r.session,
+                r.stmt_seq,
+                Err(ReplyError::Unavailable("no fresh backend for read".into())),
+            ),
         }
     }
 
@@ -2280,7 +2115,7 @@ impl Middleware {
                 }
             }
             _ if stmt.is_read_only() && !in_tx => {
-                self.route_read(ctx, req, false, plan);
+                self.route_read(ctx, req, &stmt, plan);
             }
             _ => {
                 // Any other statement executes at the delegate, opening an
@@ -2344,23 +2179,12 @@ impl Middleware {
     // Non-trivial placement: request entry
     // ------------------------------------------------------------------
 
-    /// Table groups a statement touches (reads and writes), per the
-    /// placement map. Unknown tables fall into the default group.
-    fn stmt_groups(&self, stmt: &Statement) -> Vec<usize> {
-        let placement = &self.shards.placement;
-        let mut names: Vec<String> =
-            stmt.read_tables().into_iter().map(|t| t.name).collect();
-        names.extend(stmt.written_tables().into_iter().map(|t| t.name));
-        placement.groups_of_tables(names.iter().map(|n| n.as_str()))
-    }
-
     /// Delegate candidates must host *every* group the transaction touches
     /// (the delegate executes all its statements locally).
     fn pw_pick_delegate(&mut self, gset: &[usize]) -> Option<BackendId> {
         let hosts = self.shards.placement.hosts_of_all(gset);
         let candidates: Vec<BackendId> =
             self.routable().into_iter().filter(|b| hosts.contains(&b.0)).collect();
-        self.apply_lag_penalties();
         self.balancer.pick(&candidates)
     }
 
@@ -2471,7 +2295,7 @@ impl Middleware {
                 }
             }
             _ if stmt.is_read_only() && !in_tx => {
-                self.pw_route_read(ctx, req, &stmt, plan);
+                self.route_read(ctx, req, &stmt, plan);
             }
             _ => {
                 let write = !stmt.is_read_only();
@@ -2695,8 +2519,7 @@ impl Middleware {
                     // Freshness stamp: reads for this session must come
                     // from a backend whose group mark reached this position.
                     let s = self.sessions.get_mut(session.0).unwrap();
-                    grow(&mut s.gstamps, g);
-                    s.gstamps[g] = s.gstamps[g].max(cert_pos);
+                    raise(&mut s.gstamps, g, cert_pos);
                 }
                 let delegate =
                     if origin { self.sessions.get(session.0).and_then(|s| s.sticky) } else { None };
@@ -2885,9 +2708,7 @@ impl Middleware {
         {
             let s = self.sessions.get_mut(session.0).unwrap();
             for (idx, &gg) in xtx.groups.iter().enumerate() {
-                let g = gg as usize;
-                grow(&mut s.gstamps, g);
-                s.gstamps[g] = s.gstamps[g].max(xtx.pos[idx]);
+                raise(&mut s.gstamps, gg as usize, xtx.pos[idx]);
             }
         }
         let delegate = if origin { self.sessions.get(session.0).and_then(|s| s.sticky) } else { None };
@@ -2947,121 +2768,6 @@ impl Middleware {
         }
     }
 
-    /// Is backend `b` caught up to `needs` = per-group required positions?
-    fn pw_backend_fresh(&self, b: BackendId, needs: &[(usize, u64)]) -> bool {
-        needs.iter().all(|&(g, need)| self.shards.marks[b.0][g].value() >= need)
-    }
-
-    /// Read routing under partial replication: candidates are the backends
-    /// hosting every group the statement reads, freshness is checked per
-    /// (backend, group) against the session's group stamps.
-    fn pw_route_read(&mut self, ctx: &mut Ctx<'_, Msg>, req: ClientRequest, stmt: &Statement, plan: Option<PlanExec>) {
-        self.metrics.counters.reads += 1;
-        let gset = self.stmt_groups(stmt);
-        let hosts = self.shards.placement.hosts_of_all(&gset);
-        let candidates: Vec<BackendId> =
-            self.routable().into_iter().filter(|b| hosts.contains(&b.0)).collect();
-        if candidates.is_empty() {
-            self.reply_read(ctx, req.session, req.stmt_seq, Err(ReplyError::Unavailable("no backend hosts all read groups".into())));
-            return;
-        }
-        self.apply_lag_penalties();
-        let Some(slack) = self.cfg.read_policy.freshness_slack() else {
-            let Some(b) = self.balancer.pick(&candidates) else {
-                self.reply_read(ctx, req.session, req.stmt_seq, Err(ReplyError::Unavailable("no backend for read".into())));
-                return;
-            };
-            self.mw_span(req.session, req.stmt_seq, Stage::BalancerPick, ctx.now().micros());
-            self.pw_dispatch_read(ctx, req.session, req.stmt_seq, req.sql, plan, b);
-            return;
-        };
-        let needs: Vec<(usize, u64)> = {
-            let s = self.sessions.get(req.session.0).unwrap();
-            gset.iter()
-                .map(|&g| {
-                    (g, s.gstamps.get(g).copied().unwrap_or(0).saturating_sub(slack))
-                })
-                .filter(|&(_, need)| need > 0)
-                .collect()
-        };
-        let fresh_mask: Vec<bool> =
-            candidates.iter().map(|&b| self.pw_backend_fresh(b, &needs)).collect();
-        if fresh_mask.iter().any(|f| !f) {
-            self.metrics.counters.fresh_filtered_stale += 1;
-        }
-        if let Some(b) = self.balancer.pick_fresh(&candidates, &fresh_mask) {
-            self.mw_span(req.session, req.stmt_seq, Stage::BalancerPick, ctx.now().micros());
-            self.pw_dispatch_read(ctx, req.session, req.stmt_seq, req.sql, plan, b);
-            return;
-        }
-        self.metrics.counters.freshness_waits += 1;
-        let id = self.next_fresh;
-        self.next_fresh += 1;
-        {
-            let s = self.sessions.get_mut(req.session.0).unwrap();
-            s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::FreshWait });
-        }
-        self.fresh_waiters.insert(
-            id,
-            FreshWaiter {
-                session: req.session,
-                stmt_seq: req.stmt_seq,
-                sql: req.sql,
-                plan,
-                stamp: 0,
-                ms_mode: false,
-                pneeds: Some((gset, needs)),
-            },
-        );
-        ctx.set_timer(self.cfg.freshness_wait_max_us, TIMER_FRESH_BASE + id);
-    }
-
-    /// Dispatch tail for partial-mode reads (skips the quarantine-probe
-    /// piggyback and connection stickiness: placement already constrains
-    /// the candidate set).
-    fn pw_dispatch_read(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        session: SessionId,
-        stmt_seq: u64,
-        sql: String,
-        plan: Option<PlanExec>,
-        backend: BackendId,
-    ) {
-        {
-            let s = self.sessions.get_mut(session.0).unwrap();
-            s.current = Some(Current { stmt_seq, kind: CurrentKind::Read { backend } });
-        }
-        self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-            match plan {
-                Some(plan) => DbOp::ExecutePlan { op, conn: session.0, plan, seq: None },
-                None => DbOp::Execute { op, conn: session.0, sql, seq: None },
-            }
-        });
-    }
-
-    /// Satellite: freshness-aware LPRF. Fold each backend's replication
-    /// lag (certified-but-unapplied positions) into its balancer score so
-    /// laggards shed read load while they catch up. Off by default —
-    /// `set_lag_penalty(_, 0)` everywhere keeps scores byte-identical.
-    fn apply_lag_penalties(&mut self) {
-        if !self.cfg.lag_aware_lprf {
-            return;
-        }
-        for i in 0..self.backends.len() {
-            let p = &self.shards;
-            let lag = match self.cfg.mode {
-                Mode::MultiMasterWriteset => p
-                    .hosted(i)
-                    .into_iter()
-                    .map(|g| p.certs[g].position().saturating_sub(p.marks[i][g].value()))
-                    .sum(),
-                _ => p.logs[0].head().saturating_sub(self.backends[i].applied_seq),
-            };
-            self.balancer.set_lag_penalty(BackendId(i), lag);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Master-slave
     // ------------------------------------------------------------------
@@ -3078,7 +2784,7 @@ impl Middleware {
             || matches!(stmt, Statement::Begin { .. } | Statement::Commit | Statement::Rollback)
             || self.sessions.get(session.0).map(|s| s.in_tx).unwrap_or(false);
         if !write_path {
-            self.route_read(ctx, req, true, plan);
+            self.route_read(ctx, req, &stmt, plan);
             return;
         }
         if !self.write_quorum_ok() {
@@ -3534,7 +3240,7 @@ impl Middleware {
                 // Freshness stamp: the write is applied up to this ordered
                 // seq; later reads for the session require at least it.
                 if let Some(sess) = self.sessions.get_mut(g.session.0) {
-                    sess.last_commit_stamp = sess.last_commit_stamp.max(g.log_seq);
+                    raise(&mut sess.gstamps, 0, g.log_seq);
                 }
             }
             if g.origin {
@@ -3684,7 +3390,7 @@ impl Middleware {
                     // once their shipped-apply position reaches this LSN.
                     let lsn = commit.as_ref().map(|c| c.lsn.0).unwrap_or(0);
                     if let Some(s) = self.sessions.get_mut(session.0) {
-                        s.last_commit_stamp = s.last_commit_stamp.max(lsn);
+                        raise(&mut s.gstamps, 0, lsn);
                     }
                 }
                 if two_safe && committed && !self.slaves().is_empty() {
@@ -5077,6 +4783,98 @@ mod tests {
                 assert_eq!(m.metrics.counters.divergence_detected, 0);
             });
         }
+    }
+
+    fn router(mode: Mode, policy: ReadPolicy, placement: Option<Placement>, backends: usize) -> Middleware {
+        let mut cfg = MwConfig::defaults(mode);
+        cfg.read_policy = policy;
+        cfg.placement = placement;
+        cfg.quarantine = Some(QuarantineConfig::default());
+        let nodes = (0..backends).map(NodeId).collect();
+        Middleware::new(cfg, 0, vec![NodeId(backends)], nodes)
+    }
+
+    /// Trip backend `b`'s breaker: a learned baseline, then a brownout.
+    fn quarantine(m: &mut Middleware, b: usize) {
+        for t in 1..200 {
+            m.health[b].on_completion(t, if t <= 20 { 100 } else { 100_000 });
+        }
+        assert!(m.is_quarantined(BackendId(b)));
+    }
+
+    fn eligible_set(m: &Middleware, gset: &[usize], needs: &[(usize, u64)]) -> Vec<usize> {
+        (0..m.backends.len()).filter(|&b| m.eligible(BackendId(b), gset, needs)).collect()
+    }
+
+    #[test]
+    fn read_eligibility_with_one_group() {
+        let statement = Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject };
+        let mut m = router(statement, ReadPolicy::Fresh, None, 3);
+        let select = parse_statement("SELECT v FROM bench WHERE k = 1").unwrap();
+        assert_eq!(m.stmt_groups(&select), [0]);
+        m.backends[0].applied_seq = 9;
+        m.backends[1].applied_seq = 4; // the stale host
+        m.backends[2].applied_seq = 9;
+        // A session that has written nothing needs nothing: every host
+        // qualifies, whatever it has applied.
+        m.session(SessionId(1), None);
+        assert_eq!(m.read_needs(SessionId(1), &[0]), []);
+        assert_eq!(eligible_set(&m, &[0], &[]), [0, 1, 2]);
+        // Its write at position 7 cuts the replica that has not applied it.
+        raise(&mut m.session(SessionId(1), None).gstamps, 0, 7);
+        let needs = m.read_needs(SessionId(1), &[0]);
+        assert_eq!(needs, [(0, 7)]);
+        assert_eq!(eligible_set(&m, &[0], &needs), [0, 2]);
+        // Quarantine and leaving the rotation cut a caught-up replica too,
+        // but a quarantined one that could serve may still carry the probe.
+        quarantine(&mut m, 2);
+        m.backends[0].state = BackendState::Down;
+        assert_eq!(eligible_set(&m, &[0], &needs), []);
+        assert!(m.can_serve(BackendId(2), &[0], &needs));
+        assert!(!m.can_serve(BackendId(0), &[0], &needs));
+        // Bounded staleness lowers the bar by its slack; no slack, no bar.
+        m.cfg.read_policy = ReadPolicy::BoundedStaleness(3);
+        assert_eq!(m.read_needs(SessionId(1), &[0]), [(0, 4)]);
+        m.cfg.read_policy = ReadPolicy::SessionSticky;
+        assert_eq!(m.read_needs(SessionId(1), &[0]), []);
+    }
+
+    #[test]
+    fn read_eligibility_with_two_groups() {
+        let placement = Placement::new(vec![vec![0, 1, 2], vec![1, 2, 3]]).assign("a", 0).assign("b", 1);
+        let mut m = router(Mode::MultiMasterWriteset, ReadPolicy::Fresh, Some(placement), 4);
+        let join = parse_statement("SELECT a.v FROM a JOIN b ON a.k = b.k").unwrap();
+        assert_eq!(m.stmt_groups(&join), [0, 1]);
+        assert_eq!(m.stmt_groups(&parse_statement("SELECT v FROM b").unwrap()), [1]);
+        // Empty needs: the hosts of every group read, and only those.
+        assert_eq!(eligible_set(&m, &[0], &[]), [0, 1, 2]);
+        assert_eq!(eligible_set(&m, &[0, 1], &[]), [1, 2]);
+        // The session wrote position 2 of group 0 and 1 of group 1. Backend
+        // 1 is behind in group 1, backend 2 has both, backend 0 has group 0
+        // only and backend 3 group 1 only.
+        for (b, g, pos) in [(0, 0, 1), (0, 0, 2), (1, 0, 1), (1, 0, 2), (2, 0, 1), (2, 0, 2), (2, 1, 1), (3, 1, 1)] {
+            m.shards.marks[b][g].mark(pos);
+        }
+        let s = m.session(SessionId(1), None);
+        raise(&mut s.gstamps, 0, 2);
+        raise(&mut s.gstamps, 1, 1);
+        let needs = m.read_needs(SessionId(1), &[0, 1]);
+        assert_eq!(needs, [(0, 2), (1, 1)]);
+        assert_eq!(eligible_set(&m, &[0, 1], &needs), [2]);
+        // A read of one group asks for that group's position only.
+        let needs0 = m.read_needs(SessionId(1), &[0]);
+        assert_eq!(needs0, [(0, 2)]);
+        assert_eq!(eligible_set(&m, &[0], &needs0), [0, 1, 2]);
+        assert_eq!(eligible_set(&m, &[1], &m.read_needs(SessionId(1), &[1])), [2, 3]);
+        // Quarantine is cut after the host set: with both hosts of the
+        // join quarantined the slow answer still beats no answer, and an
+        // unquarantined non-host never enters the candidates.
+        quarantine(&mut m, 1);
+        assert_eq!(eligible_set(&m, &[0, 1], &[]), [2]);
+        assert_eq!(m.read_candidates(&[0, 1]), [BackendId(2)]);
+        quarantine(&mut m, 2);
+        assert_eq!(eligible_set(&m, &[0, 1], &[]), []);
+        assert_eq!(m.read_candidates(&[0, 1]), [BackendId(1), BackendId(2)]);
     }
 
     #[test]
