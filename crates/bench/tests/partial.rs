@@ -4,11 +4,14 @@
 //! mid-protocol, and the trivial-placement byte-identity guarantee.
 
 use replimid_bench::{aggregate, partial_ws_cfg, run_and_drain, striped_placement};
-use replimid_core::{Cluster, Placement};
-use replimid_det::detcheck;
-use replimid_simnet::{NodeId, SimTime};
+use replimid_core::{
+    ClientRequest, Cluster, ClusterConfig, Granularity, Mode, Msg, Placement, ReadPolicy, ReplyBody,
+    SessionId, TxSource,
+};
+use replimid_det::{detcheck, DetRng};
+use replimid_simnet::{Actor, Ctx, NodeId, SimTime};
 use replimid_sql::{CrashKind, DurabilityConfig, Outcome, ADMIN_PASSWORD, ADMIN_USER};
-use replimid_workload::micro::DisjointInsert;
+use replimid_workload::micro::{self, DisjointInsert, KeyedUpdates};
 
 /// Total row count of `table` at backend `(0, b)`.
 fn rows_at(cluster: &mut Cluster, b: usize, table: &str) -> i64 {
@@ -233,22 +236,54 @@ fn cross_group_commit_is_atomic() {
     });
 }
 
+/// Explicit `BEGIN … COMMIT` transactions (a point read, then an insert)
+/// alternating with autocommit point reads and updates of the key just
+/// written, all on one table: the traffic that crosses the read router and
+/// the deferred BEGIN.
+struct ReadWriteTx {
+    next: i64,
+    table: usize,
+}
+
+impl TxSource for ReadWriteTx {
+    fn next_tx(&mut self, _rng: &mut DetRng) -> Vec<String> {
+        let (k, t) = (self.next, self.table);
+        self.next += 1;
+        match k % 3 {
+            0 => vec![
+                "BEGIN ISOLATION LEVEL SNAPSHOT".to_string(),
+                format!("SELECT v FROM t{t} WHERE k = {}", k - 1),
+                format!("INSERT INTO t{t} VALUES ({k}, 1)"),
+                "COMMIT".to_string(),
+            ],
+            1 => vec![format!("SELECT v FROM t{t} WHERE k = {}", k - 1)],
+            _ => vec![format!("UPDATE t{t} SET v = v + 1 WHERE k = {}", k - 2)],
+        }
+    }
+}
+
 /// Full replication is the one-group placement, not a sibling
 /// implementation: no placement at all and the explicit one-group-everywhere
 /// placement run the same pipeline with G = 1 and agree on every counter,
-/// certifier stat and backend byte — with group commit off and on — and the
-/// no-placement arm reruns bit-identically (the closed-loop same-seed
-/// guarantee every E-table rests on).
+/// certifier stat and backend byte — with group commit off and on, through
+/// autocommit inserts and through explicit transactions with reads routed
+/// under `ReadPolicy::Fresh` — and the no-placement arm reruns
+/// bit-identically (the closed-loop same-seed guarantee every E-table rests
+/// on).
 #[test]
 fn trivial_placement_is_byte_identical() {
     let run = |placement: Option<Placement>, batch_max: usize| {
         let mut cfg = partial_ws_cfg(3, 3, placement);
         cfg.seed = 21;
         cfg.mw.batch_max = batch_max;
+        cfg.mw.read_policy = ReadPolicy::Fresh;
         let mut cluster = Cluster::build(cfg);
         for g in 0..3usize {
             cluster.add_client(DisjointInsert::new(1_000_000 * (g as i64 + 1), g), |cc| {
                 cc.think_time_us = 800;
+            });
+            cluster.add_client(ReadWriteTx { next: 3_000_000 * (g as i64 + 1), table: g }, |cc| {
+                cc.think_time_us = 600;
             });
         }
         run_and_drain(&mut cluster, 3);
@@ -262,6 +297,7 @@ fn trivial_placement_is_byte_identical() {
         let (mw_triv, sums_triv, groups_triv) = run(Some(trivial()), batch_max);
         assert_eq!((groups_none, groups_triv), (1, 1), "batch_max {batch_max}");
         assert!(mw_none.certifier.commits > 0, "batch_max {batch_max}: nothing certified");
+        assert!(mw_none.counters.reads > 0, "batch_max {batch_max}: no read was routed");
         assert_eq!(mw_none.counters, mw_triv.counters, "batch_max {batch_max}: counters diverge");
         assert_eq!(mw_none.certifier, mw_triv.certifier, "batch_max {batch_max}: certifier stats diverge");
         assert_eq!(sums_none, sums_triv, "batch_max {batch_max}: backend contents diverge");
@@ -275,6 +311,176 @@ fn trivial_placement_is_byte_identical() {
         assert_eq!(mw_none.certifier, mw_rerun.certifier, "batch_max {batch_max}: rerun certifier stats differ");
         assert_eq!(sums_none, sums_rerun, "batch_max {batch_max}: rerun backend contents differ");
     }
+}
+
+/// One closed-loop session that writes fresh keys and reads them straight
+/// back, checking what the reads return (the `Client` actor drops reply
+/// bodies). Each round inserts key `k` into every table of `tables`, reads
+/// it back from each, and when the tables are partners (their groups share
+/// hosts) reads `k` from both in one statement: one more read-back, over
+/// both groups.
+struct ReadBack {
+    session: SessionId,
+    mw: NodeId,
+    tables: Vec<usize>,
+    key: i64,
+    /// The round's remaining statements, last first: (sql, is a read-back).
+    todo: Vec<(String, bool)>,
+    stmt_seq: u64,
+    read_backs: u64,
+    /// Read-backs that did not return exactly their row, and failed
+    /// statements.
+    wrong: Vec<String>,
+}
+
+impl ReadBack {
+    fn new(session: SessionId, mw: NodeId, tables: &[usize], base: i64) -> Self {
+        ReadBack {
+            session,
+            mw,
+            tables: tables.to_vec(),
+            key: base,
+            todo: Vec::new(),
+            stmt_seq: 0,
+            read_backs: 0,
+            wrong: Vec::new(),
+        }
+    }
+
+    fn send_next(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        let Some((sql, _)) = self.todo.last() else {
+            ctx.set_timer(500, 0);
+            return;
+        };
+        self.stmt_seq += 1;
+        let req = ClientRequest { session: self.session, stmt_seq: self.stmt_seq, trace: 0, sql: sql.clone() };
+        ctx.send(self.mw, Msg::Request(req));
+    }
+}
+
+impl Actor<Msg> for ReadBack {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        ctx.set_timer(1_000 + 100 * self.session.0, 0);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _tag: u64) {
+        self.key += 1;
+        let k = self.key;
+        let mut round: Vec<(String, bool)> = Vec::new();
+        for &t in &self.tables {
+            round.push((format!("INSERT INTO t{t} VALUES ({k}, 1)"), false));
+        }
+        for &t in &self.tables {
+            round.push((format!("SELECT v FROM t{t} WHERE k = {k}"), true));
+        }
+        if let [a, b] = self.tables[..] {
+            if a / 2 == b / 2 {
+                // Point lookups on both sides: a join would scan.
+                let both = format!("SELECT v FROM t{a} WHERE k = {k} AND k IN (SELECT k FROM t{b} WHERE k = {k})");
+                round.push((both, true));
+            }
+        }
+        round.reverse();
+        self.todo = round;
+        self.send_next(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
+        let Msg::Reply(reply) = msg else { return };
+        if reply.stmt_seq != self.stmt_seq {
+            return;
+        }
+        let Some((sql, read_back)) = self.todo.pop() else { return };
+        match reply.result {
+            Ok(ReplyBody::Rows(rs)) if read_back => {
+                self.read_backs += 1;
+                if rs.rows.len() != 1 {
+                    self.wrong.push(format!("{sql}: {} rows", rs.rows.len()));
+                }
+            }
+            Ok(_) if !read_back => {}
+            other => self.wrong.push(format!("{sql}: {other:?}")),
+        }
+        self.send_next(ctx);
+    }
+}
+
+/// The first client reads under a placement. Rows flow only to a group's
+/// hosts (`partial_smoke_rows_flow_only_to_hosts`), so a read-back that
+/// returns its row ran at a host of every group it touches, and at one that
+/// had applied the session's write. A commit is acknowledged only after
+/// every host applied it, so no policy may miss a read-back, and none may
+/// run into the freshness-wait deadline. The last session alternates between
+/// tables with disjoint host sets: whatever backend its previous statement
+/// stuck it to does not host the next read.
+#[test]
+fn reads_under_a_placement_return_the_sessions_writes() {
+    for (policy, granularity) in [
+        (ReadPolicy::Fresh, Granularity::Query),
+        (ReadPolicy::MonotonicReads, Granularity::Query),
+        (ReadPolicy::Any, Granularity::Connection),
+    ] {
+        let mut cfg = partial_ws_cfg(3, 4, Some(test_placement()));
+        cfg.seed = 13;
+        cfg.mw.read_policy = policy;
+        cfg.mw.granularity = granularity;
+        let mut cluster = Cluster::build(cfg);
+        let first = cluster.alloc_sessions(4);
+        let mw = cluster.mw_nodes[0];
+        let sessions: Vec<NodeId> = [&[0usize, 1][..], &[1, 0], &[2], &[0, 2]]
+            .iter()
+            .enumerate()
+            .map(|(i, tables)| {
+                let session = SessionId(first + i as u64);
+                cluster.sim.add_node(ReadBack::new(session, mw, tables, 1_000_000 * (i as i64 + 1)))
+            })
+            .collect();
+        run_and_drain(&mut cluster, 2);
+        let label = format!("{policy:?}/{granularity:?}");
+        for node in sessions {
+            let (read_backs, wrong) =
+                cluster.sim.with_actor::<ReadBack, _>(node, |r| (r.read_backs, r.wrong.clone()));
+            assert!(read_backs > 200, "{label}: only {read_backs} read-backs");
+            assert_eq!(wrong, Vec::<String>::new(), "{label}");
+        }
+        let mw = cluster.mw_metrics(0);
+        assert!(mw.counters.reads > 600, "{label}: {} reads routed", mw.counters.reads);
+        assert_eq!(mw.counters.freshness_wait_timeouts, 0, "{label}");
+    }
+}
+
+/// The client's isolation level reaches the delegate under a placement: the
+/// deferred BEGIN is the client's own, not a hard-coded SNAPSHOT. The two
+/// groups are hosted everywhere, so only the request entry differs from
+/// full replication. E10's contended workload aborts far more at
+/// SERIALIZABLE (reads certify too) than at SNAPSHOT.
+#[test]
+fn placement_keeps_the_clients_isolation_level() {
+    let abort_ratio = |isolation: &'static str| {
+        let mut cfg =
+            ClusterConfig::new(Mode::MultiMasterWriteset, micro::schema("bench", 400), "bench");
+        cfg.seed = 5;
+        cfg.mw.placement =
+            Some(Placement::new(vec![vec![0, 1, 2], vec![0, 1, 2]]).assign("bench", 0));
+        let mut cluster = Cluster::build(cfg);
+        let clients: Vec<NodeId> = (0..6)
+            .map(|_| {
+                let mut w = KeyedUpdates::contended(400, 4, 0.9);
+                w.isolation = Some(isolation);
+                cluster.add_client(w, |cc| {
+                    cc.think_time_us = 500;
+                    cc.max_retries = 20;
+                })
+            })
+            .collect();
+        run_and_drain(&mut cluster, 2);
+        assert_eq!(cluster.with_middleware(0, |m| m.partial_groups()), 2);
+        let agg = aggregate(&mut cluster, &clients);
+        assert!(agg.committed > 0, "{isolation}: nothing committed");
+        agg.aborted as f64 / (agg.committed + agg.aborted) as f64
+    };
+    let (si, sr) = (abort_ratio("SNAPSHOT"), abort_ratio("SERIALIZABLE"));
+    assert!(sr > si + 0.3, "abort ratio {sr:.3} at SERIALIZABLE, {si:.3} at SNAPSHOT");
 }
 
 /// Striped placements compose with more groups than backends (several

@@ -30,7 +30,7 @@ use replimid_gcs::{
     ShardedMember,
 };
 use replimid_simnet::{Actor, Ctx, NodeId};
-use replimid_sql::ast::Statement;
+use replimid_sql::ast::{IsolationLevel, Statement};
 use replimid_sql::{parse_statement, Lsn, PlanCache, SqlError, Writeset};
 
 use crate::balancer::{Balancer, Granularity, Policy};
@@ -112,7 +112,7 @@ pub enum ReadPolicy {
     Fresh,
     /// Freshness routing with a slack of `k` positions: a replica qualifies
     /// for a session's read when its applied position is within `k` of the
-    /// session's last committed write (`fresh_pos >= stamp - k`). `k = 0`
+    /// session's last committed write (`applied_pos >= floor - k`). `k = 0`
     /// is exactly [`ReadPolicy::Fresh`]; larger `k` trades bounded
     /// read-your-writes violations for fewer parked reads — the continuous
     /// consistency/performance dial the paper's §3.3 taxonomy only samples
@@ -350,8 +350,8 @@ enum CurrentKind {
         #[allow(dead_code)] // recorded for diagnostics
         group: u64,
     },
-    /// Writeset mode: implicit BEGIN in flight, then `then_sql`.
-    WsBegin { then_sql: Option<String>, then_autocommit: bool },
+    /// Writeset mode: the delegate's BEGIN in flight, then `then_sql`.
+    WsBegin { then_sql: String, then_autocommit: bool },
     /// Writeset mode: statement executing at the delegate.
     WsStmt { autocommit: bool },
     /// Writeset mode: PrepareWriteset in flight.
@@ -411,6 +411,10 @@ struct Sess {
     gstamps: Vec<u64>,
     last_write_us: u64,
     last_write_backend: Option<BackendId>,
+    /// Writeset mode: the client's BEGIN (its isolation level),
+    /// acknowledged but not yet executed anywhere. `Some` until the
+    /// transaction's first statement picks the delegate and runs it there.
+    begin: Option<Option<IsolationLevel>>,
     /// Open per-statement admission records (was the middleware-global
     /// `request_started` map, which `SessionEnd` leaked): (stmt_seq, meta).
     /// At most a handful in flight per session; dropped with the session.
@@ -437,6 +441,7 @@ impl Sess {
             gstamps: Vec::new(),
             last_write_us: 0,
             last_write_backend: None,
+            begin: None,
             open_reqs: Vec::new(),
             two_safe_body: None,
         }
@@ -892,17 +897,16 @@ impl Middleware {
             .collect()
     }
 
+    fn master_slave(&self) -> bool {
+        matches!(self.cfg.mode, Mode::MasterSlave { .. })
+    }
+
     fn slaves(&self) -> Vec<BackendId> {
         self.healthy().into_iter().filter(|&b| b != self.master).collect()
     }
 
     fn is_quarantined(&self, b: BackendId) -> bool {
         self.cfg.quarantine.is_some() && self.health[b.0].quarantined()
-    }
-
-    /// Online AND not quarantined — the read-routing health bar.
-    fn read_ok(&self, b: BackendId) -> bool {
-        self.backends[b.0].online() && !self.is_quarantined(b)
     }
 
     /// Candidates for read routing / delegate selection: quarantined
@@ -1471,10 +1475,6 @@ impl Middleware {
     // Read routing: one router for every mode, policy and placement
     // ------------------------------------------------------------------
 
-    fn master_slave(&self) -> bool {
-        matches!(self.cfg.mode, Mode::MasterSlave { .. })
-    }
-
     /// Table groups a statement touches (reads and writes), per the
     /// placement map. Unknown tables fall into the default group. With one
     /// group the answer needs no walk of the statement.
@@ -1755,7 +1755,7 @@ impl Middleware {
         }
         self.metrics.counters.freshness_wait_timeouts += 1;
         let fallback = if self.master_slave() {
-            if !self.read_ok(self.master) {
+            if !self.eligible(self.master, &r.gset, &r.needs) {
                 // The master is unreadable (quarantined, or mid-failover):
                 // the most caught-up slave may still predate this session's
                 // write, and a stale answer is the one thing this policy
@@ -2012,10 +2012,6 @@ impl Middleware {
         stmt: Statement,
         plan: Option<PlanExec>,
     ) {
-        if self.partial {
-            self.pw_request(ctx, req, stmt, plan);
-            return;
-        }
         let session = req.session;
         if !stmt.is_read_only() && !self.have_quorum() {
             self.reply(
@@ -2036,256 +2032,56 @@ impl Middleware {
             );
             return;
         }
-        let (in_tx, delegate) = {
-            let s = self.sessions.get(session.0).unwrap();
-            (s.in_tx, s.sticky)
-        };
+        let Some(s) = self.sessions.get_mut(session.0) else { return };
+        let (in_tx, delegate) = (s.in_tx, s.sticky);
         match &stmt {
-            Statement::Begin { .. } => {
-                let candidates = self.routable();
-                let Some(backend) = self.balancer.pick(&candidates) else {
-                    self.reply(ctx, session, req.stmt_seq, Err(ReplyError::Unavailable("no delegate".into())));
-                    return;
-                };
-                {
-                    let s = self.sessions.get_mut(session.0).unwrap();
-                    s.in_tx = true;
-                    s.wrote_in_tx = false;
-                    s.sticky = Some(backend);
-                    s.current = Some(Current {
-                        stmt_seq: req.stmt_seq,
-                        // gstart is sampled from the delegate's watermarks
-                        // when the BEGIN's response arrives.
-                        kind: CurrentKind::WsBegin { then_sql: None, then_autocommit: false },
-                    });
-                }
-                let sql = req.sql.clone();
-                self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                    DbOp::Execute { op, conn: session.0, sql, seq: None }
-                });
-            }
-            Statement::Commit => {
-                if !in_tx || delegate.is_none() {
-                    self.reply(ctx, session, req.stmt_seq, Ok(ReplyBody::Ack));
-                    return;
-                }
-                let backend = delegate.unwrap();
-                let wrote = self.sessions.get(session.0).unwrap().wrote_in_tx;
-                if !wrote {
-                    // Read-only transaction: commit locally, no certification.
-                    {
-                        let s = self.sessions.get_mut(session.0).unwrap();
-                        s.in_tx = false;
-                        s.current = Some(Current {
-                            stmt_seq: req.stmt_seq,
-                            kind: CurrentKind::WsStmt { autocommit: false },
-                        });
-                    }
-                    self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                        DbOp::Execute { op, conn: session.0, sql: "COMMIT".into(), seq: None }
-                    });
-                    return;
-                }
-                {
-                    let s = self.sessions.get_mut(session.0).unwrap();
-                    s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::WsPrepare });
-                }
-                self.send_db(ctx, backend, Pending::Prepare { session, backend }, move |op| {
-                    DbOp::PrepareWriteset { op, conn: session.0 }
-                });
-            }
-            Statement::Rollback => {
-                let backend = delegate;
-                {
-                    let s = self.sessions.get_mut(session.0).unwrap();
-                    s.in_tx = false;
-                    s.wrote_in_tx = false;
-                    s.current = Some(Current {
-                        stmt_seq: req.stmt_seq,
-                        kind: CurrentKind::WsStmt { autocommit: false },
-                    });
-                }
-                match backend {
-                    Some(backend) if self.backends[backend.0].online() => {
-                        self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                            DbOp::Execute { op, conn: session.0, sql: "ROLLBACK".into(), seq: None }
-                        });
-                    }
-                    _ => self.reply(ctx, session, req.stmt_seq, Ok(ReplyBody::Ack)),
-                }
-            }
-            _ if stmt.is_read_only() && !in_tx => {
-                self.route_read(ctx, req, &stmt, plan);
-            }
-            _ => {
-                // Any other statement executes at the delegate, opening an
-                // implicit transaction for writes outside BEGIN.
-                let write = !stmt.is_read_only();
-                if write {
-                    self.metrics.counters.writes += 1;
-                }
-                if in_tx {
-                    let Some(backend) = delegate else {
-                        self.reply(ctx, session, req.stmt_seq, Err(ReplyError::Unavailable("delegate lost".into())));
-                        return;
-                    };
-                    {
-                        let s = self.sessions.get_mut(session.0).unwrap();
-                        if write {
-                            s.wrote_in_tx = true;
-                            s.last_write_us = ctx.now().micros();
-                            s.last_write_backend = Some(backend);
-                        }
-                        s.current = Some(Current {
-                            stmt_seq: req.stmt_seq,
-                            kind: CurrentKind::WsStmt { autocommit: false },
-                        });
-                    }
-                    let sql = req.sql.clone();
-                    self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                        DbOp::Execute { op, conn: session.0, sql, seq: None }
-                    });
-                } else {
-                    // Autocommit write: BEGIN; stmt; then certify+commit.
-                    let candidates = self.routable();
-                    let Some(backend) = self.balancer.pick(&candidates) else {
-                        self.reply(ctx, session, req.stmt_seq, Err(ReplyError::Unavailable("no delegate".into())));
-                        return;
-                    };
-                    {
-                        let s = self.sessions.get_mut(session.0).unwrap();
-                        s.in_tx = true;
-                        s.wrote_in_tx = true;
-                        s.sticky = Some(backend);
-                        s.last_write_us = ctx.now().micros();
-                        s.last_write_backend = Some(backend);
-                        s.current = Some(Current {
-                            stmt_seq: req.stmt_seq,
-                            kind: CurrentKind::WsBegin {
-                                then_sql: Some(req.sql.clone()),
-                                then_autocommit: true,
-                            },
-                        });
-                    }
-                    self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                        DbOp::Execute { op, conn: session.0, sql: "BEGIN ISOLATION LEVEL SNAPSHOT".into(), seq: None }
-                    });
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Non-trivial placement: request entry
-    // ------------------------------------------------------------------
-
-    /// Delegate candidates must host *every* group the transaction touches
-    /// (the delegate executes all its statements locally).
-    fn pw_pick_delegate(&mut self, gset: &[usize]) -> Option<BackendId> {
-        let hosts = self.shards.placement.hosts_of_all(gset);
-        let candidates: Vec<BackendId> =
-            self.routable().into_iter().filter(|b| hosts.contains(&b.0)).collect();
-        self.balancer.pick(&candidates)
-    }
-
-    /// Client request entry point under a non-trivial placement. Mirrors
-    /// [`mm_writeset_request`] except: the delegate is picked lazily at the
-    /// first statement (BEGIN does not yet know which groups the
-    /// transaction will touch), and reads route by host set
-    /// ([`Self::pw_route_read`]).
-    fn pw_request(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        req: ClientRequest,
-        stmt: Statement,
-        plan: Option<PlanExec>,
-    ) {
-        let session = req.session;
-        if !stmt.is_read_only() && !self.have_quorum() {
-            self.reply(
-                ctx,
-                session,
-                req.stmt_seq,
-                Err(ReplyError::Unavailable("minority partition: writes suspended".into())),
-            );
-            return;
-        }
-        if !stmt.is_read_only() && !self.write_quorum_ok() {
-            self.metrics.counters.degraded_write_rejects += 1;
-            self.reply(
-                ctx,
-                session,
-                req.stmt_seq,
-                Err(ReplyError::Degraded("write quorum lost: cluster is read-only".into())),
-            );
-            return;
-        }
-        let (in_tx, delegate) = {
-            let s = self.sessions.get(session.0).unwrap();
-            (s.in_tx, s.sticky)
-        };
-        match &stmt {
-            Statement::Begin { .. } => {
-                // Delegate choice is deferred to the first statement, which
-                // reveals the table groups the transaction touches. BEGIN
-                // itself is a pure middleware-side state change.
-                {
-                    let s = self.sessions.get_mut(session.0).unwrap();
-                    s.in_tx = true;
-                    s.wrote_in_tx = false;
-                    s.sticky = None;
-                    s.gstart.clear();
-                }
+            Statement::Begin { isolation } => {
+                // The delegate is chosen at the first statement, which shows
+                // the table groups the transaction touches. BEGIN itself is
+                // a middleware-side state change that remembers what the
+                // client asked for.
+                s.in_tx = true;
+                s.wrote_in_tx = false;
+                s.sticky = None;
+                s.begin = Some(*isolation);
                 self.reply(ctx, session, req.stmt_seq, Ok(ReplyBody::Ack));
             }
             Statement::Commit => {
-                if !in_tx || delegate.is_none() {
+                let Some(backend) = delegate.filter(|_| in_tx) else {
                     // Also covers BEGIN; COMMIT with no statement between:
                     // nothing executed anywhere, nothing to certify.
-                    if in_tx {
-                        let s = self.sessions.get_mut(session.0).unwrap();
-                        s.in_tx = false;
-                        s.wrote_in_tx = false;
-                    }
+                    s.in_tx = false;
+                    s.wrote_in_tx = false;
+                    s.begin = None;
                     self.reply(ctx, session, req.stmt_seq, Ok(ReplyBody::Ack));
                     return;
-                }
-                let backend = delegate.unwrap();
-                let wrote = self.sessions.get(session.0).unwrap().wrote_in_tx;
-                if !wrote {
-                    {
-                        let s = self.sessions.get_mut(session.0).unwrap();
-                        s.in_tx = false;
-                        s.current = Some(Current {
-                            stmt_seq: req.stmt_seq,
-                            kind: CurrentKind::WsStmt { autocommit: false },
-                        });
-                    }
+                };
+                if !s.wrote_in_tx {
+                    // Read-only transaction: commit locally, no certification.
+                    s.in_tx = false;
+                    s.current = Some(Current {
+                        stmt_seq: req.stmt_seq,
+                        kind: CurrentKind::WsStmt { autocommit: false },
+                    });
                     self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
                         DbOp::Execute { op, conn: session.0, sql: "COMMIT".into(), seq: None }
                     });
                     return;
                 }
-                {
-                    let s = self.sessions.get_mut(session.0).unwrap();
-                    s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::WsPrepare });
-                }
+                s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::WsPrepare });
                 self.send_db(ctx, backend, Pending::Prepare { session, backend }, move |op| {
                     DbOp::PrepareWriteset { op, conn: session.0 }
                 });
             }
             Statement::Rollback => {
-                let backend = delegate;
-                {
-                    let s = self.sessions.get_mut(session.0).unwrap();
-                    s.in_tx = false;
-                    s.wrote_in_tx = false;
-                    s.current = Some(Current {
-                        stmt_seq: req.stmt_seq,
-                        kind: CurrentKind::WsStmt { autocommit: false },
-                    });
-                }
-                match backend {
+                s.in_tx = false;
+                s.wrote_in_tx = false;
+                s.begin = None;
+                s.current = Some(Current {
+                    stmt_seq: req.stmt_seq,
+                    kind: CurrentKind::WsStmt { autocommit: false },
+                });
+                match delegate {
                     Some(backend) if self.backends[backend.0].online() => {
                         self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
                             DbOp::Execute { op, conn: session.0, sql: "ROLLBACK".into(), seq: None }
@@ -2298,112 +2094,75 @@ impl Middleware {
                 self.route_read(ctx, req, &stmt, plan);
             }
             _ => {
+                // Any other statement executes at the delegate. A write
+                // outside BEGIN opens an implicit snapshot transaction that
+                // certifies and commits as soon as it has executed.
                 let write = !stmt.is_read_only();
                 if write {
                     self.metrics.counters.writes += 1;
                 }
+                let begin = if in_tx { s.begin } else { Some(Some(IsolationLevel::SnapshotIsolation)) };
                 let gset = self.stmt_groups(&stmt);
-                if in_tx {
-                    if let Some(backend) = delegate {
-                        let placement = &self.shards.placement;
-                        let hosts_all =
-                            gset.iter().all(|&g| placement.hosts(g).contains(&backend.0));
-                        if !hosts_all {
-                            // Documented limitation: the delegate was picked
-                            // from the transaction's first statement; a later
-                            // statement cannot widen the group set beyond
-                            // what it hosts.
-                            self.metrics.counters.rejected_statements += 1;
-                            self.reply(
-                                ctx,
-                                session,
-                                req.stmt_seq,
-                                Err(ReplyError::Rejected(
-                                    "statement touches a table group the transaction's delegate does not host".into(),
-                                )),
-                            );
-                            return;
-                        }
-                        {
-                            let s = self.sessions.get_mut(session.0).unwrap();
-                            if write {
-                                s.wrote_in_tx = true;
-                                s.last_write_us = ctx.now().micros();
-                                s.last_write_backend = Some(backend);
-                            }
-                            s.current = Some(Current {
-                                stmt_seq: req.stmt_seq,
-                                kind: CurrentKind::WsStmt { autocommit: false },
-                            });
-                        }
-                        let sql = req.sql.clone();
-                        self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                            DbOp::Execute { op, conn: session.0, sql, seq: None }
-                        });
-                    } else {
-                        // First statement of an explicit transaction: pick
-                        // the delegate now that the group set is visible and
-                        // run the deferred BEGIN there.
-                        let Some(backend) = self.pw_pick_delegate(&gset) else {
-                            self.reply(
-                                ctx,
-                                session,
-                                req.stmt_seq,
-                                Err(ReplyError::Unavailable("no delegate hosts all involved groups".into())),
-                            );
-                            return;
-                        };
-                        {
-                            let s = self.sessions.get_mut(session.0).unwrap();
-                            s.sticky = Some(backend);
-                            if write {
-                                s.wrote_in_tx = true;
-                                s.last_write_us = ctx.now().micros();
-                                s.last_write_backend = Some(backend);
-                            }
-                            s.current = Some(Current {
-                                stmt_seq: req.stmt_seq,
-                                kind: CurrentKind::WsBegin {
-                                    then_sql: Some(req.sql.clone()),
-                                    then_autocommit: false,
-                                },
-                            });
-                        }
-                        self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                            DbOp::Execute { op, conn: session.0, sql: "BEGIN ISOLATION LEVEL SNAPSHOT".into(), seq: None }
-                        });
+                // The statement that opens the transaction picks the delegate
+                // among the hosts of every group it touches (the delegate
+                // executes all of the transaction's statements locally).
+                let backend = match (begin, delegate) {
+                    (Some(_), _) => {
+                        let candidates = self.read_candidates(&gset);
+                        self.balancer.pick(&candidates).ok_or_else(|| {
+                            ReplyError::Unavailable("no delegate hosts all involved groups".into())
+                        })
                     }
-                } else {
-                    // Autocommit write: BEGIN; stmt; then certify+commit.
-                    let Some(backend) = self.pw_pick_delegate(&gset) else {
-                        self.reply(
-                            ctx,
-                            session,
-                            req.stmt_seq,
-                            Err(ReplyError::Unavailable("no delegate hosts all involved groups".into())),
-                        );
+                    (None, Some(b)) if self.hosts_all(b, &gset) => Ok(b),
+                    (None, Some(_)) => {
+                        // Documented limitation: a later statement cannot
+                        // widen the group set beyond what the delegate,
+                        // picked from the first one, hosts.
+                        self.metrics.counters.rejected_statements += 1;
+                        Err(ReplyError::Rejected(
+                            "statement touches a table group the transaction's delegate does not host".into(),
+                        ))
+                    }
+                    (None, None) => Err(ReplyError::Unavailable("delegate lost".into())),
+                };
+                let backend = match backend {
+                    Ok(b) => b,
+                    Err(e) => {
+                        self.reply(ctx, session, req.stmt_seq, Err(e));
                         return;
-                    };
-                    {
-                        let s = self.sessions.get_mut(session.0).unwrap();
-                        s.in_tx = true;
-                        s.wrote_in_tx = true;
-                        s.sticky = Some(backend);
-                        s.gstart.clear();
-                        s.last_write_us = ctx.now().micros();
-                        s.last_write_backend = Some(backend);
-                        s.current = Some(Current {
-                            stmt_seq: req.stmt_seq,
-                            kind: CurrentKind::WsBegin {
-                                then_sql: Some(req.sql.clone()),
-                                then_autocommit: true,
-                            },
-                        });
                     }
-                    self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                        DbOp::Execute { op, conn: session.0, sql: "BEGIN ISOLATION LEVEL SNAPSHOT".into(), seq: None }
-                    });
+                };
+                let Some(s) = self.sessions.get_mut(session.0) else { return };
+                if write {
+                    s.wrote_in_tx = true;
+                    s.last_write_us = ctx.now().micros();
+                    s.last_write_backend = Some(backend);
                 }
+                let Some(isolation) = begin else {
+                    s.current = Some(Current {
+                        stmt_seq: req.stmt_seq,
+                        kind: CurrentKind::WsStmt { autocommit: false },
+                    });
+                    let sql = req.sql;
+                    self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
+                        DbOp::Execute { op, conn: session.0, sql, seq: None }
+                    });
+                    return;
+                };
+                // The (remembered or implicit) BEGIN runs first; its
+                // response samples the certification start positions and
+                // chains the statement.
+                s.in_tx = true;
+                s.sticky = Some(backend);
+                s.begin = None;
+                s.current = Some(Current {
+                    stmt_seq: req.stmt_seq,
+                    kind: CurrentKind::WsBegin { then_sql: req.sql, then_autocommit: !in_tx },
+                });
+                let sql = Statement::Begin { isolation }.to_string();
+                self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
+                    DbOp::Execute { op, conn: session.0, sql, seq: None }
+                });
             }
         }
     }
@@ -3133,22 +2892,14 @@ impl Middleware {
                     // writeset at or below its watermark is visible to it.
                     let gstart: Vec<u64> =
                         self.shards.marks[backend.0].iter().map(|w| w.value()).collect();
-                    if let Some(s) = self.sessions.get_mut(session.0) {
-                        s.gstart = gstart;
-                    }
-                    let Some(sql) = then_sql else {
-                        self.reply(ctx, session, stmt_seq, Ok(ReplyBody::Ack));
-                        return;
-                    };
-                    {
-                        let s = self.sessions.get_mut(session.0).unwrap();
-                        s.current = Some(Current {
-                            stmt_seq,
-                            kind: CurrentKind::WsStmt { autocommit: then_autocommit },
-                        });
-                    }
+                    let Some(s) = self.sessions.get_mut(session.0) else { return };
+                    s.gstart = gstart;
+                    s.current = Some(Current {
+                        stmt_seq,
+                        kind: CurrentKind::WsStmt { autocommit: then_autocommit },
+                    });
                     self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                        DbOp::Execute { op, conn: session.0, sql, seq: None }
+                        DbOp::Execute { op, conn: session.0, sql: then_sql, seq: None }
                     });
                 }
                 DbResp::ExecErr { err, .. } => {
@@ -3593,7 +3344,7 @@ impl Middleware {
         let now = ctx.now().micros();
         let was_down = self.backends[backend.0].state == BackendState::Down;
         self.touch_liveness(backend, now);
-        if matches!(self.cfg.mode, Mode::MasterSlave { .. }) {
+        if self.master_slave() {
             // The master reports its binlog head; slaves report the foreign
             // LSN they applied.
             let b = &mut self.backends[backend.0];
@@ -3665,7 +3416,7 @@ impl Middleware {
         // so writes keep flowing while the old master drains. The drainee
         // is already out of `slaves()` here, so the promotion neither
         // picks it nor schedules a pointless resync of it.
-        if matches!(self.cfg.mode, Mode::MasterSlave { .. }) && backend == self.master {
+        if self.master_slave() && backend == self.master {
             let lost = self.promote_new_master(ctx);
             self.metrics.counters.lost_transactions += lost;
         }
@@ -3678,7 +3429,8 @@ impl Middleware {
         self.shards.logs[0].checkpoint(backend, applied);
         // Sessions stuck to the draining backend re-route on their next
         // statement (same semantics as after a failure — an idle in-tx
-        // session keeps its tx and picks a new delegate).
+        // writeset session is told its delegate is lost and retries the
+        // transaction elsewhere).
         for s in self.sessions.values_mut() {
             if s.sticky == Some(backend) && !s.temp_pinned {
                 s.sticky = None;
@@ -3850,7 +3602,7 @@ impl Middleware {
         }
 
         // Master-slave: promotion.
-        if matches!(self.cfg.mode, Mode::MasterSlave { .. }) && backend == self.master {
+        if self.master_slave() && backend == self.master {
             let lost = self.promote_new_master(ctx);
             self.metrics.counters.lost_transactions += lost;
         }
@@ -4008,7 +3760,7 @@ impl Middleware {
         }
         // Dump from a healthy source (master in ms mode, any online backend
         // otherwise).
-        let source = if matches!(self.cfg.mode, Mode::MasterSlave { .. }) {
+        let source = if self.master_slave() {
             if self.backends[self.master.0].online() { Some(self.master) } else { None }
         } else {
             self.healthy().into_iter().find(|&b| b != backend)
@@ -4707,10 +4459,18 @@ mod tests {
         }
     }
 
-    struct Sink;
+    /// A client that keeps what it is told.
+    #[derive(Default)]
+    struct Sink {
+        replies: Vec<Result<ReplyBody, ReplyError>>,
+    }
 
     impl Actor<Msg> for Sink {
-        fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, _msg: Msg) {}
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
+            if let Msg::Reply(reply) = msg {
+                self.replies.push(reply.result);
+            }
+        }
     }
 
     #[test]
@@ -4745,7 +4505,7 @@ mod tests {
             let mw_id = NodeId(dbs.len());
             let mw = sim.add_node(Middleware::new(cfg, 0, vec![mw_id], dbs.clone()));
             assert_eq!(mw, mw_id);
-            let client = sim.add_node(Sink);
+            let client = sim.add_node(Sink::default());
             let req = ClientRequest {
                 session: SessionId(1),
                 stmt_seq: 1,
@@ -4782,6 +4542,53 @@ mod tests {
                 assert_eq!(m.metrics.counters.commits, 1);
                 assert_eq!(m.metrics.counters.divergence_detected, 0);
             });
+        }
+    }
+
+    /// BEGIN is deferred, so a session in a transaction without a delegate
+    /// is either about to pick one or has lost it. The second must not
+    /// look like the first: statements run after the loss would commit
+    /// without the ones before it.
+    #[test]
+    fn a_transaction_whose_delegate_is_lost_fails_instead_of_restarting() {
+        use replimid_simnet::{NetworkModel, Sim, SimTime};
+
+        let two = Placement::new(vec![vec![0, 1], vec![0, 1]]).assign("t1", 1);
+        for placement in [None, Some(two)] {
+            let mut sim: Sim<Msg> = Sim::new(NetworkModel::lan(), 5);
+            let dbs: Vec<NodeId> = (0..2)
+                .map(|_| sim.add_node(ScriptedDb { ws: Writeset::default(), applies: Vec::new() }))
+                .collect();
+            let mut cfg = MwConfig::defaults(Mode::MultiMasterWriteset);
+            cfg.placement = placement;
+            let mw = sim.add_node(Middleware::new(cfg, 0, vec![NodeId(dbs.len())], dbs));
+            let client = sim.add_node(Sink::default());
+            let mut stmt_seq = 0;
+            let mut send = |sim: &mut Sim<Msg>, at: u64, sql: &str| {
+                stmt_seq += 1;
+                let req = ClientRequest { session: SessionId(1), stmt_seq, trace: 0, sql: sql.into() };
+                sim.inject_as(SimTime(at), client, mw, Msg::Request(req));
+            };
+            send(&mut sim, 1_000, "BEGIN ISOLATION LEVEL SERIALIZABLE");
+            send(&mut sim, 2_000, "INSERT INTO t1 VALUES (1, 1)");
+            sim.run_until(SimTime(4_000));
+            let delegate = sim.with_actor::<Middleware, _>(mw, |m| {
+                let s = m.sessions.get(1).expect("the session exists");
+                assert!(s.in_tx && s.begin.is_none());
+                s.sticky.expect("the first statement picked the delegate")
+            });
+            sim.inject(SimTime(4_500), mw, Msg::Admin(AdminCmd::RemoveBackend { backend: delegate }));
+            send(&mut sim, 5_000, "INSERT INTO t1 VALUES (2, 1)");
+            send(&mut sim, 6_000, "ROLLBACK");
+            send(&mut sim, 7_000, "BEGIN");
+            send(&mut sim, 8_000, "INSERT INTO t1 VALUES (2, 1)");
+            sim.run_until(SimTime(10_000));
+            let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+            let ack = Ok(ReplyBody::Ack);
+            let lost = Err(ReplyError::Unavailable("delegate lost".into()));
+            assert_eq!(replies, [ack.clone(), ack.clone(), lost, ack.clone(), ack.clone(), ack]);
+            let survivor = sim.with_actor::<Middleware, _>(mw, |m| m.sessions.get(1).and_then(|s| s.sticky));
+            assert!(survivor.is_some() && survivor != Some(delegate));
         }
     }
 

@@ -11,6 +11,8 @@
 #   6. repo benchmark: its own unit tests, then all five workloads at
 #      smoke size (asserts replica convergence, RYW = 0 and cross-process
 #      bit-identity of the virtual metrics; benchmark/README.md)
+#   7. scripts/counts.sh: the line / unwrap / option counts the docs quote
+#      (informational, never fails)
 #
 # The guard exists because this workspace is built in environments with no
 # registry access: a single external crate in a Cargo.toml breaks the build
@@ -110,3 +112,7 @@ benchmark/run.sh --smoke
 echo "verify: repo benchmark OK (unit tests + smoke run of all workloads)"
 
 echo "verify: OK"
+
+# --- Counts ---------------------------------------------------------------
+# The size numbers CHANGES.md and ROADMAP.md quote. Informational only.
+scripts/counts.sh || true

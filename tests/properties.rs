@@ -4,9 +4,9 @@
 //! case seed — see crates/det).
 
 use replimid_core::{
-    AdminCmd, Balancer, ClientMetrics, Cluster, ClusterConfig, Granularity, HealthEvent, Mode,
-    MwMetrics, NondetPolicy, Policy, QuarantineConfig, ReadPolicy, ScriptSource, SessionId, Stage,
-    TxSource,
+    AdminCmd, Balancer, BackendId, ClientMetrics, Cluster, ClusterConfig, Granularity, HealthEvent,
+    HealthState, Mode, MwMetrics, NondetPolicy, Placement, Policy, QuarantineConfig, ReadPolicy,
+    ScriptSource, SessionId, Stage, TxSource,
 };
 use replimid_det::{detcheck, DetRng};
 use replimid_simnet::{dur, SimTime};
@@ -461,6 +461,85 @@ fn quarantine_shields_reads_and_rejoins() {
         assert_eq!(a.quarantine_events, b.quarantine_events, "same seed, different history");
         assert_eq!(a.counters.commits, b.counters.commits);
     });
+}
+
+/// Scans of one group's table with a keyed update every fourth transaction.
+struct GroupScans {
+    table: usize,
+    n: i64,
+}
+
+impl TxSource for GroupScans {
+    fn next_tx(&mut self, _rng: &mut DetRng) -> Vec<String> {
+        self.n += 1;
+        if self.n % 4 == 0 {
+            vec![format!("UPDATE t{} SET v = v + 1 WHERE k = {}", self.table, self.n % 400)]
+        } else {
+            vec![format!("SELECT COUNT(v) FROM t{}", self.table)]
+        }
+    }
+}
+
+/// Writeset replication over two table groups on backends {0,1} and {2,3},
+/// quarantine armed, two read/write clients per group, and a 1s..3s
+/// brownout on each of `victims`. Returns the middleware metrics, every
+/// backend's final health state and the clients' failed transactions.
+fn run_placement_quarantine_case(victims: &[usize]) -> (MwMetrics, Vec<HealthState>, u64) {
+    let mut cfg = ClusterConfig::new(
+        Mode::MultiMasterWriteset,
+        micro::disjoint_schema("bench", 2, 400),
+        "bench",
+    );
+    cfg.seed = 17;
+    cfg.backends_per_mw = 4;
+    cfg.mw.policy = Policy::RoundRobin;
+    cfg.mw.quarantine = Some(QuarantineConfig::default());
+    cfg.mw.placement =
+        Some(Placement::new(vec![vec![0, 1], vec![2, 3]]).assign("t0", 0).assign("t1", 1));
+    let mut cluster = Cluster::build(cfg);
+    let clients: Vec<_> = (0..4)
+        .map(|i| cluster.add_client(GroupScans { table: i % 2, n: i as i64 }, |cc| cc.think_time_us = 700))
+        .collect();
+    for &b in victims {
+        cluster.brownout_backend_at(SimTime::from_millis(1_000), 0, b, 10.0);
+        cluster.clear_brownout_at(SimTime::from_millis(3_000), 0, b);
+    }
+    cluster.run_for(dur::secs(5));
+    let health = (0..4)
+        .map(|b| cluster.with_middleware(0, |m| m.backend_health_state(BackendId(b))))
+        .collect();
+    let failed = clients.iter().map(|&c| cluster.client_metrics(c).failed).sum();
+    (cluster.mw_metrics(0), health, failed)
+}
+
+/// Quarantine under a placement. A quarantined host of a group is probed
+/// back in by that group's reads (the half-open probe is part of the one
+/// read router), and the quarantine filter is cut over a group's hosts: with
+/// every host of a group quarantined its reads take the slow answer
+/// instead of failing because some non-host was still healthy.
+#[test]
+fn quarantine_under_a_placement_probes_and_never_empties_a_host_set() {
+    let (m, health, failed) = run_placement_quarantine_case(&[0]);
+    assert!(
+        m.quarantine_events.iter().any(|&(_, b, e)| b == 0 && matches!(e, HealthEvent::Trip { .. })),
+        "brownout never tripped the breaker: {:?}",
+        m.quarantine_events
+    );
+    assert!(m.counters.quarantine_probes >= 1, "backend 0 was never probed");
+    assert_eq!(health[0], HealthState::Healthy, "events {:?}", m.quarantine_events);
+    assert_eq!(m.counters.reads_routed_to_quarantined, 0);
+    assert_eq!(failed, 0);
+
+    let (m, health, failed) = run_placement_quarantine_case(&[0, 1]);
+    for b in [0, 1] {
+        assert!(
+            m.quarantine_events.iter().any(|&(_, v, e)| v == b && matches!(e, HealthEvent::Trip { .. })),
+            "backend {b} never tripped: {:?}",
+            m.quarantine_events
+        );
+    }
+    assert_eq!(failed, 0, "a read failed though its group's hosts were only slow");
+    assert_eq!(health, [HealthState::Healthy; 4], "events {:?}", m.quarantine_events);
 }
 
 /// One freshness-routing run: a session fleet mixing reads and writes on
