@@ -225,10 +225,8 @@ impl DbNode {
                             Outcome::Affected(n) => ReplyBody::Affected(n),
                             Outcome::Ack => ReplyBody::Ack,
                         };
-                        let commit = res.commit.map(|c| CommitNote {
-                            writeset: c.writeset,
-                            lsn: self.engine.binlog_head(),
-                        });
+                        let commit =
+                            res.commit.map(|_| CommitNote { lsn: self.engine.binlog_head() });
                         if let Some(sq) = seq {
                             self.ordered_applied = self.ordered_applied.max(sq);
                         }
@@ -265,10 +263,8 @@ impl DbNode {
                             Outcome::Affected(n) => ReplyBody::Affected(n),
                             Outcome::Ack => ReplyBody::Ack,
                         };
-                        let commit = res.commit.map(|c| CommitNote {
-                            writeset: c.writeset,
-                            lsn: self.engine.binlog_head(),
-                        });
+                        let commit =
+                            res.commit.map(|_| CommitNote { lsn: self.engine.binlog_head() });
                         if let Some(sq) = seq {
                             self.ordered_applied = self.ordered_applied.max(sq);
                         }
@@ -316,18 +312,14 @@ impl DbNode {
                                 Outcome::Affected(n) => ReplyBody::Affected(n),
                                 Outcome::Ack => ReplyBody::Ack,
                             };
-                            let commit = res.commit.map(|c| CommitNote {
-                                writeset: c.writeset,
-                                lsn: self.engine.binlog_head(),
-                            });
+                            let mut tbls =
+                                res.commit.as_ref().map(|c| c.writeset.tables()).unwrap_or_default();
+                            let commit =
+                                res.commit.map(|_| CommitNote { lsn: self.engine.binlog_head() });
                             // Statements on one connection serialize even
                             // when their tables are disjoint: chain them
                             // with a synthetic per-connection key ("\0" is
                             // not a legal database name).
-                            let mut tbls = commit
-                                .as_ref()
-                                .map(|c| c.writeset.tables())
-                                .unwrap_or_default();
                             tbls.push(("\0conn".into(), stmt.conn.to_string()));
                             tables.push(tbls);
                             costs.push(res.cost.cpu_us);
@@ -374,14 +366,10 @@ impl DbNode {
                                 Outcome::Affected(n) => ReplyBody::Affected(n),
                                 Outcome::Ack => ReplyBody::Ack,
                             };
-                            let commit = res.commit.map(|c| CommitNote {
-                                writeset: c.writeset,
-                                lsn: self.engine.binlog_head(),
-                            });
-                            let mut tbls = commit
-                                .as_ref()
-                                .map(|c| c.writeset.tables())
-                                .unwrap_or_default();
+                            let mut tbls =
+                                res.commit.as_ref().map(|c| c.writeset.tables()).unwrap_or_default();
+                            let commit =
+                                res.commit.map(|_| CommitNote { lsn: self.engine.binlog_head() });
                             tbls.push(("\0conn".into(), stmt.conn.to_string()));
                             tables.push(tbls);
                             costs.push(res.cost.cpu_us);
@@ -473,7 +461,8 @@ impl DbNode {
                 };
                 Some(DbResp::ChecksumOut { op, value })
             }
-            DbOp::Ping { op } => {
+            DbOp::Ping { op, binlog_horizon } => {
+                self.engine.set_binlog_horizon(binlog_horizon);
                 // `head` is this node's own binlog position (meaningful when
                 // it acts as a master); `applied_lsn` is the foreign LSN it
                 // has applied (meaningful as a slave).
@@ -482,6 +471,7 @@ impl DbNode {
                     applied_lsn: self.applied_lsn,
                     head: self.engine.binlog_head(),
                     ordered_applied: self.ordered_applied,
+                    durable_ordered: self.engine.durable_ordered().unwrap_or(self.ordered_applied),
                 })
             }
             DbOp::Disconnect { conn } => {
@@ -643,7 +633,7 @@ fn op_id(op: &DbOp) -> Option<u64> {
         | DbOp::Dump { op, .. }
         | DbOp::Restore { op, .. }
         | DbOp::Checksum { op, .. }
-        | DbOp::Ping { op } => Some(*op),
+        | DbOp::Ping { op, .. } => Some(*op),
         DbOp::Disconnect { .. } => None,
     }
 }

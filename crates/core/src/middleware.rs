@@ -327,6 +327,10 @@ struct Backend {
     applied_seq: u64,
     /// Binlog LSN this backend reported applied (master-slave).
     applied_lsn: Lsn,
+    /// The lowest ordered position the node could come back at: its last
+    /// pong's durable position, or at a rejoin the position it reported,
+    /// which recovery replays from. 0 until the first pong.
+    node_pos: u64,
     /// Virtual time the current drain started (0 = not draining).
     drain_started_us: u64,
 }
@@ -482,8 +486,10 @@ enum Pending {
     /// Partial recovery: one per-group catch-up replay batch.
     PwRecoveryBatch { backend: BackendId, group: usize, upto: u64 },
     Ping { backend: BackendId },
-    ShipFetch,
-    TwoSafeFetch { session: SessionId },
+    /// A `BinlogAfter` at the master; `after` pins the ship horizon until
+    /// the answer is back.
+    ShipFetch { after: Lsn },
+    TwoSafeFetch { session: SessionId, after: Lsn },
     ShipApply { backend: BackendId, session: Option<SessionId>, upto: Lsn },
     RecoveryBatch { backend: BackendId, upto: u64 },
     ResyncDumpReq { target: BackendId, log_pos: u64 },
@@ -581,6 +587,10 @@ pub struct Middleware {
     /// Master-slave state.
     master: BackendId,
     shipping_inflight: bool,
+    /// Binlog horizon sent to the master with each ping: below every
+    /// slave's applied LSN and every in-flight fetch's `after`, frozen
+    /// while a slave resyncs (see [`Self::advance_ship_horizon`]).
+    ship_horizon: Lsn,
     pub metrics: MwMetrics,
     /// Reads parked for a fresh-enough replica ([`ReadPolicy::Fresh`]),
     /// keyed by waiter id: BTreeMap so drains run in park order
@@ -855,6 +865,7 @@ impl Middleware {
                     last_pong_us: 0,
                     applied_seq: 0,
                     applied_lsn: Lsn(0),
+                    node_pos: 0,
                     drain_started_us: 0,
                 })
                 .collect(),
@@ -868,6 +879,7 @@ impl Middleware {
             barrier_for: None,
             master: BackendId(0),
             shipping_inflight: false,
+            ship_horizon: Lsn(0),
             metrics: MwMetrics::default(),
             fresh_waiters: std::collections::BTreeMap::new(),
             next_fresh: 0,
@@ -2607,9 +2619,8 @@ impl Middleware {
             eprintln!("[{}us] ship fetch after {min_applied:?}", ctx.now().micros());
         }
         let master = self.master;
-        self.send_db(ctx, master, Pending::ShipFetch, move |op| DbOp::BinlogAfter {
-            op,
-            after: min_applied,
+        self.send_db(ctx, master, Pending::ShipFetch { after: min_applied }, move |op| {
+            DbOp::BinlogAfter { op, after: min_applied }
         });
     }
 
@@ -2791,15 +2802,16 @@ impl Middleware {
             }
             Pending::Ping { backend } => {
                 self.balancer.completed(backend);
-                if let DbResp::Pong { applied_lsn, head, ordered_applied, .. } = resp {
-                    self.note_pong(ctx, backend, applied_lsn, head, ordered_applied);
+                if let DbResp::Pong { applied_lsn, head, ordered_applied, durable_ordered, .. } = resp
+                {
+                    self.note_pong(ctx, backend, applied_lsn, head, ordered_applied, durable_ordered);
                 }
             }
-            Pending::ShipFetch => {
+            Pending::ShipFetch { .. } => {
                 self.shipping_inflight = false;
                 self.finish_ship_fetch(ctx, resp);
             }
-            Pending::TwoSafeFetch { session } => {
+            Pending::TwoSafeFetch { session, .. } => {
                 self.finish_two_safe_fetch(ctx, session, resp);
             }
             Pending::ShipApply { backend, session, upto } => {
@@ -3071,9 +3083,11 @@ impl Middleware {
                 // (the node itself is alive; only its state lagged). Its
                 // durable ordered position is unknown here (no real pong
                 // was involved); u64::MAX defers to the middleware's own
-                // checkpoint.
-                let lsn = self.backends[backend.0].applied_lsn;
-                self.note_pong(ctx, backend, lsn, lsn, u64::MAX);
+                // checkpoint, and the durable position stays the last one
+                // a real pong reported.
+                let b = &self.backends[backend.0];
+                let (lsn, durable) = (b.applied_lsn, b.node_pos);
+                self.note_pong(ctx, backend, lsn, lsn, u64::MAX, durable);
             }
         }
         self.finish_ws_part(ctx, session, resp);
@@ -3163,9 +3177,12 @@ impl Middleware {
                         .min()
                         .unwrap_or(Lsn(0));
                     let master = self.master;
-                    self.send_db(ctx, master, Pending::TwoSafeFetch { session }, move |op| {
-                        DbOp::BinlogAfter { op, after: min_applied }
-                    });
+                    self.send_db(
+                        ctx,
+                        master,
+                        Pending::TwoSafeFetch { session, after: min_applied },
+                        move |op| DbOp::BinlogAfter { op, after: min_applied },
+                    );
                 } else {
                     self.reply(ctx, session, stmt_seq, Ok(body));
                 }
@@ -3340,10 +3357,14 @@ impl Middleware {
         applied_lsn: Lsn,
         head: Lsn,
         ordered_applied: u64,
+        durable_ordered: u64,
     ) {
         let now = ctx.now().micros();
         let was_down = self.backends[backend.0].state == BackendState::Down;
         self.touch_liveness(backend, now);
+        // A rejoin replays from the position the node reports now; any
+        // other pong only moves the floor a later crash cannot undercut.
+        self.backends[backend.0].node_pos = if was_down { ordered_applied } else { durable_ordered };
         if self.master_slave() {
             // The master reports its binlog head; slaves report the foreign
             // LSN they applied.
@@ -3357,7 +3378,7 @@ impl Middleware {
             match self.cfg.mode {
                 Mode::MasterSlave { .. } => self.start_full_resync(ctx, backend),
                 _ if self.partial => self.start_pw_resync(ctx, backend),
-                _ => self.start_log_recovery(ctx, backend, ordered_applied),
+                _ => self.start_log_recovery(ctx, backend),
             }
         }
     }
@@ -3390,11 +3411,121 @@ impl Middleware {
         // Finalize drains whose in-flight work has completed — before the
         // ping sends below enqueue fresh (ignorable) Ping pendings.
         self.try_finish_drains(ctx);
+        self.trim_logs();
+        self.advance_ship_horizon();
         // Ping everyone (including Down nodes: that is how we see them
-        // return).
+        // return), each with the binlog horizon its readers leave it.
         for i in 0..self.backends.len() {
             let b = BackendId(i);
-            self.send_db(ctx, b, Pending::Ping { backend: b }, move |op| DbOp::Ping { op });
+            let binlog_horizon = match self.cfg.mode {
+                Mode::MasterSlave { .. } if b == self.master => Some(self.ship_horizon),
+                // A slave's binlog is read by no one (after a failover the
+                // other slaves rebuild from a dump of the new master), but
+                // only what it holds now may go: once promoted, its new
+                // commits wait for the next ping to learn their readers.
+                Mode::MasterSlave { .. } => Some(Lsn(u64::MAX)),
+                // Multi-master modes never read a backend's binlog.
+                _ => None,
+            };
+            self.send_db(ctx, b, Pending::Ping { backend: b }, move |op| {
+                DbOp::Ping { op, binlog_horizon }
+            });
+        }
+    }
+
+    /// The lowest position of group `g`'s recovery-log stream that backend
+    /// `b`'s own rejoin path could still read after: entries at or below it
+    /// can go. [`Self::start_log_recovery`] starts replay exactly here.
+    ///
+    /// - Master-slave: a rejoin restores a dump of the master and ships
+    ///   from its binlog; the recovery log is never read.
+    /// - Dump path (a non-trivial placement, [`Self::start_pw_resync`]): a
+    ///   rejoin catches up from the log heads at dump time, so only a
+    ///   resync in flight pins its baseline, then its catch-up cursor.
+    /// - Log-replay path (statement modes, writeset at G = 1): replay
+    ///   starts at `min(checkpoint, node position)`, so the floor is that
+    ///   for a backend out of rotation, and `min(applied, node position)`
+    ///   (what a failure would checkpoint) for one in it. A backend that
+    ///   never reported a position pins 0.
+    fn replay_floor(&self, b: BackendId, g: usize) -> u64 {
+        let be = &self.backends[b.0];
+        if self.master_slave() {
+            return u64::MAX;
+        }
+        if self.partial {
+            if let Some(cu) = self.shards.resync.get(&b.0) {
+                return cu.next.iter().find(|&&(cg, _)| cg == g).map_or(u64::MAX, |&(_, n)| n);
+            }
+            if be.state != BackendState::Resyncing {
+                return u64::MAX;
+            }
+            return self
+                .pending
+                .values()
+                .filter_map(|p| match p {
+                    Pending::PwResyncDump { target, heads, .. }
+                    | Pending::PwResyncRestore { backend: target, heads } if *target == b => {
+                        heads.get(g).copied()
+                    }
+                    _ => None,
+                })
+                .min()
+                .unwrap_or(u64::MAX);
+        }
+        let checkpoint = self.shards.logs[g].checkpoint_of(b).unwrap_or(0);
+        let live = be.applied_seq.min(be.node_pos);
+        match be.state {
+            BackendState::Online | BackendState::Resyncing => live,
+            BackendState::Recovering { next, .. } => live.min(next).min(checkpoint),
+            BackendState::Down | BackendState::Draining | BackendState::Removed => {
+                checkpoint.min(be.node_pos)
+            }
+        }
+    }
+
+    /// Trim every recovery-log stream below the lowest replay floor of the
+    /// backends hosting it: nothing a rejoin can still ask for goes.
+    fn trim_logs(&mut self) {
+        for g in 0..self.shards.groups() {
+            let floor = self
+                .shards
+                .placement
+                .hosts(g)
+                .iter()
+                .map(|&b| self.replay_floor(BackendId(b), g))
+                .min()
+                .unwrap_or(u64::MAX);
+            self.shards.logs[g].force_truncate(floor);
+        }
+    }
+
+    /// Master-slave: move the master's binlog horizon up to the lowest
+    /// position a reader can still ask for — every online slave's applied
+    /// LSN and the `after` of every fetch in flight (a fetch may arrive
+    /// behind the next ping). Frozen while a slave resyncs: its dump
+    /// baseline is the master's head when the dump is taken, which the
+    /// other slaves may overtake before the restore lands; and kept when no
+    /// slave is online (a returning one resyncs too).
+    fn advance_ship_horizon(&mut self) {
+        if !self.master_slave() {
+            return;
+        }
+        let resyncing = self
+            .backends
+            .iter()
+            .enumerate()
+            .any(|(i, b)| i != self.master.0 && b.state == BackendState::Resyncing);
+        if resyncing {
+            return;
+        }
+        let fetches = self.pending.values().filter_map(|p| match p {
+            Pending::ShipFetch { after } | Pending::TwoSafeFetch { after, .. } => Some(*after),
+            _ => None,
+        });
+        let slaves = self.slaves();
+        let lowest = slaves.iter().map(|b| self.backends[b.0].applied_lsn).chain(fetches).min();
+        if let Some(h) = lowest {
+            self.ship_horizon = h;
         }
     }
 
@@ -3596,7 +3727,7 @@ impl Middleware {
                 Pending::ShipApply { session: Some(session), .. } => {
                     self.finish_two_safe_part(ctx, session);
                 }
-                Pending::ShipFetch => self.shipping_inflight = false,
+                Pending::ShipFetch { .. } => self.shipping_inflight = false,
                 _ => {}
             }
         }
@@ -3634,8 +3765,10 @@ impl Middleware {
         let master_head = self.backends[self.master.0].applied_lsn;
         let lost = master_head.0.saturating_sub(self.backends[new_master.0].applied_lsn.0);
         self.master = new_master;
-        // The new master's own binlog is its authoritative position now.
+        // The new master's own binlog is its authoritative position now,
+        // and the old horizon lives in the dead master's LSN space.
         self.backends[new_master.0].applied_lsn = Lsn(0); // refreshed by next Pong
+        self.ship_horizon = Lsn(0);
         for b in self.slaves() {
             if b != new_master {
                 self.start_full_resync(ctx, b);
@@ -3644,16 +3777,17 @@ impl Middleware {
         lost
     }
 
-    /// `node_pos` is the ordered-statement position the node itself reports
-    /// as durably applied (its pong). With volatile-by-fiat nodes it is
-    /// always ≥ our checkpoint (the node cannot un-apply), so the `min` is
-    /// a no-op; with real durability a lossy crash (lost or torn WAL tail)
-    /// can leave the node *behind* what we saw acknowledged, and replaying
-    /// from our own checkpoint would silently skip the lost suffix — §4.4.2:
-    /// the database, not the middleware, knows what actually committed.
-    fn start_log_recovery(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId, node_pos: u64) {
+    /// Replay starts at the backend's [`Self::replay_floor`]: the lower of
+    /// our checkpoint and the ordered position the node itself reported at
+    /// rejoin (`Backend::node_pos`). With volatile-by-fiat nodes that is
+    /// always ≥ our checkpoint (the node cannot un-apply); with real
+    /// durability a lossy crash (lost or torn WAL tail) can leave the node
+    /// *behind* what we saw acknowledged, and replaying from our own
+    /// checkpoint would silently skip the lost suffix — §4.4.2: the
+    /// database, not the middleware, knows what actually committed.
+    fn start_log_recovery(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId) {
+        let from = self.replay_floor(backend, 0);
         let log = &self.shards.logs[0];
-        let from = log.checkpoint_of(backend).unwrap_or(0).min(node_pos);
         if crate::debug_on() {
             eprintln!("[{}us] start_log_recovery b{} from={from} head={}", ctx.now().micros(), backend.0, log.head());
         }
@@ -4116,7 +4250,7 @@ impl Middleware {
         self.pending.remove(&op);
         self.op_started.remove(&op);
         match &p {
-            Pending::ShipFetch => self.shipping_inflight = false,
+            Pending::ShipFetch { .. } => self.shipping_inflight = false,
             Pending::ShipApply { backend, session, .. } => {
                 self.ship_busy.remove(backend);
                 if let Some(session) = *session {
@@ -4237,6 +4371,11 @@ impl Middleware {
     /// (harness introspection and log-pressure injection).
     pub fn log(&mut self) -> &mut RecoveryLog {
         &mut self.shards.logs[0]
+    }
+
+    /// Group `g`'s recovery-log stream (retention introspection).
+    pub fn group_log(&self, g: usize) -> &RecoveryLog {
+        &self.shards.logs[g]
     }
 
     /// Number of table groups under the active placement (1 = full

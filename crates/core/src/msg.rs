@@ -247,8 +247,10 @@ pub enum DbOp {
     Restore { op: u64, dump: Box<Dump>, baseline: Lsn, ordered_baseline: u64 },
     /// State checksum for divergence detection.
     Checksum { op: u64, full: bool },
-    /// Liveness probe.
-    Ping { op: u64 },
+    /// Liveness probe, carrying who still reads the node's binlog: `Some`
+    /// the lowest LSN a reader may still ask for (`BinlogAfter`'s `after`),
+    /// `None` when nothing ever will (see `Engine::set_binlog_horizon`).
+    Ping { op: u64, binlog_horizon: Option<Lsn> },
     /// Drop a session's connection (client disconnected): releases temp
     /// tables and aborts open transactions.
     Disconnect { conn: u64 },
@@ -313,6 +315,11 @@ pub enum DbResp {
         /// the middleware's recovery-log checkpoint for the backend; the
         /// middleware must replay from the node's position, not its own.
         ordered_applied: u64,
+        /// The ordered position no crash kind can take the node below: its
+        /// last fsync or installed checkpoint, and `ordered_applied` without
+        /// durability (state survives a crash by fiat). No rejoin of this
+        /// node can start below it.
+        durable_ordered: u64,
     },
     ApplyOk { op: u64, applied_lsn: Lsn },
     ApplyErr { op: u64, err: SqlError },
@@ -336,10 +343,11 @@ impl DbResp {
     }
 }
 
-/// A commit observed at a backend.
+/// A commit observed at a backend: the binlog LSN it got. The writeset
+/// stays at the node: the middleware certifies the writesets it asks for
+/// with `PrepareWriteset` and has no use for a commit's.
 #[derive(Debug, Clone)]
 pub struct CommitNote {
-    pub writeset: Writeset,
     pub lsn: Lsn,
 }
 

@@ -6,6 +6,7 @@
 //! final hop.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use replimid_sql::mvcc::{RowId, WriteKind, WriteRecord};
 use replimid_sql::{BinlogEntry, CommitTs, Lsn, Writeset};
@@ -15,7 +16,7 @@ use crate::msg::BackendId;
 /// What one log entry carries.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogPayload {
-    Sql { default_db: Option<String>, sql: String },
+    Sql { default_db: Option<Arc<str>>, sql: String },
     Ws(Writeset),
 }
 
@@ -25,8 +26,9 @@ pub struct LogEntry {
     /// Global order position (1-based, dense).
     pub seq: u64,
     pub payload: LogPayload,
-    /// Tables written (for parallel replay grouping).
-    pub tables: Vec<String>,
+    /// Tables written (for parallel replay grouping). Shared by every entry
+    /// that writes the same set (see [`RecoveryLog::append_sql`]).
+    pub tables: Arc<[String]>,
 }
 
 impl LogEntry {
@@ -56,7 +58,7 @@ pub fn to_binlog_entries(entries: &[LogEntry]) -> Vec<BinlogEntry> {
             LogPayload::Sql { default_db, sql } => BinlogEntry {
                 lsn: Lsn(e.seq),
                 commit_ts: CommitTs(e.seq),
-                default_db: default_db.clone(),
+                default_db: default_db.as_deref().map(str::to_string),
                 statements: vec![sql.clone()],
                 writeset: Writeset {
                     entries: e
@@ -105,14 +107,31 @@ pub struct RecoveryLog {
     checkpoints: HashMap<BackendId, u64>,
     /// Entries at or below this seq were purged.
     truncated: u64,
+    /// Every written-table set and default database logged so far, one
+    /// allocation each, shared by the entries that carry them: trimming an
+    /// entry then frees only its own payload. Freeing three more small
+    /// strings per entry, a heartbeat after they were allocated, cost
+    /// write-sat about a third more wall time per operation. Bounded by the
+    /// schema, not by the run.
+    tables: HashMap<Vec<String>, Arc<[String]>>,
+    dbs: HashMap<String, Arc<str>>,
 }
 
 impl RecoveryLog {
     pub fn new() -> Self {
-        RecoveryLog { entries: Vec::new(), next_seq: 1, checkpoints: HashMap::new(), truncated: 0 }
+        RecoveryLog {
+            entries: Vec::new(),
+            next_seq: 1,
+            checkpoints: HashMap::new(),
+            truncated: 0,
+            tables: HashMap::new(),
+            dbs: HashMap::new(),
+        }
     }
 
     pub fn append_sql(&mut self, default_db: Option<String>, sql: String, tables: Vec<String>) -> u64 {
+        let default_db = default_db
+            .map(|db| self.dbs.entry(db).or_insert_with_key(|db| Arc::from(db.as_str())).clone());
         self.push(LogPayload::Sql { default_db, sql }, tables)
     }
 
@@ -124,6 +143,7 @@ impl RecoveryLog {
     fn push(&mut self, payload: LogPayload, tables: Vec<String>) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        let tables = self.tables.entry(tables).or_insert_with_key(|t| t.as_slice().into()).clone();
         self.entries.push(LogEntry { seq, payload, tables });
         seq
     }
@@ -152,7 +172,7 @@ impl RecoveryLog {
         if let Some(e) = self.entries.get_mut(idx) {
             debug_assert_eq!(e.seq, seq);
             e.payload = LogPayload::Ws(Writeset::default());
-            e.tables.clear();
+            e.tables = Arc::from([]);
         }
     }
 
@@ -181,20 +201,13 @@ impl RecoveryLog {
         Ok(&slice[..slice.len().min(limit)])
     }
 
-    /// Purge entries at or below the minimum checkpoint across backends
-    /// (safe: everyone has them). Returns the number purged.
-    pub fn purge_to_min_checkpoint(&mut self) -> usize {
-        let Some(&min) = self.checkpoints.values().min() else { return 0 };
-        self.truncate(min)
-    }
-
-    /// Purge entries at or below `up_to` unconditionally (log-full pressure;
-    /// may force rejoining replicas into full resync, §4.4.2).
+    /// Purge entries at or below `up_to`, whoever still needs them. The
+    /// middleware calls it every heartbeat with the lowest replay floor of
+    /// the stream's hosts, so routine trimming never forces a resync; an
+    /// operator (or a test) calling it past a rejoiner's checkpoint
+    /// simulates log-full pressure and sends that replica to full resync
+    /// (§4.4.2). Returns the number purged.
     pub fn force_truncate(&mut self, up_to: u64) -> usize {
-        self.truncate(up_to)
-    }
-
-    fn truncate(&mut self, up_to: u64) -> usize {
         // Clamp to the head: truncating "past the end" must not push
         // `truncated` beyond `next_seq - 1`, or the dense-position
         // invariant (entries[i].seq == truncated + 1 + i) breaks for every
@@ -238,7 +251,7 @@ impl RecoveryLog {
                 }
                 for e in entries {
                     let mut target: Option<usize> = None;
-                    for t in &e.tables {
+                    for t in e.tables.iter() {
                         if let Some(&g) = group_of_table.get(t.as_str()) {
                             let root = find(&mut parent, g);
                             match target {
@@ -264,7 +277,7 @@ impl RecoveryLog {
                             g
                         }
                     };
-                    for t in &e.tables {
+                    for t in e.tables.iter() {
                         group_of_table.insert(t.as_str(), g);
                     }
                     group_cost[g] += per_entry_us;
@@ -313,7 +326,8 @@ mod tests {
         let mut l = log_with(10);
         l.checkpoint(BackendId(0), 4);
         l.checkpoint(BackendId(1), 7);
-        assert_eq!(l.purge_to_min_checkpoint(), 4);
+        // Purging to the lowest checkpoint keeps what every rejoiner needs.
+        assert_eq!(l.force_truncate(4), 4);
         assert!(l.read_after(2, 10).is_err(), "behind truncation point");
         assert_eq!(l.read_after(4, 100).unwrap().len(), 6);
         assert_eq!(l.checkpoint_of(BackendId(0)), Some(4));

@@ -36,23 +36,35 @@ pub struct Binlog {
     /// LSN of the first retained entry minus one (truncated prefix length).
     truncated: u64,
     next_lsn: u64,
+    /// Nobody will ever read this log: `append` drops entries as they land
+    /// (see [`Binlog::set_floor`]).
+    unread: bool,
 }
 
 impl Binlog {
     pub fn new() -> Self {
-        Binlog { entries: Vec::new(), truncated: 0, next_lsn: 1 }
+        Binlog { entries: Vec::new(), truncated: 0, next_lsn: 1, unread: false }
     }
 
+    /// Append a committed transaction. When nobody reads the log it is
+    /// purged as it lands, and the writeset is never copied.
     pub fn append(
         &mut self,
         commit_ts: CommitTs,
         default_db: Option<String>,
         statements: Vec<String>,
-        writeset: Writeset,
+        writeset: &Writeset,
     ) -> Lsn {
         let lsn = Lsn(self.next_lsn);
         self.next_lsn += 1;
-        self.entries.push(BinlogEntry { lsn, commit_ts, default_db, statements, writeset });
+        if self.unread {
+            // Everything older went when the log stopped being read.
+            debug_assert!(self.entries.is_empty());
+            self.truncated = lsn.0;
+        } else {
+            let writeset = writeset.clone();
+            self.entries.push(BinlogEntry { lsn, commit_ts, default_db, statements, writeset });
+        }
         lsn
     }
 
@@ -72,14 +84,28 @@ impl Binlog {
         Some(&self.entries[skip.min(self.entries.len())..])
     }
 
-    /// Purge entries with LSN <= `up_to`.
-    pub fn truncate(&mut self, up_to: Lsn) {
-        if up_to.0 <= self.truncated {
-            return;
+    /// Purge entries with LSN <= `up_to`, clamped to the head: truncating
+    /// "past the end" must not push `truncated` beyond `next_lsn - 1`, or
+    /// the dense-LSN invariant (entries[i].lsn == truncated + 1 + i) breaks
+    /// for every later append. Returns the number of entries purged.
+    fn truncate(&mut self, up_to: Lsn) -> usize {
+        let up_to = up_to.0.min(self.head().0);
+        if up_to <= self.truncated {
+            return 0;
         }
-        let drop_n = ((up_to.0 - self.truncated) as usize).min(self.entries.len());
+        let drop_n = ((up_to - self.truncated) as usize).min(self.entries.len());
         self.entries.drain(..drop_n);
-        self.truncated = up_to.0;
+        self.truncated = up_to;
+        drop_n
+    }
+
+    /// `Some(floor)`: purge the entries with LSN <= `floor` (clamped to the
+    /// head). `None`: nobody reads this log any more; purge every entry,
+    /// now and as it lands, so none outlives the commit that wrote it.
+    /// Returns the number purged now.
+    pub fn set_floor(&mut self, floor: Option<Lsn>) -> usize {
+        self.unread = floor.is_none();
+        self.truncate(floor.unwrap_or(Lsn(u64::MAX)))
     }
 
     pub fn len(&self) -> usize {
@@ -114,7 +140,7 @@ mod tests {
     use super::*;
 
     fn entry(log: &mut Binlog, n: u64) -> Lsn {
-        log.append(CommitTs(n), None, vec![format!("stmt {n}")], Writeset::default())
+        log.append(CommitTs(n), None, vec![format!("stmt {n}")], &Writeset::default())
     }
 
     #[test]
@@ -154,5 +180,46 @@ mod tests {
         log.truncate(Lsn(1));
         assert_eq!(log.len(), 1);
         assert_eq!(log.head(), Lsn(3));
+    }
+
+    /// Truncating past the head used to leave `truncated > head`: the next
+    /// entry landed at index 0 with an LSN at or below the boundary, so
+    /// `read_after(head)` demanded a resync and `read_after(truncated)`
+    /// handed back entries at or below `after`.
+    #[test]
+    fn truncate_past_head_clamps_to_head() {
+        let mut log = Binlog::new();
+        for n in 1..=5 {
+            entry(&mut log, n);
+        }
+        assert_eq!(log.truncate(Lsn(u64::MAX)), 5, "only 5 entries existed to purge");
+        assert_eq!(log.head(), Lsn(5));
+        assert_eq!(log.read_after(Lsn(5)).unwrap().len(), 0, "caught up, not a resync");
+        let lsn = entry(&mut log, 6);
+        assert_eq!(lsn, Lsn(6));
+        let tail = log.read_after(Lsn(5)).unwrap();
+        assert_eq!(tail.len(), 1);
+        assert_eq!(tail[0].lsn, Lsn(6));
+        assert_eq!(log.read_after(Lsn(6)).unwrap().len(), 0);
+    }
+
+    /// A finite floor purges only what exists; an unread log (`None`) also
+    /// purges every later entry as it lands, while the head keeps counting.
+    #[test]
+    fn floors_purge_existing_entries_and_unread_logs_keep_nothing() {
+        let mut log = Binlog::new();
+        entry(&mut log, 1);
+        entry(&mut log, 2);
+        assert_eq!(log.set_floor(Some(Lsn(u64::MAX))), 2);
+        entry(&mut log, 3);
+        assert_eq!(log.read_after(Lsn(2)).unwrap().len(), 1, "a finite floor kept the new entry");
+        assert_eq!(log.set_floor(None), 1);
+        assert_eq!(entry(&mut log, 4), Lsn(4));
+        assert!(log.is_empty());
+        assert_eq!(log.read_after(Lsn(4)).unwrap().len(), 0, "caught up at the head");
+        assert!(log.read_after(Lsn(3)).is_none(), "entry 4 is gone");
+        log.set_floor(Some(Lsn(0)));
+        entry(&mut log, 5);
+        assert_eq!(log.read_after(Lsn(4)).unwrap()[0].lsn, Lsn(5), "readers are back");
     }
 }

@@ -148,6 +148,9 @@ pub struct Engine {
     auth: AuthRegistry,
     det: Determinism,
     binlog: Binlog,
+    /// Who still reads the binlog (see [`Engine::set_binlog_horizon`]);
+    /// `Some(0)`, keep everything, until told. Volatile: a crash forgets it.
+    binlog_horizon: Option<Lsn>,
     sessions: HashMap<ConnId, Session>,
     next_conn: u64,
     durable: Option<crate::wal::DurableStore>,
@@ -165,6 +168,7 @@ impl Engine {
             auth: AuthRegistry::new(),
             det,
             binlog: Binlog::new(),
+            binlog_horizon: Some(Lsn(0)),
             sessions: HashMap::new(),
             next_conn: 1,
             durable,
@@ -529,7 +533,7 @@ impl Engine {
             let text = sql_text.map(str::to_string).unwrap_or_else(|| stmt.to_string());
             let ts = self.bump_ddl_ts();
             self.binlog
-                .append(ts, session.current_db.clone(), vec![text], Writeset::default());
+                .append(ts, session.current_db.clone(), vec![text], &Writeset::default());
         }
         Ok(ack(Cost::for_statement(0, 0, true), false))
     }
@@ -831,8 +835,31 @@ impl Engine {
         self.binlog.head()
     }
 
-    pub fn truncate_binlog(&mut self, up_to: Lsn) {
-        self.binlog.truncate(up_to);
+    /// Tell the engine who still reads its binlog. `Some(h)`: readers may
+    /// ask for any entry after `h`, so the entries at or below it go now.
+    /// `None`: nobody, now or later, so every entry goes as soon as it is
+    /// written. Either way the trim stops at the WAL mirror cursor: entries
+    /// not yet copied into the WAL stay for [`Engine::wal_maintain`], which
+    /// trims again once it has copied them.
+    pub fn set_binlog_horizon(&mut self, horizon: Option<Lsn>) {
+        self.binlog_horizon = horizon;
+        self.trim_binlog();
+    }
+
+    fn trim_binlog(&mut self) {
+        let floor = match &self.durable {
+            Some(store) => {
+                Some(Lsn(self.binlog_horizon.map_or(u64::MAX, |h| h.0).min(store.logged_head)))
+            }
+            None => self.binlog_horizon,
+        };
+        self.binlog.set_floor(floor);
+    }
+
+    /// Entries the binlog still holds (trimming bounds it; the head keeps
+    /// counting).
+    pub fn binlog_len(&self) -> usize {
+        self.binlog.len()
     }
 
     /// Checksum of committed table data (divergence detection).
@@ -952,6 +979,12 @@ impl Engine {
         self.durable.is_some()
     }
 
+    /// The ordered position the durable devices guarantee across any crash
+    /// kind (last fsync or completed checkpoint). `None` without durability.
+    pub fn durable_ordered(&self) -> Option<u64> {
+        self.durable.as_ref().map(|s| s.synced_ordered())
+    }
+
     /// Mirror newly committed binlog entries into the WAL, record changed
     /// replication positions, fsync per policy, and checkpoint per policy.
     /// The node actor calls this after every operation and converts the
@@ -971,16 +1004,15 @@ impl Engine {
         store.complete_checkpoint();
         let head = self.binlog.head().0;
         if head > store.logged_head {
-            match self.binlog.read_after(Lsn(store.logged_head)) {
-                Some(entries) => {
-                    for e in entries {
-                        store.append_commit(e, applied_lsn, ordered_applied);
-                        out.appended += 1;
-                    }
-                }
-                // The binlog was purged past the mirror cursor (maintenance
-                // skipped across a truncation): resume at the current head.
-                None => store.logged_head = head,
+            let Some(entries) = self.binlog.read_after(Lsn(store.logged_head)) else {
+                unreachable!(
+                    "binlog trimmed past the WAL mirror cursor: the trim clamps to \
+                     logged_head, and recovery rebases both at the checkpoint head"
+                )
+            };
+            for e in entries {
+                store.append_commit(e, applied_lsn, ordered_applied);
+                out.appended += 1;
             }
         } else if store.meta_changed(applied_lsn, ordered_applied) {
             store.append_meta(applied_lsn, ordered_applied);
@@ -998,6 +1030,8 @@ impl Engine {
         if store.should_checkpoint() {
             out.checkpoint_rows = Some(self.wal_force_checkpoint(applied_lsn, ordered_applied));
         }
+        // The mirror cursor moved: release what it now covers.
+        self.trim_binlog();
         out
     }
 
@@ -1292,7 +1326,7 @@ fn commit_tx(
     let writeset = Writeset { entries, counters };
 
     if config.binlog && !writeset.is_empty() {
-        binlog.append(ts, default_db, statements, writeset.clone());
+        binlog.append(ts, default_db, statements, &writeset);
     }
     Ok(CommitInfo { commit_ts: ts, writeset })
 }

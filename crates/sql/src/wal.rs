@@ -789,6 +789,9 @@ pub struct DurableStore {
     pub logged_head: u64,
     /// Positions as of the last record written (change detection).
     last_meta: (u64, u64),
+    /// Ordered position covered by the last WAL fsync or completed
+    /// checkpoint: what any crash kind leaves recoverable.
+    synced_ordered: u64,
     /// Counter state as of the last `Counters` record (change detection).
     last_counters: CounterSync,
     /// A phase-1 (staged, unsynced) checkpoint image awaits completion.
@@ -808,6 +811,7 @@ impl DurableStore {
             checkpoints_taken: 0,
             logged_head: 0,
             last_meta: (0, 0),
+            synced_ordered: 0,
             last_counters: CounterSync::default(),
             ckpt_pending: false,
         }
@@ -864,7 +868,16 @@ impl DurableStore {
         if self.records_since_fsync >= self.cfg.fsync_every {
             self.wal.fsync(&mut self.io);
             self.records_since_fsync = 0;
+            // No install is staged here (maintenance completes one before
+            // appending), so `last_meta` is the last record's positions.
+            self.synced_ordered = self.last_meta.1;
         }
+    }
+
+    /// The ordered position a crash of any kind cannot take this store
+    /// below: covered by the last WAL fsync or completed checkpoint.
+    pub fn synced_ordered(&self) -> u64 {
+        self.synced_ordered
     }
 
     pub fn should_checkpoint(&self) -> bool {
@@ -902,6 +915,7 @@ impl DurableStore {
             self.records_since_fsync = 0;
             self.commits_since_ckpt = 0;
             self.checkpoints_taken += 1;
+            self.synced_ordered = c.ordered_applied;
         }
         self.logged_head = self.logged_head.max(c.binlog_head);
         self.last_meta = (c.applied_lsn, c.ordered_applied);
@@ -938,6 +952,8 @@ impl DurableStore {
         self.records_since_fsync = 0;
         self.checkpoints_taken += 1;
         self.ckpt_pending = false;
+        // Nothing was appended since the staged install set `last_meta`.
+        self.synced_ordered = self.last_meta.1;
     }
 
     /// Apply crash semantics to both devices. Under atomic installs the
@@ -1031,6 +1047,7 @@ impl DurableStore {
     pub fn rearm(&mut self, logged_head: u64, applied_lsn: u64, ordered_applied: u64) {
         self.logged_head = logged_head;
         self.last_meta = (applied_lsn, ordered_applied);
+        self.synced_ordered = ordered_applied;
         self.commits_since_ckpt = self.wal_records;
     }
 
