@@ -8,8 +8,8 @@ use std::collections::{HashMap, HashSet};
 use replimid_simnet::{Actor, Ctx, DiskModel, NodeId};
 use replimid_sql::engine::ConnId;
 use replimid_sql::{
-    BinlogEntry, CrashKind, DumpOptions, Engine, Lsn, Outcome, RecoveryReport, SqlError,
-    WalStats, ADMIN_PASSWORD, ADMIN_USER,
+    BinlogEntry, CrashKind, DumpOptions, Engine, ExecResult, Lsn, Outcome, RecoveryReport,
+    SqlError, WalStats, ADMIN_PASSWORD, ADMIN_USER,
 };
 
 use crate::msg::{BatchExecResult, CommitNote, DbOp, DbResp, Msg, ReplyBody};
@@ -168,6 +168,25 @@ impl DbNode {
         (us as f64 * self.speed_factor) as u64
     }
 
+    /// Run SQL text on connection `conn`, charged as `DbOp::Execute`
+    /// charges it: the statement's cost, or the fixed per-statement cost
+    /// when it fails.
+    fn run_text(&mut self, ctx: &mut Ctx<'_, Msg>, conn: u64, sql: &str) -> Result<ExecResult, SqlError> {
+        let res = self.conn_for(conn).and_then(|c| self.engine.execute(c, sql));
+        let us = match &res {
+            Ok(r) => r.cost.cpu_us,
+            Err(_) => replimid_sql::result::cost_model::STATEMENT_BASE_US,
+        };
+        ctx.consume(self.scaled(us));
+        res
+    }
+
+    /// The `ExecOk` answering an executed statement.
+    fn exec_ok(&self, op: u64, res: ExecResult) -> DbResp {
+        let commit = res.commit.map(|_| CommitNote { lsn: self.engine.binlog_head() });
+        DbResp::ExecOk { op, body: reply_body(res.outcome), commit, tainted: res.tainted }
+    }
+
     /// Durable-storage maintenance after each operation: mirror freshly
     /// committed binlog entries (and position advances) into the WAL, fsync
     /// on policy, checkpoint on policy — then convert the device work into
@@ -214,28 +233,46 @@ impl DbNode {
                         });
                     }
                 }
-                let resp = match self
-                    .conn_for(conn)
-                    .and_then(|c| self.engine.execute(c, &sql))
-                {
+                let resp = match self.run_text(ctx, conn, &sql) {
                     Ok(res) => {
-                        ctx.consume(self.scaled(res.cost.cpu_us));
-                        let body = match res.outcome {
-                            Outcome::Rows(rs) => ReplyBody::Rows(rs),
-                            Outcome::Affected(n) => ReplyBody::Affected(n),
-                            Outcome::Ack => ReplyBody::Ack,
-                        };
-                        let commit =
-                            res.commit.map(|_| CommitNote { lsn: self.engine.binlog_head() });
                         if let Some(sq) = seq {
                             self.ordered_applied = self.ordered_applied.max(sq);
                         }
-                        DbResp::ExecOk { op, body, commit, tainted: res.tainted }
+                        self.exec_ok(op, res)
                     }
+                    Err(err) => DbResp::ExecErr { op, err },
+                };
+                Some(resp)
+            }
+            DbOp::Delegate { op, conn, begin, sql, writeset } => {
+                if let Some(begin) = &begin {
+                    if let Err(err) = self.run_text(ctx, conn, begin) {
+                        return Some(DbResp::ExecErr { op, err });
+                    }
+                }
+                let res = match sql.map(|sql| self.run_text(ctx, conn, &sql)).transpose() {
+                    Ok(res) => res,
                     Err(err) => {
-                        ctx.consume(self.scaled(replimid_sql::result::cost_model::STATEMENT_BASE_US));
-                        DbResp::ExecErr { op, err }
+                        if begin.is_some() && writeset {
+                            // The implicit transaction dies with its only
+                            // statement.
+                            let _ = self.run_text(ctx, conn, "ROLLBACK");
+                        }
+                        return Some(DbResp::ExecErr { op, err });
                     }
+                };
+                if !writeset {
+                    return Some(match res {
+                        Some(res) => self.exec_ok(op, res),
+                        None => DbResp::ExecOk { op, body: ReplyBody::Ack, commit: None, tainted: false },
+                    });
+                }
+                let resp = match self
+                    .conn_for(conn)
+                    .and_then(|c| self.engine.pending_writeset(c))
+                {
+                    Ok(ws) => DbResp::WritesetOut { op, ws: Box::new(ws) },
+                    Err(err) => DbResp::ExecErr { op, err },
                 };
                 Some(resp)
             }
@@ -258,17 +295,10 @@ impl DbNode {
                 }) {
                     Ok(res) => {
                         ctx.consume(self.scaled(res.cost.cpu_us));
-                        let body = match res.outcome {
-                            Outcome::Rows(rs) => ReplyBody::Rows(rs),
-                            Outcome::Affected(n) => ReplyBody::Affected(n),
-                            Outcome::Ack => ReplyBody::Ack,
-                        };
-                        let commit =
-                            res.commit.map(|_| CommitNote { lsn: self.engine.binlog_head() });
                         if let Some(sq) = seq {
                             self.ordered_applied = self.ordered_applied.max(sq);
                         }
-                        DbResp::ExecOk { op, body, commit, tainted: res.tainted }
+                        self.exec_ok(op, res)
                     }
                     Err(err) => {
                         // No SQL text arrived, so no parse happened even on
@@ -307,11 +337,7 @@ impl DbNode {
                         .and_then(|c| self.engine.execute(c, &stmt.sql))
                     {
                         Ok(res) => {
-                            let body = match res.outcome {
-                                Outcome::Rows(rs) => ReplyBody::Rows(rs),
-                                Outcome::Affected(n) => ReplyBody::Affected(n),
-                                Outcome::Ack => ReplyBody::Ack,
-                            };
+                            let body = reply_body(res.outcome);
                             let mut tbls =
                                 res.commit.as_ref().map(|c| c.writeset.tables()).unwrap_or_default();
                             let commit =
@@ -361,11 +387,7 @@ impl DbNode {
                         self.engine.execute_prepared(c, &bound)
                     }) {
                         Ok(res) => {
-                            let body = match res.outcome {
-                                Outcome::Rows(rs) => ReplyBody::Rows(rs),
-                                Outcome::Affected(n) => ReplyBody::Affected(n),
-                                Outcome::Ack => ReplyBody::Ack,
-                            };
+                            let body = reply_body(res.outcome);
                             let mut tbls =
                                 res.commit.as_ref().map(|c| c.writeset.tables()).unwrap_or_default();
                             let commit =
@@ -390,16 +412,6 @@ impl DbNode {
                 }
                 ctx.consume(self.scaled(grouped_chain_cost(&tables, &costs)));
                 Some(DbResp::ExecBatchOut { op, results })
-            }
-            DbOp::PrepareWriteset { op, conn } => {
-                let resp = match self
-                    .conn_for(conn)
-                    .and_then(|c| self.engine.pending_writeset(c))
-                {
-                    Ok(ws) => DbResp::WritesetOut { op, ws: Box::new(ws) },
-                    Err(err) => DbResp::ExecErr { op, err },
-                };
-                Some(resp)
             }
             DbOp::ApplyWriteset { op, ws } => {
                 let resp = match self.engine.apply_writeset(&ws) {
@@ -562,6 +574,15 @@ impl DbNode {
     }
 }
 
+/// A statement's outcome, trimmed for the wire.
+fn reply_body(outcome: Outcome) -> ReplyBody {
+    match outcome {
+        Outcome::Rows(rs) => ReplyBody::Rows(rs),
+        Outcome::Affected(n) => ReplyBody::Affected(n),
+        Outcome::Ack => ReplyBody::Ack,
+    }
+}
+
 /// Longest chain over connected components of entries sharing tables.
 fn parallel_cost(entries: &[BinlogEntry], costs: &[u64]) -> u64 {
     let tables: Vec<Vec<(String, String)>> =
@@ -626,7 +647,7 @@ fn op_id(op: &DbOp) -> Option<u64> {
         | DbOp::ExecutePlan { op, .. }
         | DbOp::ExecuteBatch { op, .. }
         | DbOp::ExecuteBatchPlan { op, .. }
-        | DbOp::PrepareWriteset { op, .. }
+        | DbOp::Delegate { op, .. }
         | DbOp::ApplyWriteset { op, .. }
         | DbOp::ApplyBinlog { op, .. }
         | DbOp::BinlogAfter { op, .. }

@@ -29,7 +29,7 @@ use replimid_gcs::{
     Action as GAction, AdaptiveConfig, AdaptiveThreshold, GcsConfig, HeartbeatConfig, MemberId,
     ShardedMember,
 };
-use replimid_simnet::{Actor, Ctx, NodeId};
+use replimid_simnet::{Actor, Ctx, NodeId, SimTime};
 use replimid_sql::ast::{IsolationLevel, Statement};
 use replimid_sql::{parse_statement, Lsn, PlanCache, SqlError, Writeset};
 
@@ -50,8 +50,9 @@ use crate::trace::{Stage, TraceId, TraceSink};
 /// Timer tags.
 const TIMER_PING: u64 = 2;
 const TIMER_SHIP: u64 = 3;
-/// Op-timeout timers: TIMER_OP_BASE + op id.
-const TIMER_OP_BASE: u64 = 1_000_000_000;
+/// The one op-timeout timer, armed at the deadline of the oldest op in
+/// flight (see [`Middleware::sweep_op_timeouts`]).
+const TIMER_OP_SWEEP: u64 = 4;
 /// Freshness-wait deadlines: TIMER_FRESH_BASE + waiter id. A read parked
 /// for a fresh-enough replica is released early by `drain_fresh_waiters`;
 /// this timer is the wait-or-primary escape hatch.
@@ -354,12 +355,12 @@ enum CurrentKind {
         #[allow(dead_code)] // recorded for diagnostics
         group: u64,
     },
-    /// Writeset mode: the delegate's BEGIN in flight, then `then_sql`.
-    WsBegin { then_sql: String, then_autocommit: bool },
-    /// Writeset mode: statement executing at the delegate.
-    WsStmt { autocommit: bool },
-    /// Writeset mode: PrepareWriteset in flight.
-    WsPrepare,
+    /// Writeset mode: statement executing at the delegate. `opened`: the
+    /// same op ran the transaction's BEGIN first.
+    WsStmt { opened: bool },
+    /// Writeset mode: the delegate op that answers with the writeset to
+    /// certify (an autocommit write, `opened`, or a COMMIT) in flight.
+    WsPrepare { opened: bool },
     /// Writeset mode: certification published, waiting for delivery.
     WsCertifyWait,
     /// Writeset mode: delegate commit + remote applies in flight.
@@ -464,14 +465,13 @@ struct ExecGroup {
     log_seq: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Pending {
     ClientExec { session: SessionId, backend: BackendId },
     GroupExec { group: u64, backend: BackendId },
     /// One grouped `ExecuteBatch` covering a whole flushed batch at one
     /// backend; `groups` are the per-statement exec groups, in batch order.
     GroupExecBatch { groups: Vec<u64>, backend: BackendId },
-    Prepare { session: SessionId, backend: BackendId },
     /// The delegate's single COMMIT for a (possibly multi-group)
     /// transaction; `marks` are the (group, position) pairs its ack
     /// credits to the backend's per-group watermarks.
@@ -577,8 +577,12 @@ pub struct Middleware {
     /// path is O(bytes) per session and iteration order is deterministic
     /// (std's RandomState is not) — see [`SessionTable`].
     sessions: SessionTable<Sess>,
-    pending: HashMap<u64, Pending>,
-    op_started: HashMap<u64, u64>,
+    /// Ops in flight at the backends: op id -> (what waits on it, dispatch
+    /// µs). Ids are dispatched in time order and `op_timeout_us` is
+    /// constant, so the first entry always has the earliest deadline.
+    pending: std::collections::BTreeMap<u64, (Pending, u64)>,
+    /// The `TIMER_OP_SWEEP` timer is queued.
+    sweep_armed: bool,
     next_op: u64,
     exec_groups: HashMap<u64, ExecGroup>,
     next_group: u64,
@@ -871,8 +875,8 @@ impl Middleware {
                 .collect(),
             balancer,
             sessions: SessionTable::new(),
-            pending: HashMap::new(),
-            op_started: HashMap::new(),
+            pending: std::collections::BTreeMap::new(),
+            sweep_armed: false,
             next_op: 1,
             exec_groups: HashMap::new(),
             next_group: 1,
@@ -972,12 +976,11 @@ impl Middleware {
 
     /// Score a completed op's latency against the backend's health EWMA;
     /// probe completions resolve the half-open state instead.
-    fn score_completion(&mut self, now: u64, backend: BackendId, started: Option<u64>, op: u64) {
+    fn score_completion(&mut self, now: u64, backend: BackendId, started: u64, op: u64) {
         if self.cfg.quarantine.is_none() {
             return;
         }
-        let Some(t0) = started else { return };
-        let lat = now.saturating_sub(t0);
+        let lat = now.saturating_sub(started);
         if self.probe_op.get(&backend) == Some(&op) {
             self.probe_op.remove(&backend);
             if self.health[backend.0].probe_completed(now, lat) {
@@ -992,10 +995,37 @@ impl Middleware {
     fn alloc_op(&mut self, ctx: &mut Ctx<'_, Msg>, p: Pending) -> u64 {
         let op = self.next_op;
         self.next_op += 1;
-        self.pending.insert(op, p);
-        self.op_started.insert(op, ctx.now().micros());
-        ctx.set_timer(self.cfg.op_timeout_us, TIMER_OP_BASE + op);
+        self.pending.insert(op, (p, ctx.now().micros()));
+        self.arm_op_sweep(ctx);
         op
+    }
+
+    /// Queue the sweep at the oldest pending op's deadline, unless it is
+    /// queued already: a later op's deadline is never earlier.
+    fn arm_op_sweep(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        if self.sweep_armed {
+            return;
+        }
+        if let Some((_, &(_, started))) = self.pending.first_key_value() {
+            self.sweep_armed = true;
+            ctx.set_timer_at(SimTime(started + self.cfg.op_timeout_us), TIMER_OP_SWEEP);
+        }
+    }
+
+    /// The sweep timer fired: time out every op whose deadline has passed,
+    /// oldest first, then re-arm for the new oldest. Each op still times
+    /// out at exactly dispatch + `op_timeout_us`; an op that completed
+    /// before its deadline costs the sweep nothing but the re-arm.
+    fn sweep_op_timeouts(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        let now = ctx.now().micros();
+        while let Some((&op, &(_, started))) = self.pending.first_key_value() {
+            if started + self.cfg.op_timeout_us > now {
+                break;
+            }
+            self.op_timed_out(ctx, op);
+        }
+        self.sweep_armed = false;
+        self.arm_op_sweep(ctx);
     }
 
     fn send_db(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId, p: Pending, mk: impl FnOnce(u64) -> DbOp) -> u64 {
@@ -2073,16 +2103,16 @@ impl Middleware {
                     s.in_tx = false;
                     s.current = Some(Current {
                         stmt_seq: req.stmt_seq,
-                        kind: CurrentKind::WsStmt { autocommit: false },
+                        kind: CurrentKind::WsStmt { opened: false },
                     });
                     self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
                         DbOp::Execute { op, conn: session.0, sql: "COMMIT".into(), seq: None }
                     });
                     return;
                 }
-                s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::WsPrepare });
-                self.send_db(ctx, backend, Pending::Prepare { session, backend }, move |op| {
-                    DbOp::PrepareWriteset { op, conn: session.0 }
+                s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::WsPrepare { opened: false } });
+                self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
+                    DbOp::Delegate { op, conn: session.0, begin: None, sql: None, writeset: true }
                 });
             }
             Statement::Rollback => {
@@ -2091,7 +2121,7 @@ impl Middleware {
                 s.begin = None;
                 s.current = Some(Current {
                     stmt_seq: req.stmt_seq,
-                    kind: CurrentKind::WsStmt { autocommit: false },
+                    kind: CurrentKind::WsStmt { opened: false },
                 });
                 match delegate {
                     Some(backend) if self.backends[backend.0].online() => {
@@ -2150,30 +2180,23 @@ impl Middleware {
                     s.last_write_us = ctx.now().micros();
                     s.last_write_backend = Some(backend);
                 }
-                let Some(isolation) = begin else {
-                    s.current = Some(Current {
-                        stmt_seq: req.stmt_seq,
-                        kind: CurrentKind::WsStmt { autocommit: false },
-                    });
-                    let sql = req.sql;
-                    self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                        DbOp::Execute { op, conn: session.0, sql, seq: None }
-                    });
-                    return;
-                };
-                // The (remembered or implicit) BEGIN runs first; its
-                // response samples the certification start positions and
-                // chains the statement.
-                s.in_tx = true;
-                s.sticky = Some(backend);
-                s.begin = None;
-                s.current = Some(Current {
-                    stmt_seq: req.stmt_seq,
-                    kind: CurrentKind::WsBegin { then_sql: req.sql, then_autocommit: !in_tx },
-                });
-                let sql = Statement::Begin { isolation }.to_string();
+                // One op at the delegate: the (remembered or implicit) BEGIN
+                // when this statement opens the transaction, whose response
+                // then samples the certification start positions; the
+                // statement; and for an autocommit write, the writeset to
+                // certify.
+                let opened = begin.is_some();
+                if opened {
+                    s.in_tx = true;
+                    s.sticky = Some(backend);
+                    s.begin = None;
+                }
+                let kind = if in_tx { CurrentKind::WsStmt { opened } } else { CurrentKind::WsPrepare { opened } };
+                s.current = Some(Current { stmt_seq: req.stmt_seq, kind });
+                let begin = begin.map(|isolation| Statement::Begin { isolation }.to_string());
+                let sql = Some(req.sql);
                 self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                    DbOp::Execute { op, conn: session.0, sql, seq: None }
+                    DbOp::Delegate { op, conn: session.0, begin, sql, writeset: !in_tx }
                 });
             }
         }
@@ -2728,8 +2751,7 @@ impl Middleware {
 
     fn on_db_resp(&mut self, ctx: &mut Ctx<'_, Msg>, resp: DbResp) {
         let op = resp.op();
-        let Some(pending) = self.pending.remove(&op) else { return };
-        let started = self.op_started.remove(&op);
+        let Some((pending, started)) = self.pending.remove(&op) else { return };
         match pending {
             Pending::ClientExec { session, backend } => {
                 self.balancer.completed(backend);
@@ -2770,10 +2792,6 @@ impl Middleware {
                         self.finish_group_exec(ctx, group, backend, DbResp::RestoreOk { op: 0 }, true);
                     }
                 }
-            }
-            Pending::Prepare { session, backend } => {
-                self.balancer.completed(backend);
-                self.finish_prepare(ctx, session, resp);
             }
             Pending::PwCommit { session, backend, marks } => {
                 self.balancer.completed(backend);
@@ -2873,6 +2891,19 @@ impl Middleware {
         let stmt_seq = current.stmt_seq;
         // Whatever happened since the last span was waiting on this backend.
         self.mw_span(session, stmt_seq, Stage::Execute, ctx.now().micros());
+        if let CurrentKind::WsStmt { opened: true } | CurrentKind::WsPrepare { opened: true } = current.kind {
+            // The op ran BEGIN. Its snapshot holds every certified writeset
+            // the delegate's watermarks count now, and none they count
+            // later: the link is FIFO and the node runs ops serially, so an
+            // apply or commit is acknowledged before this response iff it
+            // ran before that BEGIN. (If the BEGIN failed, or the implicit
+            // transaction was rolled back, nothing will certify against
+            // these positions.)
+            let gstart: Vec<u64> = self.shards.marks[backend.0].iter().map(|w| w.value()).collect();
+            if let Some(s) = self.sessions.get_mut(session.0) {
+                s.gstart = gstart;
+            }
+        }
         match current.kind {
             CurrentKind::Read { .. } => match resp {
                 DbResp::ExecOk { body, .. } => {
@@ -2883,7 +2914,7 @@ impl Middleware {
                 }
                 _ => {}
             },
-            CurrentKind::TempExec { .. } | CurrentKind::WsStmt { autocommit: false } => match resp {
+            CurrentKind::TempExec { .. } | CurrentKind::WsStmt { .. } => match resp {
                 DbResp::ExecOk { body, commit, .. } => {
                     if commit.is_some() {
                         self.metrics.counters.commits += 1;
@@ -2898,50 +2929,18 @@ impl Middleware {
                 }
                 _ => {}
             },
-            CurrentKind::WsBegin { then_sql, then_autocommit } => match resp {
-                DbResp::ExecOk { .. } => {
-                    // The delegate's snapshot now exists: every certified
-                    // writeset at or below its watermark is visible to it.
-                    let gstart: Vec<u64> =
-                        self.shards.marks[backend.0].iter().map(|w| w.value()).collect();
-                    let Some(s) = self.sessions.get_mut(session.0) else { return };
-                    s.gstart = gstart;
-                    s.current = Some(Current {
-                        stmt_seq,
-                        kind: CurrentKind::WsStmt { autocommit: then_autocommit },
-                    });
-                    self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                        DbOp::Execute { op, conn: session.0, sql: then_sql, seq: None }
-                    });
-                }
+            CurrentKind::WsPrepare { opened } => match resp {
+                DbResp::WritesetOut { ws, .. } => self.pw_publish_prepare(ctx, session, stmt_seq, *ws),
                 DbResp::ExecErr { err, .. } => {
-                    self.reply(ctx, session, stmt_seq, Err(ReplyError::Sql(err)));
-                }
-                _ => {}
-            },
-            CurrentKind::WsStmt { autocommit: true } => match resp {
-                DbResp::ExecOk { .. } => {
-                    // Autocommit write executed; now certify + commit.
-                    {
-                        let s = self.sessions.get_mut(session.0).unwrap();
-                        s.current = Some(Current { stmt_seq, kind: CurrentKind::WsPrepare });
-                    }
-                    self.send_db(ctx, backend, Pending::Prepare { session, backend }, move |op| {
-                        DbOp::PrepareWriteset { op, conn: session.0 }
-                    });
-                }
-                DbResp::ExecErr { err, .. } => {
-                    // Roll back the implicit transaction.
-                    {
-                        let s = self.sessions.get_mut(session.0).unwrap();
-                        s.in_tx = false;
-                        s.wrote_in_tx = false;
-                    }
-                    self.send_db(ctx, backend, Pending::FireAndForget, move |op| {
-                        DbOp::Execute { op, conn: session.0, sql: "ROLLBACK".into(), seq: None }
-                    });
-                    if err.is_retryable() {
-                        self.metrics.counters.aborts += 1;
+                    if opened {
+                        // The node rolled the implicit transaction back.
+                        if let Some(s) = self.sessions.get_mut(session.0) {
+                            s.in_tx = false;
+                            s.wrote_in_tx = false;
+                        }
+                        if err.is_retryable() {
+                            self.metrics.counters.aborts += 1;
+                        }
                     }
                     self.reply(ctx, session, stmt_seq, Err(ReplyError::Sql(err)));
                 }
@@ -3027,24 +3026,6 @@ impl Middleware {
                     }
                 }
             }
-        }
-    }
-
-    fn finish_prepare(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId, resp: DbResp) {
-        let current = match self.sessions.get(session.0).and_then(|s| s.current.clone()) {
-            Some(c) => c,
-            None => return,
-        };
-        // Writeset extraction is backend work: charge it to Execute.
-        self.mw_span(session, current.stmt_seq, Stage::Execute, ctx.now().micros());
-        match resp {
-            DbResp::WritesetOut { ws, .. } => {
-                self.pw_publish_prepare(ctx, session, current.stmt_seq, *ws);
-            }
-            DbResp::ExecErr { err, .. } => {
-                self.reply(ctx, session, current.stmt_seq, Err(ReplyError::Sql(err)));
-            }
-            _ => {}
         }
     }
 
@@ -3462,7 +3443,7 @@ impl Middleware {
             return self
                 .pending
                 .values()
-                .filter_map(|p| match p {
+                .filter_map(|(p, _)| match p {
                     Pending::PwResyncDump { target, heads, .. }
                     | Pending::PwResyncRestore { backend: target, heads } if *target == b => {
                         heads.get(g).copied()
@@ -3518,7 +3499,7 @@ impl Middleware {
         if resyncing {
             return;
         }
-        let fetches = self.pending.values().filter_map(|p| match p {
+        let fetches = self.pending.values().filter_map(|(p, _)| match p {
             Pending::ShipFetch { after } | Pending::TwoSafeFetch { after, .. } => Some(*after),
             _ => None,
         });
@@ -3586,7 +3567,7 @@ impl Middleware {
             let busy = self
                 .pending
                 .values()
-                .any(|p| !matches!(p, Pending::Ping { .. }) && pending_backend(p) == Some(b));
+                .any(|(p, _)| !matches!(p, Pending::Ping { .. }) && pending_backend(p) == Some(b));
             if busy {
                 continue;
             }
@@ -3681,54 +3662,16 @@ impl Middleware {
         // naive about a still-degraded node (evict/rejoin storms).
 
         // Fail in-flight ops against this backend, in dispatch (op id)
-        // order: map iteration order is not deterministic across processes,
-        // and the replies below re-order downstream client retries.
-        let mut stuck: Vec<(u64, Pending)> = self
+        // order: the replies below re-order downstream client retries.
+        let stuck: Vec<u64> = self
             .pending
             .iter()
-            .filter(|(_, p)| pending_backend(p) == Some(backend))
-            .map(|(&op, p)| (op, p.clone()))
+            .filter(|(_, (p, _))| pending_backend(p) == Some(backend))
+            .map(|(&op, _)| op)
             .collect();
-        stuck.sort_by_key(|&(op, _)| op);
-        for (op, p) in stuck {
-            self.pending.remove(&op);
-            let op_t0 = self.op_started.remove(&op);
-            // The outage began when the now-failed request was dispatched,
-            // not when we finally noticed: date it back for MTTR honesty.
-            if let (Some(t0), Pending::ClientExec { .. }) = (op_t0, &p) {
-                self.metrics.availability.record(t0, false);
-            }
-            match p {
-                Pending::ClientExec { session, .. } | Pending::Prepare { session, .. } => {
-                    // In-flight transaction lost with the node (§4.3.3).
-                    if let Some(s) = self.sessions.get_mut(session.0) {
-                        s.in_tx = false;
-                        s.wrote_in_tx = false;
-                        s.sticky = None;
-                    }
-                    let seq = self.sessions.get(session.0).and_then(|s| s.current.as_ref().map(|c| c.stmt_seq));
-                    if let Some(seq) = seq {
-                        self.metrics.counters.lost_transactions += 1;
-                        self.reply(ctx, session, seq, Err(ReplyError::Unavailable("backend failed mid-request".into())));
-                    }
-                }
-                Pending::GroupExec { group, backend } => {
-                    self.finish_group_exec(ctx, group, backend, DbResp::RestoreOk { op: 0 }, true);
-                }
-                Pending::GroupExecBatch { groups, backend } => {
-                    for group in groups {
-                        self.finish_group_exec(ctx, group, backend, DbResp::RestoreOk { op: 0 }, true);
-                    }
-                }
-                Pending::PwCommit { session, .. }
-                | Pending::PwApply { session: Some(session), .. } => {
-                    self.finish_ws_part(ctx, Some(session), DbResp::ApplyErr { op: 0, err: SqlError::Internal("backend failed".into()) });
-                }
-                Pending::ShipApply { session: Some(session), .. } => {
-                    self.finish_two_safe_part(ctx, session);
-                }
-                Pending::ShipFetch { .. } => self.shipping_inflight = false,
-                _ => {}
+        for op in stuck {
+            if let Some((p, started)) = self.pending.remove(&op) {
+                self.fail_inflight(ctx, p, started);
             }
         }
 
@@ -3747,6 +3690,48 @@ impl Middleware {
         // Failover changes the freshness picture (a promoted master is
         // fresh by definition): re-decide parked reads.
         self.drain_fresh_waiters(ctx);
+    }
+
+    /// Wake whatever waits on an op that will never be answered, already
+    /// taken out of `pending` (dispatched at `started` µs). Shared by the
+    /// failure drain and the timeout sweep.
+    fn fail_inflight(&mut self, ctx: &mut Ctx<'_, Msg>, p: Pending, started: u64) {
+        match p {
+            Pending::ClientExec { session, .. } => {
+                // The outage began when the now-failed request was
+                // dispatched, not when we finally noticed: date it back for
+                // MTTR honesty.
+                self.metrics.availability.record(started, false);
+                // In-flight transaction lost with the node (§4.3.3).
+                let Some(s) = self.sessions.get_mut(session.0) else { return };
+                s.in_tx = false;
+                s.wrote_in_tx = false;
+                s.sticky = None;
+                if let Some(seq) = s.current.as_ref().map(|c| c.stmt_seq) {
+                    self.metrics.counters.lost_transactions += 1;
+                    self.reply(ctx, session, seq, Err(ReplyError::Unavailable("backend failed mid-request".into())));
+                }
+            }
+            Pending::GroupExec { group, backend } => {
+                self.finish_group_exec(ctx, group, backend, DbResp::RestoreOk { op: 0 }, true);
+            }
+            Pending::GroupExecBatch { groups, backend } => {
+                for group in groups {
+                    self.finish_group_exec(ctx, group, backend, DbResp::RestoreOk { op: 0 }, true);
+                }
+            }
+            Pending::PwCommit { session, .. } | Pending::PwApply { session: Some(session), .. } => {
+                self.finish_ws_part(ctx, Some(session), DbResp::ApplyErr { op: 0, err: SqlError::Internal("backend failed".into()) });
+            }
+            Pending::ShipApply { backend, session, .. } => {
+                self.ship_busy.remove(&backend);
+                if let Some(session) = session {
+                    self.finish_two_safe_part(ctx, session);
+                }
+            }
+            Pending::ShipFetch { .. } => self.shipping_inflight = false,
+            _ => {}
+        }
     }
 
     /// Promote the most caught-up slave. Returns the 1-safe loss estimate
@@ -4030,7 +4015,7 @@ impl Middleware {
         p.xtx.values().any(|x| {
             x.groups.iter().zip(&x.pos).any(|(&g, &pos)| pos != 0 && below(g, pos))
         }) || p.retries.values().any(|r| r.0 == donor && below(r.1, r.5))
-            || self.pending.values().any(|pd| {
+            || self.pending.values().any(|(pd, _)| {
                 matches!(pd, Pending::PwApply { backend, group, attempts, pos, .. }
                     if *backend == donor && *attempts > 0 && below(*group, *pos))
             })
@@ -4243,36 +4228,22 @@ impl Middleware {
     }
 
     fn op_timed_out(&mut self, ctx: &mut Ctx<'_, Msg>, op: u64) {
-        let Some(p) = self.pending.get(&op).cloned() else { return };
+        let Some((p, started)) = self.pending.remove(&op) else { return };
         if crate::debug_on() {
             eprintln!("[{}us] op {op} timed out: {p:?}", ctx.now().micros());
         }
-        self.pending.remove(&op);
-        self.op_started.remove(&op);
-        match &p {
-            Pending::ShipFetch { .. } => self.shipping_inflight = false,
-            Pending::ShipApply { backend, session, .. } => {
-                self.ship_busy.remove(backend);
-                if let Some(session) = *session {
-                    self.finish_two_safe_part(ctx, session);
-                }
-            }
-            // Pings to a down backend are *expected* to be lost; real
-            // failures are detected by the silent-too-long check in
-            // ping_tick. Treating a stale ping timeout as a failure would
-            // kill a backend that just finished recovering.
-            Pending::Ping { .. } => return,
-            // The batch op is already out of `pending`, so the
-            // backend_failed drain below cannot see it: fail its groups
-            // here or their origins hang forever.
-            Pending::GroupExecBatch { groups, backend } => {
-                for &group in groups {
-                    self.finish_group_exec(ctx, group, *backend, DbResp::RestoreOk { op: 0 }, true);
-                }
-            }
-            _ => {}
+        // Pings to a down backend are *expected* to be lost; real failures
+        // are detected by the silent-too-long check in ping_tick. Treating
+        // a stale ping timeout as a failure would kill a backend that just
+        // finished recovering.
+        if matches!(p, Pending::Ping { .. }) {
+            return;
         }
-        if let Some(b) = pending_backend(&p) {
+        let backend = pending_backend(&p);
+        // The op is already out of `pending`, so the backend_failed drain
+        // below cannot see it: its waiter is failed here.
+        self.fail_inflight(ctx, p, started);
+        if let Some(b) = backend {
             if !ctx.oracle_is_crashed(self.backends[b.0].node) {
                 self.metrics.counters.false_evictions += 1;
             }
@@ -4400,7 +4371,6 @@ fn pending_backend(p: &Pending) -> Option<BackendId> {
         Pending::ClientExec { backend, .. }
         | Pending::GroupExec { backend, .. }
         | Pending::GroupExecBatch { backend, .. }
-        | Pending::Prepare { backend, .. }
         | Pending::Ping { backend }
         | Pending::ShipApply { backend, .. }
         | Pending::RecoveryBatch { backend, .. }
@@ -4450,6 +4420,7 @@ impl Actor<Msg> for Middleware {
         match tag {
             TIMER_PING => self.ping_tick(ctx),
             TIMER_SHIP => self.ship_tick(ctx),
+            TIMER_OP_SWEEP => self.sweep_op_timeouts(ctx),
             t if (SHARD_TICK_BASE..SHARD_TICK_BASE + MAX_GROUPS as u64).contains(&t) => {
                 let g = (t - SHARD_TICK_BASE) as usize;
                 let actions =
@@ -4459,12 +4430,6 @@ impl Actor<Msg> for Middleware {
             t if (SHARD_BATCH_BASE..SHARD_BATCH_BASE + MAX_GROUPS as u64).contains(&t) => {
                 let g = (t - SHARD_BATCH_BASE) as usize;
                 self.flush_shard_batch(ctx, g, FlushReason::Deadline);
-            }
-            t if t >= TIMER_OP_BASE => {
-                let op = t - TIMER_OP_BASE;
-                if self.pending.contains_key(&op) {
-                    self.op_timed_out(ctx, op);
-                }
             }
             t if t >= TIMER_FRESH_BASE => self.fresh_wait_timed_out(ctx, t - TIMER_FRESH_BASE),
             t if t >= TIMER_RETRY_BASE => self.fire_apply_retry(ctx, t - TIMER_RETRY_BASE),
@@ -4476,6 +4441,7 @@ impl Actor<Msg> for Middleware {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use replimid_simnet::{NetworkModel, Sim};
 
     #[test]
     fn watermark_advances_contiguously() {
@@ -4566,36 +4532,60 @@ mod tests {
     }
 
     /// A backend that answers the writeset path from a script: statements
-    /// and COMMIT succeed, `PrepareWriteset` returns `ws`, and the first
-    /// `ApplyWriteset` hits a row lock (retryable) while later ones apply.
+    /// and COMMIT succeed, a delegate op asking for the writeset gets `ws`,
+    /// and the first `refuse` applies hit a row lock (retryable) while
+    /// later ones apply. It logs every op but pings, which it never answers
+    /// (an unanswered backend is never evicted).
     struct ScriptedDb {
         ws: Writeset,
-        applies: Vec<Writeset>,
+        refuse: usize,
+        ops: Vec<DbOp>,
+    }
+
+    impl ScriptedDb {
+        fn new(ws: &Writeset, refuse: usize) -> Self {
+            ScriptedDb { ws: ws.clone(), refuse, ops: Vec::new() }
+        }
+
+        fn applies(&self) -> Vec<Writeset> {
+            let ws = |op: &DbOp| match op {
+                DbOp::ApplyWriteset { ws, .. } => Some(ws.clone()),
+                _ => None,
+            };
+            self.ops.iter().filter_map(ws).collect()
+        }
     }
 
     impl Actor<Msg> for ScriptedDb {
         fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
             let Msg::Db(op) = msg else { return };
+            if matches!(op, DbOp::Ping { .. }) {
+                return;
+            }
+            self.ops.push(op.clone());
             let resp = match op {
-                DbOp::Execute { op, .. } => {
-                    DbResp::ExecOk { op, body: ReplyBody::Ack, commit: None, tainted: false }
-                }
-                DbOp::PrepareWriteset { op, .. } => {
+                DbOp::Delegate { op, writeset: true, .. } => {
                     DbResp::WritesetOut { op, ws: Box::new(self.ws.clone()) }
                 }
-                DbOp::ApplyWriteset { op, ws } => {
-                    self.applies.push(ws);
-                    if self.applies.len() == 1 {
-                        let err = SqlError::WriteConflict { table: "t1".into(), detail: "row locked".into() };
-                        DbResp::ApplyErr { op, err }
-                    } else {
-                        DbResp::ApplyOk { op, applied_lsn: Lsn(0) }
-                    }
+                DbOp::Execute { op, .. } | DbOp::Delegate { op, .. } => {
+                    DbResp::ExecOk { op, body: ReplyBody::Ack, commit: None, tainted: false }
                 }
-                _ => return, // pings: an unanswered backend is never evicted
+                DbOp::ApplyWriteset { op, .. } if self.applies().len() <= self.refuse => {
+                    let err = SqlError::WriteConflict { table: "t1".into(), detail: "row locked".into() };
+                    DbResp::ApplyErr { op, err }
+                }
+                DbOp::ApplyWriteset { op, .. } => DbResp::ApplyOk { op, applied_lsn: Lsn(0) },
+                _ => return,
             };
             ctx.send(from, Msg::DbR(resp));
         }
+    }
+
+    /// A backend that never answers anything.
+    struct Silent;
+
+    impl Actor<Msg> for Silent {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, _msg: Msg) {}
     }
 
     /// A client that keeps what it is told.
@@ -4612,13 +4602,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn retried_apply_resends_the_same_backend_group_and_position() {
-        use replimid_simnet::{NetworkModel, Sim, SimTime};
+    /// A writeset middleware over `dbs`, and a `Sink` client: (sim,
+    /// backends, middleware, client).
+    fn writeset_cluster<A: Actor<Msg> + 'static>(
+        dbs: Vec<A>,
+        placement: Option<Placement>,
+    ) -> (Sim<Msg>, Vec<NodeId>, NodeId, NodeId) {
+        let mut sim: Sim<Msg> = Sim::new(NetworkModel::lan(), 5);
+        let dbs: Vec<NodeId> = dbs.into_iter().map(|d| sim.add_node(d)).collect();
+        let mut cfg = MwConfig::defaults(Mode::MultiMasterWriteset);
+        cfg.placement = placement;
+        let mw_id = NodeId(dbs.len());
+        let mw = sim.add_node(Middleware::new(cfg, 0, vec![mw_id], dbs.clone()));
+        assert_eq!(mw, mw_id);
+        let client = sim.add_node(Sink::default());
+        (sim, dbs, mw, client)
+    }
+
+    /// Client statement `stmt_seq` of `session`, arriving at `at` µs.
+    fn request(sim: &mut Sim<Msg>, (client, mw): (NodeId, NodeId), at: u64, session: u64, stmt_seq: u64, sql: &str) {
+        let req = ClientRequest { session: SessionId(session), stmt_seq, trace: 0, sql: sql.into() };
+        sim.inject_as(SimTime(at), client, mw, Msg::Request(req));
+    }
+
+    /// The writeset a scripted delegate extracts: one row of `t1`.
+    fn insert_ws() -> Writeset {
         use replimid_sql::mvcc::{RowId, WriteKind, WriteRecord};
         use replimid_sql::Value;
-
-        let ws = Writeset {
+        Writeset {
             entries: vec![WriteRecord {
                 database: "d".into(),
                 table: "t1".into(),
@@ -4629,33 +4640,24 @@ mod tests {
                 temp: false,
             }],
             counters: None,
-        };
+        }
+    }
+
+    #[test]
+    fn retried_apply_resends_the_same_backend_group_and_position() {
+        let ws = insert_ws();
         // G = 1: no placement. G = 2: both groups on both backends, `t1`
         // in group 1. Either way the apply at the non-delegate is refused
         // once, parks in the one retry table, and leaves through it.
         let two = Placement::new(vec![vec![0, 1], vec![0, 1]]).assign("t1", 1);
         for (placement, g) in [(None, 0usize), (Some(two), 1)] {
-            let mut sim: Sim<Msg> = Sim::new(NetworkModel::lan(), 5);
-            let dbs: Vec<NodeId> = (0..2)
-                .map(|_| sim.add_node(ScriptedDb { ws: ws.clone(), applies: Vec::new() }))
-                .collect();
-            let mut cfg = MwConfig::defaults(Mode::MultiMasterWriteset);
-            cfg.placement = placement;
-            let mw_id = NodeId(dbs.len());
-            let mw = sim.add_node(Middleware::new(cfg, 0, vec![mw_id], dbs.clone()));
-            assert_eq!(mw, mw_id);
-            let client = sim.add_node(Sink::default());
-            let req = ClientRequest {
-                session: SessionId(1),
-                stmt_seq: 1,
-                trace: 0,
-                sql: "INSERT INTO t1 VALUES (1, 1)".into(),
-            };
-            sim.inject_as(SimTime(1_000), client, mw, Msg::Request(req));
+            let dbs = vec![ScriptedDb::new(&ws, 1), ScriptedDb::new(&ws, 1)];
+            let (mut sim, dbs, mw, client) = writeset_cluster(dbs, placement);
+            request(&mut sim, (client, mw), 1_000, 1, 1, "INSERT INTO t1 VALUES (1, 1)");
 
-            // BEGIN, statement, prepare, certify, fan-out and the refusal
-            // take six LAN round trips: well inside 4 ms, and the 5 ms
-            // retry delay has not elapsed.
+            // The delegate op, certify, fan-out and the refusal take four
+            // LAN round trips: well inside 4 ms, and the 5 ms retry delay
+            // has not elapsed.
             sim.run_until(SimTime(5_000));
             let (parked, groups) = sim.with_actor::<Middleware, _>(mw, |m| {
                 let parked: Vec<_> = m
@@ -4671,7 +4673,7 @@ mod tests {
             assert_eq!(parked, [(remote, g as u32, Some(SessionId(1)), 1, 1)]);
 
             sim.run_until(SimTime(20_000));
-            let applies = sim.with_actor::<ScriptedDb, _>(dbs[remote.0], |d| d.applies.clone());
+            let applies = sim.with_actor::<ScriptedDb, _>(dbs[remote.0], |d| d.applies());
             assert_eq!(applies, [ws.clone(), ws.clone()], "the retry re-sent the same writeset");
             sim.with_actor::<Middleware, _>(mw, |m| {
                 assert!(m.shards.retries.is_empty(), "the retry left the table");
@@ -4684,29 +4686,104 @@ mod tests {
         }
     }
 
+    /// A writeset statement reaches its delegate once. An autocommit write
+    /// is one delegate op (BEGIN, statement, writeset) and then its COMMIT,
+    /// and the group's other host applies it once. An explicit
+    /// transaction's first statement opens it with the client's isolation
+    /// level. A transaction that runs no statement sends nothing.
+    #[test]
+    fn a_writeset_statement_reaches_its_delegate_once() {
+        let ws = insert_ws();
+        let dbs = vec![ScriptedDb::new(&ws, 0), ScriptedDb::new(&ws, 0)];
+        let (mut sim, dbs, mw, client) = writeset_cluster(dbs, None);
+        let ops = |sim: &mut Sim<Msg>| -> Vec<Vec<DbOp>> {
+            dbs.iter().map(|&d| sim.with_actor::<ScriptedDb, _>(d, |d| d.ops.clone())).collect()
+        };
+        request(&mut sim, (client, mw), 1_000, 1, 1, "INSERT INTO t1 VALUES (1, 1)");
+        sim.run_until(SimTime(10_000));
+        let seen = ops(&mut sim);
+        let delegate = seen
+            .iter()
+            .position(|o| o.iter().any(|op| matches!(op, DbOp::Delegate { .. })))
+            .expect("a delegate ran the statement");
+        match &seen[delegate][..] {
+            [DbOp::Delegate { begin, sql, writeset: true, .. }, DbOp::Execute { sql: commit, .. }] => {
+                assert_eq!(begin.as_deref(), Some("BEGIN ISOLATION LEVEL SNAPSHOT"));
+                assert_eq!(sql.as_deref(), Some("INSERT INTO t1 VALUES (1, 1)"));
+                assert_eq!(commit, "COMMIT");
+            }
+            other => panic!("the delegate saw {other:?}"),
+        }
+        assert!(matches!(&seen[1 - delegate][..], [DbOp::ApplyWriteset { .. }]), "{:?}", seen[1 - delegate]);
+
+        request(&mut sim, (client, mw), 20_000, 2, 1, "BEGIN ISOLATION LEVEL SERIALIZABLE");
+        request(&mut sim, (client, mw), 21_000, 2, 2, "INSERT INTO t1 VALUES (2, 1)");
+        sim.run_until(SimTime(30_000));
+        let opened: Vec<Option<String>> = ops(&mut sim)
+            .into_iter()
+            .flatten()
+            .filter_map(|op| match op {
+                DbOp::Delegate { begin, writeset: false, .. } => Some(begin),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(opened, [Some("BEGIN ISOLATION LEVEL SERIALIZABLE".to_string())]);
+
+        let sent = |sim: &mut Sim<Msg>| ops(sim).iter().map(Vec::len).sum::<usize>();
+        let before = sent(&mut sim);
+        request(&mut sim, (client, mw), 40_000, 3, 1, "BEGIN");
+        request(&mut sim, (client, mw), 41_000, 3, 2, "COMMIT");
+        sim.run_until(SimTime(50_000));
+        assert_eq!(sent(&mut sim), before, "BEGIN; COMMIT ran nothing anywhere");
+        let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+        assert_eq!(replies, vec![Ok(ReplyBody::Ack); 5]);
+    }
+
+    /// One queued timer covers every op timeout, and each op still times
+    /// out at exactly its dispatch + `op_timeout_us`, failing its waiter.
+    #[test]
+    fn op_timeouts_are_exact_and_cheap() {
+        let timeout = MwConfig::defaults(Mode::MultiMasterWriteset).op_timeout_us;
+        // A thousand reads complete well inside the timeout. Per-op timers
+        // would leave a thousand queued events behind them.
+        let (mut sim, _, mw, client) = writeset_cluster(vec![ScriptedDb::new(&Writeset::default(), 0)], None);
+        sim.run_until(SimTime(50_000));
+        let idle = sim.pending_events();
+        for i in 0..1_000 {
+            request(&mut sim, (client, mw), 50_000 + 200 * i, 10 + i, 1, "SELECT v FROM t1");
+        }
+        sim.run_until(SimTime(290_000));
+        let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+        assert_eq!(replies, vec![Ok(ReplyBody::Ack); 1_000]);
+        assert!(sim.pending_events() <= idle, "{} events queued, {idle} before the reads", sim.pending_events());
+        assert!(sim.with_actor::<Middleware, _>(mw, |m| m.sweep_armed));
+
+        // A read dispatched between two pings to a backend that never
+        // answers: its timeout fails the backend and tells the client.
+        let (mut sim, _, mw, client) = writeset_cluster(vec![Silent], None);
+        request(&mut sim, (client, mw), 25_000, 1, 1, "SELECT v FROM t1");
+        sim.run_until(SimTime(25_000 + timeout - 1));
+        sim.with_actor::<Middleware, _>(mw, |m| assert!(m.metrics.failover_times.is_empty()));
+        sim.run_until(SimTime(25_000 + 2 * timeout));
+        sim.with_actor::<Middleware, _>(mw, |m| assert_eq!(m.metrics.failover_times, [25_000 + timeout]));
+        let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+        assert_eq!(replies, [Err(ReplyError::Unavailable("backend failed mid-request".into()))]);
+    }
+
     /// BEGIN is deferred, so a session in a transaction without a delegate
     /// is either about to pick one or has lost it. The second must not
     /// look like the first: statements run after the loss would commit
     /// without the ones before it.
     #[test]
     fn a_transaction_whose_delegate_is_lost_fails_instead_of_restarting() {
-        use replimid_simnet::{NetworkModel, Sim, SimTime};
-
         let two = Placement::new(vec![vec![0, 1], vec![0, 1]]).assign("t1", 1);
         for placement in [None, Some(two)] {
-            let mut sim: Sim<Msg> = Sim::new(NetworkModel::lan(), 5);
-            let dbs: Vec<NodeId> = (0..2)
-                .map(|_| sim.add_node(ScriptedDb { ws: Writeset::default(), applies: Vec::new() }))
-                .collect();
-            let mut cfg = MwConfig::defaults(Mode::MultiMasterWriteset);
-            cfg.placement = placement;
-            let mw = sim.add_node(Middleware::new(cfg, 0, vec![NodeId(dbs.len())], dbs));
-            let client = sim.add_node(Sink::default());
+            let dbs = vec![ScriptedDb::new(&Writeset::default(), 1), ScriptedDb::new(&Writeset::default(), 1)];
+            let (mut sim, _, mw, client) = writeset_cluster(dbs, placement);
             let mut stmt_seq = 0;
             let mut send = |sim: &mut Sim<Msg>, at: u64, sql: &str| {
                 stmt_seq += 1;
-                let req = ClientRequest { session: SessionId(1), stmt_seq, trace: 0, sql: sql.into() };
-                sim.inject_as(SimTime(at), client, mw, Msg::Request(req));
+                request(sim, (client, mw), at, 1, stmt_seq, sql);
             };
             send(&mut sim, 1_000, "BEGIN ISOLATION LEVEL SERIALIZABLE");
             send(&mut sim, 2_000, "INSERT INTO t1 VALUES (1, 1)");

@@ -218,8 +218,16 @@ pub enum DbOp {
     /// Prepared-statement variant of `ExecuteBatch` (plan-cache fan-out).
     /// Answered by the same `ExecBatchOut`.
     ExecuteBatchPlan { op: u64, stmts: Vec<PlanBatchStmt> },
-    /// Extract the open transaction's writeset (certification path).
-    PrepareWriteset { op: u64, conn: u64 },
+    /// Writeset mode's one op at a transaction's delegate, on connection
+    /// `conn`: `begin` (the BEGIN text opening the transaction's snapshot),
+    /// then `sql`, each when present; with `writeset` the answer is the
+    /// open transaction's writeset (`WritesetOut`) instead of the
+    /// statement's result. An explicit COMMIT is the extraction alone. The
+    /// node charges what the separate statements would have cost, and the
+    /// extraction nothing. `begin` with `writeset` is an implicit
+    /// transaction: a failed statement rolls it back at the node, charged
+    /// as that ROLLBACK.
+    Delegate { op: u64, conn: u64, begin: Option<String>, sql: Option<String>, writeset: bool },
     /// Apply a certified writeset as one transaction.
     ApplyWriteset { op: u64, ws: Writeset },
     /// Apply shipped binlog entries (slave side). `parallel_apply` groups
@@ -345,7 +353,7 @@ impl DbResp {
 
 /// A commit observed at a backend: the binlog LSN it got. The writeset
 /// stays at the node: the middleware certifies the writesets it asks for
-/// with `PrepareWriteset` and has no use for a commit's.
+/// with [`DbOp::Delegate`] and has no use for a commit's.
 #[derive(Debug, Clone)]
 pub struct CommitNote {
     pub lsn: Lsn,

@@ -1,6 +1,7 @@
 //! Failover, failback, and partition behaviour (§2.2, §4.3.3, §4.3.4.3).
 
 use replimid_core::{Cluster, ClusterConfig, Mode, NondetPolicy, Placement, TxSource};
+use replimid_gcs::HeartbeatConfig;
 use replimid_simnet::{dur, SimTime};
 
 struct SeqInsert {
@@ -98,6 +99,34 @@ fn multimaster_survives_backend_crash_without_client_failures() {
     cluster.run_for(dur::secs(1));
     let sums = cluster.backend_checksums();
     assert_eq!(sums[0][0], sums[0][2], "survivors agree");
+}
+
+/// A browned-out backend that stops answering inside the op timeout is
+/// evicted by the timeout of the op in flight, and that op's waiter is
+/// failed at once instead of left waiting for an answer that never comes:
+/// every transaction commits, in statement and writeset mode alike.
+#[test]
+fn an_op_timeout_fails_the_waiting_request() {
+    let modes = [
+        Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject },
+        Mode::MultiMasterWriteset,
+    ];
+    for mode in modes {
+        let mut cfg = ClusterConfig::new(mode.clone(), schema(), "shop");
+        cfg.backends_per_mw = 2;
+        cfg.mw.op_timeout_us = 40_000;
+        cfg.mw.heartbeat = HeartbeatConfig::tcp_default();
+        let mut cluster = Cluster::build(cfg);
+        let c = cluster.add_client(SeqInsert { next: 1_000 }, |cc| {
+            cc.request_timeout_us = 200_000;
+            cc.tx_limit = 600;
+        });
+        cluster.brownout_backend_at(SimTime::from_millis(300), 0, 1, 20_000.0);
+        cluster.run_for(dur::secs(10));
+        let m = cluster.client_metrics(c);
+        assert_eq!((m.failed, m.committed), (0, 600), "{mode:?}: {:?}", m.last_error);
+        assert!(cluster.mw_metrics(0).counters.false_evictions >= 1, "{mode:?}");
+    }
 }
 
 #[test]
