@@ -57,11 +57,6 @@ const TIMER_OP_SWEEP: u64 = 4;
 /// for a fresh-enough replica is released early by `drain_fresh_waiters`;
 /// this timer is the wait-or-primary escape hatch.
 const TIMER_FRESH_BASE: u64 = 500_000_000;
-/// Retry timers for writeset applications blocked by a local uncommitted
-/// transaction (released once that transaction certifies/aborts).
-const TIMER_RETRY_BASE: u64 = 1_000;
-const APPLY_RETRY_DELAY_US: u64 = 5_000;
-const APPLY_RETRY_MAX: u32 = 100;
 /// Per-group sequencer heartbeat ticks, tagged `SHARD_TICK_BASE + group` so
 /// `on_timer` can route each tick back to its shard (the embedded
 /// `GroupMember`s all arm the same `TICK_TAG`).
@@ -477,10 +472,10 @@ enum Pending {
     /// credits to the backend's per-group watermarks.
     PwCommit { session: SessionId, backend: BackendId, marks: Vec<(u32, u64)> },
     /// One group's writeset slice applied at one hosting backend.
-    PwApply { session: Option<SessionId>, backend: BackendId, group: u32, ws: Writeset, attempts: u32, pos: u64 },
+    PwApply { session: Option<SessionId>, backend: BackendId, group: u32, pos: u64 },
     /// Partial resync: dump request at the donor for `target`; `heads` are
     /// the per-group log heads snapshotted when the dump was requested.
-    PwResyncDump { target: BackendId, donor: BackendId, heads: Vec<u64> },
+    PwResyncDump { target: BackendId, heads: Vec<u64> },
     /// Partial resync: restore at the rejoining backend.
     PwResyncRestore { backend: BackendId, heads: Vec<u64> },
     /// Partial recovery: one per-group catch-up replay batch.
@@ -640,10 +635,6 @@ enum FlushReason {
     Deadline,
 }
 
-/// Retry payload for a writeset apply:
-/// (backend, group, writeset, origin session, attempt count, position).
-type PwRetry = (BackendId, u32, Writeset, Option<SessionId>, u32, u64);
-
 /// One client read on its way to a backend: dispatched at once, or parked in
 /// `fresh_waiters` until a replica catches up to `needs` (or the wait
 /// deadline fires).
@@ -684,9 +675,6 @@ struct Shards {
     xtx: HashMap<(u64, u64), XTx>,
     /// Deliveries buffered behind a recovery barrier, in arrival order.
     buffered: VecDeque<(usize, ReplEvent)>,
-    /// Writeset applications awaiting retry (timer id -> work).
-    retries: HashMap<u64, PwRetry>,
-    next_retry: u64,
     /// Rejoining backends in per-group catch-up replay.
     resync: HashMap<usize, PwCatchup>,
 }
@@ -719,8 +707,6 @@ impl Shards {
             batch_armed: vec![false; groups],
             xtx: HashMap::new(),
             buffered: VecDeque::new(),
-            retries: HashMap::new(),
-            next_retry: 0,
             resync: HashMap::new(),
             placement,
         }
@@ -777,14 +763,6 @@ impl Shards {
     fn take_batch(&mut self, g: usize) -> Vec<ReplEvent> {
         self.batch_armed[g] = false;
         std::mem::take(&mut self.batches[g])
-    }
-
-    /// Park a writeset application until its retry timer fires; returns
-    /// the timer id it is filed under in `retries`.
-    fn park_retry(&mut self, work: PwRetry) -> u64 {
-        self.next_retry += 1;
-        self.retries.insert(self.next_retry, work);
-        self.next_retry
     }
 }
 
@@ -2332,7 +2310,6 @@ impl Middleware {
                         );
                     } else {
                         let ws_wire = ws.clone();
-                        let ws_keep = ws.clone();
                         let sess = if origin { Some(session) } else { None };
                         if origin {
                             remaining += 1;
@@ -2340,14 +2317,7 @@ impl Middleware {
                         self.send_db(
                             ctx,
                             backend,
-                            Pending::PwApply {
-                                session: sess,
-                                backend,
-                                group: g as u32,
-                                ws: ws_keep,
-                                attempts: 0,
-                                pos: cert_pos,
-                            },
+                            Pending::PwApply { session: sess, backend, group: g as u32, pos: cert_pos },
                             move |op| DbOp::ApplyWriteset { op, ws: ws_wire },
                         );
                     }
@@ -2533,7 +2503,6 @@ impl Middleware {
                     continue;
                 }
                 let ws_wire = part.clone();
-                let ws_keep = part.clone();
                 let sess = if origin { Some(session) } else { None };
                 if origin {
                     remaining += 1;
@@ -2541,7 +2510,7 @@ impl Middleware {
                 self.send_db(
                     ctx,
                     backend,
-                    Pending::PwApply { session: sess, backend, group: gg, ws: ws_keep, attempts: 0, pos },
+                    Pending::PwApply { session: sess, backend, group: gg, pos },
                     move |op| DbOp::ApplyWriteset { op, ws: ws_wire },
                 );
             }
@@ -2800,17 +2769,18 @@ impl Middleware {
                         self.shards.marks[backend.0][g as usize].mark(pos);
                     }
                 }
-                self.finish_ws_part(ctx, Some(session), resp);
+                let failed = !matches!(resp, DbResp::ExecOk { .. });
+                self.finish_ws_part(ctx, Some(session), failed);
             }
-            Pending::PwApply { session, backend, group, ws, attempts, pos } => {
+            Pending::PwApply { session, backend, group, pos } => {
                 self.balancer.completed(backend);
                 if matches!(resp, DbResp::ApplyOk { .. }) {
                     self.shards.marks[backend.0][group as usize].mark(pos);
                 }
-                self.finish_pw_apply(ctx, session, backend, group, ws, attempts, pos, resp);
+                self.finish_pw_apply(ctx, session, backend, resp);
             }
-            Pending::PwResyncDump { target, donor, heads } => {
-                self.finish_pw_resync_dump(ctx, target, donor, heads, resp);
+            Pending::PwResyncDump { target, heads } => {
+                self.finish_pw_resync_dump(ctx, target, heads, resp);
             }
             Pending::PwResyncRestore { backend, heads } => {
                 self.finish_pw_resync_restore(ctx, backend, heads, resp);
@@ -3029,34 +2999,15 @@ impl Middleware {
         }
     }
 
-    /// A remote writeset application finished. Write conflicts mean a local
-    /// *uncertified* transaction holds the rows; it will be aborted by its
-    /// own certification shortly, so the apply retries the same (backend,
-    /// group, position) after a delay.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_pw_apply(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        session: Option<SessionId>,
-        backend: BackendId,
-        group: u32,
-        ws: Writeset,
-        attempts: u32,
-        pos: u64,
-        resp: DbResp,
-    ) {
-        if let DbResp::ApplyErr { err, .. } = &resp {
-            if err.is_retryable()
-                && attempts < APPLY_RETRY_MAX
-                && self.backends[backend.0].online()
-            {
-                let id = self.shards.park_retry((backend, group, ws, session, attempts + 1, pos));
-                ctx.set_timer(APPLY_RETRY_DELAY_US, TIMER_RETRY_BASE + id);
-                return;
-            }
-            // Permanent failure: the certified transaction IS committed
-            // cluster-wide; a backend that cannot apply it is divergent and
-            // must be dropped and rebuilt through the recovery log.
+    /// A remote writeset application finished. It cannot wait on a local
+    /// transaction (the engine wounds the holder, see
+    /// [`replimid_sql::Engine::apply_writeset`]), so any error means the
+    /// backend diverged: the certified transaction IS committed
+    /// cluster-wide, and a backend that cannot apply it is dropped and
+    /// rebuilt through the recovery log. The divergence is counted here,
+    /// once, so the origin's fan-out does not count it again.
+    fn finish_pw_apply(&mut self, ctx: &mut Ctx<'_, Msg>, session: Option<SessionId>, backend: BackendId, resp: DbResp) {
+        if matches!(resp, DbResp::ApplyErr { .. }) {
             self.metrics.counters.divergence_detected += 1;
             if self.backends[backend.0].online() {
                 self.backend_failed(ctx, backend);
@@ -3071,40 +3022,19 @@ impl Middleware {
                 self.note_pong(ctx, backend, lsn, lsn, u64::MAX, durable);
             }
         }
-        self.finish_ws_part(ctx, session, resp);
+        self.finish_ws_part(ctx, session, false);
     }
 
-    fn fire_apply_retry(&mut self, ctx: &mut Ctx<'_, Msg>, id: u64) {
-        let Some((backend, group, ws, session, attempts, pos)) = self.shards.retries.remove(&id) else {
-            return;
-        };
-        if !self.backends[backend.0].online() {
-            self.finish_ws_part(
-                ctx,
-                session,
-                DbResp::ApplyErr { op: 0, err: SqlError::Internal("backend lost".into()) },
-            );
-            return;
-        }
-        let ws2 = ws.clone();
-        self.send_db(
-            ctx,
-            backend,
-            Pending::PwApply { session, backend, group, ws, attempts, pos },
-            move |op| DbOp::ApplyWriteset { op, ws: ws2 },
-        );
-    }
-
-    fn finish_ws_part(&mut self, ctx: &mut Ctx<'_, Msg>, session: Option<SessionId>, resp: DbResp) {
+    /// One part of a certified commit's fan-out is done. If any part
+    /// failed, one divergence is counted when the last part is in.
+    fn finish_ws_part(&mut self, ctx: &mut Ctx<'_, Msg>, session: Option<SessionId>, part_failed: bool) {
         let Some(session) = session else { return };
         let current = match self.sessions.get(session.0).and_then(|s| s.current.clone()) {
             Some(c) => c,
             None => return,
         };
         let CurrentKind::WsFinalize { mut remaining, mut failed } = current.kind else { return };
-        if matches!(resp, DbResp::ExecErr { .. } | DbResp::ApplyErr { .. }) {
-            failed = true;
-        }
+        failed |= part_failed;
         remaining = remaining.saturating_sub(1);
         if remaining == 0 {
             if failed {
@@ -3721,7 +3651,7 @@ impl Middleware {
                 }
             }
             Pending::PwCommit { session, .. } | Pending::PwApply { session: Some(session), .. } => {
-                self.finish_ws_part(ctx, Some(session), DbResp::ApplyErr { op: 0, err: SqlError::Internal("backend failed".into()) });
+                self.finish_ws_part(ctx, Some(session), true);
             }
             Pending::ShipApply { backend, session, .. } => {
                 self.ship_busy.remove(&backend);
@@ -3985,40 +3915,18 @@ impl Middleware {
         // every apply at or below it was *sent to the donor before the dump
         // request* — breaks for positions whose fan-out is deferred: a
         // prepared-but-undecided cross-group slot (fan-out happens at
-        // decision time) or a failed apply awaiting its retry timer. Such a
-        // position reaches the donor after the dump is taken, yet catch-up
-        // skips everything at or below `heads` — a silent hole at the
-        // rejoiner. Defer instead; the next pong retries once the window
-        // clears.
-        if self.pw_resync_blocked(&target_hosted, donor, &heads) {
+        // decision time). Such a position reaches the donor after the dump
+        // is taken, yet catch-up skips everything at or below `heads` — a
+        // silent hole at the rejoiner. Defer instead; the next pong retries
+        // once the window clears.
+        if target_hosted.iter().any(|&g| self.pw_undecided_floor(g).is_some_and(|f| f <= heads[g])) {
             self.backends[backend.0].state = BackendState::Down;
             return;
         }
         self.backends[backend.0].state = BackendState::Resyncing;
-        self.send_db(ctx, donor, Pending::PwResyncDump { target: backend, donor, heads }, move |op| {
+        self.send_db(ctx, donor, Pending::PwResyncDump { target: backend, heads }, move |op| {
             DbOp::Dump { op, include_programs: true, include_principals: true }
         });
-    }
-
-    /// Would a dump from `donor` be unsafe as a catch-up baseline of
-    /// `heads` for a rejoiner hosting `hosted`? True while any
-    /// prepared-but-undecided cross-group slot, queued apply retry to the
-    /// donor, or refired retry still in flight to the donor sits at or
-    /// below the baseline in a hosted group — those applies land at the
-    /// donor *after* the dump, and catch-up would skip them.
-    fn pw_resync_blocked(&self, hosted: &[usize], donor: BackendId, heads: &[u64]) -> bool {
-        let p = &self.shards;
-        let below = |g: u32, pos: u64| {
-            let g = g as usize;
-            hosted.contains(&g) && pos <= heads.get(g).copied().unwrap_or(u64::MAX)
-        };
-        p.xtx.values().any(|x| {
-            x.groups.iter().zip(&x.pos).any(|(&g, &pos)| pos != 0 && below(g, pos))
-        }) || p.retries.values().any(|r| r.0 == donor && below(r.1, r.5))
-            || self.pending.values().any(|(pd, _)| {
-                matches!(pd, Pending::PwApply { backend, group, attempts, pos, .. }
-                    if *backend == donor && *attempts > 0 && below(*group, *pos))
-            })
     }
 
     /// Lowest log position in group `g` reserved by a still-undecided
@@ -4033,19 +3941,9 @@ impl Middleware {
             .min()
     }
 
-    fn finish_pw_resync_dump(&mut self, ctx: &mut Ctx<'_, Msg>, target: BackendId, donor: BackendId, heads: Vec<u64>, resp: DbResp) {
+    fn finish_pw_resync_dump(&mut self, ctx: &mut Ctx<'_, Msg>, target: BackendId, heads: Vec<u64>, resp: DbResp) {
         let DbResp::DumpOut { dump, head, .. } = resp else { return };
         if self.backends[target.0].state != BackendState::Resyncing {
-            return;
-        }
-        // An apply at or below the baseline can fail at the donor *after*
-        // the resync started but *before* the dump was served (its retry
-        // registers here before the dump response arrives, FIFO). The dump
-        // then misses that position: abandon this attempt and let the next
-        // pong start over.
-        let hosted = self.shards.hosted(target.0);
-        if self.pw_resync_blocked(&hosted, donor, &heads) {
-            self.backends[target.0].state = BackendState::Down;
             return;
         }
         self.send_db(
@@ -4432,7 +4330,6 @@ impl Actor<Msg> for Middleware {
                 self.flush_shard_batch(ctx, g, FlushReason::Deadline);
             }
             t if t >= TIMER_FRESH_BASE => self.fresh_wait_timed_out(ctx, t - TIMER_FRESH_BASE),
-            t if t >= TIMER_RETRY_BASE => self.fire_apply_retry(ctx, t - TIMER_RETRY_BASE),
             _ => {}
         }
     }
@@ -4532,19 +4429,19 @@ mod tests {
     }
 
     /// A backend that answers the writeset path from a script: statements
-    /// and COMMIT succeed, a delegate op asking for the writeset gets `ws`,
-    /// and the first `refuse` applies hit a row lock (retryable) while
-    /// later ones apply. It logs every op but pings, which it never answers
-    /// (an unanswered backend is never evicted).
+    /// and COMMIT succeed, a delegate op asking for the writeset of session
+    /// `n` gets `insert_ws(n)`, the first `refuse` applies fail, and later
+    /// ones apply, as do the dump, restore and replay of a rejoin. It logs
+    /// every op but pings, which it never answers (an unanswered backend is
+    /// never evicted).
     struct ScriptedDb {
-        ws: Writeset,
         refuse: usize,
         ops: Vec<DbOp>,
     }
 
     impl ScriptedDb {
-        fn new(ws: &Writeset, refuse: usize) -> Self {
-            ScriptedDb { ws: ws.clone(), refuse, ops: Vec::new() }
+        fn new(refuse: usize) -> Self {
+            ScriptedDb { refuse, ops: Vec::new() }
         }
 
         fn applies(&self) -> Vec<Writeset> {
@@ -4564,8 +4461,8 @@ mod tests {
             }
             self.ops.push(op.clone());
             let resp = match op {
-                DbOp::Delegate { op, writeset: true, .. } => {
-                    DbResp::WritesetOut { op, ws: Box::new(self.ws.clone()) }
+                DbOp::Delegate { op, conn, writeset: true, .. } => {
+                    DbResp::WritesetOut { op, ws: Box::new(insert_ws(conn as i64)) }
                 }
                 DbOp::Execute { op, .. } | DbOp::Delegate { op, .. } => {
                     DbResp::ExecOk { op, body: ReplyBody::Ack, commit: None, tainted: false }
@@ -4574,7 +4471,14 @@ mod tests {
                     let err = SqlError::WriteConflict { table: "t1".into(), detail: "row locked".into() };
                     DbResp::ApplyErr { op, err }
                 }
-                DbOp::ApplyWriteset { op, .. } => DbResp::ApplyOk { op, applied_lsn: Lsn(0) },
+                DbOp::ApplyWriteset { op, .. } | DbOp::ApplyBinlog { op, .. } => {
+                    DbResp::ApplyOk { op, applied_lsn: Lsn(0) }
+                }
+                DbOp::Dump { op, .. } => {
+                    let dump = replimid_sql::Engine::new(Default::default()).dump(Default::default());
+                    DbResp::DumpOut { op, dump: Box::new(dump), head: Lsn(0) }
+                }
+                DbOp::Restore { op, .. } => DbResp::RestoreOk { op },
                 _ => return,
             };
             ctx.send(from, Msg::DbR(resp));
@@ -4625,8 +4529,9 @@ mod tests {
         sim.inject_as(SimTime(at), client, mw, Msg::Request(req));
     }
 
-    /// The writeset a scripted delegate extracts: one row of `t1`.
-    fn insert_ws() -> Writeset {
+    /// The writeset a scripted delegate extracts for session `key`: one
+    /// row of `t1`.
+    fn insert_ws(key: i64) -> Writeset {
         use replimid_sql::mvcc::{RowId, WriteKind, WriteRecord};
         use replimid_sql::Value;
         Writeset {
@@ -4636,7 +4541,7 @@ mod tests {
                 row: RowId(1),
                 kind: WriteKind::Insert,
                 old: None,
-                new: Some(vec![Value::Int(1), Value::Int(1)]),
+                new: Some(vec![Value::Int(key), Value::Int(1)]),
                 temp: false,
             }],
             counters: None,
@@ -4644,45 +4549,47 @@ mod tests {
     }
 
     #[test]
-    fn retried_apply_resends_the_same_backend_group_and_position() {
-        let ws = insert_ws();
+    fn a_failed_apply_fails_its_backend_once_and_is_never_resent() {
         // G = 1: no placement. G = 2: both groups on both backends, `t1`
-        // in group 1. Either way the apply at the non-delegate is refused
-        // once, parks in the one retry table, and leaves through it.
+        // in group 1. Either way the first apply at the non-delegate fails:
+        // the backend is failed once and rejoins (log replay at G = 1, a
+        // donor dump at G = 2), and no apply is ever sent a second time.
         let two = Placement::new(vec![vec![0, 1], vec![0, 1]]).assign("t1", 1);
         for (placement, g) in [(None, 0usize), (Some(two), 1)] {
-            let dbs = vec![ScriptedDb::new(&ws, 1), ScriptedDb::new(&ws, 1)];
-            let (mut sim, dbs, mw, client) = writeset_cluster(dbs, placement);
+            let (mut sim, dbs, mw, client) = writeset_cluster(vec![ScriptedDb::new(1), ScriptedDb::new(1)], placement);
             request(&mut sim, (client, mw), 1_000, 1, 1, "INSERT INTO t1 VALUES (1, 1)");
-
-            // The delegate op, certify, fan-out and the refusal take four
-            // LAN round trips: well inside 4 ms, and the 5 ms retry delay
-            // has not elapsed.
-            sim.run_until(SimTime(5_000));
-            let (parked, groups) = sim.with_actor::<Middleware, _>(mw, |m| {
-                let parked: Vec<_> = m
-                    .shards
-                    .retries
-                    .values()
-                    .map(|(b, rg, _, sess, attempts, pos)| (*b, *rg, *sess, *attempts, *pos))
-                    .collect();
-                (parked, m.partial_groups())
-            });
-            assert_eq!(groups, g + 1);
-            let remote = parked.first().map(|p| p.0).expect("the refused apply parked for a retry");
-            assert_eq!(parked, [(remote, g as u32, Some(SessionId(1)), 1, 1)]);
-
-            sim.run_until(SimTime(20_000));
-            let applies = sim.with_actor::<ScriptedDb, _>(dbs[remote.0], |d| d.applies());
-            assert_eq!(applies, [ws.clone(), ws.clone()], "the retry re-sent the same writeset");
+            sim.run_until(SimTime(10_000));
+            let applies = |sim: &mut Sim<Msg>, b: usize| sim.with_actor::<ScriptedDb, _>(dbs[b], |d| d.applies());
+            let remote = (0..2).find(|&b| !applies(&mut sim, b).is_empty()).expect("the non-delegate got the apply");
+            // Only the backend that failed refuses anything.
+            sim.with_actor::<ScriptedDb, _>(dbs[1 - remote], |d| d.refuse = 0);
             sim.with_actor::<Middleware, _>(mw, |m| {
-                assert!(m.shards.retries.is_empty(), "the retry left the table");
-                for b in 0..2 {
-                    assert_eq!(m.pw_mark(BackendId(b), g), 1, "G={} backend {b}", g + 1);
-                }
-                assert_eq!(m.metrics.counters.commits, 1);
-                assert_eq!(m.metrics.counters.divergence_detected, 0);
+                assert_eq!(m.partial_groups(), g + 1);
+                assert_eq!(m.metrics.counters.divergence_detected, 1);
+                assert_eq!(m.metrics.failover_times.len(), 1);
+                assert_eq!(m.metrics.recoveries.iter().map(|r| r.0).collect::<Vec<_>>(), [remote], "it rejoined");
+                assert!(m.backends[remote].online());
             });
+
+            for session in 2..5 {
+                request(&mut sim, (client, mw), 10_000 * session, session, 1, "INSERT INTO t1 VALUES (2, 1)");
+            }
+            sim.run_until(SimTime(60_000));
+            for b in 0..2 {
+                let sent = applies(&mut sim, b);
+                let once = sent.iter().enumerate().all(|(i, ws)| !sent[..i].contains(ws));
+                assert!(once, "G={} backend {b} got an apply twice: {sent:?}", g + 1);
+            }
+            sim.with_actor::<Middleware, _>(mw, |m| {
+                for b in 0..2 {
+                    assert_eq!(m.pw_mark(BackendId(b), g), 4, "G={} backend {b}", g + 1);
+                }
+                assert_eq!(m.metrics.counters.commits, 4);
+                assert_eq!(m.metrics.counters.divergence_detected, 1);
+                assert_eq!(m.metrics.failover_times.len(), 1);
+            });
+            let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+            assert_eq!(replies, vec![Ok(ReplyBody::Ack); 4]);
         }
     }
 
@@ -4693,8 +4600,7 @@ mod tests {
     /// level. A transaction that runs no statement sends nothing.
     #[test]
     fn a_writeset_statement_reaches_its_delegate_once() {
-        let ws = insert_ws();
-        let dbs = vec![ScriptedDb::new(&ws, 0), ScriptedDb::new(&ws, 0)];
+        let dbs = vec![ScriptedDb::new(0), ScriptedDb::new(0)];
         let (mut sim, dbs, mw, client) = writeset_cluster(dbs, None);
         let ops = |sim: &mut Sim<Msg>| -> Vec<Vec<DbOp>> {
             dbs.iter().map(|&d| sim.with_actor::<ScriptedDb, _>(d, |d| d.ops.clone())).collect()
@@ -4746,7 +4652,7 @@ mod tests {
         let timeout = MwConfig::defaults(Mode::MultiMasterWriteset).op_timeout_us;
         // A thousand reads complete well inside the timeout. Per-op timers
         // would leave a thousand queued events behind them.
-        let (mut sim, _, mw, client) = writeset_cluster(vec![ScriptedDb::new(&Writeset::default(), 0)], None);
+        let (mut sim, _, mw, client) = writeset_cluster(vec![ScriptedDb::new(0)], None);
         sim.run_until(SimTime(50_000));
         let idle = sim.pending_events();
         for i in 0..1_000 {
@@ -4778,7 +4684,7 @@ mod tests {
     fn a_transaction_whose_delegate_is_lost_fails_instead_of_restarting() {
         let two = Placement::new(vec![vec![0, 1], vec![0, 1]]).assign("t1", 1);
         for placement in [None, Some(two)] {
-            let dbs = vec![ScriptedDb::new(&Writeset::default(), 1), ScriptedDb::new(&Writeset::default(), 1)];
+            let dbs = vec![ScriptedDb::new(0), ScriptedDb::new(0)];
             let (mut sim, _, mw, client) = writeset_cluster(dbs, placement);
             let mut stmt_seq = 0;
             let mut send = |sim: &mut Sim<Msg>, at: u64, sql: &str| {

@@ -18,11 +18,11 @@ use crate::det::Determinism;
 use crate::dump::{DatabaseDump, Dump, DumpOptions, TableDump};
 use crate::error::SqlError;
 use crate::exec::{self, StmtCtx};
-use crate::mvcc::{CommitTs, Snapshot, TxId, TxManager, WriteKind};
+use crate::mvcc::{CommitTs, RowId, Snapshot, TxId, TxManager, WriteKind, WriteRecord};
 use crate::parser::parse_statement;
 use crate::result::{CommitInfo, Cost, ExecResult, Outcome};
 use crate::sequence::Sequences;
-use crate::storage::{Table, TableSchema};
+use crate::storage::{ConflictOrError, Table, TableSchema};
 use crate::value::Value;
 use crate::wal::WalMaintain;
 use crate::writeset::{CounterSync, Writeset};
@@ -273,24 +273,28 @@ impl Engine {
         stmt: &Statement,
         sql_text: Option<&str>,
     ) -> Result<ExecResult, SqlError> {
-        // Poisoned-transaction protocol (PostgreSQL mode, §4.1.2).
+        // Poisoned-transaction protocol (PostgreSQL mode, §4.1.2). A wounded
+        // transaction answers the same way, but with a retryable conflict,
+        // and its COMMIT fails instead of pretending.
         if let Some(tx) = session.tx {
-            let poisoned = self.txm.state(tx).map(|s| s.poisoned).unwrap_or(false);
-            if poisoned {
-                match stmt {
-                    Statement::Rollback | Statement::Commit => {
-                        abort_tx(&mut self.catalog, &mut session.temp, &mut self.txm, tx)?;
-                        session.tx = None;
-                        session.explicit = false;
-                        session.tx_statements.clear();
-                        return Ok(ack(Cost::for_statement(0, 0, false), false));
-                    }
-                    _ => {
-                        return Err(SqlError::TransactionState(
-                            "transaction is aborted; issue ROLLBACK first".into(),
-                        ))
-                    }
+            let (poisoned, wounded) =
+                self.txm.state(tx).map_or((false, false), |s| (s.poisoned, s.wounded));
+            if poisoned || wounded {
+                if !matches!(stmt, Statement::Rollback | Statement::Commit) {
+                    return Err(if wounded {
+                        wound_conflict()
+                    } else {
+                        SqlError::TransactionState("transaction is aborted; issue ROLLBACK first".into())
+                    });
                 }
+                abort_tx(&mut self.catalog, &mut session.temp, &mut self.txm, tx)?;
+                session.tx = None;
+                session.explicit = false;
+                session.tx_statements.clear();
+                if wounded && matches!(stmt, Statement::Commit) {
+                    return Err(wound_conflict());
+                }
+                return Ok(ack(Cost::for_statement(0, 0, false), false));
             }
         }
 
@@ -681,6 +685,14 @@ impl Engine {
     /// auto-increment counters are **not** touched — the paper's documented
     /// divergence channel — unless the writeset carries a [`CounterSync`]
     /// and this engine is configured with `apply_counter_sync`.
+    ///
+    /// A certified writeset never waits. When a row it updates or deletes,
+    /// or a key it inserts, is held by a local open transaction, that
+    /// transaction is wounded ([`Engine::wound`]) and the entry applied.
+    /// The holder is doomed anyway: it wrote the row on a snapshot that
+    /// misses this writeset, so its own certification would abort it
+    /// (DESIGN.md, "A certified writeset never waits"). An apply that
+    /// still fails found divergence.
     pub fn apply_writeset(&mut self, ws: &Writeset) -> Result<ExecResult, SqlError> {
         let tx = self.txm.begin(IsolationLevel::SnapshotIsolation, true);
         let snap = self.txm.statement_snapshot(tx)?;
@@ -720,79 +732,40 @@ impl Engine {
     }
 
     fn apply_writeset_inner(&mut self, ws: &Writeset, snap: Snapshot) -> Result<(), SqlError> {
-        for entry in &ws.entries {
-            if entry.temp {
-                continue;
-            }
-            let table = self
-                .catalog
-                .database_mut(&entry.database)?
-                .table_mut(&entry.table)?;
-            let pk = table.schema.primary_key;
-            let locate = |table: &Table, image: &[Value]| -> Option<crate::mvcc::RowId> {
-                match pk {
-                    Some(pk) => table.lookup_pk(&image[pk], snap),
-                    None => table
-                        .scan(snap)
-                        .find(|(_, vals)| *vals == image)
-                        .map(|(id, _)| id),
-                }
-            };
-            let applied_row = match entry.kind {
-                WriteKind::Insert => {
-                    let new = entry.new.clone().ok_or_else(|| {
-                        SqlError::Internal("insert writeset entry without image".into())
-                    })?;
-                    table.insert(new, snap)?
-                }
-                WriteKind::Update => {
-                    let old = entry.old.as_ref().ok_or_else(|| {
-                        SqlError::Internal("update writeset entry without before-image".into())
-                    })?;
-                    let new = entry.new.clone().ok_or_else(|| {
-                        SqlError::Internal("update writeset entry without after-image".into())
-                    })?;
-                    let id = locate(table, old).ok_or_else(|| SqlError::WriteConflict {
-                        table: entry.table.clone(),
-                        detail: "row to update not found (divergence?)".into(),
-                    })?;
-                    table.update(id, new, snap, true).map_err(|e| match e {
-                        crate::storage::ConflictOrError::Conflict(k) => SqlError::WriteConflict {
-                            table: entry.table.clone(),
-                            detail: format!("{k:?}"),
-                        },
-                        crate::storage::ConflictOrError::Error(e) => e,
-                    })?;
-                    id
-                }
-                WriteKind::Delete => {
-                    let old = entry.old.as_ref().ok_or_else(|| {
-                        SqlError::Internal("delete writeset entry without before-image".into())
-                    })?;
-                    let id = locate(table, old).ok_or_else(|| SqlError::WriteConflict {
-                        table: entry.table.clone(),
-                        detail: "row to delete not found (divergence?)".into(),
-                    })?;
-                    table.delete(id, snap, true).map_err(|e| match e {
-                        crate::storage::ConflictOrError::Conflict(k) => SqlError::WriteConflict {
-                            table: entry.table.clone(),
-                            detail: format!("{k:?}"),
-                        },
-                        crate::storage::ConflictOrError::Error(e) => e,
-                    })?;
-                    id
+        for entry in ws.entries.iter().filter(|e| !e.temp) {
+            let mut table =
+                self.catalog.database_mut(&entry.database)?.table_mut(&entry.table)?;
+            let row = match apply_entry(table, entry, snap) {
+                Ok(row) => row,
+                Err((err, holders)) => {
+                    if holders.is_empty() {
+                        return Err(err);
+                    }
+                    for tx in holders {
+                        self.wound(tx)?;
+                    }
+                    table = self.catalog.database_mut(&entry.database)?.table_mut(&entry.table)?;
+                    apply_entry(table, entry, snap).map_err(|(err, _)| err)?
                 }
             };
             // Register the write so commit stamping finds the versions.
-            self.txm.state_mut(snap.tx)?.writes.push(crate::mvcc::WriteRecord {
-                database: entry.database.clone(),
-                table: entry.table.clone(),
-                row: applied_row,
-                kind: entry.kind,
-                old: entry.old.clone(),
-                new: entry.new.clone(),
-                temp: false,
-            });
+            self.txm.state_mut(snap.tx)?.writes.push(WriteRecord { row, temp: false, ..entry.clone() });
+        }
+        Ok(())
+    }
+
+    /// Wound the open transaction `tx`: unwind its non-temp writes now, so
+    /// a certified writeset can take the rows, and fail everything it
+    /// issues next but ROLLBACK, which also unwinds its temp-table writes.
+    fn wound(&mut self, tx: TxId) -> Result<(), SqlError> {
+        let st = self.txm.state_mut(tx)?;
+        st.wounded = true;
+        let (temp, shared): (Vec<_>, Vec<_>) = std::mem::take(&mut st.writes).into_iter().partition(|w| w.temp);
+        st.writes = temp;
+        for w in shared.iter().rev() {
+            if let Ok(t) = self.catalog.database_mut(&w.database).and_then(|d| d.table_mut(&w.table)) {
+                t.abort_unwind(w.row, tx);
+            }
         }
         Ok(())
     }
@@ -821,6 +794,9 @@ impl Engine {
             .tx
             .ok_or_else(|| SqlError::TransactionState("no open transaction".into()))?;
         let st = self.txm.state(tx)?;
+        if st.wounded {
+            return Err(wound_conflict());
+        }
         let entries: Vec<_> = st.writes.iter().filter(|w| !w.temp).cloned().collect();
         Ok(Writeset { entries, counters: None })
     }
@@ -1257,6 +1233,61 @@ impl Engine {
 
 fn ack(cost: Cost, tainted: bool) -> ExecResult {
     ExecResult { outcome: Outcome::Ack, cost, tainted, commit: None }
+}
+
+/// What a wounded transaction answers until it rolls back.
+fn wound_conflict() -> SqlError {
+    SqlError::WriteConflict {
+        table: "certification".into(),
+        detail: "wounded by a certified writeset".into(),
+    }
+}
+
+/// Apply one writeset entry to `table` for the applying transaction
+/// `snap.tx`, returning the row it wrote. A failure also names the open
+/// transactions holding the row or key the entry needed; none means the
+/// replica diverged.
+fn apply_entry(
+    table: &mut Table,
+    entry: &WriteRecord,
+    snap: Snapshot,
+) -> Result<RowId, (SqlError, Vec<TxId>)> {
+    let image = |img: &Option<Vec<Value>>, what: &str| {
+        img.clone().ok_or_else(|| {
+            (SqlError::Internal(format!("{:?} writeset entry without {what}", entry.kind)), Vec::new())
+        })
+    };
+    let old = match entry.kind {
+        WriteKind::Insert => {
+            let new = image(&entry.new, "image")?;
+            let key = table.schema.primary_key.map(|pk| new[pk].clone());
+            return table.insert(new, snap).map_err(|e| {
+                (e, key.map(|k| table.key_holders(&k, snap.tx)).unwrap_or_default())
+            });
+        }
+        WriteKind::Update | WriteKind::Delete => image(&entry.old, "before-image")?,
+    };
+    let found = match table.schema.primary_key {
+        Some(pk) => table.lookup_pk(&old[pk], snap).map(|(id, _)| id),
+        None => table.scan(snap).find(|(_, vals)| *vals == old.as_slice()).map(|(id, _)| id),
+    };
+    let row = found.ok_or_else(|| {
+        let verb = if entry.kind == WriteKind::Update { "update" } else { "delete" };
+        let detail = format!("row to {verb} not found (divergence?)");
+        (SqlError::WriteConflict { table: entry.table.clone(), detail }, Vec::new())
+    })?;
+    let written = match entry.kind {
+        WriteKind::Update => table.update(row, image(&entry.new, "after-image")?, snap, true).map(drop),
+        _ => table.delete(row, snap, true).map(drop),
+    };
+    written.map_err(|e| match e {
+        ConflictOrError::Conflict(k) => (
+            SqlError::WriteConflict { table: entry.table.clone(), detail: format!("{k:?}") },
+            table.row_holders(row, snap.tx),
+        ),
+        ConflictOrError::Error(e) => (e, Vec::new()),
+    })?;
+    Ok(row)
 }
 
 /// Commit a transaction: serializable validation, version stamping, writeset

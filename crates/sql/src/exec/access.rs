@@ -25,9 +25,9 @@
 //!   NULL has no type, so `k = NULL` (which accepts nothing) scans.
 //!
 //! `rows_read` counts candidates touched: visible rows on a full scan, the
-//! visible rows holding the key (at most one while keys are unique) on a
-//! point lookup. There are no range or secondary-index paths:
-//! no statement in the tree's workloads would take one.
+//! one visible row holding the key, if any, on a point lookup. There are no
+//! range or secondary-index paths: no statement in the tree's workloads
+//! would take one.
 
 use crate::ast::{Expr, ObjectName};
 use crate::error::SqlError;
@@ -104,7 +104,7 @@ pub(super) fn matching_rows<'a>(
     };
     match choose(table, qualifier, filter) {
         AccessPath::Point(key) => {
-            for (id, vals) in table.rows_with_pk(key, snap) {
+            if let Some((id, vals)) = table.lookup_pk(key, snap) {
                 consider(id, vals)?;
             }
         }

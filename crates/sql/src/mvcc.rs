@@ -79,6 +79,11 @@ pub struct TxState {
     /// `ErrorMode::AbortTransaction`: all further statements are rejected
     /// until ROLLBACK (§4.1.2).
     pub poisoned: bool,
+    /// Set when a certified writeset needed a row this transaction held
+    /// (see [`crate::Engine::apply_writeset`]). Its non-temp writes are
+    /// already unwound; everything but ROLLBACK fails with a retryable
+    /// write conflict.
+    pub wounded: bool,
     /// True for transactions opened implicitly (autocommit).
     pub implicit: bool,
 }
@@ -114,6 +119,7 @@ impl TxManager {
                 writes: Vec::new(),
                 read_tables: Vec::new(),
                 poisoned: false,
+                wounded: false,
                 implicit,
             },
         );

@@ -166,54 +166,64 @@ impl Table {
             .map(|v| v.values.as_slice())
     }
 
-    /// Look up a row id by primary-key value, restricted to versions visible
-    /// to `snap`.
-    pub fn lookup_pk(&self, key: &Value, snap: Snapshot) -> Option<RowId> {
+    /// The row with primary key `key` visible to `snap`, and its values.
+    /// Keys are unique per snapshot ([`Self::claim_key`]), so there is at
+    /// most one.
+    pub fn lookup_pk(&self, key: &Value, snap: Snapshot) -> Option<(RowId, &[Value])> {
+        let pk = self.schema.primary_key?;
         let ids = self.pk_index.get(&IndexKey(key.clone()))?;
-        ids.iter()
-            .copied()
-            .find(|id| self.get(*id, snap).is_some_and(|vals| {
-                self.schema
-                    .primary_key
-                    .is_some_and(|pk| vals[pk] == *key)
-            }))
-    }
-
-    /// Every row visible to `snap` whose primary key is `key`, in row-id
-    /// order — the order [`scan`](Self::scan) yields them. More than one
-    /// only once a transaction on a stale snapshot has committed a key that
-    /// was inserted after it began (`pk_occupied` sees neither row).
-    pub fn rows_with_pk<'a>(
-        &'a self,
-        key: &'a Value,
-        snap: Snapshot,
-    ) -> impl Iterator<Item = (RowId, &'a [Value])> + 'a {
-        let mut ids = self.pk_index.get(&IndexKey(key.clone())).cloned().unwrap_or_default();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.into_iter().filter_map(move |id| {
+        ids.iter().find_map(|&id| {
             let vals = self.get(id, snap)?;
-            (vals[self.schema.primary_key?] == *key).then_some((id, vals))
+            (vals[pk] == *key).then_some((id, vals))
         })
     }
 
-    /// True if any version of a row with this PK is visible to `snap` *or*
-    /// pending from an uncommitted transaction (uniqueness must account for
-    /// concurrent inserts).
-    fn pk_occupied(&self, key: &Value, snap: Snapshot) -> bool {
-        let Some(pk) = self.schema.primary_key else { return false };
-        let Some(ids) = self.pk_index.get(&IndexKey(key.clone())) else {
-            return false;
-        };
-        ids.iter().any(|id| {
-            self.rows.get(id).is_some_and(|chain| {
-                chain.iter().any(|v| {
-                    v.values[pk] == *key
-                        && (v.visible_to(snap)
-                            || (v.begin_ts.is_none() && v.end_tx.is_none()))
-                })
-            })
-        })
+    /// Every version, of the rows the index lists under `key`, whose
+    /// primary key (column `pk`) is `key`.
+    fn key_versions<'a>(&'a self, pk: usize, key: &'a Value) -> impl Iterator<Item = &'a Version> + 'a {
+        let ids = self.pk_index.get(&IndexKey(key.clone()));
+        ids.into_iter()
+            .flatten()
+            .filter_map(|id| self.rows.get(id))
+            .flatten()
+            .filter(move |v| v.values[pk] == *key)
+    }
+
+    /// May `snap` write a row whose primary key (column `pk`) is `key`? Not
+    /// if a version of the key is visible to it or still uncommitted (a
+    /// duplicate), nor if one committed after its snapshot:
+    /// first-committer-wins, as for an update of a row committed since.
+    fn claim_key(&self, pk: usize, key: &Value, snap: Snapshot) -> Result<(), SqlError> {
+        let mut newer = false;
+        for v in self.key_versions(pk, key) {
+            if v.visible_to(snap) || (v.begin_ts.is_none() && v.end_tx.is_none()) {
+                let name = &self.schema.columns[pk].name;
+                return Err(SqlError::DuplicateKey(format!("{name}={key}")));
+            }
+            newer |= v.begin_ts.is_some_and(|ts| ts > snap.ts);
+        }
+        if newer {
+            return Err(SqlError::WriteConflict {
+                table: self.schema.name.clone(),
+                detail: format!("{:?}", ConflictKind::NewerCommit),
+            });
+        }
+        Ok(())
+    }
+
+    /// Open transactions other than `me` that hold `row`: each created a
+    /// version of it that is not committed yet, or ended one.
+    pub fn row_holders(&self, row: RowId, me: TxId) -> Vec<TxId> {
+        holders(self.rows.get(&row).into_iter().flatten(), me)
+    }
+
+    /// Open transactions other than `me` that hold primary key `key` with
+    /// a version not committed yet.
+    pub fn key_holders(&self, key: &Value, me: TxId) -> Vec<TxId> {
+        match self.schema.primary_key {
+            Some(pk) => holders(self.key_versions(pk, key), me),
+            None => Vec::new(),
+        }
     }
 
     /// Insert a row version for transaction `snap.tx`.
@@ -227,12 +237,7 @@ impl Table {
                     self.schema.columns[pk].name
                 )));
             }
-            if self.pk_occupied(key, snap) {
-                return Err(SqlError::DuplicateKey(format!(
-                    "{}={key}",
-                    self.schema.columns[pk].name
-                )));
-            }
+            self.claim_key(pk, key, snap)?;
         }
         let id = RowId(self.next_row_id);
         self.next_row_id += 1;
@@ -304,11 +309,8 @@ impl Table {
             let old = self
                 .get(row, snap)
                 .ok_or_else(|| ConflictOrError::Error(SqlError::Internal("row vanished".into())))?;
-            if old[pk] != new_key && self.pk_occupied(&new_key, snap) {
-                return Err(ConflictOrError::Error(SqlError::DuplicateKey(format!(
-                    "{}={new_key}",
-                    self.schema.columns[pk].name
-                ))));
+            if old[pk] != new_key {
+                self.claim_key(pk, &new_key, snap).map_err(ConflictOrError::Error)?;
             }
         }
         let idx = self
@@ -446,6 +448,22 @@ impl Table {
         let snap = Snapshot { ts, tx: TxId(u64::MAX) };
         self.scan(snap).map(|(_, v)| v.to_vec()).collect()
     }
+}
+
+/// The transactions other than `me` with an uncommitted begin or end on
+/// one of `versions`, each once.
+fn holders<'a>(versions: impl Iterator<Item = &'a Version>, me: TxId) -> Vec<TxId> {
+    let mut out: Vec<TxId> = Vec::new();
+    for v in versions {
+        let begun = v.begin_ts.is_none().then_some(v.begin_tx);
+        let ended = v.end_tx.filter(|_| v.end_ts.is_none());
+        for tx in [begun, ended].into_iter().flatten() {
+            if tx != me && !out.contains(&tx) {
+                out.push(tx);
+            }
+        }
+    }
+    out
 }
 
 /// Either a concurrency conflict (retryable, engine-translated into
@@ -609,7 +627,7 @@ mod tests {
         t.update(id, vec![Value::Int(7), Value::Null], snap(2, 1), true).unwrap();
         t.commit_stamp(id, TxId(2), CommitTs(2));
         let s = snap(9, 2);
-        assert_eq!(t.lookup_pk(&Value::Int(7), s), Some(id));
-        assert_eq!(t.lookup_pk(&Value::Int(1), s), None);
+        assert_eq!(t.lookup_pk(&Value::Int(7), s).map(|(row, _)| row), Some(id));
+        assert!(t.lookup_pk(&Value::Int(1), s).is_none());
     }
 }

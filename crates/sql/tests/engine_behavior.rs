@@ -2,6 +2,7 @@
 //! paper section whose gap each group exercises.
 
 use replimid_sql::engine::{ConnId, Engine, EngineConfig};
+use replimid_sql::writeset::Writeset;
 use replimid_sql::{DumpOptions, Outcome, SqlError, Value, ADMIN_PASSWORD, ADMIN_USER};
 
 fn setup() -> (Engine, ConnId) {
@@ -579,20 +580,54 @@ fn integer_keys_above_2_pow_53_stay_distinct() {
     assert_eq!(by_key(&mut e, below), [[Value::Int(2)]]);
 }
 
+// ---------------------------------------------------------------------
+// A certified writeset never waits (§4.3.2)
+// ---------------------------------------------------------------------
+
+/// The writeset `sql` commits on a fresh copy of `setup()`'s data.
+fn writeset_of(sql: &str) -> Writeset {
+    let (mut src, c) = setup();
+    src.execute(c, sql).unwrap().commit.unwrap().writeset
+}
+
+/// Is `r` the retryable conflict a wounded transaction answers?
+fn wounded<T>(r: Result<T, SqlError>) -> bool {
+    matches!(&r, Err(err @ SqlError::WriteConflict { .. }) if err.is_retryable())
+}
+
 #[test]
-fn point_lookup_and_scan_agree_on_a_duplicated_key() {
-    // A known engine defect: an insert on a stale snapshot does not see a
-    // key committed since, so both rows commit. The point path must still
-    // return what a scan does.
-    let (mut e, c1) = setup();
-    let c2 = second_connection(&mut e);
-    e.execute(c1, "BEGIN ISOLATION LEVEL SNAPSHOT").unwrap();
-    e.execute(c2, "INSERT INTO acct VALUES (7, 1)").unwrap();
-    e.execute(c1, "INSERT INTO acct VALUES (7, 2)").unwrap();
-    e.execute(c1, "COMMIT").unwrap();
-    let scanned = q(&mut e, c2, "SELECT bal FROM acct WHERE id + 0 = 7");
-    assert_eq!(scanned.len(), 2, "the defect this test depends on is gone: drop the test");
-    assert_eq!(q(&mut e, c2, "SELECT bal FROM acct WHERE id = 7"), scanned);
-    let hit = e.execute(c2, "UPDATE acct SET bal = bal + 1 WHERE id = 7").unwrap();
-    assert_eq!(hit.outcome.affected(), 2);
+fn a_certified_writeset_wounds_the_open_transaction_holding_its_row() {
+    // (what the holder did, what the writeset does, acct afterwards)
+    let cases = [
+        ("UPDATE acct SET bal = 1 WHERE id = 1", "UPDATE acct SET bal = 150 WHERE id = 1", vec![(1, 150), (2, 7)]),
+        ("DELETE FROM acct WHERE id = 1", "DELETE FROM acct WHERE id = 1", vec![(2, 7)]),
+        ("UPDATE acct SET bal = 1 WHERE id = 1", "DELETE FROM acct WHERE id = 1", vec![(2, 7)]),
+        ("INSERT INTO acct VALUES (3, 1)", "INSERT INTO acct VALUES (3, 300)", vec![(1, 100), (2, 7), (3, 300)]),
+    ];
+    for (i, (held, applied, after)) in cases.into_iter().enumerate() {
+        let (mut e, c) = setup();
+        let holder = second_connection(&mut e);
+        let bystander = second_connection(&mut e);
+        e.execute(holder, "CREATE TEMPORARY TABLE scratch (k INT PRIMARY KEY)").unwrap();
+        e.execute(holder, "BEGIN ISOLATION LEVEL SNAPSHOT").unwrap();
+        e.execute(holder, "INSERT INTO scratch VALUES (1)").unwrap();
+        e.execute(holder, held).unwrap();
+        e.execute(bystander, "BEGIN ISOLATION LEVEL SNAPSHOT").unwrap();
+        e.execute(bystander, "UPDATE acct SET bal = 7 WHERE id = 2").unwrap();
+
+        e.apply_writeset(&writeset_of(applied)).unwrap();
+        assert!(wounded(e.execute(holder, "SELECT COUNT(*) FROM acct")), "{held} / {applied}");
+        assert!(wounded(e.pending_writeset(holder)));
+        if i == 0 {
+            // COMMIT fails and ends the transaction, as ROLLBACK does.
+            assert!(wounded(e.execute(holder, "COMMIT")));
+        }
+        e.execute(holder, "ROLLBACK").unwrap();
+        assert_eq!(scalar_int(&mut e, holder, "SELECT COUNT(*) FROM scratch"), 0, "temp write unwound");
+        // The bystander held no row the writeset needed.
+        e.execute(bystander, "COMMIT").unwrap();
+        let rows = q(&mut e, c, "SELECT id, bal FROM acct ORDER BY id");
+        let want: Vec<Vec<Value>> = after.into_iter().map(|(k, v)| vec![Value::Int(k), Value::Int(v)]).collect();
+        assert_eq!(rows, want, "{held} / {applied}");
+    }
 }

@@ -94,6 +94,19 @@ fn write_skew_allowed_under_si_rejected_under_serializable() {
 }
 
 #[test]
+fn insert_on_a_stale_snapshot_conflicts_with_a_key_committed_since() {
+    let (mut e, c1, c2) = setup();
+    e.execute(c1, "BEGIN ISOLATION LEVEL SNAPSHOT").unwrap();
+    e.execute(c2, "INSERT INTO acct VALUES (7, 1)").unwrap();
+    // c1's snapshot misses key 7, but first-committer-wins still applies.
+    let err = e.execute(c1, "INSERT INTO acct VALUES (7, 2)").unwrap_err();
+    assert!(matches!(err, SqlError::WriteConflict { .. }) && err.is_retryable(), "{err}");
+    e.execute(c1, "ROLLBACK").unwrap();
+    let count = e.execute(c2, "SELECT COUNT(*) FROM acct WHERE id + 0 = 7").unwrap().outcome;
+    assert!(matches!(count, Outcome::Rows(rs) if rs.rows == [[Value::Int(1)]]));
+}
+
+#[test]
 fn read_committed_sees_each_statements_fresh_snapshot() {
     let (mut e, c1, c2) = setup();
     e.execute(c1, "BEGIN ISOLATION LEVEL READ COMMITTED").unwrap();
