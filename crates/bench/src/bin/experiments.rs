@@ -352,7 +352,7 @@ fn e5_multimaster_saturation() {
             let mut cfg = mm_statement_cfg(500);
             cfg.backends_per_mw = replicas;
             let mut cluster = Cluster::build(cfg);
-            let clients: Vec<NodeId> = (0..replicas * 16)
+            let clients: Vec<NodeId> = (0..replicas * 32)
                 .map(|_| {
                     cluster.add_client(
                         micro::ReadWriteMix { total_keys: 500, write_fraction: wf },
@@ -1122,10 +1122,11 @@ fn e16_gray_failure_campaign() {
         // health-driven mechanisms (LPRF would partially route around a
         // backlogged replica on its own).
         cfg.mw.policy = Policy::RoundRobin;
-        // Backends costed at 100x CPU (the E22 idiom): a statement takes
-        // ~4 ms, so a 6-10x brownout holds one for longer than the 30 ms
-        // silence timeout below. A 41 µs point read never would.
-        cfg.backend_speed = vec![100.0];
+        // Backends costed at 178x CPU (the E22 idiom): a point read (23 µs
+        // as a plan) takes ~4.1 ms, so a 6-10x brownout holds one for
+        // longer than the 30 ms silence timeout below. A 23 µs point read
+        // never would.
+        cfg.backend_speed = vec![178.0];
         // Aggressive fixed detector: the tuning that finds real crashes
         // fast is exactly the one a browned-out statement or a jitter spike
         // fools (§4.3.4.2).
@@ -1392,7 +1393,7 @@ fn e17_latency_attribution() {
 
     // -- appended: plan-cache attribution on the parse-heavy insert mix --
     println!(
-        "  plan cache on the parse-heavy mix — single-row inserts over 8\n  disjoint tables (8 templates, literals changing every statement), 32\n  clients, group commit 32/200µs, 5s. With the cache on, the middleware\n  parses each template once, binds literals, and ships the parsed\n  statement; backends skip their parser. Under group commit one network\n  delivery carries a whole batch, so the Execute span (delivery ->\n  slowest backend ack) is dominated by backend CPU — exactly where the\n  per-statement parse cost lived:\n"
+        "  plan cache on the parse-heavy mix — single-row inserts over 8\n  disjoint tables (8 templates, literals changing every statement), 32\n  clients, group commit 32/200µs, 5s. Every backend executes the\n  middleware's admission-time parse whatever the capacity; with the\n  cache on, the middleware reuses each template's parse and binds the\n  literals instead of parsing every statement whole. That reuse is\n  middleware CPU, which the virtual clock does not price (Admission is\n  a zero-width stage), so both arms must attribute identically:\n"
     );
     let mut t = Table::new(&[
         "cache",
@@ -1429,16 +1430,15 @@ fn e17_latency_attribution() {
     }
     t.print();
     println!(
-        "  combined Admission+Execute stage time: {:.1} ms (off) -> {:.1} ms (on),\n  a {:.1}% cut — the backend parse eliminated on every fan-out execution.\n",
+        "  combined Admission+Execute stage time: {:.1} ms (off), {:.1} ms (on).\n  Reuse moves no virtual time; its price is wall clock (the repo\n  benchmark's sql.plan.hit_ns / miss_ns probes).\n",
         combined[0] as f64 / 1_000.0,
         combined[1] as f64 / 1_000.0,
-        100.0 * (combined[0].saturating_sub(combined[1])) as f64 / combined[0].max(1) as f64,
     );
 }
 
 /// One plan-cache attribution arm for the E17 appendix: the E18 insert
 /// workload (8 templates, fresh literals each statement) with the plan
-/// cache set as given; `plan_cache = 0` is the exact pre-cache byte path.
+/// cache set as given (0 = no reuse).
 fn e17_plan_arm(plan_cache: usize, secs: u64) -> replimid_core::MwMetrics {
     // The E18 best batching arm: with ~32-statement batches one delivery
     // amortizes the network hop over the whole batch, so the Execute span
@@ -1702,7 +1702,7 @@ fn e19_freshness_routing() {
 
     // -- (c) sessions x backends: does read capacity still scale-out? --
     println!(
-        "\n  (c) fleet size x backend count under `fresh` — 10ms shipping, 10%\n  writes, 3s per cell. Think time grows with the fleet so every cell\n  offers the same demand, derived from the measured cost of one point\n  read (41µs): what five read-only backends could serve, ~122k req/s.\n  That is past what 1, 3, or 7 slaves deliver, so added slaves turn into\n  throughput. The failure detector is set to\n  the paper's tcp-default anti-pattern so deliberate queueing is\n  measured as latency instead of evicting live nodes (detection under\n  load is E11/E16's subject), and closed-loop p50/p99 absorb the\n  oversubscription in the capacity-limited cells. The session table is\n  the middleware structure under test at 10^5 entries; scale-out is\n  sublinear in slaves because every slave also pays the apply cost of\n  every write (the lazy-replication tax from E1).\n"
+        "\n  (c) fleet size x backend count under `fresh` — 10ms shipping, 10%\n  writes, 3s per cell. Think time grows with the fleet so every cell\n  offers the same demand, derived from the measured cost of one point\n  read as a backend runs it (23µs): what five read-only backends could\n  serve, ~217k req/s, more than 1, 3, or 7 slaves deliver. The failure\n  detector is set to the paper's tcp-default anti-pattern so deliberate\n  queueing is measured as latency instead of evicting live nodes\n  (detection under load is E11/E16's subject), and closed-loop p50/p99\n  absorb the oversubscription in the capacity-limited cells. The session\n  table is the middleware structure under test at 10^5 entries;\n  scale-out is sublinear in slaves because every slave also pays the\n  apply cost of every write (the lazy-replication tax from E1).\n"
     );
     let mut t = Table::new(&[
         "sessions",
@@ -2094,7 +2094,7 @@ impl replimid_core::TxSource for TemplateCycle {
 
 /// One E21 cell: statement-mode multi-master over `templates` disjoint
 /// tables, 8 closed-loop clients, plan cache of the given capacity
-/// (0 = off, the exact pre-cache byte path).
+/// (0 = no reuse).
 fn e21_arm(plan_cache: usize, templates: usize, secs: u64) -> replimid_core::MwMetrics {
     let mut schema = vec!["CREATE DATABASE bench".to_string(), "USE bench".to_string()];
     for i in 0..templates {
@@ -2130,7 +2130,7 @@ fn e21_plan_cache() {
     banner("E21", "plan cache: capacity x distinct templates (hit rate vs speedup)");
     let secs = 5u64;
     println!(
-        "  Single-row inserts cycling over T disjoint tables (T distinct\n  statement templates, fresh literals every statement), 8 clients, 3\n  replicas, {secs}s per cell. The middleware normalizes each statement\n  (literals -> params), consults a bounded-LRU plan cache, and — with\n  the cache on — ships the parsed template + params so backends skip\n  their parser. Cycling access is LRU's worst case: the moment T\n  exceeds the capacity the hit rate collapses to zero and every\n  statement pays a miss plus an eviction, which is why capacity sits\n  on the row axis of a real deployment's sizing decision.\n"
+        "  Single-row inserts cycling over T disjoint tables (T distinct\n  statement templates, fresh literals every statement), 8 clients, 3\n  replicas, {secs}s per cell. With the cache on the middleware\n  normalizes each statement (literals -> params) and consults a\n  bounded-LRU plan cache; in every cell it ships the parsed statement,\n  so no backend parses anything. Cycling access is LRU's worst case:\n  the moment T exceeds the capacity the hit rate collapses to zero and\n  every statement pays a miss plus an eviction, which is why capacity\n  sits on the row axis of a real deployment's sizing decision.\n"
     );
     let mut t = Table::new(&[
         "cache",
@@ -2172,7 +2172,7 @@ fn e21_plan_cache() {
     }
     t.print();
     println!(
-        "  (A miss still ships the parsed form — the parse happens once at the\n   middleware instead of once per replica — so even the thrashing cells\n   beat `off`, and the virtual-time columns are flat in hit rate:\n   middleware-side parse CPU is outside the simulator's cost model\n   (admission is a zero-width stage). What a hit buys over a miss is\n   wall-clock middleware CPU, and the repo benchmark's sql.plan.hit_ns /\n   miss_ns / sql.parser.parse_ns probes price it honestly: for\n   statements this small a hit (normalize+bind) costs about half a miss\n   but about the SAME as one plain parse (binding clones the template),\n   so admission CPU is roughly unchanged and the pipeline's real win is\n   the three downstream parses it removes on hit and miss alike. The\n   off arm is the pre-cache code path byte-for-byte: plan_cache = 0\n   changes no message, cost, or decision in E1-E20.)\n"
+        "  (Every cell, `off` included, ships the admission-time parse, so the\n   virtual-time columns are flat in hit rate by construction: what a\n   hit buys over a miss or `off` is wall-clock middleware CPU, outside\n   the simulator's cost model (admission is a zero-width stage). The\n   repo benchmark's sql.plan.hit_ns / miss_ns / sql.parser.parse_ns\n   probes price it: for statements this small a hit (normalize+bind)\n   costs about half a miss but about the same as one plain parse, so\n   admission CPU is roughly unchanged; the pipeline's win is the\n   backend parses it removes, at every capacity.)\n"
     );
 }
 
@@ -2299,50 +2299,6 @@ fn e22_partial_replication() {
     }
     t.print();
 
-    // Appendix (satellite to E17's attribution work): the conflict-class
-    // cache. At statement delivery the middleware extracts each
-    // statement's written tables (its conflict classes) from the plan
-    // template for the recovery log; with the plan cache on, templates
-    // are shared `Arc`s, so the extraction can be cached per template
-    // instead of re-run per statement (class_cost_us models the walk).
-    println!(
-        "  appendix — conflict-class cache (statement mode, plan cache 256,\n  class derivation costed at 5 µs/stmt, 8-template sharded insert\n  stream): caching the per-template written-table extraction removes\n  the walk from every delivery after the first sight of a template:\n"
-    );
-    let class_arm = |class_cache: usize| {
-        let mut cfg = group_commit_cfg(1, 0);
-        cfg.mw.plan_cache = 256;
-        cfg.mw.class_cost_us = 5;
-        cfg.mw.class_cache = class_cache;
-        let mut cluster = Cluster::build(cfg);
-        let clients: Vec<NodeId> = (0..8)
-            .map(|i| {
-                cluster.add_client(ShardedInsert::new(10_000_000 * (i as i64 + 1)), |cc| {
-                    cc.think_time_us = 200;
-                    cc.request_timeout_us = 2_000_000;
-                })
-            })
-            .collect();
-        run_and_drain(&mut cluster, secs);
-        (aggregate(&mut cluster, &clients), cluster.mw_metrics(0))
-    };
-    let mut t = Table::new(&["class cache", "hit %", "hits", "misses", "write tps", "p99 w µs"]);
-    for cache in [0usize, 256] {
-        let (agg, mw) = class_arm(cache);
-        let lookups = mw.counters.cert_class_hits + mw.counters.cert_class_misses;
-        t.row(&[
-            if cache == 0 { "off".into() } else { cache.to_string() },
-            if lookups == 0 {
-                "-".into()
-            } else {
-                format!("{:.1}", 100.0 * mw.counters.cert_class_hits as f64 / lookups as f64)
-            },
-            mw.counters.cert_class_hits.to_string(),
-            mw.counters.cert_class_misses.to_string(),
-            format!("{:.0}", tps(agg.committed, secs)),
-            mw.write_latency.quantile_us(0.99).to_string(),
-        ]);
-    }
-    t.print();
     println!(
         "  (Full replication is the one-group placement hosted everywhere: the\n   no-placement arms above and E1-E21 run this same per-group pipeline\n   with G = 1, and the trivial_placement_is_byte_identical test asserts\n   that no placement and the explicit one-group placement agree on\n   every counter, certifier stat and checksum.)\n"
     );
@@ -2435,11 +2391,11 @@ fn e23_arm(
     cfg.mw.policy = Policy::RoundRobin;
     cfg.mw.quarantine = Some(QuarantineConfig::default());
     cfg.mw.initial_removed = initial_removed;
-    // Backends costed at 22x CPU (the E22 idiom): a point read is ~0.9 ms
-    // and an insert ~1.3 ms on every replica, so 1700/s keeps three
-    // backends ~63% busy and two ~90%. Capacity sits near the arrival
-    // rate: losing or gaining a replica moves the needle.
-    cfg.backend_speed = vec![22.0];
+    // Backends costed at 39x CPU (the E22 idiom): a point read (23 µs as
+    // a plan) is ~0.9 ms on every replica, so 1700/s keeps three backends
+    // about two-thirds busy and two about nine-tenths. Capacity sits near
+    // the arrival rate: losing or gaining a replica moves the needle.
+    cfg.backend_speed = vec![39.0];
     let mut cluster = Cluster::build(cfg);
     let mut olc = replimid_workload::OpenLoopConfig::new(
         replimid_workload::ArrivalProcess::Poisson { rate_per_sec: rate },

@@ -43,16 +43,17 @@ pub fn mm_statement_cfg(rows: usize) -> ClusterConfig {
 /// deliver (each also replays every write), so the cell is capacity-
 /// limited and added slaves show up as throughput. The per-read cost is
 /// measured, not assumed: the fleet's own read statement is run on a
-/// scratch engine holding one `keys_per_table` shard.
+/// scratch engine holding one `keys_per_table` shard, as a backend runs
+/// it (a parsed plan).
 pub fn saturating_fleet_think_us(sessions: usize, keys_per_table: usize) -> u64 {
     let schema = micro::sharded_schema("bench", keys_per_table, keys_per_table);
     let mut engine = replimid_core::cluster::build_engine(Default::default(), &schema);
     let conn = engine
         .connect(replimid_sql::ADMIN_USER, replimid_sql::ADMIN_PASSWORD)
         .expect("admin login");
-    let read = engine
-        .execute(conn, "SELECT v FROM bench.bench_0 WHERE k = 0")
-        .expect("fleet point read");
+    let stmt = replimid_sql::parse_statement("SELECT v FROM bench.bench_0 WHERE k = 0")
+        .expect("fleet point read parses");
+    let read = engine.execute_prepared(conn, &stmt).expect("fleet point read");
     sessions as u64 * read.cost.cpu_us / 5
 }
 
@@ -216,9 +217,13 @@ impl Table {
     }
 }
 
-/// Run a cluster for `secs` virtual seconds then quiesce for one more.
+/// Run a cluster for `secs` measured virtual seconds, then drain for one
+/// more: the clients finish the transactions they have in flight and start
+/// none, so what they count is what started inside the measured window and
+/// `tps(count, secs)` divides by the time it took.
 pub fn run_and_drain(cluster: &mut Cluster, secs: u64) {
     cluster.run_for(dur::secs(secs));
+    cluster.stop_clients();
     cluster.run_for(dur::secs(1));
 }
 

@@ -130,6 +130,8 @@ pub struct Client {
     trace_ctr: u64,
     /// Trace id of the in-flight transaction (0 = none open).
     cur_trace: u64,
+    /// Set by [`Client::stop`]: start no new transaction.
+    stopped: bool,
     pub metrics: ClientMetrics,
 }
 
@@ -145,8 +147,15 @@ impl Client {
             resend_seq: 0,
             trace_ctr: 0,
             cur_trace: 0,
+            stopped: false,
             metrics: ClientMetrics::default(),
         }
+    }
+
+    /// Finish the transaction in flight (retries included) and start no
+    /// other: the end of a measured window.
+    pub fn stop(&mut self) {
+        self.stopped = true;
     }
 
     /// Attribute the window since this trace's previous event to `stage`.
@@ -181,8 +190,8 @@ impl Client {
     }
 
     fn begin_tx(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if self.cfg.tx_limit > 0
-            && self.metrics.committed + self.metrics.failed >= self.cfg.tx_limit
+        if self.stopped
+            || (self.cfg.tx_limit > 0 && self.metrics.committed + self.metrics.failed >= self.cfg.tx_limit)
         {
             self.phase = Phase::Done;
             return;

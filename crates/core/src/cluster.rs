@@ -162,6 +162,14 @@ impl Cluster {
         self.sim.run_until(until);
     }
 
+    /// End a measured window: every closed-loop client finishes the
+    /// transaction it has in flight and starts no other.
+    pub fn stop_clients(&mut self) {
+        for &node in &self.client_nodes {
+            self.sim.with_actor::<Client, _>(node, Client::stop);
+        }
+    }
+
     pub fn now(&self) -> SimTime {
         self.sim.now()
     }

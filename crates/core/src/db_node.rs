@@ -12,7 +12,7 @@ use replimid_sql::{
     SqlError, WalStats, ADMIN_PASSWORD, ADMIN_USER,
 };
 
-use crate::msg::{BatchExecResult, CommitNote, DbOp, DbResp, Msg, ReplyBody};
+use crate::msg::{BatchExecResult, CommitNote, DbOp, DbResp, Msg, PlanExec, ReplyBody};
 use crate::trace::{Stage, TraceSink};
 
 /// Virtual cost constants specific to node-level operations.
@@ -24,6 +24,11 @@ pub mod cost {
     /// Checksum cost per call (scan-ish).
     pub const CHECKSUM_US: u64 = 500;
 }
+
+/// What a statement that fails at the node costs it: the fixed
+/// per-statement overhead less the parse no plan needs.
+const FAILED_US: u64 =
+    replimid_sql::result::cost_model::STATEMENT_BASE_US - replimid_sql::result::cost_model::PARSE_US;
 
 /// What a durable node's restart actually cost: the crash it recovered
 /// from, the storage layer's account of the work, and the virtual time the
@@ -168,15 +173,22 @@ impl DbNode {
         (us as f64 * self.speed_factor) as u64
     }
 
-    /// Run SQL text on connection `conn`, charged as `DbOp::Execute`
-    /// charges it: the statement's cost, or the fixed per-statement cost
-    /// when it fails.
-    fn run_text(&mut self, ctx: &mut Ctx<'_, Msg>, conn: u64, sql: &str) -> Result<ExecResult, SqlError> {
-        let res = self.conn_for(conn).and_then(|c| self.engine.execute(c, sql));
-        let us = match &res {
-            Ok(r) => r.cost.cpu_us,
-            Err(_) => replimid_sql::result::cost_model::STATEMENT_BASE_US,
-        };
+    /// Run a plan on connection `conn`, with what it costs the node. A plan
+    /// arrives parsed, so the node is charged no parse: the statement's
+    /// `execute_prepared` cost, or `STATEMENT_BASE_US - PARSE_US` when it
+    /// fails.
+    fn run(&mut self, conn: u64, plan: &PlanExec) -> (Result<ExecResult, SqlError>, u64) {
+        let res = plan.bind().and_then(|stmt| {
+            let c = self.conn_for(conn)?;
+            self.engine.execute_prepared(c, &stmt)
+        });
+        let us = res.as_ref().map_or(FAILED_US, |r| r.cost.cpu_us);
+        (res, us)
+    }
+
+    /// [`Self::run`], charged to this node's queue.
+    fn run_charged(&mut self, ctx: &mut Ctx<'_, Msg>, conn: u64, plan: &PlanExec) -> Result<ExecResult, SqlError> {
+        let (res, us) = self.run(conn, plan);
         ctx.consume(self.scaled(us));
         res
     }
@@ -213,27 +225,13 @@ impl DbNode {
     fn handle(&mut self, ctx: &mut Ctx<'_, Msg>, op: DbOp) -> Option<DbResp> {
         self.engine.set_clock(ctx.now().micros() as i64);
         match op {
-            DbOp::Execute { op, conn, sql, seq } => {
-                if let Some(sq) = seq {
-                    if sq <= self.ordered_applied && crate::debug_on() {
-                        eprintln!(
-                            "[{}] skip exec seq {sq} (ordered_applied={}) sql={sql}",
-                            ctx.now().micros(),
-                            self.ordered_applied
-                        );
-                    }
-                    if sq <= self.ordered_applied {
-                        // Already applied before a failure was declared:
-                        // idempotent skip.
-                        return Some(DbResp::ExecOk {
-                            op,
-                            body: ReplyBody::Ack,
-                            commit: None,
-                            tainted: false,
-                        });
-                    }
+            DbOp::Execute { op, conn, plan, seq } => {
+                if seq.is_some_and(|sq| sq <= self.ordered_applied) {
+                    // Already applied before a failure was declared:
+                    // idempotent skip.
+                    return Some(DbResp::ExecOk { op, body: ReplyBody::Ack, commit: None, tainted: false });
                 }
-                let resp = match self.run_text(ctx, conn, &sql) {
+                let resp = match self.run_charged(ctx, conn, &plan) {
                     Ok(res) => {
                         if let Some(sq) = seq {
                             self.ordered_applied = self.ordered_applied.max(sq);
@@ -244,19 +242,19 @@ impl DbNode {
                 };
                 Some(resp)
             }
-            DbOp::Delegate { op, conn, begin, sql, writeset } => {
+            DbOp::Delegate { op, conn, begin, stmt, writeset } => {
                 if let Some(begin) = &begin {
-                    if let Err(err) = self.run_text(ctx, conn, begin) {
+                    if let Err(err) = self.run_charged(ctx, conn, begin) {
                         return Some(DbResp::ExecErr { op, err });
                     }
                 }
-                let res = match sql.map(|sql| self.run_text(ctx, conn, &sql)).transpose() {
+                let res = match stmt.map(|stmt| self.run_charged(ctx, conn, &stmt)).transpose() {
                     Ok(res) => res,
                     Err(err) => {
                         if begin.is_some() && writeset {
                             // The implicit transaction dies with its only
                             // statement.
-                            let _ = self.run_text(ctx, conn, "ROLLBACK");
+                            let _ = self.run_charged(ctx, conn, &PlanExec::rollback());
                         }
                         return Some(DbResp::ExecErr { op, err });
                     }
@@ -276,42 +274,6 @@ impl DbNode {
                 };
                 Some(resp)
             }
-            DbOp::ExecutePlan { op, conn, plan, seq } => {
-                if let Some(sq) = seq {
-                    if sq <= self.ordered_applied {
-                        // Already applied before a failure was declared:
-                        // idempotent skip (same contract as `Execute`).
-                        return Some(DbResp::ExecOk {
-                            op,
-                            body: ReplyBody::Ack,
-                            commit: None,
-                            tainted: false,
-                        });
-                    }
-                }
-                let resp = match plan.bind().and_then(|stmt| {
-                    let c = self.conn_for(conn)?;
-                    self.engine.execute_prepared(c, &stmt)
-                }) {
-                    Ok(res) => {
-                        ctx.consume(self.scaled(res.cost.cpu_us));
-                        if let Some(sq) = seq {
-                            self.ordered_applied = self.ordered_applied.max(sq);
-                        }
-                        self.exec_ok(op, res)
-                    }
-                    Err(err) => {
-                        // No SQL text arrived, so no parse happened even on
-                        // the error path.
-                        ctx.consume(self.scaled(
-                            replimid_sql::result::cost_model::STATEMENT_BASE_US
-                                - replimid_sql::result::cost_model::PARSE_US,
-                        ));
-                        DbResp::ExecErr { op, err }
-                    }
-                };
-                Some(resp)
-            }
             DbOp::ExecuteBatch { op, stmts } => {
                 let mut results = Vec::with_capacity(stmts.len());
                 // Per-statement table sets for the parallel-replay grouping:
@@ -321,91 +283,33 @@ impl DbNode {
                 let mut tables: Vec<Vec<(String, String)>> = Vec::new();
                 let mut costs: Vec<u64> = Vec::new();
                 for stmt in stmts {
-                    if let Some(sq) = stmt.seq {
-                        if sq <= self.ordered_applied {
-                            // Same idempotence contract as `Execute`.
-                            results.push(BatchExecResult::Ok {
-                                body: ReplyBody::Ack,
-                                commit: None,
-                                tainted: false,
-                            });
-                            continue;
-                        }
+                    if stmt.seq.is_some_and(|sq| sq <= self.ordered_applied) {
+                        // Same idempotence contract as `Execute`.
+                        results.push(BatchExecResult::Ok { body: ReplyBody::Ack, commit: None, tainted: false });
+                        continue;
                     }
-                    match self
-                        .conn_for(stmt.conn)
-                        .and_then(|c| self.engine.execute(c, &stmt.sql))
-                    {
+                    let (res, us) = self.run(stmt.conn, &stmt.plan);
+                    costs.push(us);
+                    // Statements on one connection serialize even when their
+                    // tables are disjoint: chain them with a synthetic
+                    // per-connection key ("\0" is not a legal database name).
+                    let conn_key = ("\0conn".to_string(), stmt.conn.to_string());
+                    match res {
                         Ok(res) => {
                             let body = reply_body(res.outcome);
                             let mut tbls =
                                 res.commit.as_ref().map(|c| c.writeset.tables()).unwrap_or_default();
                             let commit =
                                 res.commit.map(|_| CommitNote { lsn: self.engine.binlog_head() });
-                            // Statements on one connection serialize even
-                            // when their tables are disjoint: chain them
-                            // with a synthetic per-connection key ("\0" is
-                            // not a legal database name).
-                            tbls.push(("\0conn".into(), stmt.conn.to_string()));
+                            tbls.push(conn_key);
                             tables.push(tbls);
-                            costs.push(res.cost.cpu_us);
                             if let Some(sq) = stmt.seq {
                                 self.ordered_applied = self.ordered_applied.max(sq);
                             }
                             results.push(BatchExecResult::Ok { body, commit, tainted: res.tainted });
                         }
                         Err(err) => {
-                            tables.push(vec![("\0conn".into(), stmt.conn.to_string())]);
-                            costs.push(replimid_sql::result::cost_model::STATEMENT_BASE_US);
-                            results.push(BatchExecResult::Err { err });
-                        }
-                    }
-                }
-                ctx.consume(self.scaled(grouped_chain_cost(&tables, &costs)));
-                Some(DbResp::ExecBatchOut { op, results })
-            }
-            DbOp::ExecuteBatchPlan { op, stmts } => {
-                // Prepared-statement twin of `ExecuteBatch`: same grouped
-                // cost model, same idempotence, but each statement binds a
-                // shipped template instead of being parsed.
-                let mut results = Vec::with_capacity(stmts.len());
-                let mut tables: Vec<Vec<(String, String)>> = Vec::new();
-                let mut costs: Vec<u64> = Vec::new();
-                for stmt in stmts {
-                    if let Some(sq) = stmt.seq {
-                        if sq <= self.ordered_applied {
-                            results.push(BatchExecResult::Ok {
-                                body: ReplyBody::Ack,
-                                commit: None,
-                                tainted: false,
-                            });
-                            continue;
-                        }
-                    }
-                    match stmt.plan.bind().and_then(|bound| {
-                        let c = self.conn_for(stmt.conn)?;
-                        self.engine.execute_prepared(c, &bound)
-                    }) {
-                        Ok(res) => {
-                            let body = reply_body(res.outcome);
-                            let mut tbls =
-                                res.commit.as_ref().map(|c| c.writeset.tables()).unwrap_or_default();
-                            let commit =
-                                res.commit.map(|_| CommitNote { lsn: self.engine.binlog_head() });
-                            tbls.push(("\0conn".into(), stmt.conn.to_string()));
-                            tables.push(tbls);
-                            costs.push(res.cost.cpu_us);
-                            if let Some(sq) = stmt.seq {
-                                self.ordered_applied = self.ordered_applied.max(sq);
-                            }
-                            results.push(BatchExecResult::Ok { body, commit, tainted: res.tainted });
-                        }
-                        Err(err) => {
-                            tables.push(vec![("\0conn".into(), stmt.conn.to_string())]);
-                            costs.push(
-                                replimid_sql::result::cost_model::STATEMENT_BASE_US
-                                    - replimid_sql::result::cost_model::PARSE_US,
-                            );
+                            tables.push(vec![conn_key]);
                             results.push(BatchExecResult::Err { err });
                         }
                     }
@@ -644,9 +548,7 @@ fn grouped_chain_cost(tables: &[Vec<(String, String)>], costs: &[u64]) -> u64 {
 fn op_id(op: &DbOp) -> Option<u64> {
     match op {
         DbOp::Execute { op, .. }
-        | DbOp::ExecutePlan { op, .. }
         | DbOp::ExecuteBatch { op, .. }
-        | DbOp::ExecuteBatchPlan { op, .. }
         | DbOp::Delegate { op, .. }
         | DbOp::ApplyWriteset { op, .. }
         | DbOp::ApplyBinlog { op, .. }

@@ -4,7 +4,7 @@
 
 /// Log-scaled latency histogram (microseconds), power-of-two buckets from
 /// 1µs to ~17 minutes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: [u64; 31],
     count: u64,
@@ -241,7 +241,7 @@ pub struct Counters {
     /// failed as unavailable).
     pub freshness_wait_timeouts: u64,
     /// Plan-cache lookups that found a prepared template (admission skipped
-    /// the parser; the backend skips it too via `ExecutePlan`).
+    /// the parser).
     pub plan_cache_hits: u64,
     /// Plan-cache lookups that missed (template prepared and inserted) or
     /// hit an uncacheable statement shape.
@@ -254,12 +254,6 @@ pub struct Counters {
     /// Multi-group transactions aborted because at least one involved
     /// group voted no (reservations in yes-voting groups retracted).
     pub xgroup_aborts: u64,
-    /// Conflict-class cache: delivery-time table-class lookups answered
-    /// from the per-template cache (the threaded AST was not re-walked).
-    pub cert_class_hits: u64,
-    /// Conflict-class cache misses (class derived by walking the AST and,
-    /// when cacheable, inserted).
-    pub cert_class_misses: u64,
     /// Graceful drains started (`AdminCmd::DrainBackend` accepted).
     pub drains_started: u64,
     /// Drains that reached `Removed` — gracefully (in-flight work allowed

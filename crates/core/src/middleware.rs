@@ -30,16 +30,18 @@ use replimid_gcs::{
     ShardedMember,
 };
 use replimid_simnet::{Actor, Ctx, NodeId, SimTime};
-use replimid_sql::ast::{IsolationLevel, Statement};
-use replimid_sql::{parse_statement, Lsn, PlanCache, SqlError, Writeset};
+use std::sync::Arc;
+
+use replimid_sql::ast::{IsolationLevel, ObjectName, Statement};
+use replimid_sql::{parse_statement, CachedPlan, Lsn, PlanCache, SqlError, Value, Writeset};
 
 use crate::balancer::{Balancer, Granularity, Policy};
 use crate::certifier::{Certifier, CertifierStats, Verdict};
 use crate::health::{HealthEvent, HealthTracker, QuarantineConfig};
 use crate::metrics::{AvailabilityTracker, Counters, DegradedTracker, Histogram};
 use crate::msg::{
-    AdminCmd, ApplySpace, BackendId, ClientReply, ClientRequest, DbOp, DbResp, Msg, PlanExec,
-    ReplEvent, ReplyBody, ReplyError, SessionId,
+    AdminCmd, ApplySpace, BackendId, BatchItem, ClientReply, ClientRequest, DbOp, DbResp, Msg,
+    PlanExec, ReplEvent, ReplyBody, ReplyError, SessionId,
 };
 use crate::partition::{Partitioner, Placement, Route};
 use crate::recovery::{RecoveryLog, ReplayMode};
@@ -198,10 +200,9 @@ pub struct MwConfig {
     pub freshness_wait_max_us: u64,
     /// Middleware-side prepared-statement cache capacity (templates). With
     /// a non-zero capacity each client statement is normalized (literals →
-    /// params), repeat shapes reuse the cached parse, and backends receive
-    /// the parsed template + params (`DbOp::ExecutePlan`) instead of SQL
-    /// text, skipping their parser. 0 disables the cache entirely — the
-    /// statement path is byte-identical to the pre-cache implementation.
+    /// params) and repeat shapes reuse the cached parse. 0 means no reuse:
+    /// every statement is parsed whole. Either way backends receive the
+    /// admission-time parse (`DbOp::Execute`), never SQL text.
     pub plan_cache: usize,
     /// Partial replication (the scale-past-full-replication gap): a
     /// table-group placement map. Each group gets its own sequencer (an
@@ -214,15 +215,6 @@ pub struct MwConfig {
     /// placement hosted by every backend, the same pipeline with G = 1.
     /// Writeset mode only.
     pub placement: Option<Placement>,
-    /// Conflict-class cache capacity: written-table sets keyed by plan
-    /// template identity, so repeated statement shapes skip the
-    /// delivery-time AST walk. Effective with the plan cache on (shared
-    /// templates give stable identities); 0 disables.
-    pub class_cache: usize,
-    /// Modeled CPU cost (virtual µs) of one conflict-class extraction
-    /// walk, charged on every cache miss (or per delivery with the cache
-    /// off). 0 = extraction is free, as in the pre-cache implementation.
-    pub class_cost_us: u64,
     /// Backend indices that start in [`BackendState::Removed`] — spare
     /// capacity provisioned but not yet admitted, so an elasticity
     /// experiment can `AddBackend` one under live load. Empty by default.
@@ -253,8 +245,6 @@ impl MwConfig {
             freshness_wait_max_us: 20_000,
             plan_cache: 0,
             placement: None,
-            class_cache: 0,
-            class_cost_us: 0,
             initial_removed: Vec::new(),
         }
     }
@@ -620,12 +610,6 @@ pub struct Middleware {
     /// else: requests, reads and everything between publish and apply
     /// acknowledgement take one path whatever this says.
     partial: bool,
-    /// Conflict-class cache: plan-template pointer -> (pinned template,
-    /// written tables). Holding the `Arc` in the value pins the allocation
-    /// so the pointer key can never be reused by a different template
-    /// while the entry lives. Capacity `cfg.class_cache`; cleared
-    /// wholesale when full.
-    class_cache: HashMap<usize, (std::sync::Arc<Statement>, Vec<String>)>,
 }
 
 /// Why a group-commit batch left the buffer.
@@ -635,6 +619,34 @@ enum FlushReason {
     Deadline,
 }
 
+/// A client statement as admission parsed it.
+struct Admitted {
+    /// The statement the client sent.
+    stmt: Arc<Statement>,
+    /// What backends execute: the cached template and its literals, or the
+    /// statement itself (the same `Arc`) when nothing was cached.
+    plan: PlanExec,
+    /// The cached template's written tables, so no later stage walks the
+    /// statement for them. `None` without a cached template.
+    written: Option<Vec<ObjectName>>,
+}
+
+impl Admitted {
+    fn whole(stmt: Statement) -> Admitted {
+        let stmt = Arc::new(stmt);
+        Admitted { plan: PlanExec::whole(stmt.clone()), stmt, written: None }
+    }
+
+    fn bound(cached: CachedPlan, params: Vec<Value>) -> Result<Admitted, SqlError> {
+        let stmt = Arc::new(replimid_sql::bind(&cached.template, &params)?);
+        Ok(Admitted {
+            stmt,
+            plan: PlanExec { template: cached.template, params },
+            written: Some(cached.written_tables),
+        })
+    }
+}
+
 /// One client read on its way to a backend: dispatched at once, or parked in
 /// `fresh_waiters` until a replica catches up to `needs` (or the wait
 /// deadline fires).
@@ -642,9 +654,7 @@ enum FlushReason {
 struct ReadReq {
     session: SessionId,
     stmt_seq: u64,
-    sql: String,
-    /// Admission-time plan (plan cache on): dispatched as `ExecutePlan`.
-    plan: Option<PlanExec>,
+    plan: PlanExec,
     /// Table groups the statement reads: only their common hosts serve it.
     gset: Vec<usize>,
     /// (group, position) pairs a replica must have applied to serve it.
@@ -874,7 +884,6 @@ impl Middleware {
             plan_cache,
             shards,
             partial,
-            class_cache: HashMap::new(),
         }
     }
 
@@ -1093,8 +1102,8 @@ impl Middleware {
 
     fn apply_shard_delivery(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, ev: ReplEvent) {
         match ev {
-            ReplEvent::Statement { session, stmt_seq, sql, ast } => {
-                self.deliver_statement(ctx, session, stmt_seq, sql, ast)
+            ReplEvent::Statement { session, stmt_seq, sql, ast, tables } => {
+                self.deliver_statement(ctx, session, stmt_seq, sql, ast, tables)
             }
             ReplEvent::Certify { session, stmt_seq, start_pos, ws } => {
                 self.deliver_shard_certify(ctx, g, session, stmt_seq, start_pos, ws)
@@ -1112,12 +1121,12 @@ impl Middleware {
     /// ONE grouped message, then its certification requests one by one.
     /// Each class keeps the admission order recorded in the event vector.
     fn deliver_batch(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, events: Vec<ReplEvent>) {
-        let mut stmts: Vec<(SessionId, u64, String, PlanExec)> = Vec::new();
+        let mut stmts: Vec<(SessionId, u64, String, PlanExec, Vec<String>)> = Vec::new();
         let mut certs: Vec<ReplEvent> = Vec::new();
         for ev in events {
             match ev {
-                ReplEvent::Statement { session, stmt_seq, sql, ast } => {
-                    stmts.push((session, stmt_seq, sql, ast))
+                ReplEvent::Statement { session, stmt_seq, sql, ast, tables } => {
+                    stmts.push((session, stmt_seq, sql, ast, tables))
                 }
                 ReplEvent::SessionEnd { session } => self.end_session(session),
                 // Batches never nest (`Shards::admit` only buffers leaves).
@@ -1268,8 +1277,8 @@ impl Middleware {
         // table extraction, backend fan-out — works from this parse (or the
         // cached template behind it); the statement text is never parsed
         // again anywhere in the pipeline.
-        let (stmt, plan) = match self.admit_statement(&req.sql) {
-            Ok(pair) => pair,
+        let Admitted { stmt, plan, written } = match self.admit_statement(&req.sql) {
+            Ok(admitted) => admitted,
             Err(e) => {
                 self.reply(ctx, req.session, req.stmt_seq, Err(ReplyError::Sql(e)));
                 return;
@@ -1280,7 +1289,7 @@ impl Middleware {
         // ROLLBACK shape snapshots and stay on the write side even though
         // they are "read-only" to the parser.
         let is_read = stmt.is_read_only()
-            && !matches!(stmt, Statement::Begin { .. } | Statement::Commit | Statement::Rollback);
+            && !matches!(*stmt, Statement::Begin { .. } | Statement::Commit | Statement::Rollback);
         if let Some((_, meta)) = self
             .sessions
             .get_mut(req.session.0)
@@ -1296,60 +1305,64 @@ impl Middleware {
         // Temp-table handling is mode-independent: once a session touches a
         // temporary table it is pinned to one backend, and those statements
         // are never replicated (§4.1.4).
-        if self.handle_temp_stickiness(ctx, &req, &stmt) {
+        if self.handle_temp_stickiness(ctx, &req, &stmt, &plan) {
             return;
         }
 
         match &self.cfg.mode {
             Mode::MultiMasterStatement { nondet } => {
                 let nondet = *nondet;
-                self.mm_statement_request(ctx, req, stmt, plan, nondet)
+                self.mm_statement_request(ctx, req, &stmt, plan, written, nondet)
             }
-            Mode::MultiMasterWriteset => self.mm_writeset_request(ctx, req, stmt, plan),
-            Mode::MasterSlave { .. } => self.ms_request(ctx, req, stmt, plan),
-            Mode::PartitionedStatement { .. } => self.part_request(ctx, req, stmt),
+            Mode::MultiMasterWriteset => self.mm_writeset_request(ctx, req, &stmt, plan),
+            Mode::MasterSlave { .. } => self.ms_request(ctx, req, &stmt, plan),
+            Mode::PartitionedStatement { .. } => self.part_request(ctx, req, &stmt, plan),
         }
     }
 
     /// The single parse of the statement pipeline. With the plan cache off
-    /// (`cfg.plan_cache == 0`) this is exactly the pre-cache
-    /// `parse_statement` call. With it on, the text is normalized (literals
-    /// → params) and the template parse is reused across every statement
-    /// sharing the shape; the returned [`PlanExec`] is the wire form
-    /// backends execute without parsing.
-    fn admit_statement(&mut self, sql: &str) -> Result<(Statement, Option<PlanExec>), SqlError> {
+    /// (`cfg.plan_cache == 0`) this is one `parse_statement` call. With it
+    /// on, the text is normalized (literals → params) and the template parse
+    /// is reused across every statement sharing the shape. Either way the
+    /// returned [`PlanExec`] is the wire form backends execute without
+    /// parsing.
+    fn admit_statement(&mut self, sql: &str) -> Result<Admitted, SqlError> {
         if self.cfg.plan_cache == 0 {
-            return Ok((parse_statement(sql)?, None));
+            return Ok(Admitted::whole(parse_statement(sql)?));
         }
         let Some(nf) = replimid_sql::normalize(sql) else {
             // Uncacheable shape (non-DML, or a raw `?` in the client text).
             self.metrics.counters.plan_cache_misses += 1;
-            return Ok((parse_statement(sql)?, None));
+            return Ok(Admitted::whole(parse_statement(sql)?));
         };
         if let Some(cached) = self.plan_cache.get(&nf.key) {
             self.metrics.counters.plan_cache_hits += 1;
-            let stmt = replimid_sql::bind(&cached.template, &nf.params)?;
-            return Ok((stmt, Some(PlanExec { template: cached.template, params: nf.params })));
+            return Admitted::bound(cached, nf.params);
         }
         self.metrics.counters.plan_cache_misses += 1;
         match replimid_sql::CachedPlan::prepare(&nf) {
             Ok(cached) => {
-                let stmt = replimid_sql::bind(&cached.template, &nf.params)?;
-                let plan = PlanExec { template: cached.template.clone(), params: nf.params };
+                let admitted = Admitted::bound(cached.clone(), nf.params)?;
                 self.plan_cache.insert(nf.key, cached);
                 self.metrics.counters.plan_cache_evictions = self.plan_cache.evictions;
-                Ok((stmt, Some(plan)))
+                Ok(admitted)
             }
             // The normalized template did not parse (pathological literal
             // placement): fall back to the original text, uncached. A
             // genuinely invalid statement fails here exactly as it would
-            // have pre-cache.
-            Err(_) => Ok((parse_statement(sql)?, None)),
+            // have without the cache.
+            Err(_) => Ok(Admitted::whole(parse_statement(sql)?)),
         }
     }
 
     /// Returns true if the statement was routed as a temp-table operation.
-    fn handle_temp_stickiness(&mut self, ctx: &mut Ctx<'_, Msg>, req: &ClientRequest, stmt: &Statement) -> bool {
+    fn handle_temp_stickiness(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        req: &ClientRequest,
+        stmt: &Statement,
+        plan: &PlanExec,
+    ) -> bool {
         let is_create_temp = matches!(stmt, Statement::CreateTable { temporary: true, .. });
         let touches_temp = {
             let s = self.sessions.get(req.session.0).expect("session exists");
@@ -1400,9 +1413,9 @@ impl Middleware {
             });
         }
         let session = req.session;
-        let sql = req.sql.clone();
+        let plan = plan.clone();
         self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-            DbOp::Execute { op, conn: session.0, sql, seq: None }
+            DbOp::Execute { op, conn: session.0, plan, seq: None }
         });
         true
     }
@@ -1415,12 +1428,13 @@ impl Middleware {
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         req: ClientRequest,
-        stmt: Statement,
-        plan: Option<PlanExec>,
+        stmt: &Statement,
+        plan: PlanExec,
+        written: Option<Vec<ObjectName>>,
         nondet: NondetPolicy,
     ) {
         if stmt.is_read_only() && !matches!(stmt, Statement::Begin { .. } | Statement::Commit | Statement::Rollback) {
-            self.route_read(ctx, req, &stmt, plan);
+            self.route_read(ctx, req, stmt, plan);
             return;
         }
         if !self.have_quorum() {
@@ -1446,21 +1460,16 @@ impl Middleware {
         // rewritten then totally ordered.
         self.metrics.counters.writes += 1;
         let rand_value = ctx.rng().gen::<f64>();
-        let prepared = prepare_for_broadcast(&stmt, nondet, ctx.now().micros() as i64, rand_value);
+        let prepared = prepare_for_broadcast(stmt, nondet, ctx.now().micros() as i64, rand_value);
         let (sql, ast) = match prepared {
-            Ok(p) => {
-                if p.substitutions > 0 {
-                    self.metrics.counters.rewritten_statements += 1;
-                    // The rewrite changed the statement: the admission-time
-                    // plan no longer describes what ships. Carry the
-                    // rewritten parse whole instead.
-                    (p.sql, PlanExec::whole(std::sync::Arc::new(p.stmt)))
-                } else {
-                    let ast = plan
-                        .unwrap_or_else(|| PlanExec::whole(std::sync::Arc::new(p.stmt)));
-                    (p.sql, ast)
-                }
+            Ok(p) if p.substitutions > 0 => {
+                self.metrics.counters.rewritten_statements += 1;
+                // The rewrite changed the statement: the admission-time plan
+                // no longer describes what ships. Carry the rewritten parse
+                // whole instead.
+                (p.sql, PlanExec::whole(Arc::new(p.stmt)))
             }
+            Ok(p) => (p.sql, plan),
             Err(rej) => {
                 self.metrics.counters.rejected_statements += 1;
                 self.reply(ctx, req.session, req.stmt_seq, Err(ReplyError::Rejected(rej.reason)));
@@ -1470,7 +1479,7 @@ impl Middleware {
         {
             let s = self.sessions.get_mut(req.session.0).unwrap();
             s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::OrderedWait });
-            match &stmt {
+            match stmt {
                 Statement::Begin { .. } => {
                     s.in_tx = true;
                     s.wrote_in_tx = false;
@@ -1484,10 +1493,13 @@ impl Middleware {
                 }
             }
         }
+        // A rewrite replaces expressions only: the written tables are the
+        // admitted statement's.
+        let tables = written.unwrap_or_else(|| stmt.written_tables()).into_iter().map(|t| t.name).collect();
         self.shard_publish_write(
             ctx,
             0,
-            ReplEvent::Statement { session: req.session, stmt_seq: req.stmt_seq, sql, ast },
+            ReplEvent::Statement { session: req.session, stmt_seq: req.stmt_seq, sql, ast, tables },
         );
     }
 
@@ -1586,11 +1598,11 @@ impl Middleware {
     /// candidates that have applied what the session must see; when none
     /// has, the read parks until one catches up (bounded by
     /// `freshness_wait_max_us`).
-    fn route_read(&mut self, ctx: &mut Ctx<'_, Msg>, req: ClientRequest, stmt: &Statement, plan: Option<PlanExec>) {
+    fn route_read(&mut self, ctx: &mut Ctx<'_, Msg>, req: ClientRequest, stmt: &Statement, plan: PlanExec) {
         self.metrics.counters.reads += 1;
         let gset = self.stmt_groups(stmt);
         let needs = self.read_needs(req.session, &gset);
-        let r = ReadReq { session: req.session, stmt_seq: req.stmt_seq, sql: req.sql, plan, gset, needs };
+        let r = ReadReq { session: req.session, stmt_seq: req.stmt_seq, plan, gset, needs };
         if let Some((b, is_probe)) = self.pinned_read_backend(&r) {
             self.dispatch_read(ctx, r, b, is_probe);
             return;
@@ -1659,7 +1671,7 @@ impl Middleware {
 
     /// The dispatch tail of every routed read.
     fn dispatch_read(&mut self, ctx: &mut Ctx<'_, Msg>, r: ReadReq, backend: BackendId, is_probe: bool) {
-        let ReadReq { session, stmt_seq, sql, plan, gset, needs } = r;
+        let ReadReq { session, stmt_seq, plan, gset, needs } = r;
         let now = ctx.now().micros();
         self.mw_span(session, stmt_seq, Stage::BalancerPick, now);
         if crate::debug_on() {
@@ -1693,10 +1705,7 @@ impl Middleware {
             raise(&mut s.gstamps, g, pos);
         }
         let op = self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-            match plan {
-                Some(plan) => DbOp::ExecutePlan { op, conn: session.0, plan, seq: None },
-                None => DbOp::Execute { op, conn: session.0, sql, seq: None },
-            }
+            DbOp::Execute { op, conn: session.0, plan, seq: None }
         });
         if is_probe {
             self.metrics.counters.quarantine_probes += 1;
@@ -1824,26 +1833,21 @@ impl Middleware {
         }
     }
 
-    /// Grouped form of [`deliver_statement`]: the batch's statements take a
-    /// dense recovery-log seq range and each backend receives one
+    /// Grouped form of [`Self::deliver_statement`]: the batch's statements
+    /// take a dense recovery-log seq range and each backend receives one
     /// `ExecuteBatch` message instead of one `Execute` per statement, which
     /// is where group commit wins — one network round-trip and one
     /// parallel-replay-grouped cost charge per backend per flush.
     fn deliver_statement_batch(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
-        stmts: Vec<(SessionId, u64, String, PlanExec)>,
+        stmts: Vec<(SessionId, u64, String, PlanExec, Vec<String>)>,
     ) {
         let now = ctx.now().micros();
         // Append the whole batch first: seqs are dense ([head+1 ..= head+n]).
-        let mut entries: Vec<(SessionId, u64, String, PlanExec, u64, bool)> =
-            Vec::with_capacity(stmts.len());
-        for (session, stmt_seq, sql, ast) in stmts {
-            // The event carries the admission-time parse: table extraction
-            // reads it directly instead of re-parsing the statement text
-            // (the old second parse per delivered statement).
-            let tables: Vec<String> = self.written_tables_of(ctx, &ast);
-            let log_seq = self.shards.logs[0].append_sql(self.cfg.default_db.clone(), sql.clone(), tables);
+        let mut entries: Vec<(SessionId, u64, PlanExec, u64, bool)> = Vec::with_capacity(stmts.len());
+        for (session, stmt_seq, sql, ast, tables) in stmts {
+            let log_seq = self.shards.logs[0].append_sql(self.cfg.default_db.clone(), sql, tables);
             let origin = {
                 let s = self.session(session, None);
                 matches!(&s.current, Some(c) if c.stmt_seq == stmt_seq)
@@ -1852,11 +1856,11 @@ impl Middleware {
                 // Flush → self-delivery through the total order.
                 self.mw_span(session, stmt_seq, Stage::Order, now);
             }
-            entries.push((session, stmt_seq, sql, ast, log_seq, origin));
+            entries.push((session, stmt_seq, ast, log_seq, origin));
         }
         let targets = self.healthy();
         if targets.is_empty() {
-            for (session, stmt_seq, _, _, log_seq, origin) in entries {
+            for (session, stmt_seq, _, log_seq, origin) in entries {
                 self.shards.logs[0].void(log_seq);
                 if origin {
                     self.reply(ctx, session, stmt_seq, Err(ReplyError::Unavailable("no backend".into())));
@@ -1867,7 +1871,7 @@ impl Middleware {
         // One exec group per statement — the reply/divergence bookkeeping is
         // untouched; only the transport is grouped.
         let mut groups: Vec<u64> = Vec::with_capacity(entries.len());
-        for &(session, stmt_seq, _, _, log_seq, origin) in &entries {
+        for &(session, stmt_seq, _, log_seq, origin) in &entries {
             let group_id = self.next_group;
             self.next_group += 1;
             self.exec_groups.insert(
@@ -1887,71 +1891,16 @@ impl Middleware {
             }
             groups.push(group_id);
         }
-        let plan_wire = self.cfg.plan_cache > 0;
         for backend in targets {
             let groups = groups.clone();
-            if plan_wire {
-                // Plan-cache arm: ship the parsed template + params; the
-                // backend binds and executes without touching its parser.
-                let batch: Vec<crate::msg::PlanBatchStmt> = entries
-                    .iter()
-                    .map(|(session, _, _, ast, log_seq, _)| crate::msg::PlanBatchStmt {
-                        conn: session.0,
-                        plan: ast.clone(),
-                        seq: Some(*log_seq),
-                    })
-                    .collect();
-                self.send_db(ctx, backend, Pending::GroupExecBatch { groups, backend }, move |op| {
-                    DbOp::ExecuteBatchPlan { op, stmts: batch }
-                });
-            } else {
-                let batch: Vec<crate::msg::BatchStmt> = entries
-                    .iter()
-                    .map(|(session, _, sql, _, log_seq, _)| crate::msg::BatchStmt {
-                        conn: session.0,
-                        sql: sql.clone(),
-                        seq: Some(*log_seq),
-                    })
-                    .collect();
-                self.send_db(ctx, backend, Pending::GroupExecBatch { groups, backend }, move |op| {
-                    DbOp::ExecuteBatch { op, stmts: batch }
-                });
-            }
+            let batch: Vec<BatchItem> = entries
+                .iter()
+                .map(|(session, _, ast, log_seq, _)| BatchItem { conn: session.0, plan: ast.clone(), seq: Some(*log_seq) })
+                .collect();
+            self.send_db(ctx, backend, Pending::GroupExecBatch { groups, backend }, move |op| {
+                DbOp::ExecuteBatch { op, stmts: batch }
+            });
         }
-    }
-
-    /// Satellite: conflict-class extraction with a plan-template cache.
-    /// The written-table walk is pure in the template, and the plan cache
-    /// already dedups templates behind `Arc`s — so the pointer is a sound
-    /// cache key (the `Arc` stored in the value pins the address). With
-    /// the cache off (`class_cache == 0`) the walk runs every time and,
-    /// when `class_cost_us > 0`, charges its modeled cost; defaults keep
-    /// both at zero so the byte path is untouched.
-    fn written_tables_of(&mut self, ctx: &mut Ctx<'_, Msg>, ast: &PlanExec) -> Vec<String> {
-        let walk = |ast: &PlanExec| -> Vec<String> {
-            ast.template.written_tables().into_iter().map(|t| t.name).collect()
-        };
-        if self.cfg.class_cache == 0 {
-            if self.cfg.class_cost_us > 0 {
-                ctx.consume(self.cfg.class_cost_us);
-            }
-            return walk(ast);
-        }
-        let key = std::sync::Arc::as_ptr(&ast.template) as usize;
-        if let Some((_, tables)) = self.class_cache.get(&key) {
-            self.metrics.counters.cert_class_hits += 1;
-            return tables.clone();
-        }
-        self.metrics.counters.cert_class_misses += 1;
-        if self.cfg.class_cost_us > 0 {
-            ctx.consume(self.cfg.class_cost_us);
-        }
-        let tables = walk(ast);
-        if self.class_cache.len() >= self.cfg.class_cache {
-            self.class_cache.clear();
-        }
-        self.class_cache.insert(key, (ast.template.clone(), tables.clone()));
-        tables
     }
 
     fn deliver_statement(
@@ -1961,12 +1910,10 @@ impl Middleware {
         stmt_seq: u64,
         sql: String,
         ast: PlanExec,
+        tables: Vec<String>,
     ) {
-        // Log it (every peer logs identically: positions agree). Tables
-        // come from the event's admission-time parse — this used to be the
-        // pipeline's second parse of the same text.
-        let tables: Vec<String> = self.written_tables_of(ctx, &ast);
-        let log_seq = self.shards.logs[0].append_sql(self.cfg.default_db.clone(), sql.clone(), tables);
+        // Log it (every peer logs identically: positions agree).
+        let log_seq = self.shards.logs[0].append_sql(self.cfg.default_db.clone(), sql, tables);
 
         // Shadow session for non-origin peers.
         let origin = {
@@ -2005,19 +1952,11 @@ impl Middleware {
             let s = self.sessions.get_mut(session.0).unwrap();
             s.current = Some(Current { stmt_seq, kind: CurrentKind::ExecGroup { group: group_id } });
         }
-        let plan_wire = self.cfg.plan_cache > 0;
         for backend in targets {
-            if plan_wire {
-                let plan = ast.clone();
-                self.send_db(ctx, backend, Pending::GroupExec { group: group_id, backend }, move |op| {
-                    DbOp::ExecutePlan { op, conn: session.0, plan, seq: Some(log_seq) }
-                });
-            } else {
-                let sql = sql.clone();
-                self.send_db(ctx, backend, Pending::GroupExec { group: group_id, backend }, move |op| {
-                    DbOp::Execute { op, conn: session.0, sql, seq: Some(log_seq) }
-                });
-            }
+            let plan = ast.clone();
+            self.send_db(ctx, backend, Pending::GroupExec { group: group_id, backend }, move |op| {
+                DbOp::Execute { op, conn: session.0, plan, seq: Some(log_seq) }
+            });
         }
     }
 
@@ -2029,8 +1968,8 @@ impl Middleware {
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         req: ClientRequest,
-        stmt: Statement,
-        plan: Option<PlanExec>,
+        stmt: &Statement,
+        plan: PlanExec,
     ) {
         let session = req.session;
         if !stmt.is_read_only() && !self.have_quorum() {
@@ -2054,7 +1993,7 @@ impl Middleware {
         }
         let Some(s) = self.sessions.get_mut(session.0) else { return };
         let (in_tx, delegate) = (s.in_tx, s.sticky);
-        match &stmt {
+        match stmt {
             Statement::Begin { isolation } => {
                 // The delegate is chosen at the first statement, which shows
                 // the table groups the transaction touches. BEGIN itself is
@@ -2084,13 +2023,13 @@ impl Middleware {
                         kind: CurrentKind::WsStmt { opened: false },
                     });
                     self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                        DbOp::Execute { op, conn: session.0, sql: "COMMIT".into(), seq: None }
+                        DbOp::Execute { op, conn: session.0, plan: PlanExec::commit(), seq: None }
                     });
                     return;
                 }
                 s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::WsPrepare { opened: false } });
                 self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                    DbOp::Delegate { op, conn: session.0, begin: None, sql: None, writeset: true }
+                    DbOp::Delegate { op, conn: session.0, begin: None, stmt: None, writeset: true }
                 });
             }
             Statement::Rollback => {
@@ -2104,14 +2043,14 @@ impl Middleware {
                 match delegate {
                     Some(backend) if self.backends[backend.0].online() => {
                         self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                            DbOp::Execute { op, conn: session.0, sql: "ROLLBACK".into(), seq: None }
+                            DbOp::Execute { op, conn: session.0, plan: PlanExec::rollback(), seq: None }
                         });
                     }
                     _ => self.reply(ctx, session, req.stmt_seq, Ok(ReplyBody::Ack)),
                 }
             }
             _ if stmt.is_read_only() && !in_tx => {
-                self.route_read(ctx, req, &stmt, plan);
+                self.route_read(ctx, req, stmt, plan);
             }
             _ => {
                 // Any other statement executes at the delegate. A write
@@ -2122,7 +2061,7 @@ impl Middleware {
                     self.metrics.counters.writes += 1;
                 }
                 let begin = if in_tx { s.begin } else { Some(Some(IsolationLevel::SnapshotIsolation)) };
-                let gset = self.stmt_groups(&stmt);
+                let gset = self.stmt_groups(stmt);
                 // The statement that opens the transaction picks the delegate
                 // among the hosts of every group it touches (the delegate
                 // executes all of the transaction's statements locally).
@@ -2171,10 +2110,9 @@ impl Middleware {
                 }
                 let kind = if in_tx { CurrentKind::WsStmt { opened } } else { CurrentKind::WsPrepare { opened } };
                 s.current = Some(Current { stmt_seq: req.stmt_seq, kind });
-                let begin = begin.map(|isolation| Statement::Begin { isolation }.to_string());
-                let sql = Some(req.sql);
+                let begin = begin.map(PlanExec::begin);
                 self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                    DbOp::Delegate { op, conn: session.0, begin, sql, writeset: !in_tx }
+                    DbOp::Delegate { op, conn: session.0, begin, stmt: Some(plan), writeset: !in_tx }
                 });
             }
         }
@@ -2265,7 +2203,7 @@ impl Middleware {
                     if let Some(backend) = delegate {
                         if self.backends[backend.0].online() {
                             self.send_db(ctx, backend, Pending::FireAndForget, move |op| {
-                                DbOp::Execute { op, conn: session.0, sql: "ROLLBACK".into(), seq: None }
+                                DbOp::Execute { op, conn: session.0, plan: PlanExec::rollback(), seq: None }
                             });
                         }
                     }
@@ -2306,7 +2244,7 @@ impl Middleware {
                             ctx,
                             backend,
                             Pending::PwCommit { session, backend, marks: vec![(g as u32, cert_pos)] },
-                            move |op| DbOp::Execute { op, conn: session.0, sql: "COMMIT".into(), seq: None },
+                            move |op| DbOp::Execute { op, conn: session.0, plan: PlanExec::commit(), seq: None },
                         );
                     } else {
                         let ws_wire = ws.clone();
@@ -2446,7 +2384,7 @@ impl Middleware {
                 if let Some(backend) = delegate {
                     if self.backends[backend.0].online() {
                         self.send_db(ctx, backend, Pending::FireAndForget, move |op| {
-                            DbOp::Execute { op, conn: session.0, sql: "ROLLBACK".into(), seq: None }
+                            DbOp::Execute { op, conn: session.0, plan: PlanExec::rollback(), seq: None }
                         });
                     }
                 }
@@ -2489,7 +2427,7 @@ impl Middleware {
                     ctx,
                     backend,
                     Pending::PwCommit { session, backend, marks },
-                    move |op| DbOp::Execute { op, conn: session.0, sql: "COMMIT".into(), seq: None },
+                    move |op| DbOp::Execute { op, conn: session.0, plan: PlanExec::commit(), seq: None },
                 );
             }
         }
@@ -2539,15 +2477,15 @@ impl Middleware {
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         req: ClientRequest,
-        stmt: Statement,
-        plan: Option<PlanExec>,
+        stmt: &Statement,
+        plan: PlanExec,
     ) {
         let session = req.session;
         let write_path = !stmt.is_read_only()
             || matches!(stmt, Statement::Begin { .. } | Statement::Commit | Statement::Rollback)
             || self.sessions.get(session.0).map(|s| s.in_tx).unwrap_or(false);
         if !write_path {
-            self.route_read(ctx, req, &stmt, plan);
+            self.route_read(ctx, req, stmt, plan);
             return;
         }
         if !self.write_quorum_ok() {
@@ -2567,7 +2505,7 @@ impl Middleware {
         }
         {
             let s = self.sessions.get_mut(session.0).unwrap();
-            match &stmt {
+            match stmt {
                 Statement::Begin { .. } => {
                     s.in_tx = true;
                     s.wrote_in_tx = false;
@@ -2587,9 +2525,8 @@ impl Middleware {
         if !stmt.is_read_only() {
             self.metrics.counters.writes += 1;
         }
-        let sql = req.sql;
         self.send_db(ctx, master, Pending::ClientExec { session, backend: master }, move |op| {
-            DbOp::Execute { op, conn: session.0, sql, seq: None }
+            DbOp::Execute { op, conn: session.0, plan, seq: None }
         });
     }
 
@@ -2620,12 +2557,12 @@ impl Middleware {
     // Partitioned
     // ------------------------------------------------------------------
 
-    fn part_request(&mut self, ctx: &mut Ctx<'_, Msg>, req: ClientRequest, stmt: Statement) {
+    fn part_request(&mut self, ctx: &mut Ctx<'_, Msg>, req: ClientRequest, stmt: &Statement, plan: PlanExec) {
         let Mode::PartitionedStatement { partitioner, groups } = &self.cfg.mode else {
             unreachable!()
         };
         let session = req.session;
-        let route = partitioner.route(&stmt);
+        let route = partitioner.route(stmt);
         let groups = groups.clone();
         let read_only = stmt.is_read_only();
         if !read_only && !self.write_quorum_ok() {
@@ -2707,9 +2644,9 @@ impl Middleware {
             }
         }
         for backend in targets {
-            let sql = req.sql.clone();
+            let plan = plan.clone();
             self.send_db(ctx, backend, Pending::GroupExec { group: group_id, backend }, move |op| {
-                DbOp::Execute { op, conn: session.0, sql, seq: None }
+                DbOp::Execute { op, conn: session.0, plan, seq: None }
             });
         }
     }
@@ -4593,17 +4530,21 @@ mod tests {
         }
     }
 
-    /// A writeset statement reaches its delegate once. An autocommit write
-    /// is one delegate op (BEGIN, statement, writeset) and then its COMMIT,
-    /// and the group's other host applies it once. An explicit
-    /// transaction's first statement opens it with the client's isolation
-    /// level. A transaction that runs no statement sends nothing.
+    /// A writeset statement reaches its delegate once, and as plans only.
+    /// An autocommit write is one delegate op (BEGIN, statement, writeset)
+    /// and then its COMMIT, and the group's other host applies it once. An
+    /// explicit transaction's first statement opens it with the client's
+    /// isolation level. A transaction that runs no statement sends nothing.
     #[test]
     fn a_writeset_statement_reaches_its_delegate_once() {
         let dbs = vec![ScriptedDb::new(0), ScriptedDb::new(0)];
         let (mut sim, dbs, mw, client) = writeset_cluster(dbs, None);
         let ops = |sim: &mut Sim<Msg>| -> Vec<Vec<DbOp>> {
             dbs.iter().map(|&d| sim.with_actor::<ScriptedDb, _>(d, |d| d.ops.clone())).collect()
+        };
+        let whole = |plan: &PlanExec| {
+            assert!(plan.params.is_empty(), "cache 0 ships whole statements: {plan:?}");
+            (*plan.template).clone()
         };
         request(&mut sim, (client, mw), 1_000, 1, 1, "INSERT INTO t1 VALUES (1, 1)");
         sim.run_until(SimTime(10_000));
@@ -4613,10 +4554,11 @@ mod tests {
             .position(|o| o.iter().any(|op| matches!(op, DbOp::Delegate { .. })))
             .expect("a delegate ran the statement");
         match &seen[delegate][..] {
-            [DbOp::Delegate { begin, sql, writeset: true, .. }, DbOp::Execute { sql: commit, .. }] => {
-                assert_eq!(begin.as_deref(), Some("BEGIN ISOLATION LEVEL SNAPSHOT"));
-                assert_eq!(sql.as_deref(), Some("INSERT INTO t1 VALUES (1, 1)"));
-                assert_eq!(commit, "COMMIT");
+            [DbOp::Delegate { begin: Some(begin), stmt: Some(stmt), writeset: true, .. }, DbOp::Execute { plan: commit, seq: None, .. }] => {
+                let snapshot = Some(IsolationLevel::SnapshotIsolation);
+                assert_eq!(whole(begin), Statement::Begin { isolation: snapshot });
+                assert_eq!(whole(stmt), parse_statement("INSERT INTO t1 VALUES (1, 1)").unwrap());
+                assert_eq!(whole(commit), Statement::Commit);
             }
             other => panic!("the delegate saw {other:?}"),
         }
@@ -4625,15 +4567,15 @@ mod tests {
         request(&mut sim, (client, mw), 20_000, 2, 1, "BEGIN ISOLATION LEVEL SERIALIZABLE");
         request(&mut sim, (client, mw), 21_000, 2, 2, "INSERT INTO t1 VALUES (2, 1)");
         sim.run_until(SimTime(30_000));
-        let opened: Vec<Option<String>> = ops(&mut sim)
+        let opened: Vec<Statement> = ops(&mut sim)
             .into_iter()
             .flatten()
             .filter_map(|op| match op {
-                DbOp::Delegate { begin, writeset: false, .. } => Some(begin),
+                DbOp::Delegate { begin: Some(begin), writeset: false, .. } => Some(whole(&begin)),
                 _ => None,
             })
             .collect();
-        assert_eq!(opened, [Some("BEGIN ISOLATION LEVEL SERIALIZABLE".to_string())]);
+        assert_eq!(opened, [Statement::Begin { isolation: Some(IsolationLevel::Serializable) }]);
 
         let sent = |sim: &mut Sim<Msg>| ops(sim).iter().map(Vec::len).sum::<usize>();
         let before = sent(&mut sim);
@@ -4643,6 +4585,33 @@ mod tests {
         assert_eq!(sent(&mut sim), before, "BEGIN; COMMIT ran nothing anywhere");
         let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
         assert_eq!(replies, vec![Ok(ReplyBody::Ack); 5]);
+    }
+
+    /// A failed autocommit write at a real delegate: the node opens the
+    /// snapshot, runs the statement, and rolls the implicit transaction back
+    /// itself. Each of the three is charged as a parsed plan,
+    /// `STATEMENT_BASE_US - PARSE_US`, and nothing stays open.
+    #[test]
+    fn a_failed_implicit_statement_rolls_back_at_its_delegate() {
+        use replimid_sql::result::cost_model::{PARSE_US, STATEMENT_BASE_US};
+        let schema = ["CREATE DATABASE d", "USE d", "CREATE TABLE t1 (k INT PRIMARY KEY, v INT)"]
+            .map(String::from);
+        let engine = crate::cluster::build_engine(Default::default(), &schema);
+        let node = crate::db_node::DbNode::new(engine, Some("d".into()));
+        let (mut sim, dbs, mw, client) = writeset_cluster(vec![node], None);
+        let service = |sim: &mut Sim<Msg>| {
+            sim.with_actor::<crate::db_node::DbNode, _>(dbs[0], |d| d.trace.stage_histogram(Stage::DbService).sum_us())
+        };
+        request(&mut sim, (client, mw), 1_000, 1, 1, "INSERT INTO t1 VALUES (1, 1)");
+        sim.run_until(SimTime(10_000));
+        let before = service(&mut sim);
+        request(&mut sim, (client, mw), 10_000, 2, 1, "INSERT INTO t1 VALUES (1, 2)");
+        sim.run_until(SimTime(20_000));
+        assert_eq!(service(&mut sim) - before, 3 * (STATEMENT_BASE_US - PARSE_US));
+        sim.with_actor::<crate::db_node::DbNode, _>(dbs[0], |d| assert_eq!(d.engine().active_transactions(), 0));
+        let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+        assert_eq!(replies[0], Ok(ReplyBody::Ack));
+        assert!(matches!(replies[1], Err(ReplyError::Sql(SqlError::DuplicateKey(_)))), "{:?}", replies[1]);
     }
 
     /// One queued timer covers every op timeout, and each op still times

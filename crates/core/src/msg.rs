@@ -1,10 +1,11 @@
 //! Wire protocol of the simulated cluster: client ↔ middleware ↔ database
 //! nodes, plus the replication traffic between middleware peers.
 
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::sync::{Arc, LazyLock};
 
 use replimid_gcs::GcsMsg;
-use replimid_sql::ast::Statement;
+use replimid_sql::ast::{IsolationLevel, Statement};
 use replimid_sql::{keycode, BinlogEntry, Dump, Lsn, ResultSet, SqlError, Value, Writeset};
 
 /// A client session, globally unique across the cluster.
@@ -86,11 +87,12 @@ pub enum ApplySpace {
     Ordered,
 }
 
-/// The prepared-statement wire format: a parsed template plus extracted
-/// parameters. The middleware parses (or cache-hits) once at admission and
-/// fans this out instead of SQL text, so backends skip their parser
-/// entirely (`Engine::execute_prepared`). The template is shared by `Arc`:
-/// one parse serves every backend of every fan-out.
+/// The one request wire format: a parsed template plus extracted
+/// parameters. The middleware parses (or cache-hits) every client
+/// statement once at admission and fans this out, so a backend never parses
+/// a statement (`Engine::execute_prepared`). The template is shared by
+/// `Arc`: one parse serves every backend of every fan-out, and the
+/// middleware's own BEGIN, COMMIT and ROLLBACK are shared process-wide.
 #[derive(Debug, Clone)]
 pub struct PlanExec {
     pub template: Arc<Statement>,
@@ -106,12 +108,39 @@ impl PlanExec {
         PlanExec { template: stmt, params: Vec::new() }
     }
 
-    /// Reconstruct the executable statement.
-    pub fn bind(&self) -> Result<Statement, SqlError> {
+    /// `BEGIN` at `isolation` (the engine default when `None`).
+    pub fn begin(isolation: Option<IsolationLevel>) -> PlanExec {
+        static BEGINS: LazyLock<[Arc<Statement>; 4]> = LazyLock::new(|| {
+            use IsolationLevel::*;
+            [None, Some(ReadCommitted), Some(SnapshotIsolation), Some(Serializable)]
+                .map(|isolation| Arc::new(Statement::Begin { isolation }))
+        });
+        let i = match isolation {
+            None => 0,
+            Some(IsolationLevel::ReadCommitted) => 1,
+            Some(IsolationLevel::SnapshotIsolation) => 2,
+            Some(IsolationLevel::Serializable) => 3,
+        };
+        PlanExec::whole(BEGINS[i].clone())
+    }
+
+    pub fn commit() -> PlanExec {
+        static COMMIT: LazyLock<Arc<Statement>> = LazyLock::new(|| Arc::new(Statement::Commit));
+        PlanExec::whole(COMMIT.clone())
+    }
+
+    pub fn rollback() -> PlanExec {
+        static ROLLBACK: LazyLock<Arc<Statement>> = LazyLock::new(|| Arc::new(Statement::Rollback));
+        PlanExec::whole(ROLLBACK.clone())
+    }
+
+    /// The executable statement: the shared template itself when there is
+    /// nothing to bind, else a bound copy.
+    pub fn bind(&self) -> Result<Cow<'_, Statement>, SqlError> {
         if self.params.is_empty() {
-            Ok((*self.template).clone())
+            Ok(Cow::Borrowed(&*self.template))
         } else {
-            replimid_sql::bind(&self.template, &self.params)
+            replimid_sql::bind(&self.template, &self.params).map(Cow::Owned)
         }
     }
 
@@ -196,38 +225,30 @@ impl PlanExec {
 /// correlation id echoed in the response.
 #[derive(Debug, Clone)]
 pub enum DbOp {
-    /// Execute one SQL statement on the (lazily created) connection `conn`.
+    /// Execute one statement on the (lazily created) connection `conn`.
+    /// The node binds the plan's params and runs `Engine::execute_prepared`.
     /// `seq` is the replication-log position for totally-ordered writes:
     /// the node records it durably and *skips* statements it has already
     /// applied — this is what makes recovery replay idempotent when an
     /// acknowledgment raced a failure declaration (§4.4.2: "the middleware
     /// has often no information on which transactions committed prior to
     /// the failure; this information is only known to the database").
-    Execute { op: u64, conn: u64, sql: String, seq: Option<u64> },
-    /// Prepared-statement variant of `Execute`: the middleware already
-    /// parsed (or cache-hit) the statement; the node binds params and runs
-    /// `Engine::execute_prepared`, skipping its parser. Same idempotence
-    /// contract (`seq`) and the same responses (`ExecOk`/`ExecErr`).
-    ExecutePlan { op: u64, conn: u64, plan: PlanExec, seq: Option<u64> },
+    Execute { op: u64, conn: u64, plan: PlanExec, seq: Option<u64> },
     /// Execute a group-committed batch of ordered statements as one message.
     /// Statements run in batch order on their own connections; the node
     /// skips already-applied `seq`s individually (same idempotence contract
     /// as `Execute`) and charges the batch's cost via the parallel-replay
     /// grouping over written tables, which is where grouped apply wins.
-    ExecuteBatch { op: u64, stmts: Vec<BatchStmt> },
-    /// Prepared-statement variant of `ExecuteBatch` (plan-cache fan-out).
-    /// Answered by the same `ExecBatchOut`.
-    ExecuteBatchPlan { op: u64, stmts: Vec<PlanBatchStmt> },
+    ExecuteBatch { op: u64, stmts: Vec<BatchItem> },
     /// Writeset mode's one op at a transaction's delegate, on connection
-    /// `conn`: `begin` (the BEGIN text opening the transaction's snapshot),
-    /// then `sql`, each when present; with `writeset` the answer is the
-    /// open transaction's writeset (`WritesetOut`) instead of the
-    /// statement's result. An explicit COMMIT is the extraction alone. The
-    /// node charges what the separate statements would have cost, and the
-    /// extraction nothing. `begin` with `writeset` is an implicit
-    /// transaction: a failed statement rolls it back at the node, charged
-    /// as that ROLLBACK.
-    Delegate { op: u64, conn: u64, begin: Option<String>, sql: Option<String>, writeset: bool },
+    /// `conn`: `begin` (the BEGIN opening the transaction's snapshot), then
+    /// `stmt`, each when present; with `writeset` the answer is the open
+    /// transaction's writeset (`WritesetOut`) instead of the statement's
+    /// result. An explicit COMMIT is the extraction alone. The node charges
+    /// what the separate `Execute`s would have cost, and the extraction
+    /// nothing. `begin` with `writeset` is an implicit transaction: a failed
+    /// statement rolls it back at the node, charged as that ROLLBACK.
+    Delegate { op: u64, conn: u64, begin: Option<PlanExec>, stmt: Option<PlanExec>, writeset: bool },
     /// Apply a certified writeset as one transaction.
     ApplyWriteset { op: u64, ws: Writeset },
     /// Apply shipped binlog entries (slave side). `parallel_apply` groups
@@ -266,16 +287,7 @@ pub enum DbOp {
 
 /// One statement of a grouped [`DbOp::ExecuteBatch`].
 #[derive(Debug, Clone)]
-pub struct BatchStmt {
-    pub conn: u64,
-    pub sql: String,
-    /// Replication-log position (see [`DbOp::Execute`]'s `seq`).
-    pub seq: Option<u64>,
-}
-
-/// One statement of a grouped [`DbOp::ExecuteBatchPlan`].
-#[derive(Debug, Clone)]
-pub struct PlanBatchStmt {
+pub struct BatchItem {
     pub conn: u64,
     pub plan: PlanExec,
     /// Replication-log position (see [`DbOp::Execute`]'s `seq`).
@@ -369,13 +381,16 @@ pub enum ReplEvent {
     Statement {
         session: SessionId,
         stmt_seq: u64,
+        /// The statement's text for the recovery log, whose replay ships
+        /// text (`DbOp::ApplyBinlog`).
         sql: String,
-        /// The admission-time parse of `sql`, threaded through delivery so
-        /// table extraction and fan-out never re-parse the text (the
-        /// admission/delivery double-parse bug: under concurrent schema
-        /// change the two parses could disagree). `sql` stays the canonical
-        /// replicated form; `ast` always binds to the same statement.
+        /// The admission-time parse of `sql`: what every backend executes.
+        /// `sql` stays the canonical logged form; `ast` always binds to the
+        /// same statement.
         ast: PlanExec,
+        /// The statement's written tables (its conflict classes, logged
+        /// with it), taken from the admission-time parse.
+        tables: Vec<String>,
     },
     /// Certification request for a transaction's writeset.
     Certify {

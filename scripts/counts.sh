@@ -15,6 +15,9 @@ echo "middleware.rs non-test lines:     $(nontest "$mw")"
 echo "middleware.rs non-test .unwrap(): $(awk '/^#\[cfg\(test\)\]/ { exit } { n += gsub(/\.unwrap\(\)/, "") } END { print n + 0 }' "$mw")"
 echo "MwConfig fields:                  $(awk '/^pub struct MwConfig \{/ { on = 1; next } on && /^\}/ { exit } on && /^    pub [a-z_0-9]+:/ { n++ } END { print n + 0 }' "$mw")"
 echo "self.partial sites:               $(grep -c 'self\.partial' "$mw")"
+# SQL text on the middleware -> backend request wire: `String` fields of
+# `DbOp` and of its batch structs.
+echo "SQL String fields on DbOp wire:   $(awk '/^pub (enum DbOp|struct [A-Za-z]*Batch[A-Za-z]*) \{/ { on = 1; next } on && /^\}/ { on = 0 } on { n += gsub(/: (Option<)?String[,>]/, "") } END { print n + 0 }' crates/core/src/msg.rs)"
 echo "crates/core/src non-test lines per file:"
 total=0
 for f in crates/core/src/*.rs; do

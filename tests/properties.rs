@@ -759,19 +759,16 @@ impl TxSource for PointMix {
     }
 }
 
-/// One run of the plan-cache comparison harness: statement-based
-/// multi-master, disjoint-key point statements, `plan_cache` templates of
-/// middleware cache (0 = off, the pre-cache byte path).
+/// One run of the plan-cache comparison harness: disjoint-key point
+/// statements in `mode` over 3 backends, with `plan_cache` templates of
+/// middleware cache (0 = no reuse).
 fn run_plan_cache_case(
+    mode: Mode,
     seed: u64,
     clients: usize,
     plan_cache: usize,
 ) -> (Vec<ClientMetrics>, MwMetrics, Vec<Vec<u64>>) {
-    let mut cfg = ClusterConfig::new(
-        Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject },
-        micro::schema("bench", 100),
-        "bench",
-    );
+    let mut cfg = ClusterConfig::new(mode, micro::schema("bench", 100), "bench");
     cfg.seed = seed;
     cfg.backends_per_mw = 3;
     cfg.mw.plan_cache = plan_cache;
@@ -790,74 +787,89 @@ fn run_plan_cache_case(
     (cms, cluster.mw_metrics(0), sums)
 }
 
-/// The plan cache (and the parsed-statement wire format it turns on) is an
-/// optimization, not a semantic change: for the same seed, cache-off and
-/// cache-on commit the same transactions, expose identical abort sets, and
-/// converge every backend to the same final state as each other AND as the
-/// uncached arm. The cache-on arm actually hits (the workload is two
-/// templates), the cache-off arm never consults the cache, trace tiling
-/// stays exact in both arms, and each arm reruns bit-identically.
+/// The plan cache is reuse only: every backend receives the
+/// admission-time parse whatever the capacity, so for the same seed cache
+/// 0 and cache N are the same run — bit-identical client latency
+/// histograms, completed traces (client and middleware), replica
+/// checksums and counters, apart from the cache's own counters — in
+/// statement, writeset and master-slave mode. The cache-on arm actually
+/// hits (the workload is two templates), the cache-off arm never consults
+/// the cache, trace tiling stays exact, and each arm reruns bit-identically.
 #[test]
 fn plan_cache_preserves_outcomes() {
+    let modes = [
+        Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject },
+        Mode::MultiMasterWriteset,
+        Mode::MasterSlave {
+            two_safe: false,
+            ship_interval_us: 5_000,
+            use_writesets: false,
+            parallel_apply: false,
+            read_master: false,
+        },
+    ];
     detcheck::check("plan_cache_preserves_outcomes", 4, |rng| {
         let seed = rng.gen_range(0u64..1000);
         let clients = rng.gen_range(2usize..5);
         let cache = rng.gen_range(2usize..65);
-        let (c0, m0, s0) = run_plan_cache_case(seed, clients, 0);
-        let (cc, mc, sc) = run_plan_cache_case(seed, clients, cache);
+        for mode in &modes {
+            let label = format!("{mode:?}");
+            let run = |plan_cache| run_plan_cache_case(mode.clone(), seed, clients, plan_cache);
+            let (c0, m0, s0) = run(0);
+            let (cc, mc, sc) = run(cache);
 
-        // Both arms complete the whole workload identically.
-        for (a, b) in c0.iter().zip(&cc) {
-            assert_eq!(a.committed, b.committed, "cache changed commit count");
-            assert_eq!(a.aborted, b.aborted, "cache changed abort count");
-            assert_eq!(a.failed, b.failed, "cache changed failure count");
-            assert_eq!(a.committed, 60, "incomplete allotment");
-        }
-
-        // Convergence within each arm, and the same state across arms.
-        let flat0: Vec<u64> = s0.iter().flatten().copied().collect();
-        let flatc: Vec<u64> = sc.iter().flatten().copied().collect();
-        assert!(flat0.windows(2).all(|w| w[0] == w[1]), "cache-off diverged: {s0:?}");
-        assert!(flatc.windows(2).all(|w| w[0] == w[1]), "cache-on diverged: {sc:?}");
-        assert_eq!(flat0[0], flatc[0], "cache-on arm reached a different final state");
-
-        // The cache is observable exactly when enabled.
-        assert_eq!(m0.counters.plan_cache_hits, 0, "cache-off arm recorded hits");
-        assert_eq!(m0.counters.plan_cache_misses, 0, "cache-off arm recorded misses");
-        assert!(mc.counters.plan_cache_hits > 0, "cache-on arm never hit");
-        assert!(
-            mc.counters.plan_cache_hits > mc.counters.plan_cache_misses,
-            "two-template workload must be hit-dominated: {} hits / {} misses",
-            mc.counters.plan_cache_hits,
-            mc.counters.plan_cache_misses
-        );
-
-        // Trace tiling stays exact in both arms.
-        let other = Stage::Other.idx();
-        for (mw, label) in [(&m0, "cache-off"), (&mc, "cache-on")] {
-            assert_eq!(mw.trace.open_count(), 0, "{label}: trace left open");
-            for t in mw.trace.completed() {
-                assert_eq!(t.stage_us.iter().sum::<u64>(), t.duration_us(), "{label}: spans must tile");
-                assert_eq!(t.stage_us[other], 0, "{label}: unattributed time");
+            // The whole allotment completes, and the same way in both arms.
+            for (a, b) in c0.iter().zip(&cc) {
+                assert_eq!(a.committed, 60, "{label}: incomplete allotment");
+                assert_eq!((a.committed, a.aborted, a.failed), (b.committed, b.aborted, b.failed), "{label}");
+                assert_eq!(a.stmt_latency, b.stmt_latency, "{label}: statement latencies differ");
+                assert_eq!(a.tx_latency, b.tx_latency, "{label}: transaction latencies differ");
+                let (ta, tb): (Vec<_>, Vec<_>) = (a.trace.completed().collect(), b.trace.completed().collect());
+                assert_eq!(ta, tb, "{label}: client traces differ");
             }
-        }
+            let (t0, tc): (Vec<_>, Vec<_>) = (m0.trace.completed().collect(), mc.trace.completed().collect());
+            assert_eq!(t0, tc, "{label}: middleware traces differ");
+            assert_eq!(m0.read_latency, mc.read_latency, "{label}");
+            assert_eq!(m0.write_latency, mc.write_latency, "{label}");
+            let uncached = |m: &MwMetrics| {
+                let mut c = m.counters;
+                (c.plan_cache_hits, c.plan_cache_misses, c.plan_cache_evictions) = (0, 0, 0);
+                c
+            };
+            assert_eq!(uncached(&m0), uncached(&mc), "{label}: counters differ");
 
-        // Each arm reruns bit-identically.
-        let (c0r, m0r, s0r) = run_plan_cache_case(seed, clients, 0);
-        let (ccr, mcr, scr) = run_plan_cache_case(seed, clients, cache);
-        assert_eq!(s0, s0r, "cache-off rerun diverged");
-        assert_eq!(sc, scr, "cache-on rerun diverged");
-        assert_eq!(m0.counters, m0r.counters, "cache-off rerun counters differ");
-        assert_eq!(mc.counters, mcr.counters, "cache-on rerun counters differ");
-        let t0: Vec<_> = m0.trace.completed().cloned().collect();
-        let t0r: Vec<_> = m0r.trace.completed().cloned().collect();
-        let tc: Vec<_> = mc.trace.completed().cloned().collect();
-        let tcr: Vec<_> = mcr.trace.completed().cloned().collect();
-        assert_eq!(t0, t0r, "cache-off rerun traces differ");
-        assert_eq!(tc, tcr, "cache-on rerun traces differ");
-        for (x, y) in c0.iter().zip(&c0r).chain(cc.iter().zip(&ccr)) {
-            assert_eq!(x.committed, y.committed);
-            assert_eq!(x.aborted, y.aborted);
+            // Convergence within each arm, and the same state across arms.
+            let flat0: Vec<u64> = s0.iter().flatten().copied().collect();
+            assert!(flat0.windows(2).all(|w| w[0] == w[1]), "{label}: diverged: {s0:?}");
+            assert_eq!(s0, sc, "{label}: cache-on arm reached a different state");
+
+            // The cache is observable exactly when enabled.
+            assert_eq!(m0.counters.plan_cache_hits + m0.counters.plan_cache_misses, 0, "{label}");
+            assert!(
+                mc.counters.plan_cache_hits > mc.counters.plan_cache_misses,
+                "{label}: two-template workload must be hit-dominated: {} hits / {} misses",
+                mc.counters.plan_cache_hits,
+                mc.counters.plan_cache_misses
+            );
+
+            // Trace tiling stays exact.
+            assert_eq!(m0.trace.open_count(), 0, "{label}: trace left open");
+            for t in m0.trace.completed() {
+                assert_eq!(t.stage_us.iter().sum::<u64>(), t.duration_us(), "{label}: spans must tile");
+                assert_eq!(t.stage_us[Stage::Other.idx()], 0, "{label}: unattributed time");
+            }
+
+            // Each arm reruns bit-identically.
+            for (plan_cache, (c, m, s)) in [(0, (c0, m0, s0)), (cache, (cc, mc, sc))] {
+                let (cr, mr, sr) = run(plan_cache);
+                assert_eq!(s, sr, "{label}: cache {plan_cache} rerun diverged");
+                assert_eq!(m.counters, mr.counters, "{label}: cache {plan_cache} rerun counters differ");
+                let (t, tr): (Vec<_>, Vec<_>) = (m.trace.completed().collect(), mr.trace.completed().collect());
+                assert_eq!(t, tr, "{label}: cache {plan_cache} rerun traces differ");
+                for (x, y) in c.iter().zip(&cr) {
+                    assert_eq!(x.stmt_latency, y.stmt_latency, "{label}: cache {plan_cache} rerun");
+                }
+            }
         }
     });
 }
