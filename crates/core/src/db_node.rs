@@ -9,7 +9,7 @@ use replimid_simnet::{Actor, Ctx, DiskModel, NodeId};
 use replimid_sql::engine::ConnId;
 use replimid_sql::{
     BinlogEntry, CrashKind, DumpOptions, Engine, ExecResult, Lsn, Outcome, RecoveryReport,
-    SqlError, WalStats, ADMIN_PASSWORD, ADMIN_USER,
+    SqlError, WalStats, Writeset, ADMIN_PASSWORD, ADMIN_USER,
 };
 
 use crate::msg::{BatchExecResult, CommitNote, DbOp, DbResp, Msg, PlanExec, ReplyBody};
@@ -122,6 +122,12 @@ impl DbNode {
 
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
+    }
+
+    /// The engine connection serving the middleware's connection `token`.
+    #[cfg(test)]
+    pub(crate) fn conn_of(&self, token: u64) -> Option<ConnId> {
+        self.conns.get(&token).copied()
     }
 
     pub fn applied_lsn(&self) -> Lsn {
@@ -242,37 +248,26 @@ impl DbNode {
                 };
                 Some(resp)
             }
-            DbOp::Delegate { op, conn, begin, stmt, writeset } => {
+            DbOp::Delegate { op, conn, begin, stmt, implicit } => {
+                let out = |res, ws, poisoned| Some(DbResp::DelegateOut { op, res, ws: Box::new(ws), poisoned });
                 if let Some(begin) = &begin {
                     if let Err(err) = self.run_charged(ctx, conn, begin) {
-                        return Some(DbResp::ExecErr { op, err });
+                        return out(Err(err), Writeset::default(), false);
                     }
                 }
-                let res = match stmt.map(|stmt| self.run_charged(ctx, conn, &stmt)).transpose() {
-                    Ok(res) => res,
-                    Err(err) => {
-                        if begin.is_some() && writeset {
-                            // The implicit transaction dies with its only
-                            // statement.
-                            let _ = self.run_charged(ctx, conn, &PlanExec::rollback());
-                        }
-                        return Some(DbResp::ExecErr { op, err });
-                    }
+                let c = match self.conn_for(conn) {
+                    Ok(c) => c,
+                    Err(err) => return out(Err(err), Writeset::default(), false),
                 };
-                if !writeset {
-                    return Some(match res {
-                        Some(res) => self.exec_ok(op, res),
-                        None => DbResp::ExecOk { op, body: ReplyBody::Ack, commit: None, tainted: false },
-                    });
+                let mark = self.engine.pending_mark(c);
+                let res = self.run_charged(ctx, conn, &stmt);
+                let ws = self.engine.pending_writeset_since(c, mark).unwrap_or_default();
+                let poisoned = res.is_err() && self.engine.tx_poisoned(c);
+                if res.is_err() && implicit {
+                    // The implicit transaction dies with its only statement.
+                    let _ = self.run_charged(ctx, conn, &PlanExec::rollback());
                 }
-                let resp = match self
-                    .conn_for(conn)
-                    .and_then(|c| self.engine.pending_writeset(c))
-                {
-                    Ok(ws) => DbResp::WritesetOut { op, ws: Box::new(ws) },
-                    Err(err) => DbResp::ExecErr { op, err },
-                };
-                Some(resp)
+                out(res.map(|r| reply_body(r.outcome)), ws, poisoned)
             }
             DbOp::ExecuteBatch { op, stmts } => {
                 let mut results = Vec::with_capacity(stmts.len());

@@ -343,9 +343,9 @@ enum CurrentKind {
     /// Writeset mode: statement executing at the delegate. `opened`: the
     /// same op ran the transaction's BEGIN first.
     WsStmt { opened: bool },
-    /// Writeset mode: the delegate op that answers with the writeset to
-    /// certify (an autocommit write, `opened`, or a COMMIT) in flight.
-    WsPrepare { opened: bool },
+    /// Writeset mode: an autocommit write at its delegate, whose records
+    /// certify as soon as it answers.
+    WsPrepare,
     /// Writeset mode: certification published, waiting for delivery.
     WsCertifyWait,
     /// Writeset mode: delegate commit + remote applies in flight.
@@ -405,6 +405,12 @@ struct Sess {
     /// acknowledged but not yet executed anywhere. `Some` until the
     /// transaction's first statement picks the delegate and runs it there.
     begin: Option<Option<IsolationLevel>>,
+    /// Writeset mode: the write records the open transaction's statements
+    /// returned from the delegate, in order; COMMIT certifies them.
+    ws: Writeset,
+    /// Writeset mode: a failed statement left the delegate's transaction
+    /// able only to roll back, so COMMIT answers the abort.
+    poisoned: bool,
     /// Open per-statement admission records (was the middleware-global
     /// `request_started` map, which `SessionEnd` leaked): (stmt_seq, meta).
     /// At most a handful in flight per session; dropped with the session.
@@ -432,9 +438,20 @@ impl Sess {
             last_write_us: 0,
             last_write_backend: None,
             begin: None,
+            ws: Writeset::default(),
+            poisoned: false,
             open_reqs: Vec::new(),
             two_safe_body: None,
         }
+    }
+
+    /// The session's transaction is over, however it ended.
+    fn end_tx(&mut self) {
+        self.in_tx = false;
+        self.wrote_in_tx = false;
+        self.begin = None;
+        self.ws = Writeset::default();
+        self.poisoned = false;
     }
 }
 
@@ -461,8 +478,10 @@ enum Pending {
     /// transaction; `marks` are the (group, position) pairs its ack
     /// credits to the backend's per-group watermarks.
     PwCommit { session: SessionId, backend: BackendId, marks: Vec<(u32, u64)> },
-    /// One group's writeset slice applied at one hosting backend.
-    PwApply { session: Option<SessionId>, backend: BackendId, group: u32, pos: u64 },
+    /// A certified transaction's writeset applied at one non-delegate host:
+    /// the parts of every involved group it hosts, one op; `marks` as in
+    /// `PwCommit`.
+    PwApply { session: Option<SessionId>, backend: BackendId, marks: Vec<(u32, u64)> },
     /// Partial resync: dump request at the donor for `target`; `heads` are
     /// the per-group log heads snapshotted when the dump was requested.
     PwResyncDump { target: BackendId, heads: Vec<u64> },
@@ -1999,25 +2018,31 @@ impl Middleware {
                 // the table groups the transaction touches. BEGIN itself is
                 // a middleware-side state change that remembers what the
                 // client asked for.
+                s.end_tx();
                 s.in_tx = true;
-                s.wrote_in_tx = false;
                 s.sticky = None;
                 s.begin = Some(*isolation);
                 self.reply(ctx, session, req.stmt_seq, Ok(ReplyBody::Ack));
             }
             Statement::Commit => {
                 let Some(backend) = delegate.filter(|_| in_tx) else {
-                    // Also covers BEGIN; COMMIT with no statement between:
-                    // nothing executed anywhere, nothing to certify.
-                    s.in_tx = false;
-                    s.wrote_in_tx = false;
-                    s.begin = None;
-                    self.reply(ctx, session, req.stmt_seq, Ok(ReplyBody::Ack));
+                    let lost = in_tx && s.wrote_in_tx;
+                    s.end_tx();
+                    if lost {
+                        // The delegate holding the transaction's writes
+                        // failed or was removed since its last statement.
+                        self.metrics.counters.lost_transactions += 1;
+                        self.reply(ctx, session, req.stmt_seq, Err(ReplyError::Unavailable("delegate lost".into())));
+                    } else {
+                        // BEGIN; COMMIT with no statement between: nothing
+                        // executed anywhere, nothing to certify.
+                        self.reply(ctx, session, req.stmt_seq, Ok(ReplyBody::Ack));
+                    }
                     return;
                 };
                 if !s.wrote_in_tx {
                     // Read-only transaction: commit locally, no certification.
-                    s.in_tx = false;
+                    s.end_tx();
                     s.current = Some(Current {
                         stmt_seq: req.stmt_seq,
                         kind: CurrentKind::WsStmt { opened: false },
@@ -2027,15 +2052,19 @@ impl Middleware {
                     });
                     return;
                 }
-                s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::WsPrepare { opened: false } });
-                self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                    DbOp::Delegate { op, conn: session.0, begin: None, stmt: None, writeset: true }
-                });
+                if s.poisoned {
+                    self.rollback_at_delegate(ctx, session);
+                    let aborted = SqlError::TransactionState("transaction is aborted; COMMIT rolled it back".into());
+                    self.reply(ctx, session, req.stmt_seq, Err(ReplyError::Sql(aborted)));
+                    return;
+                }
+                // The delegate returned every record with the statement
+                // that wrote it: certify them without asking it again.
+                let ws = std::mem::take(&mut s.ws);
+                self.pw_publish_prepare(ctx, session, req.stmt_seq, ws);
             }
             Statement::Rollback => {
-                s.in_tx = false;
-                s.wrote_in_tx = false;
-                s.begin = None;
+                s.end_tx();
                 s.current = Some(Current {
                     stmt_seq: req.stmt_seq,
                     kind: CurrentKind::WsStmt { opened: false },
@@ -2099,20 +2128,19 @@ impl Middleware {
                 }
                 // One op at the delegate: the (remembered or implicit) BEGIN
                 // when this statement opens the transaction, whose response
-                // then samples the certification start positions; the
-                // statement; and for an autocommit write, the writeset to
-                // certify.
+                // then samples the certification start positions, and the
+                // statement, whose response carries the records it wrote.
                 let opened = begin.is_some();
                 if opened {
                     s.in_tx = true;
                     s.sticky = Some(backend);
                     s.begin = None;
                 }
-                let kind = if in_tx { CurrentKind::WsStmt { opened } } else { CurrentKind::WsPrepare { opened } };
+                let kind = if in_tx { CurrentKind::WsStmt { opened } } else { CurrentKind::WsPrepare };
                 s.current = Some(Current { stmt_seq: req.stmt_seq, kind });
                 let begin = begin.map(PlanExec::begin);
                 self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                    DbOp::Delegate { op, conn: session.0, begin, stmt: Some(plan), writeset: !in_tx }
+                    DbOp::Delegate { op, conn: session.0, begin, stmt: plan, implicit: !in_tx }
                 });
             }
         }
@@ -2126,11 +2154,10 @@ impl Middleware {
     /// one group → a plain per-group Certify; several → an XPrepare slot in
     /// every involved group's stream (cross-group 2PC, deterministic votes).
     fn pw_publish_prepare(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId, stmt_seq: u64, ws: Writeset) {
-        let gstart = self.sessions.get(session.0).map(|s| s.gstart.clone()).unwrap_or_default();
-        {
-            let s = self.sessions.get_mut(session.0).unwrap();
-            s.current = Some(Current { stmt_seq, kind: CurrentKind::WsCertifyWait });
-        }
+        // Both callers answer a request of this session, so it exists.
+        let Some(s) = self.sessions.get_mut(session.0) else { return };
+        s.current = Some(Current { stmt_seq, kind: CurrentKind::WsCertifyWait });
+        let gstart = s.gstart.clone();
         let placement = &self.shards.placement;
         let mut slices = ws.split_by(|_db, t| placement.group_of(t));
         let default_group = placement.default_group();
@@ -2141,7 +2168,7 @@ impl Middleware {
         }
         let start = |g: usize| gstart.get(g).copied().unwrap_or(0);
         if slices.len() == 1 {
-            let (g, part) = slices.pop().unwrap();
+            let (g, part) = slices.swap_remove(0);
             let start_pos = start(g);
             self.shard_publish_write(
                 ctx,
@@ -2199,82 +2226,10 @@ impl Middleware {
             Verdict::Abort => {
                 self.metrics.counters.certification_failures += 1;
                 if origin {
-                    let delegate = self.sessions.get(session.0).and_then(|s| s.sticky);
-                    if let Some(backend) = delegate {
-                        if self.backends[backend.0].online() {
-                            self.send_db(ctx, backend, Pending::FireAndForget, move |op| {
-                                DbOp::Execute { op, conn: session.0, plan: PlanExec::rollback(), seq: None }
-                            });
-                        }
-                    }
-                    {
-                        let s = self.sessions.get_mut(session.0).unwrap();
-                        s.in_tx = false;
-                        s.wrote_in_tx = false;
-                    }
-                    self.metrics.counters.aborts += 1;
-                    self.reply(
-                        ctx,
-                        session,
-                        stmt_seq,
-                        Err(ReplyError::Sql(SqlError::WriteConflict {
-                            table: "certification".into(),
-                            detail: "first committer won".into(),
-                        })),
-                    );
+                    self.certification_lost(ctx, session, stmt_seq, "first committer won");
                 }
             }
-            Verdict::Commit => {
-                {
-                    // Freshness stamp: reads for this session must come
-                    // from a backend whose group mark reached this position.
-                    let s = self.sessions.get_mut(session.0).unwrap();
-                    raise(&mut s.gstamps, g, cert_pos);
-                }
-                let delegate =
-                    if origin { self.sessions.get(session.0).and_then(|s| s.sticky) } else { None };
-                let hosts: Vec<usize> = self.shards.placement.hosts(g).to_vec();
-                let targets: Vec<BackendId> =
-                    self.healthy().into_iter().filter(|b| hosts.contains(&b.0)).collect();
-                let mut remaining = 0;
-                for backend in targets {
-                    if Some(backend) == delegate {
-                        remaining += 1;
-                        self.send_db(
-                            ctx,
-                            backend,
-                            Pending::PwCommit { session, backend, marks: vec![(g as u32, cert_pos)] },
-                            move |op| DbOp::Execute { op, conn: session.0, plan: PlanExec::commit(), seq: None },
-                        );
-                    } else {
-                        let ws_wire = ws.clone();
-                        let sess = if origin { Some(session) } else { None };
-                        if origin {
-                            remaining += 1;
-                        }
-                        self.send_db(
-                            ctx,
-                            backend,
-                            Pending::PwApply { session: sess, backend, group: g as u32, pos: cert_pos },
-                            move |op| DbOp::ApplyWriteset { op, ws: ws_wire },
-                        );
-                    }
-                }
-                if origin {
-                    {
-                        let s = self.sessions.get_mut(session.0).unwrap();
-                        s.in_tx = false;
-                        s.current = Some(Current {
-                            stmt_seq,
-                            kind: CurrentKind::WsFinalize { remaining, failed: false },
-                        });
-                    }
-                    if remaining == 0 {
-                        self.metrics.counters.commits += 1;
-                        self.reply(ctx, session, stmt_seq, Ok(ReplyBody::Ack));
-                    }
-                }
-            }
+            Verdict::Commit => self.fan_out_commit(ctx, session, stmt_seq, origin, &[(g as u32, cert_pos, &ws)]),
         }
     }
 
@@ -2380,92 +2335,97 @@ impl Middleware {
                 self.metrics.certifier = shards.agg_stats();
             }
             if origin {
-                let delegate = self.sessions.get(session.0).and_then(|s| s.sticky);
-                if let Some(backend) = delegate {
-                    if self.backends[backend.0].online() {
-                        self.send_db(ctx, backend, Pending::FireAndForget, move |op| {
-                            DbOp::Execute { op, conn: session.0, plan: PlanExec::rollback(), seq: None }
-                        });
-                    }
-                }
-                {
-                    let s = self.sessions.get_mut(session.0).unwrap();
-                    s.in_tx = false;
-                    s.wrote_in_tx = false;
-                }
-                self.metrics.counters.aborts += 1;
-                self.reply(
-                    ctx,
-                    session,
-                    stmt_seq,
-                    Err(ReplyError::Sql(SqlError::WriteConflict {
-                        table: "certification".into(),
-                        detail: "cross-group certification lost".into(),
-                    })),
-                );
+                self.certification_lost(ctx, session, stmt_seq, "cross-group certification lost");
             }
             return;
         }
         self.metrics.counters.xgroup_commits += 1;
-        {
-            let s = self.sessions.get_mut(session.0).unwrap();
-            for (idx, &gg) in xtx.groups.iter().enumerate() {
-                raise(&mut s.gstamps, gg as usize, xtx.pos[idx]);
+        // Every vote was yes, and a yes vote recorded its part.
+        let parts: Vec<(u32, u64, &Writeset)> =
+            xtx.groups.iter().zip(&xtx.pos).zip(xtx.parts.iter().flatten()).map(|((&g, &pos), p)| (g, pos, p)).collect();
+        self.fan_out_commit(ctx, session, stmt_seq, origin, &parts);
+    }
+
+    /// Fan a certified transaction out, one op per healthy host of its
+    /// groups. `parts` are (group, certified position, writeset part). The
+    /// origin's delegate hosts every group (enforced at pick time) and
+    /// commits, which marks all its group positions at once; any other
+    /// host applies the parts of the groups it hosts as one writeset. The
+    /// parts touch disjoint groups, so merging them keeps each row's
+    /// certified order.
+    fn fan_out_commit(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        session: SessionId,
+        stmt_seq: u64,
+        origin: bool,
+        parts: &[(u32, u64, &Writeset)],
+    ) {
+        // Freshness stamp: reads for this session must come from a backend
+        // whose group marks reached these positions.
+        if let Some(s) = self.sessions.get_mut(session.0) {
+            for &(g, pos, _) in parts {
+                raise(&mut s.gstamps, g as usize, pos);
             }
         }
         let delegate = if origin { self.sessions.get(session.0).and_then(|s| s.sticky) } else { None };
-        let healthy = self.healthy();
         let mut remaining = 0;
-        // The delegate hosts every involved group (enforced at pick time):
-        // one COMMIT there marks all its group positions at once.
-        if let Some(backend) = delegate {
-            if healthy.contains(&backend) {
+        for backend in self.healthy() {
+            let hosted = parts.iter().filter(|(g, ..)| self.shards.placement.hosts(*g as usize).contains(&backend.0));
+            let marks: Vec<(u32, u64)> = hosted.clone().map(|&(g, pos, _)| (g, pos)).collect();
+            if marks.is_empty() {
+                continue;
+            }
+            if Some(backend) == delegate {
                 remaining += 1;
-                let marks: Vec<(u32, u64)> =
-                    xtx.groups.iter().copied().zip(xtx.pos.iter().copied()).collect();
-                self.send_db(
-                    ctx,
-                    backend,
-                    Pending::PwCommit { session, backend, marks },
-                    move |op| DbOp::Execute { op, conn: session.0, plan: PlanExec::commit(), seq: None },
-                );
+                self.send_db(ctx, backend, Pending::PwCommit { session, backend, marks }, move |op| {
+                    DbOp::Execute { op, conn: session.0, plan: PlanExec::commit(), seq: None }
+                });
+                continue;
             }
-        }
-        for (idx, &gg) in xtx.groups.iter().enumerate() {
-            let g = gg as usize;
-            let part = xtx.parts[idx].clone().expect("yes vote recorded its part");
-            let pos = xtx.pos[idx];
-            let hosts: Vec<usize> = self.shards.placement.hosts(g).to_vec();
-            for &backend in healthy.iter().filter(|b| hosts.contains(&b.0)) {
-                if Some(backend) == delegate {
-                    continue;
+            let mut ws = Writeset::default();
+            for (_, _, part) in hosted {
+                ws.entries.extend(part.entries.iter().cloned());
+                if ws.counters.is_none() {
+                    ws.counters.clone_from(&part.counters);
                 }
-                let ws_wire = part.clone();
-                let sess = if origin { Some(session) } else { None };
-                if origin {
-                    remaining += 1;
-                }
-                self.send_db(
-                    ctx,
-                    backend,
-                    Pending::PwApply { session: sess, backend, group: gg, pos },
-                    move |op| DbOp::ApplyWriteset { op, ws: ws_wire },
-                );
             }
+            remaining += usize::from(origin);
+            let sess = origin.then_some(session);
+            self.send_db(ctx, backend, Pending::PwApply { session: sess, backend, marks }, move |op| {
+                DbOp::ApplyWriteset { op, ws }
+            });
         }
         if origin {
-            {
-                let s = self.sessions.get_mut(session.0).unwrap();
-                s.in_tx = false;
-                s.current = Some(Current {
-                    stmt_seq,
-                    kind: CurrentKind::WsFinalize { remaining, failed: false },
-                });
+            if let Some(s) = self.sessions.get_mut(session.0) {
+                s.end_tx();
+                s.current = Some(Current { stmt_seq, kind: CurrentKind::WsFinalize { remaining, failed: false } });
             }
             if remaining == 0 {
                 self.metrics.counters.commits += 1;
                 self.reply(ctx, session, stmt_seq, Ok(ReplyBody::Ack));
             }
+        }
+    }
+
+    /// The origin's transaction lost certification: roll it back at its
+    /// delegate and tell the client.
+    fn certification_lost(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId, stmt_seq: u64, detail: &str) {
+        self.rollback_at_delegate(ctx, session);
+        self.metrics.counters.aborts += 1;
+        let err = SqlError::WriteConflict { table: "certification".into(), detail: detail.into() };
+        self.reply(ctx, session, stmt_seq, Err(ReplyError::Sql(err)));
+    }
+
+    /// End `session`'s transaction, and roll it back at its delegate if
+    /// that is still online.
+    fn rollback_at_delegate(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId) {
+        let Some(s) = self.sessions.get_mut(session.0) else { return };
+        s.end_tx();
+        if let Some(backend) = s.sticky.filter(|b| self.backends[b.0].online()) {
+            self.send_db(ctx, backend, Pending::FireAndForget, move |op| {
+                DbOp::Execute { op, conn: session.0, plan: PlanExec::rollback(), seq: None }
+            });
         }
     }
 
@@ -2709,10 +2669,12 @@ impl Middleware {
                 let failed = !matches!(resp, DbResp::ExecOk { .. });
                 self.finish_ws_part(ctx, Some(session), failed);
             }
-            Pending::PwApply { session, backend, group, pos } => {
+            Pending::PwApply { session, backend, marks } => {
                 self.balancer.completed(backend);
                 if matches!(resp, DbResp::ApplyOk { .. }) {
-                    self.shards.marks[backend.0][group as usize].mark(pos);
+                    for &(g, pos) in &marks {
+                        self.shards.marks[backend.0][g as usize].mark(pos);
+                    }
                 }
                 self.finish_pw_apply(ctx, session, backend, resp);
             }
@@ -2798,7 +2760,7 @@ impl Middleware {
         let stmt_seq = current.stmt_seq;
         // Whatever happened since the last span was waiting on this backend.
         self.mw_span(session, stmt_seq, Stage::Execute, ctx.now().micros());
-        if let CurrentKind::WsStmt { opened: true } | CurrentKind::WsPrepare { opened: true } = current.kind {
+        if let CurrentKind::WsStmt { opened: true } | CurrentKind::WsPrepare = current.kind {
             // The op ran BEGIN. Its snapshot holds every certified writeset
             // the delegate's watermarks count now, and none they count
             // later: the link is FIFO and the node runs ops serially, so an
@@ -2821,38 +2783,39 @@ impl Middleware {
                 }
                 _ => {}
             },
-            CurrentKind::TempExec { .. } | CurrentKind::WsStmt { .. } => match resp {
-                DbResp::ExecOk { body, commit, .. } => {
-                    if commit.is_some() {
-                        self.metrics.counters.commits += 1;
+            CurrentKind::TempExec { .. } | CurrentKind::WsStmt { .. } | CurrentKind::WsPrepare => {
+                let res = match resp {
+                    DbResp::ExecOk { body, commit, .. } => {
+                        if commit.is_some() {
+                            self.metrics.counters.commits += 1;
+                        }
+                        Ok(body)
                     }
-                    self.reply(ctx, session, stmt_seq, Ok(body));
-                }
-                DbResp::ExecErr { err, .. } => {
-                    if err.is_retryable() {
-                        self.metrics.counters.aborts += 1;
-                    }
-                    self.reply(ctx, session, stmt_seq, Err(ReplyError::Sql(err)));
-                }
-                _ => {}
-            },
-            CurrentKind::WsPrepare { opened } => match resp {
-                DbResp::WritesetOut { ws, .. } => self.pw_publish_prepare(ctx, session, stmt_seq, *ws),
-                DbResp::ExecErr { err, .. } => {
-                    if opened {
-                        // The node rolled the implicit transaction back.
+                    DbResp::ExecErr { err, .. } => Err(err),
+                    DbResp::DelegateOut { res, ws, poisoned, .. } => {
+                        let autocommit = matches!(current.kind, CurrentKind::WsPrepare);
+                        if autocommit && res.is_ok() {
+                            self.pw_publish_prepare(ctx, session, stmt_seq, *ws);
+                            return;
+                        }
                         if let Some(s) = self.sessions.get_mut(session.0) {
-                            s.in_tx = false;
-                            s.wrote_in_tx = false;
+                            if autocommit {
+                                // The node rolled the implicit transaction back.
+                                s.end_tx();
+                            } else {
+                                s.ws.entries.extend(ws.entries);
+                                s.poisoned |= poisoned;
+                            }
                         }
-                        if err.is_retryable() {
-                            self.metrics.counters.aborts += 1;
-                        }
+                        res
                     }
-                    self.reply(ctx, session, stmt_seq, Err(ReplyError::Sql(err)));
+                    _ => return,
+                };
+                if res.as_ref().is_err_and(SqlError::is_retryable) {
+                    self.metrics.counters.aborts += 1;
                 }
-                _ => {}
-            },
+                self.reply(ctx, session, stmt_seq, res.map_err(ReplyError::Sql));
+            }
             CurrentKind::MsWrite { .. } => self.finish_ms_write(ctx, session, stmt_seq, resp),
             _ => {}
         }
@@ -3571,8 +3534,7 @@ impl Middleware {
                 self.metrics.availability.record(started, false);
                 // In-flight transaction lost with the node (§4.3.3).
                 let Some(s) = self.sessions.get_mut(session.0) else { return };
-                s.in_tx = false;
-                s.wrote_in_tx = false;
+                s.end_tx();
                 s.sticky = None;
                 if let Some(seq) = s.current.as_ref().map(|c| c.stmt_seq) {
                     self.metrics.counters.lost_transactions += 1;
@@ -4366,8 +4328,8 @@ mod tests {
     }
 
     /// A backend that answers the writeset path from a script: statements
-    /// and COMMIT succeed, a delegate op asking for the writeset of session
-    /// `n` gets `insert_ws(n)`, the first `refuse` applies fail, and later
+    /// and COMMIT succeed, a delegate op running a write of session `n`
+    /// returns `insert_ws(n)`, the first `refuse` applies fail, and later
     /// ones apply, as do the dump, restore and replay of a rejoin. It logs
     /// every op but pings, which it never answers (an unanswered backend is
     /// never evicted).
@@ -4398,10 +4360,12 @@ mod tests {
             }
             self.ops.push(op.clone());
             let resp = match op {
-                DbOp::Delegate { op, conn, writeset: true, .. } => {
-                    DbResp::WritesetOut { op, ws: Box::new(insert_ws(conn as i64)) }
+                DbOp::Delegate { op, conn, stmt, .. } => {
+                    let write = !stmt.template.is_read_only();
+                    let ws = if write { insert_ws(conn as i64) } else { Writeset::default() };
+                    DbResp::DelegateOut { op, res: Ok(ReplyBody::Ack), ws: Box::new(ws), poisoned: false }
                 }
-                DbOp::Execute { op, .. } | DbOp::Delegate { op, .. } => {
+                DbOp::Execute { op, .. } => {
                     DbResp::ExecOk { op, body: ReplyBody::Ack, commit: None, tainted: false }
                 }
                 DbOp::ApplyWriteset { op, .. } if self.applies().len() <= self.refuse => {
@@ -4554,7 +4518,7 @@ mod tests {
             .position(|o| o.iter().any(|op| matches!(op, DbOp::Delegate { .. })))
             .expect("a delegate ran the statement");
         match &seen[delegate][..] {
-            [DbOp::Delegate { begin: Some(begin), stmt: Some(stmt), writeset: true, .. }, DbOp::Execute { plan: commit, seq: None, .. }] => {
+            [DbOp::Delegate { begin: Some(begin), stmt, implicit: true, .. }, DbOp::Execute { plan: commit, seq: None, .. }] => {
                 let snapshot = Some(IsolationLevel::SnapshotIsolation);
                 assert_eq!(whole(begin), Statement::Begin { isolation: snapshot });
                 assert_eq!(whole(stmt), parse_statement("INSERT INTO t1 VALUES (1, 1)").unwrap());
@@ -4571,7 +4535,7 @@ mod tests {
             .into_iter()
             .flatten()
             .filter_map(|op| match op {
-                DbOp::Delegate { begin: Some(begin), writeset: false, .. } => Some(whole(&begin)),
+                DbOp::Delegate { begin: Some(begin), implicit: false, .. } => Some(whole(&begin)),
                 _ => None,
             })
             .collect();
@@ -4680,6 +4644,150 @@ mod tests {
             assert_eq!(replies, [ack.clone(), ack.clone(), lost, ack.clone(), ack.clone(), ack]);
             let survivor = sim.with_actor::<Middleware, _>(mw, |m| m.sessions.get(1).and_then(|s| s.sticky));
             assert!(survivor.is_some() && survivor != Some(delegate));
+        }
+    }
+
+    /// The same recipe with the delegate removed after the transaction's
+    /// last statement: its COMMIT has nothing it could certify, so it
+    /// fails as lost instead of acknowledging a commit that never happened.
+    #[test]
+    fn a_commit_whose_delegate_is_lost_fails() {
+        let (mut sim, _, mw, client) = writeset_cluster(vec![ScriptedDb::new(0), ScriptedDb::new(0)], None);
+        request(&mut sim, (client, mw), 1_000, 1, 1, "BEGIN");
+        request(&mut sim, (client, mw), 2_000, 1, 2, "INSERT INTO t1 VALUES (1, 1)");
+        sim.run_until(SimTime(4_000));
+        let delegate = sim.with_actor::<Middleware, _>(mw, |m| m.sessions.get(1).and_then(|s| s.sticky));
+        let delegate = delegate.expect("the INSERT picked the delegate");
+        sim.inject(SimTime(4_500), mw, Msg::Admin(AdminCmd::RemoveBackend { backend: delegate }));
+        request(&mut sim, (client, mw), 5_000, 1, 3, "COMMIT");
+        sim.run_until(SimTime(10_000));
+        let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+        let lost = Err(ReplyError::Unavailable("delegate lost".into()));
+        assert_eq!(replies, [Ok(ReplyBody::Ack), Ok(ReplyBody::Ack), lost]);
+        sim.with_actor::<Middleware, _>(mw, |m| {
+            assert_eq!(m.metrics.certifier.commits, 0);
+            assert_eq!(m.metrics.counters.commits, 0);
+            assert_eq!(m.metrics.counters.lost_transactions, 1);
+        });
+    }
+
+    /// A real node that logs the ops it is sent (pings aside) and, when a
+    /// COMMIT arrives, what `Engine::pending_writeset` holds for it.
+    struct Recorded {
+        node: crate::db_node::DbNode,
+        ops: Vec<DbOp>,
+        at_commit: Option<Writeset>,
+    }
+
+    impl Recorded {
+        /// A node whose engine (`config`) ran `schema` after creating `d.t1`.
+        fn new(config: replimid_sql::EngineConfig, schema: &[&str]) -> Self {
+            let mut stmts = vec!["CREATE DATABASE d", "USE d", "CREATE TABLE t1 (k INT PRIMARY KEY, v INT)"];
+            stmts.extend(schema);
+            let schema: Vec<String> = stmts.into_iter().map(String::from).collect();
+            let engine = crate::cluster::build_engine(config, &schema);
+            Recorded { node: crate::db_node::DbNode::new(engine, Some("d".into())), ops: Vec::new(), at_commit: None }
+        }
+    }
+
+    impl Actor<Msg> for Recorded {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
+            match &msg {
+                Msg::Db(DbOp::Ping { .. }) => {}
+                Msg::Db(op) => {
+                    if let DbOp::Execute { conn, plan, .. } = op {
+                        if *plan.template == Statement::Commit {
+                            let c = self.node.conn_of(*conn).expect("the transaction's connection");
+                            self.at_commit = self.node.engine().pending_writeset(c).ok();
+                        }
+                    }
+                    self.ops.push(op.clone());
+                }
+                _ => {}
+            }
+            self.node.on_message(ctx, from, msg);
+        }
+    }
+
+    /// An explicit transaction costs its delegate one op per statement and
+    /// then the COMMIT plan: the records each statement returned are the
+    /// writeset COMMIT certifies, equal to what the engine would extract
+    /// at that COMMIT, and they are what the other host applies.
+    #[test]
+    fn an_explicit_commit_certifies_the_records_its_statements_returned() {
+        let dbs = vec![Recorded::new(Default::default(), &[]), Recorded::new(Default::default(), &[])];
+        let (mut sim, dbs, mw, client) = writeset_cluster(dbs, None);
+        let stmts = ["BEGIN", "INSERT INTO t1 VALUES (1, 1)", "UPDATE t1 SET v = 2 WHERE k = 1", "COMMIT"];
+        for (i, sql) in stmts.into_iter().enumerate() {
+            let i = i as u64;
+            request(&mut sim, (client, mw), 1_000 + 2_000 * i, 1, i + 1, sql);
+        }
+        sim.run_until(SimTime(20_000));
+        let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+        assert_eq!(replies, [ReplyBody::Ack, ReplyBody::Affected(1), ReplyBody::Affected(1), ReplyBody::Ack].map(Ok));
+        let seen: Vec<(Vec<DbOp>, Option<Writeset>)> = dbs
+            .iter()
+            .map(|&d| sim.with_actor::<Recorded, _>(d, |r| (r.ops.clone(), r.at_commit.clone())))
+            .collect();
+        let delegate = seen.iter().position(|(ops, _)| ops.len() == 3).expect("one delegate");
+        let stmt = |plan: &PlanExec| (*plan.template).clone();
+        let (ops, at_commit) = &seen[delegate];
+        match &ops[..] {
+            [DbOp::Delegate { begin: Some(_), stmt: insert, implicit: false, .. }, DbOp::Delegate { begin: None, stmt: update, implicit: false, .. }, DbOp::Execute { plan: commit, seq: None, .. }] =>
+            {
+                assert_eq!(stmt(insert), parse_statement(stmts[1]).unwrap());
+                assert_eq!(stmt(update), parse_statement(stmts[2]).unwrap());
+                assert_eq!(stmt(commit), Statement::Commit);
+            }
+            other => panic!("the delegate saw {other:?}"),
+        }
+        let at_commit = at_commit.clone().expect("the delegate's transaction was open at COMMIT");
+        assert_eq!(at_commit.len(), 2, "{at_commit:?}");
+        match &seen[1 - delegate].0[..] {
+            [DbOp::ApplyWriteset { ws, .. }] => assert_eq!(*ws, at_commit),
+            other => panic!("the other host saw {other:?}"),
+        }
+        sim.with_actor::<Middleware, _>(mw, |m| assert_eq!(m.metrics.certifier.commits, 1));
+    }
+
+    /// A statement error inside an explicit transaction. Where it poisons
+    /// the transaction, COMMIT answers the abort, certifies nothing and
+    /// rolls the transaction back at the delegate; where the engine
+    /// continues, COMMIT certifies the records of the statements before it.
+    #[test]
+    fn commit_after_a_failed_statement_follows_the_error_mode() {
+        use replimid_sql::{EngineConfig, ErrorMode};
+        for mode in [ErrorMode::AbortTransaction, ErrorMode::ContinueTransaction] {
+            let config = EngineConfig { error_mode: mode, ..Default::default() };
+            let (mut sim, dbs, mw, client) =
+                writeset_cluster(vec![Recorded::new(config, &["INSERT INTO t1 VALUES (1, 1)"])], None);
+            let stmts = ["BEGIN", "INSERT INTO t1 VALUES (2, 1)", "INSERT INTO t1 VALUES (1, 5)", "COMMIT"];
+            for (i, sql) in stmts.into_iter().enumerate() {
+                let i = i as u64;
+                request(&mut sim, (client, mw), 1_000 + 2_000 * i, 1, i + 1, sql);
+            }
+            sim.run_until(SimTime(20_000));
+            let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+            assert!(matches!(replies[2], Err(ReplyError::Sql(SqlError::DuplicateKey(_)))), "{:?}", replies[2]);
+            let poisoned = mode == ErrorMode::AbortTransaction;
+            let certified = sim.with_actor::<Middleware, _>(mw, |m| m.metrics.certifier.checks);
+            let rows = sim.with_actor::<Recorded, _>(dbs[0], |r| {
+                assert_eq!(r.node.engine().active_transactions(), 0, "{mode:?}");
+                let e = r.node.engine_mut();
+                let c = e.connect(replimid_sql::ADMIN_USER, replimid_sql::ADMIN_PASSWORD).expect("admin login");
+                match e.execute(c, "SELECT COUNT(*) FROM d.t1").expect("count").outcome {
+                    replimid_sql::Outcome::Rows(rs) => rs.rows[0][0].as_int(),
+                    other => panic!("{other:?}"),
+                }
+            });
+            if poisoned {
+                let aborted = SqlError::TransactionState("transaction is aborted; COMMIT rolled it back".into());
+                assert_eq!(replies[3], Err(ReplyError::Sql(aborted)));
+                assert_eq!((certified, rows), (0, Some(1)));
+            } else {
+                assert_eq!(replies[3], Ok(ReplyBody::Ack));
+                assert_eq!((certified, rows), (1, Some(2)));
+            }
         }
     }
 

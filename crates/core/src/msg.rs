@@ -240,15 +240,15 @@ pub enum DbOp {
     /// as `Execute`) and charges the batch's cost via the parallel-replay
     /// grouping over written tables, which is where grouped apply wins.
     ExecuteBatch { op: u64, stmts: Vec<BatchItem> },
-    /// Writeset mode's one op at a transaction's delegate, on connection
-    /// `conn`: `begin` (the BEGIN opening the transaction's snapshot), then
-    /// `stmt`, each when present; with `writeset` the answer is the open
-    /// transaction's writeset (`WritesetOut`) instead of the statement's
-    /// result. An explicit COMMIT is the extraction alone. The node charges
-    /// what the separate `Execute`s would have cost, and the extraction
-    /// nothing. `begin` with `writeset` is an implicit transaction: a failed
-    /// statement rolls it back at the node, charged as that ROLLBACK.
-    Delegate { op: u64, conn: u64, begin: Option<PlanExec>, stmt: Option<PlanExec>, writeset: bool },
+    /// Writeset mode's one op per statement at a transaction's delegate, on
+    /// connection `conn`: `begin` (the BEGIN opening the transaction's
+    /// snapshot) when present, then `stmt`. The answer (`DelegateOut`)
+    /// carries the write records the statement appended, so the middleware
+    /// holds the transaction's writeset when the client commits. The node
+    /// charges what the separate `Execute`s would have cost. An `implicit`
+    /// transaction (an autocommit write) is rolled back at the node when
+    /// its statement fails, charged as that ROLLBACK.
+    Delegate { op: u64, conn: u64, begin: Option<PlanExec>, stmt: PlanExec, implicit: bool },
     /// Apply a certified writeset as one transaction.
     ApplyWriteset { op: u64, ws: Writeset },
     /// Apply shipped binlog entries (slave side). `parallel_apply` groups
@@ -315,7 +315,12 @@ pub enum DbResp {
     ExecErr { op: u64, err: SqlError },
     /// Results of a grouped execute, one per statement, in batch order.
     ExecBatchOut { op: u64, results: Vec<BatchExecResult> },
-    WritesetOut { op: u64, ws: Box<Writeset> },
+    /// A [`DbOp::Delegate`]'s answer: the statement's outcome, and the
+    /// non-temp write records it appended to its transaction (a failed
+    /// statement's too: an engine that continues after errors commits
+    /// them). `poisoned`: the failure left the transaction able only to
+    /// roll back (`ErrorMode::AbortTransaction`).
+    DelegateOut { op: u64, res: Result<ReplyBody, SqlError>, ws: Box<Writeset>, poisoned: bool },
     BinlogOut {
         op: u64,
         entries: Vec<BinlogEntry>,
@@ -351,7 +356,7 @@ impl DbResp {
             DbResp::ExecOk { op, .. }
             | DbResp::ExecErr { op, .. }
             | DbResp::ExecBatchOut { op, .. }
-            | DbResp::WritesetOut { op, .. }
+            | DbResp::DelegateOut { op, .. }
             | DbResp::BinlogOut { op, .. }
             | DbResp::DumpOut { op, .. }
             | DbResp::RestoreOk { op }
@@ -364,8 +369,8 @@ impl DbResp {
 }
 
 /// A commit observed at a backend: the binlog LSN it got. The writeset
-/// stays at the node: the middleware certifies the writesets it asks for
-/// with [`DbOp::Delegate`] and has no use for a commit's.
+/// stays at the node: the middleware certifies the records
+/// [`DbOp::Delegate`] returns and has no use for a commit's.
 #[derive(Debug, Clone)]
 pub struct CommitNote {
     pub lsn: Lsn,

@@ -18,7 +18,7 @@ use crate::det::Determinism;
 use crate::dump::{DatabaseDump, Dump, DumpOptions, TableDump};
 use crate::error::SqlError;
 use crate::exec::{self, StmtCtx};
-use crate::mvcc::{CommitTs, RowId, Snapshot, TxId, TxManager, WriteKind, WriteRecord};
+use crate::mvcc::{CommitTs, RowId, Snapshot, TxId, TxManager, TxState, WriteKind, WriteRecord};
 use crate::parser::parse_statement;
 use crate::result::{CommitInfo, Cost, ExecResult, Outcome};
 use crate::sequence::Sequences;
@@ -786,6 +786,35 @@ impl Engine {
     /// committing it — what a certification-based middleware needs at the
     /// client's COMMIT, before deciding the transaction's fate (§4.3.2).
     pub fn pending_writeset(&self, conn: ConnId) -> Result<Writeset, SqlError> {
+        self.pending_writeset_since(conn, 0)
+    }
+
+    /// [`Engine::pending_writeset`] restricted to the records appended
+    /// since `mark` (a [`Engine::pending_mark`] of the same transaction):
+    /// what one statement wrote, for a middleware that collects a
+    /// transaction's writeset statement by statement.
+    pub fn pending_writeset_since(&self, conn: ConnId, mark: usize) -> Result<Writeset, SqlError> {
+        let st = self.open_tx(conn)?;
+        if st.wounded {
+            return Err(wound_conflict());
+        }
+        let entries: Vec<_> = st.writes.iter().skip(mark).filter(|w| !w.temp).cloned().collect();
+        Ok(Writeset { entries, counters: None })
+    }
+
+    /// How many write records (temp ones included) `conn`'s open
+    /// transaction holds; 0 with none open.
+    pub fn pending_mark(&self, conn: ConnId) -> usize {
+        self.open_tx(conn).map_or(0, |st| st.writes.len())
+    }
+
+    /// Whether a failed statement poisoned `conn`'s open transaction
+    /// ([`ErrorMode::AbortTransaction`]): it can only roll back now.
+    pub fn tx_poisoned(&self, conn: ConnId) -> bool {
+        self.open_tx(conn).is_ok_and(|st| st.poisoned)
+    }
+
+    fn open_tx(&self, conn: ConnId) -> Result<&TxState, SqlError> {
         let session = self
             .sessions
             .get(&conn)
@@ -793,12 +822,7 @@ impl Engine {
         let tx = session
             .tx
             .ok_or_else(|| SqlError::TransactionState("no open transaction".into()))?;
-        let st = self.txm.state(tx)?;
-        if st.wounded {
-            return Err(wound_conflict());
-        }
-        let entries: Vec<_> = st.writes.iter().filter(|w| !w.temp).cloned().collect();
-        Ok(Writeset { entries, counters: None })
+        self.txm.state(tx)
     }
 
     /// Read binlog entries after `after`; `None` means the log was purged

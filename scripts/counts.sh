@@ -18,6 +18,14 @@ echo "self.partial sites:               $(grep -c 'self\.partial' "$mw")"
 # SQL text on the middleware -> backend request wire: `String` fields of
 # `DbOp` and of its batch structs.
 echo "SQL String fields on DbOp wire:   $(awk '/^pub (enum DbOp|struct [A-Za-z]*Batch[A-Za-z]*) \{/ { on = 1; next } on && /^\}/ { on = 0 } on { n += gsub(/: (Option<)?String[,>]/, "") } END { print n + 0 }' crates/core/src/msg.rs)"
+# The wire and bookkeeping surface: variants of the middleware -> backend
+# request enum and of the middleware's in-flight op table. Variants of the
+# enum in file $1 whose opening line matches $2.
+variants() {
+    awk -v head="$2" '$0 ~ head { on = 1; next } on && /^\}/ { exit } on && /^    [A-Z][A-Za-z0-9]*( \{|,|\(|$)/ { n++ } END { print n + 0 }' "$1"
+}
+echo "DbOp variants:                    $(variants crates/core/src/msg.rs '^pub enum DbOp \\{')"
+echo "Pending variants:                 $(variants "$mw" '^enum Pending \\{')"
 echo "crates/core/src non-test lines per file:"
 total=0
 for f in crates/core/src/*.rs; do

@@ -199,6 +199,10 @@ fn mm_writeset_certification_and_convergence() {
     let c1 = cluster.add_client(mk(), |c| c.think_time_us = 400);
     let c2 = cluster.add_client(mk(), |c| c.think_time_us = 400);
     cluster.run_for(dur::secs(5));
+    // Let the transactions in flight finish, so every increment a backend
+    // holds has reached its client as a commit.
+    cluster.stop_clients();
+    cluster.run_for(dur::millis(100));
     let m1 = cluster.client_metrics(c1);
     let m2 = cluster.client_metrics(c2);
     let committed = m1.committed + m2.committed;
