@@ -1961,7 +1961,8 @@ fn e20_episode(
         pre_wal = cluster.backend_wal_stats(0, 2).expect("durability on");
     }
     let tail_exposed = pre_wal.wal_bytes > pre_wal.wal_synced_bytes;
-    let pre_pos = cluster.backend_ordered_applied(0, 2);
+    // Statement replication: group 0 is the whole ordered stream.
+    let pre_pos = cluster.backend_ordered_applied(0, 2)[0];
     cluster.crash_backend_with(cluster.now() + 1, 0, 2, kind);
     cluster.run_for(dur::millis(250));
     if truncate_log {
@@ -1979,7 +1980,7 @@ fn e20_episode(
     cluster.run_for(dur::secs(10));
 
     let rec = cluster.backend_recovery(0, 2).expect("backend 2 restarted durably");
-    let lost_local = pre_pos.saturating_sub(rec.report.ordered_applied);
+    let lost_local = pre_pos.saturating_sub(rec.report.ordered.prefix(0));
     let mw = cluster.mw_metrics(0);
     let rejoin_ms = mw
         .recoveries

@@ -103,11 +103,6 @@ pub fn group_commit_cfg(batch_max: usize, deadline_us: u64) -> ClusterConfig {
 /// `replicas` backends starting at `g % backends` (round-robin).
 pub fn striped_placement(tables: usize, backends: usize, replicas: usize) -> Placement {
     let mut p = Placement::striped(tables, backends, replicas);
-    if replicas < 2 {
-        // The scaling ladders deliberately measure the 1-replica extreme;
-        // production layouts should keep the sole-host rejection on.
-        p = p.allow_sole_host();
-    }
     for g in 0..tables {
         p = p.assign(&format!("t{g}"), g);
     }

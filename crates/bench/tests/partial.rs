@@ -116,9 +116,8 @@ fn partial_replication_preserves_outcomes() {
                 (0..n).map(|i| (start + i) % backends).collect()
             })
             .collect();
-        // The random ring can produce 1-host groups; no crash is injected
-        // here, so opt out of the sole-host build-time rejection.
-        let mut placement = Placement::new(hosts.clone()).allow_sole_host();
+        // The random ring can produce 1-host groups.
+        let mut placement = Placement::new(hosts.clone());
         for g in 0..groups {
             placement = placement.assign(&format!("t{g}"), g);
         }
@@ -162,11 +161,13 @@ fn partial_replication_preserves_outcomes() {
 }
 
 /// Cross-group transactions stay atomic under backend crashes injected
-/// mid-protocol: after the crashed replica recovers, partner tables hold
-/// identical row sets on both hosting backends — never a t0 row without
-/// its t1 sibling. Crash kinds exercise the durable-image semantics
-/// (clean, lost tail, torn tail) so prepared-but-undecided work crosses a
-/// real recovery, not a fiat restart.
+/// mid-protocol: the crashed replica rejoins by replaying both groups' log
+/// streams from its own positions (never a donor dump) while cross-group
+/// transactions are in flight, and then partner tables hold identical row
+/// sets on both hosting backends — never a t0 row without its t1 sibling.
+/// Crash kinds exercise the durable-image semantics (clean, lost tail,
+/// torn tail) so prepared-but-undecided work crosses a real recovery, not
+/// a fiat restart.
 #[test]
 fn cross_group_commit_is_atomic() {
     detcheck::check("cross_group_commit_is_atomic", 5, |rng| {
@@ -190,8 +191,8 @@ fn cross_group_commit_is_atomic() {
             })
             .collect();
         // Crash one of the two backends hosting groups 0+1 while 2PC
-        // traffic is in full flight; restart it and let partial recovery
-        // (dump from the surviving partner + per-group catch-up) finish.
+        // traffic is in full flight; restart it and let its rejoin replay
+        // each group's stream from the node's own positions.
         let victim = rng.gen_range(0..2) as usize;
         let kind = *detcheck::pick(rng, &[CrashKind::Clean, CrashKind::LostTail, CrashKind::TornTail]);
         let crash_us = 500_000u64 + rng.gen_range(0..1_000_000u64);
@@ -201,6 +202,10 @@ fn cross_group_commit_is_atomic() {
         let agg = aggregate(&mut cluster, &clients);
         assert!(agg.committed > 0, "nothing committed (victim {victim} {kind:?})");
         assert!(agg.aborted + agg.failed < agg.committed, "mostly failing");
+        let mw = cluster.mw_metrics(0);
+        assert!(mw.counters.xgroup_commits > 0, "no cross-group commits recorded");
+        assert!(mw.recoveries.iter().any(|r| r.0 == victim), "victim {victim} never rejoined ({kind:?})");
+        assert_eq!(mw.counters.full_resyncs, 0, "the rejoin fell back to a full resync ({kind:?})");
         if std::env::var("PARTIAL_DEBUG").is_ok() {
             let keys = |cluster: &mut Cluster, b: usize| -> std::collections::BTreeSet<i64> {
                 cluster.with_backend_engine(0, b, |e| {
@@ -228,12 +233,74 @@ fn cross_group_commit_is_atomic() {
                 "atomicity broken at backend {b} (victim {victim} {kind:?} @ {crash_us})"
             );
         }
-        assert_eq!(
-            rows_at(&mut cluster, 0, "t0"),
-            rows_at(&mut cluster, 1, "t0"),
-            "hosts diverged (victim {victim} {kind:?} @ {crash_us})"
-        );
+        for table in ["t0", "t1"] {
+            assert_eq!(
+                rows_at(&mut cluster, 0, table),
+                rows_at(&mut cluster, 1, table),
+                "{table} hosts diverged (victim {victim} {kind:?} @ {crash_us})"
+            );
+        }
     });
+}
+
+/// Increments over a few keys: a cross-group transaction on `t0` and `t1`,
+/// or a single-group one on `t1`. A single-group increment certified in
+/// group 1 between a cross-group transaction's start and its prepare makes
+/// that transaction vote yes in group 0 and no in group 1.
+struct PairedIncrements {
+    keys: u64,
+}
+
+impl TxSource for PairedIncrements {
+    fn next_tx(&mut self, rng: &mut DetRng) -> Vec<String> {
+        let k = rng.gen_range(0..self.keys);
+        if rng.gen::<bool>() {
+            vec![
+                "BEGIN".to_string(),
+                format!("UPDATE t0 SET v = v + 1 WHERE k = {k}"),
+                format!("UPDATE t1 SET v = v + 1 WHERE k = {k}"),
+                "COMMIT".to_string(),
+            ]
+        } else {
+            vec![format!("UPDATE t1 SET v = v + 1 WHERE k = {k}")]
+        }
+    }
+}
+
+/// An aborted cross-group transaction voids the slot its yes vote
+/// reserved, and no host ever applies that slot. The group's next commit
+/// fan-out tells the hosts, so every host's own position in every group
+/// reaches the log head: nothing is left for a rejoin to replay, and the
+/// log can trim.
+#[test]
+fn voided_cross_group_slots_reach_every_host() {
+    let mut cfg = ClusterConfig::new(Mode::MultiMasterWriteset, micro::disjoint_schema("bench", 3, 8), "bench");
+    cfg.seed = 17;
+    cfg.backends_per_mw = 4;
+    cfg.mw.placement = Some(test_placement());
+    let mut cluster = Cluster::build(cfg);
+    for _ in 0..4 {
+        cluster.add_client(PairedIncrements { keys: 4 }, |cc| {
+            cc.think_time_us = 300;
+            cc.tx_limit = 300;
+        });
+    }
+    run_and_drain(&mut cluster, 2);
+    // One more commit in each group carries the last voided slots.
+    for g in 0..2usize {
+        cluster.add_client(DisjointInsert::new(1_000_000 * (g as i64 + 1), g), |cc| cc.tx_limit = 1);
+    }
+    run_and_drain(&mut cluster, 1);
+    let mw = cluster.mw_metrics(0);
+    assert!(mw.counters.xgroup_aborts > 0, "no cross-group transaction aborted");
+    for g in 0..2 {
+        let head = cluster.with_middleware(0, |m| m.group_log(g).head());
+        for b in 0..2 {
+            assert_eq!(cluster.backend_ordered_applied(0, b)[g], head, "backend {b} group {g}");
+        }
+    }
+    let sums = cluster.backend_checksums();
+    assert_eq!(sums[0][0], sums[0][1], "hosts of groups 0 and 1 diverged");
 }
 
 /// Explicit `BEGIN … COMMIT` transactions (a point read, then an insert)

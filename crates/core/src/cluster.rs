@@ -212,8 +212,9 @@ impl Cluster {
         self.sim.with_actor::<DbNode, _>(node, |d| d.last_recovery.clone())
     }
 
-    /// A backend's ordered-statement apply position (durable metadata).
-    pub fn backend_ordered_applied(&mut self, mw: usize, backend: usize) -> u64 {
+    /// A backend's applied position in each group's ordered stream (the end
+    /// of its contiguous prefix; durable metadata).
+    pub fn backend_ordered_applied(&mut self, mw: usize, backend: usize) -> Vec<u64> {
         let node = self.db_nodes[mw][backend];
         self.sim.with_actor::<DbNode, _>(node, |d| d.ordered_applied())
     }

@@ -8,11 +8,11 @@ use std::collections::{HashMap, HashSet};
 use replimid_simnet::{Actor, Ctx, DiskModel, NodeId};
 use replimid_sql::engine::ConnId;
 use replimid_sql::{
-    BinlogEntry, CrashKind, DumpOptions, Engine, ExecResult, Lsn, Outcome, RecoveryReport,
-    SqlError, WalStats, Writeset, ADMIN_PASSWORD, ADMIN_USER,
+    BinlogEntry, CrashKind, DumpOptions, Engine, ExecResult, Lsn, Outcome, Positions,
+    RecoveryReport, SqlError, WalStats, Writeset, ADMIN_PASSWORD, ADMIN_USER,
 };
 
-use crate::msg::{BatchExecResult, CommitNote, DbOp, DbResp, Msg, PlanExec, ReplyBody};
+use crate::msg::{ApplySpace, BatchExecResult, CommitNote, DbOp, DbResp, Msg, PlanExec, ReplyBody};
 use crate::trace::{Stage, TraceSink};
 
 /// Virtual cost constants specific to node-level operations.
@@ -55,11 +55,10 @@ pub struct DbNode {
     conns: HashMap<u64, ConnId>,
     /// Dedicated connection for applying shipped/replayed statements.
     repl_conn: Option<ConnId>,
-    /// Last *foreign* LSN applied via ApplyBinlog (slave role).
+    /// Last *foreign* LSN applied via ApplyBinlog (slave role). The
+    /// positions of the middleware's ordered streams live in the engine
+    /// (`Engine::ordered`), which logs them with the commits they made.
     applied_lsn: Lsn,
-    /// Highest ordered-statement sequence executed (total order / recovery
-    /// replay idempotence). Durable metadata, like the binlog itself.
-    ordered_applied: u64,
     /// Op ids already processed: the endpoint half of reliable transport.
     /// Flaky links can deliver a message twice (`LinkFault::dup_prob`);
     /// a real TCP stack dedups retransmits before the app sees them, so a
@@ -91,7 +90,6 @@ impl DbNode {
             conns: HashMap::new(),
             repl_conn: None,
             applied_lsn,
-            ordered_applied: 0,
             seen_ops: HashSet::new(),
             trace: TraceSink::new(),
             disk: DiskModel::default(),
@@ -105,7 +103,7 @@ impl DbNode {
             // virtual time). Without this, a crash before the first
             // checkpoint could lose unsynced schema records and leave the
             // node unable to replay ordered statements against it.
-            node.engine.wal_force_checkpoint(node.applied_lsn.0, 0);
+            node.engine.wal_force_checkpoint(node.applied_lsn.0);
             let _ = node.engine.take_io();
         }
         node
@@ -134,9 +132,10 @@ impl DbNode {
         self.applied_lsn
     }
 
-    /// Highest ordered-statement sequence this node has applied.
-    pub fn ordered_applied(&self) -> u64 {
-        self.ordered_applied
+    /// Per group, the end of the contiguous prefix of the ordered stream
+    /// this node has applied.
+    pub fn ordered_applied(&self) -> Vec<u64> {
+        self.engine.ordered().prefixes()
     }
 
     /// Arm the crash injector: the next `ControlOp::Crash` of this node
@@ -216,7 +215,7 @@ impl DbNode {
         if !self.engine.has_durability() {
             return;
         }
-        let m = self.engine.wal_maintain(self.applied_lsn.0, self.ordered_applied);
+        let m = self.engine.wal_maintain(self.applied_lsn.0);
         let io = self.engine.take_io();
         let mut us = self.disk.io_us(io.bytes_written, io.bytes_read, io.fsyncs);
         if let Some(rows) = m.checkpoint_rows {
@@ -231,22 +230,20 @@ impl DbNode {
     fn handle(&mut self, ctx: &mut Ctx<'_, Msg>, op: DbOp) -> Option<DbResp> {
         self.engine.set_clock(ctx.now().micros() as i64);
         match op {
-            DbOp::Execute { op, conn, plan, seq } => {
-                if seq.is_some_and(|sq| sq <= self.ordered_applied) {
+            DbOp::Execute { op, conn, plan, marks } => {
+                if self.engine.has_applied(&marks) {
                     // Already applied before a failure was declared:
                     // idempotent skip.
                     return Some(DbResp::ExecOk { op, body: ReplyBody::Ack, commit: None, tainted: false });
                 }
-                let resp = match self.run_charged(ctx, conn, &plan) {
-                    Ok(res) => {
-                        if let Some(sq) = seq {
-                            self.ordered_applied = self.ordered_applied.max(sq);
-                        }
-                        self.exec_ok(op, res)
-                    }
+                let res = self.run_charged(ctx, conn, &plan);
+                // A failed ordered statement is applied too: it fails the
+                // same way on every replica, and replay must not rerun it.
+                self.engine.note_applied(&marks);
+                Some(match res {
+                    Ok(res) => self.exec_ok(op, res),
                     Err(err) => DbResp::ExecErr { op, err },
-                };
-                Some(resp)
+                })
             }
             DbOp::Delegate { op, conn, begin, stmt, implicit } => {
                 let out = |res, ws, poisoned| Some(DbResp::DelegateOut { op, res, ws: Box::new(ws), poisoned });
@@ -278,12 +275,13 @@ impl DbNode {
                 let mut tables: Vec<Vec<(String, String)>> = Vec::new();
                 let mut costs: Vec<u64> = Vec::new();
                 for stmt in stmts {
-                    if stmt.seq.is_some_and(|sq| sq <= self.ordered_applied) {
+                    if self.engine.has_applied(&stmt.marks) {
                         // Same idempotence contract as `Execute`.
                         results.push(BatchExecResult::Ok { body: ReplyBody::Ack, commit: None, tainted: false });
                         continue;
                     }
                     let (res, us) = self.run(stmt.conn, &stmt.plan);
+                    self.engine.note_applied(&stmt.marks);
                     costs.push(us);
                     // Statements on one connection serialize even when their
                     // tables are disjoint: chain them with a synthetic
@@ -298,9 +296,6 @@ impl DbNode {
                                 res.commit.map(|_| CommitNote { lsn: self.engine.binlog_head() });
                             tbls.push(conn_key);
                             tables.push(tbls);
-                            if let Some(sq) = stmt.seq {
-                                self.ordered_applied = self.ordered_applied.max(sq);
-                            }
                             results.push(BatchExecResult::Ok { body, commit, tainted: res.tainted });
                         }
                         Err(err) => {
@@ -312,10 +307,14 @@ impl DbNode {
                 ctx.consume(self.scaled(grouped_chain_cost(&tables, &costs)));
                 Some(DbResp::ExecBatchOut { op, results })
             }
-            DbOp::ApplyWriteset { op, ws } => {
+            DbOp::ApplyWriteset { op, ws, marks } => {
+                if self.engine.has_applied(&marks) {
+                    return Some(DbResp::ApplyOk { op, applied_lsn: self.applied_lsn });
+                }
                 let resp = match self.engine.apply_writeset(&ws) {
                     Ok(res) => {
                         ctx.consume(self.scaled(res.cost.cpu_us.max(ws.len() as u64 * 4)));
+                        self.engine.note_applied(&marks);
                         DbResp::ApplyOk { op, applied_lsn: self.applied_lsn }
                     }
                     Err(err) => DbResp::ApplyErr { op, err },
@@ -345,15 +344,14 @@ impl DbNode {
                     Ok(()) => {
                         ctx.consume(self.scaled(cost::DUMP_BASE_US + rows * cost::DUMP_ROW_US));
                         self.applied_lsn = baseline;
-                        self.ordered_applied = ordered_baseline;
+                        self.engine.set_ordered(Positions::at(&ordered_baseline));
                         if self.engine.has_durability() {
                             // A full resync replaces the in-memory state
                             // wholesale; checkpoint immediately so a stale
                             // on-disk image cannot resurrect pre-resync
                             // state at the next crash. (Device IO is
                             // charged by the wal_tick after this handler.)
-                            self.engine
-                                .wal_force_checkpoint(self.applied_lsn.0, self.ordered_applied);
+                            self.engine.wal_force_checkpoint(self.applied_lsn.0);
                             ctx.consume(
                                 self.scaled(cost::DUMP_BASE_US + rows * cost::DUMP_ROW_US),
                             );
@@ -377,12 +375,13 @@ impl DbNode {
                 // `head` is this node's own binlog position (meaningful when
                 // it acts as a master); `applied_lsn` is the foreign LSN it
                 // has applied (meaningful as a slave).
+                let ordered_applied = self.ordered_applied();
                 Some(DbResp::Pong {
                     op,
                     applied_lsn: self.applied_lsn,
                     head: self.engine.binlog_head(),
-                    ordered_applied: self.ordered_applied,
-                    durable_ordered: self.engine.durable_ordered().unwrap_or(self.ordered_applied),
+                    durable_ordered: self.engine.durable_ordered().unwrap_or_else(|| ordered_applied.clone()),
+                    ordered_applied,
                 })
             }
             DbOp::Disconnect { conn } => {
@@ -401,18 +400,15 @@ impl DbNode {
         entries: Vec<BinlogEntry>,
         use_writesets: bool,
         parallel_apply: bool,
-        space: crate::msg::ApplySpace,
+        space: ApplySpace,
     ) -> DbResp {
-        use crate::msg::ApplySpace;
         let mark = |d: &mut Self, lsn: Lsn| match space {
-            ApplySpace::None => {}
             ApplySpace::Binlog => d.applied_lsn = d.applied_lsn.max(lsn),
-            ApplySpace::Ordered => d.ordered_applied = d.ordered_applied.max(lsn.0),
+            ApplySpace::Ordered { group } => d.engine.note_applied(&[(group, lsn.0)]),
         };
         let skip = |d: &Self, lsn: Lsn| match space {
-            ApplySpace::None => false,
             ApplySpace::Binlog => lsn <= d.applied_lsn,
-            ApplySpace::Ordered => lsn.0 <= d.ordered_applied,
+            ApplySpace::Ordered { group } => d.engine.ordered().has((group, lsn.0)),
         };
         // Group entries by connected table components for the parallel
         // cost model (serial applies sum; parallel charges the longest
@@ -420,8 +416,7 @@ impl DbNode {
         let mut per_entry_cost: Vec<u64> = Vec::with_capacity(entries.len());
         let mut max_lsn = match space {
             ApplySpace::Binlog => self.applied_lsn,
-            ApplySpace::Ordered => Lsn(self.ordered_applied),
-            ApplySpace::None => Lsn(0),
+            ApplySpace::Ordered { group } => Lsn(self.engine.ordered().prefix(group as usize)),
         };
         for entry in &entries {
             if skip(self, entry.lsn) {
@@ -446,14 +441,13 @@ impl DbNode {
                 })()
             };
             if let Err(err) = result {
+                // Entries before the failure are applied (and marked).
                 ctx.consume(self.scaled(per_entry_cost.iter().sum::<u64>() + entry_cost));
-                // Entries before the failure are durably applied.
-                mark(self, max_lsn);
                 return DbResp::ApplyErr { op, err };
             }
             per_entry_cost.push(entry_cost);
             max_lsn = max_lsn.max(entry.lsn);
-            mark(self, max_lsn);
+            mark(self, entry.lsn);
         }
         let total: u64 = per_entry_cost.iter().sum();
         let charged = if parallel_apply {
@@ -462,12 +456,11 @@ impl DbNode {
             total
         };
         ctx.consume(self.scaled(charged));
-        mark(self, max_lsn);
         DbResp::ApplyOk {
             op,
             applied_lsn: match space {
-                crate::msg::ApplySpace::Binlog => self.applied_lsn,
-                _ => max_lsn,
+                ApplySpace::Binlog => self.applied_lsn,
+                ApplySpace::Ordered { .. } => max_lsn,
             },
         }
     }
@@ -598,7 +591,6 @@ impl Actor<Msg> for DbNode {
             let entropy = ctx.rng().next_u64();
             let report = self.engine.crash_recover(kind, entropy);
             self.applied_lsn = Lsn(report.applied_lsn);
-            self.ordered_applied = report.ordered_applied;
             let io = self.engine.take_io();
             let mut cpu = report.replay_cpu_us;
             if report.checkpoint_loaded {

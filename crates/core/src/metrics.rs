@@ -262,6 +262,10 @@ pub struct Counters {
     /// Removed backends re-admitted by `AdminCmd::AddBackend`; the next
     /// pong starts the normal rejoin procedure.
     pub backends_added: u64,
+    /// Rejoins that fell back to restoring a donor's dump (master-slave:
+    /// every rejoin; multi-master: a recovery-log stream no longer held
+    /// the backend's position, or replay failed).
+    pub full_resyncs: u64,
 }
 
 /// Tracks time spent in degraded read-only mode (write quorum lost but

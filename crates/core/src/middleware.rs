@@ -33,7 +33,7 @@ use replimid_simnet::{Actor, Ctx, NodeId, SimTime};
 use std::sync::Arc;
 
 use replimid_sql::ast::{IsolationLevel, ObjectName, Statement};
-use replimid_sql::{parse_statement, CachedPlan, Lsn, PlanCache, SqlError, Value, Writeset};
+use replimid_sql::{parse_statement, CachedPlan, Lsn, PlanCache, SqlError, Value, Watermark, Writeset};
 
 use crate::balancer::{Balancer, Granularity, Policy};
 use crate::certifier::{Certifier, CertifierStats, Verdict};
@@ -250,48 +250,13 @@ impl MwConfig {
     }
 }
 
-/// Tracks the contiguous prefix of certified-writeset positions a backend
-/// has durably applied. Certification windows must be sampled against this
-/// watermark *when a transaction's BEGIN executes at its delegate* — using
-/// the middleware's own certifier position instead opens a race where a
-/// writeset certified-but-not-yet-applied is invisible to the new snapshot
-/// yet excluded from its conflict window (a lost update).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Watermark {
-    next: u64,
-    done: std::collections::BTreeSet<u64>,
-}
-
-impl Watermark {
-    pub(crate) fn new() -> Self {
-        Watermark { next: 1, done: std::collections::BTreeSet::new() }
-    }
-
-    pub(crate) fn at(pos: u64) -> Self {
-        Watermark { next: pos + 1, done: std::collections::BTreeSet::new() }
-    }
-
-    pub(crate) fn mark(&mut self, pos: u64) {
-        if pos < self.next {
-            return;
-        }
-        self.done.insert(pos);
-        while self.done.remove(&self.next) {
-            self.next += 1;
-        }
-    }
-
-    pub(crate) fn value(&self) -> u64 {
-        self.next - 1
-    }
-}
-
 #[derive(Debug, Clone, PartialEq)]
 enum BackendState {
     Online,
     Down,
-    /// Replaying the recovery log from `next`.
-    Recovering { next: u64, inflight: bool },
+    /// Replaying the recovery log: `next` holds (group, position replayed
+    /// through) for every group the backend hosts.
+    Recovering { next: Vec<(usize, u64)>, inflight: bool },
     /// Full resynchronization via dump + catch-up.
     Resyncing,
     /// Graceful removal in progress: out of routing and fan-out, but
@@ -309,14 +274,13 @@ struct Backend {
     node: NodeId,
     state: BackendState,
     last_pong_us: u64,
-    /// Recovery-log position this backend has acknowledged (multi-master).
-    applied_seq: u64,
     /// Binlog LSN this backend reported applied (master-slave).
     applied_lsn: Lsn,
-    /// The lowest ordered position the node could come back at: its last
-    /// pong's durable position, or at a rejoin the position it reported,
-    /// which recovery replays from. 0 until the first pong.
-    node_pos: u64,
+    /// Per group, the lowest ordered position the node could come back
+    /// at: its last pong's durable position, or at a rejoin the position it
+    /// reported, which recovery replays from. Empty (0 everywhere) until
+    /// the first pong.
+    node_pos: Vec<u64>,
     /// Virtual time the current drain started (0 = not draining).
     drain_started_us: u64,
 }
@@ -482,23 +446,20 @@ enum Pending {
     /// the parts of every involved group it hosts, one op; `marks` as in
     /// `PwCommit`.
     PwApply { session: Option<SessionId>, backend: BackendId, marks: Vec<(u32, u64)> },
-    /// Partial resync: dump request at the donor for `target`; `heads` are
-    /// the per-group log heads snapshotted when the dump was requested.
-    PwResyncDump { target: BackendId, heads: Vec<u64> },
-    /// Partial resync: restore at the rejoining backend.
-    PwResyncRestore { backend: BackendId, heads: Vec<u64> },
-    /// Partial recovery: one per-group catch-up replay batch.
-    PwRecoveryBatch { backend: BackendId, group: usize, upto: u64 },
     Ping { backend: BackendId },
     /// A `BinlogAfter` at the master; `after` pins the ship horizon until
     /// the answer is back.
     ShipFetch { after: Lsn },
     TwoSafeFetch { session: SessionId, after: Lsn },
     ShipApply { backend: BackendId, session: Option<SessionId>, upto: Lsn },
-    RecoveryBatch { backend: BackendId, upto: u64 },
-    ResyncDumpReq { target: BackendId, log_pos: u64 },
+    /// One replay batch of group `group`'s stream, through `upto`.
+    RecoveryBatch { backend: BackendId, group: usize, upto: u64 },
+    /// A full resync's dump at the donor for `target`; `heads` are the
+    /// per-group log heads when the dump was requested.
+    ResyncDumpReq { target: BackendId, heads: Vec<u64> },
     BackupDump { backend: BackendId, hot: bool, started_us: u64 },
-    ResyncRestore { backend: BackendId, baseline: Lsn, log_pos: u64 },
+    /// A full resync's restore at the rejoining backend.
+    ResyncRestore { backend: BackendId, baseline: Lsn, heads: Vec<u64> },
     FireAndForget,
 }
 
@@ -624,11 +585,6 @@ pub struct Middleware {
     /// apply tracking. Full replication is the one group every backend
     /// hosts.
     shards: Shards,
-    /// The placement is non-trivial. Selects the rejoin entry
-    /// ([`Self::start_pw_resync`] has no incremental log path) and nothing
-    /// else: requests, reads and everything between publish and apply
-    /// acknowledgement take one path whatever this says.
-    partial: bool,
 }
 
 /// Why a group-commit batch left the buffer.
@@ -692,9 +648,18 @@ struct Shards {
     member: ShardedMember<ReplEvent>,
     certs: Vec<Certifier>,
     logs: Vec<RecoveryLog>,
-    /// `marks[backend][group]`: contiguous prefix of the group's certified
-    /// positions the backend has durably applied.
+    /// `marks[backend][group]`: the positions of the group's stream the
+    /// backend has acknowledged, a contiguous prefix plus those above it.
+    /// Writeset mode samples a transaction's certification start from its
+    /// delegate's marks *when its BEGIN executes there* — the middleware's
+    /// own certifier position would hide a writeset certified but not yet
+    /// applied from the conflict window of a snapshot that cannot see it
+    /// (a lost update).
     marks: Vec<Vec<Watermark>>,
+    /// Per group, positions voided since the group's last commit fan-out
+    /// (aborted cross-group reservations). The next fan-out carries them
+    /// to every host in rotation; a host out of rotation replays them.
+    voided: Vec<Vec<u64>>,
     /// Per-group group-commit buffers and armed deadline-timer flags.
     batches: Vec<Vec<ReplEvent>>,
     batch_armed: Vec<bool>,
@@ -704,8 +669,6 @@ struct Shards {
     xtx: HashMap<(u64, u64), XTx>,
     /// Deliveries buffered behind a recovery barrier, in arrival order.
     buffered: VecDeque<(usize, ReplEvent)>,
-    /// Rejoining backends in per-group catch-up replay.
-    resync: HashMap<usize, PwCatchup>,
 }
 
 /// What [`Shards::admit`] decided for one write-path event.
@@ -732,11 +695,11 @@ impl Shards {
             marks: (0..backends)
                 .map(|_| (0..groups).map(|_| Watermark::new()).collect())
                 .collect(),
+            voided: vec![Vec::new(); groups],
             batches: (0..groups).map(|_| Vec::new()).collect(),
             batch_armed: vec![false; groups],
             xtx: HashMap::new(),
             buffered: VecDeque::new(),
-            resync: HashMap::new(),
             placement,
         }
     }
@@ -815,14 +778,6 @@ struct XTx {
     first_us: u64,
 }
 
-/// Per-group catch-up replay after a partial-resync restore: replay each
-/// hosted group's stream from the position the dump was consistent with.
-struct PwCatchup {
-    /// (group, position replayed through) per hosted group.
-    next: Vec<(usize, u64)>,
-    inflight: bool,
-}
-
 /// Raise entry `g` of a per-group vector to at least `pos`, growing the
 /// vector (zero-filled) to cover the group.
 fn raise(v: &mut Vec<u64>, g: usize, pos: u64) {
@@ -856,7 +811,6 @@ impl Middleware {
         // by every backend.
         let placement =
             cfg.placement.clone().unwrap_or_else(|| Placement::new(vec![(0..n).collect()]));
-        let partial = !placement.is_trivial(n);
         let shards = Shards::new(placement, MemberId(me_idx), peers.len(), cfg.gcs, n);
         let initial_removed = cfg.initial_removed.clone();
         Middleware {
@@ -874,9 +828,8 @@ impl Middleware {
                         BackendState::Online
                     },
                     last_pong_us: 0,
-                    applied_seq: 0,
                     applied_lsn: Lsn(0),
-                    node_pos: 0,
+                    node_pos: Vec::new(),
                     drain_started_us: 0,
                 })
                 .collect(),
@@ -902,7 +855,6 @@ impl Middleware {
             pong_adaptive,
             plan_cache,
             shards,
-            partial,
         }
     }
 
@@ -1434,7 +1386,7 @@ impl Middleware {
         let session = req.session;
         let plan = plan.clone();
         self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-            DbOp::Execute { op, conn: session.0, plan, seq: None }
+            DbOp::Execute { op, conn: session.0, plan, marks: Vec::new() }
         });
         true
     }
@@ -1545,17 +1497,15 @@ impl Middleware {
     }
 
     /// The position `b` has applied in group `g`, in the space session
-    /// floors ([`Sess::gstamps`]) live in. Writeset mode: the group's
-    /// certified-writeset positions. Statement modes and master-slave are
-    /// group 0 of their one-group placement: ordered-statement sequence
-    /// numbers, and the master's binlog LSN space (the master itself is
-    /// fresh by definition).
+    /// floors ([`Sess::gstamps`]) live in: the group's ordered stream
+    /// (certified writesets, or in group 0 ordered statements), and in
+    /// master-slave mode the master's binlog LSN space (the master itself
+    /// is fresh by definition).
     fn applied_pos(&self, b: BackendId, g: usize) -> u64 {
         match self.cfg.mode {
-            Mode::MultiMasterWriteset => self.shards.marks[b.0][g].value(),
             Mode::MasterSlave { .. } if b == self.master => u64::MAX,
             Mode::MasterSlave { .. } => self.backends[b.0].applied_lsn.0,
-            _ => self.backends[b.0].applied_seq,
+            _ => self.shards.marks[b.0][g].value(),
         }
     }
 
@@ -1724,7 +1674,7 @@ impl Middleware {
             raise(&mut s.gstamps, g, pos);
         }
         let op = self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-            DbOp::Execute { op, conn: session.0, plan, seq: None }
+            DbOp::Execute { op, conn: session.0, plan, marks: Vec::new() }
         });
         if is_probe {
             self.metrics.counters.quarantine_probes += 1;
@@ -1880,7 +1830,7 @@ impl Middleware {
         let targets = self.healthy();
         if targets.is_empty() {
             for (session, stmt_seq, _, log_seq, origin) in entries {
-                self.shards.logs[0].void(log_seq);
+                self.void(0, log_seq);
                 if origin {
                     self.reply(ctx, session, stmt_seq, Err(ReplyError::Unavailable("no backend".into())));
                 }
@@ -1914,7 +1864,7 @@ impl Middleware {
             let groups = groups.clone();
             let batch: Vec<BatchItem> = entries
                 .iter()
-                .map(|(session, _, ast, log_seq, _)| BatchItem { conn: session.0, plan: ast.clone(), seq: Some(*log_seq) })
+                .map(|(session, _, ast, log_seq, _)| BatchItem { conn: session.0, plan: ast.clone(), marks: vec![(0, *log_seq)] })
                 .collect();
             self.send_db(ctx, backend, Pending::GroupExecBatch { groups, backend }, move |op| {
                 DbOp::ExecuteBatch { op, stmts: batch }
@@ -1948,7 +1898,7 @@ impl Middleware {
         if targets.is_empty() {
             // Nobody executed it: void the log slot so recovery replay does
             // not resurrect a transaction the client was told failed.
-            self.shards.logs[0].void(log_seq);
+            self.void(0, log_seq);
             if origin {
                 self.reply(ctx, session, stmt_seq, Err(ReplyError::Unavailable("no backend".into())));
             }
@@ -1974,7 +1924,7 @@ impl Middleware {
         for backend in targets {
             let plan = ast.clone();
             self.send_db(ctx, backend, Pending::GroupExec { group: group_id, backend }, move |op| {
-                DbOp::Execute { op, conn: session.0, plan, seq: Some(log_seq) }
+                DbOp::Execute { op, conn: session.0, plan, marks: vec![(0, log_seq)] }
             });
         }
     }
@@ -2048,7 +1998,7 @@ impl Middleware {
                         kind: CurrentKind::WsStmt { opened: false },
                     });
                     self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                        DbOp::Execute { op, conn: session.0, plan: PlanExec::commit(), seq: None }
+                        DbOp::Execute { op, conn: session.0, plan: PlanExec::commit(), marks: Vec::new() }
                     });
                     return;
                 }
@@ -2072,7 +2022,7 @@ impl Middleware {
                 match delegate {
                     Some(backend) if self.backends[backend.0].online() => {
                         self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                            DbOp::Execute { op, conn: session.0, plan: PlanExec::rollback(), seq: None }
+                            DbOp::Execute { op, conn: session.0, plan: PlanExec::rollback(), marks: Vec::new() }
                         });
                     }
                     _ => self.reply(ctx, session, req.stmt_seq, Ok(ReplyBody::Ack)),
@@ -2284,14 +2234,14 @@ impl Middleware {
                 .remove(&(session.0, stmt_seq))
                 .expect("the entry whose last vote just arrived");
             self.finish_xgroup(ctx, session, stmt_seq, xtx);
-            // The decision may unblock a recovering backend whose catch-up
+            // The decision may unblock a recovering backend whose replay
             // was capped below the (previously undecided) reserved slot.
             let recovering: Vec<BackendId> = (0..self.backends.len())
                 .filter(|&i| matches!(self.backends[i].state, BackendState::Recovering { .. }))
                 .map(BackendId)
                 .collect();
             for b in recovering {
-                self.pump_pw_recovery(ctx, b);
+                self.pump_recovery(ctx, b);
             }
         }
     }
@@ -2299,7 +2249,8 @@ impl Middleware {
     /// All involved groups have voted locally: commit iff every vote is
     /// yes. On abort, yes-voting groups retract their optimistic
     /// reservation (certifier entry out, log slot voided, watermark marked
-    /// everywhere so apply tracking never stalls on the hole).
+    /// everywhere so apply tracking never stalls on the hole); the group's
+    /// next fan-out tells its hosts, so theirs do not stall either.
     fn finish_xgroup(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId, stmt_seq: u64, xtx: XTx) {
         let commit = xtx.votes.iter().all(|v| *v == Some(true));
         let origin = {
@@ -2316,24 +2267,16 @@ impl Middleware {
         if !commit {
             self.metrics.counters.xgroup_aborts += 1;
             self.metrics.counters.certification_failures += 1;
-            {
-                let shards = &mut self.shards;
-                for (idx, vote) in xtx.votes.iter().enumerate() {
-                    if *vote != Some(true) {
-                        continue;
-                    }
-                    let g = xtx.groups[idx] as usize;
-                    let pos = xtx.pos[idx];
-                    shards.certs[g].retract(pos);
-                    shards.logs[g].void(pos);
-                    // A voided position never gets an apply ack: mark it
-                    // applied everywhere or per-group watermarks stall.
-                    for marks in shards.marks.iter_mut() {
-                        marks[g].mark(pos);
-                    }
+            for (idx, vote) in xtx.votes.iter().enumerate() {
+                if *vote != Some(true) {
+                    continue;
                 }
-                self.metrics.certifier = shards.agg_stats();
+                let (g, pos) = (xtx.groups[idx] as usize, xtx.pos[idx]);
+                self.shards.certs[g].retract(pos);
+                self.shards.voided[g].push(pos);
+                self.void(g, pos);
             }
+            self.metrics.certifier = self.shards.agg_stats();
             if origin {
                 self.certification_lost(ctx, session, stmt_seq, "cross-group certification lost");
             }
@@ -2352,7 +2295,9 @@ impl Middleware {
     /// commits, which marks all its group positions at once; any other
     /// host applies the parts of the groups it hosts as one writeset. The
     /// parts touch disjoint groups, so merging them keeps each row's
-    /// certified order.
+    /// certified order. Each op carries the positions it settles at its
+    /// node, with the groups' voided positions, so the node's own
+    /// per-group position stays contiguous.
     fn fan_out_commit(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -2369,17 +2314,24 @@ impl Middleware {
             }
         }
         let delegate = if origin { self.sessions.get(session.0).and_then(|s| s.sticky) } else { None };
+        let voided: Vec<(u32, u64)> = parts
+            .iter()
+            .flat_map(|&(g, ..)| std::mem::take(&mut self.shards.voided[g as usize]).into_iter().map(move |p| (g, p)))
+            .collect();
         let mut remaining = 0;
         for backend in self.healthy() {
-            let hosted = parts.iter().filter(|(g, ..)| self.shards.placement.hosts(*g as usize).contains(&backend.0));
-            let marks: Vec<(u32, u64)> = hosted.clone().map(|&(g, pos, _)| (g, pos)).collect();
+            let hosts = |g: u32| self.shards.placement.hosts(g as usize).contains(&backend.0);
+            let hosted = parts.iter().filter(|(g, ..)| hosts(*g));
+            let mut marks: Vec<(u32, u64)> = hosted.clone().map(|&(g, pos, _)| (g, pos)).collect();
             if marks.is_empty() {
                 continue;
             }
+            marks.extend(voided.iter().filter(|&&(g, _)| hosts(g)));
             if Some(backend) == delegate {
                 remaining += 1;
+                let wire = marks.clone();
                 self.send_db(ctx, backend, Pending::PwCommit { session, backend, marks }, move |op| {
-                    DbOp::Execute { op, conn: session.0, plan: PlanExec::commit(), seq: None }
+                    DbOp::Execute { op, conn: session.0, plan: PlanExec::commit(), marks: wire }
                 });
                 continue;
             }
@@ -2392,8 +2344,9 @@ impl Middleware {
             }
             remaining += usize::from(origin);
             let sess = origin.then_some(session);
+            let wire = marks.clone();
             self.send_db(ctx, backend, Pending::PwApply { session: sess, backend, marks }, move |op| {
-                DbOp::ApplyWriteset { op, ws }
+                DbOp::ApplyWriteset { op, ws, marks: wire }
             });
         }
         if origin {
@@ -2424,7 +2377,7 @@ impl Middleware {
         s.end_tx();
         if let Some(backend) = s.sticky.filter(|b| self.backends[b.0].online()) {
             self.send_db(ctx, backend, Pending::FireAndForget, move |op| {
-                DbOp::Execute { op, conn: session.0, plan: PlanExec::rollback(), seq: None }
+                DbOp::Execute { op, conn: session.0, plan: PlanExec::rollback(), marks: Vec::new() }
             });
         }
     }
@@ -2486,7 +2439,7 @@ impl Middleware {
             self.metrics.counters.writes += 1;
         }
         self.send_db(ctx, master, Pending::ClientExec { session, backend: master }, move |op| {
-            DbOp::Execute { op, conn: session.0, plan, seq: None }
+            DbOp::Execute { op, conn: session.0, plan, marks: Vec::new() }
         });
     }
 
@@ -2606,7 +2559,7 @@ impl Middleware {
         for backend in targets {
             let plan = plan.clone();
             self.send_db(ctx, backend, Pending::GroupExec { group: group_id, backend }, move |op| {
-                DbOp::Execute { op, conn: session.0, plan, seq: None }
+                DbOp::Execute { op, conn: session.0, plan, marks: Vec::new() }
             });
         }
     }
@@ -2678,15 +2631,6 @@ impl Middleware {
                 }
                 self.finish_pw_apply(ctx, session, backend, resp);
             }
-            Pending::PwResyncDump { target, heads } => {
-                self.finish_pw_resync_dump(ctx, target, heads, resp);
-            }
-            Pending::PwResyncRestore { backend, heads } => {
-                self.finish_pw_resync_restore(ctx, backend, heads, resp);
-            }
-            Pending::PwRecoveryBatch { backend, group, upto } => {
-                self.finish_pw_recovery_batch(ctx, backend, group, upto, resp);
-            }
             Pending::Ping { backend } => {
                 self.balancer.completed(backend);
                 if let DbResp::Pong { applied_lsn, head, ordered_applied, durable_ordered, .. } = resp
@@ -2722,11 +2666,11 @@ impl Middleware {
                     self.finish_two_safe_part(ctx, session);
                 }
             }
-            Pending::RecoveryBatch { backend, upto } => {
-                self.finish_recovery_batch(ctx, backend, upto, resp);
+            Pending::RecoveryBatch { backend, group, upto } => {
+                self.finish_recovery_batch(ctx, backend, group, upto, resp);
             }
-            Pending::ResyncDumpReq { target, log_pos } => {
-                self.finish_resync_dump(ctx, target, log_pos, resp);
+            Pending::ResyncDumpReq { target, heads } => {
+                self.finish_resync_dump(ctx, target, heads, resp);
             }
             Pending::BackupDump { backend, hot, started_us } => {
                 self.balancer.completed(backend);
@@ -2742,8 +2686,8 @@ impl Middleware {
                     ));
                 }
             }
-            Pending::ResyncRestore { backend, baseline, log_pos } => {
-                self.finish_resync_restore(ctx, backend, baseline, log_pos, resp);
+            Pending::ResyncRestore { backend, baseline, heads } => {
+                self.finish_resync_restore(ctx, backend, baseline, heads, resp);
             }
             Pending::FireAndForget => {}
         }
@@ -2838,10 +2782,9 @@ impl Middleware {
             }
         };
         if !failed {
-            // Record progress for recovery checkpoints.
-            let seq = g.log_seq;
-            let b = &mut self.backends[backend.0];
-            b.applied_seq = b.applied_seq.max(seq);
+            // Record progress for recovery checkpoints (an unlogged,
+            // partitioned write has position 0, which marks nothing).
+            self.shards.marks[backend.0][0].mark(g.log_seq);
         }
         match (&g.canonical, &result) {
             (None, Some(r)) => g.canonical = Some(r.clone()),
@@ -2856,7 +2799,7 @@ impl Middleware {
             if g.canonical.is_none() && g.log_seq > 0 {
                 // Every backend failed before executing: the entry must not
                 // survive into recovery replay (see RecoveryLog::void).
-                self.shards.logs[0].void(g.log_seq);
+                self.void(0, g.log_seq);
             }
             let result = match g.canonical {
                 Some(Ok(body)) => Ok(body),
@@ -2913,13 +2856,14 @@ impl Middleware {
                 self.backend_failed(ctx, backend);
                 // A synthetic pong brings it straight back through recovery
                 // (the node itself is alive; only its state lagged). Its
-                // durable ordered position is unknown here (no real pong
-                // was involved); u64::MAX defers to the middleware's own
-                // checkpoint, and the durable position stays the last one
+                // ordered positions are unknown here (no real pong was
+                // involved); u64::MAX defers to the middleware's own
+                // checkpoints, and the durable positions stay the last ones
                 // a real pong reported.
                 let b = &self.backends[backend.0];
-                let (lsn, durable) = (b.applied_lsn, b.node_pos);
-                self.note_pong(ctx, backend, lsn, lsn, u64::MAX, durable);
+                let (lsn, durable) = (b.applied_lsn, b.node_pos.clone());
+                let unknown = vec![u64::MAX; self.shards.groups()];
+                self.note_pong(ctx, backend, lsn, lsn, unknown, durable);
             }
         }
         self.finish_ws_part(ctx, session, false);
@@ -3167,14 +3111,14 @@ impl Middleware {
         backend: BackendId,
         applied_lsn: Lsn,
         head: Lsn,
-        ordered_applied: u64,
-        durable_ordered: u64,
+        ordered_applied: Vec<u64>,
+        durable_ordered: Vec<u64>,
     ) {
         let now = ctx.now().micros();
         let was_down = self.backends[backend.0].state == BackendState::Down;
         self.touch_liveness(backend, now);
-        // A rejoin replays from the position the node reports now; any
-        // other pong only moves the floor a later crash cannot undercut.
+        // A rejoin replays from the positions the node reports now; any
+        // other pong only moves the floors a later crash cannot undercut.
         self.backends[backend.0].node_pos = if was_down { ordered_applied } else { durable_ordered };
         if self.master_slave() {
             // The master reports its binlog head; slaves report the foreign
@@ -3186,10 +3130,10 @@ impl Middleware {
         if was_down {
             // The node is back: start the rejoin procedure (§4.4.2).
             self.recovery_started.insert(backend, now);
-            match self.cfg.mode {
-                Mode::MasterSlave { .. } => self.start_full_resync(ctx, backend),
-                _ if self.partial => self.start_pw_resync(ctx, backend),
-                _ => self.start_log_recovery(ctx, backend),
+            if self.master_slave() {
+                self.start_full_resync(ctx, backend);
+            } else {
+                self.start_log_recovery(ctx, backend);
             }
         }
     }
@@ -3245,52 +3189,32 @@ impl Middleware {
     }
 
     /// The lowest position of group `g`'s recovery-log stream that backend
-    /// `b`'s own rejoin path could still read after: entries at or below it
-    /// can go. [`Self::start_log_recovery`] starts replay exactly here.
-    ///
-    /// - Master-slave: a rejoin restores a dump of the master and ships
-    ///   from its binlog; the recovery log is never read.
-    /// - Dump path (a non-trivial placement, [`Self::start_pw_resync`]): a
-    ///   rejoin catches up from the log heads at dump time, so only a
-    ///   resync in flight pins its baseline, then its catch-up cursor.
-    /// - Log-replay path (statement modes, writeset at G = 1): replay
-    ///   starts at `min(checkpoint, node position)`, so the floor is that
-    ///   for a backend out of rotation, and `min(applied, node position)`
-    ///   (what a failure would checkpoint) for one in it. A backend that
-    ///   never reported a position pins 0.
+    /// `b`'s rejoin could still read after: entries at or below it can go.
+    /// [`Self::start_log_recovery`] starts replay exactly here. One rule
+    /// for every multi-master mode and placement: the lower of what the
+    /// backend acknowledged in `g` (`marks`, or its checkpoint once out of
+    /// rotation) and the node's own position in `g`, and the replay cursor
+    /// while it recovers. A backend that never reported a position pins 0.
+    /// Master-slave never reads the recovery log: a rejoin restores a dump
+    /// of the master and ships from its binlog.
     fn replay_floor(&self, b: BackendId, g: usize) -> u64 {
-        let be = &self.backends[b.0];
         if self.master_slave() {
             return u64::MAX;
         }
-        if self.partial {
-            if let Some(cu) = self.shards.resync.get(&b.0) {
-                return cu.next.iter().find(|&&(cg, _)| cg == g).map_or(u64::MAX, |&(_, n)| n);
-            }
-            if be.state != BackendState::Resyncing {
-                return u64::MAX;
-            }
-            return self
-                .pending
-                .values()
-                .filter_map(|(p, _)| match p {
-                    Pending::PwResyncDump { target, heads, .. }
-                    | Pending::PwResyncRestore { backend: target, heads } if *target == b => {
-                        heads.get(g).copied()
-                    }
-                    _ => None,
-                })
-                .min()
-                .unwrap_or(u64::MAX);
-        }
+        let be = &self.backends[b.0];
+        let node = be.node_pos.get(g).copied().unwrap_or(0);
         let checkpoint = self.shards.logs[g].checkpoint_of(b).unwrap_or(0);
-        let live = be.applied_seq.min(be.node_pos);
-        match be.state {
-            BackendState::Online | BackendState::Resyncing => live,
-            BackendState::Recovering { next, .. } => live.min(next).min(checkpoint),
-            BackendState::Down | BackendState::Draining | BackendState::Removed => {
-                checkpoint.min(be.node_pos)
+        let live = self.shards.marks[b.0][g].value().min(node);
+        match &be.state {
+            BackendState::Online => live,
+            BackendState::Recovering { next, .. } => {
+                let cursor = next.iter().find(|&&(cg, _)| cg == g).map_or(u64::MAX, |&(_, n)| n);
+                live.min(cursor).min(checkpoint)
             }
+            BackendState::Resyncing
+            | BackendState::Down
+            | BackendState::Draining
+            | BackendState::Removed => checkpoint.min(node),
         }
     }
 
@@ -3365,10 +3289,9 @@ impl Middleware {
         // No new work will be assigned; outstanding-count history would
         // otherwise leak back as phantom load if the backend is re-added.
         self.balancer.reset(backend);
-        // Record the log checkpoint now: if the backend is later re-added,
+        // Record the log checkpoints now: if the backend is later re-added,
         // the recovery log (or its truncation escalation) covers the gap.
-        let applied = self.backends[backend.0].applied_seq;
-        self.shards.logs[0].checkpoint(backend, applied);
+        self.checkpoint(backend);
         // Sessions stuck to the draining backend re-route on their next
         // statement (same semantics as after a failure — an idle in-tx
         // writeset session is told its delegate is lost and retries the
@@ -3421,8 +3344,8 @@ impl Middleware {
     }
 
     /// Re-admit a `Removed` backend: mark it `Down` so its next pong takes
-    /// the normal rejoin path (recovery log catch-up, escalating to a full
-    /// resync when the log has been truncated past its checkpoint).
+    /// the one rejoin (per-group recovery-log replay, falling back to a
+    /// full resync when a stream has been truncated past its position).
     fn add_backend(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId) {
         if self.backends[backend.0].state != BackendState::Removed {
             return;
@@ -3450,12 +3373,10 @@ impl Middleware {
             self.barrier_for = None;
             self.drain_shard_buffer(ctx);
         }
-        self.shards.resync.remove(&backend.0);
         self.recovery_started.remove(&backend);
-        let applied = self.backends[backend.0].applied_seq;
         if crate::debug_on() {
             eprintln!(
-                "[{}us] backend_failed b{} from state {:?} checkpoint={applied}",
+                "[{}us] backend_failed b{} from state {:?}",
                 ctx.now().micros(),
                 backend.0,
                 self.backends[backend.0].state
@@ -3476,7 +3397,7 @@ impl Middleware {
         // survive the outage as phantom load and starve the replica under
         // LPRF when it rejoins.
         self.balancer.reset(backend);
-        self.shards.logs[0].checkpoint(backend, applied);
+        self.checkpoint(backend);
         self.metrics.counters.failovers += 1;
         self.metrics.failover_times.push(ctx.now().micros());
         // A dead backend's latency history is meaningless when it returns;
@@ -3591,43 +3512,74 @@ impl Middleware {
         lost
     }
 
-    /// Replay starts at the backend's [`Self::replay_floor`]: the lower of
-    /// our checkpoint and the ordered position the node itself reported at
-    /// rejoin (`Backend::node_pos`). With volatile-by-fiat nodes that is
-    /// always ≥ our checkpoint (the node cannot un-apply); with real
-    /// durability a lossy crash (lost or torn WAL tail) can leave the node
-    /// *behind* what we saw acknowledged, and replaying from our own
-    /// checkpoint would silently skip the lost suffix — §4.4.2: the
-    /// database, not the middleware, knows what actually committed.
-    fn start_log_recovery(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId) {
-        let from = self.replay_floor(backend, 0);
-        let log = &self.shards.logs[0];
-        if crate::debug_on() {
-            eprintln!("[{}us] start_log_recovery b{} from={from} head={}", ctx.now().micros(), backend.0, log.head());
+    /// Record `backend`'s recovery-log checkpoint in every group it hosts
+    /// ("a checkpoint is inserted, pointing to the last update statement
+    /// executed by the removed node", §4.4.2): what it acknowledged there.
+    fn checkpoint(&mut self, backend: BackendId) {
+        for g in self.shards.hosted(backend.0) {
+            let applied = self.shards.marks[backend.0][g].value();
+            self.shards.logs[g].checkpoint(backend, applied);
         }
-        if log.read_after(from, 1).is_err() {
-            // Log truncated past the checkpoint: full resync.
+    }
+
+    /// Void position `pos` of group `g`: it is logged but nobody applies
+    /// it (see [`RecoveryLog::void`]), so every backend's marks step over
+    /// it.
+    fn void(&mut self, g: usize, pos: u64) {
+        self.shards.logs[g].void(pos);
+        for marks in &mut self.shards.marks {
+            marks[g].mark(pos);
+        }
+    }
+
+    /// The one rejoin of every multi-master mode (§4.4.2): replay each
+    /// hosted group's recovery-log stream from the backend's
+    /// [`Self::replay_floor`] in that group, the lower of our checkpoint
+    /// and the position the node itself reported at rejoin
+    /// (`Backend::node_pos`). With volatile-by-fiat nodes that is always ≥
+    /// our checkpoint (the node cannot un-apply); with real durability a
+    /// lossy crash (lost or torn WAL tail) can leave the node *behind* what
+    /// we saw acknowledged, and replaying from our own checkpoint would
+    /// silently skip the lost suffix — §4.4.2: the database, not the
+    /// middleware, knows what actually committed. A group whose stream no
+    /// longer holds that position sends the backend to the dump fallback.
+    /// Per-row apply order holds within a group, so a per-group position
+    /// names a consistent prefix of that group's stream, and a sole-host
+    /// group needs no donor.
+    fn start_log_recovery(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId) {
+        let next: Vec<(usize, u64)> = self
+            .shards
+            .hosted(backend.0)
+            .into_iter()
+            .map(|g| (g, self.replay_floor(backend, g)))
+            .collect();
+        if crate::debug_on() {
+            eprintln!("[{}us] start_log_recovery b{} from {next:?}", ctx.now().micros(), backend.0);
+        }
+        if next.iter().any(|&(g, from)| self.shards.logs[g].read_after(from, 1).is_err()) {
+            // A stream truncated past the node's position: full resync.
             self.start_full_resync(ctx, backend);
             return;
         }
-        self.backends[backend.0].state = BackendState::Recovering { next: from, inflight: false };
+        self.backends[backend.0].state = BackendState::Recovering { next, inflight: false };
         self.pump_recovery(ctx, backend);
     }
 
+    /// Replay the next batch of the first hosted group that has one, one
+    /// batch in flight at a time; come online once every hosted group's
+    /// cursor is at its head. The final hop runs under the global barrier.
     fn pump_recovery(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId) {
-        let BackendState::Recovering { next, inflight } = self.backends[backend.0].state else {
+        let BackendState::Recovering { next, inflight: false } = &self.backends[backend.0].state else {
             return;
         };
-        if inflight {
-            return;
-        }
-        let head = self.shards.logs[0].head();
-        let remaining = head.saturating_sub(next);
+        let next = next.clone();
+        let remaining: u64 = next.iter().map(|&(g, n)| self.shards.logs[g].head().saturating_sub(n)).sum();
         if remaining == 0 {
             // Caught up: release any barrier and come online.
             self.backends[backend.0].state = BackendState::Online;
-            self.backends[backend.0].applied_seq = head;
-            self.shards.marks[backend.0][0] = Watermark::at(head);
+            for &(g, n) in &next {
+                self.shards.marks[backend.0][g] = Watermark::at(n);
+            }
             if let Some(start) = self.recovery_started.remove(&backend) {
                 self.metrics.recoveries.push((backend.0, start, ctx.now().micros()));
             }
@@ -3638,57 +3590,67 @@ impl Middleware {
             }
             return;
         }
-        if remaining <= self.cfg.barrier_threshold && self.barrier_for.is_none() {
-            // Final hop: global barrier (live writes buffer until done).
+        // Final hop: global barrier (live writes buffer until done). An
+        // undecided cross-group transaction needs further deliveries to
+        // decide, and replay cannot cross its reserved slot: arming the
+        // barrier then would deadlock, so wait for the decision first.
+        if remaining <= self.cfg.barrier_threshold
+            && self.barrier_for.is_none()
+            && next.iter().all(|&(g, _)| self.undecided_floor(g).is_none())
+        {
             self.barrier_for = Some(backend);
         }
-        let batch = match self.shards.logs[0].read_after(next, self.cfg.recovery_batch) {
-            Ok(entries) => entries.to_vec(),
+        // Replay must not cross a prepared-but-undecided cross-group slot:
+        // its logged payload may still be voided by an abort decision. Cap
+        // each group's replay just below its lowest undecided position; the
+        // decision re-pumps (see `deliver_xprepare`).
+        let Some((g, n, cap)) = next.iter().find_map(|&(g, n)| {
+            let head = self.shards.logs[g].head();
+            let cap = self.undecided_floor(g).map_or(head, |f| f - 1).min(head);
+            (cap > n).then_some((g, n, cap))
+        }) else {
+            return;
+        };
+        let batch: Vec<_> = match self.shards.logs[g].read_after(n, self.cfg.recovery_batch) {
+            Ok(entries) => entries.iter().take_while(|e| e.seq <= cap).cloned().collect(),
             Err(_) => {
-                // The log was truncated (e.g. purged past this replica's
-                // checkpoint) *after* recovery started: replay can no longer
-                // reach the head. Silently returning here left the backend
-                // in `Recovering` forever — escalate to a full resync, the
-                // explicit needs-full-resync signal `read_after` now carries.
+                // The stream was truncated past the cursor *after* recovery
+                // started (e.g. an operator purge): replay can no longer
+                // reach the head — the explicit needs-full-resync signal.
                 self.start_full_resync(ctx, backend);
                 return;
             }
         };
-        if batch.is_empty() {
-            return;
-        }
-        let upto = batch.last().unwrap().seq;
+        let Some(upto) = batch.last().map(|e| e.seq) else { return };
         if crate::debug_on() {
-            eprintln!(
-                "[{}us] recovery batch b{}: {}..={} (head {})",
-                ctx.now().micros(),
-                backend.0,
-                batch.first().unwrap().seq,
-                upto,
-                head
-            );
+            eprintln!("[{}us] recovery batch b{} g{g}: {}..={upto}", ctx.now().micros(), backend.0, n + 1);
         }
         let entries = crate::recovery::to_binlog_entries(&batch);
         let use_writesets = batch.iter().any(|e| e.is_writeset());
         let parallel_apply = self.cfg.replay_mode == ReplayMode::Parallel;
         self.backends[backend.0].state = BackendState::Recovering { next, inflight: true };
-        self.send_db(ctx, backend, Pending::RecoveryBatch { backend, upto }, move |op| {
-            // Ordered space: the node skips entries it already executed
+        let space = ApplySpace::Ordered { group: g as u32 };
+        self.send_db(ctx, backend, Pending::RecoveryBatch { backend, group: g, upto }, move |op| {
+            // The node skips entries it already applied, in this group,
             // before the failure was declared (idempotent replay).
-            DbOp::ApplyBinlog { op, entries, use_writesets, parallel_apply, space: ApplySpace::Ordered }
+            DbOp::ApplyBinlog { op, entries, use_writesets, parallel_apply, space }
         });
     }
 
-    fn finish_recovery_batch(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId, upto: u64, resp: DbResp) {
+    fn finish_recovery_batch(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId, group: usize, upto: u64, resp: DbResp) {
         // The backend may have been re-failed while the batch was in flight.
-        if !matches!(self.backends[backend.0].state, BackendState::Recovering { .. }) {
+        let BackendState::Recovering { next, inflight } = &mut self.backends[backend.0].state else {
             return;
-        }
+        };
         match resp {
             DbResp::ApplyOk { .. } => {
-                self.backends[backend.0].applied_seq = upto;
-                self.backends[backend.0].state =
-                    BackendState::Recovering { next: upto, inflight: false };
+                *inflight = false;
+                if let Some(slot) = next.iter_mut().find(|(g, _)| *g == group) {
+                    slot.1 = upto;
+                }
+                // The node holds the group's stream through `upto`: what a
+                // failure from here on checkpoints.
+                self.shards.marks[backend.0][group] = Watermark::at(upto);
                 self.pump_recovery(ctx, backend);
             }
             other => {
@@ -3702,135 +3664,9 @@ impl Middleware {
         }
     }
 
-    fn start_full_resync(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId) {
-        if crate::debug_on() {
-            eprintln!("[{}us] start_full_resync b{}", ctx.now().micros(), backend.0);
-        }
-        // Dump from a healthy source (master in ms mode, any online backend
-        // otherwise).
-        let source = if self.master_slave() {
-            if self.backends[self.master.0].online() { Some(self.master) } else { None }
-        } else {
-            self.healthy().into_iter().find(|&b| b != backend)
-        };
-        let Some(source) = source else {
-            // No healthy peer to rebuild from: stay Down; the next pong
-            // retries (single-replica clusters recover via the log replay
-            // path, which is idempotent).
-            self.backends[backend.0].state = BackendState::Down;
-            return;
-        };
-        self.backends[backend.0].state = BackendState::Resyncing;
-        // The dump will reflect every logged statement up to here (the dump
-        // request travels the same FIFO link as the statement executions),
-        // so post-resync catch-up replays from exactly this position.
-        let log_pos = self.shards.logs[0].head();
-        self.send_db(ctx, source, Pending::ResyncDumpReq { target: backend, log_pos }, move |op| {
-            DbOp::Dump { op, include_programs: true, include_principals: true }
-        });
-    }
-
-    fn finish_resync_dump(&mut self, ctx: &mut Ctx<'_, Msg>, target: BackendId, log_pos: u64, resp: DbResp) {
-        let DbResp::DumpOut { dump, head, .. } = resp else { return };
-        if crate::debug_on() {
-            eprintln!("[{}us] resync dump for b{} head={head:?} state={:?}", ctx.now().micros(), target.0, self.backends[target.0].state);
-        }
-        if self.backends[target.0].state != BackendState::Resyncing {
-            return;
-        }
-        self.send_db(
-            ctx,
-            target,
-            Pending::ResyncRestore { backend: target, baseline: head, log_pos },
-            move |op| DbOp::Restore { op, dump, baseline: head, ordered_baseline: log_pos },
-        );
-    }
-
-    fn finish_resync_restore(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        backend: BackendId,
-        baseline: Lsn,
-        log_pos: u64,
-        resp: DbResp,
-    ) {
-        if crate::debug_on() {
-            eprintln!("[?] resync restore b{} baseline={baseline:?} ok={}", backend.0, matches!(resp, DbResp::RestoreOk { .. }));
-        }
-        if !matches!(resp, DbResp::RestoreOk { .. }) {
-            return;
-        }
-        match self.cfg.mode {
-            Mode::MasterSlave { .. } => {
-                // The restored node rejoins as a slave consistent with the
-                // master as of the dump; shipping continues from there.
-                self.backends[backend.0].applied_lsn = baseline;
-                self.backends[backend.0].state = BackendState::Online;
-                if let Some(start) = self.recovery_started.remove(&backend) {
-                    self.metrics.recoveries.push((backend.0, start, ctx.now().micros()));
-                }
-                self.update_degraded(ctx);
-            }
-            _ => {
-                // Catch up from the recovery log starting at the position
-                // the dump is consistent with.
-                self.shards.logs[0].checkpoint(backend, log_pos);
-                self.backends[backend.0].applied_seq = log_pos;
-                self.backends[backend.0].state =
-                    BackendState::Recovering { next: log_pos, inflight: false };
-                self.pump_recovery(ctx, backend);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Partial replication: rejoin (dump + per-group log catch-up)
-    // ------------------------------------------------------------------
-
-    /// A returned backend rebuilds from a donor that hosts a superset of
-    /// its groups (one dump covers every table it replays), then catches
-    /// up per-group from the dump-time log heads. There is no per-group
-    /// incremental path from the node's own durable state: group streams
-    /// share a dense seq space per group, so positions are only comparable
-    /// within a group, and the dump baseline is the one point all hosted
-    /// groups agree on.
-    fn start_pw_resync(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId) {
-        let target_hosted = self.shards.hosted(backend.0);
-        let heads: Vec<u64> = self.shards.logs.iter().map(|l| l.head()).collect();
-        let donor = self.healthy().into_iter().find(|&b| {
-            b != backend && {
-                let dh = self.shards.hosted(b.0);
-                target_hosted.iter().all(|g| dh.contains(g))
-            }
-        });
-        let Some(donor) = donor else {
-            // No donor hosts all our groups: stay Down; the next pong
-            // retries (a replicated group regains its host the moment a
-            // peer comes back).
-            self.backends[backend.0].state = BackendState::Down;
-            return;
-        };
-        // The FIFO argument that makes `heads` a sound catch-up baseline —
-        // every apply at or below it was *sent to the donor before the dump
-        // request* — breaks for positions whose fan-out is deferred: a
-        // prepared-but-undecided cross-group slot (fan-out happens at
-        // decision time). Such a position reaches the donor after the dump
-        // is taken, yet catch-up skips everything at or below `heads` — a
-        // silent hole at the rejoiner. Defer instead; the next pong retries
-        // once the window clears.
-        if target_hosted.iter().any(|&g| self.pw_undecided_floor(g).is_some_and(|f| f <= heads[g])) {
-            self.backends[backend.0].state = BackendState::Down;
-            return;
-        }
-        self.backends[backend.0].state = BackendState::Resyncing;
-        self.send_db(ctx, donor, Pending::PwResyncDump { target: backend, heads }, move |op| {
-            DbOp::Dump { op, include_programs: true, include_principals: true }
-        });
-    }
-
     /// Lowest log position in group `g` reserved by a still-undecided
     /// cross-group transaction. `None` when every reserved slot is decided.
-    fn pw_undecided_floor(&self, g: usize) -> Option<u64> {
+    fn undecided_floor(&self, g: usize) -> Option<u64> {
         self.shards
             .xtx
             .values()
@@ -3840,148 +3676,95 @@ impl Middleware {
             .min()
     }
 
-    fn finish_pw_resync_dump(&mut self, ctx: &mut Ctx<'_, Msg>, target: BackendId, heads: Vec<u64>, resp: DbResp) {
+    /// The fallback rejoin: restore a dump of a donor and catch up from the
+    /// positions it is consistent with. Master-slave: the master, and the
+    /// slave ships from its binlog after. Multi-master: an online backend
+    /// hosting every group the target hosts (one dump covers every table
+    /// it replays), then per-group replay from the dump-time log heads.
+    fn start_full_resync(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId) {
+        if crate::debug_on() {
+            eprintln!("[{}us] start_full_resync b{}", ctx.now().micros(), backend.0);
+        }
+        let hosted = self.shards.hosted(backend.0);
+        let source = if self.master_slave() {
+            Some(self.master).filter(|m| self.backends[m.0].online())
+        } else {
+            self.healthy().into_iter().find(|&b| b != backend && self.hosts_all(b, &hosted))
+        };
+        // The dump reflects every logged write up to here (the dump request
+        // travels the same FIFO link as the writes sent before it), so
+        // catch-up replays from exactly these heads.
+        let heads: Vec<u64> = self.shards.logs.iter().map(RecoveryLog::head).collect();
+        // That FIFO argument breaks for positions whose fan-out is
+        // deferred: a prepared-but-undecided cross-group slot (fan-out
+        // happens at decision time) reaches the donor after the dump is
+        // taken, yet catch-up skips everything at or below `heads` — a
+        // silent hole at the rejoiner. Defer instead.
+        let undecided = hosted.iter().any(|&g| self.undecided_floor(g).is_some_and(|f| f <= heads[g]));
+        let Some(source) = source.filter(|_| !undecided) else {
+            // No donor, or a decision pending: stay Down; the next pong
+            // retries.
+            self.backends[backend.0].state = BackendState::Down;
+            return;
+        };
+        self.metrics.counters.full_resyncs += 1;
+        self.backends[backend.0].state = BackendState::Resyncing;
+        self.send_db(ctx, source, Pending::ResyncDumpReq { target: backend, heads }, move |op| {
+            DbOp::Dump { op, include_programs: true, include_principals: true }
+        });
+    }
+
+    fn finish_resync_dump(&mut self, ctx: &mut Ctx<'_, Msg>, target: BackendId, heads: Vec<u64>, resp: DbResp) {
         let DbResp::DumpOut { dump, head, .. } = resp else { return };
+        if crate::debug_on() {
+            eprintln!("[{}us] resync dump for b{} head={head:?} state={:?}", ctx.now().micros(), target.0, self.backends[target.0].state);
+        }
         if self.backends[target.0].state != BackendState::Resyncing {
             return;
         }
+        let ordered_baseline = heads.clone();
         self.send_db(
             ctx,
             target,
-            Pending::PwResyncRestore { backend: target, heads },
-            move |op| DbOp::Restore { op, dump, baseline: head, ordered_baseline: 0 },
+            Pending::ResyncRestore { backend: target, baseline: head, heads },
+            move |op| DbOp::Restore { op, dump, baseline: head, ordered_baseline },
         );
     }
 
-    fn finish_pw_resync_restore(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId, heads: Vec<u64>, resp: DbResp) {
+    fn finish_resync_restore(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        backend: BackendId,
+        baseline: Lsn,
+        heads: Vec<u64>,
+        resp: DbResp,
+    ) {
+        if crate::debug_on() {
+            eprintln!("[?] resync restore b{} baseline={baseline:?} ok={}", backend.0, matches!(resp, DbResp::RestoreOk { .. }));
+        }
         if !matches!(resp, DbResp::RestoreOk { .. }) {
             return;
         }
-        let next: Vec<(usize, u64)> = self
-            .shards
-            .hosted(backend.0)
-            .into_iter()
-            .map(|g| (g, heads.get(g).copied().unwrap_or(0)))
-            .collect();
-        self.shards.resync.insert(backend.0, PwCatchup { next, inflight: false });
-        // The real cursor lives in `Shards::resync`; the state enum only
-        // gates liveness/visibility decisions.
-        self.backends[backend.0].state = BackendState::Recovering { next: 0, inflight: false };
-        self.pump_pw_recovery(ctx, backend);
-    }
-
-    /// Per-group catch-up: replay each hosted group's log tail from the
-    /// dump-time head, one batch in flight at a time, groups in index
-    /// order. Mirrors [`pump_recovery`]'s barrier handling.
-    fn pump_pw_recovery(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId) {
-        if !matches!(self.backends[backend.0].state, BackendState::Recovering { .. }) {
-            return;
-        }
-        let next = {
-            let Some(cu) = self.shards.resync.get(&backend.0) else { return };
-            if cu.inflight {
-                return;
-            }
-            cu.next.clone()
-        };
-        let total_remaining: u64 =
-            next.iter().map(|&(g, n)| self.shards.logs[g].head().saturating_sub(n)).sum();
-        if total_remaining == 0 {
-            {
-                let p = &mut self.shards;
-                for &(g, _) in &next {
-                    p.marks[backend.0][g] = Watermark::at(p.logs[g].head());
-                }
-                p.resync.remove(&backend.0);
-            }
+        if self.master_slave() {
+            // The restored node rejoins as a slave consistent with the
+            // master as of the dump; shipping continues from there.
+            self.backends[backend.0].applied_lsn = baseline;
             self.backends[backend.0].state = BackendState::Online;
             if let Some(start) = self.recovery_started.remove(&backend) {
                 self.metrics.recoveries.push((backend.0, start, ctx.now().micros()));
             }
             self.update_degraded(ctx);
-            if self.barrier_for == Some(backend) {
-                self.barrier_for = None;
-                self.drain_shard_buffer(ctx);
-            }
             return;
         }
-        // The final-hop barrier buffers shard deliveries — but an undecided
-        // cross-group transaction needs further deliveries to decide, and
-        // replay cannot cross its reserved slot. Arming the barrier then
-        // would deadlock; wait for the decision first.
-        if total_remaining <= self.cfg.barrier_threshold
-            && self.barrier_for.is_none()
-            && next.iter().all(|&(g, _)| self.pw_undecided_floor(g).is_none())
-        {
-            self.barrier_for = Some(backend);
+        // Catch up from the recovery log, per group, starting at the
+        // positions the dump is consistent with.
+        let next: Vec<(usize, u64)> = self.shards.hosted(backend.0).into_iter().map(|g| (g, heads[g])).collect();
+        for &(g, head) in &next {
+            self.shards.marks[backend.0][g] = Watermark::at(head);
         }
-        // Replay must not cross a prepared-but-undecided cross-group slot:
-        // its logged payload may still be voided by an abort decision.
-        // Cap each group's replay just below its lowest undecided position;
-        // the decision re-pumps (see `deliver_xprepare`).
-        let Some((g, n, cap)) = next.iter().find_map(|&(g, n)| {
-            let head = self.shards.logs[g].head();
-            let cap = self.pw_undecided_floor(g).map(|f| f - 1).unwrap_or(head).min(head);
-            (cap > n).then_some((g, n, cap))
-        }) else {
-            return;
-        };
-        let batch = match self.shards.logs[g].read_after(n, self.cfg.recovery_batch) {
-            Ok(entries) => {
-                entries.iter().take_while(|e| e.seq <= cap).cloned().collect::<Vec<_>>()
-            }
-            Err(_) => {
-                // Group log truncated past the dump baseline: rebuild from
-                // a fresh dump.
-                self.shards.resync.remove(&backend.0);
-                self.start_pw_resync(ctx, backend);
-                return;
-            }
-        };
-        if batch.is_empty() {
-            return;
-        }
-        let upto = batch.last().unwrap().seq;
-        let entries = crate::recovery::to_binlog_entries(&batch);
-        let parallel_apply = self.cfg.replay_mode == ReplayMode::Parallel;
-        if let Some(cu) = self.shards.resync.get_mut(&backend.0) {
-            cu.inflight = true;
-        }
-        self.send_db(ctx, backend, Pending::PwRecoveryBatch { backend, group: g, upto }, move |op| {
-            // The restore wiped the node, so replay is exactly-once. Group
-            // streams reuse overlapping dense seq spaces, so the ordered-
-            // space dedup must NOT apply across groups: ApplySpace::None.
-            DbOp::ApplyBinlog { op, entries, use_writesets: true, parallel_apply, space: ApplySpace::None }
-        });
-    }
-
-    fn finish_pw_recovery_batch(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        backend: BackendId,
-        group: usize,
-        upto: u64,
-        resp: DbResp,
-    ) {
-        if !matches!(self.backends[backend.0].state, BackendState::Recovering { .. }) {
-            return;
-        }
-        match resp {
-            DbResp::ApplyOk { .. } => {
-                if let Some(cu) = self.shards.resync.get_mut(&backend.0) {
-                    cu.inflight = false;
-                    if let Some(slot) = cu.next.iter_mut().find(|(g, _)| *g == group) {
-                        slot.1 = upto;
-                    }
-                }
-                self.pump_pw_recovery(ctx, backend);
-            }
-            _ => {
-                self.metrics.counters.divergence_detected += 1;
-                self.shards.resync.remove(&backend.0);
-                self.start_pw_resync(ctx, backend);
-            }
-        }
+        self.checkpoint(backend);
+        self.backends[backend.0].state = BackendState::Recovering { next, inflight: false };
+        self.pump_recovery(ctx, backend);
     }
 
     /// Management operations (§4.4.1/§4.4.2).
@@ -4111,7 +3894,7 @@ impl Middleware {
             .count()
     }
 
-    /// Debug snapshot: per-backend (state, applied_lsn, applied_seq) plus
+    /// Debug snapshot: per-backend (state, applied_lsn, group-0 mark) plus
     /// shipping flags.
     pub fn debug_state(&self) -> String {
         let per: Vec<String> = self
@@ -4121,7 +3904,7 @@ impl Middleware {
             .map(|(i, b)| {
                 format!(
                     "b{i}:{:?} lsn={} seq={} pong@{}",
-                    b.state, b.applied_lsn.0, b.applied_seq, b.last_pong_us
+                    b.state, b.applied_lsn.0, self.shards.marks[i][0].value(), b.last_pong_us
                 )
             })
             .collect();
@@ -4174,11 +3957,8 @@ fn pending_backend(p: &Pending) -> Option<BackendId> {
         | Pending::BackupDump { backend, .. }
         | Pending::ResyncRestore { backend, .. }
         | Pending::PwCommit { backend, .. }
-        | Pending::PwApply { backend, .. }
-        | Pending::PwResyncRestore { backend, .. }
-        | Pending::PwRecoveryBatch { backend, .. } => Some(*backend),
-        // PwResyncDump targets the donor, which is not `target`; like
-        // ResyncDumpReq, a timeout fails the donor via the generic path.
+        | Pending::PwApply { backend, .. } => Some(*backend),
+        // ResyncDumpReq targets the donor, which is not `target`.
         _ => None,
     }
 }
@@ -4453,8 +4233,8 @@ mod tests {
     fn a_failed_apply_fails_its_backend_once_and_is_never_resent() {
         // G = 1: no placement. G = 2: both groups on both backends, `t1`
         // in group 1. Either way the first apply at the non-delegate fails:
-        // the backend is failed once and rejoins (log replay at G = 1, a
-        // donor dump at G = 2), and no apply is ever sent a second time.
+        // the backend is failed once and rejoins by log replay, and no
+        // apply is ever sent a second time.
         let two = Placement::new(vec![vec![0, 1], vec![0, 1]]).assign("t1", 1);
         for (placement, g) in [(None, 0usize), (Some(two), 1)] {
             let (mut sim, dbs, mw, client) = writeset_cluster(vec![ScriptedDb::new(1), ScriptedDb::new(1)], placement);
@@ -4518,7 +4298,9 @@ mod tests {
             .position(|o| o.iter().any(|op| matches!(op, DbOp::Delegate { .. })))
             .expect("a delegate ran the statement");
         match &seen[delegate][..] {
-            [DbOp::Delegate { begin: Some(begin), stmt, implicit: true, .. }, DbOp::Execute { plan: commit, seq: None, .. }] => {
+            [DbOp::Delegate { begin: Some(begin), stmt, implicit: true, .. }, DbOp::Execute { plan: commit, marks, .. }] => {
+                // The COMMIT settles the first certified position at the node.
+                assert_eq!(marks, &[(0, 1)]);
                 let snapshot = Some(IsolationLevel::SnapshotIsolation);
                 assert_eq!(whole(begin), Statement::Begin { isolation: snapshot });
                 assert_eq!(whole(stmt), parse_statement("INSERT INTO t1 VALUES (1, 1)").unwrap());
@@ -4526,7 +4308,11 @@ mod tests {
             }
             other => panic!("the delegate saw {other:?}"),
         }
-        assert!(matches!(&seen[1 - delegate][..], [DbOp::ApplyWriteset { .. }]), "{:?}", seen[1 - delegate]);
+        assert!(
+            matches!(&seen[1 - delegate][..], [DbOp::ApplyWriteset { marks, .. }] if marks == &[(0, 1)]),
+            "{:?}",
+            seen[1 - delegate]
+        );
 
         request(&mut sim, (client, mw), 20_000, 2, 1, "BEGIN ISOLATION LEVEL SERIALIZABLE");
         request(&mut sim, (client, mw), 21_000, 2, 2, "INSERT INTO t1 VALUES (2, 1)");
@@ -4733,7 +4519,7 @@ mod tests {
         let stmt = |plan: &PlanExec| (*plan.template).clone();
         let (ops, at_commit) = &seen[delegate];
         match &ops[..] {
-            [DbOp::Delegate { begin: Some(_), stmt: insert, implicit: false, .. }, DbOp::Delegate { begin: None, stmt: update, implicit: false, .. }, DbOp::Execute { plan: commit, seq: None, .. }] =>
+            [DbOp::Delegate { begin: Some(_), stmt: insert, implicit: false, .. }, DbOp::Delegate { begin: None, stmt: update, implicit: false, .. }, DbOp::Execute { plan: commit, marks, .. }] if marks == &[(0, 1)] =>
             {
                 assert_eq!(stmt(insert), parse_statement(stmts[1]).unwrap());
                 assert_eq!(stmt(update), parse_statement(stmts[2]).unwrap());
@@ -4818,9 +4604,9 @@ mod tests {
         let mut m = router(statement, ReadPolicy::Fresh, None, 3);
         let select = parse_statement("SELECT v FROM bench WHERE k = 1").unwrap();
         assert_eq!(m.stmt_groups(&select), [0]);
-        m.backends[0].applied_seq = 9;
-        m.backends[1].applied_seq = 4; // the stale host
-        m.backends[2].applied_seq = 9;
+        m.shards.marks[0][0] = Watermark::at(9);
+        m.shards.marks[1][0] = Watermark::at(4); // the stale host
+        m.shards.marks[2][0] = Watermark::at(9);
         // A session that has written nothing needs nothing: every host
         // qualifies, whatever it has applied.
         m.session(SessionId(1), None);

@@ -6,7 +6,7 @@ use std::sync::{Arc, LazyLock};
 
 use replimid_gcs::GcsMsg;
 use replimid_sql::ast::{IsolationLevel, Statement};
-use replimid_sql::{keycode, BinlogEntry, Dump, Lsn, ResultSet, SqlError, Value, Writeset};
+use replimid_sql::{keycode, BinlogEntry, Dump, Lsn, Mark, ResultSet, SqlError, Value, Writeset};
 
 /// A client session, globally unique across the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,19 +72,17 @@ pub struct ClientReply {
 }
 
 /// Idempotence spaces for applied entries. A node tracks two independent
-/// positions: the master's binlog LSN space (log shipping) and the
-/// middleware's ordered-statement sequence space (total order + recovery
-/// replay). They must never be conflated — binlog LSNs start past the
-/// schema-load entries, ordered sequences start at 1.
+/// kinds of position: the master's binlog LSN space (log shipping) and the
+/// middleware's ordered streams, one per table group (total order +
+/// recovery replay). They must never be conflated — binlog LSNs start past
+/// the schema-load entries, ordered positions start at 1 in every group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApplySpace {
-    /// No tracking (apply unconditionally).
-    None,
     /// Master binlog LSNs: skip entries at or below `applied_lsn`.
     Binlog,
-    /// Ordered replication-log sequence numbers: skip entries at or below
-    /// the node's ordered-applied position.
-    Ordered,
+    /// Positions of group `group`'s ordered stream: skip entries the node
+    /// already applied there, and mark the rest.
+    Ordered { group: u32 },
 }
 
 /// The one request wire format: a parsed template plus extracted
@@ -227,13 +225,15 @@ impl PlanExec {
 pub enum DbOp {
     /// Execute one statement on the (lazily created) connection `conn`.
     /// The node binds the plan's params and runs `Engine::execute_prepared`.
-    /// `seq` is the replication-log position for totally-ordered writes:
-    /// the node records it durably and *skips* statements it has already
-    /// applied — this is what makes recovery replay idempotent when an
+    /// `marks` are the ordered positions the statement applies: the
+    /// recovery-log position of a totally-ordered statement (group 0), or
+    /// every (group, position) a delegate's COMMIT settles. The node
+    /// records them durably and *skips* an operation whose marks it has
+    /// all applied — this is what makes recovery replay idempotent when an
     /// acknowledgment raced a failure declaration (§4.4.2: "the middleware
     /// has often no information on which transactions committed prior to
     /// the failure; this information is only known to the database").
-    Execute { op: u64, conn: u64, plan: PlanExec, seq: Option<u64> },
+    Execute { op: u64, conn: u64, plan: PlanExec, marks: Vec<Mark> },
     /// Execute a group-committed batch of ordered statements as one message.
     /// Statements run in batch order on their own connections; the node
     /// skips already-applied `seq`s individually (same idempotence contract
@@ -249,8 +249,9 @@ pub enum DbOp {
     /// transaction (an autocommit write) is rolled back at the node when
     /// its statement fails, charged as that ROLLBACK.
     Delegate { op: u64, conn: u64, begin: Option<PlanExec>, stmt: PlanExec, implicit: bool },
-    /// Apply a certified writeset as one transaction.
-    ApplyWriteset { op: u64, ws: Writeset },
+    /// Apply a certified writeset as one transaction; `marks` are the
+    /// (group, position) pairs it settles at this node, as in `Execute`.
+    ApplyWriteset { op: u64, ws: Writeset, marks: Vec<Mark> },
     /// Apply shipped binlog entries (slave side). `parallel_apply` groups
     /// entries touching disjoint tables and charges only the longest group
     /// (the §4.4.2 "extraction of parallelism from the log").
@@ -272,8 +273,9 @@ pub enum DbOp {
     Dump { op: u64, include_programs: bool, include_principals: bool },
     /// Load a dump (used to initialize or resynchronize a replica).
     /// `baseline` is the source's binlog LSN at dump time; `ordered_baseline`
-    /// is the middleware's ordered-log position the dump is consistent with.
-    Restore { op: u64, dump: Box<Dump>, baseline: Lsn, ordered_baseline: u64 },
+    /// holds, per group, the ordered-stream position the dump is consistent
+    /// with.
+    Restore { op: u64, dump: Box<Dump>, baseline: Lsn, ordered_baseline: Vec<u64> },
     /// State checksum for divergence detection.
     Checksum { op: u64, full: bool },
     /// Liveness probe, carrying who still reads the node's binlog: `Some`
@@ -290,8 +292,8 @@ pub enum DbOp {
 pub struct BatchItem {
     pub conn: u64,
     pub plan: PlanExec,
-    /// Replication-log position (see [`DbOp::Execute`]'s `seq`).
-    pub seq: Option<u64>,
+    /// Ordered positions (see [`DbOp::Execute`]'s `marks`).
+    pub marks: Vec<Mark>,
 }
 
 /// Per-statement outcome inside an [`DbResp::ExecBatchOut`]: the payload
@@ -335,16 +337,18 @@ pub enum DbResp {
         op: u64,
         applied_lsn: Lsn,
         head: Lsn,
-        /// Highest ordered-statement sequence the node has durably applied.
-        /// After a lossy crash (lost/torn WAL tail) this can sit *below*
-        /// the middleware's recovery-log checkpoint for the backend; the
-        /// middleware must replay from the node's position, not its own.
-        ordered_applied: u64,
-        /// The ordered position no crash kind can take the node below: its
-        /// last fsync or installed checkpoint, and `ordered_applied` without
-        /// durability (state survives a crash by fiat). No rejoin of this
-        /// node can start below it.
-        durable_ordered: u64,
+        /// Per group, the end of the contiguous prefix of the ordered stream
+        /// the node has applied (positions above it may be applied too;
+        /// replay skips those). After a lossy crash (lost/torn WAL tail)
+        /// this can sit *below* the middleware's recovery-log checkpoint for
+        /// the backend; the middleware must replay from the node's
+        /// position, not its own.
+        ordered_applied: Vec<u64>,
+        /// Per group, the position no crash kind can take the node below:
+        /// its last fsync or installed checkpoint, and `ordered_applied`
+        /// without durability (state survives a crash by fiat). No rejoin
+        /// of this node can start below it.
+        durable_ordered: Vec<u64>,
     },
     ApplyOk { op: u64, applied_lsn: Lsn },
     ApplyErr { op: u64, err: SqlError },

@@ -178,8 +178,6 @@ pub struct Placement {
     /// table name -> group index.
     tables: Vec<(String, usize)>,
     default_group: usize,
-    /// Accept groups with a single host (see [`Self::allow_sole_host`]).
-    allow_sole_host: bool,
 }
 
 impl Placement {
@@ -197,18 +195,7 @@ impl Placement {
                 h
             })
             .collect();
-        Placement { hosts, tables: Vec::new(), default_group: 0, allow_sole_host: false }
-    }
-
-    /// Opt out of the sole-host rejection in [`Self::validate`]. A group
-    /// with one replica has no resync donor once that host crashes — the
-    /// rejoiner stays Down until an operator intervenes (the PR 9 recovery
-    /// dead-end) — so single-host groups are a build-time error by
-    /// default. Experiments that deliberately measure the 1-replica
-    /// extreme (e.g. the E22 scaling ladder) set this explicitly.
-    pub fn allow_sole_host(mut self) -> Self {
-        self.allow_sole_host = true;
-        self
+        Placement { hosts, tables: Vec::new(), default_group: 0 }
     }
 
     /// The canonical scale-out layout: `groups` groups over `backends`
@@ -285,16 +272,14 @@ impl Placement {
 
     /// Trivial placements — one group hosted by every backend — are full
     /// replication: the same pipeline with G = 1 that runs when no
-    /// placement is configured, with the full-replication request entry
-    /// and rejoin.
+    /// placement is configured.
     pub fn is_trivial(&self, backends: usize) -> bool {
         self.hosts.len() == 1 && self.hosts[0].len() == backends
     }
 
-    /// Sanity-check against the actual backend count. Rejects groups with
-    /// fewer than two hosts when the cluster could do better (see
-    /// [`Self::allow_sole_host`]): a sole-host group cannot donate a
-    /// resync after its only replica crashes, stranding the rejoiner.
+    /// Sanity-check against the actual backend count: every host exists. A
+    /// group may have a single host — its rejoin replays the group's
+    /// recovery-log stream and needs no donor.
     pub fn validate(&self, backends: usize) -> Result<(), String> {
         for (g, hs) in self.hosts.iter().enumerate() {
             for &b in hs {
@@ -303,14 +288,6 @@ impl Placement {
                         "group {g} host {b} out of range (cluster has {backends} backends)"
                     ));
                 }
-            }
-            if hs.len() < 2 && backends >= 2 && !self.allow_sole_host {
-                return Err(format!(
-                    "group {g} has a single host (backend {}): a crash leaves no \
-                     resync donor and the rejoiner is stranded; place >= 2 replicas \
-                     or opt out with allow_sole_host()",
-                    hs[0]
-                ));
             }
         }
         Ok(())
@@ -393,17 +370,14 @@ mod tests {
     }
 
     #[test]
-    fn sole_host_groups_rejected_unless_opted_out() {
-        // Group 1 has one replica: its host crashing leaves no resync
-        // donor, so validation refuses the layout by default.
-        let sole = || Placement::new(vec![vec![0, 1], vec![2]]);
-        let err = sole().validate(3).unwrap_err();
-        assert!(err.contains("single host"), "unexpected error: {err}");
-        assert!(sole().allow_sole_host().validate(3).is_ok());
-        // A one-backend cluster cannot do better than one replica.
+    fn sole_host_groups_validate() {
+        // Group 1 has one replica: its rejoin replays the group's log
+        // stream, so the layout is valid.
+        assert!(Placement::new(vec![vec![0, 1], vec![2]]).validate(3).is_ok());
         assert!(Placement::new(vec![vec![0]]).validate(1).is_ok());
-        // Range errors still dominate.
-        assert!(Placement::new(vec![vec![0, 9]]).validate(3).is_err());
+        // Hosts must exist.
+        let err = Placement::new(vec![vec![0, 9]]).validate(3).unwrap_err();
+        assert!(err.contains("out of range"), "unexpected error: {err}");
     }
 
     #[test]

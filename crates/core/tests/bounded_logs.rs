@@ -1,10 +1,11 @@
 //! Bounded replication logs. Each backend's binlog and each recovery-log
 //! stream are trimmed below the lowest position a reader can still ask
-//! for, so what they retain stays flat as a run grows longer. The trim
-//! never changes which rejoin path a returning backend takes: a
-//! lossy-crash rejoin still replays the log, a restarted slave still
-//! resyncs exactly once, and a spare added late still replays from the
-//! start.
+//! for, so what they retain stays flat as a run grows longer, in every
+//! multi-master mode and placement, and across a crash and rejoin. The
+//! trim never changes which rejoin path a returning backend takes: a
+//! lossy-crash rejoin still replays the log (a sole-host group's too), a
+//! restarted slave still resyncs exactly once, and a spare added late
+//! still replays from the start.
 
 use replimid_core::{
     AdminCmd, BackendId, Cluster, ClusterConfig, Mode, NondetPolicy, Placement, Policy, ReadPolicy,
@@ -46,7 +47,10 @@ fn statement_cfg() -> ClusterConfig {
 /// Durable backends that leave an unsynced WAL tail (the benchmark's
 /// crash-recover shape).
 fn durable_cfg() -> ClusterConfig {
-    let mut cfg = statement_cfg();
+    durable(statement_cfg())
+}
+
+fn durable(mut cfg: ClusterConfig) -> ClusterConfig {
     cfg.engine.durability = Some(DurabilityConfig {
         checkpoint_every: 1024,
         fsync_every: 8,
@@ -112,7 +116,9 @@ fn run_to(cluster: &mut Cluster, groups: usize, target: u64) -> Retained {
 
 /// Retention after `n` and after `4n` commits stays under the writes of
 /// two heartbeat intervals plus one recovery batch, while the heads grow
-/// with the run; then the replicas converge.
+/// with the run; then the replicas converge. With `crash`, that backend
+/// crashes right after the first `n` commits and restarts 50 ms later; it
+/// must rejoin by log replay.
 fn assert_flat(
     name: &str,
     mut cluster: Cluster,
@@ -120,11 +126,16 @@ fn assert_flat(
     n: u64,
     heartbeat_us: u64,
     batch: usize,
+    crash: Option<usize>,
 ) {
     let t0 = cluster.now();
     let at_n = run_to(&mut cluster, groups, n);
     let per_us = n as f64 / (cluster.now() - t0) as f64;
     let bound = (per_us * 2.0 * heartbeat_us as f64) as usize + batch;
+    if let Some(b) = crash {
+        cluster.crash_backend_at(cluster.now() + 1, 0, b);
+        cluster.restart_backend_at(cluster.now() + dur::millis(50), 0, b);
+    }
     let at_4n = run_to(&mut cluster, groups, 4 * n);
     for (when, r) in [("n", at_n), ("4n", at_4n)] {
         assert!(
@@ -151,6 +162,11 @@ fn assert_flat(
         at_4n.log_head
     );
     cluster.run_for(dur::secs(1));
+    if let Some(b) = crash {
+        let mw = cluster.mw_metrics(0);
+        assert!(mw.recoveries.iter().any(|r| r.0 == b), "{name}: backend {b} never rejoined");
+        assert_eq!(mw.counters.full_resyncs, 0, "{name}: the rejoin fell back to a full resync");
+    }
     if groups == 1 {
         assert_converged(name, &mut cluster);
     } else {
@@ -217,11 +233,25 @@ fn write_sat_retention_is_flat_in_run_length() {
     let (hb, batch) = (cfg.mw.heartbeat.interval_us, cfg.mw.recovery_batch);
     let mut cluster = Cluster::build(cfg);
     add_spread_clients(&mut cluster, 8, 4 * N / 8, 100);
-    assert_flat("write-sat", cluster, 1, N, hb, batch);
+    assert_flat("write-sat", cluster, 1, N, hb, batch, None);
 }
 
+/// Writeset replication without a placement: the one-group pipeline's
+/// log trims like statement replication's.
 #[test]
-fn partial_xgroup_retention_is_flat_in_run_length() {
+fn writeset_retention_is_flat_in_run_length() {
+    let mut cfg = ClusterConfig::new(Mode::MultiMasterWriteset, spread_schema(), "bench");
+    cfg.backends_per_mw = 3;
+    cfg.mw.policy = Policy::RoundRobin;
+    let (hb, batch) = (cfg.mw.heartbeat.interval_us, cfg.mw.recovery_batch);
+    let mut cluster = Cluster::build(cfg);
+    add_spread_clients(&mut cluster, 8, 4 * N / 8, 200);
+    assert_flat("writeset", cluster, 1, N, hb, batch, None);
+}
+
+/// The partial-xgroup shape: eight groups on partner pairs of hosts, a
+/// quarter of the transactions spanning two partner groups.
+fn partial_xgroup(per_client: u64) -> (Cluster, u64, usize) {
     let mut placement = Placement::new((0..8).map(|g| vec![g & !1, (g & !1) + 1]).collect());
     for g in 0..8 {
         placement = placement.assign(&format!("t{g}"), g);
@@ -237,11 +267,27 @@ fn partial_xgroup_retention_is_flat_in_run_length() {
             DisjointInsert::new(1_000_000 * (g as i64 + 1), g).with_multi(0.25),
             |cc| {
                 cc.think_time_us = 200;
-                cc.tx_limit = 4 * N / 8;
+                cc.tx_limit = per_client;
             },
         );
     }
-    assert_flat("partial-xgroup", cluster, 8, N, hb, batch);
+    (cluster, hb, batch)
+}
+
+#[test]
+fn partial_xgroup_retention_is_flat_in_run_length() {
+    let (cluster, hb, batch) = partial_xgroup(4 * N / 8);
+    assert_flat("partial-xgroup", cluster, 8, N, hb, batch, None);
+}
+
+/// Backend 2 (groups 2 and 3) crashes mid-run and rejoins by replaying
+/// both groups' streams from its own positions; retention stays under the
+/// same bound. The clients have headroom for the transactions the crash
+/// fails.
+#[test]
+fn partial_xgroup_retention_is_flat_across_a_crash() {
+    let (cluster, hb, batch) = partial_xgroup(5 * N / 8);
+    assert_flat("partial-xgroup crash", cluster, 8, N, hb, batch, Some(2));
 }
 
 fn master_slave_cfg(rows: usize) -> ClusterConfig {
@@ -283,7 +329,7 @@ fn read_fleet_retention_is_flat_in_run_length() {
     let (hb, batch) = (cfg.mw.heartbeat.interval_us, cfg.mw.recovery_batch);
     let mut cluster = Cluster::build(cfg);
     add_mix_clients(&mut cluster, 1_000, 4 * N / 8, 200);
-    assert_flat("read-fleet", cluster, 1, N, hb, batch);
+    assert_flat("read-fleet", cluster, 1, N, hb, batch, None);
 }
 
 #[test]
@@ -292,7 +338,7 @@ fn crash_recover_retention_is_flat_in_run_length() {
     let (hb, batch) = (cfg.mw.heartbeat.interval_us, cfg.mw.recovery_batch);
     let mut cluster = Cluster::build(cfg);
     add_spread_clients(&mut cluster, 8, 4 * N / 8, 200);
-    assert_flat("crash-recover", cluster, 1, N, hb, batch);
+    assert_flat("crash-recover", cluster, 1, N, hb, batch, None);
 }
 
 /// Poll backend `b`'s state every `step_us` for `span_us`; returns how
@@ -314,6 +360,33 @@ fn watch(cluster: &mut Cluster, b: usize, span_us: u64, step_us: u64) -> (usize,
     (resyncs, recovering)
 }
 
+/// After seconds of load and trimming, crash durable backend `b` with
+/// `kind` just after a heartbeat's trim, at a moment its fsynced position
+/// in group `g` is behind what it has applied (an exposed tail the crash
+/// destroys), and restart it 300 ms later. Returns the position in `g` it
+/// had applied.
+fn crash_exposed_tail(cluster: &mut Cluster, b: usize, g: usize, kind: CrashKind) -> u64 {
+    let hb = 20_000;
+    cluster.run_for(dur::secs(2));
+    let mut tick = cluster.now().micros() / hb + 1;
+    loop {
+        let at = tick * hb + 1;
+        cluster.run_for(at - cluster.now().micros());
+        let durable = cluster
+            .with_backend_engine(0, b, |e| e.durable_ordered())
+            .unwrap()[g];
+        if durable + 2 <= cluster.backend_ordered_applied(0, b)[g] {
+            break;
+        }
+        tick += 1;
+        assert!(tick * hb < 4_000_000, "never found an exposed WAL tail");
+    }
+    let applied = cluster.backend_ordered_applied(0, b)[g];
+    cluster.crash_backend_with(cluster.now() + 1, 0, b, kind);
+    cluster.restart_backend_at(cluster.now() + dur::millis(300), 0, b);
+    applied
+}
+
 /// A durable backend loses its unsynced WAL tail after seconds of
 /// trimming. It comes back *below* what the middleware saw it apply, so
 /// replay must start at the node's durable position, which the trim has
@@ -322,32 +395,13 @@ fn watch(cluster: &mut Cluster, b: usize, span_us: u64, step_us: u64) -> (usize,
 fn lost_tail_rejoin_replays_the_trimmed_log() {
     let mut cluster = Cluster::build(durable_cfg());
     add_spread_clients(&mut cluster, 4, 2_500, 400);
-    let hb = 20_000;
-    cluster.run_for(dur::secs(2));
-    // Crash just after a heartbeat's trim, with fsynced positions behind
-    // what the node has applied (an exposed tail the crash destroys).
-    let mut tick = cluster.now().micros() / hb + 1;
-    loop {
-        let at = tick * hb + 1;
-        cluster.run_for(at - cluster.now().micros());
-        let durable = cluster
-            .with_backend_engine(0, 2, |e| e.durable_ordered())
-            .unwrap();
-        if durable + 2 <= cluster.backend_ordered_applied(0, 2) {
-            break;
-        }
-        tick += 1;
-        assert!(tick * hb < 4_000_000, "never found an exposed WAL tail");
-    }
-    let applied = cluster.backend_ordered_applied(0, 2);
-    cluster.crash_backend_with(cluster.now() + 1, 0, 2, CrashKind::LostTail);
-    cluster.restart_backend_at(cluster.now() + dur::millis(300), 0, 2);
+    let applied = crash_exposed_tail(&mut cluster, 2, 0, CrashKind::LostTail);
     let (resyncs, recovering) = watch(&mut cluster, 2, dur::millis(1_500), 500);
     let rec = cluster
         .backend_recovery(0, 2)
         .expect("backend 2 restarted durably");
     assert!(
-        rec.report.ordered_applied < applied,
+        rec.report.ordered.prefix(0) < applied,
         "the crash lost no local state"
     );
     assert_eq!(resyncs, 0, "the rejoin fell back to a full resync");
@@ -364,6 +418,73 @@ fn lost_tail_rejoin_replays_the_trimmed_log() {
         assert_eq!(rows as u64, committed, "backend {b} lost committed rows");
     }
     assert_converged("lost-tail", &mut cluster);
+}
+
+/// Writeset replication over three durable backends and three groups:
+/// `t0..t2` everywhere, `t3..t5` on backends 0 and 1, and `t6`, `t7` on
+/// backend 2 alone.
+const SOLE_HOST_GROUPS: [(&[usize], std::ops::Range<usize>); 3] =
+    [(&[0, 1, 2], 0..3), (&[0, 1], 3..6), (&[2], 6..8)];
+
+fn sole_host_cfg() -> ClusterConfig {
+    let mut placement =
+        Placement::new(SOLE_HOST_GROUPS.iter().map(|(hosts, _)| hosts.to_vec()).collect());
+    for (g, (_, tables)) in SOLE_HOST_GROUPS.iter().enumerate() {
+        for t in tables.clone() {
+            placement = placement.assign(&format!("t{t}"), g);
+        }
+    }
+    let mut cfg = ClusterConfig::new(Mode::MultiMasterWriteset, spread_schema(), "bench");
+    cfg.backends_per_mw = 3;
+    cfg.mw.placement = Some(placement);
+    durable(cfg)
+}
+
+/// Backend 2, the only host of group 2, crashes under load with `kind`
+/// over an exposed WAL tail in that group. No backend could donate a dump
+/// of group 2, so the rejoin must replay the group's log stream (and
+/// group 0's) from the node's own positions: it ends Online with no full
+/// resync, every committed row is present, and each group's hosts agree.
+fn sole_host_group_survives(kind: CrashKind) {
+    let mut cluster = Cluster::build(sole_host_cfg());
+    add_spread_clients(&mut cluster, 4, 2_500, 400);
+    let applied = crash_exposed_tail(&mut cluster, 2, 2, kind);
+    assert!(cluster.total_commits() < 4 * 2_500, "the load ended before the crash");
+    let (_, recovering) = watch(&mut cluster, 2, dur::millis(1_500), 500);
+    let rec = cluster
+        .backend_recovery(0, 2)
+        .expect("backend 2 restarted durably");
+    assert!(
+        rec.report.ordered.prefix(2) < applied,
+        "the crash lost no local state"
+    );
+    assert!(recovering, "the rejoin never replayed the log");
+    cluster.run_for(dur::secs(10));
+    let state = cluster.with_middleware(0, |m| m.recovery_state(BackendId(2)));
+    assert_eq!(state, "Online");
+    let mw = cluster.mw_metrics(0);
+    assert_eq!(mw.counters.full_resyncs, 0, "the rejoin fell back to a full resync");
+    let committed = cluster.total_commits();
+    let mut rows = 0;
+    for (hosts, tables) in SOLE_HOST_GROUPS {
+        for t in tables {
+            let table = format!("t{t}");
+            let counts: Vec<i64> = hosts.iter().map(|&b| count(&mut cluster, b, &table)).collect();
+            assert!(counts.windows(2).all(|w| w[0] == w[1]), "{table} diverged: {counts:?}");
+            rows += counts[0];
+        }
+    }
+    assert_eq!(rows as u64, committed, "committed rows lost");
+}
+
+#[test]
+fn sole_host_group_survives_a_lost_tail() {
+    sole_host_group_survives(CrashKind::LostTail);
+}
+
+#[test]
+fn sole_host_group_survives_a_torn_tail() {
+    sole_host_group_survives(CrashKind::TornTail);
 }
 
 /// A slave crashes and restarts under load. Its rejoin restores a dump of

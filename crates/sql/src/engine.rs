@@ -20,6 +20,7 @@ use crate::error::SqlError;
 use crate::exec::{self, StmtCtx};
 use crate::mvcc::{CommitTs, RowId, Snapshot, TxId, TxManager, TxState, WriteKind, WriteRecord};
 use crate::parser::parse_statement;
+use crate::positions::{Mark, Positions};
 use crate::result::{CommitInfo, Cost, ExecResult, Outcome};
 use crate::sequence::Sequences;
 use crate::storage::{ConflictOrError, Table, TableSchema};
@@ -154,6 +155,12 @@ pub struct Engine {
     sessions: HashMap<ConnId, Session>,
     next_conn: u64,
     durable: Option<crate::wal::DurableStore>,
+    /// The positions of the middleware's ordered streams this replica
+    /// applied ([`crate::positions`]). Durable metadata, like the binlog.
+    ordered: Positions,
+    /// Positions applied since the last WAL round, each with the binlog
+    /// head when it was (durability only).
+    unlogged: Vec<(u64, Mark)>,
 }
 
 impl Engine {
@@ -172,6 +179,8 @@ impl Engine {
             sessions: HashMap::new(),
             next_conn: 1,
             durable,
+            ordered: Positions::default(),
+            unlogged: Vec::new(),
         }
     }
 
@@ -979,18 +988,55 @@ impl Engine {
         self.durable.is_some()
     }
 
-    /// The ordered position the durable devices guarantee across any crash
-    /// kind (last fsync or completed checkpoint). `None` without durability.
-    pub fn durable_ordered(&self) -> Option<u64> {
-        self.durable.as_ref().map(|s| s.synced_ordered())
+    /// The per-group ordered prefixes the durable devices guarantee across
+    /// any crash kind (last fsync or completed checkpoint). `None` without
+    /// durability.
+    pub fn durable_ordered(&self) -> Option<Vec<u64>> {
+        self.durable.as_ref().map(|s| s.synced_ordered().to_vec())
     }
 
-    /// Mirror newly committed binlog entries into the WAL, record changed
-    /// replication positions, fsync per policy, and checkpoint per policy.
-    /// The node actor calls this after every operation and converts the
+    /// The ordered positions this replica applied.
+    pub fn ordered(&self) -> &Positions {
+        &self.ordered
+    }
+
+    /// At least one mark given, and every one already applied: an ordered
+    /// operation to skip.
+    pub fn has_applied(&self, marks: &[Mark]) -> bool {
+        !marks.is_empty() && marks.iter().all(|&m| self.ordered.has(m))
+    }
+
+    /// Record ordered positions an operation applied. The next
+    /// [`Self::wal_maintain`] logs each with the first commit at or after
+    /// it, so a torn tail keeps a position exactly when it keeps what the
+    /// position wrote.
+    pub fn note_applied(&mut self, marks: &[Mark]) {
+        let head = self.binlog.head().0;
+        for &m in marks {
+            if !self.ordered.has(m) {
+                self.ordered.mark(m);
+                if self.durable.is_some() {
+                    self.unlogged.push((head, m));
+                }
+            }
+        }
+    }
+
+    /// Replace the ordered positions wholesale: a restored dump is
+    /// consistent with the positions it was taken at. The caller
+    /// checkpoints next.
+    pub fn set_ordered(&mut self, ordered: Positions) {
+        self.ordered = ordered;
+        self.unlogged.clear();
+    }
+
+    /// Mirror newly committed binlog entries into the WAL, each with the
+    /// ordered positions applied up to it, record positions that moved
+    /// without a commit, fsync per policy, and checkpoint per policy. The
+    /// node actor calls this after every operation and converts the
     /// accumulated [`IoCounters`] into virtual time. No-op without
     /// durability.
-    pub fn wal_maintain(&mut self, applied_lsn: u64, ordered_applied: u64) -> WalMaintain {
+    pub fn wal_maintain(&mut self, applied_lsn: u64) -> WalMaintain {
         let mut out = WalMaintain::default();
         if self.durable.is_none() {
             return out;
@@ -1003,6 +1049,7 @@ impl Engine {
         // IO) unless an install is pending.
         store.complete_checkpoint();
         let head = self.binlog.head().0;
+        let mut marks = std::mem::take(&mut self.unlogged).into_iter().peekable();
         if head > store.logged_head {
             let Some(entries) = self.binlog.read_after(Lsn(store.logged_head)) else {
                 unreachable!(
@@ -1011,11 +1058,17 @@ impl Engine {
                 )
             };
             for e in entries {
-                store.append_commit(e, applied_lsn, ordered_applied);
+                let mut with = Vec::new();
+                while let Some((_, m)) = marks.next_if(|&(at, _)| at <= e.lsn.0) {
+                    with.push(m);
+                }
+                store.append_commit(e, applied_lsn, with);
                 out.appended += 1;
             }
-        } else if store.meta_changed(applied_lsn, ordered_applied) {
-            store.append_meta(applied_lsn, ordered_applied);
+        }
+        let rest: Vec<Mark> = marks.map(|(_, m)| m).collect();
+        if !rest.is_empty() || store.applied_lsn_changed(applied_lsn) {
+            store.append_meta(applied_lsn, rest);
             out.appended += 1;
         }
         // §4.2.3: sequence/AUTO_INCREMENT bumps are non-transactional, so
@@ -1028,7 +1081,7 @@ impl Engine {
         }
         store.maybe_fsync();
         if store.should_checkpoint() {
-            out.checkpoint_rows = Some(self.wal_force_checkpoint(applied_lsn, ordered_applied));
+            out.checkpoint_rows = Some(self.wal_force_checkpoint(applied_lsn));
         }
         // The mirror cursor moved: release what it now covers.
         self.trim_binlog();
@@ -1038,7 +1091,7 @@ impl Engine {
     /// Snapshot current state to the checkpoint device and truncate the
     /// WAL, regardless of the periodic policy. Returns rows snapshotted
     /// (for CPU cost accounting). No-op without durability.
-    pub fn wal_force_checkpoint(&mut self, applied_lsn: u64, ordered_applied: u64) -> u64 {
+    pub fn wal_force_checkpoint(&mut self, applied_lsn: u64) -> u64 {
         if self.durable.is_none() {
             return 0;
         }
@@ -1047,9 +1100,11 @@ impl Engine {
         let c = crate::wal::Checkpoint {
             dump,
             applied_lsn,
-            ordered_applied,
+            ordered: self.ordered.clone(),
             binlog_head: self.binlog.head().0,
         };
+        // The image covers every position applied so far.
+        self.unlogged.clear();
         let counters = self.current_counters();
         if let Some(store) = self.durable.as_mut() {
             store.install_checkpoint(&c);
@@ -1120,7 +1175,7 @@ impl Engine {
             report.checkpoint_loaded = true;
             report.checkpoint_rows = c.dump.row_count();
             report.applied_lsn = c.applied_lsn;
-            report.ordered_applied = c.ordered_applied;
+            report.ordered = c.ordered.clone();
         }
 
         // Replay the suffix with binlog appends suppressed: each replayed
@@ -1131,7 +1186,7 @@ impl Engine {
         let mut replay_conn: Option<ConnId> = None;
         for rec in &records {
             match rec {
-                crate::wal::WalRecord::Commit { entry, applied_lsn, ordered_applied } => {
+                crate::wal::WalRecord::Commit { entry, applied_lsn, marks } => {
                     if entry.lsn.0 > self.binlog.head().0 {
                         if !entry.writeset.is_empty() {
                             let r = self
@@ -1165,11 +1220,11 @@ impl Engine {
                         report.entries_replayed += 1;
                     }
                     report.applied_lsn = report.applied_lsn.max(*applied_lsn);
-                    report.ordered_applied = report.ordered_applied.max(*ordered_applied);
+                    marks.iter().for_each(|&m| report.ordered.mark(m));
                 }
-                crate::wal::WalRecord::Meta { applied_lsn, ordered_applied } => {
+                crate::wal::WalRecord::Meta { applied_lsn, marks } => {
                     report.applied_lsn = report.applied_lsn.max(*applied_lsn);
-                    report.ordered_applied = report.ordered_applied.max(*ordered_applied);
+                    marks.iter().for_each(|&m| report.ordered.mark(m));
                 }
                 // Counter records are a local redo of non-transactional
                 // state; unconditional, unlike the writeset-carried
@@ -1195,19 +1250,20 @@ impl Engine {
             self.disconnect(c);
         }
         self.config.binlog = binlog_was;
-        store.rearm(self.binlog.head().0, report.applied_lsn, report.ordered_applied);
+        store.rearm(self.binlog.head().0, report.applied_lsn, &report.ordered);
         store.note_counters(self.current_counters());
         self.durable = Some(store);
+        self.ordered = report.ordered.clone();
         report
     }
 
     /// Operator-facing backup: the full engine state in the exact byte
     /// format crash recovery consumes ([`crate::wal::Checkpoint`]).
-    pub fn snapshot_bytes(&self, applied_lsn: u64, ordered_applied: u64) -> Vec<u8> {
+    pub fn snapshot_bytes(&self, applied_lsn: u64) -> Vec<u8> {
         let c = crate::wal::Checkpoint {
             dump: self.dump(DumpOptions::full()),
             applied_lsn,
-            ordered_applied,
+            ordered: self.ordered.clone(),
             binlog_head: self.binlog.head().0,
         };
         crate::wal::encode_checkpoint(&c)
@@ -1215,12 +1271,12 @@ impl Engine {
 
     /// Operator-facing restore from [`Engine::snapshot_bytes`] output (or a
     /// checkpoint image lifted off a replica's durable device). Returns the
-    /// `(applied_lsn, ordered_applied)` positions the snapshot covers.
-    pub fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(u64, u64), SqlError> {
+    /// foreign binlog LSN and the ordered positions the snapshot covers.
+    pub fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(u64, Positions), SqlError> {
         let c = crate::wal::decode_checkpoint(bytes)
             .map_err(|e| SqlError::Internal(format!("snapshot decode: {e}")))?;
         self.restore(&c.dump)?;
-        Ok((c.applied_lsn, c.ordered_applied))
+        Ok((c.applied_lsn, c.ordered))
     }
 
     /// Vacuum all tables (routine maintenance, §4.4.4). Returns versions

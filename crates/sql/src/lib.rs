@@ -54,6 +54,7 @@ pub mod mvcc;
 pub mod nondeterminism;
 pub mod parser;
 pub mod plan;
+pub mod positions;
 mod render;
 pub mod result;
 pub mod sequence;
@@ -72,6 +73,7 @@ pub use mvcc::CommitTs;
 pub use nondeterminism::{analyze, rewrite_scalar_rand, rewrite_time_macros, TaintReport};
 pub use parser::{parse_statement, parse_statements};
 pub use plan::{bind, normalize, CachedPlan, NormalForm, PlanCache};
+pub use positions::{Mark, Marks, Positions, Watermark};
 pub use result::{Cost, ExecResult, Outcome, ResultSet};
 pub use value::{DataType, Value};
 pub use wal::{

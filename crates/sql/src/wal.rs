@@ -9,7 +9,8 @@
 //! model. That keeps the dependency direction clean: `sql` knows bytes,
 //! `simnet` knows microseconds.
 //!
-//! On-disk layout (all integers in [`crate::keycode`] big-endian order):
+//! On-disk layout (integers in [`crate::keycode`] big-endian order, but a
+//! record's position marks in LEB128 varints):
 //!
 //! ```text
 //! WAL record frame:   [len: u64][fnv64(payload): u64][payload: len bytes]
@@ -37,6 +38,7 @@ use crate::dump::{DatabaseDump, Dump, TableDump};
 use crate::keycode;
 use crate::mvcc::{CommitTs, RowId, WriteKind, WriteRecord};
 use crate::parser::parse_statement;
+use crate::positions::{Mark, Marks, Positions, Watermark};
 use crate::value::Value;
 use crate::writeset::{CounterSync, Writeset};
 
@@ -231,6 +233,19 @@ impl<'a> Rd<'a> {
         let (v, rest) = keycode::decode_u64(self.b).map_err(|e| format!("u64: {e:?}"))?;
         self.b = rest;
         Ok(v)
+    }
+
+    /// A LEB128 varint (see [`put_varint`]).
+    fn varint(&mut self) -> DecodeResult<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err("varint: too long".into())
     }
 
     fn i64(&mut self) -> DecodeResult<i64> {
@@ -449,17 +464,19 @@ fn get_binlog_entry(rd: &mut Rd<'_>) -> DecodeResult<BinlogEntry> {
 // WAL records
 // ---------------------------------------------------------------------
 
-/// One durable log record. Every `Commit` carries the node's replication
-/// positions *at append time*, so data and positions live or die together
-/// across a torn tail — a node can never recover data it has no position
-/// for (the double-apply hazard of split redo/metadata logs).
+/// One durable log record. Every `Commit` carries the ordered positions it
+/// applied (and those applied without a commit just before it), so data
+/// and positions live or die together across a torn tail — a node can
+/// never recover data it has no position for (the double-apply hazard of
+/// split redo/metadata logs), nor a position whose data it lost.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// A committed transaction, mirrored from the binlog.
-    Commit { entry: BinlogEntry, applied_lsn: u64, ordered_applied: u64 },
-    /// Replication positions advanced without a local commit (idempotent
-    /// skips, applied no-ops).
-    Meta { applied_lsn: u64, ordered_applied: u64 },
+    /// A committed transaction, mirrored from the binlog, with the foreign
+    /// binlog position at append time.
+    Commit { entry: BinlogEntry, applied_lsn: u64, marks: Vec<Mark> },
+    /// Replication positions advanced without a local commit (a failed
+    /// ordered statement, an applied no-op, a shipped entry).
+    Meta { applied_lsn: u64, marks: Vec<Mark> },
     /// Non-transactional counter state (sequences, AUTO_INCREMENT) at append
     /// time. These advance outside commit records (§4.2.3: a NEXTVAL in an
     /// aborted transaction still bumps the sequence), so without this record
@@ -472,19 +489,19 @@ impl WalRecord {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            WalRecord::Commit { entry, applied_lsn, ordered_applied } => {
+            WalRecord::Commit { entry, applied_lsn, marks } => {
                 // keycode key prefix: (tag, lsn) — record keys compare in
                 // log order as raw bytes.
                 keycode::encode_u64(&mut out, 1);
                 keycode::encode_u64(&mut out, entry.lsn.0);
                 keycode::encode_u64(&mut out, *applied_lsn);
-                keycode::encode_u64(&mut out, *ordered_applied);
+                put_marks(&mut out, marks);
                 put_binlog_entry(&mut out, entry);
             }
-            WalRecord::Meta { applied_lsn, ordered_applied } => {
+            WalRecord::Meta { applied_lsn, marks } => {
                 keycode::encode_u64(&mut out, 2);
                 keycode::encode_u64(&mut out, *applied_lsn);
-                keycode::encode_u64(&mut out, *ordered_applied);
+                put_marks(&mut out, marks);
             }
             WalRecord::Counters(cs) => {
                 keycode::encode_u64(&mut out, 3);
@@ -500,11 +517,11 @@ impl WalRecord {
             1 => {
                 let _key_lsn = rd.u64()?;
                 let applied_lsn = rd.u64()?;
-                let ordered_applied = rd.u64()?;
+                let marks = get_marks(&mut rd)?;
                 let entry = get_binlog_entry(&mut rd)?;
-                WalRecord::Commit { entry, applied_lsn, ordered_applied }
+                WalRecord::Commit { entry, applied_lsn, marks }
             }
-            2 => WalRecord::Meta { applied_lsn: rd.u64()?, ordered_applied: rd.u64()? },
+            2 => WalRecord::Meta { applied_lsn: rd.u64()?, marks: get_marks(&mut rd)? },
             3 => WalRecord::Counters(get_counter_sync(&mut rd)?),
             t => return Err(format!("bad record tag {t}")),
         };
@@ -513,12 +530,66 @@ impl WalRecord {
     }
 }
 
+/// LEB128: seven bits a byte, low bits first, high bit set on every byte
+/// but the last.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// A record's marks as varints: the count, then (group, position) each.
+/// Nearly every record carries one mark, which takes a few bytes.
+fn put_marks(out: &mut Vec<u8>, marks: &[Mark]) {
+    put_varint(out, marks.len() as u64);
+    for &(g, pos) in marks {
+        put_varint(out, g.into());
+        put_varint(out, pos);
+    }
+}
+
+fn get_marks(rd: &mut Rd) -> DecodeResult<Vec<Mark>> {
+    let n = rd.varint()?;
+    (0..n)
+        .map(|_| {
+            let g = u32::try_from(rd.varint()?).map_err(|_| "mark group: out of range")?;
+            Ok((g, rd.varint()?))
+        })
+        .collect()
+}
+
+/// Per group: the contiguous prefix, then the positions applied above it.
+fn put_positions(out: &mut Vec<u8>, p: &Positions) {
+    keycode::encode_u64(out, p.groups().len() as u64);
+    for w in p.groups() {
+        keycode::encode_u64(out, w.value());
+        keycode::encode_u64(out, w.above().count() as u64);
+        for pos in w.above() {
+            keycode::encode_u64(out, pos);
+        }
+    }
+}
+
+fn get_positions(rd: &mut Rd) -> DecodeResult<Positions> {
+    let mut groups = Vec::new();
+    for _ in 0..rd.u64()? {
+        let mut w = Watermark::at(rd.u64()?);
+        for _ in 0..rd.u64()? {
+            w.mark(rd.u64()?);
+        }
+        groups.push(w);
+    }
+    Ok(Positions::from_groups(groups))
+}
+
 // ---------------------------------------------------------------------
 // Checkpoint codec
 // ---------------------------------------------------------------------
 
 /// Magic + version guarding the checkpoint image.
-const CKPT_MAGIC: u64 = 0x524d_434b_5054_0001; // "RMCKPT" v1
+const CKPT_MAGIC: u64 = 0x524d_434b_5054_0002; // "RMCKPT" v2: per-group positions
 
 /// A durable snapshot of engine state plus the replication positions it
 /// covers. Recovery loads the checkpoint, then replays the WAL suffix.
@@ -529,7 +600,7 @@ const CKPT_MAGIC: u64 = 0x524d_434b_5054_0001; // "RMCKPT" v1
 pub struct Checkpoint {
     pub dump: Dump,
     pub applied_lsn: u64,
-    pub ordered_applied: u64,
+    pub ordered: Positions,
     /// Local binlog head at snapshot time; the reborn binlog is rebased
     /// here, so peers further behind get an honest "log truncated" signal.
     pub binlog_head: u64,
@@ -540,7 +611,7 @@ pub fn encode_checkpoint(c: &Checkpoint) -> Vec<u8> {
     let mut out = Vec::new();
     keycode::encode_u64(&mut out, CKPT_MAGIC);
     keycode::encode_u64(&mut out, c.applied_lsn);
-    keycode::encode_u64(&mut out, c.ordered_applied);
+    put_positions(&mut out, &c.ordered);
     keycode::encode_u64(&mut out, c.binlog_head);
     keycode::encode_u64(&mut out, c.dump.at_ts.0);
     keycode::encode_u64(&mut out, c.dump.checksum);
@@ -628,7 +699,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> DecodeResult<Checkpoint> {
         return Err("bad checkpoint magic".into());
     }
     let applied_lsn = rd.u64()?;
-    let ordered_applied = rd.u64()?;
+    let ordered = get_positions(&mut rd)?;
     let binlog_head = rd.u64()?;
     let at_ts = CommitTs(rd.u64()?);
     let checksum = rd.u64()?;
@@ -693,7 +764,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> DecodeResult<Checkpoint> {
     Ok(Checkpoint {
         dump: Dump { at_ts, databases, users, checksum },
         applied_lsn,
-        ordered_applied,
+        ordered,
         binlog_head,
     })
 }
@@ -752,7 +823,7 @@ pub struct WalStats {
 
 /// What recovery did, in engine-local terms. The node actor layers IO and
 /// CPU time on top to produce the measured MTTR contribution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     pub checkpoint_loaded: bool,
     /// Rows restored from the checkpoint snapshot.
@@ -768,9 +839,10 @@ pub struct RecoveryReport {
     pub checkpoint_fallback: bool,
     /// Engine CPU consumed replaying the suffix (virtual µs).
     pub replay_cpu_us: u64,
-    /// Recovered replication positions (durable metadata).
+    /// Recovered replication positions (durable metadata): the foreign
+    /// binlog LSN, and the per-group ordered positions.
     pub applied_lsn: u64,
-    pub ordered_applied: u64,
+    pub ordered: Positions,
 }
 
 /// The engine's durable half: both devices plus append/fsync/checkpoint
@@ -787,11 +859,13 @@ pub struct DurableStore {
     checkpoints_taken: u64,
     /// Highest local binlog LSN mirrored into the WAL.
     pub logged_head: u64,
-    /// Positions as of the last record written (change detection).
-    last_meta: (u64, u64),
-    /// Ordered position covered by the last WAL fsync or completed
-    /// checkpoint: what any crash kind leaves recoverable.
-    synced_ordered: u64,
+    /// Foreign binlog LSN as of the last record written (change detection).
+    last_applied_lsn: u64,
+    /// Ordered positions the WAL and checkpoint hold, fsynced or not.
+    logged: Positions,
+    /// Per-group ordered prefixes covered by the last WAL fsync or
+    /// completed checkpoint: what any crash kind leaves recoverable.
+    synced: Vec<u64>,
     /// Counter state as of the last `Counters` record (change detection).
     last_counters: CounterSync,
     /// A phase-1 (staged, unsynced) checkpoint image awaits completion.
@@ -810,8 +884,9 @@ impl DurableStore {
             commits_since_ckpt: 0,
             checkpoints_taken: 0,
             logged_head: 0,
-            last_meta: (0, 0),
-            synced_ordered: 0,
+            last_applied_lsn: 0,
+            logged: Positions::default(),
+            synced: Vec::new(),
             last_counters: CounterSync::default(),
             ckpt_pending: false,
         }
@@ -826,20 +901,27 @@ impl DurableStore {
         self.records_since_fsync += 1;
     }
 
-    pub fn append_commit(&mut self, entry: &BinlogEntry, applied_lsn: u64, ordered_applied: u64) {
-        self.append_record(&WalRecord::Commit {
-            entry: entry.clone(),
-            applied_lsn,
-            ordered_applied,
-        });
+    /// Log a commit with the ordered positions it applied.
+    pub fn append_commit(&mut self, entry: &BinlogEntry, applied_lsn: u64, marks: impl Into<Marks>) {
+        let Marks(marks) = marks.into();
+        self.log_marks(applied_lsn, &marks);
+        self.append_record(&WalRecord::Commit { entry: entry.clone(), applied_lsn, marks });
         self.logged_head = self.logged_head.max(entry.lsn.0);
-        self.last_meta = (applied_lsn, ordered_applied);
         self.commits_since_ckpt += 1;
     }
 
-    pub fn append_meta(&mut self, applied_lsn: u64, ordered_applied: u64) {
-        self.append_record(&WalRecord::Meta { applied_lsn, ordered_applied });
-        self.last_meta = (applied_lsn, ordered_applied);
+    /// Log positions that advanced without a commit.
+    pub fn append_meta(&mut self, applied_lsn: u64, marks: impl Into<Marks>) {
+        let Marks(marks) = marks.into();
+        self.log_marks(applied_lsn, &marks);
+        self.append_record(&WalRecord::Meta { applied_lsn, marks });
+    }
+
+    fn log_marks(&mut self, applied_lsn: u64, marks: &[Mark]) {
+        self.last_applied_lsn = applied_lsn;
+        for &m in marks {
+            self.logged.mark(m);
+        }
     }
 
     /// Log non-transactional counter state (§4.2.3). Called by the engine
@@ -859,8 +941,8 @@ impl DurableStore {
         self.last_counters = cs;
     }
 
-    pub fn meta_changed(&self, applied_lsn: u64, ordered_applied: u64) -> bool {
-        self.last_meta != (applied_lsn, ordered_applied)
+    pub fn applied_lsn_changed(&self, applied_lsn: u64) -> bool {
+        self.last_applied_lsn != applied_lsn
     }
 
     /// Fsync if the policy's record budget is spent.
@@ -869,15 +951,15 @@ impl DurableStore {
             self.wal.fsync(&mut self.io);
             self.records_since_fsync = 0;
             // No install is staged here (maintenance completes one before
-            // appending), so `last_meta` is the last record's positions.
-            self.synced_ordered = self.last_meta.1;
+            // appending), so `logged` is what the synced records hold.
+            self.synced = self.logged.prefixes();
         }
     }
 
-    /// The ordered position a crash of any kind cannot take this store
-    /// below: covered by the last WAL fsync or completed checkpoint.
-    pub fn synced_ordered(&self) -> u64 {
-        self.synced_ordered
+    /// The per-group ordered prefixes a crash of any kind cannot take this
+    /// store below: covered by the last WAL fsync or completed checkpoint.
+    pub fn synced_ordered(&self) -> &[u64] {
+        &self.synced
     }
 
     pub fn should_checkpoint(&self) -> bool {
@@ -915,10 +997,11 @@ impl DurableStore {
             self.records_since_fsync = 0;
             self.commits_since_ckpt = 0;
             self.checkpoints_taken += 1;
-            self.synced_ordered = c.ordered_applied;
+            self.synced = c.ordered.prefixes();
         }
         self.logged_head = self.logged_head.max(c.binlog_head);
-        self.last_meta = (c.applied_lsn, c.ordered_applied);
+        self.last_applied_lsn = c.applied_lsn;
+        self.logged = c.ordered.clone();
     }
 
     /// A staged (phase-1) checkpoint image awaits completion.
@@ -952,8 +1035,8 @@ impl DurableStore {
         self.records_since_fsync = 0;
         self.checkpoints_taken += 1;
         self.ckpt_pending = false;
-        // Nothing was appended since the staged install set `last_meta`.
-        self.synced_ordered = self.last_meta.1;
+        // Nothing was appended since the staged install set `logged`.
+        self.synced = self.logged.prefixes();
     }
 
     /// Apply crash semantics to both devices. Under atomic installs the
@@ -1044,10 +1127,11 @@ impl DurableStore {
     }
 
     /// Reset policy cursors after recovery rebuilt the engine.
-    pub fn rearm(&mut self, logged_head: u64, applied_lsn: u64, ordered_applied: u64) {
+    pub fn rearm(&mut self, logged_head: u64, applied_lsn: u64, ordered: &Positions) {
         self.logged_head = logged_head;
-        self.last_meta = (applied_lsn, ordered_applied);
-        self.synced_ordered = ordered_applied;
+        self.last_applied_lsn = applied_lsn;
+        self.synced = ordered.prefixes();
+        self.logged = ordered.clone();
         self.commits_since_ckpt = self.wal_records;
     }
 
@@ -1114,8 +1198,9 @@ mod tests {
     #[test]
     fn record_round_trip() {
         for rec in [
-            WalRecord::Commit { entry: entry(3, 4), applied_lsn: 7, ordered_applied: 9 },
-            WalRecord::Meta { applied_lsn: 1, ordered_applied: 2 },
+            WalRecord::Commit { entry: entry(3, 4), applied_lsn: 7, marks: vec![(0, 9), (3, 2), (1, 1 << 40)] },
+            WalRecord::Meta { applied_lsn: 1, marks: vec![(1, 2)] },
+            WalRecord::Meta { applied_lsn: 1, marks: Vec::new() },
             WalRecord::Counters(CounterSync {
                 sequences: vec![(("shop".into(), "s".into()), 42)],
                 auto_increments: vec![(("shop".into(), "t".into()), 7)],
@@ -1187,10 +1272,13 @@ mod tests {
     #[test]
     fn checkpoint_truncates_wal_and_survives_crash() {
         let mut s = store_with(6, 1);
+        // Group 1 holds position 5 above a hole at 3..=4.
+        let mut ordered = Positions::at(&[6, 2]);
+        ordered.mark((1, 5));
         let c = Checkpoint {
             dump: Dump { at_ts: CommitTs(60), databases: Vec::new(), users: None, checksum: 7 },
             applied_lsn: 0,
-            ordered_applied: 6,
+            ordered,
             binlog_head: 6,
         };
         s.install_checkpoint(&c);
@@ -1221,7 +1309,7 @@ mod tests {
         Checkpoint {
             dump: Dump { at_ts: CommitTs(n * 10), databases: Vec::new(), users: None, checksum: n },
             applied_lsn: 0,
-            ordered_applied: n,
+            ordered: Positions::at(&[n]),
             binlog_head: n,
         }
     }
@@ -1296,7 +1384,7 @@ mod tests {
             // The device was repaired: a second load agrees and reports
             // no damage.
             let (again, _, _, fb2) = s.load();
-            assert_eq!(again.unwrap().ordered_applied, ckpt.ordered_applied);
+            assert_eq!(again.unwrap().ordered, ckpt.ordered);
             assert!(!fb2);
         }
         assert!(fallbacks > 0, "entropy sweep never tore the staged image");

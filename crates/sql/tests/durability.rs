@@ -24,9 +24,16 @@ fn durable_engine(cfg: DurabilityConfig) -> (Engine, replimid_sql::ConnId) {
     for i in 0..4 {
         e.execute(c, &format!("CREATE TABLE t{i} (k INT PRIMARY KEY, v INT)")).unwrap();
     }
-    e.wal_force_checkpoint(0, 0);
+    e.wal_force_checkpoint(0);
     let _ = e.take_io();
     (e, c)
+}
+
+/// One maintenance round after the operation that applied group-0
+/// position `pos` (the node actor's per-operation `wal_tick`).
+fn maintain(e: &mut Engine, pos: u64) -> replimid_sql::wal::WalMaintain {
+    e.note_applied(&[(0, pos)]);
+    e.wal_maintain(0)
 }
 
 #[test]
@@ -38,12 +45,12 @@ fn clean_crash_recovers_exact_state() {
     });
     for i in 0..100i64 {
         e.execute(c, &format!("INSERT INTO t{} VALUES ({}, 1)", i % 4, 10_000_000 + i)).unwrap();
-        e.wal_maintain(0, (i + 1) as u64);
+        maintain(&mut e, (i + 1) as u64);
     }
     let before = e.checksum_data();
     let report = e.crash_recover(CrashKind::Clean, 0xDEAD_BEEF);
     assert_eq!(e.checksum_data(), before, "clean crash must lose nothing");
-    assert_eq!(report.ordered_applied, 100);
+    assert_eq!(report.ordered.prefix(0), 100);
     assert!(report.checkpoint_loaded);
     assert!(!report.torn_truncated);
 }
@@ -60,14 +67,38 @@ fn lossy_crash_never_recovers_past_fsync_horizon() {
     let mut sums = vec![e.checksum_data()];
     for i in 0..10i64 {
         e.execute(c, &format!("INSERT INTO t{} VALUES ({}, 1)", i % 4, 10_000_000 + i)).unwrap();
-        e.wal_maintain(0, (i + 1) as u64);
+        maintain(&mut e, (i + 1) as u64);
         sums.push(e.checksum_data());
     }
-    assert_eq!(e.durable_ordered(), Some(8), "the durable position is the last fsync's");
+    assert_eq!(e.durable_ordered(), Some(vec![8]), "the durable position is the last fsync's");
     let report = e.crash_recover(CrashKind::LostTail, 7);
-    assert_eq!(report.ordered_applied, 8, "tail past the last fsync (pos 8) is gone");
+    assert_eq!(report.ordered.prefix(0), 8, "tail past the last fsync (pos 8) is gone");
     assert_eq!(e.checksum_data(), sums[8], "recovered state is the committed prefix at pos 8");
-    assert_eq!(e.durable_ordered(), Some(8), "recovery leaves everything it kept synced");
+    assert_eq!(e.durable_ordered(), Some(vec![8]), "recovery leaves everything it kept synced");
+}
+
+/// Positions are per group, with the positions applied above each
+/// group's contiguous prefix: a cross-group slot can reach a replica
+/// after the next one. Recovery rebuilds them exactly, hole included.
+#[test]
+fn per_group_positions_survive_a_crash_hole_and_all() {
+    let (mut e, c) = durable_engine(DurabilityConfig {
+        checkpoint_every: 0,
+        fsync_every: 1,
+        ..Default::default()
+    });
+    // Group 1's position 2 is applied before its position 1.
+    for (i, mark) in [(0, 1), (1, 2), (0, 2)].into_iter().enumerate() {
+        e.execute(c, &format!("INSERT INTO t0 VALUES ({}, 1)", 10_000_000 + i)).unwrap();
+        e.note_applied(&[mark]);
+        e.wal_maintain(0);
+    }
+    let before = e.ordered().clone();
+    let report = e.crash_recover(CrashKind::LostTail, 3);
+    assert_eq!(report.ordered, before);
+    assert_eq!(report.ordered.prefixes(), vec![2, 0]);
+    assert!(report.ordered.has((1, 2)) && !report.ordered.has((1, 1)));
+    assert_eq!(e.durable_ordered(), Some(vec![2, 0]));
 }
 
 /// The binlog trim clamps to the WAL mirror cursor: commits that no
@@ -88,7 +119,7 @@ fn trim_keeps_commits_the_wal_has_not_mirrored() {
     let head = e.binlog_head();
     e.set_binlog_horizon(None);
     assert_eq!(e.binlog_len(), 20, "the unmirrored commits stay");
-    e.wal_maintain(0, 20);
+    maintain(&mut e, 20);
     assert_eq!(e.binlog_len(), 0, "mirrored commits go once the WAL holds them");
     e.crash_recover(CrashKind::Clean, 1);
     assert_eq!(e.checksum_data(), before, "every commit survives the crash");
@@ -121,10 +152,11 @@ fn snapshot_roundtrip_restores_full_catalog() {
     e.execute(c, "CREATE PROCEDURE bump() AS BEGIN UPDATE t0 SET v = v + 1 WHERE k = 1; END")
         .unwrap();
 
-    let bytes = e.snapshot_bytes(41, 42);
+    e.note_applied(&[(0, 42), (3, 2), (3, 5)]);
+    let bytes = e.snapshot_bytes(41);
     let mut f = Engine::new(EngineConfig::default());
     let pos = f.restore_snapshot(&bytes).unwrap();
-    assert_eq!(pos, (41, 42), "replication positions travel with the snapshot");
+    assert_eq!(pos, (41, e.ordered().clone()), "replication positions travel with the snapshot");
     assert_eq!(f.checksum_full(), e.checksum_full(), "catalog-inclusive checksums match");
 
     // Behavioral spot-checks: the restored side enforces the restored
@@ -156,18 +188,18 @@ fn crash_mid_sequence_recovers_counters_no_duplicate_keys() {
     e.execute(c, "CREATE SEQUENCE ids START 100").unwrap();
     e.execute(c, "CREATE TABLE seq_t (k INT PRIMARY KEY, v INT)").unwrap();
     e.execute(c, "CREATE TABLE auto_t (k INT PRIMARY KEY AUTO_INCREMENT, v INT)").unwrap();
-    e.wal_maintain(0, 0);
+    maintain(&mut e, 0);
     for i in 0..10i64 {
         e.execute(c, &format!("INSERT INTO seq_t VALUES (NEXTVAL('ids'), {i})")).unwrap();
         e.execute(c, &format!("INSERT INTO auto_t (v) VALUES ({i})")).unwrap();
-        e.wal_maintain(0, (i + 1) as u64);
+        maintain(&mut e, (i + 1) as u64);
     }
     // A rolled-back NEXTVAL still burns a number (non-transactional): the
     // counter record must cover it even though no commit record exists.
     e.execute(c, "BEGIN").unwrap();
     e.execute(c, "INSERT INTO seq_t VALUES (NEXTVAL('ids'), 99)").unwrap();
     e.execute(c, "ROLLBACK").unwrap();
-    e.wal_maintain(0, 10);
+    maintain(&mut e, 10);
 
     let report = e.crash_recover(CrashKind::LostTail, 0xC0FFEE);
     assert!(report.entries_replayed > 0, "commits should replay from the WAL");
@@ -203,14 +235,14 @@ fn torn_in_progress_checkpoint_falls_back_and_replays() {
         let cfg =
             DurabilityConfig { checkpoint_every: 4, fsync_every: 1, two_phase_checkpoint: true };
         let (mut e, c) = durable_engine(cfg);
-        e.wal_maintain(0, 0); // completes the staged setup checkpoint
+        maintain(&mut e, 0); // completes the staged setup checkpoint
         let mut pos = 0u64;
         loop {
             let i = pos as i64;
             e.execute(c, &format!("INSERT INTO t{} VALUES ({}, 1)", i % 4, 10_000_000 + i))
                 .unwrap();
             pos += 1;
-            let out = e.wal_maintain(0, pos);
+            let out = maintain(&mut e, pos);
             if pos >= 8 {
                 assert!(out.checkpoint_rows.is_some(), "round 8 must stage a checkpoint");
                 break;
@@ -219,7 +251,7 @@ fn torn_in_progress_checkpoint_falls_back_and_replays() {
         let before = e.checksum_data();
         let report = e.crash_recover(CrashKind::TornTail, entropy);
         assert_eq!(e.checksum_data(), before, "fully-fsynced WAL must lose nothing");
-        assert_eq!(report.ordered_applied, 8, "replay reaches the end of history");
+        assert_eq!(report.ordered.prefix(0), 8, "replay reaches the end of history");
         report
     };
     let reports: Vec<_> = (0..32u64).map(run).collect();
@@ -259,7 +291,7 @@ fn crash_scenario(seed: u64) -> (replimid_sql::RecoveryReport, u64) {
         } else {
             e.execute(c, &format!("INSERT INTO t{table} VALUES ({k}, {})", i % 7)).unwrap();
         }
-        e.wal_maintain(0, i + 1);
+        maintain(&mut e, i + 1);
         sums.push(e.checksum_data());
         let stats = e.wal_stats().unwrap();
         if stats.wal_bytes == stats.wal_synced_bytes {
@@ -276,24 +308,24 @@ fn crash_scenario(seed: u64) -> (replimid_sql::RecoveryReport, u64) {
     // exact committed prefix, at or above the last fsync-covered position,
     // and a clean crash loses nothing at all.
     assert!(
-        report.ordered_applied <= n,
+        report.ordered.prefix(0) <= n,
         "recovered past the end of history ({} > {n})",
-        report.ordered_applied
+        report.ordered.prefix(0)
     );
     assert!(
-        report.ordered_applied >= durable_floor,
+        report.ordered.prefix(0) >= durable_floor,
         "{} crash lost fsynced records: recovered to {} < durable floor {durable_floor}",
         kind.name(),
-        report.ordered_applied
+        report.ordered.prefix(0)
     );
     if kind == CrashKind::Clean {
-        assert_eq!(report.ordered_applied, n, "clean shutdown must flush everything");
+        assert_eq!(report.ordered.prefix(0), n, "clean shutdown must flush everything");
     }
     assert_eq!(
         recovered,
-        sums[report.ordered_applied as usize],
+        sums[report.ordered.prefix(0) as usize],
         "recovered state is not the committed prefix at position {}",
-        report.ordered_applied
+        report.ordered.prefix(0)
     );
     (report, recovered)
 }

@@ -26,6 +26,10 @@ variants() {
 }
 echo "DbOp variants:                    $(variants crates/core/src/msg.rs '^pub enum DbOp \\{')"
 echo "Pending variants:                 $(variants "$mw" '^enum Pending \\{')"
+echo "ApplySpace variants:              $(variants crates/core/src/msg.rs '^pub enum ApplySpace \\{')"
+# Entry points of a backend's rejoin: the log replay and its dump
+# fallback. A placement-only dump-first entry would be a second rejoin.
+echo "rejoin entry functions:           $(grep -cE 'fn start_(log_recovery|full_resync|pw_resync)\(' "$mw")"
 echo "crates/core/src non-test lines per file:"
 total=0
 for f in crates/core/src/*.rs; do

@@ -2,7 +2,7 @@
 //! truncated-log full resync, and the global barrier for the final hop.
 
 use replimid_core::{Cluster, ClusterConfig, Mode, NondetPolicy, TxSource};
-use replimid_simnet::{dur, SimTime};
+use replimid_simnet::{dur, LinkFault, SimTime};
 
 struct SeqInsert {
     next: i64,
@@ -125,6 +125,41 @@ fn rejoin_under_load_uses_barrier_and_converges() {
     assert_eq!(state, "Online", "backend 2 recovered under load: {state}");
     let sums = cluster.backend_checksums();
     assert_eq!(sums[0][0], sums[0][2], "caught up under load");
+}
+
+/// A lossy link to backend 1 drops some of the ordered statements sent to
+/// it while later ones get through. The backend is failed (an op times out
+/// or its pongs go missing) and rejoins by replaying the log from its own
+/// position, which must not count past the first statement it never
+/// received: a position that is the highest one applied, not the end of a
+/// contiguous prefix, would skip the lost statements for good (the other
+/// clients' statements get through behind a lost one). Once the link heals
+/// every replica holds every committed row.
+#[test]
+fn statements_lost_on_a_flaky_link_are_replayed_at_rejoin() {
+    let mut cluster = Cluster::build(mm_cfg());
+    let clients: Vec<_> = (1..=4)
+        .map(|i| {
+            cluster.add_client(SeqInsert { next: 1_000_000 * i }, |cc| {
+                cc.think_time_us = 1_000;
+                cc.tx_limit = 1_500;
+            })
+        })
+        .collect();
+    let lossy = LinkFault { drop_prob: 0.2, dup_prob: 0.0, jitter_us: 0 };
+    cluster.flaky_link_at(SimTime::from_secs(1), 0, 1, lossy);
+    cluster.clear_flaky_link_at(SimTime::from_secs(2), 0, 1);
+    cluster.run_for(dur::secs(10));
+
+    let committed: u64 = clients.iter().map(|&c| cluster.client_metrics(c).committed).sum();
+    assert!(committed > 4_000, "committed {committed}");
+    let failovers = cluster.mw_metrics(0).failover_times.len();
+    assert!(failovers > 0, "the lossy link never failed backend 1");
+    for b in 0..3 {
+        let state = cluster.with_middleware(0, |mw| mw.recovery_state(replimid_core::BackendId(b)));
+        assert_eq!(state, "Online", "backend {b}");
+        assert_eq!(row_count(&mut cluster, b) as u64, committed, "backend {b} lost committed rows");
+    }
 }
 
 #[test]
