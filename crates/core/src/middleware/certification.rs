@@ -1,0 +1,572 @@
+//! Writeset replication: statements at one delegate, certification of the
+//! transaction's writeset in each involved group's total order, and the
+//! commit fan-out — one group as a plain certify, several as a cross-group
+//! commit whose votes every peer computes identically.
+
+use replimid_simnet::Ctx;
+use replimid_sql::ast::{IsolationLevel, Statement};
+use replimid_sql::{SqlError, Writeset};
+
+use super::{raise, BackendState, Current, CurrentKind, Middleware, Pending};
+use crate::msg::{BackendId, ClientRequest, DbOp, DbResp, Msg, PlanExec, ReplEvent, ReplyBody, ReplyError, SessionId};
+use crate::trace::Stage;
+
+/// One multi-group transaction between its first prepare delivery and the
+/// decision. The vote for each involved group is that group's local
+/// certification verdict at delivery time; yes-votes reserve their keys
+/// and log slot immediately (in delivery order — reserving at decision
+/// time would order the log by decision arrival, which differs across
+/// peers). The decision is the AND of the votes, reached when the last
+/// involved stream delivers locally: deterministic at every peer with no
+/// extra wire round.
+pub(super) struct XTx {
+    pub(super) groups: Vec<u32>,
+    votes: Vec<Option<bool>>,
+    /// Log/certifier position reserved per involved group (0 = no vote yet
+    /// or a no-vote).
+    pub(super) pos: Vec<u64>,
+    parts: Vec<Option<Writeset>>,
+    /// Local arrival time of the first involved prepare (origin's Certify
+    /// span start; first → decision is the CrossGroupWait window).
+    first_us: u64,
+}
+
+impl XTx {
+    fn new(groups: Vec<u32>, first_us: u64) -> Self {
+        let n = groups.len();
+        XTx { votes: vec![None; n], pos: vec![0; n], parts: vec![None; n], first_us, groups }
+    }
+
+    /// Group `g`'s vote: the position it reserved, `None` for a no. True
+    /// once every involved group has voted.
+    fn vote(&mut self, g: usize, reserved: Option<u64>, part: Writeset) -> bool {
+        let idx = self
+            .groups
+            .iter()
+            .position(|&eg| eg as usize == g)
+            .expect("group not involved in its own XPrepare");
+        self.votes[idx] = Some(reserved.is_some());
+        self.pos[idx] = reserved.unwrap_or(0);
+        self.parts[idx] = Some(part);
+        self.votes.iter().all(Option::is_some)
+    }
+}
+
+impl Middleware {
+    pub(super) fn mm_writeset_request(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        req: ClientRequest,
+        stmt: &Statement,
+        plan: PlanExec,
+    ) {
+        let session = req.session;
+        let write = !stmt.is_read_only();
+        if let Some(e) = write.then(|| self.minority_refusal().or_else(|| self.degraded_refusal())).flatten() {
+            self.reply(ctx, session, req.stmt_seq, Err(e));
+            return;
+        }
+        let Some(s) = self.sessions.get_mut(session.0) else { return };
+        let (in_tx, delegate) = (s.in_tx, s.sticky);
+        match stmt {
+            Statement::Begin { isolation } => {
+                // The delegate is chosen at the first statement, which shows
+                // the table groups the transaction touches. BEGIN itself is
+                // a middleware-side state change that remembers what the
+                // client asked for.
+                s.end_tx();
+                s.in_tx = true;
+                s.sticky = None;
+                s.begin = Some(*isolation);
+                self.reply(ctx, session, req.stmt_seq, Ok(ReplyBody::Ack));
+            }
+            Statement::Commit => {
+                let Some(backend) = delegate.filter(|_| in_tx) else {
+                    let lost = in_tx && s.wrote_in_tx;
+                    s.end_tx();
+                    if lost {
+                        // The delegate holding the transaction's writes
+                        // failed or was removed since its last statement.
+                        self.metrics.counters.lost_transactions += 1;
+                        self.reply(ctx, session, req.stmt_seq, Err(ReplyError::Unavailable("delegate lost".into())));
+                    } else {
+                        // BEGIN; COMMIT with no statement between: nothing
+                        // executed anywhere, nothing to certify.
+                        self.reply(ctx, session, req.stmt_seq, Ok(ReplyBody::Ack));
+                    }
+                    return;
+                };
+                if !s.wrote_in_tx {
+                    // Read-only transaction: commit locally, no certification.
+                    s.end_tx();
+                    s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::WsStmt { opened: false } });
+                    self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
+                        DbOp::Execute { op, conn: session.0, plan: PlanExec::commit(), marks: Vec::new() }
+                    });
+                    return;
+                }
+                if s.poisoned {
+                    self.rollback_at_delegate(ctx, session);
+                    let aborted = SqlError::TransactionState("transaction is aborted; COMMIT rolled it back".into());
+                    self.reply(ctx, session, req.stmt_seq, Err(ReplyError::Sql(aborted)));
+                    return;
+                }
+                // The delegate returned every record with the statement
+                // that wrote it: certify them without asking it again.
+                let ws = std::mem::take(&mut s.ws);
+                self.pw_publish_prepare(ctx, session, req.stmt_seq, ws);
+            }
+            Statement::Rollback => {
+                s.end_tx();
+                s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::WsStmt { opened: false } });
+                match delegate {
+                    Some(backend) if self.backends[backend.0].online() => {
+                        self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
+                            DbOp::Execute { op, conn: session.0, plan: PlanExec::rollback(), marks: Vec::new() }
+                        });
+                    }
+                    _ => self.reply(ctx, session, req.stmt_seq, Ok(ReplyBody::Ack)),
+                }
+            }
+            _ if stmt.is_read_only() && !in_tx => {
+                self.route_read(ctx, req, stmt, plan);
+            }
+            _ => {
+                // Any other statement executes at the delegate. A write
+                // outside BEGIN opens an implicit snapshot transaction that
+                // certifies and commits as soon as it has executed.
+                let write = !stmt.is_read_only();
+                if write {
+                    self.metrics.counters.writes += 1;
+                }
+                let begin = if in_tx { s.begin } else { Some(Some(IsolationLevel::SnapshotIsolation)) };
+                let gset = self.shards.stmt_groups(stmt);
+                // The statement that opens the transaction picks the delegate
+                // among the hosts of every group it touches (the delegate
+                // executes all of the transaction's statements locally).
+                let backend = match (begin, delegate) {
+                    (Some(_), _) => {
+                        let candidates = self.read_candidates(&gset);
+                        self.balancer.pick(&candidates).ok_or_else(|| {
+                            ReplyError::Unavailable("no delegate hosts all involved groups".into())
+                        })
+                    }
+                    (None, Some(b)) if self.shards.hosts_all(b, &gset) => Ok(b),
+                    (None, Some(_)) => {
+                        // Documented limitation: a later statement cannot
+                        // widen the group set beyond what the delegate,
+                        // picked from the first one, hosts.
+                        self.metrics.counters.rejected_statements += 1;
+                        Err(ReplyError::Rejected(
+                            "statement touches a table group the transaction's delegate does not host".into(),
+                        ))
+                    }
+                    (None, None) => Err(ReplyError::Unavailable("delegate lost".into())),
+                };
+                let backend = match backend {
+                    Ok(b) => b,
+                    Err(e) => {
+                        self.reply(ctx, session, req.stmt_seq, Err(e));
+                        return;
+                    }
+                };
+                let Some(s) = self.sessions.get_mut(session.0) else { return };
+                if write {
+                    s.wrote_in_tx = true;
+                    s.last_write_us = ctx.now().micros();
+                    s.last_write_backend = Some(backend);
+                }
+                // One op at the delegate: the (remembered or implicit) BEGIN
+                // when this statement opens the transaction, whose response
+                // then samples the certification start positions, and the
+                // statement, whose response carries the records it wrote.
+                let opened = begin.is_some();
+                if opened {
+                    s.in_tx = true;
+                    s.sticky = Some(backend);
+                    s.begin = None;
+                }
+                let kind = if in_tx { CurrentKind::WsStmt { opened } } else { CurrentKind::WsPrepare };
+                s.current = Some(Current { stmt_seq: req.stmt_seq, kind });
+                let begin = begin.map(PlanExec::begin);
+                self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
+                    DbOp::Delegate { op, conn: session.0, begin, stmt: plan, implicit: !in_tx }
+                });
+            }
+        }
+    }
+
+    /// A statement's op at its delegate answered with the records it
+    /// wrote (`DbResp::DelegateOut`). A successful autocommit write
+    /// certifies at once, and `None` says its reply waits for that; any
+    /// other statement's result is returned, its records kept for COMMIT.
+    pub(super) fn finish_delegate(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        session: SessionId,
+        backend: BackendId,
+        current: &Current,
+        out: DbResp,
+    ) -> Option<Result<ReplyBody, SqlError>> {
+        let DbResp::DelegateOut { res, ws, poisoned, .. } = out else { return None };
+        let autocommit = matches!(current.kind, CurrentKind::WsPrepare);
+        if autocommit || matches!(current.kind, CurrentKind::WsStmt { opened: true }) {
+            // The op ran BEGIN. Its snapshot holds every certified writeset
+            // the delegate's watermarks count now, and none they count
+            // later: the link is FIFO and the node runs ops serially, so an
+            // apply or commit is acknowledged before this response iff it
+            // ran before that BEGIN. (If the BEGIN failed, or the implicit
+            // transaction was rolled back, nothing will certify against
+            // these positions.)
+            let gstart: Vec<u64> = self.shards.marks[backend.0].iter().map(|w| w.value()).collect();
+            if let Some(s) = self.sessions.get_mut(session.0) {
+                s.gstart = gstart;
+            }
+        }
+        if autocommit && res.is_ok() {
+            self.pw_publish_prepare(ctx, session, current.stmt_seq, *ws);
+            return None;
+        }
+        if let Some(s) = self.sessions.get_mut(session.0) {
+            if autocommit {
+                // The node rolled the implicit transaction back.
+                s.end_tx();
+            } else {
+                s.ws.entries.extend(ws.entries);
+                s.poisoned |= poisoned;
+            }
+        }
+        Some(res)
+    }
+
+    // ------------------------------------------------------------------
+    // Certification and commit fan-out, per group
+    // ------------------------------------------------------------------
+
+    /// Split the prepared writeset along group boundaries and publish:
+    /// one group → a plain per-group Certify; several → an XPrepare slot in
+    /// every involved group's stream (cross-group 2PC, deterministic votes).
+    pub(super) fn pw_publish_prepare(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId, stmt_seq: u64, ws: Writeset) {
+        // Both callers answer a request of this session, so it exists.
+        let Some(s) = self.sessions.get_mut(session.0) else { return };
+        s.current = Some(Current { stmt_seq, kind: CurrentKind::WsCertifyWait });
+        let gstart = s.gstart.clone();
+        let placement = &self.shards.placement;
+        let mut slices = ws.split_by(|_db, t| placement.group_of(t));
+        let default_group = placement.default_group();
+        if slices.is_empty() {
+            // Read-only-looking writeset (e.g. all writes rolled back):
+            // still certify through one stream so the commit acks in order.
+            slices.push((default_group, Writeset::default()));
+        }
+        let start = |g: usize| gstart.get(g).copied().unwrap_or(0);
+        if slices.len() == 1 {
+            let (g, part) = slices.swap_remove(0);
+            let start_pos = start(g);
+            self.shard_publish_write(
+                ctx,
+                g,
+                ReplEvent::Certify { session, stmt_seq, start_pos, ws: part },
+            );
+            return;
+        }
+        let groups: Vec<u32> = slices.iter().map(|(g, _)| *g as u32).collect();
+        for (g, part) in slices {
+            let start_pos = start(g);
+            self.shard_publish_write(
+                ctx,
+                g,
+                ReplEvent::XPrepare { session, stmt_seq, groups: groups.clone(), start_pos, part },
+            );
+        }
+    }
+
+    /// Is this middleware the origin of (session, stmt_seq), waiting on its
+    /// certification? A shadow session is made on a peer.
+    fn certify_origin(&mut self, session: SessionId, stmt_seq: u64) -> bool {
+        let s = self.session(session, None);
+        matches!(&s.current, Some(c) if c.stmt_seq == stmt_seq && matches!(c.kind, CurrentKind::WsCertifyWait))
+    }
+
+    /// Single-group certification request delivered on group `g`'s stream:
+    /// certify and log it (see [`super::ordering::Shards::certify`]), then
+    /// reply to the origin on abort or fan the commit out to the group's
+    /// hosts.
+    pub(super) fn deliver_shard_certify(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        g: usize,
+        session: SessionId,
+        stmt_seq: u64,
+        start_pos: u64,
+        ws: Writeset,
+    ) {
+        let cert_pos = self.shards.certify(g, start_pos, &ws, &self.cfg.pk_map);
+        self.metrics.certifier = self.shards.agg_stats();
+        let origin = self.certify_origin(session, stmt_seq);
+        if origin {
+            // Certify publish → delivery plus the (instantaneous) conflict
+            // check itself.
+            self.mw_span(session, stmt_seq, Stage::Certify, ctx.now().micros());
+        }
+        match cert_pos {
+            None => {
+                self.metrics.counters.certification_failures += 1;
+                if origin {
+                    self.certification_lost(ctx, session, stmt_seq, "first committer won");
+                }
+            }
+            Some(pos) => self.fan_out_commit(ctx, session, stmt_seq, origin, &[(g as u32, pos, &ws)]),
+        }
+    }
+
+    /// A cross-group prepare slot delivered on group `g`'s stream. The vote
+    /// is the group-local certification verdict, computed AT DELIVERY — a
+    /// pure function of the group's ordered stream, so every middleware
+    /// votes identically and no vote messages need exchanging. A yes vote
+    /// optimistically reserves a log position; the decision (AND of all
+    /// votes) fires when the last involved stream delivers locally.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn deliver_xprepare(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        g: usize,
+        session: SessionId,
+        stmt_seq: u64,
+        groups: Vec<u32>,
+        start_pos: u64,
+        part: Writeset,
+    ) {
+        let now = ctx.now().micros();
+        let reserved = self.shards.certify(g, start_pos, &part, &self.cfg.pk_map);
+        let entry = self.shards.xtx.entry((session.0, stmt_seq)).or_insert_with(|| XTx::new(groups, now));
+        let done = entry.vote(g, reserved, part);
+        self.metrics.certifier = self.shards.agg_stats();
+        if !done {
+            return;
+        }
+        let Some(xtx) = self.shards.xtx.remove(&(session.0, stmt_seq)) else { return };
+        self.finish_xgroup(ctx, session, stmt_seq, xtx);
+        // The decision may unblock a recovering backend whose replay
+        // was capped below the (previously undecided) reserved slot.
+        let recovering: Vec<BackendId> = (0..self.backends.len())
+            .filter(|&i| matches!(self.backends[i].state, BackendState::Recovering { .. }))
+            .map(BackendId)
+            .collect();
+        for b in recovering {
+            self.pump_recovery(ctx, b);
+        }
+    }
+
+    /// All involved groups have voted locally: commit iff every vote is
+    /// yes. On abort, yes-voting groups retract their optimistic
+    /// reservation (certifier entry out, log slot voided, watermark marked
+    /// everywhere so apply tracking never stalls on the hole); the group's
+    /// next fan-out tells its hosts, so theirs do not stall either.
+    fn finish_xgroup(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId, stmt_seq: u64, xtx: XTx) {
+        let commit = xtx.votes.iter().all(|v| *v == Some(true));
+        let origin = self.certify_origin(session, stmt_seq);
+        let now = ctx.now().micros();
+        if origin {
+            // Publish → first local vote is the certify window; first vote
+            // → decision is the cross-group wait (the 2PC tax E22 measures).
+            self.mw_span(session, stmt_seq, Stage::Certify, xtx.first_us);
+            self.mw_span(session, stmt_seq, Stage::CrossGroupWait, now);
+        }
+        if !commit {
+            self.metrics.counters.xgroup_aborts += 1;
+            self.metrics.counters.certification_failures += 1;
+            for (idx, vote) in xtx.votes.iter().enumerate() {
+                if *vote != Some(true) {
+                    continue;
+                }
+                let (g, pos) = (xtx.groups[idx] as usize, xtx.pos[idx]);
+                self.shards.certs[g].retract(pos);
+                self.shards.voided[g].push(pos);
+                self.shards.void(g, pos);
+            }
+            self.metrics.certifier = self.shards.agg_stats();
+            if origin {
+                self.certification_lost(ctx, session, stmt_seq, "cross-group certification lost");
+            }
+            return;
+        }
+        self.metrics.counters.xgroup_commits += 1;
+        // Every vote was yes, and a yes vote recorded its part.
+        let parts: Vec<(u32, u64, &Writeset)> =
+            xtx.groups.iter().zip(&xtx.pos).zip(xtx.parts.iter().flatten()).map(|((&g, &pos), p)| (g, pos, p)).collect();
+        self.fan_out_commit(ctx, session, stmt_seq, origin, &parts);
+    }
+
+    /// Fan a certified transaction out, one op per healthy host of its
+    /// groups. `parts` are (group, certified position, writeset part). The
+    /// origin's delegate hosts every group (enforced at pick time) and
+    /// commits, which marks all its group positions at once; any other
+    /// host applies the parts of the groups it hosts as one writeset. The
+    /// parts touch disjoint groups, so merging them keeps each row's
+    /// certified order. Each op carries the positions it settles at its
+    /// node, with the groups' voided positions, so the node's own
+    /// per-group position stays contiguous.
+    fn fan_out_commit(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        session: SessionId,
+        stmt_seq: u64,
+        origin: bool,
+        parts: &[(u32, u64, &Writeset)],
+    ) {
+        // Freshness stamp: reads for this session must come from a backend
+        // whose group marks reached these positions.
+        if let Some(s) = self.sessions.get_mut(session.0) {
+            for &(g, pos, _) in parts {
+                raise(&mut s.gstamps, g as usize, pos);
+            }
+        }
+        let delegate = if origin { self.sessions.get(session.0).and_then(|s| s.sticky) } else { None };
+        let voided: Vec<(u32, u64)> = parts
+            .iter()
+            .flat_map(|&(g, ..)| std::mem::take(&mut self.shards.voided[g as usize]).into_iter().map(move |p| (g, p)))
+            .collect();
+        let mut remaining = 0;
+        for backend in self.healthy() {
+            let hosts = |g: u32| self.shards.placement.hosts(g as usize).contains(&backend.0);
+            let hosted = parts.iter().filter(|(g, ..)| hosts(*g));
+            let mut marks: Vec<(u32, u64)> = hosted.clone().map(|&(g, pos, _)| (g, pos)).collect();
+            if marks.is_empty() {
+                continue;
+            }
+            marks.extend(voided.iter().filter(|&&(g, _)| hosts(g)));
+            if Some(backend) == delegate {
+                remaining += 1;
+                let wire = marks.clone();
+                self.send_db(ctx, backend, Pending::PwCommit { session, backend, marks }, move |op| {
+                    DbOp::Execute { op, conn: session.0, plan: PlanExec::commit(), marks: wire }
+                });
+                continue;
+            }
+            let mut ws = Writeset::default();
+            for (_, _, part) in hosted {
+                ws.entries.extend(part.entries.iter().cloned());
+                if ws.counters.is_none() {
+                    ws.counters.clone_from(&part.counters);
+                }
+            }
+            remaining += usize::from(origin);
+            let sess = origin.then_some(session);
+            let wire = marks.clone();
+            self.send_db(ctx, backend, Pending::PwApply { session: sess, backend, marks }, move |op| {
+                DbOp::ApplyWriteset { op, ws, marks: wire }
+            });
+        }
+        if origin {
+            if let Some(s) = self.sessions.get_mut(session.0) {
+                s.end_tx();
+                s.current = Some(Current { stmt_seq, kind: CurrentKind::WsFinalize { remaining, failed: false } });
+            }
+            if remaining == 0 {
+                self.metrics.counters.commits += 1;
+                self.reply(ctx, session, stmt_seq, Ok(ReplyBody::Ack));
+            }
+        }
+    }
+
+    /// The origin's transaction lost certification: roll it back at its
+    /// delegate and tell the client.
+    fn certification_lost(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId, stmt_seq: u64, detail: &str) {
+        self.rollback_at_delegate(ctx, session);
+        self.metrics.counters.aborts += 1;
+        let err = SqlError::WriteConflict { table: "certification".into(), detail: detail.into() };
+        self.reply(ctx, session, stmt_seq, Err(ReplyError::Sql(err)));
+    }
+
+    /// End `session`'s transaction, and roll it back at its delegate if
+    /// that is still online.
+    fn rollback_at_delegate(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId) {
+        let Some(s) = self.sessions.get_mut(session.0) else { return };
+        s.end_tx();
+        if let Some(backend) = s.sticky.filter(|b| self.backends[b.0].online()) {
+            self.send_db(ctx, backend, Pending::FireAndForget, move |op| {
+                DbOp::Execute { op, conn: session.0, plan: PlanExec::rollback(), marks: Vec::new() }
+            });
+        }
+    }
+
+    /// The delegate's COMMIT of a certified transaction answered: an ack
+    /// credits its positions to the delegate's marks.
+    pub(super) fn finish_pw_commit(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        session: SessionId,
+        backend: BackendId,
+        marks: &[(u32, u64)],
+        resp: DbResp,
+    ) {
+        let ok = matches!(resp, DbResp::ExecOk { .. });
+        if ok {
+            self.shards.credit(backend, marks);
+        }
+        self.finish_ws_part(ctx, Some(session), !ok);
+    }
+
+    /// A remote writeset application finished; an ack credits its
+    /// positions to the backend's marks. It cannot wait on a local
+    /// transaction (the engine wounds the holder, see
+    /// [`replimid_sql::Engine::apply_writeset`]), so any error means the
+    /// backend diverged: the certified transaction IS committed
+    /// cluster-wide, and a backend that cannot apply it is dropped and
+    /// rebuilt through the recovery log. The divergence is counted here,
+    /// once, so the origin's fan-out does not count it again.
+    pub(super) fn finish_pw_apply(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        session: Option<SessionId>,
+        backend: BackendId,
+        marks: &[(u32, u64)],
+        resp: DbResp,
+    ) {
+        match resp {
+            DbResp::ApplyOk { .. } => self.shards.credit(backend, marks),
+            DbResp::ApplyErr { .. } => {
+                self.metrics.counters.divergence_detected += 1;
+                if self.backends[backend.0].online() {
+                    self.backend_failed(ctx, backend);
+                    // A synthetic pong brings it straight back through
+                    // recovery (the node itself is alive; only its state
+                    // lagged). Its ordered positions are unknown here (no
+                    // real pong was involved); u64::MAX defers to the
+                    // middleware's own checkpoints, and the durable
+                    // positions stay the last ones a real pong reported.
+                    let b = &self.backends[backend.0];
+                    let (lsn, durable) = (b.applied_lsn, b.node_pos.clone());
+                    let unknown = vec![u64::MAX; self.shards.groups()];
+                    self.note_pong(ctx, backend, lsn, lsn, unknown, durable);
+                }
+            }
+            _ => {}
+        }
+        self.finish_ws_part(ctx, session, false);
+    }
+
+    /// One part of a certified commit's fan-out is done. If any part
+    /// failed, one divergence is counted when the last part is in.
+    pub(super) fn finish_ws_part(&mut self, ctx: &mut Ctx<'_, Msg>, session: Option<SessionId>, part_failed: bool) {
+        let Some(session) = session else { return };
+        let Some(s) = self.sessions.get_mut(session.0) else { return };
+        let Some(Current { stmt_seq, kind: CurrentKind::WsFinalize { remaining, failed } }) = &mut s.current else {
+            return;
+        };
+        let stmt_seq = *stmt_seq;
+        *failed |= part_failed;
+        *remaining = remaining.saturating_sub(1);
+        if *remaining > 0 {
+            return;
+        }
+        if *failed {
+            self.metrics.counters.divergence_detected += 1;
+        }
+        self.metrics.counters.commits += 1;
+        // Certification → last replica acknowledged.
+        self.mw_span(session, stmt_seq, Stage::Fanout, ctx.now().micros());
+        self.reply(ctx, session, stmt_seq, Ok(ReplyBody::Ack));
+    }
+}

@@ -1,0 +1,418 @@
+//! Read routing: one router for every mode, policy and placement, and the
+//! queue of reads parked until a fresh-enough replica exists.
+
+use std::collections::BTreeMap;
+
+use replimid_simnet::Ctx;
+use replimid_sql::ast::Statement;
+
+use super::{raise, Current, CurrentKind, Middleware, Mode, Pending, ReadPolicy, TIMER_FRESH_BASE};
+use crate::balancer::Granularity;
+use crate::msg::{BackendId, ClientRequest, DbOp, Msg, PlanExec, ReplyError, SessionId};
+use crate::trace::Stage;
+
+/// One client read on its way to a backend: dispatched at once, or parked
+/// in the wait queue until a replica catches up to `needs` (or the wait
+/// deadline fires).
+#[derive(Debug, Clone)]
+pub(super) struct ReadReq {
+    session: SessionId,
+    stmt_seq: u64,
+    plan: PlanExec,
+    /// Table groups the statement reads: only their common hosts serve it.
+    gset: Vec<usize>,
+    /// (group, position) pairs a replica must have applied to serve it.
+    needs: Vec<(usize, u64)>,
+}
+
+/// The reads seam's state: reads parked for a fresh-enough replica
+/// ([`ReadPolicy::Fresh`] and its relatives), keyed by waiter id. Ids rise
+/// in park order and the map is ordered, so drains run FIFO and
+/// deterministically.
+#[derive(Debug, Default)]
+pub(super) struct Reads {
+    waiters: BTreeMap<u64, ReadReq>,
+    next: u64,
+}
+
+impl Reads {
+    /// Park `r`; its waiter id, which its deadline timer carries.
+    fn park(&mut self, r: ReadReq) -> u64 {
+        let id = self.next;
+        self.next += 1;
+        self.waiters.insert(id, r);
+        id
+    }
+
+    /// The parked waiters' ids, in park order.
+    fn ids(&self) -> Vec<u64> {
+        self.waiters.keys().copied().collect()
+    }
+
+    fn get(&self, id: u64) -> Option<&ReadReq> {
+        self.waiters.get(&id)
+    }
+
+    /// Unpark waiter `id`. `None` once it is gone: released, dropped with
+    /// its session, or already timed out — so a stale deadline is harmless.
+    fn take(&mut self, id: u64) -> Option<ReadReq> {
+        self.waiters.remove(&id)
+    }
+
+    /// Drop every read `session` has parked. Their deadline timers stay
+    /// queued and fire into nothing.
+    pub(super) fn end_session(&mut self, session: SessionId) {
+        self.waiters.retain(|_, w| w.session != session);
+    }
+
+    pub(super) fn len(&self) -> usize {
+        self.waiters.len()
+    }
+}
+
+impl Middleware {
+    /// The position `b` has applied in group `g`, in the space session
+    /// floors ([`super::Sess::gstamps`]) live in: the group's ordered stream
+    /// (certified writesets, or in group 0 ordered statements), and in
+    /// master-slave mode the master's binlog LSN space (the master itself
+    /// is fresh by definition).
+    fn applied_pos(&self, b: BackendId, g: usize) -> u64 {
+        match self.cfg.mode {
+            Mode::MasterSlave { .. } if b == self.ship.master => u64::MAX,
+            Mode::MasterSlave { .. } => self.backends[b.0].applied_lsn.0,
+            _ => self.shards.marks[b.0][g].value(),
+        }
+    }
+
+    fn has_applied(&self, b: BackendId, needs: &[(usize, u64)]) -> bool {
+        needs.iter().all(|&(g, need)| self.applied_pos(b, g) >= need)
+    }
+
+    /// What a replica must have applied to serve `session` a read over
+    /// `gset`: per group, the session's floor less the policy's staleness
+    /// slack. Empty when the policy puts no freshness bar on reads or the
+    /// session has nothing to see yet, and then every host qualifies.
+    pub(super) fn read_needs(&self, session: SessionId, gset: &[usize]) -> Vec<(usize, u64)> {
+        let (Some(slack), Some(s)) =
+            (self.cfg.read_policy.freshness_slack(), self.sessions.get(session.0))
+        else {
+            return Vec::new();
+        };
+        gset.iter()
+            .map(|&g| (g, s.gstamps.get(g).copied().unwrap_or(0).saturating_sub(slack)))
+            .filter(|&(_, need)| need > 0)
+            .collect()
+    }
+
+    /// In rotation, hosting every group the statement reads, and caught up
+    /// to the session's needs: what the half-open probe target must be.
+    pub(super) fn can_serve(&self, b: BackendId, gset: &[usize], needs: &[(usize, u64)]) -> bool {
+        self.backends[b.0].online() && self.shards.hosts_all(b, gset) && self.has_applied(b, needs)
+    }
+
+    /// The read-eligibility rule every routing decision applies: a replica
+    /// that can serve the read and is not quarantined.
+    pub(super) fn eligible(&self, b: BackendId, gset: &[usize], needs: &[(usize, u64)]) -> bool {
+        !self.is_quarantined(b) && self.can_serve(b, gset, needs)
+    }
+
+    /// The set reads over `gset` balance across and delegates are picked
+    /// from: in-rotation hosts of every group, then quarantine-filtered —
+    /// in that order, so "a slow answer beats no answer" still fires when
+    /// every host is quarantined but some other backend is not. In
+    /// master-slave mode reads prefer the slaves and fall back to (or
+    /// include, with `read_master`) the master.
+    pub(super) fn read_candidates(&self, gset: &[usize]) -> Vec<BackendId> {
+        let mut candidates = if self.master_slave() {
+            let read_master = matches!(self.cfg.mode, Mode::MasterSlave { read_master: true, .. });
+            let mut slaves = self.slaves();
+            if (slaves.is_empty() || read_master) && self.backends[self.ship.master.0].online() {
+                slaves.push(self.ship.master);
+            }
+            slaves
+        } else {
+            self.healthy()
+        };
+        candidates.retain(|&b| self.shards.hosts_all(b, gset));
+        self.filter_quarantined(candidates)
+    }
+
+    /// Route a client read: to the half-open probe or the session's pinned
+    /// backend when one is eligible, else to a balanced pick among the
+    /// candidates that have applied what the session must see; when none
+    /// has, the read parks until one catches up (bounded by
+    /// `freshness_wait_max_us`).
+    pub(super) fn route_read(&mut self, ctx: &mut Ctx<'_, Msg>, req: ClientRequest, stmt: &Statement, plan: PlanExec) {
+        self.metrics.counters.reads += 1;
+        let gset = self.shards.stmt_groups(stmt);
+        let needs = self.read_needs(req.session, &gset);
+        let r = ReadReq { session: req.session, stmt_seq: req.stmt_seq, plan, gset, needs };
+        if let Some((b, is_probe)) = self.pinned_read_backend(&r) {
+            self.dispatch_read(ctx, r, b, is_probe);
+            return;
+        }
+        let candidates = self.read_candidates(&r.gset);
+        if candidates.is_empty() {
+            self.reply_read(ctx, r.session, r.stmt_seq, Err(ReplyError::Unavailable("no backend for read".into())));
+            return;
+        }
+        let caught_up: Vec<bool> =
+            candidates.iter().map(|&b| self.has_applied(b, &r.needs)).collect();
+        if caught_up.iter().any(|c| !c) {
+            self.metrics.counters.fresh_filtered_stale += 1;
+        }
+        let picked = self.balancer.pick_fresh(&candidates, &caught_up);
+        let Some(s) = self.sessions.get_mut(r.session.0) else { return };
+        let Some(b) = picked else {
+            self.metrics.counters.freshness_waits += 1;
+            s.current = Some(Current { stmt_seq: r.stmt_seq, kind: CurrentKind::FreshWait });
+            self.park_read(ctx, r);
+            return;
+        };
+        match self.balancer.granularity {
+            Granularity::Connection => s.sticky = Some(b),
+            Granularity::Transaction if s.in_tx => s.sticky = Some(b),
+            _ => {}
+        }
+        self.dispatch_read(ctx, r, b, false);
+    }
+
+    /// A backend the read goes to ahead of the balancer, and whether the
+    /// read doubles as that backend's half-open quarantine probe.
+    fn pinned_read_backend(&self, r: &ReadReq) -> Option<(BackendId, bool)> {
+        // Half-open probes first: a quarantined backend whose dwell expired
+        // gets exactly one live read routed at it (lowest index wins) — but
+        // only a read it can serve: a stale probe would itself violate
+        // read-your-writes.
+        if self.cfg.quarantine.is_some() {
+            let probe = (0..self.backends.len())
+                .map(BackendId)
+                .find(|&b| self.detect.health[b.0].wants_probe() && self.can_serve(b, &r.gset, &r.needs));
+            if let Some(b) = probe {
+                return Some((b, true));
+            }
+        }
+        // Granularity stickiness, then session consistency (read where you
+        // last wrote; in master-slave mode, else the master). Each holds
+        // only while its backend is eligible: health, placement and
+        // freshness beat stickiness.
+        let s = self.sessions.get(r.session.0)?;
+        let session_sticky = self.cfg.read_policy == ReadPolicy::SessionSticky;
+        let pins = [
+            match self.balancer.granularity {
+                Granularity::Connection => s.sticky,
+                Granularity::Transaction if s.in_tx => s.sticky,
+                _ => None,
+            },
+            s.last_write_backend.filter(|_| session_sticky),
+            Some(self.ship.master).filter(|_| session_sticky && self.master_slave()),
+        ];
+        pins.into_iter()
+            .flatten()
+            .find(|&b| self.eligible(b, &r.gset, &r.needs))
+            .map(|b| (b, false))
+    }
+
+    /// The dispatch tail of every routed read.
+    fn dispatch_read(&mut self, ctx: &mut Ctx<'_, Msg>, r: ReadReq, backend: BackendId, is_probe: bool) {
+        let ReadReq { session, stmt_seq, plan, gset, needs } = r;
+        let now = ctx.now().micros();
+        self.mw_span(session, stmt_seq, Stage::BalancerPick, now);
+        if crate::debug_on() {
+            eprintln!(
+                "[{now}us] read dispatch sess={} -> b{} groups={gset:?} needs={needs:?} probe={is_probe}",
+                session.0, backend.0
+            );
+        }
+        // Monotonic reads: the positions this read observes become the
+        // session's floor for its next read. Recorded at dispatch — the
+        // backend cannot regress below them by reply time.
+        let observed: Vec<(usize, u64)> = if self.cfg.read_policy == ReadPolicy::MonotonicReads {
+            gset.iter().map(|&g| (g, self.applied_pos(backend, g))).collect()
+        } else {
+            Vec::new()
+        };
+        let Some(s) = self.sessions.get_mut(session.0) else { return };
+        s.current = Some(Current { stmt_seq, kind: CurrentKind::Read });
+        if self.balancer.granularity == Granularity::Connection && s.sticky.is_none() && !is_probe {
+            s.sticky = Some(backend);
+        }
+        for (g, pos) in observed {
+            // The master reports the sentinel position (always fresh):
+            // folding it in pins the session to the master from here on.
+            // That is deliberate — the middleware cannot bound the position
+            // a master read observed, so any slave might be behind it;
+            // serving the master forever is the only sound floor. (The
+            // wait-or-primary deadline keeps such sessions live if the
+            // master blips.) Sessions that only ever read slaves keep
+            // balancing across every caught-up slave.
+            raise(&mut s.gstamps, g, pos);
+        }
+        let op = self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
+            DbOp::Execute { op, conn: session.0, plan, marks: Vec::new() }
+        });
+        if is_probe {
+            self.metrics.counters.quarantine_probes += 1;
+            self.detect.probe_sent(backend, op, now);
+            self.sync_health_events(backend.0);
+        } else if self.is_quarantined(backend) {
+            // Tripwire (should stay 0): a normal read slipped through the
+            // quarantine filter — only the fallback path can do this, and
+            // only when every candidate is quarantined.
+            self.metrics.counters.reads_routed_to_quarantined += 1;
+            if crate::debug_on() {
+                eprintln!("[{now}us] QUARANTINED read -> b{}", backend.0);
+            }
+        }
+    }
+
+    /// Park a read until a replica catches up to its needs, with the
+    /// wait-or-primary deadline as the escape hatch.
+    fn park_read(&mut self, ctx: &mut Ctx<'_, Msg>, r: ReadReq) {
+        let id = self.reads.park(r);
+        ctx.set_timer(self.cfg.freshness_wait_max_us, TIMER_FRESH_BASE + id);
+    }
+
+    /// Is the session still waiting on this parked read? It may have moved
+    /// on (torn down, or the statement superseded).
+    fn still_parked(&self, r: &ReadReq) -> bool {
+        self.sessions
+            .get(r.session.0)
+            .and_then(|s| s.current.as_ref())
+            .is_some_and(|c| c.stmt_seq == r.stmt_seq && matches!(c.kind, CurrentKind::FreshWait))
+    }
+
+    /// Re-run the routing decision for parked reads after any event that
+    /// can advance a replica's applied positions (apply acks, pongs,
+    /// recovery completion, quarantine flips, master promotion).
+    /// Allocation-free no-op when nothing is parked, so hooks call it
+    /// unconditionally without disturbing the freshness-off byte path.
+    pub(super) fn drain_fresh_waiters(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        for id in self.reads.ids() {
+            let Some(r) = self.reads.get(id) else { continue };
+            if !self.still_parked(r) {
+                self.reads.take(id);
+                continue;
+            }
+            let candidates = self.read_candidates(&r.gset);
+            let caught_up: Vec<bool> =
+                candidates.iter().map(|&b| self.has_applied(b, &r.needs)).collect();
+            let Some(b) = self.balancer.pick_fresh(&candidates, &caught_up) else { continue };
+            let Some(r) = self.reads.take(id) else { continue };
+            // The parked window is the FreshnessWait stage; the dispatch
+            // below records its (zero-width) BalancerPick after it, so the
+            // E17 stage tiling stays exact.
+            self.mw_span(r.session, r.stmt_seq, Stage::FreshnessWait, ctx.now().micros());
+            self.dispatch_read(ctx, r, b, false);
+        }
+    }
+
+    /// Wait-or-primary deadline fired for waiter `id`. Master-slave mode
+    /// escalates to the master, which is fresh by definition — RYW still
+    /// holds, the cost was latency plus master load. Multi-master modes
+    /// have no always-fresh node, so the deadline trades strictness for
+    /// liveness: fall back to the most caught-up candidate.
+    pub(super) fn fresh_wait_timed_out(&mut self, ctx: &mut Ctx<'_, Msg>, id: u64) {
+        let Some(r) = self.reads.take(id) else { return };
+        if !self.still_parked(&r) {
+            return;
+        }
+        self.metrics.counters.freshness_wait_timeouts += 1;
+        let fallback = if self.master_slave() {
+            if !self.eligible(self.ship.master, &r.gset, &r.needs) {
+                // The master is unreadable (quarantined, or mid-failover):
+                // the most caught-up slave may still predate this session's
+                // write, and a stale answer is the one thing this policy
+                // must never give. Re-park — the read drains the moment a
+                // slave catches up or the master comes back.
+                self.park_read(ctx, r);
+                return;
+            }
+            Some(self.ship.master)
+        } else {
+            // Writeset-replicated modes ack a commit only after every
+            // in-rotation host applied it, so the candidate furthest along
+            // over the read's groups covers every acked stamp. Ties break
+            // to the lowest id (keys are unique thanks to the Reverse(id)).
+            self.read_candidates(&r.gset).into_iter().max_by_key(|&b| {
+                let applied: u64 = r.gset.iter().map(|&g| self.applied_pos(b, g)).sum();
+                (applied, std::cmp::Reverse(b.0))
+            })
+        };
+        self.mw_span(r.session, r.stmt_seq, Stage::FreshnessWait, ctx.now().micros());
+        match fallback {
+            Some(b) => {
+                self.metrics.counters.fresh_fallback_primary += 1;
+                self.dispatch_read(ctx, r, b, false);
+            }
+            None => self.reply_read(
+                ctx,
+                r.session,
+                r.stmt_seq,
+                Err(ReplyError::Unavailable("no fresh backend for read".into())),
+            ),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use super::*;
+
+    fn read(session: u64, stmt_seq: u64) -> ReadReq {
+        let plan = PlanExec::whole(Arc::new(Statement::Commit));
+        ReadReq { session: SessionId(session), stmt_seq, plan, gset: vec![0], needs: vec![(0, 1)] }
+    }
+
+    fn parked(q: &Reads) -> Vec<(u64, u64)> {
+        q.ids().into_iter().map(|id| q.get(id).map(|r| (r.session.0, r.stmt_seq)).unwrap_or_default()).collect()
+    }
+
+    #[test]
+    fn waiters_drain_in_park_order() {
+        let mut q = Reads::default();
+        let ids: Vec<u64> = [(3, 1), (1, 1), (2, 1), (1, 2)].map(|(s, n)| q.park(read(s, n))).into();
+        assert_eq!(ids, [0, 1, 2, 3]);
+        assert_eq!(parked(&q), [(3, 1), (1, 1), (2, 1), (1, 2)]);
+        // Releasing one from the middle keeps the others' order, and a
+        // later park queues behind them.
+        assert_eq!(q.take(1).map(|r| r.session), Some(SessionId(1)));
+        assert_eq!(q.park(read(4, 1)), 4);
+        assert_eq!(parked(&q), [(3, 1), (2, 1), (1, 2), (4, 1)]);
+    }
+
+    #[test]
+    fn a_timed_out_waiter_is_gone_and_its_stale_deadline_is_harmless() {
+        let mut q = Reads::default();
+        let first = q.park(read(1, 1));
+        let second = q.park(read(2, 1));
+        // Its deadline fires: the waiter leaves the queue.
+        assert_eq!(q.take(first).map(|r| r.session), Some(SessionId(1)));
+        assert_eq!(q.len(), 1);
+        // Released early, the other's deadline still fires later: there is
+        // nothing left under its id.
+        assert!(q.take(second).is_some());
+        assert!(q.take(second).is_none());
+        assert!(q.take(first).is_none());
+        // Ids are never reused, so a stale deadline cannot hit a newer read.
+        assert_eq!(q.park(read(1, 2)), 2);
+        assert!(q.take(second).is_none());
+        assert_eq!(parked(&q), [(1, 2)]);
+    }
+
+    #[test]
+    fn end_session_drops_the_sessions_waiters() {
+        let mut q = Reads::default();
+        for (s, n) in [(1, 1), (2, 1), (1, 2), (3, 1)] {
+            q.park(read(s, n));
+        }
+        q.end_session(SessionId(1));
+        assert_eq!(parked(&q), [(2, 1), (3, 1)]);
+        // The dropped waiters' deadlines fire into nothing.
+        assert!(q.take(0).is_none() && q.take(2).is_none());
+        q.end_session(SessionId(9));
+        assert_eq!(q.len(), 2);
+    }
+}

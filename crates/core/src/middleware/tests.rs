@@ -1,0 +1,627 @@
+//! Middleware tests that drive the whole actor: a writeset middleware
+//! between scripted or real backends and a client, in a `Sim`, and the
+//! read router's eligibility rules on a middleware built without one. The
+//! unit tests of one seam's state live in that seam's file.
+
+use super::*;
+use replimid_simnet::{NetworkModel, Sim};
+use replimid_sql::{parse_statement, Watermark};
+
+use crate::msg::PlanExec;
+
+/// A backend that answers from a script: statements, ordered statement
+/// batches and COMMIT succeed, a delegate op running a write of session `n`
+/// returns `insert_ws(n)`, the first `refuse` applies fail, and later
+/// ones apply, as do the dump, restore and replay of a rejoin. It logs
+/// every op but pings, which it never answers (an unanswered backend is
+/// never evicted).
+struct ScriptedDb {
+    refuse: usize,
+    ops: Vec<DbOp>,
+}
+
+impl ScriptedDb {
+    fn new(refuse: usize) -> Self {
+        ScriptedDb { refuse, ops: Vec::new() }
+    }
+
+    fn applies(&self) -> Vec<Writeset> {
+        let ws = |op: &DbOp| match op {
+            DbOp::ApplyWriteset { ws, .. } => Some(ws.clone()),
+            _ => None,
+        };
+        self.ops.iter().filter_map(ws).collect()
+    }
+}
+
+impl Actor<Msg> for ScriptedDb {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
+        let Msg::Db(op) = msg else { return };
+        if matches!(op, DbOp::Ping { .. }) {
+            return;
+        }
+        self.ops.push(op.clone());
+        let resp = match op {
+            DbOp::Delegate { op, conn, stmt, .. } => {
+                let write = !stmt.template.is_read_only();
+                let ws = if write { insert_ws(conn as i64) } else { Writeset::default() };
+                DbResp::DelegateOut { op, res: Ok(ReplyBody::Ack), ws: Box::new(ws), poisoned: false }
+            }
+            DbOp::Execute { op, .. } => {
+                DbResp::ExecOk { op, body: ReplyBody::Ack, commit: None, tainted: false }
+            }
+            DbOp::ExecuteBatch { op, stmts } => {
+                let ok = crate::msg::BatchExecResult::Ok { body: ReplyBody::Ack, commit: None, tainted: false };
+                DbResp::ExecBatchOut { op, results: vec![ok; stmts.len()] }
+            }
+            DbOp::ApplyWriteset { op, .. } if self.applies().len() <= self.refuse => {
+                let err = SqlError::WriteConflict { table: "t1".into(), detail: "row locked".into() };
+                DbResp::ApplyErr { op, err }
+            }
+            DbOp::ApplyWriteset { op, .. } | DbOp::ApplyBinlog { op, .. } => {
+                DbResp::ApplyOk { op, applied_lsn: Lsn(0) }
+            }
+            DbOp::Dump { op, .. } => {
+                let dump = replimid_sql::Engine::new(Default::default()).dump(Default::default());
+                DbResp::DumpOut { op, dump: Box::new(dump), head: Lsn(0) }
+            }
+            DbOp::Restore { op, .. } => DbResp::RestoreOk { op },
+            _ => return,
+        };
+        ctx.send(from, Msg::DbR(resp));
+    }
+}
+
+/// A backend that never answers anything.
+struct Silent;
+
+impl Actor<Msg> for Silent {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, _msg: Msg) {}
+}
+
+/// A client that keeps what it is told.
+#[derive(Default)]
+struct Sink {
+    replies: Vec<Result<ReplyBody, ReplyError>>,
+}
+
+impl Actor<Msg> for Sink {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
+        if let Msg::Reply(reply) = msg {
+            self.replies.push(reply.result);
+        }
+    }
+}
+
+/// A writeset middleware over `dbs`, and a `Sink` client: (sim,
+/// backends, middleware, client).
+fn writeset_cluster<A: Actor<Msg> + 'static>(
+    dbs: Vec<A>,
+    placement: Option<Placement>,
+) -> (Sim<Msg>, Vec<NodeId>, NodeId, NodeId) {
+    let mut cfg = MwConfig::defaults(Mode::MultiMasterWriteset);
+    cfg.placement = placement;
+    cluster(cfg, dbs)
+}
+
+/// A middleware configured by `cfg` over `dbs`, and a `Sink` client.
+fn cluster<A: Actor<Msg> + 'static>(cfg: MwConfig, dbs: Vec<A>) -> (Sim<Msg>, Vec<NodeId>, NodeId, NodeId) {
+    let mut sim: Sim<Msg> = Sim::new(NetworkModel::lan(), 5);
+    let dbs: Vec<NodeId> = dbs.into_iter().map(|d| sim.add_node(d)).collect();
+    let mw_id = NodeId(dbs.len());
+    let mw = sim.add_node(Middleware::new(cfg, 0, vec![mw_id], dbs.clone()));
+    assert_eq!(mw, mw_id);
+    let client = sim.add_node(Sink::default());
+    (sim, dbs, mw, client)
+}
+
+/// Client statement `stmt_seq` of `session`, arriving at `at` µs.
+fn request(sim: &mut Sim<Msg>, (client, mw): (NodeId, NodeId), at: u64, session: u64, stmt_seq: u64, sql: &str) {
+    let req = ClientRequest { session: SessionId(session), stmt_seq, trace: 0, sql: sql.into() };
+    sim.inject_as(SimTime(at), client, mw, Msg::Request(req));
+}
+
+/// The writeset a scripted delegate extracts for session `key`: one
+/// row of `t1`.
+fn insert_ws(key: i64) -> Writeset {
+    use replimid_sql::mvcc::{RowId, WriteKind, WriteRecord};
+    use replimid_sql::Value;
+    Writeset {
+        entries: vec![WriteRecord {
+            database: "d".into(),
+            table: "t1".into(),
+            row: RowId(1),
+            kind: WriteKind::Insert,
+            old: None,
+            new: Some(vec![Value::Int(key), Value::Int(1)]),
+            temp: false,
+        }],
+        counters: None,
+    }
+}
+
+#[test]
+fn a_failed_apply_fails_its_backend_once_and_is_never_resent() {
+    // G = 1: no placement. G = 2: both groups on both backends, `t1`
+    // in group 1. Either way the first apply at the non-delegate fails:
+    // the backend is failed once and rejoins by log replay, and no
+    // apply is ever sent a second time.
+    let two = Placement::new(vec![vec![0, 1], vec![0, 1]]).assign("t1", 1);
+    for (placement, g) in [(None, 0usize), (Some(two), 1)] {
+        let (mut sim, dbs, mw, client) = writeset_cluster(vec![ScriptedDb::new(1), ScriptedDb::new(1)], placement);
+        request(&mut sim, (client, mw), 1_000, 1, 1, "INSERT INTO t1 VALUES (1, 1)");
+        sim.run_until(SimTime(10_000));
+        let applies = |sim: &mut Sim<Msg>, b: usize| sim.with_actor::<ScriptedDb, _>(dbs[b], |d| d.applies());
+        let remote = (0..2).find(|&b| !applies(&mut sim, b).is_empty()).expect("the non-delegate got the apply");
+        // Only the backend that failed refuses anything.
+        sim.with_actor::<ScriptedDb, _>(dbs[1 - remote], |d| d.refuse = 0);
+        sim.with_actor::<Middleware, _>(mw, |m| {
+            assert_eq!(m.partial_groups(), g + 1);
+            assert_eq!(m.metrics.counters.divergence_detected, 1);
+            assert_eq!(m.metrics.failover_times.len(), 1);
+            assert_eq!(m.metrics.recoveries.iter().map(|r| r.0).collect::<Vec<_>>(), [remote], "it rejoined");
+            assert!(m.backends[remote].online());
+        });
+
+        for session in 2..5 {
+            request(&mut sim, (client, mw), 10_000 * session, session, 1, "INSERT INTO t1 VALUES (2, 1)");
+        }
+        sim.run_until(SimTime(60_000));
+        for b in 0..2 {
+            let sent = applies(&mut sim, b);
+            let once = sent.iter().enumerate().all(|(i, ws)| !sent[..i].contains(ws));
+            assert!(once, "G={} backend {b} got an apply twice: {sent:?}", g + 1);
+        }
+        sim.with_actor::<Middleware, _>(mw, |m| {
+            for b in 0..2 {
+                assert_eq!(m.pw_mark(BackendId(b), g), 4, "G={} backend {b}", g + 1);
+            }
+            assert_eq!(m.metrics.counters.commits, 4);
+            assert_eq!(m.metrics.counters.divergence_detected, 1);
+            assert_eq!(m.metrics.failover_times.len(), 1);
+        });
+        let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+        assert_eq!(replies, vec![Ok(ReplyBody::Ack); 4]);
+    }
+}
+
+/// A writeset statement reaches its delegate once, and as plans only.
+/// An autocommit write is one delegate op (BEGIN, statement, writeset)
+/// and then its COMMIT, and the group's other host applies it once. An
+/// explicit transaction's first statement opens it with the client's
+/// isolation level. A transaction that runs no statement sends nothing.
+#[test]
+fn a_writeset_statement_reaches_its_delegate_once() {
+    let dbs = vec![ScriptedDb::new(0), ScriptedDb::new(0)];
+    let (mut sim, dbs, mw, client) = writeset_cluster(dbs, None);
+    let ops = |sim: &mut Sim<Msg>| -> Vec<Vec<DbOp>> {
+        dbs.iter().map(|&d| sim.with_actor::<ScriptedDb, _>(d, |d| d.ops.clone())).collect()
+    };
+    let whole = |plan: &PlanExec| {
+        assert!(plan.params.is_empty(), "cache 0 ships whole statements: {plan:?}");
+        (*plan.template).clone()
+    };
+    request(&mut sim, (client, mw), 1_000, 1, 1, "INSERT INTO t1 VALUES (1, 1)");
+    sim.run_until(SimTime(10_000));
+    let seen = ops(&mut sim);
+    let delegate = seen
+        .iter()
+        .position(|o| o.iter().any(|op| matches!(op, DbOp::Delegate { .. })))
+        .expect("a delegate ran the statement");
+    match &seen[delegate][..] {
+        [DbOp::Delegate { begin: Some(begin), stmt, implicit: true, .. }, DbOp::Execute { plan: commit, marks, .. }] => {
+            // The COMMIT settles the first certified position at the node.
+            assert_eq!(marks, &[(0, 1)]);
+            let snapshot = Some(IsolationLevel::SnapshotIsolation);
+            assert_eq!(whole(begin), Statement::Begin { isolation: snapshot });
+            assert_eq!(whole(stmt), parse_statement("INSERT INTO t1 VALUES (1, 1)").unwrap());
+            assert_eq!(whole(commit), Statement::Commit);
+        }
+        other => panic!("the delegate saw {other:?}"),
+    }
+    assert!(
+        matches!(&seen[1 - delegate][..], [DbOp::ApplyWriteset { marks, .. }] if marks == &[(0, 1)]),
+        "{:?}",
+        seen[1 - delegate]
+    );
+
+    request(&mut sim, (client, mw), 20_000, 2, 1, "BEGIN ISOLATION LEVEL SERIALIZABLE");
+    request(&mut sim, (client, mw), 21_000, 2, 2, "INSERT INTO t1 VALUES (2, 1)");
+    sim.run_until(SimTime(30_000));
+    let opened: Vec<Statement> = ops(&mut sim)
+        .into_iter()
+        .flatten()
+        .filter_map(|op| match op {
+            DbOp::Delegate { begin: Some(begin), implicit: false, .. } => Some(whole(&begin)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(opened, [Statement::Begin { isolation: Some(IsolationLevel::Serializable) }]);
+
+    let sent = |sim: &mut Sim<Msg>| ops(sim).iter().map(Vec::len).sum::<usize>();
+    let before = sent(&mut sim);
+    request(&mut sim, (client, mw), 40_000, 3, 1, "BEGIN");
+    request(&mut sim, (client, mw), 41_000, 3, 2, "COMMIT");
+    sim.run_until(SimTime(50_000));
+    assert_eq!(sent(&mut sim), before, "BEGIN; COMMIT ran nothing anywhere");
+    let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+    assert_eq!(replies, vec![Ok(ReplyBody::Ack); 5]);
+}
+
+/// A failed autocommit write at a real delegate: the node opens the
+/// snapshot, runs the statement, and rolls the implicit transaction back
+/// itself. Each of the three is charged as a parsed plan,
+/// `STATEMENT_BASE_US - PARSE_US`, and nothing stays open.
+#[test]
+fn a_failed_implicit_statement_rolls_back_at_its_delegate() {
+    use replimid_sql::result::cost_model::{PARSE_US, STATEMENT_BASE_US};
+    let schema = ["CREATE DATABASE d", "USE d", "CREATE TABLE t1 (k INT PRIMARY KEY, v INT)"]
+        .map(String::from);
+    let engine = crate::cluster::build_engine(Default::default(), &schema);
+    let node = crate::db_node::DbNode::new(engine, Some("d".into()));
+    let (mut sim, dbs, mw, client) = writeset_cluster(vec![node], None);
+    let service = |sim: &mut Sim<Msg>| {
+        sim.with_actor::<crate::db_node::DbNode, _>(dbs[0], |d| d.trace.stage_histogram(Stage::DbService).sum_us())
+    };
+    request(&mut sim, (client, mw), 1_000, 1, 1, "INSERT INTO t1 VALUES (1, 1)");
+    sim.run_until(SimTime(10_000));
+    let before = service(&mut sim);
+    request(&mut sim, (client, mw), 10_000, 2, 1, "INSERT INTO t1 VALUES (1, 2)");
+    sim.run_until(SimTime(20_000));
+    assert_eq!(service(&mut sim) - before, 3 * (STATEMENT_BASE_US - PARSE_US));
+    sim.with_actor::<crate::db_node::DbNode, _>(dbs[0], |d| assert_eq!(d.engine().active_transactions(), 0));
+    let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+    assert_eq!(replies[0], Ok(ReplyBody::Ack));
+    assert!(matches!(replies[1], Err(ReplyError::Sql(SqlError::DuplicateKey(_)))), "{:?}", replies[1]);
+}
+
+/// One queued timer covers every op timeout, and each op still times
+/// out at exactly its dispatch + `op_timeout_us`, failing its waiter.
+#[test]
+fn op_timeouts_are_exact_and_cheap() {
+    let timeout = MwConfig::defaults(Mode::MultiMasterWriteset).op_timeout_us;
+    // A thousand reads complete well inside the timeout. Per-op timers
+    // would leave a thousand queued events behind them.
+    let (mut sim, _, mw, client) = writeset_cluster(vec![ScriptedDb::new(0)], None);
+    sim.run_until(SimTime(50_000));
+    let idle = sim.pending_events();
+    for i in 0..1_000 {
+        request(&mut sim, (client, mw), 50_000 + 200 * i, 10 + i, 1, "SELECT v FROM t1");
+    }
+    sim.run_until(SimTime(290_000));
+    let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+    assert_eq!(replies, vec![Ok(ReplyBody::Ack); 1_000]);
+    assert!(sim.pending_events() <= idle, "{} events queued, {idle} before the reads", sim.pending_events());
+    assert!(sim.with_actor::<Middleware, _>(mw, |m| m.ops.sweep_armed));
+
+    // A read dispatched between two pings to a backend that never
+    // answers: its timeout fails the backend and tells the client.
+    let (mut sim, _, mw, client) = writeset_cluster(vec![Silent], None);
+    request(&mut sim, (client, mw), 25_000, 1, 1, "SELECT v FROM t1");
+    sim.run_until(SimTime(25_000 + timeout - 1));
+    sim.with_actor::<Middleware, _>(mw, |m| assert!(m.metrics.failover_times.is_empty()));
+    sim.run_until(SimTime(25_000 + 2 * timeout));
+    sim.with_actor::<Middleware, _>(mw, |m| assert_eq!(m.metrics.failover_times, [25_000 + timeout]));
+    let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+    assert_eq!(replies, [Err(ReplyError::Unavailable("backend failed mid-request".into()))]);
+}
+
+/// BEGIN is deferred, so a session in a transaction without a delegate
+/// is either about to pick one or has lost it. The second must not
+/// look like the first: statements run after the loss would commit
+/// without the ones before it.
+#[test]
+fn a_transaction_whose_delegate_is_lost_fails_instead_of_restarting() {
+    let two = Placement::new(vec![vec![0, 1], vec![0, 1]]).assign("t1", 1);
+    for placement in [None, Some(two)] {
+        let dbs = vec![ScriptedDb::new(0), ScriptedDb::new(0)];
+        let (mut sim, _, mw, client) = writeset_cluster(dbs, placement);
+        let mut stmt_seq = 0;
+        let mut send = |sim: &mut Sim<Msg>, at: u64, sql: &str| {
+            stmt_seq += 1;
+            request(sim, (client, mw), at, 1, stmt_seq, sql);
+        };
+        send(&mut sim, 1_000, "BEGIN ISOLATION LEVEL SERIALIZABLE");
+        send(&mut sim, 2_000, "INSERT INTO t1 VALUES (1, 1)");
+        sim.run_until(SimTime(4_000));
+        let delegate = sim.with_actor::<Middleware, _>(mw, |m| {
+            let s = m.sessions.get(1).expect("the session exists");
+            assert!(s.in_tx && s.begin.is_none());
+            s.sticky.expect("the first statement picked the delegate")
+        });
+        sim.inject(SimTime(4_500), mw, Msg::Admin(AdminCmd::RemoveBackend { backend: delegate }));
+        send(&mut sim, 5_000, "INSERT INTO t1 VALUES (2, 1)");
+        send(&mut sim, 6_000, "ROLLBACK");
+        send(&mut sim, 7_000, "BEGIN");
+        send(&mut sim, 8_000, "INSERT INTO t1 VALUES (2, 1)");
+        sim.run_until(SimTime(10_000));
+        let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+        let ack = Ok(ReplyBody::Ack);
+        let lost = Err(ReplyError::Unavailable("delegate lost".into()));
+        assert_eq!(replies, [ack.clone(), ack.clone(), lost, ack.clone(), ack.clone(), ack]);
+        let survivor = sim.with_actor::<Middleware, _>(mw, |m| m.sessions.get(1).and_then(|s| s.sticky));
+        assert!(survivor.is_some() && survivor != Some(delegate));
+    }
+}
+
+/// The same recipe with the delegate removed after the transaction's
+/// last statement: its COMMIT has nothing it could certify, so it
+/// fails as lost instead of acknowledging a commit that never happened.
+#[test]
+fn a_commit_whose_delegate_is_lost_fails() {
+    let (mut sim, _, mw, client) = writeset_cluster(vec![ScriptedDb::new(0), ScriptedDb::new(0)], None);
+    request(&mut sim, (client, mw), 1_000, 1, 1, "BEGIN");
+    request(&mut sim, (client, mw), 2_000, 1, 2, "INSERT INTO t1 VALUES (1, 1)");
+    sim.run_until(SimTime(4_000));
+    let delegate = sim.with_actor::<Middleware, _>(mw, |m| m.sessions.get(1).and_then(|s| s.sticky));
+    let delegate = delegate.expect("the INSERT picked the delegate");
+    sim.inject(SimTime(4_500), mw, Msg::Admin(AdminCmd::RemoveBackend { backend: delegate }));
+    request(&mut sim, (client, mw), 5_000, 1, 3, "COMMIT");
+    sim.run_until(SimTime(10_000));
+    let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+    let lost = Err(ReplyError::Unavailable("delegate lost".into()));
+    assert_eq!(replies, [Ok(ReplyBody::Ack), Ok(ReplyBody::Ack), lost]);
+    sim.with_actor::<Middleware, _>(mw, |m| {
+        assert_eq!(m.metrics.certifier.commits, 0);
+        assert_eq!(m.metrics.counters.commits, 0);
+        assert_eq!(m.metrics.counters.lost_transactions, 1);
+    });
+}
+
+/// A real node that logs the ops it is sent (pings aside) and, when a
+/// COMMIT arrives, what `Engine::pending_writeset` holds for it.
+struct Recorded {
+    node: crate::db_node::DbNode,
+    ops: Vec<DbOp>,
+    at_commit: Option<Writeset>,
+}
+
+impl Recorded {
+    /// A node whose engine (`config`) ran `schema` after creating `d.t1`.
+    fn new(config: replimid_sql::EngineConfig, schema: &[&str]) -> Self {
+        let mut stmts = vec!["CREATE DATABASE d", "USE d", "CREATE TABLE t1 (k INT PRIMARY KEY, v INT)"];
+        stmts.extend(schema);
+        let schema: Vec<String> = stmts.into_iter().map(String::from).collect();
+        let engine = crate::cluster::build_engine(config, &schema);
+        Recorded { node: crate::db_node::DbNode::new(engine, Some("d".into())), ops: Vec::new(), at_commit: None }
+    }
+}
+
+impl Actor<Msg> for Recorded {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
+        match &msg {
+            Msg::Db(DbOp::Ping { .. }) => {}
+            Msg::Db(op) => {
+                if let DbOp::Execute { conn, plan, .. } = op {
+                    if *plan.template == Statement::Commit {
+                        let c = self.node.conn_of(*conn).expect("the transaction's connection");
+                        self.at_commit = self.node.engine().pending_writeset(c).ok();
+                    }
+                }
+                self.ops.push(op.clone());
+            }
+            _ => {}
+        }
+        self.node.on_message(ctx, from, msg);
+    }
+}
+
+/// An explicit transaction costs its delegate one op per statement and
+/// then the COMMIT plan: the records each statement returned are the
+/// writeset COMMIT certifies, equal to what the engine would extract
+/// at that COMMIT, and they are what the other host applies.
+#[test]
+fn an_explicit_commit_certifies_the_records_its_statements_returned() {
+    let dbs = vec![Recorded::new(Default::default(), &[]), Recorded::new(Default::default(), &[])];
+    let (mut sim, dbs, mw, client) = writeset_cluster(dbs, None);
+    let stmts = ["BEGIN", "INSERT INTO t1 VALUES (1, 1)", "UPDATE t1 SET v = 2 WHERE k = 1", "COMMIT"];
+    for (i, sql) in stmts.into_iter().enumerate() {
+        let i = i as u64;
+        request(&mut sim, (client, mw), 1_000 + 2_000 * i, 1, i + 1, sql);
+    }
+    sim.run_until(SimTime(20_000));
+    let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+    assert_eq!(replies, [ReplyBody::Ack, ReplyBody::Affected(1), ReplyBody::Affected(1), ReplyBody::Ack].map(Ok));
+    let seen: Vec<(Vec<DbOp>, Option<Writeset>)> = dbs
+        .iter()
+        .map(|&d| sim.with_actor::<Recorded, _>(d, |r| (r.ops.clone(), r.at_commit.clone())))
+        .collect();
+    let delegate = seen.iter().position(|(ops, _)| ops.len() == 3).expect("one delegate");
+    let stmt = |plan: &PlanExec| (*plan.template).clone();
+    let (ops, at_commit) = &seen[delegate];
+    match &ops[..] {
+        [DbOp::Delegate { begin: Some(_), stmt: insert, implicit: false, .. }, DbOp::Delegate { begin: None, stmt: update, implicit: false, .. }, DbOp::Execute { plan: commit, marks, .. }] if marks == &[(0, 1)] =>
+        {
+            assert_eq!(stmt(insert), parse_statement(stmts[1]).unwrap());
+            assert_eq!(stmt(update), parse_statement(stmts[2]).unwrap());
+            assert_eq!(stmt(commit), Statement::Commit);
+        }
+        other => panic!("the delegate saw {other:?}"),
+    }
+    let at_commit = at_commit.clone().expect("the delegate's transaction was open at COMMIT");
+    assert_eq!(at_commit.len(), 2, "{at_commit:?}");
+    match &seen[1 - delegate].0[..] {
+        [DbOp::ApplyWriteset { ws, .. }] => assert_eq!(*ws, at_commit),
+        other => panic!("the other host saw {other:?}"),
+    }
+    sim.with_actor::<Middleware, _>(mw, |m| assert_eq!(m.metrics.certifier.commits, 1));
+}
+
+/// A statement error inside an explicit transaction. Where it poisons
+/// the transaction, COMMIT answers the abort, certifies nothing and
+/// rolls the transaction back at the delegate; where the engine
+/// continues, COMMIT certifies the records of the statements before it.
+#[test]
+fn commit_after_a_failed_statement_follows_the_error_mode() {
+    use replimid_sql::{EngineConfig, ErrorMode};
+    for mode in [ErrorMode::AbortTransaction, ErrorMode::ContinueTransaction] {
+        let config = EngineConfig { error_mode: mode, ..Default::default() };
+        let (mut sim, dbs, mw, client) =
+            writeset_cluster(vec![Recorded::new(config, &["INSERT INTO t1 VALUES (1, 1)"])], None);
+        let stmts = ["BEGIN", "INSERT INTO t1 VALUES (2, 1)", "INSERT INTO t1 VALUES (1, 5)", "COMMIT"];
+        for (i, sql) in stmts.into_iter().enumerate() {
+            let i = i as u64;
+            request(&mut sim, (client, mw), 1_000 + 2_000 * i, 1, i + 1, sql);
+        }
+        sim.run_until(SimTime(20_000));
+        let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+        assert!(matches!(replies[2], Err(ReplyError::Sql(SqlError::DuplicateKey(_)))), "{:?}", replies[2]);
+        let poisoned = mode == ErrorMode::AbortTransaction;
+        let certified = sim.with_actor::<Middleware, _>(mw, |m| m.metrics.certifier.checks);
+        let rows = sim.with_actor::<Recorded, _>(dbs[0], |r| {
+            assert_eq!(r.node.engine().active_transactions(), 0, "{mode:?}");
+            let e = r.node.engine_mut();
+            let c = e.connect(replimid_sql::ADMIN_USER, replimid_sql::ADMIN_PASSWORD).expect("admin login");
+            match e.execute(c, "SELECT COUNT(*) FROM d.t1").expect("count").outcome {
+                replimid_sql::Outcome::Rows(rs) => rs.rows[0][0].as_int(),
+                other => panic!("{other:?}"),
+            }
+        });
+        if poisoned {
+            let aborted = SqlError::TransactionState("transaction is aborted; COMMIT rolled it back".into());
+            assert_eq!(replies[3], Err(ReplyError::Sql(aborted)));
+            assert_eq!((certified, rows), (0, Some(1)));
+        } else {
+            assert_eq!(replies[3], Ok(ReplyBody::Ack));
+            assert_eq!((certified, rows), (1, Some(2)));
+        }
+    }
+}
+
+/// Statement replication delivers every ordered statement as a batch:
+/// unbatched, a batch of one, carrying the statement's log position; with
+/// group commit, one batch for the statements flushed together. Each
+/// statement is answered from its own result.
+#[test]
+fn an_ordered_statement_is_a_batch_of_one() {
+    let statement = Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject };
+    for batch_max in [1, 2] {
+        let mut cfg = MwConfig::defaults(statement.clone());
+        cfg.batch_max = batch_max;
+        cfg.batch_deadline_us = 5_000;
+        let (mut sim, dbs, mw, client) = cluster(cfg, vec![ScriptedDb::new(0), ScriptedDb::new(0)]);
+        request(&mut sim, (client, mw), 1_000, 1, 1, "INSERT INTO t1 VALUES (1, 1)");
+        request(&mut sim, (client, mw), 1_000, 2, 1, "INSERT INTO t1 VALUES (2, 1)");
+        sim.run_until(SimTime(20_000));
+        for &d in &dbs {
+            let batches: Vec<Vec<Vec<(u32, u64)>>> = sim.with_actor::<ScriptedDb, _>(d, |d| {
+                d.ops
+                    .iter()
+                    .map(|op| match op {
+                        DbOp::ExecuteBatch { stmts, .. } => stmts.iter().map(|s| s.marks.clone()).collect(),
+                        other => panic!("batch_max={batch_max}: {other:?}"),
+                    })
+                    .collect()
+            });
+            let expected = if batch_max == 1 { vec![vec![vec![(0, 1)]], vec![vec![(0, 2)]]] } else { vec![vec![vec![(0, 1)], vec![(0, 2)]]] };
+            assert_eq!(batches, expected, "batch_max={batch_max}");
+        }
+        let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+        assert_eq!(replies, vec![Ok(ReplyBody::Ack); 2]);
+        sim.with_actor::<Middleware, _>(mw, |m| {
+            assert_eq!(m.pw_mark(BackendId(0), 0), 2);
+            assert_eq!(m.pw_mark(BackendId(1), 0), 2);
+        });
+    }
+}
+
+fn router(mode: Mode, policy: ReadPolicy, placement: Option<Placement>, backends: usize) -> Middleware {
+    let mut cfg = MwConfig::defaults(mode);
+    cfg.read_policy = policy;
+    cfg.placement = placement;
+    cfg.quarantine = Some(QuarantineConfig::default());
+    let nodes = (0..backends).map(NodeId).collect();
+    Middleware::new(cfg, 0, vec![NodeId(backends)], nodes)
+}
+
+/// Trip backend `b`'s breaker: a learned baseline, then a brownout.
+fn quarantine(m: &mut Middleware, b: usize) {
+    for t in 1..200 {
+        m.detect.health[b].on_completion(t, if t <= 20 { 100 } else { 100_000 });
+    }
+    assert!(m.is_quarantined(BackendId(b)));
+}
+
+fn eligible_set(m: &Middleware, gset: &[usize], needs: &[(usize, u64)]) -> Vec<usize> {
+    (0..m.backends.len()).filter(|&b| m.eligible(BackendId(b), gset, needs)).collect()
+}
+
+#[test]
+fn read_eligibility_with_one_group() {
+    let statement = Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject };
+    let mut m = router(statement, ReadPolicy::Fresh, None, 3);
+    let select = parse_statement("SELECT v FROM bench WHERE k = 1").unwrap();
+    assert_eq!(m.shards.stmt_groups(&select), [0]);
+    m.shards.marks[0][0] = Watermark::at(9);
+    m.shards.marks[1][0] = Watermark::at(4); // the stale host
+    m.shards.marks[2][0] = Watermark::at(9);
+    // A session that has written nothing needs nothing: every host
+    // qualifies, whatever it has applied.
+    m.session(SessionId(1), None);
+    assert_eq!(m.read_needs(SessionId(1), &[0]), []);
+    assert_eq!(eligible_set(&m, &[0], &[]), [0, 1, 2]);
+    // Its write at position 7 cuts the replica that has not applied it.
+    raise(&mut m.session(SessionId(1), None).gstamps, 0, 7);
+    let needs = m.read_needs(SessionId(1), &[0]);
+    assert_eq!(needs, [(0, 7)]);
+    assert_eq!(eligible_set(&m, &[0], &needs), [0, 2]);
+    // Quarantine and leaving the rotation cut a caught-up replica too,
+    // but a quarantined one that could serve may still carry the probe.
+    quarantine(&mut m, 2);
+    m.backends[0].state = BackendState::Down;
+    assert_eq!(eligible_set(&m, &[0], &needs), []);
+    assert!(m.can_serve(BackendId(2), &[0], &needs));
+    assert!(!m.can_serve(BackendId(0), &[0], &needs));
+    // Bounded staleness lowers the bar by its slack; no slack, no bar.
+    m.cfg.read_policy = ReadPolicy::BoundedStaleness(3);
+    assert_eq!(m.read_needs(SessionId(1), &[0]), [(0, 4)]);
+    m.cfg.read_policy = ReadPolicy::SessionSticky;
+    assert_eq!(m.read_needs(SessionId(1), &[0]), []);
+}
+
+#[test]
+fn read_eligibility_with_two_groups() {
+    let placement = Placement::new(vec![vec![0, 1, 2], vec![1, 2, 3]]).assign("a", 0).assign("b", 1);
+    let mut m = router(Mode::MultiMasterWriteset, ReadPolicy::Fresh, Some(placement), 4);
+    let join = parse_statement("SELECT a.v FROM a JOIN b ON a.k = b.k").unwrap();
+    assert_eq!(m.shards.stmt_groups(&join), [0, 1]);
+    assert_eq!(m.shards.stmt_groups(&parse_statement("SELECT v FROM b").unwrap()), [1]);
+    // Empty needs: the hosts of every group read, and only those.
+    assert_eq!(eligible_set(&m, &[0], &[]), [0, 1, 2]);
+    assert_eq!(eligible_set(&m, &[0, 1], &[]), [1, 2]);
+    // The session wrote position 2 of group 0 and 1 of group 1. Backend
+    // 1 is behind in group 1, backend 2 has both, backend 0 has group 0
+    // only and backend 3 group 1 only.
+    for (b, g, pos) in [(0, 0, 1), (0, 0, 2), (1, 0, 1), (1, 0, 2), (2, 0, 1), (2, 0, 2), (2, 1, 1), (3, 1, 1)] {
+        m.shards.marks[b][g].mark(pos);
+    }
+    let s = m.session(SessionId(1), None);
+    raise(&mut s.gstamps, 0, 2);
+    raise(&mut s.gstamps, 1, 1);
+    let needs = m.read_needs(SessionId(1), &[0, 1]);
+    assert_eq!(needs, [(0, 2), (1, 1)]);
+    assert_eq!(eligible_set(&m, &[0, 1], &needs), [2]);
+    // A read of one group asks for that group's position only.
+    let needs0 = m.read_needs(SessionId(1), &[0]);
+    assert_eq!(needs0, [(0, 2)]);
+    assert_eq!(eligible_set(&m, &[0], &needs0), [0, 1, 2]);
+    assert_eq!(eligible_set(&m, &[1], &m.read_needs(SessionId(1), &[1])), [2, 3]);
+    // Quarantine is cut after the host set: with both hosts of the
+    // join quarantined the slow answer still beats no answer, and an
+    // unquarantined non-host never enters the candidates.
+    quarantine(&mut m, 1);
+    assert_eq!(eligible_set(&m, &[0, 1], &[]), [2]);
+    assert_eq!(m.read_candidates(&[0, 1]), [BackendId(2)]);
+    quarantine(&mut m, 2);
+    assert_eq!(eligible_set(&m, &[0, 1], &[]), []);
+    assert_eq!(m.read_candidates(&[0, 1]), [BackendId(1), BackendId(2)]);
+}
+
+#[test]
+fn mode_defaults_are_sane() {
+    let cfg = MwConfig::defaults(Mode::MultiMasterWriteset);
+    assert!(cfg.op_timeout_us >= cfg.heartbeat.timeout_us);
+    assert!(!cfg.require_majority);
+    assert!(cfg.barrier_threshold > 0);
+}
+

@@ -269,6 +269,11 @@ impl PlanCache {
         PlanCache { cap, ..PlanCache::default() }
     }
 
+    /// The most templates the cache holds (0: caching is off).
+    pub fn capacity(&self) -> usize {
+        self.cap
+    }
+
     pub fn len(&self) -> usize {
         self.map.len()
     }

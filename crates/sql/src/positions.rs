@@ -135,6 +135,40 @@ mod tests {
     use super::*;
 
     #[test]
+    fn watermark_advances_contiguously() {
+        let mut w = Watermark::new();
+        assert_eq!(w.value(), 0);
+        w.mark(2);
+        assert_eq!(w.value(), 0, "gap at 1");
+        w.mark(1);
+        assert_eq!(w.value(), 2, "contiguous through 2");
+        w.mark(3);
+        assert_eq!(w.value(), 3);
+        // Stale marks are ignored.
+        w.mark(1);
+        assert_eq!(w.value(), 3);
+    }
+
+    #[test]
+    fn watermark_at_position() {
+        let mut w = Watermark::at(100);
+        assert_eq!(w.value(), 100);
+        w.mark(101);
+        assert_eq!(w.value(), 101);
+        w.mark(50);
+        assert_eq!(w.value(), 101);
+    }
+
+    #[test]
+    fn watermark_out_of_order_batch() {
+        let mut w = Watermark::new();
+        for pos in [5, 3, 1, 4, 2] {
+            w.mark(pos);
+        }
+        assert_eq!(w.value(), 5);
+    }
+
+    #[test]
     fn positions_keep_a_hole_per_group() {
         let mut p = Positions::default();
         p.mark((1, 2));

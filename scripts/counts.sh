@@ -1,43 +1,72 @@
 #!/bin/sh
 # The numbers CHANGES.md, ROADMAP.md and the simplicity issues quote,
 # computed instead of hand-counted. "Non-test" is everything above a file's
-# first `#[cfg(test)]` line. Counts this checkout, or the one given as $1
-# (a clone of the parent commit). Informational: always exits 0.
+# first `#[cfg(test)]` line; a file named `tests.rs` is all test. Counts this
+# checkout, or the one given as $1 (a clone of another commit). The
+# middleware is either one file (`middleware.rs`) or a directory module
+# (`middleware/`), so two checkouts on either side of the split print
+# comparable lines. Informational: always exits 0.
 cd "${1:-$(dirname "$0")/..}" || exit 0
-mw=crates/core/src/middleware.rs
+src=crates/core/src
+if [ -d "$src/middleware" ]; then
+    mw=$(find "$src/middleware" -name '*.rs' | sort)
+    mw_root=$src/middleware/mod.rs
+else
+    mw=$src/middleware.rs
+    mw_root=$mw
+fi
 
 # Lines of file $1 above its first `#[cfg(test)]` (all of them if none).
 nontest() {
+    case "$1" in
+        */tests.rs) echo 0; return ;;
+    esac
     awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
 }
 
-echo "middleware.rs non-test lines:     $(nontest "$mw")"
-echo "middleware.rs non-test .unwrap(): $(awk '/^#\[cfg\(test\)\]/ { exit } { n += gsub(/\.unwrap\(\)/, "") } END { print n + 0 }' "$mw")"
-echo "MwConfig fields:                  $(awk '/^pub struct MwConfig \{/ { on = 1; next } on && /^\}/ { exit } on && /^    pub [a-z_0-9]+:/ { n++ } END { print n + 0 }' "$mw")"
-echo "self.partial sites:               $(grep -c 'self\.partial' "$mw")"
+# Non-test lines of every middleware module, and their sum.
+echo "middleware non-test lines per module:"
+mwtotal=0
+for f in $mw; do
+    n=$(nontest "$f")
+    mwtotal=$((mwtotal + n))
+    printf '  %-28s %5d\n' "${f#"$src"/}" "$n"
+done
+printf '  %-28s %5d\n' total "$mwtotal"
+unwraps=0
+for f in $mw; do
+    case "$f" in */tests.rs) continue ;; esac
+    unwraps=$((unwraps + $(awk '/^#\[cfg\(test\)\]/ { exit } { n += gsub(/\.unwrap\(\)/, "") } END { print n + 0 }' "$f")))
+done
+echo "middleware non-test .unwrap():    $unwraps"
+# The fields of the actor struct: how much state any of its functions can
+# reach.
+echo "Middleware fields:                $(awk '/^pub struct Middleware \{/ { on = 1; next } on && /^\}/ { exit } on && /^    (pub )?[a-z_0-9]+:/ { n++ } END { print n + 0 }' "$mw_root")"
+echo "MwConfig fields:                  $(cat $mw | awk '/^pub struct MwConfig \{/ { on = 1; next } on && /^\}/ { exit } on && /^    pub [a-z_0-9]+:/ { n++ } END { print n + 0 }')"
+echo "self.partial sites:               $(cat $mw | grep -c 'self\.partial')"
 # SQL text on the middleware -> backend request wire: `String` fields of
 # `DbOp` and of its batch structs.
 echo "SQL String fields on DbOp wire:   $(awk '/^pub (enum DbOp|struct [A-Za-z]*Batch[A-Za-z]*) \{/ { on = 1; next } on && /^\}/ { on = 0 } on { n += gsub(/: (Option<)?String[,>]/, "") } END { print n + 0 }' crates/core/src/msg.rs)"
 # The wire and bookkeeping surface: variants of the middleware -> backend
 # request enum and of the middleware's in-flight op table. Variants of the
-# enum in file $1 whose opening line matches $2.
+# enum read on stdin whose opening line matches $1.
 variants() {
-    awk -v head="$2" '$0 ~ head { on = 1; next } on && /^\}/ { exit } on && /^    [A-Z][A-Za-z0-9]*( \{|,|\(|$)/ { n++ } END { print n + 0 }' "$1"
+    awk -v head="$1" '$0 ~ head { on = 1; next } on && /^\}/ { exit } on && /^    [A-Z][A-Za-z0-9]*( \{|,|\(|$)/ { n++ } END { print n + 0 }'
 }
-echo "DbOp variants:                    $(variants crates/core/src/msg.rs '^pub enum DbOp \\{')"
-echo "Pending variants:                 $(variants "$mw" '^enum Pending \\{')"
-echo "ApplySpace variants:              $(variants crates/core/src/msg.rs '^pub enum ApplySpace \\{')"
+echo "DbOp variants:                    $(variants '^pub enum DbOp \\{' < crates/core/src/msg.rs)"
+echo "Pending variants:                 $(cat $mw | variants '^enum Pending \\{')"
+echo "ApplySpace variants:              $(variants '^pub enum ApplySpace \\{' < crates/core/src/msg.rs)"
 # Entry points of a backend's rejoin: the log replay and its dump
 # fallback. A placement-only dump-first entry would be a second rejoin.
-echo "rejoin entry functions:           $(grep -cE 'fn start_(log_recovery|full_resync|pw_resync)\(' "$mw")"
+echo "rejoin entry functions:           $(cat $mw | grep -cE 'fn start_(log_recovery|full_resync|pw_resync)\(')"
 echo "crates/core/src non-test lines per file:"
 total=0
-for f in crates/core/src/*.rs; do
+for f in $(find "$src" -name '*.rs' | sort); do
     n=$(nontest "$f")
     total=$((total + n))
-    printf '  %-14s %5d\n' "$(basename "$f")" "$n"
+    printf '  %-28s %5d\n' "${f#"$src"/}" "$n"
 done
-printf '  %-14s %5d\n' total "$total"
+printf '  %-28s %5d\n' total "$total"
 # The engine decides conflicts the middleware used to retry around, so a
 # change can move lines between the two crates: report both.
 sql=0
