@@ -882,7 +882,9 @@ impl GNode {
         for a in actions {
             match a {
                 Action::Send { to, msg } => ctx.send(NodeId(to.0), GMsg::Gcs(msg)),
-                Action::SetTimer { delay_us, tag } => ctx.set_timer(delay_us, tag),
+                Action::SetTimer { delay_us, tag } => {
+                    ctx.set_timer(delay_us, tag);
+                }
                 Action::Deliver { payload, .. } => {
                     let now = ctx.now().micros();
                     let sent = self.sent_at.get(&payload).copied().unwrap_or(now);

@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use replimid_det::DetRng;
-use replimid_simnet::{Actor, Ctx, NodeId};
+use replimid_simnet::{Actor, Ctx, NodeId, TimerId};
 
 use crate::backoff::{self, BackoffConfig};
 use crate::metrics::Histogram;
@@ -101,7 +101,8 @@ const TIMER_THINK: u64 = 1;
 const TIMER_RETRY: u64 = 2;
 /// Backed-off failover resend after a request timeout.
 const TIMER_RESEND: u64 = 3;
-const TIMER_TIMEOUT_BASE: u64 = 100;
+/// The request guard of the outstanding statement.
+const TIMER_TIMEOUT: u64 = 4;
 
 enum Phase {
     Idle,
@@ -126,6 +127,9 @@ pub struct Client {
     timeout_streak: u32,
     /// Statement the pending TIMER_RESEND belongs to (staleness guard).
     resend_seq: u64,
+    /// The outstanding statement's request guard, cancelled when its
+    /// reply is accepted.
+    guard: Option<TimerId>,
     /// Per-client transaction counter (low bits of the trace id).
     trace_ctr: u64,
     /// Trace id of the in-flight transaction (0 = none open).
@@ -145,6 +149,7 @@ impl Client {
             mw_index: 0,
             timeout_streak: 0,
             resend_seq: 0,
+            guard: None,
             trace_ctr: 0,
             cur_trace: 0,
             stopped: false,
@@ -186,7 +191,7 @@ impl Client {
         };
         let mw = self.middleware();
         ctx.send(mw, Msg::Request(req));
-        ctx.set_timer(self.cfg.request_timeout_us, TIMER_TIMEOUT_BASE + self.stmt_seq);
+        self.guard = Some(ctx.set_timer(self.cfg.request_timeout_us, TIMER_TIMEOUT));
     }
 
     fn begin_tx(&mut self, ctx: &mut Ctx<'_, Msg>) {
@@ -249,6 +254,9 @@ impl Client {
         if stmt_seq != self.stmt_seq {
             return; // stale (timed-out request answered late)
         }
+        if let Some(guard) = self.guard.take() {
+            ctx.cancel_timer(guard);
+        }
         self.timeout_streak = 0;
         let now = ctx.now().micros();
         match std::mem::replace(&mut self.phase, Phase::Idle) {
@@ -299,10 +307,8 @@ impl Client {
         }
     }
 
-    fn on_timeout(&mut self, ctx: &mut Ctx<'_, Msg>, stmt_seq: u64) {
-        if stmt_seq != self.stmt_seq {
-            return; // reply already arrived
-        }
+    /// The outstanding statement's guard fired: its reply never came.
+    fn on_timeout(&mut self, ctx: &mut Ctx<'_, Msg>) {
         // Only meaningful while a request is outstanding.
         let outstanding = matches!(self.phase, Phase::Running { .. } | Phase::RollingBack { .. });
         if !outstanding {
@@ -385,7 +391,7 @@ impl Actor<Msg> for Client {
                 }
             }
             TIMER_RESEND => self.fire_resend(ctx),
-            t if t >= TIMER_TIMEOUT_BASE => self.on_timeout(ctx, t - TIMER_TIMEOUT_BASE),
+            TIMER_TIMEOUT => self.on_timeout(ctx),
             _ => {}
         }
     }

@@ -23,7 +23,7 @@
 //! `AdminCmd::EndSession` and continues under a fresh session id — the
 //! session-map leak regression drives exactly this path.
 
-use replimid_simnet::{Actor, Ctx, NodeId};
+use replimid_simnet::{Actor, Ctx, NodeId, TimerId};
 
 use crate::metrics::Histogram;
 use crate::msg::{AdminCmd, ClientRequest, Msg, ReplyBody, SessionId};
@@ -123,9 +123,9 @@ struct Slot {
     last_seen_val: u64,
     pending: Option<PendingOp>,
     ops_done: u64,
-    /// Monotone timer generation: a firing whose encoded epoch is older
-    /// than this is a leftover guard from an already-answered request.
-    epoch: u64,
+    /// The slot's one timer: the think timer, or the request guard while
+    /// an op is pending.
+    timer: Option<TimerId>,
 }
 
 pub struct SessionFleet {
@@ -150,7 +150,7 @@ impl SessionFleet {
                 last_seen_val: 0,
                 pending: None,
                 ops_done: 0,
-                epoch: 0,
+                timer: None,
             })
             .collect();
         let by_session =
@@ -159,14 +159,14 @@ impl SessionFleet {
         SessionFleet { cfg, slots, by_session, next_id, metrics: FleetMetrics::default() }
     }
 
-    /// Arm the slot's (single logical) timer: tag = epoch * nslots + idx,
-    /// so a stale firing — the timeout guard of a request that was in fact
-    /// answered — identifies itself by its outdated epoch.
+    /// Arm the slot's one timer, tagged with the slot index, cancelling
+    /// the one before it: the guard of an answered request never fires.
     fn arm_timer(&mut self, ctx: &mut Ctx<'_, Msg>, slot_idx: usize, delay_us: u64) {
-        let n = self.slots.len() as u64;
         let slot = &mut self.slots[slot_idx];
-        slot.epoch += 1;
-        ctx.set_timer(delay_us, slot.epoch * n + slot_idx as u64);
+        if let Some(prev) = slot.timer.take() {
+            ctx.cancel_timer(prev);
+        }
+        slot.timer = Some(ctx.set_timer(delay_us, slot_idx as u64));
     }
 
     fn issue(&mut self, ctx: &mut Ctx<'_, Msg>, slot_idx: usize) {
@@ -316,14 +316,7 @@ impl Actor<Msg> for SessionFleet {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
-        let n = self.slots.len() as u64;
-        if n == 0 {
-            return;
-        }
-        let slot_idx = (tag % n) as usize;
-        if self.slots[slot_idx].epoch != tag / n {
-            return; // superseded guard timer
-        }
+        let slot_idx = tag as usize;
         if self.slots[slot_idx].pending.is_some() {
             // Request-timeout guard fired with the op still outstanding.
             self.metrics.errors += 1;

@@ -77,8 +77,9 @@ const TIMER_SHIP: u64 = 3;
 /// flight (see [`Middleware::sweep_op_timeouts`]).
 const TIMER_OP_SWEEP: u64 = 4;
 /// Freshness-wait deadlines: TIMER_FRESH_BASE + waiter id. A read parked
-/// for a fresh-enough replica is released early by `drain_fresh_waiters`;
-/// this timer is the wait-or-primary escape hatch.
+/// for a fresh-enough replica is released early by `drain_fresh_waiters`,
+/// which cancels the deadline; this timer is the wait-or-primary escape
+/// hatch.
 const TIMER_FRESH_BASE: u64 = 500_000_000;
 /// Per-group sequencer heartbeat ticks, tagged `SHARD_TICK_BASE + group` so
 /// `on_timer` can route each tick back to its shard (the embedded
@@ -788,9 +789,9 @@ impl Middleware {
     /// session struct while the side maps (`request_started`,
     /// `two_safe_bodies`) kept their entries forever: a leak at session
     /// churn. Folding that metadata into `Sess` fixes it by construction.
-    fn end_session(&mut self, session: SessionId) {
+    fn end_session(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId) {
         self.sessions.remove(session.0);
-        self.reads.end_session(session);
+        self.reads.end_session(ctx, session);
     }
 
     /// Sessions stuck to `backend`, which left rotation, re-route on their

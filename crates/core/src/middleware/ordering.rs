@@ -286,7 +286,7 @@ impl Middleware {
                 // The only timer a shard arms is its heartbeat tick: re-tag
                 // it into the shard range so `on_timer` can route it back.
                 GAction::SetTimer { delay_us, .. } => {
-                    ctx.set_timer(delay_us, SHARD_TICK_BASE + g as u64)
+                    ctx.set_timer(delay_us, SHARD_TICK_BASE + g as u64);
                 }
                 GAction::Deliver { payload, .. } => self.on_shard_delivery(ctx, g, payload),
                 GAction::ViewInstalled { .. } | GAction::Suspected { .. } => {}
@@ -305,7 +305,9 @@ impl Middleware {
         match self.shards.admit(g, ev, self.cfg.batch_max) {
             Admit::Direct(ev) => self.shard_publish(ctx, g, ev),
             Admit::Full => self.flush_shard_batch(ctx, g, FlushReason::Size),
-            Admit::Arm => ctx.set_timer(self.cfg.batch_deadline_us, SHARD_BATCH_BASE + g as u64),
+            Admit::Arm => {
+                ctx.set_timer(self.cfg.batch_deadline_us, SHARD_BATCH_BASE + g as u64);
+            }
             Admit::Held => {}
         }
     }
@@ -360,7 +362,7 @@ impl Middleware {
             ReplEvent::XPrepare { session, stmt_seq, groups, start_pos, part } => {
                 self.deliver_xprepare(ctx, g, session, stmt_seq, groups, start_pos, part)
             }
-            ReplEvent::SessionEnd { session } => self.end_session(session),
+            ReplEvent::SessionEnd { session } => self.end_session(ctx, session),
             ReplEvent::Batch { events } => self.deliver_batch(ctx, g, events),
         }
     }
@@ -377,7 +379,7 @@ impl Middleware {
                 ReplEvent::Statement { session, stmt_seq, sql, ast, tables } => {
                     stmts.push((session, stmt_seq, sql, ast, tables))
                 }
-                ReplEvent::SessionEnd { session } => self.end_session(session),
+                ReplEvent::SessionEnd { session } => self.end_session(ctx, session),
                 // Batches never nest (`Shards::admit` only buffers leaves).
                 ReplEvent::Batch { .. } => {}
                 ev @ (ReplEvent::Certify { .. } | ReplEvent::XPrepare { .. }) => certs.push(ev),

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use replimid_simnet::Ctx;
+use replimid_simnet::{Ctx, TimerId};
 use replimid_sql::ast::Statement;
 
 use super::{raise, Current, CurrentKind, Middleware, Mode, Pending, ReadPolicy, TIMER_FRESH_BASE};
@@ -25,22 +25,32 @@ pub(super) struct ReadReq {
     needs: Vec<(usize, u64)>,
 }
 
+/// A parked read and its wait-or-primary deadline.
+#[derive(Debug)]
+struct Waiter {
+    req: ReadReq,
+    deadline: TimerId,
+}
+
 /// The reads seam's state: reads parked for a fresh-enough replica
 /// ([`ReadPolicy::Fresh`] and its relatives), keyed by waiter id. Ids rise
 /// in park order and the map is ordered, so drains run FIFO and
-/// deterministically.
+/// deterministically. A waiter's deadline timer is cancelled when the
+/// waiter leaves, so only the deadlines of parked reads stay queued.
 #[derive(Debug, Default)]
 pub(super) struct Reads {
-    waiters: BTreeMap<u64, ReadReq>,
+    waiters: BTreeMap<u64, Waiter>,
     next: u64,
 }
 
 impl Reads {
-    /// Park `r`; its waiter id, which its deadline timer carries.
-    fn park(&mut self, r: ReadReq) -> u64 {
+    /// Park `r` with a deadline `wait_us` from now, tagged
+    /// `TIMER_FRESH_BASE + id`; returns the waiter id.
+    fn park(&mut self, ctx: &mut Ctx<'_, Msg>, r: ReadReq, wait_us: u64) -> u64 {
         let id = self.next;
         self.next += 1;
-        self.waiters.insert(id, r);
+        let deadline = ctx.set_timer(wait_us, TIMER_FRESH_BASE + id);
+        self.waiters.insert(id, Waiter { req: r, deadline });
         id
     }
 
@@ -50,19 +60,27 @@ impl Reads {
     }
 
     fn get(&self, id: u64) -> Option<&ReadReq> {
-        self.waiters.get(&id)
+        self.waiters.get(&id).map(|w| &w.req)
     }
 
-    /// Unpark waiter `id`. `None` once it is gone: released, dropped with
-    /// its session, or already timed out — so a stale deadline is harmless.
-    fn take(&mut self, id: u64) -> Option<ReadReq> {
-        self.waiters.remove(&id)
+    /// Unpark waiter `id` and cancel its deadline (a no-op when the
+    /// deadline is what fired). `None` once it is gone: released, or
+    /// dropped with its session.
+    fn release(&mut self, ctx: &mut Ctx<'_, Msg>, id: u64) -> Option<ReadReq> {
+        let w = self.waiters.remove(&id)?;
+        ctx.cancel_timer(w.deadline);
+        Some(w.req)
     }
 
-    /// Drop every read `session` has parked. Their deadline timers stay
-    /// queued and fire into nothing.
-    pub(super) fn end_session(&mut self, session: SessionId) {
-        self.waiters.retain(|_, w| w.session != session);
+    /// Drop every read `session` has parked, and cancel their deadlines.
+    pub(super) fn end_session(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId) {
+        self.waiters.retain(|_, w| {
+            let keep = w.req.session != session;
+            if !keep {
+                ctx.cancel_timer(w.deadline);
+            }
+            keep
+        });
     }
 
     pub(super) fn len(&self) -> usize {
@@ -269,8 +287,7 @@ impl Middleware {
     /// Park a read until a replica catches up to its needs, with the
     /// wait-or-primary deadline as the escape hatch.
     fn park_read(&mut self, ctx: &mut Ctx<'_, Msg>, r: ReadReq) {
-        let id = self.reads.park(r);
-        ctx.set_timer(self.cfg.freshness_wait_max_us, TIMER_FRESH_BASE + id);
+        self.reads.park(ctx, r, self.cfg.freshness_wait_max_us);
     }
 
     /// Is the session still waiting on this parked read? It may have moved
@@ -291,14 +308,14 @@ impl Middleware {
         for id in self.reads.ids() {
             let Some(r) = self.reads.get(id) else { continue };
             if !self.still_parked(r) {
-                self.reads.take(id);
+                self.reads.release(ctx, id);
                 continue;
             }
             let candidates = self.read_candidates(&r.gset);
             let caught_up: Vec<bool> =
                 candidates.iter().map(|&b| self.has_applied(b, &r.needs)).collect();
             let Some(b) = self.balancer.pick_fresh(&candidates, &caught_up) else { continue };
-            let Some(r) = self.reads.take(id) else { continue };
+            let Some(r) = self.reads.release(ctx, id) else { continue };
             // The parked window is the FreshnessWait stage; the dispatch
             // below records its (zero-width) BalancerPick after it, so the
             // E17 stage tiling stays exact.
@@ -313,7 +330,7 @@ impl Middleware {
     /// have no always-fresh node, so the deadline trades strictness for
     /// liveness: fall back to the most caught-up candidate.
     pub(super) fn fresh_wait_timed_out(&mut self, ctx: &mut Ctx<'_, Msg>, id: u64) {
-        let Some(r) = self.reads.take(id) else { return };
+        let Some(r) = self.reads.release(ctx, id) else { return };
         if !self.still_parked(&r) {
             return;
         }
@@ -359,6 +376,8 @@ impl Middleware {
 mod tests {
     use std::sync::Arc;
 
+    use replimid_simnet::{Actor, NetworkModel, NodeId, Sim};
+
     use super::*;
 
     fn read(session: u64, stmt_seq: u64) -> ReadReq {
@@ -370,49 +389,96 @@ mod tests {
         q.ids().into_iter().map(|id| q.get(id).map(|r| (r.session.0, r.stmt_seq)).unwrap_or_default()).collect()
     }
 
+    /// Stands in for the middleware: runs `script` on its queue at
+    /// start-up, and when a deadline fires records the waiter id and
+    /// releases the waiter, as the middleware's deadline handler does.
+    struct Harness {
+        q: Reads,
+        fired: Vec<u64>,
+        script: fn(&mut Reads, &mut Ctx<'_, Msg>),
+    }
+
+    impl Actor<Msg> for Harness {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            (self.script)(&mut self.q, ctx);
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, _msg: Msg) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
+            let id = tag - TIMER_FRESH_BASE;
+            self.fired.push(id);
+            assert!(self.q.release(ctx, id).is_some(), "deadline of waiter {id} fired after it left");
+        }
+    }
+
+    /// Run `script`, then every deadline it left queued: the queue
+    /// afterwards and the waiter ids whose deadlines fired, in order.
+    fn run(script: fn(&mut Reads, &mut Ctx<'_, Msg>)) -> (Reads, Vec<u64>) {
+        let mut sim: Sim<Msg> = Sim::new(NetworkModel::lan(), 1);
+        let n = sim.add_node(Harness { q: Reads::default(), fired: Vec::new(), script });
+        sim.run_to_quiescence();
+        sim.with_actor::<Harness, _>(n, |h| (std::mem::take(&mut h.q), h.fired.clone()))
+    }
+
     #[test]
     fn waiters_drain_in_park_order() {
-        let mut q = Reads::default();
-        let ids: Vec<u64> = [(3, 1), (1, 1), (2, 1), (1, 2)].map(|(s, n)| q.park(read(s, n))).into();
-        assert_eq!(ids, [0, 1, 2, 3]);
-        assert_eq!(parked(&q), [(3, 1), (1, 1), (2, 1), (1, 2)]);
-        // Releasing one from the middle keeps the others' order, and a
-        // later park queues behind them.
-        assert_eq!(q.take(1).map(|r| r.session), Some(SessionId(1)));
-        assert_eq!(q.park(read(4, 1)), 4);
-        assert_eq!(parked(&q), [(3, 1), (2, 1), (1, 2), (4, 1)]);
+        run(|q, ctx| {
+            let ids: Vec<u64> = [(3, 1), (1, 1), (2, 1), (1, 2)].map(|(s, n)| q.park(ctx, read(s, n), 10)).into();
+            assert_eq!(ids, [0, 1, 2, 3]);
+            assert_eq!(parked(q), [(3, 1), (1, 1), (2, 1), (1, 2)]);
+            // Releasing one from the middle keeps the others' order, and a
+            // later park queues behind them.
+            assert_eq!(q.release(ctx, 1).map(|r| r.session), Some(SessionId(1)));
+            assert_eq!(q.park(ctx, read(4, 1), 10), 4);
+            assert_eq!(parked(q), [(3, 1), (2, 1), (1, 2), (4, 1)]);
+        });
     }
 
     #[test]
     fn a_timed_out_waiter_is_gone_and_its_stale_deadline_is_harmless() {
-        let mut q = Reads::default();
-        let first = q.park(read(1, 1));
-        let second = q.park(read(2, 1));
-        // Its deadline fires: the waiter leaves the queue.
-        assert_eq!(q.take(first).map(|r| r.session), Some(SessionId(1)));
-        assert_eq!(q.len(), 1);
-        // Released early, the other's deadline still fires later: there is
-        // nothing left under its id.
-        assert!(q.take(second).is_some());
-        assert!(q.take(second).is_none());
-        assert!(q.take(first).is_none());
-        // Ids are never reused, so a stale deadline cannot hit a newer read.
-        assert_eq!(q.park(read(1, 2)), 2);
-        assert!(q.take(second).is_none());
-        assert_eq!(parked(&q), [(1, 2)]);
+        let (q, fired) = run(|q, ctx| {
+            q.park(ctx, read(1, 1), 10);
+            let second = q.park(ctx, read(2, 1), 20);
+            // Released early, the second waiter takes its deadline with
+            // it; releasing it again finds nothing.
+            assert!(q.release(ctx, second).is_some());
+            assert!(q.release(ctx, second).is_none());
+            // Ids are never reused, so an old id cannot hit a newer read.
+            assert_eq!(q.park(ctx, read(1, 2), 30), 2);
+            assert!(q.release(ctx, second).is_none());
+            assert_eq!(parked(q), [(1, 1), (1, 2)]);
+        });
+        // The first and third deadlines fire, each taking its waiter out of
+        // the queue; nothing is left under any id.
+        assert_eq!(fired, [0, 2]);
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn end_session_drops_the_sessions_waiters() {
-        let mut q = Reads::default();
-        for (s, n) in [(1, 1), (2, 1), (1, 2), (3, 1)] {
-            q.park(read(s, n));
-        }
-        q.end_session(SessionId(1));
-        assert_eq!(parked(&q), [(2, 1), (3, 1)]);
-        // The dropped waiters' deadlines fire into nothing.
-        assert!(q.take(0).is_none() && q.take(2).is_none());
-        q.end_session(SessionId(9));
-        assert_eq!(q.len(), 2);
+        let (q, fired) = run(|q, ctx| {
+            for (s, n) in [(1, 1), (2, 1), (1, 2), (3, 1)] {
+                q.park(ctx, read(s, n), 10);
+            }
+            q.end_session(ctx, SessionId(1));
+            assert_eq!(parked(q), [(2, 1), (3, 1)]);
+            q.end_session(ctx, SessionId(9));
+            assert_eq!(q.len(), 2);
+        });
+        // The dropped waiters' deadlines were cancelled with them.
+        assert_eq!(fired, [1, 3]);
+        assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn a_released_waiters_deadline_never_fires() {
+        let (_, fired) = run(|q, ctx| {
+            for s in 1..=3 {
+                q.park(ctx, read(s, 1), 10);
+            }
+            // Released the way `drain_fresh_waiters` releases a read a
+            // replica caught up for.
+            assert_eq!(q.release(ctx, 1).map(|r| r.session), Some(SessionId(2)));
+        });
+        assert_eq!(fired, [0, 2]);
     }
 }

@@ -51,7 +51,9 @@ impl MemberNode {
             match a {
                 Action::Send { to, msg } => ctx.send(NodeId(to.0), TestMsg::Gcs(msg)),
                 Action::Deliver { seq, payload, .. } => self.delivered.push((seq, payload)),
-                Action::SetTimer { delay_us, tag } => ctx.set_timer(delay_us, tag),
+                Action::SetTimer { delay_us, tag } => {
+                    ctx.set_timer(delay_us, tag);
+                }
                 Action::ViewInstalled { view } => self.views.push(view),
                 Action::Suspected { .. } => {}
             }

@@ -16,5 +16,5 @@ pub mod time;
 
 pub use disk::DiskModel;
 pub use net::{Delivery, LinkFault, LinkSpec, NetworkModel, NodeId};
-pub use sim::{Actor, AnyActor, ControlOp, Ctx, Sim, SimStats};
+pub use sim::{Actor, AnyActor, ControlOp, Ctx, Sim, SimStats, TimerId};
 pub use time::{dur, SimTime};

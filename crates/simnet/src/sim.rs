@@ -106,20 +106,27 @@ impl<M> Ctx<'_, M> {
 
     /// Arm a timer that fires on this node after `delay_us`. Timers do not
     /// survive crashes.
-    pub fn set_timer(&mut self, delay_us: u64, tag: u64) {
+    pub fn set_timer(&mut self, delay_us: u64, tag: u64) -> TimerId {
         let epoch = self.meta[self.me.0].epoch;
         self.queue
-            .push(self.now + delay_us, EventKind::Timer { node: self.me, tag, epoch });
+            .push(self.now + delay_us, EventKind::Timer { node: self.me, tag, epoch })
     }
 
     /// Arm a timer at an absolute virtual time (clamped to now). Arrival
     /// processes schedule each arrival at its precomputed instant instead
     /// of chaining relative delays, so interarrival rounding never
     /// accumulates into rate drift over a long open-loop run.
-    pub fn set_timer_at(&mut self, at: SimTime, tag: u64) {
+    pub fn set_timer_at(&mut self, at: SimTime, tag: u64) -> TimerId {
         let epoch = self.meta[self.me.0].epoch;
         let at = at.max(self.now);
-        self.queue.push(at, EventKind::Timer { node: self.me, tag, epoch });
+        self.queue.push(at, EventKind::Timer { node: self.me, tag, epoch })
+    }
+
+    /// Drop a timer before it fires: its payload is freed at once and it
+    /// no longer counts as pending. Cancelling a timer that already fired,
+    /// or cancelling twice, does nothing.
+    pub fn cancel_timer(&mut self, id: TimerId) {
+        self.queue.cancel(id);
     }
 
     /// Account `service_us` of serial processing on this node: subsequent
@@ -196,43 +203,132 @@ struct Event<M> {
     kind: EventKind<M>,
 }
 
+/// Names one armed timer, for [`Ctx::cancel_timer`]. It carries the
+/// event's sequence number as well as its queue slot: a slot is reused
+/// once its event leaves the queue, and an id whose sequence number no
+/// longer matches its slot cancels nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerId {
+    seq: u64,
+    slot: u32,
+}
+
+/// Heap entries a cancellation may leave dead before the heap is rebuilt,
+/// beyond one per live event.
+const COMPACT_SLACK: usize = 64;
+
+/// The event queue: a min-heap of `(at, seq, slot)` over a slab of
+/// payloads. Events run in `(at, seq)` order; `seq` is unique among queued
+/// events, so the order is total. Cancelling a timer frees its slab slot
+/// at once and leaves its heap entry dead (lazy deletion): `pop` and
+/// `peek_time` skip an entry whose slot no longer holds its `seq`, and the
+/// heap is rebuilt when dead entries outnumber live ones.
 struct EventQueue<M> {
-    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    // Store payloads separately keyed by seq to avoid Ord bounds on M.
-    slots: std::collections::HashMap<u64, Event<M>>,
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    slab: Vec<Option<(u64, EventKind<M>)>>,
+    free: Vec<u32>,
+    /// Live (queued, not cancelled) events.
+    live: usize,
+    /// High-water mark of `live`.
+    peak: usize,
+    cancelled: u64,
     next_seq: u64,
 }
 
 impl<M> EventQueue<M> {
     fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), slots: std::collections::HashMap::new(), next_seq: 0 }
+        EventQueue {
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+            peak: 0,
+            cancelled: 0,
+            next_seq: 0,
+        }
     }
 
-    fn push(&mut self, at: SimTime, kind: EventKind<M>) {
+    fn push(&mut self, at: SimTime, kind: EventKind<M>) -> TimerId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.push_at_seq(at, seq, kind);
+        self.push_at_seq(at, seq, kind)
     }
 
     /// Re-queue with an existing sequence number (busy-node deferral):
     /// keeping the original seq preserves FIFO against later-sent messages
     /// that land at the same instant.
-    fn push_at_seq(&mut self, at: SimTime, seq: u64, kind: EventKind<M>) {
-        self.heap.push(Reverse((at, seq)));
-        self.slots.insert(seq, Event { at, seq, kind });
+    fn push_at_seq(&mut self, at: SimTime, seq: u64, kind: EventKind<M>) -> TimerId {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some((seq, kind));
+                slot
+            }
+            None => {
+                self.slab.push(Some((seq, kind)));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 queued events")
+            }
+        };
+        self.heap.push(Reverse((at, seq, slot)));
+        self.live += 1;
+        self.peak = self.peak.max(self.live);
+        TimerId { seq, slot }
+    }
+
+    fn holds(&self, seq: u64, slot: u32) -> bool {
+        matches!(self.slab[slot as usize], Some((s, _)) if s == seq)
+    }
+
+    /// Free `slot`, which holds a live event, and return its payload.
+    fn take(&mut self, slot: u32) -> EventKind<M> {
+        let (_, kind) = self.slab[slot as usize].take().expect("a live slot");
+        self.free.push(slot);
+        self.live -= 1;
+        kind
     }
 
     fn pop(&mut self) -> Option<Event<M>> {
-        let Reverse((_, seq)) = self.heap.pop()?;
-        Some(self.slots.remove(&seq).expect("slot for queued event"))
+        loop {
+            let Reverse((at, seq, slot)) = self.heap.pop()?;
+            if self.holds(seq, slot) {
+                let kind = self.take(slot);
+                self.compact_if_sparse();
+                return Some(Event { at, seq, kind });
+            }
+        }
     }
 
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((t, _))| *t)
+    /// Time of the next live event; dead entries at the head are dropped.
+    fn peek_time(&mut self) -> Option<SimTime> {
+        loop {
+            let &Reverse((at, seq, slot)) = self.heap.peek()?;
+            if self.holds(seq, slot) {
+                return Some(at);
+            }
+            self.heap.pop();
+        }
+    }
+
+    /// Drop a queued timer; nothing if it already fired or was cancelled.
+    fn cancel(&mut self, id: TimerId) {
+        if self.holds(id.seq, id.slot) {
+            self.take(id.slot);
+            self.cancelled += 1;
+            self.compact_if_sparse();
+        }
+    }
+
+    /// Rebuild the heap from its live entries once the dead ones outnumber
+    /// them (plus slack), so the heap stays within 2 × live + slack.
+    fn compact_if_sparse(&mut self) {
+        if self.heap.len() > 2 * self.live + COMPACT_SLACK {
+            let mut entries = std::mem::take(&mut self.heap).into_vec();
+            entries.retain(|&Reverse((_, seq, slot))| self.holds(seq, slot));
+            self.heap = entries.into();
+        }
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.live
     }
 }
 
@@ -260,6 +356,10 @@ pub struct SimStats {
     pub messages_duplicated: u64,
     pub events_processed: u64,
     pub busy_us_total: u64,
+    /// Timers dropped by [`Ctx::cancel_timer`] before they fired.
+    pub timers_cancelled: u64,
+    /// High-water mark of live queued events ([`Sim::pending_events`]).
+    pub peak_pending: u64,
 }
 
 /// Object-safe actor + downcast support (blanket-implemented for every
@@ -326,7 +426,11 @@ impl<M> Sim<M> {
     }
 
     pub fn stats(&self) -> SimStats {
-        self.stats
+        SimStats {
+            timers_cancelled: self.queue.cancelled,
+            peak_pending: self.queue.peak as u64,
+            ..self.stats
+        }
     }
 
     pub fn node_count(&self) -> usize {
@@ -513,6 +617,7 @@ impl<M> Sim<M> {
         while self.step() {}
     }
 
+    /// Live queued events; cancelled timers are not counted.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
@@ -719,6 +824,166 @@ mod tests {
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11), run(12), "different jitter draws");
+    }
+}
+
+#[cfg(test)]
+mod timer_tests {
+    use super::*;
+
+    /// Runs `start` at start-up and `timer` after recording each firing.
+    struct Script {
+        ids: Vec<TimerId>,
+        fired: Vec<(u64, u64)>,
+        start: fn(&mut Script, &mut Ctx<'_, ()>),
+        timer: fn(&mut Script, &mut Ctx<'_, ()>, u64),
+    }
+
+    impl Script {
+        fn new(start: fn(&mut Script, &mut Ctx<'_, ()>), timer: fn(&mut Script, &mut Ctx<'_, ()>, u64)) -> Self {
+            Script { ids: Vec::new(), fired: Vec::new(), start, timer }
+        }
+    }
+
+    impl Actor<()> for Script {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+            (self.start)(self, ctx);
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, ()>, _from: NodeId, _msg: ()) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, tag: u64) {
+            self.fired.push((ctx.now().micros(), tag));
+            (self.timer)(self, ctx, tag);
+        }
+    }
+
+    fn no_op(_: &mut Script, _: &mut Ctx<'_, ()>, _: u64) {}
+
+    fn fired(sim: &mut Sim<()>, node: NodeId) -> Vec<(u64, u64)> {
+        sim.with_actor::<Script, _>(node, |s| s.fired.clone())
+    }
+
+    #[test]
+    fn a_cancelled_timer_never_fires_and_is_not_pending() {
+        let mut sim = Sim::new(NetworkModel::lan(), 1);
+        let n = sim.add_node(Script::new(
+            |s, ctx| {
+                s.ids = (1..=3).map(|tag| ctx.set_timer(10 * tag, tag)).collect();
+                ctx.cancel_timer(s.ids[1]);
+            },
+            no_op,
+        ));
+        sim.run_until(SimTime(5));
+        assert_eq!(sim.pending_events(), 2);
+        sim.run_to_quiescence();
+        assert_eq!(fired(&mut sim, n), [(10, 1), (30, 3)]);
+        assert_eq!(sim.pending_events(), 0);
+        let stats = sim.stats();
+        assert_eq!((stats.events_processed, stats.timers_cancelled, stats.peak_pending), (2, 1, 3));
+    }
+
+    #[test]
+    fn cancelling_a_fired_or_cancelled_timer_is_harmless() {
+        let mut sim = Sim::new(NetworkModel::lan(), 1);
+        let n = sim.add_node(Script::new(
+            |s, ctx| s.ids = vec![ctx.set_timer(10, 1), ctx.set_timer(20, 2), ctx.set_timer(30, 3)],
+            |s, ctx, tag| {
+                if tag == 1 {
+                    // Itself (fired), then timer 2 twice.
+                    for id in [s.ids[0], s.ids[0], s.ids[1], s.ids[1]] {
+                        ctx.cancel_timer(id);
+                    }
+                }
+            },
+        ));
+        sim.run_to_quiescence();
+        assert_eq!(fired(&mut sim, n), [(10, 1), (30, 3)]);
+        assert_eq!(sim.stats().timers_cancelled, 1);
+    }
+
+    #[test]
+    fn a_stale_id_does_not_cancel_the_event_reusing_its_slot() {
+        let mut sim = Sim::new(NetworkModel::lan(), 1);
+        let n = sim.add_node(Script::new(
+            |s, ctx| s.ids = vec![ctx.set_timer(10, 1)],
+            |s, ctx, tag| {
+                if tag == 1 {
+                    let next = ctx.set_timer(10, 2);
+                    assert_eq!(next.slot, s.ids[0].slot, "the fired timer's slot is reused");
+                    ctx.cancel_timer(s.ids[0]);
+                }
+            },
+        ));
+        sim.run_to_quiescence();
+        assert_eq!(fired(&mut sim, n), [(10, 1), (20, 2)]);
+        assert_eq!(sim.stats().timers_cancelled, 0);
+    }
+
+    #[test]
+    fn run_until_with_a_dead_head_runs_nothing_past_the_bound() {
+        let mut sim = Sim::new(NetworkModel::lan(), 1);
+        let n = sim.add_node(Script::new(
+            |s, ctx| {
+                s.ids = vec![ctx.set_timer(10, 1), ctx.set_timer(30, 2)];
+                ctx.cancel_timer(s.ids[0]);
+            },
+            no_op,
+        ));
+        sim.run_until(SimTime(20));
+        assert_eq!(fired(&mut sim, n), []);
+        assert_eq!((sim.now(), sim.pending_events()), (SimTime(20), 1));
+        sim.run_until(SimTime(40));
+        assert_eq!(fired(&mut sim, n), [(30, 2)]);
+    }
+
+    #[test]
+    fn same_instant_events_keep_fifo_order_around_cancellations() {
+        let mut sim = Sim::new(NetworkModel::lan(), 1);
+        let n = sim.add_node(Script::new(
+            |s, ctx| {
+                s.ids = (1..=6).map(|tag| ctx.set_timer(10, tag)).collect();
+                ctx.cancel_timer(s.ids[1]);
+                ctx.cancel_timer(s.ids[4]);
+                // Reuses a freed slot, yet still runs after everything
+                // armed before it.
+                s.ids.push(ctx.set_timer(10, 7));
+            },
+            |s, ctx, tag| {
+                if tag == 3 {
+                    ctx.cancel_timer(s.ids[3]);
+                    ctx.set_timer(0, 8);
+                }
+            },
+        ));
+        sim.run_to_quiescence();
+        let order: Vec<u64> = fired(&mut sim, n).into_iter().map(|(_, tag)| tag).collect();
+        assert_eq!(order, [1, 3, 6, 7, 8]);
+    }
+
+    #[test]
+    fn compaction_keeps_the_heap_within_twice_live_plus_slack() {
+        let bounded = |q: &EventQueue<()>| q.heap.len() <= 2 * q.len() + COMPACT_SLACK;
+        let mut sim = Sim::new(NetworkModel::lan(), 1);
+        sim.add_node(Script::new(
+            |s, ctx| {
+                s.ids = (0..1_000).map(|i| ctx.set_timer(1 + i, i)).collect();
+                // Cancel the later 900 one by one: the heap is rebuilt
+                // whenever the dead would outnumber the live.
+                for i in (100..1_000).rev() {
+                    ctx.cancel_timer(s.ids[i]);
+                    assert!(ctx.queue.heap.len() <= 2 * ctx.queue.len() + COMPACT_SLACK);
+                }
+            },
+            no_op,
+        ));
+        sim.run_until(SimTime::ZERO);
+        assert_eq!(sim.pending_events(), 100);
+        assert!(bounded(&sim.queue), "heap {} for 100 live", sim.queue.heap.len());
+        // Pops shrink the live set under the dead entries left behind.
+        for t in 1..=100 {
+            sim.run_until(SimTime(t));
+            assert!(bounded(&sim.queue), "heap {} for {} live", sim.queue.heap.len(), sim.pending_events());
+        }
+        assert_eq!((sim.pending_events(), sim.stats().events_processed), (0, 100));
     }
 }
 

@@ -37,7 +37,7 @@ use replimid_core::msg::{AdminCmd, ClientRequest, Msg, ReplyBody, SessionId};
 use replimid_core::trace::{Stage, TraceSink};
 use replimid_core::Cluster;
 use replimid_det::DetRng;
-use replimid_simnet::{Actor, Ctx, NodeId, SimTime};
+use replimid_simnet::{Actor, Ctx, NodeId, SimTime, TimerId};
 
 /// When the next request arrives: the open-loop clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -250,10 +250,11 @@ struct OlSlot {
     session: u64,
     stmt_seq: u64,
     busy: Option<OlPending>,
-    /// Monotone guard-timer generation (stale firings self-identify).
-    epoch: u64,
+    /// The in-flight attempt's request guard, cancelled when it settles.
+    guard: Option<TimerId>,
 }
 
+/// The arrival clock's timer; slot `i`'s request guard is tagged `1 + i`.
 const TAG_ARRIVAL: u64 = 0;
 
 pub struct OpenLoopDriver {
@@ -273,7 +274,7 @@ impl OpenLoopDriver {
                 session: cfg.first_session + i as u64,
                 stmt_seq: 0,
                 busy: None,
-                epoch: 0,
+                guard: None,
             })
             .collect();
         let rng = DetRng::seed_from_u64(cfg.seed);
@@ -294,17 +295,6 @@ impl OpenLoopDriver {
             series.resize(sec + 1, 0);
         }
         series[sec] += 1;
-    }
-
-    /// Deterministic guard-timer tag for a slot (tag 0 is the arrival clock).
-    fn guard_tag(&self, slot_idx: usize) -> u64 {
-        1 + self.slots[slot_idx].epoch * self.slots.len() as u64 + slot_idx as u64
-    }
-
-    fn arm_guard(&mut self, ctx: &mut Ctx<'_, Msg>, slot_idx: usize) {
-        self.slots[slot_idx].epoch += 1;
-        let tag = self.guard_tag(slot_idx);
-        ctx.set_timer(self.cfg.request_timeout_us, tag);
     }
 
     /// Admit, queue, or shed one arrival (fresh or re-enqueued retry).
@@ -341,14 +331,18 @@ impl OpenLoopDriver {
         };
         self.metrics.dispatched += 1;
         ctx.send(self.cfg.middleware, Msg::Request(request));
-        self.arm_guard(ctx, slot_idx);
+        slot.guard = Some(ctx.set_timer(self.cfg.request_timeout_us, 1 + slot_idx as u64));
     }
 
     /// The slot's attempt ended (reply or timeout). Settle the outcome,
     /// free the slot, and pull the next queued request into it.
     fn settle(&mut self, ctx: &mut Ctx<'_, Msg>, slot_idx: usize, outcome: Outcome) {
         let now = ctx.now().micros();
-        let pending = self.slots[slot_idx].busy.take().expect("settle on idle slot");
+        let slot = &mut self.slots[slot_idx];
+        let pending = slot.busy.take().expect("settle on idle slot");
+        if let Some(guard) = slot.guard.take() {
+            ctx.cancel_timer(guard);
+        }
         self.metrics.service.record(now - pending.sent_us);
         match outcome {
             Outcome::Ok => {
@@ -464,11 +458,7 @@ impl Actor<Msg> for OpenLoopDriver {
             self.on_arrival_tick(ctx);
             return;
         }
-        let n = self.slots.len() as u64;
-        let slot_idx = ((tag - 1) % n) as usize;
-        if (tag - 1) / n != self.slots[slot_idx].epoch {
-            return; // superseded guard
-        }
+        let slot_idx = (tag - 1) as usize;
         if self.slots[slot_idx].busy.is_some() {
             // Request-timeout guard fired with the attempt outstanding.
             self.metrics.timeouts += 1;

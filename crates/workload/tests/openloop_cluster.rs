@@ -120,6 +120,29 @@ fn same_seed_is_bit_identical() {
     assert_ne!(a.per_sec_arrivals, c.per_sec_arrivals);
 }
 
+/// A settled attempt cancels its request guard: after two guard timeouts
+/// of steady arrivals the event queue is bounded by the in-flight slots
+/// and the nodes, not by rate × timeout.
+#[test]
+fn settled_guards_leave_the_queue() {
+    let timeout_us = 200_000;
+    let mut cluster = mm_cluster(3);
+    let mut olc = OpenLoopConfig::new(ArrivalProcess::Poisson { rate_per_sec: 5_000.0 });
+    olc.request_timeout_us = timeout_us;
+    let slots = olc.max_inflight;
+    let driver = add_open_loop(&mut cluster, 0, olc);
+    cluster.run_for(2 * timeout_us + 50_000);
+    let m = open_loop_metrics(&mut cluster, driver);
+    assert!(m.completed_ok > 1_000 && m.shed == 0, "ok {} shed {}", m.completed_ok, m.shed);
+    let bound = 2 * slots + 8 * cluster.sim.node_count();
+    let (peak, now) = (cluster.sim.stats().peak_pending as usize, cluster.sim.pending_events());
+    assert!(
+        peak <= bound && now <= bound,
+        "{} requests left {now} events queued (peak {peak}); bound {bound}",
+        m.dispatched
+    );
+}
+
 /// Keys of `table` at backend `(0, b)` in the driver's insert range.
 fn insert_keys_at(cluster: &mut Cluster, b: usize, table: &str) -> std::collections::BTreeSet<i64> {
     cluster.with_backend_engine(0, b, |e| {
