@@ -7,9 +7,10 @@ use replimid_det::DetRng;
 use replimid_simnet::{ControlOp, LinkFault, NetworkModel, NodeId, Sim, SimTime};
 use replimid_sql::{Engine, EngineConfig, ADMIN_PASSWORD, ADMIN_USER};
 
-use crate::client::{Client, ClientConfig, ClientMetrics, TxSource};
+use crate::client::{Client, ClientConfig, ClientMetrics};
 use crate::db_node::DbNode;
-use crate::fleet::{FleetConfig, FleetMetrics, SessionFleet};
+use crate::driver::{Driver, TxSource};
+use crate::fleet::{FleetConfig, FleetMetrics};
 use crate::middleware::{Middleware, Mode, MwConfig, MwMetrics};
 use crate::msg::{BackendId, Msg, SessionId};
 
@@ -124,7 +125,7 @@ impl Cluster {
         mws.rotate_left((session.0 as usize) % n);
         let mut cc = ClientConfig::new(session, mws);
         configure(&mut cc);
-        let node = self.sim.add_node(Client::new(cc, source));
+        let node = self.sim.add_node(Driver::client(cc, source));
         self.client_nodes.push(node);
         node
     }
@@ -138,11 +139,11 @@ impl Cluster {
         first
     }
 
-    /// Add a [`SessionFleet`]: one actor multiplexing `sessions` closed-loop
+    /// Add a session fleet: one driver multiplexing `sessions` closed-loop
     /// sessions against middleware `mw` (the 10⁵–10⁶-session driver for the
     /// freshness experiments). `configure` tweaks the default fleet config;
-    /// the session-id block (including headroom for churn) is reserved here
-    /// so later `add_client` calls cannot collide.
+    /// the session-id block is reserved here so later `add_client` calls
+    /// cannot collide.
     pub fn add_session_fleet(
         &mut self,
         mw: usize,
@@ -150,11 +151,13 @@ impl Cluster {
         configure: impl FnOnce(&mut FleetConfig),
     ) -> NodeId {
         let first = self.next_session;
-        // Reserve the live block plus generous churn headroom.
+        // Reserve 64 ids per session: later clients' session ids set their
+        // start jitter and home middleware, which the experiments' numbers
+        // depend on.
         self.next_session += sessions as u64 * 64;
         let mut fc = FleetConfig::new(first, sessions, self.mw_nodes[mw]);
         configure(&mut fc);
-        self.sim.add_node(SessionFleet::new(fc))
+        self.sim.add_node(Driver::fleet(fc))
     }
 
     pub fn run_for(&mut self, duration_us: u64) {
@@ -286,7 +289,7 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     pub fn client_metrics(&mut self, node: NodeId) -> ClientMetrics {
-        self.sim.with_actor::<Client, _>(node, |c| c.metrics.clone())
+        self.sim.with_actor::<Client, _>(node, |c| ClientMetrics::from(&c.metrics))
     }
 
     /// Sum of committed transactions across all clients.
@@ -299,7 +302,7 @@ impl Cluster {
     }
 
     pub fn fleet_metrics(&mut self, node: NodeId) -> FleetMetrics {
-        self.sim.with_actor::<SessionFleet, _>(node, |f| f.metrics.clone())
+        self.sim.with_actor::<Driver, _>(node, |f| FleetMetrics::from(&f.metrics))
     }
 
     pub fn mw_metrics(&mut self, mw: usize) -> MwMetrics {

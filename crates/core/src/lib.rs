@@ -10,6 +10,7 @@ pub mod certifier;
 pub mod client;
 pub mod cluster;
 pub mod db_node;
+pub mod driver;
 pub mod fleet;
 pub mod health;
 pub mod metrics;
@@ -24,10 +25,11 @@ pub mod trace;
 pub use backoff::{delay_us as backoff_delay_us, BackoffConfig};
 pub use balancer::{Balancer, Granularity, Policy};
 pub use certifier::{Certifier, CertifierStats, Verdict};
-pub use client::{Client, ClientConfig, ClientMetrics, ScriptSource, TxSource};
+pub use client::{Client, ClientConfig, ClientMetrics, ScriptSource};
 pub use cluster::{Cluster, ClusterConfig};
 pub use db_node::{DbNode, RecoveryInfo};
-pub use fleet::{FleetConfig, FleetMetrics, SessionFleet};
+pub use driver::{ArrivalProcess, Driver, DriverMetrics, OpenLoopConfig, OpenLoopMetrics, TxSource};
+pub use fleet::{FleetConfig, FleetMetrics};
 pub use health::{HealthEvent, HealthState, HealthTracker, QuarantineConfig};
 pub use metrics::{AvailabilityTracker, Counters, DegradedTracker, Histogram};
 pub use middleware::{Middleware, Mode, MwConfig, MwMetrics, ReadPolicy};

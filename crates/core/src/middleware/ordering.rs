@@ -681,8 +681,7 @@ impl Middleware {
             self.metrics.counters.reads += 1;
         }
         let group_id = self.exec.open(session, req.stmt_seq, targets.len(), true, 0);
-        {
-            let s = self.sessions.get_mut(session.0).unwrap();
+        if let Some(s) = self.sessions.get_mut(session.0) {
             s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::ExecGroup });
             if !read_only {
                 s.last_write_us = ctx.now().micros();

@@ -39,5 +39,5 @@ pub use faults::{FaultSchedule, GrayFault, GrayFaultSchedule, GrayKind, GraySpec
 pub use micro::{KeyedUpdates, PointReads, ReadWriteMix};
 pub use openloop::{
     add_open_loop, end_open_loop_sessions, open_loop_metrics, ArrivalProcess, OpenLoopConfig,
-    OpenLoopDriver, OpenLoopMetrics,
+    OpenLoopMetrics,
 };

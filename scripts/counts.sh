@@ -74,4 +74,23 @@ for f in $(find crates/sql/src -name '*.rs' | sort); do
     sql=$((sql + $(nontest "$f")))
 done
 echo "crates/sql/src non-test lines:    $sql"
+# The load drivers: the client, the session fleet and the open loop, which
+# are one actor (`driver.rs`) since the driver merge and three before it.
+echo "load drivers non-test lines:"
+drivers=""
+for f in $src/client.rs $src/fleet.rs crates/workload/src/openloop.rs $src/driver.rs; do
+    [ -f "$f" ] && drivers="$drivers $f"
+done
+ldtotal=0
+for f in $drivers; do
+    n=$(nontest "$f")
+    ldtotal=$((ldtotal + n))
+    printf '  %-36s %5d\n' "$f" "$n"
+done
+printf '  %-36s %5d\n' total "$ldtotal"
+echo "load driver actors (impl Actor<Msg>): $(cat $drivers | grep -c '^impl Actor<Msg> for')"
+# Fields of each shape's config, wherever the struct lives.
+for cfg in ClientConfig FleetConfig OpenLoopConfig; do
+    printf '%-34s%s\n' "$cfg fields:" "$(cat $drivers | awk -v head="^pub struct $cfg \\{" '$0 ~ head { on = 1; next } on && /^\}/ { exit } on && /^    pub [a-z_0-9]+:/ { n++ } END { print n + 0 }')"
+done
 exit 0
