@@ -14,7 +14,7 @@ use replimid_bench::{
 };
 use replimid_core::{
     AdminCmd, BackendId, Cluster, ClusterConfig, FleetMetrics, HealthEvent, Mode, MwMetrics,
-    NondetPolicy, PartitionScheme, Partitioner, Placement, Policy, QuarantineConfig, ReadPolicy,
+    NondetPolicy, PartitionScheme, Placement, Policy, QuarantineConfig, ReadPolicy,
     ReplayMode, ScriptSource, Stage, TraceSink,
 };
 use replimid_gcs::{
@@ -124,29 +124,30 @@ fn e1_read_scaleout() {
 // ---------------------------------------------------------------------
 
 fn e2_partitioned_writes() {
-    banner("E2", "hash partitioning for write throughput (Fig. 2)");
-    let mut t = Table::new(&["partitions", "write tps", "speedup"]);
+    banner("E2", "hash partitioning for write throughput (Figs. 2 + 3)");
+    let mut t = Table::new(&["partitions", "hosts each", "backends", "write tps", "speedup"]);
     let mut base_tps = 0.0;
-    for parts in [1usize, 2, 4, 8] {
-        let mut partitioner = Partitioner::new();
-        partitioner.add_table(
+    for (parts, copies) in [(1usize, 1usize), (2, 1), (4, 1), (8, 1), (4, 2)] {
+        // Partition p lives on backends copies*p .. copies*(p+1): sole
+        // hosts, or a hot-standby pair per partition.
+        let hosts = (0..parts).map(|p| (copies * p..copies * (p + 1)).collect()).collect();
+        let placement = Placement::new(hosts).partition(
             "bench",
             PartitionScheme::Hash { column: "k".into(), partitions: parts },
+            (0..parts).collect(),
         );
-        let groups: Vec<Vec<BackendId>> = (0..parts).map(|p| vec![BackendId(p)]).collect();
         let schema = vec![
             "CREATE DATABASE bench".to_string(),
             "USE bench".to_string(),
             "CREATE TABLE bench (k INT PRIMARY KEY, v INT NOT NULL)".to_string(),
         ];
-        let mut cfg = ClusterConfig::new(
-            Mode::PartitionedStatement { partitioner, groups },
-            schema,
-            "bench",
-        );
-        cfg.backends_per_mw = parts;
+        let mut cfg = ClusterConfig::new(Mode::MultiMasterWriteset, schema, "bench");
+        cfg.backends_per_mw = parts * copies;
+        cfg.mw.placement = Some(placement);
         let mut cluster = Cluster::build(cfg);
-        let clients: Vec<NodeId> = (0..parts * 6)
+        // 24 clients per partition, twice what saturates one backend: each
+        // arm measures write capacity, not its client count.
+        let clients: Vec<NodeId> = (0..parts * 24)
             .map(|i| {
                 cluster.add_client(SeqInsert::new(1_000_000 * (i as i64 + 1)), |cc| {
                     cc.think_time_us = 100
@@ -162,6 +163,8 @@ fn e2_partitioned_writes() {
         }
         t.row(&[
             parts.to_string(),
+            copies.to_string(),
+            (parts * copies).to_string(),
             format!("{this_tps:.0}"),
             format!("{:.2}x", this_tps / base_tps),
         ]);

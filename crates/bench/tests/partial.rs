@@ -1,19 +1,22 @@
 //! Partial replication end-to-end properties: outcome preservation vs the
 //! full-replication baseline, row flow restricted to hosting backends,
 //! cross-group (2PC-style) commit atomicity including crash injection
-//! mid-protocol, and the trivial-placement byte-identity guarantee.
+//! mid-protocol, and the trivial-placement byte-identity guarantee; and
+//! the same for a table partitioned on its key, whose partitions are
+//! groups.
 
-use replimid_bench::{aggregate, partial_ws_cfg, run_and_drain, striped_placement};
+use replimid_bench::{aggregate, partial_ws_cfg, run_and_drain, striped_placement, SeqInsert};
 use replimid_core::{
-    ClientRequest, Cluster, ClusterConfig, Granularity, Mode, Msg, Placement, ReadPolicy, ReplyBody,
-    SessionId, TxSource,
+    ClientRequest, Cluster, ClusterConfig, Granularity, Mode, Msg, PartitionScheme, Placement, ReadPolicy,
+    ReplyBody, SessionId, TxSource,
 };
 use replimid_det::{detcheck, DetRng};
-use replimid_simnet::{Actor, Ctx, NodeId, SimTime};
+use replimid_simnet::{dur, Actor, Ctx, LinkSpec, NetworkModel, NodeId, SimTime};
 use replimid_sql::{CrashKind, DurabilityConfig, Outcome, ADMIN_PASSWORD, ADMIN_USER};
 use replimid_workload::micro::{self, DisjointInsert, KeyedUpdates};
 
-/// Total row count of `table` at backend `(0, b)`.
+/// Total row count of `table` at backend `(0, b)`; `table` may carry a
+/// `WHERE` clause.
 fn rows_at(cluster: &mut Cluster, b: usize, table: &str) -> i64 {
     cluster.with_backend_engine(0, b, |e| {
         let c = e.connect(ADMIN_USER, ADMIN_PASSWORD).expect("admin login");
@@ -35,6 +38,31 @@ fn test_placement() -> Placement {
         .assign("t0", 0)
         .assign("t1", 1)
         .assign("t2", 2)
+}
+
+/// The test placement with `t0` in two range partitions, `k < SPLIT` in
+/// group 0 and the rest in group 1, which share hosts {0,1}.
+fn split_placement() -> Placement {
+    Placement::new(vec![vec![0, 1], vec![0, 1], vec![2, 3]])
+        .partition("t0", PartitionScheme::Range { column: "k".into(), bounds: vec![SPLIT] }, vec![0, 1])
+        .assign("t1", 1)
+        .assign("t2", 2)
+}
+
+const SPLIT: i64 = 1_000_000_000;
+
+/// One autocommit INSERT of two rows per transaction, `k` and `k + SPLIT`:
+/// one row in each partition of [`split_placement`]'s `t0`.
+struct SplitInsert {
+    next: i64,
+}
+
+impl TxSource for SplitInsert {
+    fn next_tx(&mut self, _rng: &mut DetRng) -> Vec<String> {
+        let k = self.next;
+        self.next += 1;
+        vec![format!("INSERT INTO t0 VALUES ({k}, 1), ({}, 1)", k + SPLIT)]
+    }
 }
 
 #[test]
@@ -163,82 +191,93 @@ fn partial_replication_preserves_outcomes() {
 /// Cross-group transactions stay atomic under backend crashes injected
 /// mid-protocol: the crashed replica rejoins by replaying both groups' log
 /// streams from its own positions (never a donor dump) while cross-group
-/// transactions are in flight, and then partner tables hold identical row
-/// sets on both hosting backends — never a t0 row without its t1 sibling.
-/// Crash kinds exercise the durable-image semantics (clean, lost tail,
-/// torn tail) so prepared-but-undecided work crosses a real recovery, not
-/// a fiat restart.
+/// transactions are in flight, and then partner row sets hold identical
+/// rows on both hosting backends — never a t0 row without its t1 sibling,
+/// nor one half of a multi-row INSERT over two partitions of one table
+/// without the other. Crash kinds exercise the durable-image semantics
+/// (clean, lost tail, torn tail) so prepared-but-undecided work crosses a
+/// real recovery, not a fiat restart.
 #[test]
 fn cross_group_commit_is_atomic() {
     detcheck::check("cross_group_commit_is_atomic", 5, |rng| {
-        let mut cfg = partial_ws_cfg(3, 4, Some(test_placement()));
-        cfg.seed = rng.gen();
-        cfg.engine.durability = Some(DurabilityConfig::default());
-        let mut cluster = Cluster::build(cfg);
-        let clients: Vec<NodeId> = (0..2)
-            .map(|i| {
-                cluster.add_client(
-                    DisjointInsert::new(1_000_000 * (i as i64 + 1), 0).with_multi(1.0),
-                    |cc| {
-                        cc.think_time_us = 1_000;
-                        // Quiesce well before the run ends: an unbounded
-                        // client always has one last transaction mid-fan-out
-                        // when the clock stops, and a half-applied final
-                        // transaction reads as (phantom) divergence.
-                        cc.tx_limit = 1_000;
-                    },
-                )
-            })
-            .collect();
+        let seed = rng.gen();
         // Crash one of the two backends hosting groups 0+1 while 2PC
         // traffic is in full flight; restart it and let its rejoin replay
         // each group's stream from the node's own positions.
         let victim = rng.gen_range(0..2) as usize;
         let kind = *detcheck::pick(rng, &[CrashKind::Clean, CrashKind::LostTail, CrashKind::TornTail]);
         let crash_us = 500_000u64 + rng.gen_range(0..1_000_000u64);
-        cluster.crash_backend_with(SimTime(crash_us), 0, victim, kind);
-        cluster.restart_backend_at(SimTime(crash_us + 200_000), 0, victim);
-        run_and_drain(&mut cluster, 6);
-        let agg = aggregate(&mut cluster, &clients);
-        assert!(agg.committed > 0, "nothing committed (victim {victim} {kind:?})");
-        assert!(agg.aborted + agg.failed < agg.committed, "mostly failing");
-        let mw = cluster.mw_metrics(0);
-        assert!(mw.counters.xgroup_commits > 0, "no cross-group commits recorded");
-        assert!(mw.recoveries.iter().any(|r| r.0 == victim), "victim {victim} never rejoined ({kind:?})");
-        assert_eq!(mw.counters.full_resyncs, 0, "the rejoin fell back to a full resync ({kind:?})");
-        if std::env::var("PARTIAL_DEBUG").is_ok() {
-            let keys = |cluster: &mut Cluster, b: usize| -> std::collections::BTreeSet<i64> {
-                cluster.with_backend_engine(0, b, |e| {
-                    let c = e.connect(ADMIN_USER, ADMIN_PASSWORD).unwrap();
-                    e.execute(c, "USE bench").unwrap();
-                    let out = e.execute(c, "SELECT k FROM t0").unwrap().outcome;
-                    e.disconnect(c);
-                    match out {
-                        Outcome::Rows(rs) => rs.rows.iter().map(|r| r[0].as_int().unwrap()).collect(),
-                        other => panic!("{other:?}"),
+        for split in [false, true] {
+            let placement = if split { split_placement() } else { test_placement() };
+            let mut cfg = partial_ws_cfg(3, 4, Some(placement));
+            cfg.seed = seed;
+            cfg.engine.durability = Some(DurabilityConfig::default());
+            let mut cluster = Cluster::build(cfg);
+            let clients: Vec<NodeId> = (0..2)
+                .map(|i| {
+                    let base = 1_000_000 * (i as i64 + 1);
+                    let setup = |cc: &mut replimid_core::ClientConfig| {
+                        cc.think_time_us = 1_000;
+                        // Quiesce well before the run ends: an unbounded
+                        // client always has one last transaction mid-fan-out
+                        // when the clock stops, and a half-applied final
+                        // transaction reads as (phantom) divergence.
+                        cc.tx_limit = 1_000;
+                    };
+                    if split {
+                        cluster.add_client(SplitInsert { next: base }, setup)
+                    } else {
+                        cluster.add_client(DisjointInsert::new(base, 0).with_multi(1.0), setup)
                     }
                 })
-            };
-            let k0 = keys(&mut cluster, 0);
-            let k1 = keys(&mut cluster, 1);
-            eprintln!("only at 0: {:?}", k0.difference(&k1).collect::<Vec<_>>());
-            eprintln!("only at 1: {:?}", k1.difference(&k0).collect::<Vec<_>>());
+                .collect();
+            cluster.crash_backend_with(SimTime(crash_us), 0, victim, kind);
+            cluster.restart_backend_at(SimTime(crash_us + 200_000), 0, victim);
+            run_and_drain(&mut cluster, 6);
+            let label = format!("split {split}, victim {victim} {kind:?} @ {crash_us}");
+            let agg = aggregate(&mut cluster, &clients);
+            assert!(agg.committed > 0, "nothing committed ({label})");
+            assert!(agg.aborted + agg.failed < agg.committed, "mostly failing ({label})");
             let mw = cluster.mw_metrics(0);
-            eprintln!("counters: {:?}", mw.counters);
-        }
-        for b in [0usize, 1] {
-            assert_eq!(
-                rows_at(&mut cluster, b, "t0"),
-                rows_at(&mut cluster, b, "t1"),
-                "atomicity broken at backend {b} (victim {victim} {kind:?} @ {crash_us})"
-            );
-        }
-        for table in ["t0", "t1"] {
-            assert_eq!(
-                rows_at(&mut cluster, 0, table),
-                rows_at(&mut cluster, 1, table),
-                "{table} hosts diverged (victim {victim} {kind:?} @ {crash_us})"
-            );
+            assert!(mw.counters.xgroup_commits > 0, "no cross-group commits recorded ({label})");
+            assert!(mw.recoveries.iter().any(|r| r.0 == victim), "victim never rejoined ({label})");
+            assert_eq!(mw.counters.full_resyncs, 0, "the rejoin fell back to a full resync ({label})");
+            if std::env::var("PARTIAL_DEBUG").is_ok() {
+                let keys = |cluster: &mut Cluster, b: usize| -> std::collections::BTreeSet<i64> {
+                    cluster.with_backend_engine(0, b, |e| {
+                        let c = e.connect(ADMIN_USER, ADMIN_PASSWORD).unwrap();
+                        e.execute(c, "USE bench").unwrap();
+                        let out = e.execute(c, "SELECT k FROM t0").unwrap().outcome;
+                        e.disconnect(c);
+                        match out {
+                            Outcome::Rows(rs) => rs.rows.iter().map(|r| r[0].as_int().unwrap()).collect(),
+                            other => panic!("{other:?}"),
+                        }
+                    })
+                };
+                let k0 = keys(&mut cluster, 0);
+                let k1 = keys(&mut cluster, 1);
+                eprintln!("only at 0: {:?}", k0.difference(&k1).collect::<Vec<_>>());
+                eprintln!("only at 1: {:?}", k1.difference(&k0).collect::<Vec<_>>());
+                let mw = cluster.mw_metrics(0);
+                eprintln!("counters: {:?}", mw.counters);
+            }
+            let (low, high) = (format!("t0 WHERE k < {SPLIT}"), format!("t0 WHERE k >= {SPLIT}"));
+            let partners: [&str; 2] = if split { [&low, &high] } else { ["t0", "t1"] };
+            for b in [0usize, 1] {
+                assert_eq!(
+                    rows_at(&mut cluster, b, partners[0]),
+                    rows_at(&mut cluster, b, partners[1]),
+                    "atomicity broken at backend {b} ({label})"
+                );
+            }
+            for rows in partners {
+                assert_eq!(
+                    rows_at(&mut cluster, 0, rows),
+                    rows_at(&mut cluster, 1, rows),
+                    "{rows}: hosts diverged ({label})"
+                );
+            }
         }
     });
 }
@@ -559,6 +598,109 @@ fn striped_placement_validates() {
         let p = striped_placement(tables, backends, replicas);
         assert!(p.validate(backends).is_ok());
         assert_eq!(p.groups(), tables);
-        assert_eq!(p.group_of("t1"), 1 % tables);
+        assert_eq!(p.table_groups("t1"), [1 % tables]);
     }
+}
+
+/// `bench` in two hash partitions on `k`, each a group with two hosts:
+/// partition 0 on backends {0,1}, partition 1 on {2,3}.
+fn two_host_partitions(seed: u64) -> ClusterConfig {
+    let placement = Placement::new(vec![vec![0, 1], vec![2, 3]]).partition(
+        "bench",
+        PartitionScheme::Hash { column: "k".into(), partitions: 2 },
+        vec![0, 1],
+    );
+    let mut cfg = ClusterConfig::new(Mode::MultiMasterWriteset, micro::schema("bench", 4), "bench");
+    cfg.seed = seed;
+    cfg.backends_per_mw = 4;
+    cfg.mw.placement = Some(placement);
+    cfg
+}
+
+/// Blind writes of one of two rows, each value unique to its writer: the
+/// last writer wins, so two hosts that apply the same writes in different
+/// orders end with different rows.
+struct LastWriter {
+    id: i64,
+    n: i64,
+    explicit: bool,
+}
+
+impl TxSource for LastWriter {
+    fn next_tx(&mut self, rng: &mut DetRng) -> Vec<String> {
+        self.n += 1;
+        let k = rng.gen_range(0..2u64);
+        let write = format!("UPDATE bench SET v = {} WHERE k = {k}", self.id * 1_000_000 + self.n);
+        if self.explicit {
+            vec!["BEGIN".to_string(), write, "COMMIT".to_string()]
+        } else {
+            vec![write]
+        }
+    }
+}
+
+/// Two sessions write the same rows concurrently under 2 ms of link
+/// jitter, autocommit and in explicit transactions: both hosts of each
+/// partition end with the same rows, since the partition's sequencer
+/// orders every write and its certifier aborts the losers.
+#[test]
+fn two_host_partitions_converge_under_concurrent_writes() {
+    for explicit in [false, true] {
+        for seed in 0..4 {
+            let mut cfg = two_host_partitions(seed);
+            cfg.net = NetworkModel::new(LinkSpec { latency_us: 100, jitter_us: 2_000, drop_prob: 0.0 });
+            let mut cluster = Cluster::build(cfg);
+            let clients: Vec<NodeId> = (1..=2)
+                .map(|id| {
+                    cluster.add_client(LastWriter { id, n: 0, explicit }, |cc| {
+                        cc.think_time_us = 50;
+                        cc.tx_limit = 300;
+                    })
+                })
+                .collect();
+            run_and_drain(&mut cluster, 3);
+            let agg = aggregate(&mut cluster, &clients);
+            assert!(agg.committed > 100, "explicit {explicit} seed {seed}: committed {}", agg.committed);
+            let sums = &cluster.backend_checksums()[0];
+            assert_eq!(sums[0], sums[1], "explicit {explicit} seed {seed}: partition 0 hosts diverged");
+            assert_eq!(sums[2], sums[3], "explicit {explicit} seed {seed}: partition 1 hosts diverged");
+        }
+    }
+}
+
+/// A host of a two-host partition crashes, misses the writes its peer
+/// takes meanwhile, and restarts: it catches up by replaying its group's
+/// log stream from its own position (no dump), and ends with its peer's
+/// rows.
+#[test]
+fn partition_host_rejoins_by_log_replay() {
+    let mut cfg = two_host_partitions(3);
+    cfg.engine.durability = Some(DurabilityConfig::default());
+    let mut cluster = Cluster::build(cfg);
+    let clients: Vec<NodeId> = (0..4)
+        .map(|i| {
+            cluster.add_client(SeqInsert::new(1_000_000 * (i as i64 + 1)), |cc| {
+                cc.think_time_us = 1_000;
+                cc.tx_limit = 1_500;
+            })
+        })
+        .collect();
+    let (victim, peer) = (1usize, 0usize);
+    cluster.crash_backend_with(SimTime(500_000), 0, victim, CrashKind::LostTail);
+    cluster.restart_backend_at(SimTime(900_000), 0, victim);
+    cluster.run_for(dur::millis(450));
+    let at_crash = cluster.backend_ordered_applied(0, peer)[0];
+    cluster.run_for(dur::millis(400));
+    let at_restart = cluster.backend_ordered_applied(0, peer)[0];
+    assert!(at_restart > at_crash + 100, "the group took {} writes while the victim was down", at_restart - at_crash);
+    run_and_drain(&mut cluster, 2);
+    let agg = aggregate(&mut cluster, &clients);
+    assert_eq!(agg.failed, 0, "failed {}", agg.failed);
+    let mw = cluster.mw_metrics(0);
+    assert!(mw.recoveries.iter().any(|r| r.0 == victim), "the victim never rejoined");
+    assert_eq!(mw.counters.full_resyncs, 0, "the rejoin fell back to a full resync");
+    let head = cluster.with_middleware(0, |m| m.group_log(0).head());
+    assert_eq!(cluster.backend_ordered_applied(0, victim)[0], head);
+    let sums = &cluster.backend_checksums()[0];
+    assert_eq!(sums[victim], sums[peer], "the rejoined host differs from its peer");
 }

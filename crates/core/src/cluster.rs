@@ -67,9 +67,15 @@ impl Cluster {
     /// backend, like replicas initialized from the same dump).
     pub fn build(cfg: ClusterConfig) -> Cluster {
         let mut cfg = cfg;
-        // Fill in the certifier's schema knowledge from the schema script.
+        // Fill in the certifier's schema knowledge from the schema script,
+        // and key each partitioned table of the placement by the same index.
+        let keys = primary_keys(&cfg.schema);
         if cfg.mw.pk_map.is_empty() {
-            cfg.mw.pk_map = pk_map_from_schema(&cfg.schema);
+            cfg.mw.pk_map = keys.iter().map(|(db, table, at, _)| ((db.clone(), table.clone()), *at)).collect();
+        }
+        if let Some(p) = &mut cfg.mw.placement {
+            p.bind_keys(|t| keys.iter().find(|k| k.1 == t).map(|k| (k.2, k.3.as_str())))
+                .unwrap_or_else(|e| panic!("invalid placement: {e}"));
         }
         if cfg.mw.default_db.is_none() {
             cfg.mw.default_db = Some(cfg.default_db.clone());
@@ -390,13 +396,12 @@ pub fn build_engine(config: EngineConfig, schema: &[String]) -> Engine {
     engine
 }
 
-/// Derive (database, table) -> primary-key column index from a schema
-/// script (the certifier's catalog knowledge).
-pub fn pk_map_from_schema(
-    schema: &[String],
-) -> std::collections::HashMap<(String, String), usize> {
+/// The primary key of every table a schema script creates: (database,
+/// table, key column position, key column name). The certifier's
+/// catalog knowledge, and where each partition scheme finds its key.
+fn primary_keys(schema: &[String]) -> Vec<(String, String, usize, String)> {
     use replimid_sql::ast::Statement;
-    let mut map = std::collections::HashMap::new();
+    let mut keys = Vec::new();
     let mut current_db: Option<String> = None;
     for sql in schema {
         let Ok(stmt) = replimid_sql::parse_statement(sql) else { continue };
@@ -404,14 +409,14 @@ pub fn pk_map_from_schema(
             Statement::UseDatabase { name } => current_db = Some(name),
             Statement::CreateTable { name, columns, temporary: false, .. } => {
                 let db = name.database.clone().or_else(|| current_db.clone());
-                if let (Some(db), Some(pk)) = (db, columns.iter().position(|c| c.primary_key)) {
-                    map.insert((db, name.name.clone()), pk);
+                if let (Some(db), Some(at)) = (db, columns.iter().position(|c| c.primary_key)) {
+                    keys.push((db, name.name, at, columns[at].name.clone()));
                 }
             }
             _ => {}
         }
     }
-    map
+    keys
 }
 
 /// Deterministic RNG for workload setup outside actors.
@@ -432,9 +437,11 @@ mod tests {
             "CREATE TABLE b (x INT, y INT)".to_string(),
             "CREATE TABLE other.c (k INT PRIMARY KEY)".to_string(),
         ];
-        let map = pk_map_from_schema(&schema);
-        assert_eq!(map.get(&("shop".into(), "a".into())), Some(&0));
-        assert_eq!(map.get(&("shop".into(), "b".into())), None);
-        assert_eq!(map.get(&("other".into(), "c".into())), Some(&0));
+        let keys = primary_keys(&schema);
+        assert_eq!(
+            keys,
+            [("shop".into(), "a".into(), 0, "id".into()), ("other".into(), "c".into(), 0, "k".into())],
+            "b has no primary key"
+        );
     }
 }

@@ -13,6 +13,7 @@ use replimid_sql::{
 };
 
 use crate::msg::{ApplySpace, BatchExecResult, CommitNote, DbOp, DbResp, Msg, PlanExec, ReplyBody};
+use crate::recovery::grouped_chain_cost;
 use crate::trace::{Stage, TraceSink};
 
 /// Virtual cost constants specific to node-level operations.
@@ -304,7 +305,7 @@ impl DbNode {
                         }
                     }
                 }
-                ctx.consume(self.scaled(grouped_chain_cost(&tables, &costs)));
+                ctx.consume(self.scaled(grouped_chain_cost(tables.iter().map(|t| &t[..]).zip(costs.iter().copied()))));
                 Some(DbResp::ExecBatchOut { op, results })
             }
             DbOp::ApplyWriteset { op, ws, marks } => {
@@ -479,57 +480,7 @@ fn reply_body(outcome: Outcome) -> ReplyBody {
 fn parallel_cost(entries: &[BinlogEntry], costs: &[u64]) -> u64 {
     let tables: Vec<Vec<(String, String)>> =
         entries.iter().map(|e| e.writeset.tables()).collect();
-    grouped_chain_cost(&tables, costs)
-}
-
-/// Union-find core of the parallel cost model: items sharing any table key
-/// fall into one group whose costs sum; disjoint groups run concurrently,
-/// so the charge is the maximum group sum.
-fn grouped_chain_cost(tables: &[Vec<(String, String)>], costs: &[u64]) -> u64 {
-    use std::collections::HashMap as Map;
-    let mut group_of_table: Map<(String, String), usize> = Map::new();
-    let mut parent: Vec<usize> = Vec::new();
-    let mut group_cost: Vec<u64> = Vec::new();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    for (item_tables, &cost) in tables.iter().zip(costs) {
-        let mut target: Option<usize> = None;
-        for t in item_tables {
-            if let Some(&g) = group_of_table.get(t) {
-                let root = find(&mut parent, g);
-                match target {
-                    None => target = Some(root),
-                    Some(existing) => {
-                        let r = find(&mut parent, existing);
-                        if r != root {
-                            parent[root] = r;
-                            group_cost[r] += group_cost[root];
-                            group_cost[root] = 0;
-                            target = Some(r);
-                        }
-                    }
-                }
-            }
-        }
-        let g = match target {
-            Some(g) => find(&mut parent, g),
-            None => {
-                parent.push(parent.len());
-                group_cost.push(0);
-                parent.len() - 1
-            }
-        };
-        for t in item_tables {
-            group_of_table.insert(t.clone(), g);
-        }
-        group_cost[g] += cost;
-    }
-    group_cost.into_iter().max().unwrap_or(0)
+    grouped_chain_cost(tables.iter().map(|t| &t[..]).zip(costs.iter().copied()))
 }
 
 /// The op id carried by an operation, if it expects a response.

@@ -34,7 +34,7 @@ pub use health::{HealthEvent, HealthState, HealthTracker, QuarantineConfig};
 pub use metrics::{AvailabilityTracker, Counters, DegradedTracker, Histogram};
 pub use middleware::{Middleware, Mode, MwConfig, MwMetrics, ReadPolicy};
 pub use msg::{AdminCmd, BackendId, ClientReply, ClientRequest, Msg, ReplyBody, ReplyError, SessionId};
-pub use partition::{PartitionScheme, Partitioner, Placement, Route};
+pub use partition::{PartitionScheme, Placement};
 pub use recovery::{RecoveryLog, ReplayMode};
 pub use rewrite::NondetPolicy;
 pub use session::SessionTable;

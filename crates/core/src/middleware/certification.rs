@@ -243,21 +243,22 @@ impl Middleware {
     // Certification and commit fan-out, per group
     // ------------------------------------------------------------------
 
-    /// Split the prepared writeset along group boundaries and publish:
-    /// one group → a plain per-group Certify; several → an XPrepare slot in
-    /// every involved group's stream (cross-group 2PC, deterministic votes).
+    /// Split the prepared writeset row by row along group boundaries and
+    /// publish: one group → a plain per-group Certify; several → an
+    /// XPrepare slot in every involved group's stream (cross-group 2PC,
+    /// deterministic votes).
     pub(super) fn pw_publish_prepare(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId, stmt_seq: u64, ws: Writeset) {
         // Both callers answer a request of this session, so it exists.
         let Some(s) = self.sessions.get_mut(session.0) else { return };
         s.current = Some(Current { stmt_seq, kind: CurrentKind::WsCertifyWait });
         let gstart = s.gstart.clone();
         let placement = &self.shards.placement;
-        let mut slices = ws.split_by(|_db, t| placement.group_of(t));
-        let default_group = placement.default_group();
+        let mut slices = ws.split_by(|rec| placement.group_of_record(rec));
         if slices.is_empty() {
             // Read-only-looking writeset (e.g. all writes rolled back):
-            // still certify through one stream so the commit acks in order.
-            slices.push((default_group, Writeset::default()));
+            // still certify through one stream (group 0, as a statement
+            // that names no table) so the commit acks in order.
+            slices.push((0, Writeset::default()));
         }
         let start = |g: usize| gstart.get(g).copied().unwrap_or(0);
         if slices.len() == 1 {

@@ -15,8 +15,11 @@
 //!   shipping 1-safe (async, bounded loss window) or 2-safe (commit waits
 //!   for the slave), hot-standby failover with promotion of the most
 //!   caught-up slave (§2.2).
-//! * **Partitioned statement replication** — Fig. 2: writes route to the
-//!   owning partition's replica group; scans scatter.
+//!
+//! Partitioning (Fig. 2) is a [`Placement`] in writeset mode: a table
+//! partitioned by range, hash or list on its primary key maps each
+//! partition to a group, and its writes take the same per-group path as
+//! any other.
 //!
 //! Middleware peers replicate session write state through the total order,
 //! which is what makes client failover transparent (the Sequoia claim,
@@ -57,7 +60,7 @@ use crate::msg::{
     AdminCmd, BackendId, ClientReply, ClientRequest, DbOp, DbResp, Msg, ReplEvent, ReplyBody, ReplyError,
     SessionId,
 };
-use crate::partition::{Partitioner, Placement};
+use crate::partition::Placement;
 use crate::recovery::{RecoveryLog, ReplayMode};
 use crate::rewrite::NondetPolicy;
 use crate::session::SessionTable;
@@ -106,11 +109,6 @@ pub enum Mode {
         /// Allow reads on the master when slaves lag or for session
         /// consistency.
         read_master: bool,
-    },
-    PartitionedStatement {
-        partitioner: Partitioner,
-        /// Backend ids per partition (replica groups).
-        groups: Vec<Vec<BackendId>>,
     },
 }
 
@@ -226,8 +224,9 @@ pub struct MwConfig {
     /// every statement is parsed whole. Either way backends receive the
     /// admission-time parse (`DbOp::Execute`), never SQL text.
     pub plan_cache: usize,
-    /// Partial replication (the scale-past-full-replication gap): a
-    /// table-group placement map. Each group gets its own sequencer (an
+    /// Partial replication (the scale-past-full-replication gap) and
+    /// partitioning: a placement of tables, or of a table's key partitions,
+    /// in groups. Each group gets its own sequencer (an
     /// independent total-order stream with a dense per-group position
     /// space), its own certifier shard, its own recovery-log stream, and
     /// its own group-commit buffer; writesets fan out only to the backends
@@ -934,7 +933,6 @@ impl Middleware {
             }
             Mode::MultiMasterWriteset => self.mm_writeset_request(ctx, req, &stmt, plan),
             Mode::MasterSlave { .. } => self.ms_request(ctx, req, &stmt, plan),
-            Mode::PartitionedStatement { .. } => self.part_request(ctx, req, &stmt, plan),
         }
     }
 

@@ -12,13 +12,13 @@ use replimid_sql::ast::{ObjectName, Statement};
 use replimid_sql::{SqlError, Watermark, Writeset};
 
 use super::certification::XTx;
-use super::{raise, Current, CurrentKind, Middleware, Mode, Pending, SHARD_BATCH_BASE, SHARD_TICK_BASE};
+use super::{raise, Current, CurrentKind, Middleware, Pending, SHARD_BATCH_BASE, SHARD_TICK_BASE};
 use crate::certifier::{Certifier, CertifierStats, Verdict};
 use crate::msg::{
     BackendId, BatchExecResult, BatchItem, ClientReply, ClientRequest, DbOp, DbResp, Msg, PlanExec, ReplEvent,
     ReplyBody, ReplyError, SessionId,
 };
-use crate::partition::{Placement, Route};
+use crate::partition::Placement;
 use crate::recovery::RecoveryLog;
 use crate::rewrite::{prepare_for_broadcast, NondetPolicy};
 use crate::trace::Stage;
@@ -111,17 +111,14 @@ impl Shards {
         gset.iter().all(|&g| self.placement.hosts(g).contains(&b.0))
     }
 
-    /// Table groups a statement touches (reads and writes), per the
-    /// placement map. Unknown tables fall into the default group. With one
-    /// group the answer needs no walk of the statement.
+    /// Groups a statement touches (reads and writes), per the placement
+    /// (see [`Placement::groups_of`]). With one group the answer needs no
+    /// walk of the statement.
     pub(super) fn stmt_groups(&self, stmt: &Statement) -> Vec<usize> {
         if self.placement.groups() == 1 {
             return vec![0];
         }
-        let mut names: Vec<String> =
-            stmt.read_tables().into_iter().map(|t| t.name).collect();
-        names.extend(stmt.written_tables().into_iter().map(|t| t.name));
-        self.placement.groups_of_tables(names.iter().map(|n| n.as_str()))
+        self.placement.groups_of(stmt)
     }
 
     /// Certification statistics summed across every shard (max_window is
@@ -546,7 +543,7 @@ impl Middleware {
         }
     }
 
-    /// One backend's outcome of one ordered (or partitioned) statement;
+    /// One backend's outcome of one ordered statement;
     /// `None` when the backend failed before answering. The last outcome
     /// in answers the origin, or on a peer caches the reply for a client
     /// that fails over to it.
@@ -563,8 +560,7 @@ impl Middleware {
             None => None,
         };
         if result.is_some() {
-            // Record progress for recovery checkpoints (an unlogged,
-            // partitioned write has position 0, which marks nothing).
+            // Record progress for recovery checkpoints.
             self.shards.marks[backend.0][0].mark(g.log_seq);
         }
         if g.record(result) {
@@ -574,7 +570,7 @@ impl Middleware {
             return;
         }
         let Some(g) = self.exec.groups.remove(&group) else { return };
-        if g.canonical.is_none() && g.log_seq > 0 {
+        if g.canonical.is_none() {
             // Every backend failed before executing: the entry must not
             // survive into recovery replay (see RecoveryLog::void).
             self.shards.void(0, g.log_seq);
@@ -589,7 +585,7 @@ impl Middleware {
             }
             None => Err(ReplyError::Unavailable("all backends failed".into())),
         };
-        if g.log_seq > 0 && result.is_ok() {
+        if result.is_ok() {
             // Freshness stamp: the write is applied up to this ordered
             // seq; later reads for the session require at least it.
             if let Some(sess) = self.sessions.get_mut(g.session.0) {
@@ -597,8 +593,7 @@ impl Middleware {
             }
         }
         if g.origin {
-            // Delivery (or arrival, in partitioned mode) → slowest
-            // backend done.
+            // Delivery → slowest backend done.
             self.mw_span(g.session, g.stmt_seq, Stage::Execute, ctx.now().micros());
             self.reply(ctx, g.session, g.stmt_seq, result);
         } else if result.is_ok() {
@@ -616,82 +611,6 @@ impl Middleware {
                     });
                 }
             }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Partitioned
-    // ------------------------------------------------------------------
-
-    pub(super) fn part_request(&mut self, ctx: &mut Ctx<'_, Msg>, req: ClientRequest, stmt: &Statement, plan: PlanExec) {
-        let Mode::PartitionedStatement { partitioner, groups } = &self.cfg.mode else {
-            unreachable!()
-        };
-        let session = req.session;
-        let route = partitioner.route(stmt);
-        let groups = groups.clone();
-        let read_only = stmt.is_read_only();
-        if let Some(e) = (!read_only).then(|| self.degraded_refusal()).flatten() {
-            self.reply(ctx, session, req.stmt_seq, Err(e));
-            return;
-        }
-        let targets: Vec<BackendId> = match (&route, read_only) {
-            (Route::Single(p), true) => {
-                // Read: one replica of the owning partition.
-                let candidates: Vec<BackendId> = groups[*p]
-                    .iter()
-                    .copied()
-                    .filter(|b| self.backends[b.0].online())
-                    .collect();
-                match self.balancer.pick(&candidates) {
-                    Some(b) => vec![b],
-                    None => vec![],
-                }
-            }
-            (Route::Single(p), false) => groups[*p]
-                .iter()
-                .copied()
-                .filter(|b| self.backends[b.0].online())
-                .collect(),
-            (Route::All, true) => {
-                // Scatter read: one replica per partition (intra-query
-                // parallelism); the client-visible result is the first
-                // partition's result merged trivially — our workloads use
-                // keyed reads, so scatter reads are rare. Execute on one
-                // replica of each partition and merge row counts.
-                let mut t = Vec::new();
-                for g in &groups {
-                    let candidates: Vec<BackendId> =
-                        g.iter().copied().filter(|b| self.backends[b.0].online()).collect();
-                    if let Some(b) = self.balancer.pick(&candidates) {
-                        t.push(b);
-                    }
-                }
-                t
-            }
-            (Route::All, false) => self.healthy(),
-        };
-        if targets.is_empty() {
-            self.reply(ctx, session, req.stmt_seq, Err(ReplyError::Unavailable("partition unavailable".into())));
-            return;
-        }
-        if !read_only {
-            self.metrics.counters.writes += 1;
-        } else {
-            self.metrics.counters.reads += 1;
-        }
-        let group_id = self.exec.open(session, req.stmt_seq, targets.len(), true, 0);
-        if let Some(s) = self.sessions.get_mut(session.0) {
-            s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::ExecGroup });
-            if !read_only {
-                s.last_write_us = ctx.now().micros();
-            }
-        }
-        for backend in targets {
-            let item = BatchItem { conn: session.0, plan: plan.clone(), marks: Vec::new() };
-            self.send_db(ctx, backend, Pending::GroupExecBatch { groups: vec![group_id], backend }, move |op| {
-                DbOp::ExecuteBatch { op, stmts: vec![item] }
-            });
         }
     }
 }

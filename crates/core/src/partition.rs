@@ -1,8 +1,12 @@
-//! Data partitioning for write scalability (Fig. 2): range, hash, and list
-//! partitioning on a per-table key column, plus the statement analysis that
-//! routes a statement to its partition(s).
+//! Placement: which backends host which rows. A *group* is a set of rows
+//! with its own sequencer, certifier shard and recovery-log stream, hosted
+//! by a declared subset of backends. A table is one group
+//! ([`Placement::assign`]) or is partitioned on its primary key by range,
+//! hash or list (Fig. 2, [`Placement::partition`]), each partition mapped to
+//! a group. Full replication is the one group every backend hosts.
 
 use replimid_sql::ast::{Expr, InsertSource, Statement, TableRef};
+use replimid_sql::mvcc::WriteRecord;
 use replimid_sql::Value;
 
 /// Partitioning criterion for one table (§2.1: "range partitioning, list
@@ -38,8 +42,15 @@ impl PartitionScheme {
         }
     }
 
-    /// Which partition owns `value`?
+    /// Which partition owns `value`? A float with an integral value and a
+    /// timestamp locate as the integer they equal, so a key literal finds
+    /// the partition of the row the engine stores for it.
     pub fn locate(&self, value: &Value) -> usize {
+        let value = match *value {
+            Value::Float(f) if f.fract() == 0.0 => Value::Int(f as i64),
+            Value::Timestamp(t) => Value::Int(t),
+            _ => value.clone(),
+        };
         match self {
             PartitionScheme::Range { bounds, .. } => {
                 let v = value.as_int().unwrap_or(i64::MAX);
@@ -52,138 +63,107 @@ impl PartitionScheme {
             }
             PartitionScheme::List { lists, default_partition, .. } => lists
                 .iter()
-                .position(|l| l.contains(value))
+                .position(|l| l.contains(&value))
                 .unwrap_or(*default_partition),
         }
     }
 }
 
-/// The partition map of a cluster: table name -> scheme. Tables not listed
-/// are *global* (replicated everywhere).
-#[derive(Debug, Clone, Default)]
-pub struct Partitioner {
-    schemes: Vec<(String, PartitionScheme)>,
+/// How one table's rows map to groups.
+#[derive(Debug, Clone, PartialEq)]
+struct TableMap {
+    table: String,
+    /// `None`: the whole table is one partition.
+    scheme: Option<PartitionScheme>,
+    /// Position of the scheme's column in the table's rows, its primary
+    /// key: the index the certifier keys the table's writesets by. Set by
+    /// [`Placement::bind_keys`].
+    key: Option<usize>,
+    /// `groups[p]`: the group partition `p` belongs to.
+    groups: Vec<usize>,
 }
 
-/// Where a statement must run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Route {
-    /// One specific partition.
-    Single(usize),
-    /// Every partition (scatter; e.g. a scan without a key predicate, DDL,
-    /// or a global table write).
-    All,
+/// Where a statement names the key of the one table it pins: the rows of
+/// an `INSERT … VALUES`, or the filter of an UPDATE, DELETE or
+/// single-table SELECT with the name the filter knows the table by.
+enum KeySite<'a> {
+    Rows { columns: &'a [String], rows: &'a [Vec<Expr>] },
+    Filter { qualifier: &'a str, filter: Option<&'a Expr> },
 }
 
-impl Partitioner {
-    pub fn new() -> Self {
-        Self::default()
+/// The table a statement can pin to partitions, and where its keys are.
+/// `None` when it has a subquery, which may read any partition of any
+/// table it names, or when it is not a single-table statement.
+fn key_site(stmt: &Statement) -> Option<(&str, KeySite<'_>)> {
+    let mut nested = false;
+    stmt.walk_exprs(&mut |e| {
+        nested |= matches!(e, Expr::InSelect { .. } | Expr::ScalarSubquery(_) | Expr::Exists { .. })
+    });
+    if nested {
+        return None;
     }
-
-    pub fn add_table(&mut self, table: &str, scheme: PartitionScheme) {
-        self.schemes.push((table.to_string(), scheme));
+    match stmt {
+        Statement::Insert { table, columns, source: InsertSource::Values(rows) } => {
+            Some((&table.name, KeySite::Rows { columns, rows }))
+        }
+        Statement::Update { table, filter, .. } | Statement::Delete { table, filter } => {
+            Some((&table.name, KeySite::Filter { qualifier: &table.name, filter: filter.as_ref() }))
+        }
+        Statement::Select(s) => match &s.from {
+            Some(TableRef::Table { name, alias }) => Some((
+                &name.name,
+                KeySite::Filter { qualifier: alias.as_deref().unwrap_or(&name.name), filter: s.filter.as_ref() },
+            )),
+            _ => None,
+        },
+        _ => None,
     }
+}
 
-    pub fn scheme_for(&self, table: &str) -> Option<&PartitionScheme> {
-        self.schemes
-            .iter()
-            .find(|(t, _)| t == table)
-            .map(|(_, s)| s)
-    }
-
-    pub fn partition_count(&self) -> usize {
-        self.schemes
-            .iter()
-            .map(|(_, s)| s.partition_count())
-            .max()
-            .unwrap_or(1)
-    }
-
-    /// Decide where `stmt` must execute. Conservative: anything without an
-    /// extractable equality on the partition key goes everywhere.
-    pub fn route(&self, stmt: &Statement) -> Route {
-        match stmt {
-            Statement::Insert { table, columns, source } => {
-                let Some(scheme) = self.scheme_for(&table.name) else {
-                    return Route::All;
+impl TableMap {
+    /// The partitions `site` pins: one per VALUES row, or the one a
+    /// top-level key equality of the filter names. `None` when any row or
+    /// the filter leaves the key open: every partition.
+    fn pinned(&self, scheme: &PartitionScheme, site: &KeySite<'_>) -> Option<Vec<usize>> {
+        match site {
+            KeySite::Rows { columns, rows } => {
+                let at = if columns.is_empty() {
+                    self.key?
+                } else {
+                    columns.iter().position(|c| c == scheme.column())?
                 };
-                let InsertSource::Values(rows) = source else { return Route::All };
-                let mut target: Option<usize> = None;
-                for row in rows {
-                    let idx = if columns.is_empty() {
-                        // Positional: the partition column's schema position
-                        // is unknown here; require named columns.
-                        return Route::All;
-                    } else {
-                        match columns.iter().position(|c| c == scheme.column()) {
-                            Some(i) => i,
-                            None => return Route::All,
-                        }
-                    };
-                    let Some(Expr::Literal(v)) = row.get(idx) else { return Route::All };
-                    let p = scheme.locate(v);
-                    match target {
-                        None => target = Some(p),
-                        Some(t) if t == p => {}
-                        _ => return Route::All, // multi-partition insert
-                    }
-                }
-                target.map(Route::Single).unwrap_or(Route::All)
+                rows.iter()
+                    .map(|row| match row.get(at) {
+                        Some(Expr::Literal(v)) => Some(scheme.locate(v)),
+                        _ => None,
+                    })
+                    .collect()
             }
-            Statement::Update { table, filter, .. } | Statement::Delete { table, filter } => {
-                self.route_by_key(&table.name, &table.name, filter.as_ref())
+            KeySite::Filter { qualifier, filter } => {
+                Some(vec![scheme.locate(filter.as_ref()?.top_level_eq(scheme.column(), qualifier)?)])
             }
-            Statement::Select(s) => {
-                // Single-table selects with a key equality route to one
-                // partition; everything else scatters (intra-query
-                // parallelism across partitions, §2.1).
-                let mut tables = Vec::new();
-                replimid_sql::ast::collect_select_tables(s, &mut tables);
-                match (&s.from, tables.len()) {
-                    (Some(TableRef::Table { name, alias }), 1) => self.route_by_key(
-                        &name.name,
-                        alias.as_deref().unwrap_or(&name.name),
-                        s.filter.as_ref(),
-                    ),
-                    _ => Route::All,
-                }
-            }
-            _ => Route::All,
         }
     }
-
-    /// The partition owning the key a filter pins `table`'s partition
-    /// column to; everywhere when it pins none. `qualifier` is the name the
-    /// statement knows the table by (its alias, else its name).
-    fn route_by_key(&self, table: &str, qualifier: &str, filter: Option<&Expr>) -> Route {
-        self.scheme_for(table)
-            .and_then(|scheme| {
-                let key = filter?.top_level_eq(scheme.column(), qualifier)?;
-                Some(Route::Single(scheme.locate(key)))
-            })
-            .unwrap_or(Route::All)
-    }
 }
 
-/// Per-table-group placement for partial replication (Sutra–Shapiro): each
-/// table belongs to exactly one *group*, each group lives on a declared
-/// subset of backends, and writes are ordered/certified/applied only among
-/// the replicas that host the groups a transaction touches. Tables not
-/// listed fall into `default_group` (conservative: the unlisted-table
-/// escape hatch, like [`Partitioner`]'s global tables).
+/// Groups of unlisted tables: the first group.
+const UNLISTED: &[usize] = &[0];
+
+/// Placement for partial replication (Sutra–Shapiro): each group lives on a
+/// declared subset of backends, and writes are ordered, certified and
+/// applied only among the replicas that host the groups a transaction
+/// touches. Tables not listed belong to group 0.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// `hosts[g]` = sorted backend indices hosting group `g`.
     hosts: Vec<Vec<usize>>,
-    /// table name -> group index.
-    tables: Vec<(String, usize)>,
-    default_group: usize,
+    tables: Vec<TableMap>,
 }
 
 impl Placement {
-    /// One group per `hosts` entry; tables are assigned with
-    /// [`assign`](Self::assign). Host lists are deduplicated and sorted so
-    /// fan-out order is deterministic.
+    /// One group per `hosts` entry; tables are mapped with
+    /// [`assign`](Self::assign) and [`partition`](Self::partition). Host
+    /// lists are deduplicated and sorted so fan-out order is deterministic.
     pub fn new(hosts: Vec<Vec<usize>>) -> Self {
         assert!(!hosts.is_empty(), "placement needs at least one group");
         let hosts = hosts
@@ -195,7 +175,7 @@ impl Placement {
                 h
             })
             .collect();
-        Placement { hosts, tables: Vec::new(), default_group: 0 }
+        Placement { hosts, tables: Vec::new() }
     }
 
     /// The canonical scale-out layout: `groups` groups over `backends`
@@ -209,77 +189,115 @@ impl Placement {
         Placement::new(hosts)
     }
 
+    /// The whole of `table` is one partition, in `group`.
     pub fn assign(mut self, table: &str, group: usize) -> Self {
         assert!(group < self.hosts.len(), "group {group} out of range");
-        self.tables.push((table.to_string(), group));
+        self.tables.push(TableMap { table: table.to_string(), scheme: None, key: None, groups: vec![group] });
         self
     }
 
-    pub fn with_default_group(mut self, group: usize) -> Self {
-        assert!(group < self.hosts.len(), "group {group} out of range");
-        self.default_group = group;
+    /// Partition `table` by `scheme`, which must name its primary key;
+    /// partition `p` belongs to `groups[p]`.
+    pub fn partition(mut self, table: &str, scheme: PartitionScheme, groups: Vec<usize>) -> Self {
+        assert!(
+            groups.len() == scheme.partition_count() && !groups.is_empty(),
+            "{table}: {} partitions, {} groups",
+            scheme.partition_count(),
+            groups.len()
+        );
+        assert!(groups.iter().all(|&g| g < self.hosts.len()), "{table}: group out of range");
+        self.tables.push(TableMap { table: table.to_string(), scheme: Some(scheme), key: None, groups });
         self
+    }
+
+    /// Bind every partitioned table to its rows: `primary_key(table)` is the
+    /// table's key column (position, name) in the schema. A scheme on any
+    /// other column is an error, since a row's partition is read off the
+    /// key the certifier uses for it.
+    pub(crate) fn bind_keys<'a>(&mut self, primary_key: impl Fn(&str) -> Option<(usize, &'a str)>) -> Result<(), String> {
+        for m in &mut self.tables {
+            let Some(scheme) = &m.scheme else { continue };
+            match primary_key(&m.table) {
+                Some((at, name)) if name == scheme.column() => m.key = Some(at),
+                _ => {
+                    return Err(format!(
+                        "table {} is partitioned on {}, which is not its primary key",
+                        m.table,
+                        scheme.column()
+                    ))
+                }
+            }
+        }
+        Ok(())
     }
 
     pub fn groups(&self) -> usize {
         self.hosts.len()
     }
 
-    /// Group that unlisted tables (and empty writesets) fall into.
-    pub fn default_group(&self) -> usize {
-        self.default_group
-    }
-
-    pub fn group_of(&self, table: &str) -> usize {
-        self.tables
-            .iter()
-            .find(|(t, _)| t == table)
-            .map(|&(_, g)| g)
-            .unwrap_or(self.default_group)
-    }
-
     pub fn hosts(&self, group: usize) -> &[usize] {
         &self.hosts[group]
     }
 
-    pub fn hosts_table(&self, backend: usize, table: &str) -> bool {
-        self.hosts[self.group_of(table)].contains(&backend)
+    fn table(&self, table: &str) -> Option<&TableMap> {
+        self.tables.iter().find(|m| m.table == table)
     }
 
-    /// Sorted, deduplicated group set a list of table names touches. An
-    /// empty table list (e.g. a writeset with no entries) maps to the
-    /// default group so every transaction has at least one sequencer.
-    pub fn groups_of_tables<'a>(&self, tables: impl Iterator<Item = &'a str>) -> Vec<usize> {
-        let mut gs: Vec<usize> = tables.map(|t| self.group_of(t)).collect();
+    /// The groups `table`'s partitions belong to, one per partition.
+    pub fn table_groups(&self, table: &str) -> &[usize] {
+        self.table(table).map_or(UNLISTED, |m| &m.groups)
+    }
+
+    /// The group one written row belongs to: its table's, or the one its
+    /// partition maps to, located by the row's key (the before-image, as
+    /// certification keys it).
+    pub(crate) fn group_of_record(&self, rec: &WriteRecord) -> usize {
+        let Some(m) = self.table(&rec.table) else { return 0 };
+        let keyed = m.scheme.as_ref().zip(m.key).zip(rec.old.as_ref().or(rec.new.as_ref()));
+        match keyed.and_then(|((scheme, at), image)| Some(scheme.locate(image.get(at)?))) {
+            Some(p) => m.groups[p],
+            None => m.groups[0],
+        }
+    }
+
+    /// Sorted, deduplicated groups a statement touches, reads and writes. A
+    /// partitioned table contributes the partitions its keys pin (named or
+    /// positional `INSERT … VALUES` rows, a top-level key equality of an
+    /// UPDATE, DELETE or single-table SELECT), and every partition when
+    /// they pin none. A statement that names no table maps to group 0, so
+    /// every transaction has at least one sequencer.
+    pub(crate) fn groups_of(&self, stmt: &Statement) -> Vec<usize> {
+        let mut tables = stmt.read_tables();
+        tables.extend(stmt.written_tables());
+        let mut site = None;
+        let mut gs: Vec<usize> = Vec::new();
+        for t in &tables {
+            let Some(m) = self.table(&t.name) else {
+                gs.push(0);
+                continue;
+            };
+            let Some(scheme) = &m.scheme else {
+                gs.push(m.groups[0]);
+                continue;
+            };
+            let site = site.get_or_insert_with(|| key_site(stmt));
+            match site.as_ref().filter(|(name, _)| *name == m.table).and_then(|(_, s)| m.pinned(scheme, s)) {
+                Some(parts) => gs.extend(parts.into_iter().map(|p| m.groups[p])),
+                None => gs.extend(&m.groups),
+            }
+        }
         gs.sort_unstable();
         gs.dedup();
         if gs.is_empty() {
-            gs.push(self.default_group);
+            gs.push(0);
         }
         gs
     }
 
-    /// Backends hosting *every* group in `groups` (intersection, sorted).
-    pub fn hosts_of_all(&self, groups: &[usize]) -> Vec<usize> {
-        let mut it = groups.iter();
-        let Some(&first) = it.next() else { return Vec::new() };
-        let mut acc: Vec<usize> = self.hosts[first].clone();
-        for &g in it {
-            acc.retain(|b| self.hosts[g].contains(b));
-        }
-        acc
-    }
-
-    /// Trivial placements — one group hosted by every backend — are full
-    /// replication: the same pipeline with G = 1 that runs when no
-    /// placement is configured.
-    pub fn is_trivial(&self, backends: usize) -> bool {
-        self.hosts.len() == 1 && self.hosts[0].len() == backends
-    }
-
-    /// Sanity-check against the actual backend count: every host exists. A
-    /// group may have a single host — its rejoin replays the group's
-    /// recovery-log stream and needs no donor.
+    /// Sanity-check against the actual backend count: every host exists,
+    /// and every partitioned table is bound to its key. A group may have a
+    /// single host — its rejoin replays the group's recovery-log stream and
+    /// needs no donor.
     pub fn validate(&self, backends: usize) -> Result<(), String> {
         for (g, hs) in self.hosts.iter().enumerate() {
             for &b in hs {
@@ -290,7 +308,10 @@ impl Placement {
                 }
             }
         }
-        Ok(())
+        match self.tables.iter().find(|m| m.scheme.is_some() && m.key.is_none()) {
+            Some(m) => Err(format!("partitioned table {} is not bound to its primary key", m.table)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -299,12 +320,15 @@ mod tests {
     use super::*;
     use replimid_sql::parse_statement;
 
-    fn range_partitioner() -> Partitioner {
-        let mut p = Partitioner::new();
-        p.add_table(
+    /// `orders` in three range partitions, groups 1, 2 and 3; unlisted
+    /// tables are group 0.
+    fn range_placement() -> Placement {
+        let mut p = Placement::new(vec![vec![0]; 4]).partition(
             "orders",
             PartitionScheme::Range { column: "id".into(), bounds: vec![100, 200] },
+            vec![1, 2, 3],
         );
+        p.bind_keys(|t| (t == "orders").then_some((0, "id"))).unwrap();
         p
     }
 
@@ -324,6 +348,7 @@ mod tests {
             let p = s.locate(&Value::Int(i));
             assert!(p < 4);
             assert_eq!(p, s.locate(&Value::Int(i)), "stable");
+            assert_eq!(p, s.locate(&Value::Float(i as f64)), "a float key locates as its integer");
         }
     }
 
@@ -348,17 +373,15 @@ mod tests {
             .assign("b", 1)
             .assign("c", 2);
         assert_eq!(p.groups(), 3);
-        assert_eq!(p.group_of("a"), 0);
-        assert_eq!(p.group_of("unlisted"), 0, "default group");
-        assert_eq!(p.groups_of_tables(["b", "a", "b"].into_iter()), vec![0, 1]);
-        assert_eq!(p.groups_of_tables(std::iter::empty()), vec![0]);
-        assert_eq!(p.hosts_of_all(&[0, 2]), vec![1]);
-        assert_eq!(p.hosts_of_all(&[0, 1]), Vec::<usize>::new());
-        assert!(p.hosts_table(3, "b") && !p.hosts_table(3, "a"));
+        assert_eq!(p.table_groups("a"), [0]);
+        assert_eq!(p.table_groups("unlisted"), [0], "unlisted tables are group 0");
+        let groups = |sql: &str| p.groups_of(&parse_statement(sql).unwrap());
+        assert_eq!(groups("SELECT b.v FROM b JOIN a ON a.k = b.k"), [0, 1]);
+        assert_eq!(groups("INSERT INTO c VALUES (1, 1)"), [2]);
+        assert_eq!(groups("SELECT 1"), [0], "no table: group 0");
+        assert_eq!(p.hosts(1), [2, 3]);
         assert!(p.validate(4).is_ok());
         assert!(p.validate(3).is_err());
-        assert!(!p.is_trivial(4));
-        assert!(Placement::new(vec![vec![0, 1, 2]]).is_trivial(3));
     }
 
     #[test]
@@ -381,31 +404,66 @@ mod tests {
     }
 
     #[test]
+    fn partitions_key_on_the_primary_key() {
+        let scheme = PartitionScheme::Hash { column: "v".into(), partitions: 2 };
+        let mut p = Placement::new(vec![vec![0], vec![1]]).partition("t", scheme, vec![0, 1]);
+        let err = p.validate(2).unwrap_err();
+        assert!(err.contains("not bound"), "unexpected error: {err}");
+        let err = p.bind_keys(|_| Some((0, "k"))).unwrap_err();
+        assert!(err.contains("not its primary key"), "unexpected error: {err}");
+        assert!(p.bind_keys(|_| Some((1, "v"))).is_ok());
+        assert!(p.validate(2).is_ok());
+    }
+
+    #[test]
     fn routes_by_statement_shape() {
-        let p = range_partitioner();
-        let route = |sql: &str| p.route(&parse_statement(sql).unwrap());
-        assert_eq!(route("INSERT INTO orders (id, v) VALUES (50, 1)"), Route::Single(0));
-        assert_eq!(route("INSERT INTO orders (id, v) VALUES (150, 1), (199, 2)"), Route::Single(1));
-        assert_eq!(route("INSERT INTO orders (id, v) VALUES (50, 1), (150, 2)"), Route::All);
-        assert_eq!(route("UPDATE orders SET v = 2 WHERE id = 250 AND v > 0"), Route::Single(2));
-        assert_eq!(route("UPDATE orders SET v = 2 WHERE v > 0"), Route::All);
-        assert_eq!(route("SELECT * FROM orders WHERE id = 10"), Route::Single(0));
-        assert_eq!(route("SELECT COUNT(*) FROM orders"), Route::All);
-        assert_eq!(route("INSERT INTO other (id) VALUES (1)"), Route::All, "global table");
-        assert_eq!(route("DELETE FROM orders WHERE id = 100"), Route::Single(1));
-        assert_eq!(route("DELETE FROM orders WHERE 100 = id"), Route::Single(1), "literal on the left");
+        let p = range_placement();
+        let groups = |sql: &str| p.groups_of(&parse_statement(sql).unwrap());
+        assert_eq!(groups("INSERT INTO orders (id, v) VALUES (50, 1)"), [1]);
+        assert_eq!(groups("INSERT INTO orders (v, id) VALUES (1, 150), (2, 199)"), [2]);
+        assert_eq!(groups("INSERT INTO orders VALUES (250, 1)"), [3], "positional: the key's schema position");
+        assert_eq!(groups("INSERT INTO orders (id, v) VALUES (50, 1), (150, 2)"), [1, 2], "one group per row");
+        assert_eq!(groups("INSERT INTO orders (v) VALUES (1)"), [1, 2, 3], "no key");
+        assert_eq!(groups("UPDATE orders SET v = 2 WHERE id = 250 AND v > 0"), [3]);
+        assert_eq!(groups("UPDATE orders SET v = 2 WHERE v > 0"), [1, 2, 3]);
+        assert_eq!(groups("SELECT * FROM orders WHERE id = 10"), [1]);
+        assert_eq!(groups("SELECT COUNT(*) FROM orders"), [1, 2, 3]);
+        assert_eq!(groups("INSERT INTO other (id) VALUES (1)"), [0], "unlisted table");
+        assert_eq!(groups("DELETE FROM orders WHERE id = 100"), [2]);
+        assert_eq!(groups("DELETE FROM orders WHERE 100 = id"), [2], "literal on the left");
+        // A subquery may read any partition.
+        assert_eq!(groups("DELETE FROM orders WHERE id = 5 AND v IN (SELECT v FROM orders WHERE id = 150)"), [1, 2, 3]);
+        assert_eq!(groups("SELECT o.v FROM orders o JOIN other ON o.id = other.id WHERE o.id = 5"), [0, 1, 2, 3]);
     }
 
     #[test]
     fn key_equality_must_name_the_statements_own_table() {
-        let p = range_partitioner();
-        let route = |sql: &str| p.route(&parse_statement(sql).unwrap());
-        assert_eq!(route("SELECT * FROM orders WHERE orders.id = 150"), Route::Single(1));
-        assert_eq!(route("SELECT * FROM orders o WHERE o.id = 150"), Route::Single(1));
+        let p = range_placement();
+        let groups = |sql: &str| p.groups_of(&parse_statement(sql).unwrap());
+        assert_eq!(groups("SELECT * FROM orders WHERE orders.id = 150"), [2]);
+        assert_eq!(groups("SELECT * FROM orders o WHERE o.id = 150"), [2]);
         // Another table's `id` says nothing about which partition of
         // `orders` holds the rows.
-        assert_eq!(route("SELECT * FROM orders WHERE other.id = 150"), Route::All);
-        assert_eq!(route("SELECT * FROM orders o WHERE orders.id = 150"), Route::All);
-        assert_eq!(route("UPDATE orders SET v = 1 WHERE other.id = 150"), Route::All);
+        assert_eq!(groups("SELECT * FROM orders WHERE other.id = 150"), [1, 2, 3]);
+        assert_eq!(groups("SELECT * FROM orders o WHERE orders.id = 150"), [1, 2, 3]);
+        assert_eq!(groups("UPDATE orders SET v = 1 WHERE other.id = 150"), [1, 2, 3]);
+    }
+
+    #[test]
+    fn a_written_row_belongs_to_its_keys_partition() {
+        let p = range_placement();
+        let rec = |table: &str, old: Option<i64>, new: Option<i64>| WriteRecord {
+            database: "db".into(),
+            table: table.into(),
+            row: replimid_sql::mvcc::RowId(0),
+            kind: replimid_sql::mvcc::WriteKind::Insert,
+            old: old.map(|k| vec![Value::Int(k), Value::Int(0)]),
+            new: new.map(|k| vec![Value::Int(k), Value::Int(1)]),
+            temp: false,
+        };
+        assert_eq!(p.group_of_record(&rec("orders", None, Some(150))), 2, "insert: the new image");
+        assert_eq!(p.group_of_record(&rec("orders", Some(250), Some(250))), 3, "update: the before-image");
+        assert_eq!(p.group_of_record(&rec("orders", Some(50), None)), 1, "delete");
+        assert_eq!(p.group_of_record(&rec("other", None, Some(150))), 0, "unlisted table");
     }
 }

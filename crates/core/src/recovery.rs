@@ -6,6 +6,7 @@
 //! final hop.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use replimid_sql::mvcc::{RowId, WriteKind, WriteRecord};
@@ -238,54 +239,58 @@ impl RecoveryLog {
     pub fn replay_cost_us(entries: &[LogEntry], mode: ReplayMode, per_entry_us: u64) -> u64 {
         match mode {
             ReplayMode::Serial => entries.len() as u64 * per_entry_us,
-            ReplayMode::Parallel => {
-                let mut group_of_table: HashMap<&str, usize> = HashMap::new();
-                let mut group_cost: Vec<u64> = Vec::new();
-                let mut parent: Vec<usize> = Vec::new();
-                fn find(parent: &mut [usize], mut x: usize) -> usize {
-                    while parent[x] != x {
-                        parent[x] = parent[parent[x]];
-                        x = parent[x];
-                    }
-                    x
-                }
-                for e in entries {
-                    let mut target: Option<usize> = None;
-                    for t in e.tables.iter() {
-                        if let Some(&g) = group_of_table.get(t.as_str()) {
-                            let root = find(&mut parent, g);
-                            match target {
-                                None => target = Some(root),
-                                Some(existing) => {
-                                    let r2 = find(&mut parent, existing);
-                                    if r2 != root {
-                                        parent[root] = r2;
-                                        group_cost[r2] += group_cost[root];
-                                        group_cost[root] = 0;
-                                    }
-                                    target = Some(find(&mut parent, r2));
-                                }
-                            }
-                        }
-                    }
-                    let g = match target {
-                        Some(g) => find(&mut parent, g),
-                        None => {
-                            let g = parent.len();
-                            parent.push(g);
-                            group_cost.push(0);
-                            g
-                        }
-                    };
-                    for t in e.tables.iter() {
-                        group_of_table.insert(t.as_str(), g);
-                    }
-                    group_cost[g] += per_entry_us;
-                }
-                group_cost.into_iter().max().unwrap_or(0)
-            }
+            ReplayMode::Parallel => grouped_chain_cost(entries.iter().map(|e| (&e.tables[..], per_entry_us))),
         }
     }
+}
+
+/// Union-find core of the parallel cost model: items sharing any key (a
+/// table) fall into one group whose costs sum; disjoint groups run
+/// concurrently, so the charge is the maximum group sum.
+pub(crate) fn grouped_chain_cost<'a, K: Hash + Eq + Clone + 'a>(items: impl IntoIterator<Item = (&'a [K], u64)>) -> u64 {
+    let mut group_of_key: HashMap<K, usize> = HashMap::new();
+    let mut parent: Vec<usize> = Vec::new();
+    let mut group_cost: Vec<u64> = Vec::new();
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    for (keys, cost) in items {
+        let mut target: Option<usize> = None;
+        for k in keys {
+            if let Some(&g) = group_of_key.get(k) {
+                let root = find(&mut parent, g);
+                match target {
+                    None => target = Some(root),
+                    Some(existing) => {
+                        let r = find(&mut parent, existing);
+                        if r != root {
+                            parent[root] = r;
+                            group_cost[r] += group_cost[root];
+                            group_cost[root] = 0;
+                            target = Some(r);
+                        }
+                    }
+                }
+            }
+        }
+        let g = match target {
+            Some(g) => find(&mut parent, g),
+            None => {
+                parent.push(parent.len());
+                group_cost.push(0);
+                parent.len() - 1
+            }
+        };
+        for k in keys {
+            group_of_key.insert(k.clone(), g);
+        }
+        group_cost[g] += cost;
+    }
+    group_cost.into_iter().max().unwrap_or(0)
 }
 
 impl Default for RecoveryLog {

@@ -98,15 +98,15 @@ impl Writeset {
             .collect()
     }
 
-    /// Split the writeset by a table classifier (partial replication: one
-    /// slice per table group). Returns `(class, slice)` pairs sorted by
+    /// Split the writeset by a row classifier (partial replication: one
+    /// slice per group). Returns `(class, slice)` pairs sorted by
     /// class; entry order within each slice is preserved. Counter syncs
     /// ride with the lowest class (they are global by nature — the
     /// limitation the paper's §4.2.3 gap already documents).
-    pub fn split_by(&self, class_of: impl Fn(&str, &str) -> usize) -> Vec<(usize, Writeset)> {
+    pub fn split_by(&self, class_of: impl Fn(&WriteRecord) -> usize) -> Vec<(usize, Writeset)> {
         let mut out: Vec<(usize, Writeset)> = Vec::new();
         for e in &self.entries {
-            let c = class_of(&e.database, &e.table);
+            let c = class_of(e);
             match out.iter_mut().find(|(cc, _)| *cc == c) {
                 Some((_, ws)) => ws.entries.push(e.clone()),
                 None => out.push((
@@ -199,7 +199,7 @@ mod tests {
         let mut r3 = rec(WriteKind::Insert, None, Some(vec![Value::Int(3)]));
         r3.table = "a".into();
         let ws = Writeset { entries: vec![r1, r2, r3], counters: Some(CounterSync::default()) };
-        let parts = ws.split_by(|_, t| if t == "a" { 0 } else { 1 });
+        let parts = ws.split_by(|r| if r.table == "a" { 0 } else { 1 });
         assert_eq!(parts.len(), 2);
         assert_eq!(parts[0].0, 0);
         assert_eq!(parts[0].1.entries.len(), 2);

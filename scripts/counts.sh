@@ -53,6 +53,8 @@ echo "SQL String fields on DbOp wire:   $(awk '/^pub (enum DbOp|struct [A-Za-z]*
 variants() {
     awk -v head="$1" '$0 ~ head { on = 1; next } on && /^\}/ { exit } on && /^    [A-Z][A-Za-z0-9]*( \{|,|\(|$)/ { n++ } END { print n + 0 }'
 }
+# Replication modes (partitioning is a placement, not a mode).
+echo "Mode variants:                    $(cat $mw | variants '^pub enum Mode \\{')"
 echo "DbOp variants:                    $(variants '^pub enum DbOp \\{' < crates/core/src/msg.rs)"
 echo "Pending variants:                 $(cat $mw | variants '^enum Pending \\{')"
 echo "ApplySpace variants:              $(variants '^pub enum ApplySpace \\{' < crates/core/src/msg.rs)"

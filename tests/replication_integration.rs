@@ -1,8 +1,7 @@
 //! End-to-end replication scenarios across sql + simnet + gcs + core.
 
 use replimid_core::{
-    BackendId, Cluster, ClusterConfig, Mode, NondetPolicy, PartitionScheme, Partitioner,
-    ScriptSource,
+    Cluster, ClusterConfig, Mode, NondetPolicy, PartitionScheme, Placement, ScriptSource,
 };
 use replimid_simnet::dur;
 
@@ -290,44 +289,43 @@ fn master_slave_two_safe_costs_commit_latency() {
 
 #[test]
 fn partitioned_writes_route_to_owning_partition() {
-    let mut partitioner = Partitioner::new();
-    partitioner.add_table(
+    // `items` in two range partitions, each its own group on a sole host.
+    let placement = Placement::new(vec![vec![0], vec![1]]).partition(
         "items",
         PartitionScheme::Range { column: "id".into(), bounds: vec![1000] },
+        vec![0, 1],
     );
     let schema = vec![
         "CREATE DATABASE shop".into(),
         "USE shop".into(),
         "CREATE TABLE items (id INT PRIMARY KEY, name TEXT, qty INT NOT NULL)".into(),
     ];
-    let mut cfg = ClusterConfig::new(
-        Mode::PartitionedStatement {
-            partitioner,
-            groups: vec![vec![BackendId(0)], vec![BackendId(1)]],
-        },
-        schema,
-        "shop",
-    );
+    let mut cfg = ClusterConfig::new(Mode::MultiMasterWriteset, schema, "shop");
     cfg.backends_per_mw = 2;
+    cfg.mw.placement = Some(placement);
     let mut cluster = Cluster::build(cfg);
+    // Named and positional inserts find the key alike (positional: by the
+    // primary key's schema position), then keyed reads.
     let src = ScriptSource::new(vec![
         vec!["INSERT INTO items (id, name, qty) VALUES (10, 'low', 1)".into()],
         vec!["INSERT INTO items (id, name, qty) VALUES (2000, 'high', 1)".into()],
+        vec!["INSERT INTO items VALUES (20, 'low', 1)".into()],
+        vec!["INSERT INTO items VALUES (3000, 'high', 1)".into()],
         vec!["SELECT name FROM items WHERE id = 10".into()],
         vec!["SELECT name FROM items WHERE id = 2000".into()],
     ]);
-    // The two inserts run once each (ids are primary keys), then reads.
+    // The inserts run once each (ids are primary keys), then reads.
     let c = cluster.add_client(src, |c| {
-        c.tx_limit = 4;
+        c.tx_limit = 6;
         c.think_time_us = 1_000;
     });
     cluster.run_for(dur::secs(3));
     let m = cluster.client_metrics(c);
-    assert_eq!(m.committed, 4, "failed={} aborted={}", m.failed, m.aborted);
+    assert_eq!(m.committed, 6, "failed={} aborted={}", m.failed, m.aborted);
 
-    assert_eq!(count_items(&mut cluster, 0, 0, Some("id < 1000")), 1);
+    assert_eq!(count_items(&mut cluster, 0, 0, Some("id < 1000")), 2);
     assert_eq!(count_items(&mut cluster, 0, 0, Some("id >= 1000")), 0);
-    assert_eq!(count_items(&mut cluster, 0, 1, Some("id >= 1000")), 1);
+    assert_eq!(count_items(&mut cluster, 0, 1, Some("id >= 1000")), 2);
     assert_eq!(count_items(&mut cluster, 0, 1, Some("id < 1000")), 0);
 }
 
