@@ -617,11 +617,11 @@ fn e9_recovery() {
     // synthetic log.
     let mut log = replimid_core::RecoveryLog::new();
     for i in 0..10_000u64 {
-        log.append_sql(
-            Some("bench".into()),
-            format!("UPDATE t{} SET v = v + 1 WHERE k = {i}", i % 4),
-            vec![format!("t{}", i % 4)],
-        );
+        let sql = format!("UPDATE t{} SET v = v + 1 WHERE k = {i}", i % 4);
+        let plan = replimid_core::msg::PlanExec::whole(std::sync::Arc::new(
+            replimid_sql::parse_statement(&sql).expect("modeled statement parses"),
+        ));
+        log.append(replimid_core::recovery::LogPayload::Plan { conn: 1, plan });
     }
     let entries = log.read_after(0, 20_000).unwrap();
     let serial = replimid_core::RecoveryLog::replay_cost_us(entries, ReplayMode::Serial, 80);

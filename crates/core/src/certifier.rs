@@ -165,10 +165,6 @@ impl Certifier {
         self.last_writer.retain(|_, p| retained.contains(p) || *p >= pos);
         let _ = &retained;
     }
-
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
 }
 
 impl Default for Certifier {

@@ -3,7 +3,6 @@
 //! injection and management operations, and collects metrics — the harness
 //! surface used by examples, integration tests, and the experiment binary.
 
-use replimid_det::DetRng;
 use replimid_simnet::{ControlOp, LinkFault, NetworkModel, NodeId, Sim, SimTime};
 use replimid_sql::{Engine, EngineConfig, ADMIN_PASSWORD, ADMIN_USER};
 
@@ -76,9 +75,6 @@ impl Cluster {
         if let Some(p) = &mut cfg.mw.placement {
             p.bind_keys(|t| keys.iter().find(|k| k.1 == t).map(|k| (k.2, k.3.as_str())))
                 .unwrap_or_else(|e| panic!("invalid placement: {e}"));
-        }
-        if cfg.mw.default_db.is_none() {
-            cfg.mw.default_db = Some(cfg.default_db.clone());
         }
         let mut sim: Sim<Msg> = Sim::new(cfg.net.clone(), cfg.seed);
         let total_backends = cfg.middlewares * cfg.backends_per_mw;
@@ -417,11 +413,6 @@ fn primary_keys(schema: &[String]) -> Vec<(String, String, usize, String)> {
         }
     }
     keys
-}
-
-/// Deterministic RNG for workload setup outside actors.
-pub fn seeded_rng(seed: u64) -> DetRng {
-    DetRng::seed_from_u64(seed)
 }
 
 #[cfg(test)]

@@ -8,12 +8,12 @@ use std::collections::{HashMap, HashSet};
 use replimid_simnet::{Actor, Ctx, DiskModel, NodeId};
 use replimid_sql::engine::ConnId;
 use replimid_sql::{
-    BinlogEntry, CrashKind, DumpOptions, Engine, ExecResult, Lsn, Outcome, Positions,
+    BinlogEntry, CrashKind, DumpOptions, Engine, ExecResult, Lsn, Mark, Outcome, Positions,
     RecoveryReport, SqlError, WalStats, Writeset, ADMIN_PASSWORD, ADMIN_USER,
 };
 
-use crate::msg::{ApplySpace, BatchExecResult, CommitNote, DbOp, DbResp, Msg, PlanExec, ReplyBody};
-use crate::recovery::grouped_chain_cost;
+use crate::msg::{ApplyEntry, CommitNote, DbOp, DbResp, EntryResult, Msg, PlanExec, ReplyBody};
+use crate::recovery::{grouped_chain_cost, LogPayload};
 use crate::trace::{Stage, TraceSink};
 
 /// Virtual cost constants specific to node-level operations.
@@ -54,7 +54,12 @@ pub struct DbNode {
     /// failure making a replica twice as slow, §4.1.3).
     pub speed_factor: f64,
     conns: HashMap<u64, ConnId>,
-    /// Dedicated connection for applying shipped/replayed statements.
+    /// Per connection, the ordered positions of the statements its open
+    /// transaction ran. They count as applied only when it ends: a crash
+    /// rolls the transaction back, and replay must then run them again.
+    /// Volatile, like the connections.
+    tx_marks: HashMap<u64, Vec<Mark>>,
+    /// Dedicated connection for applying statements shipped from a master.
     repl_conn: Option<ConnId>,
     /// Last *foreign* LSN applied via ApplyBinlog (slave role). The
     /// positions of the middleware's ordered streams live in the engine
@@ -89,6 +94,7 @@ impl DbNode {
             default_db,
             speed_factor: 1.0,
             conns: HashMap::new(),
+            tx_marks: HashMap::new(),
             repl_conn: None,
             applied_lsn,
             seen_ops: HashSet::new(),
@@ -267,63 +273,9 @@ impl DbNode {
                 }
                 out(res.map(|r| reply_body(r.outcome)), ws, poisoned)
             }
-            DbOp::ExecuteBatch { op, stmts } => {
-                let mut results = Vec::with_capacity(stmts.len());
-                // Per-statement table sets for the parallel-replay grouping:
-                // statements writing disjoint tables apply concurrently, so
-                // the batch is charged the longest dependent chain, not the
-                // sum — this is where grouped apply beats N round-trips.
-                let mut tables: Vec<Vec<(String, String)>> = Vec::new();
-                let mut costs: Vec<u64> = Vec::new();
-                for stmt in stmts {
-                    if self.engine.has_applied(&stmt.marks) {
-                        // Same idempotence contract as `Execute`.
-                        results.push(BatchExecResult::Ok { body: ReplyBody::Ack, commit: None, tainted: false });
-                        continue;
-                    }
-                    let (res, us) = self.run(stmt.conn, &stmt.plan);
-                    self.engine.note_applied(&stmt.marks);
-                    costs.push(us);
-                    // Statements on one connection serialize even when their
-                    // tables are disjoint: chain them with a synthetic
-                    // per-connection key ("\0" is not a legal database name).
-                    let conn_key = ("\0conn".to_string(), stmt.conn.to_string());
-                    match res {
-                        Ok(res) => {
-                            let body = reply_body(res.outcome);
-                            let mut tbls =
-                                res.commit.as_ref().map(|c| c.writeset.tables()).unwrap_or_default();
-                            let commit =
-                                res.commit.map(|_| CommitNote { lsn: self.engine.binlog_head() });
-                            tbls.push(conn_key);
-                            tables.push(tbls);
-                            results.push(BatchExecResult::Ok { body, commit, tainted: res.tainted });
-                        }
-                        Err(err) => {
-                            tables.push(vec![conn_key]);
-                            results.push(BatchExecResult::Err { err });
-                        }
-                    }
-                }
-                ctx.consume(self.scaled(grouped_chain_cost(tables.iter().map(|t| &t[..]).zip(costs.iter().copied()))));
-                Some(DbResp::ExecBatchOut { op, results })
-            }
-            DbOp::ApplyWriteset { op, ws, marks } => {
-                if self.engine.has_applied(&marks) {
-                    return Some(DbResp::ApplyOk { op, applied_lsn: self.applied_lsn });
-                }
-                let resp = match self.engine.apply_writeset(&ws) {
-                    Ok(res) => {
-                        ctx.consume(self.scaled(res.cost.cpu_us.max(ws.len() as u64 * 4)));
-                        self.engine.note_applied(&marks);
-                        DbResp::ApplyOk { op, applied_lsn: self.applied_lsn }
-                    }
-                    Err(err) => DbResp::ApplyErr { op, err },
-                };
-                Some(resp)
-            }
-            DbOp::ApplyBinlog { op, entries, use_writesets, parallel_apply, space } => {
-                Some(self.apply_binlog(ctx, op, entries, use_writesets, parallel_apply, space))
+            DbOp::Apply { op, entries, parallel } => Some(self.apply(ctx, op, &entries, parallel)),
+            DbOp::ApplyBinlog { op, entries, use_writesets, parallel_apply } => {
+                Some(self.apply_binlog(ctx, op, entries, use_writesets, parallel_apply))
             }
             DbOp::BinlogAfter { op, after } => {
                 let head = self.engine.binlog_head();
@@ -386,6 +338,7 @@ impl DbNode {
                 })
             }
             DbOp::Disconnect { conn } => {
+                self.tx_marks.remove(&conn);
                 if let Some(c) = self.conns.remove(&conn) {
                     self.engine.disconnect(c);
                 }
@@ -394,6 +347,95 @@ impl DbNode {
         }
     }
 
+    /// Run a [`DbOp::Apply`]: each entry unless its marks are all applied,
+    /// then one charge for the lot.
+    fn apply(&mut self, ctx: &mut Ctx<'_, Msg>, op: u64, entries: &[ApplyEntry], parallel: bool) -> DbResp {
+        let mut results = Vec::with_capacity(entries.len());
+        let mut charged = Vec::new();
+        for entry in entries {
+            if self.applied(entry) {
+                // Applied before a failure was declared: idempotent skip.
+                results.push(EntryResult::Ok { body: ReplyBody::Ack, commit: None, tainted: false });
+                continue;
+            }
+            let (res, us) = match &entry.payload {
+                LogPayload::Plan { conn, plan } => {
+                    let out = self.run(*conn, plan);
+                    self.settle_marks(*conn, &entry.marks);
+                    out
+                }
+                LogPayload::Ws(ws) => match self.engine.apply_writeset(ws) {
+                    Ok(res) => {
+                        self.engine.note_applied(&entry.marks);
+                        let us = res.cost.cpu_us.max(ws.len() as u64 * 4);
+                        (Ok(res), us)
+                    }
+                    Err(err) => {
+                        self.charge(ctx, &charged, parallel);
+                        return DbResp::ApplyErr { op, err };
+                    }
+                },
+            };
+            let tables = res.as_ref().ok().and_then(|r| r.commit.as_ref()).map(|c| c.writeset.tables());
+            charged.push((tables.unwrap_or_default(), us));
+            results.push(match res {
+                Ok(res) => {
+                    let commit = res.commit.map(|_| CommitNote { lsn: self.engine.binlog_head() });
+                    EntryResult::Ok { body: reply_body(res.outcome), commit, tainted: res.tainted }
+                }
+                Err(err) => EntryResult::Err { err },
+            });
+        }
+        self.charge(ctx, &charged, parallel);
+        DbResp::Applied { op, results }
+    }
+
+    /// Charge the entries one op ran, each with the tables its commit wrote
+    /// and its cost: the longest chain of entries sharing a table when
+    /// `parallel` (the §4.4.2 "extraction of parallelism from the log"),
+    /// else the sum.
+    fn charge(&self, ctx: &mut Ctx<'_, Msg>, charged: &[(Vec<(String, String)>, u64)], parallel: bool) {
+        let us = if parallel {
+            grouped_chain_cost(charged.iter().map(|(t, us)| (&t[..], *us)))
+        } else {
+            charged.iter().map(|(_, us)| us).sum()
+        };
+        ctx.consume(self.scaled(us));
+    }
+
+    /// Whether every mark of `entry` is applied, or held by its
+    /// connection's open transaction: an entry to skip.
+    fn applied(&self, entry: &ApplyEntry) -> bool {
+        let held = match &entry.payload {
+            LogPayload::Plan { conn, .. } => self.tx_marks.get(conn),
+            LogPayload::Ws(_) => None,
+        };
+        let has = |m: &Mark| self.engine.ordered().has(*m) || held.is_some_and(|h| h.contains(m));
+        !entry.marks.is_empty() && entry.marks.iter().all(has)
+    }
+
+    /// Note the marks of a plan that ran on connection `conn`. A failed
+    /// statement is applied too: it failed the same way on every replica,
+    /// and replay must not rerun it. Inside a transaction the marks wait
+    /// for its end, and are noted with its COMMIT or ROLLBACK.
+    fn settle_marks(&mut self, conn: u64, marks: &[Mark]) {
+        let open = self.conns.get(&conn).is_some_and(|&c| self.engine.in_transaction(c));
+        if open {
+            self.tx_marks.entry(conn).or_default().extend_from_slice(marks);
+            return;
+        }
+        match self.tx_marks.remove(&conn) {
+            Some(mut held) => {
+                held.extend_from_slice(marks);
+                self.engine.note_applied(&held);
+            }
+            None => self.engine.note_applied(marks),
+        }
+    }
+
+    /// Apply binlog entries shipped from the master, on the replication
+    /// connection: the one place a node still parses SQL text, because
+    /// log shipping reads the master's own (text) binlog (§2.2).
     fn apply_binlog(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -401,26 +443,10 @@ impl DbNode {
         entries: Vec<BinlogEntry>,
         use_writesets: bool,
         parallel_apply: bool,
-        space: ApplySpace,
     ) -> DbResp {
-        let mark = |d: &mut Self, lsn: Lsn| match space {
-            ApplySpace::Binlog => d.applied_lsn = d.applied_lsn.max(lsn),
-            ApplySpace::Ordered { group } => d.engine.note_applied(&[(group, lsn.0)]),
-        };
-        let skip = |d: &Self, lsn: Lsn| match space {
-            ApplySpace::Binlog => lsn <= d.applied_lsn,
-            ApplySpace::Ordered { group } => d.engine.ordered().has((group, lsn.0)),
-        };
-        // Group entries by connected table components for the parallel
-        // cost model (serial applies sum; parallel charges the longest
-        // chain — §4.4.2's "extraction of parallelism from the log").
-        let mut per_entry_cost: Vec<u64> = Vec::with_capacity(entries.len());
-        let mut max_lsn = match space {
-            ApplySpace::Binlog => self.applied_lsn,
-            ApplySpace::Ordered { group } => Lsn(self.engine.ordered().prefix(group as usize)),
-        };
+        let mut charged = Vec::with_capacity(entries.len());
         for entry in &entries {
-            if skip(self, entry.lsn) {
+            if entry.lsn <= self.applied_lsn {
                 continue; // already applied (overlapping batches / pre-crash races)
             }
             let mut entry_cost = 0u64;
@@ -443,27 +469,15 @@ impl DbNode {
             };
             if let Err(err) = result {
                 // Entries before the failure are applied (and marked).
-                ctx.consume(self.scaled(per_entry_cost.iter().sum::<u64>() + entry_cost));
+                charged.push((Vec::new(), entry_cost));
+                self.charge(ctx, &charged, false);
                 return DbResp::ApplyErr { op, err };
             }
-            per_entry_cost.push(entry_cost);
-            max_lsn = max_lsn.max(entry.lsn);
-            mark(self, entry.lsn);
+            charged.push((entry.writeset.tables(), entry_cost));
+            self.applied_lsn = self.applied_lsn.max(entry.lsn);
         }
-        let total: u64 = per_entry_cost.iter().sum();
-        let charged = if parallel_apply {
-            parallel_cost(&entries, &per_entry_cost)
-        } else {
-            total
-        };
-        ctx.consume(self.scaled(charged));
-        DbResp::ApplyOk {
-            op,
-            applied_lsn: match space {
-                ApplySpace::Binlog => self.applied_lsn,
-                ApplySpace::Ordered { .. } => max_lsn,
-            },
-        }
+        self.charge(ctx, &charged, parallel_apply);
+        DbResp::ApplyOk { op, applied_lsn: self.applied_lsn }
     }
 }
 
@@ -476,20 +490,12 @@ fn reply_body(outcome: Outcome) -> ReplyBody {
     }
 }
 
-/// Longest chain over connected components of entries sharing tables.
-fn parallel_cost(entries: &[BinlogEntry], costs: &[u64]) -> u64 {
-    let tables: Vec<Vec<(String, String)>> =
-        entries.iter().map(|e| e.writeset.tables()).collect();
-    grouped_chain_cost(tables.iter().map(|t| &t[..]).zip(costs.iter().copied()))
-}
-
 /// The op id carried by an operation, if it expects a response.
 fn op_id(op: &DbOp) -> Option<u64> {
     match op {
         DbOp::Execute { op, .. }
-        | DbOp::ExecuteBatch { op, .. }
+        | DbOp::Apply { op, .. }
         | DbOp::Delegate { op, .. }
-        | DbOp::ApplyWriteset { op, .. }
         | DbOp::ApplyBinlog { op, .. }
         | DbOp::BinlogAfter { op, .. }
         | DbOp::Dump { op, .. }
@@ -536,6 +542,7 @@ impl Actor<Msg> for DbNode {
             // time before it can answer a single ping. That busy window is
             // the local, *measured* half of MTTR.
             self.conns.clear();
+            self.tx_marks.clear();
             self.repl_conn = None;
             self.seen_ops.clear();
             let kind = std::mem::replace(&mut self.pending_crash, CrashKind::Clean);
@@ -565,6 +572,7 @@ impl Actor<Msg> for DbNode {
         for (_, c) in conns {
             self.engine.disconnect(c);
         }
+        self.tx_marks.clear();
         if let Some(c) = self.repl_conn.take() {
             self.engine.disconnect(c);
         }

@@ -211,16 +211,6 @@ impl HealthTracker {
         }
     }
 
-    /// The probe was lost entirely (backend failed mid-probe): treat as a
-    /// failed probe.
-    pub fn probe_lost(&mut self, now_us: u64) {
-        if matches!(self.state, HealthState::Probing { .. }) {
-            self.probe_in_flight = false;
-            self.state = HealthState::Quarantined { since_us: now_us };
-            self.events.push((now_us, HealthEvent::Retrip));
-        }
-    }
-
     /// Hard reset: the backend crashed or was evicted, so its latency
     /// history is meaningless when (if) it returns.
     pub fn reset(&mut self, now_us: u64) {

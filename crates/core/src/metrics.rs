@@ -191,10 +191,6 @@ impl AvailabilityTracker {
             -(1.0 - a).log10()
         }
     }
-
-    pub fn outage_windows(&self) -> &[(u64, u64)] {
-        &self.outages
-    }
 }
 
 /// Middleware-level counters.

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use replimid_simnet::Ctx;
-use replimid_sql::ast::{ObjectName, Statement};
+use replimid_sql::ast::Statement;
 use replimid_sql::{parse_statement, CachedPlan, PlanCache, SqlError, Value};
 
 use super::{Current, CurrentKind, Middleware, Pending, Sess};
@@ -18,24 +18,17 @@ pub(super) struct Admitted {
     /// What backends execute: the cached template and its literals, or the
     /// statement itself (the same `Arc`) when nothing was cached.
     pub(super) plan: PlanExec,
-    /// The cached template's written tables, so no later stage walks the
-    /// statement for them. `None` without a cached template.
-    pub(super) written: Option<Vec<ObjectName>>,
 }
 
 impl Admitted {
     fn whole(stmt: Statement) -> Admitted {
         let stmt = Arc::new(stmt);
-        Admitted { plan: PlanExec::whole(stmt.clone()), stmt, written: None }
+        Admitted { plan: PlanExec::whole(stmt.clone()), stmt }
     }
 
     fn bound(cached: CachedPlan, params: Vec<Value>) -> Result<Admitted, SqlError> {
         let stmt = Arc::new(replimid_sql::bind(&cached.template, &params)?);
-        Ok(Admitted {
-            stmt,
-            plan: PlanExec { template: cached.template, params },
-            written: Some(cached.written_tables),
-        })
+        Ok(Admitted { stmt, plan: PlanExec { template: cached.template, params } })
     }
 }
 

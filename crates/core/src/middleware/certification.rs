@@ -8,7 +8,10 @@ use replimid_sql::ast::{IsolationLevel, Statement};
 use replimid_sql::{SqlError, Writeset};
 
 use super::{raise, BackendState, Current, CurrentKind, Middleware, Pending};
-use crate::msg::{BackendId, ClientRequest, DbOp, DbResp, Msg, PlanExec, ReplEvent, ReplyBody, ReplyError, SessionId};
+use crate::msg::{
+    ApplyEntry, BackendId, ClientRequest, DbOp, DbResp, Msg, PlanExec, ReplEvent, ReplyBody, ReplyError, SessionId,
+};
+use crate::recovery::LogPayload;
 use crate::trace::Stage;
 
 /// One multi-group transaction between its first prepare delivery and the
@@ -455,8 +458,9 @@ impl Middleware {
             remaining += usize::from(origin);
             let sess = origin.then_some(session);
             let wire = marks.clone();
+            let entries = vec![ApplyEntry { payload: LogPayload::Ws(ws), marks: wire }];
             self.send_db(ctx, backend, Pending::PwApply { session: sess, backend, marks }, move |op| {
-                DbOp::ApplyWriteset { op, ws, marks: wire }
+                DbOp::Apply { op, entries, parallel: true }
             });
         }
         if origin {
@@ -526,7 +530,7 @@ impl Middleware {
         resp: DbResp,
     ) {
         match resp {
-            DbResp::ApplyOk { .. } => self.shards.credit(backend, marks),
+            DbResp::Applied { .. } => self.shards.credit(backend, marks),
             DbResp::ApplyErr { .. } => {
                 self.metrics.counters.divergence_detected += 1;
                 if self.backends[backend.0].online() {

@@ -125,8 +125,7 @@ pub enum ReadPolicy {
     /// qualifies — reads spread across every fresh replica instead of
     /// pinning to one, and read-your-writes holds by construction. When no
     /// replica qualifies the read parks until the freshness vector catches
-    /// up, bounded by `MwConfig::freshness_wait_max_us` (then
-    /// wait-or-primary kicks in).
+    /// up, for at most 20 ms (then wait-or-primary kicks in).
     Fresh,
     /// Freshness routing with a slack of `k` positions: a replica qualifies
     /// for a session's read when its applied position is within `k` of the
@@ -178,9 +177,6 @@ pub struct MwConfig {
     /// When a rejoining replica is within this many log entries of the head,
     /// the middleware enacts the global barrier for the final hop (§4.4.2).
     pub barrier_threshold: u64,
-    /// Default database of client sessions, recorded with logged statements
-    /// so recovery replay executes them in the right database.
-    pub default_db: Option<String>,
     /// §4.3.4.3: refuse writes unless this middleware's group view holds a
     /// strict majority of the peers — the C-and-A-over-P stance. Off by
     /// default (a 2-replica middleware pair has no useful majority).
@@ -212,12 +208,6 @@ pub struct MwConfig {
     /// Deadline for a partially-filled batch (virtual µs). Irrelevant when
     /// `batch_max <= 1`.
     pub batch_deadline_us: u64,
-    /// [`ReadPolicy::Fresh`] only: how long a read may park waiting for a
-    /// fresh-enough replica before the wait-or-primary fallback serves it
-    /// (master-slave: the master, which is always fresh; multi-master: the
-    /// most caught-up candidate). Bounds read latency under replication
-    /// lag without giving up freshness in the common case.
-    pub freshness_wait_max_us: u64,
     /// Middleware-side prepared-statement cache capacity (templates). With
     /// a non-zero capacity each client statement is normalized (literals →
     /// params) and repeat shapes reuse the cached parse. 0 means no reuse:
@@ -256,14 +246,12 @@ impl MwConfig {
             recovery_batch: 64,
             replay_mode: ReplayMode::Serial,
             barrier_threshold: 16,
-            default_db: None,
             require_majority: false,
             quarantine: None,
             degrade_to_read_only: false,
             adaptive_detection: None,
             batch_max: 1,
             batch_deadline_us: 200,
-            freshness_wait_max_us: 20_000,
             plan_cache: 0,
             placement: None,
             initial_removed: Vec::new(),
@@ -417,9 +405,9 @@ impl Sess {
 #[derive(Debug)]
 enum Pending {
     ClientExec { session: SessionId, backend: BackendId },
-    /// One grouped `ExecuteBatch` at one backend: a flushed batch of
-    /// ordered statements, or a single statement (a batch of one); `groups`
-    /// are the per-statement exec groups, in batch order.
+    /// One `Apply` of ordered statements at one backend: a flushed batch,
+    /// or a single statement (a batch of one); `groups` are the
+    /// per-statement exec groups, in batch order.
     GroupExecBatch { groups: Vec<u64>, backend: BackendId },
     /// The delegate's single COMMIT for a (possibly multi-group)
     /// transaction; `marks` are the (group, position) pairs its ack
@@ -890,11 +878,11 @@ impl Middleware {
         }
 
         // Parse exactly once, at admission. Every later consumer — read/
-        // write classification, temp-table detection, rewrite, delivery-time
-        // table extraction, backend fan-out — works from this parse (or the
-        // cached template behind it); the statement text is never parsed
-        // again anywhere in the pipeline.
-        let Admitted { stmt, plan, written } = match self.admission.admit(&req.sql, &mut self.metrics.counters) {
+        // write classification, temp-table detection, rewrite, group
+        // lookup, backend fan-out, the recovery log and its replay — works
+        // from this parse (or the cached template behind it); the statement
+        // text is never parsed again anywhere in the pipeline.
+        let Admitted { stmt, plan } = match self.admission.admit(&req.sql, &mut self.metrics.counters) {
             Ok(admitted) => admitted,
             Err(e) => {
                 self.reply(ctx, req.session, req.stmt_seq, Err(ReplyError::Sql(e)));
@@ -929,7 +917,7 @@ impl Middleware {
         match &self.cfg.mode {
             Mode::MultiMasterStatement { nondet } => {
                 let nondet = *nondet;
-                self.mm_statement_request(ctx, req, &stmt, plan, written, nondet)
+                self.mm_statement_request(ctx, req, &stmt, plan, nondet)
             }
             Mode::MultiMasterWriteset => self.mm_writeset_request(ctx, req, &stmt, plan),
             Mode::MasterSlave { .. } => self.ms_request(ctx, req, &stmt, plan),

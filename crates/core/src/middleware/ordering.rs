@@ -8,19 +8,19 @@ use std::sync::Arc;
 
 use replimid_gcs::{Action as GAction, GcsConfig, MemberId, ShardedMember};
 use replimid_simnet::Ctx;
-use replimid_sql::ast::{ObjectName, Statement};
+use replimid_sql::ast::Statement;
 use replimid_sql::{SqlError, Watermark, Writeset};
 
 use super::certification::XTx;
 use super::{raise, Current, CurrentKind, Middleware, Pending, SHARD_BATCH_BASE, SHARD_TICK_BASE};
 use crate::certifier::{Certifier, CertifierStats, Verdict};
 use crate::msg::{
-    BackendId, BatchExecResult, BatchItem, ClientReply, ClientRequest, DbOp, DbResp, Msg, PlanExec, ReplEvent,
+    ApplyEntry, BackendId, ClientReply, ClientRequest, DbOp, DbResp, EntryResult, Msg, PlanExec, ReplEvent,
     ReplyBody, ReplyError, SessionId,
 };
 use crate::partition::Placement;
-use crate::recovery::RecoveryLog;
-use crate::rewrite::{prepare_for_broadcast, NondetPolicy};
+use crate::recovery::{LogPayload, RecoveryLog};
+use crate::rewrite::{prepare_for_broadcast, NondetPolicy, Prepared};
 use crate::trace::Stage;
 
 /// Per-group replication state. Group `g` has its own sequencer (`member`
@@ -150,7 +150,7 @@ impl Shards {
     ) -> Option<u64> {
         let verdict =
             self.certs[g].certify(start_pos, ws, |db, t| pk_map.get(&(db.to_string(), t.to_string())).copied());
-        (verdict == Verdict::Commit).then(|| self.logs[g].append_ws(ws.clone()))
+        (verdict == Verdict::Commit).then(|| self.logs[g].append(LogPayload::Ws(ws.clone())))
     }
 
     /// Lowest log position in group `g` reserved by a still-undecided
@@ -350,8 +350,8 @@ impl Middleware {
 
     fn apply_shard_delivery(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, ev: ReplEvent) {
         match ev {
-            ReplEvent::Statement { session, stmt_seq, sql, ast, tables } => {
-                self.deliver_statement_batch(ctx, vec![(session, stmt_seq, sql, ast, tables)])
+            ReplEvent::Statement { session, stmt_seq, ast } => {
+                self.deliver_statement_batch(ctx, vec![(session, stmt_seq, ast)])
             }
             ReplEvent::Certify { session, stmt_seq, start_pos, ws } => {
                 self.deliver_shard_certify(ctx, g, session, stmt_seq, start_pos, ws)
@@ -369,13 +369,11 @@ impl Middleware {
     /// ONE grouped message, then its certification requests one by one.
     /// Each class keeps the admission order recorded in the event vector.
     fn deliver_batch(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, events: Vec<ReplEvent>) {
-        let mut stmts: Vec<(SessionId, u64, String, PlanExec, Vec<String>)> = Vec::new();
+        let mut stmts: Vec<(SessionId, u64, PlanExec)> = Vec::new();
         let mut certs: Vec<ReplEvent> = Vec::new();
         for ev in events {
             match ev {
-                ReplEvent::Statement { session, stmt_seq, sql, ast, tables } => {
-                    stmts.push((session, stmt_seq, sql, ast, tables))
-                }
+                ReplEvent::Statement { session, stmt_seq, ast } => stmts.push((session, stmt_seq, ast)),
                 ReplEvent::SessionEnd { session } => self.end_session(ctx, session),
                 // Batches never nest (`Shards::admit` only buffers leaves).
                 ReplEvent::Batch { .. } => {}
@@ -408,7 +406,6 @@ impl Middleware {
         req: ClientRequest,
         stmt: &Statement,
         plan: PlanExec,
-        written: Option<Vec<ObjectName>>,
         nondet: NondetPolicy,
     ) {
         if stmt.is_read_only() && !matches!(stmt, Statement::Begin { .. } | Statement::Commit | Statement::Rollback) {
@@ -424,15 +421,15 @@ impl Middleware {
         self.metrics.counters.writes += 1;
         let rand_value = ctx.rng().gen::<f64>();
         let prepared = prepare_for_broadcast(stmt, nondet, ctx.now().micros() as i64, rand_value);
-        let (sql, ast) = match prepared {
-            Ok(p) if p.substitutions > 0 => {
+        let ast = match prepared {
+            Ok(Prepared { rewritten: Some(stmt), .. }) => {
                 self.metrics.counters.rewritten_statements += 1;
                 // The rewrite changed the statement: the admission-time plan
                 // no longer describes what ships. Carry the rewritten parse
                 // whole instead.
-                (p.sql, PlanExec::whole(Arc::new(p.stmt)))
+                PlanExec::whole(Arc::new(stmt))
             }
-            Ok(p) => (p.sql, plan),
+            Ok(_) => plan,
             Err(rej) => {
                 self.metrics.counters.rejected_statements += 1;
                 self.reply(ctx, req.session, req.stmt_seq, Err(ReplyError::Rejected(rej.reason)));
@@ -454,33 +451,25 @@ impl Middleware {
                 s.last_write_us = ctx.now().micros();
             }
         }
-        // A rewrite replaces expressions only: the written tables are the
-        // admitted statement's.
-        let tables = written.unwrap_or_else(|| stmt.written_tables()).into_iter().map(|t| t.name).collect();
-        self.shard_publish_write(
-            ctx,
-            0,
-            ReplEvent::Statement { session: req.session, stmt_seq: req.stmt_seq, sql, ast, tables },
-        );
+        self.shard_publish_write(ctx, 0, ReplEvent::Statement { session: req.session, stmt_seq: req.stmt_seq, ast });
     }
 
     /// Ordered statements arrive, one or a group-committed batch: they take
     /// a dense recovery-log seq range (every peer logs identically, so
-    /// positions agree) and each backend receives them as one
-    /// `ExecuteBatch` — one network round-trip and one
-    /// parallel-replay-grouped cost charge per backend per delivery, which
+    /// positions agree), each as its plan on its session's connection, and
+    /// each backend receives them as one `Apply` — one network round-trip
+    /// and one parallel-grouped cost charge per backend per delivery, which
     /// is where group commit wins. A batch of one is charged exactly its
     /// statement's cost.
-    fn deliver_statement_batch(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        stmts: Vec<(SessionId, u64, String, PlanExec, Vec<String>)>,
-    ) {
+    fn deliver_statement_batch(&mut self, ctx: &mut Ctx<'_, Msg>, stmts: Vec<(SessionId, u64, PlanExec)>) {
         let now = ctx.now().micros();
         // Append the whole batch first: seqs are dense ([head+1 ..= head+n]).
-        let mut entries: Vec<(SessionId, u64, PlanExec, u64, bool)> = Vec::with_capacity(stmts.len());
-        for (session, stmt_seq, sql, ast, tables) in stmts {
-            let log_seq = self.shards.logs[0].append_sql(self.cfg.default_db.clone(), sql, tables);
+        let mut entries: Vec<(SessionId, u64, u64, bool)> = Vec::with_capacity(stmts.len());
+        let mut apply: Vec<ApplyEntry> = Vec::with_capacity(stmts.len());
+        for (session, stmt_seq, ast) in stmts {
+            let payload = LogPayload::Plan { conn: session.0, plan: ast };
+            let log_seq = self.shards.logs[0].append(payload.clone());
+            apply.push(ApplyEntry { payload, marks: vec![(0, log_seq)] });
             // A shadow session for non-origin peers.
             let origin = {
                 let s = self.session(session, None);
@@ -490,13 +479,13 @@ impl Middleware {
                 // Publish (or flush) → self-delivery through the total order.
                 self.mw_span(session, stmt_seq, Stage::Order, now);
             }
-            entries.push((session, stmt_seq, ast, log_seq, origin));
+            entries.push((session, stmt_seq, log_seq, origin));
         }
         let targets = self.healthy();
         if targets.is_empty() {
             // Nobody executed them: void the log slots so recovery replay
             // does not resurrect transactions the clients were told failed.
-            for (session, stmt_seq, _, log_seq, origin) in entries {
+            for (session, stmt_seq, log_seq, origin) in entries {
                 self.shards.void(0, log_seq);
                 if origin {
                     self.reply(ctx, session, stmt_seq, Err(ReplyError::Unavailable("no backend".into())));
@@ -507,7 +496,7 @@ impl Middleware {
         // One exec group per statement — the reply/divergence bookkeeping is
         // per statement; only the transport is grouped.
         let mut groups: Vec<u64> = Vec::with_capacity(entries.len());
-        for &(session, stmt_seq, _, log_seq, origin) in &entries {
+        for &(session, stmt_seq, log_seq, origin) in &entries {
             let group_id = self.exec.open(session, stmt_seq, targets.len(), origin, log_seq);
             if origin {
                 if let Some(s) = self.sessions.get_mut(session.0) {
@@ -518,21 +507,18 @@ impl Middleware {
         }
         for backend in targets {
             let groups = groups.clone();
-            let batch: Vec<BatchItem> = entries
-                .iter()
-                .map(|(session, _, ast, log_seq, _)| BatchItem { conn: session.0, plan: ast.clone(), marks: vec![(0, *log_seq)] })
-                .collect();
+            let entries = apply.clone();
             self.send_db(ctx, backend, Pending::GroupExecBatch { groups, backend }, move |op| {
-                DbOp::ExecuteBatch { op, stmts: batch }
+                DbOp::Apply { op, entries, parallel: true }
             });
         }
     }
 
-    /// One backend's answer to an `ExecuteBatch`: it resolves every
-    /// statement's exec group, in batch order. Any other answer fails the
-    /// whole batch at that backend.
+    /// One backend's answer to an ordered statements' `Apply`: it resolves
+    /// every statement's exec group, in op order. Any other answer fails
+    /// the whole batch at that backend.
     pub(super) fn finish_exec_batch(&mut self, ctx: &mut Ctx<'_, Msg>, groups: Vec<u64>, backend: BackendId, resp: DbResp) {
-        let DbResp::ExecBatchOut { results, .. } = resp else {
+        let DbResp::Applied { results, .. } = resp else {
             for group in groups {
                 self.finish_group_exec(ctx, group, backend, None);
             }
@@ -547,16 +533,16 @@ impl Middleware {
     /// `None` when the backend failed before answering. The last outcome
     /// in answers the origin, or on a peer caches the reply for a client
     /// that fails over to it.
-    pub(super) fn finish_group_exec(&mut self, ctx: &mut Ctx<'_, Msg>, group: u64, backend: BackendId, r: Option<BatchExecResult>) {
+    pub(super) fn finish_group_exec(&mut self, ctx: &mut Ctx<'_, Msg>, group: u64, backend: BackendId, r: Option<EntryResult>) {
         let Some(g) = self.exec.groups.get_mut(&group) else { return };
         let result = match r {
-            Some(BatchExecResult::Ok { body, commit, .. }) => {
+            Some(EntryResult::Ok { body, commit, .. }) => {
                 if commit.is_some() && g.origin {
                     self.metrics.counters.commits += 1;
                 }
                 Some(Ok(body))
             }
-            Some(BatchExecResult::Err { err }) => Some(Err(err)),
+            Some(EntryResult::Err { err }) => Some(Err(err)),
             None => None,
         };
         if result.is_some() {

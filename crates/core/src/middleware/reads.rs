@@ -11,6 +11,13 @@ use crate::balancer::Granularity;
 use crate::msg::{BackendId, ClientRequest, DbOp, Msg, PlanExec, ReplyError, SessionId};
 use crate::trace::Stage;
 
+/// [`ReadPolicy::Fresh`] and its relatives: how long a read may park
+/// waiting for a fresh-enough replica before the wait-or-primary fallback
+/// serves it (master-slave: the master, which is always fresh;
+/// multi-master: the most caught-up candidate). Bounds read latency under
+/// replication lag without giving up freshness in the common case.
+const FRESHNESS_WAIT_MAX_US: u64 = 20_000;
+
 /// One client read on its way to a backend: dispatched at once, or parked
 /// in the wait queue until a replica catches up to `needs` (or the wait
 /// deadline fires).
@@ -159,7 +166,7 @@ impl Middleware {
     /// backend when one is eligible, else to a balanced pick among the
     /// candidates that have applied what the session must see; when none
     /// has, the read parks until one catches up (bounded by
-    /// `freshness_wait_max_us`).
+    /// [`FRESHNESS_WAIT_MAX_US`]).
     pub(super) fn route_read(&mut self, ctx: &mut Ctx<'_, Msg>, req: ClientRequest, stmt: &Statement, plan: PlanExec) {
         self.metrics.counters.reads += 1;
         let gset = self.shards.stmt_groups(stmt);
@@ -287,7 +294,7 @@ impl Middleware {
     /// Park a read until a replica catches up to its needs, with the
     /// wait-or-primary deadline as the escape hatch.
     fn park_read(&mut self, ctx: &mut Ctx<'_, Msg>, r: ReadReq) {
-        self.reads.park(ctx, r, self.cfg.freshness_wait_max_us);
+        self.reads.park(ctx, r, FRESHNESS_WAIT_MAX_US);
     }
 
     /// Is the session still waiting on this parked read? It may have moved

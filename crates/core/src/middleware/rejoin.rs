@@ -9,7 +9,7 @@ use replimid_simnet::Ctx;
 use replimid_sql::{Lsn, Watermark};
 
 use super::{Backend, BackendState, Middleware, Pending};
-use crate::msg::{ApplySpace, BackendId, DbOp, DbResp, Msg};
+use crate::msg::{ApplyEntry, BackendId, DbOp, DbResp, Msg};
 use crate::recovery::{RecoveryLog, ReplayMode};
 
 /// The rejoin seam's state.
@@ -287,15 +287,16 @@ impl Middleware {
         if crate::debug_on() {
             eprintln!("[{}us] recovery batch b{} g{g}: {}..={upto}", ctx.now().micros(), backend.0, n + 1);
         }
-        let entries = crate::recovery::to_binlog_entries(&batch);
-        let use_writesets = batch.iter().any(|e| e.is_writeset());
-        let parallel_apply = self.cfg.replay_mode == ReplayMode::Parallel;
+        // The live fan-out's op, from the node's cursor: the node skips
+        // entries it already applied before the failure was declared
+        // (idempotent replay), and runs each plan on its session's
+        // connection.
+        let entries: Vec<ApplyEntry> =
+            batch.into_iter().map(|e| ApplyEntry { payload: e.payload, marks: vec![(g as u32, e.seq)] }).collect();
+        let parallel = self.cfg.replay_mode == ReplayMode::Parallel;
         self.backends[backend.0].state = BackendState::Recovering { next, inflight: true };
-        let space = ApplySpace::Ordered { group: g as u32 };
         self.send_db(ctx, backend, Pending::RecoveryBatch { backend, group: g, upto }, move |op| {
-            // The node skips entries it already applied, in this group,
-            // before the failure was declared (idempotent replay).
-            DbOp::ApplyBinlog { op, entries, use_writesets, parallel_apply, space }
+            DbOp::Apply { op, entries, parallel }
         });
     }
 
@@ -305,7 +306,7 @@ impl Middleware {
             return;
         };
         match resp {
-            DbResp::ApplyOk { .. } => {
+            DbResp::Applied { .. } => {
                 *inflight = false;
                 if let Some(slot) = next.iter_mut().find(|(g, _)| *g == group) {
                     slot.1 = upto;

@@ -10,7 +10,7 @@ use replimid_sql::ast::Statement;
 use replimid_sql::{BinlogEntry, Lsn};
 
 use super::{raise, BackendState, Current, CurrentKind, Middleware, Mode, Pending, TIMER_SHIP};
-use crate::msg::{ApplySpace, BackendId, ClientRequest, DbOp, DbResp, Msg, PlanExec, ReplyBody, ReplyError, SessionId};
+use crate::msg::{BackendId, ClientRequest, DbOp, DbResp, Msg, PlanExec, ReplyBody, ReplyError, SessionId};
 use crate::trace::Stage;
 
 /// The ship seam's state.
@@ -174,9 +174,8 @@ impl Middleware {
     fn ship_to(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId, entries: Vec<BinlogEntry>, session: Option<SessionId>) {
         let Mode::MasterSlave { use_writesets, parallel_apply, .. } = self.cfg.mode else { return };
         self.ship.busy.insert(backend);
-        let space = ApplySpace::Binlog;
         self.send_db(ctx, backend, Pending::ShipApply { backend, session }, move |op| {
-            DbOp::ApplyBinlog { op, entries, use_writesets, parallel_apply, space }
+            DbOp::ApplyBinlog { op, entries, use_writesets, parallel_apply }
         });
     }
 

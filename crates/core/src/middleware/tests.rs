@@ -7,12 +7,13 @@ use super::*;
 use replimid_simnet::{NetworkModel, Sim};
 use replimid_sql::{parse_statement, Watermark};
 
-use crate::msg::PlanExec;
+use crate::msg::{ApplyEntry, EntryResult, PlanExec};
+use crate::recovery::LogPayload;
 
 /// A backend that answers from a script: statements, ordered statement
 /// batches and COMMIT succeed, a delegate op running a write of session `n`
-/// returns `insert_ws(n)`, the first `refuse` applies fail, and later
-/// ones apply, as do the dump, restore and replay of a rejoin. It logs
+/// returns `insert_ws(n)`, the first `refuse` writeset applies fail, and
+/// later ones apply, as do the dump and restore of a rejoin. It logs
 /// every op but pings, which it never answers (an unanswered backend is
 /// never evicted).
 struct ScriptedDb {
@@ -25,12 +26,21 @@ impl ScriptedDb {
         ScriptedDb { refuse, ops: Vec::new() }
     }
 
-    fn applies(&self) -> Vec<Writeset> {
-        let ws = |op: &DbOp| match op {
-            DbOp::ApplyWriteset { ws, .. } => Some(ws.clone()),
-            _ => None,
-        };
-        self.ops.iter().filter_map(ws).collect()
+    /// The writesets of every `Apply` received, each with the op's
+    /// `parallel`: live fan-out is parallel, and a rejoin's replay here is
+    /// serial (the default `ReplayMode`).
+    fn applies(&self) -> Vec<(Writeset, bool)> {
+        let mut out = Vec::new();
+        for op in &self.ops {
+            if let DbOp::Apply { entries, parallel, .. } = op {
+                for e in entries {
+                    if let LogPayload::Ws(ws) = &e.payload {
+                        out.push((ws.clone(), *parallel));
+                    }
+                }
+            }
+        }
+        out
     }
 }
 
@@ -50,17 +60,17 @@ impl Actor<Msg> for ScriptedDb {
             DbOp::Execute { op, .. } => {
                 DbResp::ExecOk { op, body: ReplyBody::Ack, commit: None, tainted: false }
             }
-            DbOp::ExecuteBatch { op, stmts } => {
-                let ok = crate::msg::BatchExecResult::Ok { body: ReplyBody::Ack, commit: None, tainted: false };
-                DbResp::ExecBatchOut { op, results: vec![ok; stmts.len()] }
+            DbOp::Apply { op, entries, .. } => {
+                let ws_applies = self.applies().len();
+                if entries.iter().any(|e| matches!(e.payload, LogPayload::Ws(_))) && ws_applies <= self.refuse {
+                    let err = SqlError::WriteConflict { table: "t1".into(), detail: "row locked".into() };
+                    DbResp::ApplyErr { op, err }
+                } else {
+                    let ok = EntryResult::Ok { body: ReplyBody::Ack, commit: None, tainted: false };
+                    DbResp::Applied { op, results: vec![ok; entries.len()] }
+                }
             }
-            DbOp::ApplyWriteset { op, .. } if self.applies().len() <= self.refuse => {
-                let err = SqlError::WriteConflict { table: "t1".into(), detail: "row locked".into() };
-                DbResp::ApplyErr { op, err }
-            }
-            DbOp::ApplyWriteset { op, .. } | DbOp::ApplyBinlog { op, .. } => {
-                DbResp::ApplyOk { op, applied_lsn: Lsn(0) }
-            }
+            DbOp::ApplyBinlog { op, .. } => DbResp::ApplyOk { op, applied_lsn: Lsn(0) },
             DbOp::Dump { op, .. } => {
                 let dump = replimid_sql::Engine::new(Default::default()).dump(Default::default());
                 DbResp::DumpOut { op, dump: Box::new(dump), head: Lsn(0) }
@@ -151,7 +161,11 @@ fn a_failed_apply_fails_its_backend_once_and_is_never_resent() {
         let (mut sim, dbs, mw, client) = writeset_cluster(vec![ScriptedDb::new(1), ScriptedDb::new(1)], placement);
         request(&mut sim, (client, mw), 1_000, 1, 1, "INSERT INTO t1 VALUES (1, 1)");
         sim.run_until(SimTime(10_000));
-        let applies = |sim: &mut Sim<Msg>, b: usize| sim.with_actor::<ScriptedDb, _>(dbs[b], |d| d.applies());
+        // The live fan-out's applies; the rejoin replays the refused one.
+        let applies = |sim: &mut Sim<Msg>, b: usize| {
+            let all = sim.with_actor::<ScriptedDb, _>(dbs[b], |d| d.applies());
+            all.into_iter().filter_map(|(ws, live)| live.then_some(ws)).collect::<Vec<_>>()
+        };
         let remote = (0..2).find(|&b| !applies(&mut sim, b).is_empty()).expect("the non-delegate got the apply");
         // Only the backend that failed refuses anything.
         sim.with_actor::<ScriptedDb, _>(dbs[1 - remote], |d| d.refuse = 0);
@@ -220,7 +234,7 @@ fn a_writeset_statement_reaches_its_delegate_once() {
         other => panic!("the delegate saw {other:?}"),
     }
     assert!(
-        matches!(&seen[1 - delegate][..], [DbOp::ApplyWriteset { marks, .. }] if marks == &[(0, 1)]),
+        matches!(&seen[1 - delegate][..], [DbOp::Apply { entries, .. }] if entries[0].marks == [(0, 1)]),
         "{:?}",
         seen[1 - delegate]
     );
@@ -441,7 +455,10 @@ fn an_explicit_commit_certifies_the_records_its_statements_returned() {
     let at_commit = at_commit.clone().expect("the delegate's transaction was open at COMMIT");
     assert_eq!(at_commit.len(), 2, "{at_commit:?}");
     match &seen[1 - delegate].0[..] {
-        [DbOp::ApplyWriteset { ws, .. }] => assert_eq!(*ws, at_commit),
+        [DbOp::Apply { entries, .. }] => match &entries[..] {
+            [ApplyEntry { payload: LogPayload::Ws(ws), .. }] => assert_eq!(*ws, at_commit),
+            other => panic!("the other host applied {other:?}"),
+        },
         other => panic!("the other host saw {other:?}"),
     }
     sim.with_actor::<Middleware, _>(mw, |m| assert_eq!(m.metrics.certifier.commits, 1));
@@ -508,7 +525,7 @@ fn an_ordered_statement_is_a_batch_of_one() {
                 d.ops
                     .iter()
                     .map(|op| match op {
-                        DbOp::ExecuteBatch { stmts, .. } => stmts.iter().map(|s| s.marks.clone()).collect(),
+                        DbOp::Apply { entries, .. } => entries.iter().map(|e| e.marks.clone()).collect(),
                         other => panic!("batch_max={batch_max}: {other:?}"),
                     })
                     .collect()

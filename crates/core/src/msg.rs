@@ -8,6 +8,8 @@ use replimid_gcs::GcsMsg;
 use replimid_sql::ast::{IsolationLevel, Statement};
 use replimid_sql::{keycode, BinlogEntry, Dump, Lsn, Mark, ResultSet, SqlError, Value, Writeset};
 
+use crate::recovery::LogPayload;
+
 /// A client session, globally unique across the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(pub u64);
@@ -69,20 +71,6 @@ pub struct ClientReply {
     pub session: SessionId,
     pub stmt_seq: u64,
     pub result: Result<ReplyBody, ReplyError>,
-}
-
-/// Idempotence spaces for applied entries. A node tracks two independent
-/// kinds of position: the master's binlog LSN space (log shipping) and the
-/// middleware's ordered streams, one per table group (total order +
-/// recovery replay). They must never be conflated — binlog LSNs start past
-/// the schema-load entries, ordered positions start at 1 in every group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ApplySpace {
-    /// Master binlog LSNs: skip entries at or below `applied_lsn`.
-    Binlog,
-    /// Positions of group `group`'s ordered stream: skip entries the node
-    /// already applied there, and mark the rest.
-    Ordered { group: u32 },
 }
 
 /// The one request wire format: a parsed template plus extracted
@@ -225,21 +213,15 @@ impl PlanExec {
 pub enum DbOp {
     /// Execute one statement on the (lazily created) connection `conn`.
     /// The node binds the plan's params and runs `Engine::execute_prepared`.
-    /// `marks` are the ordered positions the statement applies: the
-    /// recovery-log position of a totally-ordered statement (group 0), or
-    /// every (group, position) a delegate's COMMIT settles. The node
-    /// records them durably and *skips* an operation whose marks it has
-    /// all applied — this is what makes recovery replay idempotent when an
-    /// acknowledgment raced a failure declaration (§4.4.2: "the middleware
-    /// has often no information on which transactions committed prior to
-    /// the failure; this information is only known to the database").
+    /// `marks` are the ordered positions the statement applies: every
+    /// (group, position) a delegate's COMMIT settles, none for a read or a
+    /// temp-table statement. The node records them durably and *skips* an
+    /// operation whose marks it has all applied — this is what makes
+    /// recovery replay idempotent when an acknowledgment raced a failure
+    /// declaration (§4.4.2: "the middleware has often no information on
+    /// which transactions committed prior to the failure; this information
+    /// is only known to the database").
     Execute { op: u64, conn: u64, plan: PlanExec, marks: Vec<Mark> },
-    /// Execute a group-committed batch of ordered statements as one message.
-    /// Statements run in batch order on their own connections; the node
-    /// skips already-applied `seq`s individually (same idempotence contract
-    /// as `Execute`) and charges the batch's cost via the parallel-replay
-    /// grouping over written tables, which is where grouped apply wins.
-    ExecuteBatch { op: u64, stmts: Vec<BatchItem> },
     /// Writeset mode's one op per statement at a transaction's delegate, on
     /// connection `conn`: `begin` (the BEGIN opening the transaction's
     /// snapshot) when present, then `stmt`. The answer (`DelegateOut`)
@@ -249,24 +231,25 @@ pub enum DbOp {
     /// transaction (an autocommit write) is rolled back at the node when
     /// its statement fails, charged as that ROLLBACK.
     Delegate { op: u64, conn: u64, begin: Option<PlanExec>, stmt: PlanExec, implicit: bool },
-    /// Apply a certified writeset as one transaction; `marks` are the
-    /// (group, position) pairs it settles at this node, as in `Execute`.
-    ApplyWriteset { op: u64, ws: Writeset, marks: Vec<Mark> },
-    /// Apply shipped binlog entries (slave side). `parallel_apply` groups
-    /// entries touching disjoint tables and charges only the longest group
-    /// (the §4.4.2 "extraction of parallelism from the log").
-    /// `foreign_lsn`: entry LSNs live in the sender's (master's) LSN space —
-    /// track them in `applied_lsn` and skip already-applied entries
-    /// (idempotent shipping). Recovery replay uses its own sequence space
-    /// and passes false.
-    ApplyBinlog {
-        op: u64,
-        entries: Vec<BinlogEntry>,
-        use_writesets: bool,
-        parallel_apply: bool,
-        /// Which idempotence space the entry LSNs live in (see [`ApplySpace`]).
-        space: ApplySpace,
-    },
+    /// Apply ordered entries, live fan-out or rejoin replay alike: each is
+    /// a plan on its session's (lazily created) connection or a certified
+    /// writeset, with the ordered positions it settles (see `Execute`'s
+    /// `marks`). The node runs them in order: it skips an entry whose marks
+    /// it has all applied, and notes the marks of the rest, a plan's inside
+    /// an open transaction when that transaction ends. A plan's error
+    /// is that entry's outcome, as it was on every live replica; a
+    /// writeset's error fails the op (divergence). `parallel`: entries
+    /// whose commits wrote disjoint tables apply concurrently, so the op is
+    /// charged its longest chain of entries sharing a table (the §4.4.2
+    /// "extraction of parallelism from the log"); otherwise the sum.
+    Apply { op: u64, entries: Vec<ApplyEntry>, parallel: bool },
+    /// Apply binlog entries shipped from the master (master-slave slave
+    /// side). Entry LSNs live in the master's LSN space: the node tracks
+    /// them in `applied_lsn` and skips entries already applied.
+    /// `use_writesets` applies each entry's writeset instead of re-running
+    /// its statements; `parallel_apply` charges the longest chain of
+    /// entries sharing a table, as in `Apply`.
+    ApplyBinlog { op: u64, entries: Vec<BinlogEntry>, use_writesets: bool, parallel_apply: bool },
     /// Fetch binlog entries after an LSN (master side of log shipping).
     BinlogAfter { op: u64, after: Lsn },
     /// Take a dump (hot backup: the node keeps serving but is slowed).
@@ -287,19 +270,19 @@ pub enum DbOp {
     Disconnect { conn: u64 },
 }
 
-/// One statement of a grouped [`DbOp::ExecuteBatch`].
+/// One entry of a [`DbOp::Apply`]: what the recovery log holds at one
+/// ordered position, and the (group, position) pairs it settles.
 #[derive(Debug, Clone)]
-pub struct BatchItem {
-    pub conn: u64,
-    pub plan: PlanExec,
-    /// Ordered positions (see [`DbOp::Execute`]'s `marks`).
+pub struct ApplyEntry {
+    pub payload: LogPayload,
     pub marks: Vec<Mark>,
 }
 
-/// Per-statement outcome inside an [`DbResp::ExecBatchOut`]: the payload
-/// the corresponding `ExecOk`/`ExecErr` would have carried.
+/// One entry's outcome inside a [`DbResp::Applied`]: the payload the
+/// corresponding `ExecOk`/`ExecErr` would have carried. A skipped entry is
+/// an `Ok` with `ReplyBody::Ack`.
 #[derive(Debug, Clone)]
-pub enum BatchExecResult {
+pub enum EntryResult {
     Ok { body: ReplyBody, commit: Option<CommitNote>, tainted: bool },
     Err { err: SqlError },
 }
@@ -315,8 +298,8 @@ pub enum DbResp {
         tainted: bool,
     },
     ExecErr { op: u64, err: SqlError },
-    /// Results of a grouped execute, one per statement, in batch order.
-    ExecBatchOut { op: u64, results: Vec<BatchExecResult> },
+    /// A [`DbOp::Apply`]'s answer, one result per entry, in op order.
+    Applied { op: u64, results: Vec<EntryResult> },
     /// A [`DbOp::Delegate`]'s answer: the statement's outcome, and the
     /// non-temp write records it appended to its transaction (a failed
     /// statement's too: an engine that continues after errors commits
@@ -359,7 +342,7 @@ impl DbResp {
         match self {
             DbResp::ExecOk { op, .. }
             | DbResp::ExecErr { op, .. }
-            | DbResp::ExecBatchOut { op, .. }
+            | DbResp::Applied { op, .. }
             | DbResp::DelegateOut { op, .. }
             | DbResp::BinlogOut { op, .. }
             | DbResp::DumpOut { op, .. }
@@ -390,16 +373,9 @@ pub enum ReplEvent {
     Statement {
         session: SessionId,
         stmt_seq: u64,
-        /// The statement's text for the recovery log, whose replay ships
-        /// text (`DbOp::ApplyBinlog`).
-        sql: String,
-        /// The admission-time parse of `sql`: what every backend executes.
-        /// `sql` stays the canonical logged form; `ast` always binds to the
-        /// same statement.
+        /// The admission-time parse, rewritten if the statement was: what
+        /// every backend executes and what the recovery log keeps.
         ast: PlanExec,
-        /// The statement's written tables (its conflict classes, logged
-        /// with it), taken from the admission-time parse.
-        tables: Vec<String>,
     },
     /// Certification request for a transaction's writeset.
     Certify {

@@ -1,41 +1,32 @@
 //! The Sequoia-style recovery log (§4.4.2): every totally-ordered write the
-//! cluster executed — statement text (statement replication) or certified
-//! writeset (writeset replication) — with per-backend checkpoints. A removed
-//! or failed replica rejoins by replaying the log from its checkpoint; once
-//! it is close to the head, the middleware enacts a global barrier for the
-//! final hop.
+//! cluster executed — the plan of an ordered statement, on its session's
+//! connection (statement replication), or a certified writeset (writeset
+//! replication) — with per-backend checkpoints. A removed or failed replica
+//! rejoins by replaying the log from its position, through the same
+//! `DbOp::Apply` the live fan-out sends; once it is close to the head, the
+//! middleware enacts a global barrier for the final hop.
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Arc;
 
-use replimid_sql::mvcc::{RowId, WriteKind, WriteRecord};
-use replimid_sql::{BinlogEntry, CommitTs, Lsn, Writeset};
+use replimid_sql::Writeset;
 
-use crate::msg::BackendId;
+use crate::msg::{BackendId, PlanExec};
 
-/// What one log entry carries.
-#[derive(Debug, Clone, PartialEq)]
+/// What one log entry carries: what the backends executed at its position.
+#[derive(Debug, Clone)]
 pub enum LogPayload {
-    Sql { default_db: Option<Arc<str>>, sql: String },
+    /// An ordered statement's plan, run on connection `conn` (its session's).
+    Plan { conn: u64, plan: PlanExec },
     Ws(Writeset),
 }
 
 /// One logged write.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct LogEntry {
     /// Global order position (1-based, dense).
     pub seq: u64,
     pub payload: LogPayload,
-    /// Tables written (for parallel replay grouping). Shared by every entry
-    /// that writes the same set (see [`RecoveryLog::append_sql`]).
-    pub tables: Arc<[String]>,
-}
-
-impl LogEntry {
-    pub fn is_writeset(&self) -> bool {
-        matches!(self.payload, LogPayload::Ws(_))
-    }
 }
 
 /// Replay mode for resynchronization (E9): the paper notes a serial replayer
@@ -46,47 +37,6 @@ pub enum ReplayMode {
     /// Entries touching disjoint tables replay concurrently; the cost of a
     /// batch is the longest per-table chain instead of the sum.
     Parallel,
-}
-
-/// Convert log entries into the `BinlogEntry` shape the database node's
-/// apply path consumes. For SQL entries the writeset carries synthetic
-/// zero-row records naming the written tables, so the parallel-apply cost
-/// model can group them; the statements themselves drive execution.
-pub fn to_binlog_entries(entries: &[LogEntry]) -> Vec<BinlogEntry> {
-    entries
-        .iter()
-        .map(|e| match &e.payload {
-            LogPayload::Sql { default_db, sql } => BinlogEntry {
-                lsn: Lsn(e.seq),
-                commit_ts: CommitTs(e.seq),
-                default_db: default_db.as_deref().map(str::to_string),
-                statements: vec![sql.clone()],
-                writeset: Writeset {
-                    entries: e
-                        .tables
-                        .iter()
-                        .map(|t| WriteRecord {
-                            database: String::new(),
-                            table: t.clone(),
-                            row: RowId(0),
-                            kind: WriteKind::Update,
-                            old: None,
-                            new: None,
-                            temp: false,
-                        })
-                        .collect(),
-                    counters: None,
-                },
-            },
-            LogPayload::Ws(ws) => BinlogEntry {
-                lsn: Lsn(e.seq),
-                commit_ts: CommitTs(e.seq),
-                default_db: None,
-                statements: Vec::new(),
-                writeset: ws.clone(),
-            },
-        })
-        .collect()
 }
 
 /// Needs-full-resync signal from [`RecoveryLog::read_after`]: the rejoiner's
@@ -108,14 +58,6 @@ pub struct RecoveryLog {
     checkpoints: HashMap<BackendId, u64>,
     /// Entries at or below this seq were purged.
     truncated: u64,
-    /// Every written-table set and default database logged so far, one
-    /// allocation each, shared by the entries that carry them: trimming an
-    /// entry then frees only its own payload. Freeing three more small
-    /// strings per entry, a heartbeat after they were allocated, cost
-    /// write-sat about a third more wall time per operation. Bounded by the
-    /// schema, not by the run.
-    tables: HashMap<Vec<String>, Arc<[String]>>,
-    dbs: HashMap<String, Arc<str>>,
 }
 
 impl RecoveryLog {
@@ -125,27 +67,14 @@ impl RecoveryLog {
             next_seq: 1,
             checkpoints: HashMap::new(),
             truncated: 0,
-            tables: HashMap::new(),
-            dbs: HashMap::new(),
         }
     }
 
-    pub fn append_sql(&mut self, default_db: Option<String>, sql: String, tables: Vec<String>) -> u64 {
-        let default_db = default_db
-            .map(|db| self.dbs.entry(db).or_insert_with_key(|db| Arc::from(db.as_str())).clone());
-        self.push(LogPayload::Sql { default_db, sql }, tables)
-    }
-
-    pub fn append_ws(&mut self, ws: Writeset) -> u64 {
-        let tables = ws.tables().into_iter().map(|(_, t)| t).collect();
-        self.push(LogPayload::Ws(ws), tables)
-    }
-
-    fn push(&mut self, payload: LogPayload, tables: Vec<String>) -> u64 {
+    /// Log what the backends execute at the next position; returns it.
+    pub fn append(&mut self, payload: LogPayload) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let tables = self.tables.entry(tables).or_insert_with_key(|t| t.as_slice().into()).clone();
-        self.entries.push(LogEntry { seq, payload, tables });
+        self.entries.push(LogEntry { seq, payload });
         seq
     }
 
@@ -173,7 +102,6 @@ impl RecoveryLog {
         if let Some(e) = self.entries.get_mut(idx) {
             debug_assert_eq!(e.seq, seq);
             e.payload = LogPayload::Ws(Writeset::default());
-            e.tables = Arc::from([]);
         }
     }
 
@@ -226,20 +154,30 @@ impl RecoveryLog {
 
     /// Estimate the *virtual* replay cost of a batch: serial replay costs
     /// the sum of per-entry costs; parallel replay costs the heaviest
-    /// per-table-group chain (entries sharing any table serialize).
+    /// per-table-group chain (entries writing a common table serialize).
     ///
-    /// This is a *model* — a flat per-entry price with no IO — kept for the
-    /// E9 what-if comparison of replay scheduling strategies. The MTTR
-    /// numbers reported by the durability experiments (E20) do not use it:
-    /// there, a restarted node pays the measured cost of loading its
-    /// checkpoint, scanning and re-executing its WAL suffix, and the
-    /// block-device time of both (`DbNode::on_restart`, `Stage::Replay`),
-    /// and the middleware-side rejoin window is clocked from real
-    /// recovery-log shipping.
+    /// This is a *model* — a flat per-entry price with no IO, keyed by the
+    /// tables each entry names — kept for the E9 what-if comparison of
+    /// replay scheduling strategies. Replay itself is charged what the node
+    /// executed (`DbOp::Apply`), and the MTTR numbers reported by the
+    /// durability experiments (E20) add the measured cost of loading a
+    /// checkpoint and re-executing the WAL suffix (`DbNode::on_restart`,
+    /// `Stage::Replay`).
     pub fn replay_cost_us(entries: &[LogEntry], mode: ReplayMode, per_entry_us: u64) -> u64 {
         match mode {
             ReplayMode::Serial => entries.len() as u64 * per_entry_us,
-            ReplayMode::Parallel => grouped_chain_cost(entries.iter().map(|e| (&e.tables[..], per_entry_us))),
+            ReplayMode::Parallel => {
+                let tables: Vec<Vec<String>> = entries
+                    .iter()
+                    .map(|e| match &e.payload {
+                        LogPayload::Plan { plan, .. } => {
+                            plan.template.written_tables().into_iter().map(|t| t.name).collect()
+                        }
+                        LogPayload::Ws(ws) => ws.tables().into_iter().map(|(_, t)| t).collect(),
+                    })
+                    .collect();
+                grouped_chain_cost(tables.iter().map(|t| (&t[..], per_entry_us)))
+            }
         }
     }
 }
@@ -301,18 +239,25 @@ impl Default for RecoveryLog {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+
+    fn append(l: &mut RecoveryLog, sql: &str) -> u64 {
+        let plan = PlanExec::whole(Arc::new(replimid_sql::parse_statement(sql).unwrap()));
+        l.append(LogPayload::Plan { conn: 1, plan })
+    }
 
     fn log_with(n: u64) -> RecoveryLog {
         let mut l = RecoveryLog::new();
         for i in 0..n {
-            l.append_sql(
-                Some("d".into()),
-                format!("UPDATE t{} SET x = {i}", i % 3),
-                vec![format!("t{}", i % 3)],
-            );
+            append(&mut l, &format!("UPDATE t{} SET x = {i}", i % 3));
         }
         l
+    }
+
+    fn is_writeset(e: &LogEntry) -> bool {
+        matches!(e.payload, LogPayload::Ws(_))
     }
 
     #[test]
@@ -352,10 +297,23 @@ mod tests {
     #[test]
     fn parallel_replay_merges_overlapping_groups() {
         let mut l = RecoveryLog::new();
-        l.append_sql(None, "a".into(), vec!["t1".into()]);
-        l.append_sql(None, "b".into(), vec!["t2".into()]);
-        l.append_sql(None, "c".into(), vec!["t1".into(), "t2".into()]); // joins both
-        l.append_sql(None, "d".into(), vec!["t3".into()]);
+        append(&mut l, "UPDATE t1 SET x = 1");
+        append(&mut l, "UPDATE t2 SET x = 1");
+        // A writeset of both joins them.
+        let mut ws = Writeset::default();
+        for t in ["t1", "t2"] {
+            ws.entries.push(replimid_sql::mvcc::WriteRecord {
+                database: "d".into(),
+                table: t.into(),
+                row: replimid_sql::mvcc::RowId(1),
+                kind: replimid_sql::mvcc::WriteKind::Update,
+                old: None,
+                new: None,
+                temp: false,
+            });
+        }
+        l.append(LogPayload::Ws(ws));
+        append(&mut l, "UPDATE t3 SET x = 1");
         let entries = l.read_after(0, 100).unwrap();
         let parallel = RecoveryLog::replay_cost_us(entries, ReplayMode::Parallel, 10);
         // t1+t2 merge into one 30us chain; t3 alone is 10us.
@@ -408,7 +366,7 @@ mod tests {
         assert!(tail.iter().enumerate().all(|(i, e)| e.seq == 7 + i as u64), "misaligned tail");
 
         // checkpoint == head: caught up — an empty Ok, not a resync.
-        assert_eq!(l.read_after(l.head(), 100), Ok(&[][..]));
+        assert!(l.read_after(l.head(), 100).is_ok_and(|t| t.is_empty()));
     }
 
     #[test]
@@ -420,15 +378,14 @@ mod tests {
         l.void(1);
         // The first surviving entry (seq 7) is index 0: voiding it must
         // hit that entry, not its neighbour.
-        assert!(!l.read_after(6, 100).unwrap()[0].is_writeset());
+        assert!(!is_writeset(&l.read_after(6, 100).unwrap()[0]));
         l.void(7);
         let tail = l.read_after(6, 100).unwrap();
-        assert!(tail[0].is_writeset(), "seq 7 payload replaced with no-op writeset");
-        assert!(tail[0].tables.is_empty());
-        assert!(!tail[1].is_writeset(), "seq 8 untouched");
+        assert!(is_writeset(&tail[0]), "seq 7 payload replaced with no-op writeset");
+        assert!(!is_writeset(&tail[1]), "seq 8 untouched");
         // Voiding the head entry works too (last index).
         l.void(10);
-        assert!(l.read_after(9, 100).unwrap()[0].is_writeset());
+        assert!(is_writeset(&l.read_after(9, 100).unwrap()[0]));
     }
 
     /// Regression for the over-truncation off-by-one: forcing the boundary
@@ -442,24 +399,13 @@ mod tests {
         // The boundary clamped to the head: reading at the head yields an
         // empty tail, not a resync.
         assert_eq!(l.read_after(5, 100).unwrap().len(), 0);
-        let seq = l.append_sql(None, "UPDATE t0 SET x = 1".into(), vec!["t0".into()]);
+        let seq = append(&mut l, "UPDATE t0 SET x = 1");
         assert_eq!(seq, 6);
         // The fresh entry is dense with the boundary and fully reachable.
         let tail = l.read_after(5, 100).unwrap();
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].seq, 6);
         l.void(6);
-        assert!(l.read_after(5, 100).unwrap()[0].is_writeset(), "fresh entry voidable");
-    }
-
-    #[test]
-    fn binlog_conversion_preserves_payload_kind() {
-        let mut l = RecoveryLog::new();
-        l.append_sql(Some("d".into()), "UPDATE t SET x = 1".into(), vec!["t".into()]);
-        l.append_ws(Writeset::default());
-        let entries = to_binlog_entries(l.read_after(0, 10).unwrap());
-        assert_eq!(entries[0].statements.len(), 1);
-        assert_eq!(entries[0].writeset.tables(), vec![(String::new(), "t".to_string())]);
-        assert!(entries[1].statements.is_empty());
+        assert!(is_writeset(&l.read_after(5, 100).unwrap()[0]), "fresh entry voidable");
     }
 }

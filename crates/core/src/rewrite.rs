@@ -21,11 +21,9 @@ pub enum NondetPolicy {
 /// Result of preparing a write statement for broadcast.
 #[derive(Debug, Clone)]
 pub struct Prepared {
-    pub sql: String,
-    /// The broadcast statement itself (`sql` is its rendering). Carried so
-    /// the middleware can thread the admission-time parse through delivery
-    /// and fan-out instead of re-parsing the text it just produced.
-    pub stmt: Statement,
+    /// The rewritten statement to broadcast; `None` when the admitted one
+    /// ships as it is.
+    pub rewritten: Option<Statement>,
     pub report: TaintReport,
     pub substitutions: usize,
 }
@@ -47,12 +45,10 @@ pub fn prepare_for_broadcast(
 ) -> Result<Prepared, Rejected> {
     let report = analyze(stmt);
     if report.is_deterministic() {
-        return Ok(Prepared { sql: stmt.to_string(), stmt: stmt.clone(), report, substitutions: 0 });
+        return Ok(Prepared { rewritten: None, report, substitutions: 0 });
     }
     match policy {
-        NondetPolicy::Ignore => {
-            Ok(Prepared { sql: stmt.to_string(), stmt: stmt.clone(), report, substitutions: 0 })
-        }
+        NondetPolicy::Ignore => Ok(Prepared { rewritten: None, report, substitutions: 0 }),
         NondetPolicy::RewriteBestEffort | NondetPolicy::RewriteAndReject => {
             let mut rewritten = stmt.clone();
             let mut n = 0;
@@ -72,7 +68,7 @@ pub fn prepare_for_broadcast(
                 };
                 return Err(Rejected { reason });
             }
-            Ok(Prepared { sql: rewritten.to_string(), stmt: rewritten, report, substitutions: n })
+            Ok(Prepared { rewritten: (n > 0).then_some(rewritten), report, substitutions: n })
         }
     }
 }
@@ -101,7 +97,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.substitutions, 1);
-        assert!(p.sql.contains("TIMESTAMP 42000000"));
+        assert!(p.rewritten.unwrap().to_string().contains("TIMESTAMP 42000000"));
     }
 
     #[test]
@@ -109,7 +105,7 @@ mod tests {
         let sql = "UPDATE t SET x = rand()";
         assert!(prep(sql, NondetPolicy::RewriteAndReject).is_err());
         let p = prep(sql, NondetPolicy::RewriteBestEffort).unwrap();
-        assert!(p.sql.contains("rand()"), "left in place: {}", p.sql);
+        assert!(p.rewritten.is_none(), "left in place: {:?}", p.rewritten);
         let p = prep(sql, NondetPolicy::Ignore).unwrap();
         assert!(p.report.uses_rand_per_row);
     }

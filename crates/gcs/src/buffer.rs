@@ -102,10 +102,6 @@ impl<P: Clone> DeliveryBuffer<P> {
         out.extend(self.pending.values().cloned());
         out
     }
-
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 impl<P: Clone> Default for DeliveryBuffer<P> {

@@ -246,17 +246,6 @@ impl FailureDetector {
         self.suspected.get(&m).copied().unwrap_or(false)
     }
 
-    pub fn suspected_peers(&self) -> Vec<MemberId> {
-        let mut v: Vec<MemberId> = self
-            .suspected
-            .iter()
-            .filter(|(_, &s)| s)
-            .map(|(&m, _)| m)
-            .collect();
-        v.sort();
-        v
-    }
-
     pub fn alive_peers(&self) -> Vec<MemberId> {
         let mut v: Vec<MemberId> = self
             .suspected

@@ -62,11 +62,6 @@ impl GcsConfig {
             adaptive: None,
         }
     }
-
-    /// LAN tuning with adaptive suspicion enabled.
-    pub fn lan_adaptive(protocol: OrderProtocol) -> Self {
-        GcsConfig { adaptive: Some(AdaptiveConfig::lan()), ..Self::lan(protocol) }
-    }
 }
 
 #[derive(Debug)]
@@ -158,10 +153,6 @@ impl<P: Clone> GroupMember<P> {
 
     pub fn view(&self) -> &View {
         &self.view
-    }
-
-    pub fn current_view(&self) -> View {
-        self.view.clone()
     }
 
     pub fn is_joined(&self) -> bool {

@@ -113,10 +113,6 @@ impl Catalog {
             .get_mut(name)
             .ok_or_else(|| SqlError::UnknownDatabase(name.to_string()))
     }
-
-    pub fn database_names(&self) -> Vec<String> {
-        self.databases.keys().cloned().collect()
-    }
 }
 
 #[cfg(test)]

@@ -228,10 +228,6 @@ impl Engine {
         }
     }
 
-    pub fn connection_count(&self) -> usize {
-        self.sessions.len()
-    }
-
     pub fn active_transactions(&self) -> usize {
         self.txm.active_count()
     }
@@ -821,6 +817,11 @@ impl Engine {
     /// ([`ErrorMode::AbortTransaction`]): it can only roll back now.
     pub fn tx_poisoned(&self, conn: ConnId) -> bool {
         self.open_tx(conn).is_ok_and(|st| st.poisoned)
+    }
+
+    /// Whether `conn` has an open transaction.
+    pub fn in_transaction(&self, conn: ConnId) -> bool {
+        self.open_tx(conn).is_ok()
     }
 
     fn open_tx(&self, conn: ConnId) -> Result<&TxState, SqlError> {

@@ -126,10 +126,6 @@ impl TxManager {
         id
     }
 
-    pub fn is_active(&self, tx: TxId) -> bool {
-        self.active.contains_key(&tx)
-    }
-
     pub fn state(&self, tx: TxId) -> Result<&TxState, SqlError> {
         self.active
             .get(&tx)

@@ -9,7 +9,7 @@ use crate::ast::ColumnDef;
 use crate::checksum::Fnv64;
 use crate::error::SqlError;
 use crate::mvcc::{CommitTs, RowId, Snapshot, TxId};
-use crate::value::{DataType, Value};
+use crate::value::Value;
 
 /// Schema of a table.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,14 +24,6 @@ impl TableSchema {
     pub fn new(name: impl Into<String>, columns: Vec<ColumnDef>) -> Self {
         let primary_key = columns.iter().position(|c| c.primary_key);
         TableSchema { name: name.into(), columns, primary_key }
-    }
-
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
-    pub fn column_types(&self) -> impl Iterator<Item = DataType> + '_ {
-        self.columns.iter().map(|c| c.data_type)
     }
 }
 

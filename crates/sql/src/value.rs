@@ -112,13 +112,6 @@ impl Value {
         }
     }
 
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// SQL three-valued comparison. `None` when either side is NULL or the
     /// types are incomparable.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {

@@ -78,12 +78,6 @@ impl IoCounters {
     pub fn is_zero(&self) -> bool {
         *self == IoCounters::default()
     }
-
-    fn add(&mut self, other: &IoCounters) {
-        self.bytes_written += other.bytes_written;
-        self.bytes_read += other.bytes_read;
-        self.fsyncs += other.fsyncs;
-    }
 }
 
 /// A simulated block device: an append-only byte image with an fsync
@@ -1137,10 +1131,6 @@ impl DurableStore {
 
     pub fn take_io(&mut self) -> IoCounters {
         std::mem::take(&mut self.io)
-    }
-
-    pub fn add_io(&mut self, io: &IoCounters) {
-        self.io.add(io);
     }
 
     pub fn stats(&self) -> WalStats {

@@ -121,23 +121,6 @@ impl Writeset {
         }
         out
     }
-
-    /// Approximate wire size in bytes (for network cost modelling).
-    pub fn wire_size(&self) -> u64 {
-        let mut sz = 16u64;
-        for e in &self.entries {
-            sz += 24 + e.database.len() as u64 + e.table.len() as u64;
-            for img in [&e.old, &e.new].into_iter().flatten() {
-                for v in img {
-                    sz += match v {
-                        Value::Text(s) => 4 + s.len() as u64,
-                        _ => 8,
-                    };
-                }
-            }
-        }
-        sz
-    }
 }
 
 #[cfg(test)]

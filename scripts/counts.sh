@@ -57,7 +57,6 @@ variants() {
 echo "Mode variants:                    $(cat $mw | variants '^pub enum Mode \\{')"
 echo "DbOp variants:                    $(variants '^pub enum DbOp \\{' < crates/core/src/msg.rs)"
 echo "Pending variants:                 $(cat $mw | variants '^enum Pending \\{')"
-echo "ApplySpace variants:              $(variants '^pub enum ApplySpace \\{' < crates/core/src/msg.rs)"
 # Entry points of a backend's rejoin: the log replay and its dump
 # fallback. A placement-only dump-first entry would be a second rejoin.
 echo "rejoin entry functions:           $(cat $mw | grep -cE 'fn start_(log_recovery|full_resync|pw_resync)\(')"
@@ -76,6 +75,15 @@ for f in $(find crates/sql/src -name '*.rs' | sort); do
     sql=$((sql + $(nontest "$f")))
 done
 echo "crates/sql/src non-test lines:    $sql"
+# `pub fn` names in crates/*/src that appear nowhere else in crates, tests,
+# examples or benchmark/src: a name seen exactly once is only its
+# definition.
+rs=$(find crates tests examples benchmark/src -name '*.rs' 2>/dev/null)
+names=$(grep -rhoE '\bpub fn [a-z_0-9]+' crates/*/src --include='*.rs' | sed 's/^pub fn //' | sort -u)
+uncalled=$(cat $rs | grep -oE '\b[A-Za-z_][A-Za-z_0-9]*\b' | sort | uniq -c |
+    awk -v names="$names" 'BEGIN { split(names, a, "\n"); for (i in a) want[a[i]] = 1 }
+        ($2 in want) && $1 == 1 { n++ } END { print n + 0 }')
+echo "pub fns with no caller:           $uncalled"
 # The load drivers: the client, the session fleet and the open loop, which
 # are one actor (`driver.rs`) since the driver merge and three before it.
 echo "load drivers non-test lines:"

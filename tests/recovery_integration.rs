@@ -199,3 +199,93 @@ fn master_slave_failback_resyncs_old_master_as_slave() {
     let sums = cluster.backend_checksums();
     assert_eq!(sums[0][0], sums[0][1], "failback converged");
 }
+
+/// Autocommit inserts into `items`, every 7th of which repeats key 1: that
+/// one fails with a duplicate key on every replica.
+struct InsertWithDuplicates {
+    n: i64,
+}
+
+impl TxSource for InsertWithDuplicates {
+    fn next_tx(&mut self, _rng: &mut replimid_det::DetRng) -> Vec<String> {
+        self.n += 1;
+        let k = if self.n % 7 == 0 { 1 } else { self.n };
+        vec![format!("INSERT INTO items VALUES ({k}, 'x', 1)")]
+    }
+}
+
+/// Explicit two-insert transactions into `table`.
+struct TwoInsertTx {
+    table: &'static str,
+    next: i64,
+}
+
+impl TxSource for TwoInsertTx {
+    fn next_tx(&mut self, _rng: &mut replimid_det::DetRng) -> Vec<String> {
+        let k = self.next;
+        self.next += 2;
+        vec![
+            "BEGIN".into(),
+            format!("INSERT INTO {} VALUES ({k}, 'x', 1)", self.table),
+            format!("INSERT INTO {} VALUES ({}, 'y', 2)", self.table, k + 1),
+            "COMMIT".into(),
+        ]
+    }
+}
+
+/// Backend 1 of three crashes at 1 s and restarts at 2.5 s. It must rejoin
+/// by replaying the recovery log alone: no dump, no divergence, and every
+/// replica ends with one checksum.
+fn assert_rejoins_by_replay(cluster: &mut Cluster) {
+    let counters = cluster.mw_metrics(0).counters;
+    assert_eq!(counters.full_resyncs, 0, "replay fell back to a dump");
+    assert_eq!(counters.divergence_detected, 0, "replay reported divergence");
+    let state = cluster.with_middleware(0, |mw| mw.recovery_state(replimid_core::BackendId(1)));
+    assert_eq!(state, "Online", "backend 1 rejoined: {state}");
+    let sums = cluster.backend_checksums();
+    assert!(sums[0].windows(2).all(|w| w[0] == w[1]), "replicas diverged: {sums:?}");
+}
+
+/// A statement that failed on every replica is in the log too. Replay runs
+/// it, gets the same error the live replicas got, and goes on: the error
+/// is that entry's outcome, not a failed rejoin.
+#[test]
+fn replay_passes_a_statement_that_failed_everywhere() {
+    let mut cluster = Cluster::build(mm_cfg());
+    let c = cluster.add_client(InsertWithDuplicates { n: 0 }, |cc| {
+        cc.think_time_us = 1_000;
+        cc.tx_limit = 2_500;
+    });
+    cluster.crash_backend_at(SimTime::from_secs(1), 0, 1);
+    cluster.restart_backend_at(SimTime::from_millis(2_500), 0, 1);
+    cluster.run_for(dur::secs(8));
+
+    assert!(cluster.client_metrics(c).committed >= 2_000);
+    assert_rejoins_by_replay(&mut cluster);
+}
+
+/// Two sessions interleave `BEGIN … COMMIT` transactions in the log. Replay
+/// runs each statement on its own session's connection, as the live path
+/// did, so one session's BEGIN never opens a transaction around the
+/// other's inserts.
+#[test]
+fn replay_keeps_interleaved_transactions_on_their_sessions() {
+    let mut schema = schema();
+    schema.push("CREATE TABLE other (id INT PRIMARY KEY, name TEXT, qty INT NOT NULL)".into());
+    let mut cluster = Cluster::build(ClusterConfig::new(
+        Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject },
+        schema,
+        "shop",
+    ));
+    for (table, think) in [("items", 700), ("other", 900)] {
+        cluster.add_client(TwoInsertTx { table, next: 1 }, |cc| {
+            cc.think_time_us = think;
+            cc.tx_limit = 800;
+        });
+    }
+    cluster.crash_backend_at(SimTime::from_secs(1), 0, 1);
+    cluster.restart_backend_at(SimTime::from_millis(2_500), 0, 1);
+    cluster.run_for(dur::secs(10));
+
+    assert_rejoins_by_replay(&mut cluster);
+}
