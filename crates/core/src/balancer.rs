@@ -72,20 +72,6 @@ impl Balancer {
         }
     }
 
-    /// Forget per-backend scheduler state for `b` (failure eviction). Ops
-    /// in flight to a failed backend are drained as failures and never
-    /// reach [`completed`](Self::completed), so without this the phantom
-    /// `outstanding` count survives the outage and LPRF starves the replica
-    /// when it rejoins (and Weighted hands it a stale credit balance).
-    pub fn reset(&mut self, b: BackendId) {
-        if let Some(o) = self.outstanding.get_mut(b.0) {
-            *o = 0;
-        }
-        if let Some(c) = self.weighted_credit.get_mut(b.0) {
-            *c = 0.0;
-        }
-    }
-
     /// Pick a backend among `healthy` (indices into the backend list).
     /// Returns `None` when no replica is available.
     pub fn pick(&mut self, healthy: &[BackendId]) -> Option<BackendId> {
@@ -170,7 +156,9 @@ impl Balancer {
         }
     }
 
-    /// Track an operation completed at `b`.
+    /// Track an operation at `b` that ended: answered, timed out, or
+    /// failed with its backend. Each dispatched operation ends once, so
+    /// `outstanding` counts exactly the operations still in flight.
     pub fn completed(&mut self, b: BackendId) {
         if let Some(o) = self.outstanding.get_mut(b.0) {
             *o = o.saturating_sub(1);
@@ -279,22 +267,6 @@ mod tests {
         // LPRF must treat the re-grown ids as fresh, not as loaded.
         b.dispatched(BackendId(0));
         assert_eq!(b.pick(&ids(&[0, 3])), Some(BackendId(3)));
-    }
-
-    #[test]
-    fn eviction_reset_clears_phantom_outstanding() {
-        let mut b = Balancer::new(Granularity::Query, Policy::Lprf, 3);
-        // Backend 1 dies with 3 ops in flight: they drain as failures and
-        // are never `completed`.
-        for _ in 0..3 {
-            b.dispatched(BackendId(1));
-        }
-        b.reset(BackendId(1));
-        assert_eq!(b.outstanding(BackendId(1)), 0);
-        // After rejoin, LPRF must not starve the replica behind phantom load.
-        b.dispatched(BackendId(0));
-        b.dispatched(BackendId(2));
-        assert_eq!(b.pick(&ids(&[0, 1, 2])), Some(BackendId(1)));
     }
 
     #[test]

@@ -208,7 +208,7 @@ impl DbNode {
     /// The `ExecOk` answering an executed statement.
     fn exec_ok(&self, op: u64, res: ExecResult) -> DbResp {
         let commit = res.commit.map(|_| CommitNote { lsn: self.engine.binlog_head() });
-        DbResp::ExecOk { op, body: reply_body(res.outcome), commit, tainted: res.tainted }
+        DbResp::ExecOk { op, body: reply_body(res.outcome), commit }
     }
 
     /// Durable-storage maintenance after each operation: mirror freshly
@@ -237,21 +237,10 @@ impl DbNode {
     fn handle(&mut self, ctx: &mut Ctx<'_, Msg>, op: DbOp) -> Option<DbResp> {
         self.engine.set_clock(ctx.now().micros() as i64);
         match op {
-            DbOp::Execute { op, conn, plan, marks } => {
-                if self.engine.has_applied(&marks) {
-                    // Already applied before a failure was declared:
-                    // idempotent skip.
-                    return Some(DbResp::ExecOk { op, body: ReplyBody::Ack, commit: None, tainted: false });
-                }
-                let res = self.run_charged(ctx, conn, &plan);
-                // A failed ordered statement is applied too: it fails the
-                // same way on every replica, and replay must not rerun it.
-                self.engine.note_applied(&marks);
-                Some(match res {
-                    Ok(res) => self.exec_ok(op, res),
-                    Err(err) => DbResp::ExecErr { op, err },
-                })
-            }
+            DbOp::Execute { op, conn, plan } => Some(match self.run_charged(ctx, conn, &plan) {
+                Ok(res) => self.exec_ok(op, res),
+                Err(err) => DbResp::ExecErr { op, err },
+            }),
             DbOp::Delegate { op, conn, begin, stmt, implicit } => {
                 let out = |res, ws, poisoned| Some(DbResp::DelegateOut { op, res, ws: Box::new(ws), poisoned });
                 if let Some(begin) = &begin {
@@ -355,7 +344,7 @@ impl DbNode {
         for entry in entries {
             if self.applied(entry) {
                 // Applied before a failure was declared: idempotent skip.
-                results.push(EntryResult::Ok { body: ReplyBody::Ack, commit: None, tainted: false });
+                results.push(EntryResult::Ok { body: ReplyBody::Ack, commit: None });
                 continue;
             }
             let (res, us) = match &entry.payload {
@@ -381,7 +370,7 @@ impl DbNode {
             results.push(match res {
                 Ok(res) => {
                     let commit = res.commit.map(|_| CommitNote { lsn: self.engine.binlog_head() });
-                    EntryResult::Ok { body: reply_body(res.outcome), commit, tainted: res.tainted }
+                    EntryResult::Ok { body: reply_body(res.outcome), commit }
                 }
                 Err(err) => EntryResult::Err { err },
             });

@@ -133,8 +133,8 @@ impl Middleware {
         }
         s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::TempExec });
         let plan = plan.clone();
-        self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-            DbOp::Execute { op, conn: session.0, plan, marks: Vec::new() }
+        self.send_db(ctx, backend, Pending::ClientExec { session }, move |op| {
+            DbOp::Execute { op, conn: session.0, plan }
         });
         true
     }

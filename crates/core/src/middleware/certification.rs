@@ -9,7 +9,8 @@ use replimid_sql::{SqlError, Writeset};
 
 use super::{raise, BackendState, Current, CurrentKind, Middleware, Pending};
 use crate::msg::{
-    ApplyEntry, BackendId, ClientRequest, DbOp, DbResp, Msg, PlanExec, ReplEvent, ReplyBody, ReplyError, SessionId,
+    ApplyEntry, BackendId, ClientRequest, DbOp, DbResp, EntryResult, Msg, PlanExec, ReplEvent, ReplyBody, ReplyError,
+    SessionId,
 };
 use crate::recovery::LogPayload;
 use crate::trace::Stage;
@@ -103,8 +104,8 @@ impl Middleware {
                     // Read-only transaction: commit locally, no certification.
                     s.end_tx();
                     s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::WsStmt { opened: false } });
-                    self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                        DbOp::Execute { op, conn: session.0, plan: PlanExec::commit(), marks: Vec::new() }
+                    self.send_db(ctx, backend, Pending::ClientExec { session }, move |op| {
+                        DbOp::Execute { op, conn: session.0, plan: PlanExec::commit() }
                     });
                     return;
                 }
@@ -124,8 +125,8 @@ impl Middleware {
                 s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::WsStmt { opened: false } });
                 match delegate {
                     Some(backend) if self.backends[backend.0].online() => {
-                        self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-                            DbOp::Execute { op, conn: session.0, plan: PlanExec::rollback(), marks: Vec::new() }
+                        self.send_db(ctx, backend, Pending::ClientExec { session }, move |op| {
+                            DbOp::Execute { op, conn: session.0, plan: PlanExec::rollback() }
                         });
                     }
                     _ => self.reply(ctx, session, req.stmt_seq, Ok(ReplyBody::Ack)),
@@ -192,7 +193,7 @@ impl Middleware {
                 let kind = if in_tx { CurrentKind::WsStmt { opened } } else { CurrentKind::WsPrepare };
                 s.current = Some(Current { stmt_seq: req.stmt_seq, kind });
                 let begin = begin.map(PlanExec::begin);
-                self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
+                self.send_db(ctx, backend, Pending::ClientExec { session }, move |op| {
                     DbOp::Delegate { op, conn: session.0, begin, stmt: plan, implicit: !in_tx }
                 });
             }
@@ -402,13 +403,14 @@ impl Middleware {
         self.fan_out_commit(ctx, session, stmt_seq, origin, &parts);
     }
 
-    /// Fan a certified transaction out, one op per healthy host of its
-    /// groups. `parts` are (group, certified position, writeset part). The
-    /// origin's delegate hosts every group (enforced at pick time) and
-    /// commits, which marks all its group positions at once; any other
-    /// host applies the parts of the groups it hosts as one writeset. The
-    /// parts touch disjoint groups, so merging them keeps each row's
-    /// certified order. Each op carries the positions it settles at its
+    /// Fan a certified transaction out, one `Apply` of one entry per
+    /// healthy host of its groups. `parts` are (group, certified position,
+    /// writeset part). The origin's delegate hosts every group (enforced at
+    /// pick time), and its entry is the SQL COMMIT of the transaction it
+    /// holds open, which marks all its group positions at once; any other
+    /// host's entry is the parts of the groups it hosts as one writeset.
+    /// The parts touch disjoint groups, so merging them keeps each row's
+    /// certified order. Each entry carries the positions it settles at its
     /// node, with the groups' voided positions, so the node's own
     /// per-group position stays contiguous.
     fn fan_out_commit(
@@ -440,26 +442,22 @@ impl Middleware {
                 continue;
             }
             marks.extend(voided.iter().filter(|&&(g, _)| hosts(g)));
-            if Some(backend) == delegate {
-                remaining += 1;
-                let wire = marks.clone();
-                self.send_db(ctx, backend, Pending::PwCommit { session, backend, marks }, move |op| {
-                    DbOp::Execute { op, conn: session.0, plan: PlanExec::commit(), marks: wire }
-                });
-                continue;
-            }
-            let mut ws = Writeset::default();
-            for (_, _, part) in hosted {
-                ws.entries.extend(part.entries.iter().cloned());
-                if ws.counters.is_none() {
-                    ws.counters.clone_from(&part.counters);
+            let payload = if Some(backend) == delegate {
+                LogPayload::Plan { conn: session.0, plan: PlanExec::commit() }
+            } else {
+                let mut ws = Writeset::default();
+                for (_, _, part) in hosted {
+                    ws.entries.extend(part.entries.iter().cloned());
+                    if ws.counters.is_none() {
+                        ws.counters.clone_from(&part.counters);
+                    }
                 }
-            }
+                LogPayload::Ws(ws)
+            };
             remaining += usize::from(origin);
             let sess = origin.then_some(session);
-            let wire = marks.clone();
-            let entries = vec![ApplyEntry { payload: LogPayload::Ws(ws), marks: wire }];
-            self.send_db(ctx, backend, Pending::PwApply { session: sess, backend, marks }, move |op| {
+            let entries = vec![ApplyEntry { payload, marks: marks.clone() }];
+            self.send_db(ctx, backend, Pending::PwApply { session: sess, marks }, move |op| {
                 DbOp::Apply { op, entries, parallel: true }
             });
         }
@@ -491,32 +489,17 @@ impl Middleware {
         s.end_tx();
         if let Some(backend) = s.sticky.filter(|b| self.backends[b.0].online()) {
             self.send_db(ctx, backend, Pending::FireAndForget, move |op| {
-                DbOp::Execute { op, conn: session.0, plan: PlanExec::rollback(), marks: Vec::new() }
+                DbOp::Execute { op, conn: session.0, plan: PlanExec::rollback() }
             });
         }
     }
 
-    /// The delegate's COMMIT of a certified transaction answered: an ack
-    /// credits its positions to the delegate's marks.
-    pub(super) fn finish_pw_commit(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        session: SessionId,
-        backend: BackendId,
-        marks: &[(u32, u64)],
-        resp: DbResp,
-    ) {
-        let ok = matches!(resp, DbResp::ExecOk { .. });
-        if ok {
-            self.shards.credit(backend, marks);
-        }
-        self.finish_ws_part(ctx, Some(session), !ok);
-    }
-
-    /// A remote writeset application finished; an ack credits its
-    /// positions to the backend's marks. It cannot wait on a local
-    /// transaction (the engine wounds the holder, see
-    /// [`replimid_sql::Engine::apply_writeset`]), so any error means the
+    /// A certified transaction's `Apply` at one host answered. An ack
+    /// credits its positions to the backend's marks. A failed entry is a
+    /// COMMIT the delegate refused (its local 1SR read validation):
+    /// no credit, and the part fails. A writeset apply cannot wait on a
+    /// local transaction (the engine wounds the holder, see
+    /// [`replimid_sql::Engine::apply_writeset`]), so its error means the
     /// backend diverged: the certified transaction IS committed
     /// cluster-wide, and a backend that cannot apply it is dropped and
     /// rebuilt through the recovery log. The divergence is counted here,
@@ -529,8 +512,14 @@ impl Middleware {
         marks: &[(u32, u64)],
         resp: DbResp,
     ) {
+        let mut part_failed = false;
         match resp {
-            DbResp::Applied { .. } => self.shards.credit(backend, marks),
+            DbResp::Applied { results, .. } => {
+                part_failed = results.iter().any(|r| matches!(r, EntryResult::Err { .. }));
+                if !part_failed {
+                    self.shards.credit(backend, marks);
+                }
+            }
             DbResp::ApplyErr { .. } => {
                 self.metrics.counters.divergence_detected += 1;
                 if self.backends[backend.0].online() {
@@ -549,7 +538,7 @@ impl Middleware {
             }
             _ => {}
         }
-        self.finish_ws_part(ctx, session, false);
+        self.finish_ws_part(ctx, session, part_failed);
     }
 
     /// One part of a certified commit's fan-out is done. If any part

@@ -221,7 +221,7 @@ impl Middleware {
                 // Multi-master modes never read a backend's binlog.
                 _ => None,
             };
-            self.send_db(ctx, b, Pending::Ping { backend: b }, move |op| {
+            self.send_db(ctx, b, Pending::Ping, move |op| {
                 DbOp::Ping { op, binlog_horizon }
             });
         }
@@ -255,11 +255,6 @@ impl Middleware {
         } else {
             self.backends[backend.0].state = BackendState::Down;
         }
-        // The drain below fails this backend's in-flight ops without ever
-        // calling `balancer.completed`, so its outstanding count would
-        // survive the outage as phantom load and starve the replica under
-        // LPRF when it rejoins.
-        self.balancer.reset(backend);
         self.shards.checkpoint(backend);
         self.metrics.counters.failovers += 1;
         self.metrics.failover_times.push(now);
@@ -271,12 +266,12 @@ impl Middleware {
             .ops
             .pending
             .iter()
-            .filter(|(_, (p, _))| super::pending_backend(p) == Some(backend))
+            .filter(|(_, (p, pb, _))| *pb == backend && super::fails_with_backend(p))
             .map(|(&op, _)| op)
             .collect();
         for op in stuck {
-            if let Some((p, started)) = self.ops.pending.remove(&op) {
-                self.fail_inflight(ctx, p, started);
+            if let Some((p, _, started)) = self.take_op(op) {
+                self.fail_inflight(ctx, p, backend, started);
             }
         }
 

@@ -402,63 +402,56 @@ impl Sess {
     }
 }
 
+/// What waits on a backend op in flight. The backend the op went to is
+/// kept beside it, in [`Ops`].
 #[derive(Debug)]
 enum Pending {
-    ClientExec { session: SessionId, backend: BackendId },
+    ClientExec { session: SessionId },
     /// One `Apply` of ordered statements at one backend: a flushed batch,
     /// or a single statement (a batch of one); `groups` are the
     /// per-statement exec groups, in batch order.
-    GroupExecBatch { groups: Vec<u64>, backend: BackendId },
-    /// The delegate's single COMMIT for a (possibly multi-group)
-    /// transaction; `marks` are the (group, position) pairs its ack
-    /// credits to the backend's per-group watermarks.
-    PwCommit { session: SessionId, backend: BackendId, marks: Vec<(u32, u64)> },
-    /// A certified transaction's writeset applied at one non-delegate host:
-    /// the parts of every involved group it hosts, one op; `marks` as in
-    /// `PwCommit`.
-    PwApply { session: Option<SessionId>, backend: BackendId, marks: Vec<(u32, u64)> },
-    Ping { backend: BackendId },
+    GroupExecBatch { groups: Vec<u64> },
+    /// A certified transaction at one host, one `Apply`: the delegate's
+    /// COMMIT, or at any other host the writeset parts of every involved
+    /// group it hosts. `marks` are the (group, position) pairs its ack
+    /// credits to the backend's per-group watermarks. `session` is set at
+    /// the origin, whose client waits on every part.
+    PwApply { session: Option<SessionId>, marks: Vec<(u32, u64)> },
+    Ping,
     /// A `BinlogAfter` at the master; `after` pins the ship horizon until
     /// the answer is back.
     ShipFetch { after: Lsn },
     TwoSafeFetch { session: SessionId, after: Lsn },
-    ShipApply { backend: BackendId, session: Option<SessionId> },
+    ShipApply { session: Option<SessionId> },
     /// One replay batch of group `group`'s stream, through `upto`.
-    RecoveryBatch { backend: BackendId, group: usize, upto: u64 },
+    RecoveryBatch { group: usize, upto: u64 },
     /// A full resync's dump at the donor for `target`; `heads` are the
     /// per-group log heads when the dump was requested.
     ResyncDumpReq { target: BackendId, heads: Vec<u64> },
-    BackupDump { backend: BackendId, hot: bool, started_us: u64 },
+    BackupDump { hot: bool, started_us: u64 },
     /// A full resync's restore at the rejoining backend.
-    ResyncRestore { backend: BackendId, baseline: Lsn, heads: Vec<u64> },
+    ResyncRestore { baseline: Lsn, heads: Vec<u64> },
     FireAndForget,
 }
 
-/// The backend a pending op waits on, if any.
-fn pending_backend(p: &Pending) -> Option<BackendId> {
-    match p {
-        Pending::ClientExec { backend, .. }
-        | Pending::GroupExecBatch { backend, .. }
-        | Pending::Ping { backend }
-        | Pending::ShipApply { backend, .. }
-        | Pending::RecoveryBatch { backend, .. }
-        | Pending::BackupDump { backend, .. }
-        | Pending::ResyncRestore { backend, .. }
-        | Pending::PwCommit { backend, .. }
-        | Pending::PwApply { backend, .. } => Some(*backend),
-        // ResyncDumpReq targets the donor, which is not `target`.
-        _ => None,
-    }
+/// Whether an op fails with the backend it was sent to: a timeout fails
+/// that backend, and its failure fails the op. A fetch from the master,
+/// a resync's dump at the donor and a fire-and-forget do neither.
+fn fails_with_backend(p: &Pending) -> bool {
+    !matches!(
+        p,
+        Pending::ShipFetch { .. } | Pending::TwoSafeFetch { .. } | Pending::ResyncDumpReq { .. } | Pending::FireAndForget
+    )
 }
 
-/// The op table: what each backend op in flight waits on, and the one
-/// timer that times them out.
+/// The op table: what each backend op in flight waits on, the backend it
+/// was sent to, and the one timer that times them out.
 #[derive(Debug)]
 struct Ops {
-    /// Op id -> (what waits on it, dispatch µs). Ids are dispatched in time
-    /// order and `op_timeout_us` is constant, so the first entry always has
-    /// the earliest deadline.
-    pending: BTreeMap<u64, (Pending, u64)>,
+    /// Op id -> (what waits on it, its backend, dispatch µs). Ids are
+    /// dispatched in time order and `op_timeout_us` is constant, so the
+    /// first entry always has the earliest deadline.
+    pending: BTreeMap<u64, (Pending, BackendId, u64)>,
     /// The `TIMER_OP_SWEEP` timer is queued.
     sweep_armed: bool,
     next: u64,
@@ -469,11 +462,11 @@ impl Ops {
         Ops { pending: BTreeMap::new(), sweep_armed: false, next: 1 }
     }
 
-    /// Enter an op dispatched at `now`; its id.
-    fn alloc(&mut self, p: Pending, now: u64) -> u64 {
+    /// Enter an op sent to `backend` at `now`; its id.
+    fn alloc(&mut self, p: Pending, backend: BackendId, now: u64) -> u64 {
         let op = self.next;
         self.next += 1;
-        self.pending.insert(op, (p, now));
+        self.pending.insert(op, (p, backend, now));
         op
     }
 
@@ -484,14 +477,14 @@ impl Ops {
         if self.sweep_armed {
             return None;
         }
-        let (_, &(_, started)) = self.pending.first_key_value()?;
+        let (_, &(_, _, started)) = self.pending.first_key_value()?;
         self.sweep_armed = true;
         Some(started + timeout_us)
     }
 
     /// The oldest op in flight, if its deadline has passed at `now`.
     fn expired(&self, now: u64, timeout_us: u64) -> Option<u64> {
-        let (&op, &(_, started)) = self.pending.first_key_value()?;
+        let (&op, &(_, _, started)) = self.pending.first_key_value()?;
         (started + timeout_us <= now).then_some(op)
     }
 }
@@ -668,11 +661,20 @@ impl Middleware {
 
     fn send_db(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId, p: Pending, mk: impl FnOnce(u64) -> DbOp) -> u64 {
         let node = self.backends[backend.0].node;
-        let op = self.ops.alloc(p, ctx.now().micros());
+        let op = self.ops.alloc(p, backend, ctx.now().micros());
         self.arm_op_sweep(ctx);
         self.balancer.dispatched(backend);
         ctx.send(node, Msg::Db(mk(op)));
         op
+    }
+
+    /// Take op `op` out of the table, however it ends: answered, timed out
+    /// or failed with its backend. Its LPRF count is released here, so the
+    /// balancer counts exactly the ops in the table.
+    fn take_op(&mut self, op: u64) -> Option<(Pending, BackendId, u64)> {
+        let taken = self.ops.pending.remove(&op)?;
+        self.balancer.completed(taken.1);
+        Some(taken)
     }
 
     /// Queue the sweep at the oldest pending op's deadline, unless it is
@@ -697,7 +699,7 @@ impl Middleware {
     }
 
     fn op_timed_out(&mut self, ctx: &mut Ctx<'_, Msg>, op: u64) {
-        let Some((p, started)) = self.ops.pending.remove(&op) else { return };
+        let Some((p, backend, started)) = self.take_op(op) else { return };
         if crate::debug_on() {
             eprintln!("[{}us] op {op} timed out: {p:?}", ctx.now().micros());
         }
@@ -705,27 +707,27 @@ impl Middleware {
         // are detected by the silent-too-long check in ping_tick. Treating
         // a stale ping timeout as a failure would kill a backend that just
         // finished recovering.
-        if matches!(p, Pending::Ping { .. }) {
+        if matches!(p, Pending::Ping) {
             return;
         }
-        let backend = pending_backend(&p);
+        let fails = fails_with_backend(&p);
         // The op is already out of `pending`, so the backend_failed drain
         // below cannot see it: its waiter is failed here.
-        self.fail_inflight(ctx, p, started);
-        if let Some(b) = backend {
-            if !ctx.oracle_is_crashed(self.backends[b.0].node) {
+        self.fail_inflight(ctx, p, backend, started);
+        if fails {
+            if !ctx.oracle_is_crashed(self.backends[backend.0].node) {
                 self.metrics.counters.false_evictions += 1;
             }
-            self.backend_failed(ctx, b);
+            self.backend_failed(ctx, backend);
         }
     }
 
-    /// Wake whatever waits on an op that will never be answered, already
-    /// taken out of `pending` (dispatched at `started` µs). Shared by the
-    /// failure drain and the timeout sweep.
-    fn fail_inflight(&mut self, ctx: &mut Ctx<'_, Msg>, p: Pending, started: u64) {
+    /// Wake whatever waits on an op sent to `backend` that will never be
+    /// answered, already taken out of `pending` (dispatched at `started`
+    /// µs). Shared by the failure drain and the timeout sweep.
+    fn fail_inflight(&mut self, ctx: &mut Ctx<'_, Msg>, p: Pending, backend: BackendId, started: u64) {
         match p {
-            Pending::ClientExec { session, .. } => {
+            Pending::ClientExec { session } => {
                 // The outage began when the now-failed request was
                 // dispatched, not when we finally noticed: date it back for
                 // MTTR honesty.
@@ -739,15 +741,13 @@ impl Middleware {
                     self.reply(ctx, session, seq, Err(ReplyError::Unavailable("backend failed mid-request".into())));
                 }
             }
-            Pending::GroupExecBatch { groups, backend } => {
+            Pending::GroupExecBatch { groups } => {
                 for group in groups {
                     self.finish_group_exec(ctx, group, backend, None);
                 }
             }
-            Pending::PwCommit { session, .. } | Pending::PwApply { session: Some(session), .. } => {
-                self.finish_ws_part(ctx, Some(session), true);
-            }
-            Pending::ShipApply { backend, session } => {
+            Pending::PwApply { session: Some(session), .. } => self.finish_ws_part(ctx, Some(session), true),
+            Pending::ShipApply { session } => {
                 self.ship.busy.remove(&backend);
                 if let Some(session) = session {
                     self.finish_two_safe_part(ctx, session);
@@ -926,28 +926,18 @@ impl Middleware {
 
     fn on_db_resp(&mut self, ctx: &mut Ctx<'_, Msg>, resp: DbResp) {
         let op = resp.op();
-        let Some((pending, started)) = self.ops.pending.remove(&op) else { return };
+        let Some((pending, backend, started)) = self.take_op(op) else { return };
         match pending {
-            Pending::ClientExec { session, backend } => {
-                self.balancer.completed(backend);
+            Pending::ClientExec { session } => {
                 self.note_completion(ctx.now().micros(), backend, started, op);
                 self.finish_client_exec(ctx, session, backend, resp);
             }
-            Pending::GroupExecBatch { groups, backend } => {
-                self.balancer.completed(backend);
+            Pending::GroupExecBatch { groups } => {
                 self.note_completion(ctx.now().micros(), backend, started, op);
                 self.finish_exec_batch(ctx, groups, backend, resp);
             }
-            Pending::PwCommit { session, backend, marks } => {
-                self.balancer.completed(backend);
-                self.finish_pw_commit(ctx, session, backend, &marks, resp);
-            }
-            Pending::PwApply { session, backend, marks } => {
-                self.balancer.completed(backend);
-                self.finish_pw_apply(ctx, session, backend, &marks, resp);
-            }
-            Pending::Ping { backend } => {
-                self.balancer.completed(backend);
+            Pending::PwApply { session, marks } => self.finish_pw_apply(ctx, session, backend, &marks, resp),
+            Pending::Ping => {
                 if let DbResp::Pong { applied_lsn, head, ordered_applied, durable_ordered, .. } = resp
                 {
                     self.note_pong(ctx, backend, applied_lsn, head, ordered_applied, durable_ordered);
@@ -958,16 +948,10 @@ impl Middleware {
                 self.finish_ship_fetch(ctx, resp);
             }
             Pending::TwoSafeFetch { session, .. } => self.finish_two_safe_fetch(ctx, session, resp),
-            Pending::ShipApply { backend, session } => {
-                self.balancer.completed(backend);
-                self.finish_ship_apply(ctx, backend, session, resp);
-            }
-            Pending::RecoveryBatch { backend, group, upto } => {
-                self.finish_recovery_batch(ctx, backend, group, upto, resp)
-            }
+            Pending::ShipApply { session } => self.finish_ship_apply(ctx, backend, session, resp),
+            Pending::RecoveryBatch { group, upto } => self.finish_recovery_batch(ctx, backend, group, upto, resp),
             Pending::ResyncDumpReq { target, heads } => self.finish_resync_dump(ctx, target, heads, resp),
-            Pending::BackupDump { backend, hot, started_us } => {
-                self.balancer.completed(backend);
+            Pending::BackupDump { hot, started_us } => {
                 if crate::debug_on() {
                     eprintln!("[backup] resp for b{} hot={hot}: {:?}", backend.0, std::mem::discriminant(&resp));
                 }
@@ -975,7 +959,7 @@ impl Middleware {
                     self.metrics.backups.push((started_us, ctx.now().micros(), hot, dump.row_count()));
                 }
             }
-            Pending::ResyncRestore { backend, baseline, heads } => {
+            Pending::ResyncRestore { baseline, heads } => {
                 self.finish_resync_restore(ctx, backend, baseline, heads, resp);
             }
             Pending::FireAndForget => {}
@@ -1045,7 +1029,7 @@ impl Middleware {
                 self.send_db(
                     ctx,
                     backend,
-                    Pending::BackupDump { backend, hot, started_us },
+                    Pending::BackupDump { hot, started_us },
                     move |op| DbOp::Dump { op, include_programs: true, include_principals: true },
                 );
             }

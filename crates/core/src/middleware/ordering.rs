@@ -508,7 +508,7 @@ impl Middleware {
         for backend in targets {
             let groups = groups.clone();
             let entries = apply.clone();
-            self.send_db(ctx, backend, Pending::GroupExecBatch { groups, backend }, move |op| {
+            self.send_db(ctx, backend, Pending::GroupExecBatch { groups }, move |op| {
                 DbOp::Apply { op, entries, parallel: true }
             });
         }

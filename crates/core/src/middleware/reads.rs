@@ -273,8 +273,8 @@ impl Middleware {
             // balancing across every caught-up slave.
             raise(&mut s.gstamps, g, pos);
         }
-        let op = self.send_db(ctx, backend, Pending::ClientExec { session, backend }, move |op| {
-            DbOp::Execute { op, conn: session.0, plan, marks: Vec::new() }
+        let op = self.send_db(ctx, backend, Pending::ClientExec { session }, move |op| {
+            DbOp::Execute { op, conn: session.0, plan }
         });
         if is_probe {
             self.metrics.counters.quarantine_probes += 1;

@@ -126,9 +126,6 @@ impl Middleware {
             let lost = self.promote_new_master(ctx);
             self.metrics.counters.lost_transactions += lost;
         }
-        // No new work will be assigned; outstanding-count history would
-        // otherwise leak back as phantom load if the backend is re-added.
-        self.balancer.reset(backend);
         // Record the log checkpoints now: if the backend is later re-added,
         // the recovery log (or its truncation escalation) covers the gap.
         self.shards.checkpoint(backend);
@@ -157,7 +154,7 @@ impl Middleware {
                 .ops
                 .pending
                 .values()
-                .any(|(p, _)| !matches!(p, Pending::Ping { .. }) && super::pending_backend(p) == Some(b));
+                .any(|(p, pb, _)| *pb == b && !matches!(p, Pending::Ping) && super::fails_with_backend(p));
             if busy {
                 continue;
             }
@@ -295,7 +292,7 @@ impl Middleware {
             batch.into_iter().map(|e| ApplyEntry { payload: e.payload, marks: vec![(g as u32, e.seq)] }).collect();
         let parallel = self.cfg.replay_mode == ReplayMode::Parallel;
         self.backends[backend.0].state = BackendState::Recovering { next, inflight: true };
-        self.send_db(ctx, backend, Pending::RecoveryBatch { backend, group: g, upto }, move |op| {
+        self.send_db(ctx, backend, Pending::RecoveryBatch { group: g, upto }, move |op| {
             DbOp::Apply { op, entries, parallel }
         });
     }
@@ -377,7 +374,7 @@ impl Middleware {
         self.send_db(
             ctx,
             target,
-            Pending::ResyncRestore { backend: target, baseline: head, heads },
+            Pending::ResyncRestore { baseline: head, heads },
             move |op| DbOp::Restore { op, dump, baseline: head, ordered_baseline },
         );
     }

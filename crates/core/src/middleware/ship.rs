@@ -101,8 +101,8 @@ impl Middleware {
         if !stmt.is_read_only() {
             self.metrics.counters.writes += 1;
         }
-        self.send_db(ctx, master, Pending::ClientExec { session, backend: master }, move |op| {
-            DbOp::Execute { op, conn: session.0, plan, marks: Vec::new() }
+        self.send_db(ctx, master, Pending::ClientExec { session }, move |op| {
+            DbOp::Execute { op, conn: session.0, plan }
         });
     }
 
@@ -174,7 +174,7 @@ impl Middleware {
     fn ship_to(&mut self, ctx: &mut Ctx<'_, Msg>, backend: BackendId, entries: Vec<BinlogEntry>, session: Option<SessionId>) {
         let Mode::MasterSlave { use_writesets, parallel_apply, .. } = self.cfg.mode else { return };
         self.ship.busy.insert(backend);
-        self.send_db(ctx, backend, Pending::ShipApply { backend, session }, move |op| {
+        self.send_db(ctx, backend, Pending::ShipApply { session }, move |op| {
             DbOp::ApplyBinlog { op, entries, use_writesets, parallel_apply }
         });
     }
@@ -286,7 +286,7 @@ impl Middleware {
             .iter()
             .enumerate()
             .any(|(i, b)| i != master.0 && b.state == BackendState::Resyncing);
-        let fetches = self.ops.pending.values().filter_map(|(p, _)| match p {
+        let fetches = self.ops.pending.values().filter_map(|(p, ..)| match p {
             Pending::ShipFetch { after } | Pending::TwoSafeFetch { after, .. } => Some(*after),
             _ => None,
         });

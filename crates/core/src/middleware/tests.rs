@@ -11,19 +11,20 @@ use crate::msg::{ApplyEntry, EntryResult, PlanExec};
 use crate::recovery::LogPayload;
 
 /// A backend that answers from a script: statements, ordered statement
-/// batches and COMMIT succeed, a delegate op running a write of session `n`
-/// returns `insert_ws(n)`, the first `refuse` writeset applies fail, and
-/// later ones apply, as do the dump and restore of a rejoin. It logs
-/// every op but pings, which it never answers (an unanswered backend is
-/// never evicted).
+/// batches and COMMIT succeed (unless `refuse_commit`), a delegate op
+/// running a write of session `n` returns `insert_ws(n)`, the first
+/// `refuse` writeset applies fail, and later ones apply, as do the dump
+/// and restore of a rejoin. It logs every op but pings, which it never
+/// answers (an unanswered backend is never evicted).
 struct ScriptedDb {
     refuse: usize,
+    refuse_commit: bool,
     ops: Vec<DbOp>,
 }
 
 impl ScriptedDb {
     fn new(refuse: usize) -> Self {
-        ScriptedDb { refuse, ops: Vec::new() }
+        ScriptedDb { refuse, refuse_commit: false, ops: Vec::new() }
     }
 
     /// The writesets of every `Apply` received, each with the op's
@@ -58,15 +59,21 @@ impl Actor<Msg> for ScriptedDb {
                 DbResp::DelegateOut { op, res: Ok(ReplyBody::Ack), ws: Box::new(ws), poisoned: false }
             }
             DbOp::Execute { op, .. } => {
-                DbResp::ExecOk { op, body: ReplyBody::Ack, commit: None, tainted: false }
+                DbResp::ExecOk { op, body: ReplyBody::Ack, commit: None }
             }
             DbOp::Apply { op, entries, .. } => {
                 let ws_applies = self.applies().len();
+                let commit = |e: &ApplyEntry| {
+                    matches!(&e.payload, LogPayload::Plan { plan, .. } if *plan.template == Statement::Commit)
+                };
                 if entries.iter().any(|e| matches!(e.payload, LogPayload::Ws(_))) && ws_applies <= self.refuse {
                     let err = SqlError::WriteConflict { table: "t1".into(), detail: "row locked".into() };
                     DbResp::ApplyErr { op, err }
+                } else if self.refuse_commit && entries.iter().any(commit) {
+                    let err = SqlError::SerializationFailure("read validation".into());
+                    DbResp::Applied { op, results: vec![EntryResult::Err { err }] }
                 } else {
-                    let ok = EntryResult::Ok { body: ReplyBody::Ack, commit: None, tainted: false };
+                    let ok = EntryResult::Ok { body: ReplyBody::Ack, commit: None };
                     DbResp::Applied { op, results: vec![ok; entries.len()] }
                 }
             }
@@ -223,8 +230,12 @@ fn a_writeset_statement_reaches_its_delegate_once() {
         .position(|o| o.iter().any(|op| matches!(op, DbOp::Delegate { .. })))
         .expect("a delegate ran the statement");
     match &seen[delegate][..] {
-        [DbOp::Delegate { begin: Some(begin), stmt, implicit: true, .. }, DbOp::Execute { plan: commit, marks, .. }] => {
-            // The COMMIT settles the first certified position at the node.
+        [DbOp::Delegate { begin: Some(begin), stmt, implicit: true, .. }, DbOp::Apply { entries, .. }] => {
+            // The COMMIT is the one `Apply` entry, and settles the first
+            // certified position at the node.
+            let [ApplyEntry { payload: LogPayload::Plan { plan: commit, .. }, marks }] = &entries[..] else {
+                panic!("the delegate's COMMIT: {entries:?}");
+            };
             assert_eq!(marks, &[(0, 1)]);
             let snapshot = Some(IsolationLevel::SnapshotIsolation);
             assert_eq!(whole(begin), Statement::Begin { isolation: snapshot });
@@ -289,6 +300,66 @@ fn a_failed_implicit_statement_rolls_back_at_its_delegate() {
     assert!(matches!(replies[1], Err(ReplyError::Sql(SqlError::DuplicateKey(_)))), "{:?}", replies[1]);
 }
 
+/// A middleware stand-in that keeps the answers a node sends it.
+#[derive(Default)]
+struct Answers(Vec<DbResp>);
+
+impl Actor<Msg> for Answers {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
+        if let Msg::DbR(resp) = msg {
+            self.0.push(resp);
+        }
+    }
+}
+
+/// Only the database knows which ordered writes it applied (§4.4.2). A
+/// delegate's COMMIT whose positions the node already holds (its ack
+/// raced a failure declaration) is answered as applied, and runs and
+/// charges nothing; the same COMMIT at a position the node lacks runs.
+#[test]
+fn an_apply_of_positions_the_node_holds_runs_nothing() {
+    let schema = ["CREATE DATABASE d", "USE d", "CREATE TABLE t1 (k INT PRIMARY KEY, v INT)"].map(String::from);
+    let engine = crate::cluster::build_engine(Default::default(), &schema);
+    let mut sim: Sim<Msg> = Sim::new(NetworkModel::lan(), 5);
+    let node = sim.add_node(crate::db_node::DbNode::new(engine, Some("d".into())));
+    let mw = sim.add_node(Answers::default());
+    let send = |sim: &mut Sim<Msg>, at: u64, op: DbOp| sim.inject_as(SimTime(at), mw, node, Msg::Db(op));
+    let insert = PlanExec::whole(std::sync::Arc::new(parse_statement("INSERT INTO t1 VALUES (1, 1)").unwrap()));
+    send(&mut sim, 1_000, DbOp::Execute { op: 1, conn: 7, plan: PlanExec::begin(None) });
+    send(&mut sim, 2_000, DbOp::Execute { op: 2, conn: 7, plan: insert });
+    sim.run_until(SimTime(10_000));
+    let service = |sim: &mut Sim<Msg>| {
+        sim.with_actor::<crate::db_node::DbNode, _>(node, |d| d.trace.stage_histogram(Stage::DbService).sum_us())
+    };
+    let open = |sim: &mut Sim<Msg>| sim.with_actor::<crate::db_node::DbNode, _>(node, |d| d.engine().active_transactions());
+    sim.with_actor::<crate::db_node::DbNode, _>(node, |d| d.engine_mut().note_applied(&[(0, 1)]));
+    let commit = |op, marks| {
+        let entry = ApplyEntry { payload: LogPayload::Plan { conn: 7, plan: PlanExec::commit() }, marks };
+        DbOp::Apply { op, entries: vec![entry], parallel: true }
+    };
+    let before = service(&mut sim);
+    send(&mut sim, 10_000, commit(3, vec![(0, 1)]));
+    sim.run_until(SimTime(20_000));
+    assert_eq!(service(&mut sim), before, "a skipped entry is charged nothing");
+    assert_eq!(open(&mut sim), 1, "the COMMIT did not run");
+    let last = sim.with_actor::<Answers, _>(mw, |a| a.0.last().cloned());
+    assert!(
+        matches!(&last, Some(DbResp::Applied { op: 3, results }) if matches!(&results[..], [EntryResult::Ok { body: ReplyBody::Ack, commit: None }])),
+        "{last:?}"
+    );
+
+    send(&mut sim, 20_000, commit(4, vec![(0, 2)]));
+    sim.run_until(SimTime(30_000));
+    assert!(service(&mut sim) > before);
+    assert_eq!(open(&mut sim), 0);
+    let last = sim.with_actor::<Answers, _>(mw, |a| a.0.last().cloned());
+    assert!(
+        matches!(&last, Some(DbResp::Applied { op: 4, results }) if matches!(&results[..], [EntryResult::Ok { commit: Some(_), .. }])),
+        "{last:?}"
+    );
+    assert_eq!(sim.with_actor::<crate::db_node::DbNode, _>(node, |d| d.ordered_applied()), [2]);
+}
+
 /// One queued timer covers every op timeout, and each op still times
 /// out at exactly its dispatch + `op_timeout_us`, failing its waiter.
 #[test]
@@ -318,6 +389,47 @@ fn op_timeouts_are_exact_and_cheap() {
     sim.with_actor::<Middleware, _>(mw, |m| assert_eq!(m.metrics.failover_times, [25_000 + timeout]));
     let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
     assert_eq!(replies, [Err(ReplyError::Unavailable("backend failed mid-request".into()))]);
+}
+
+/// LPRF (least pending requests first, §4.1.3) routes by the ops each
+/// backend has in flight, so the count must be exactly the op table's.
+/// Every kind of op releases it once, however it leaves the table:
+/// answered (ship fetches at the master, replay and resync ops),
+/// timed out (pings to a crashed backend) or failed with its backend.
+#[test]
+fn lprf_counts_only_ops_in_flight() {
+    use crate::cluster::{Cluster, ClusterConfig};
+    let schema = ["CREATE DATABASE d", "USE d", "CREATE TABLE t (k INT PRIMARY KEY, v INT)"].map(String::from).to_vec();
+    let master_slave = Mode::MasterSlave {
+        two_safe: false,
+        ship_interval_us: 20_000,
+        use_writesets: false,
+        parallel_apply: false,
+        read_master: false,
+    };
+    let statement = Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject };
+    for mode in [master_slave, statement] {
+        let mut c = Cluster::build(ClusterConfig::new(mode.clone(), schema.clone(), "d"));
+        let inserts = (0..200).map(|k| vec![format!("INSERT INTO t VALUES ({k}, 1)")]).collect();
+        c.add_client(crate::ScriptSource::new(inserts), |cc| {
+            cc.think_time_us = 2_000;
+            cc.tx_limit = 200;
+        });
+        c.crash_backend_at(SimTime(1_000_000), 0, 2);
+        c.restart_backend_at(SimTime(2_000_000), 0, 2);
+        c.run_for(4_000_000);
+        c.stop_clients();
+        c.run_for(1_000_000);
+        let mw = c.mw_nodes[0];
+        c.sim.with_actor::<Middleware, _>(mw, |m| {
+            assert_eq!(m.metrics.failover_times.len(), 1, "{mode:?}");
+            assert!(m.backends[2].online(), "{mode:?}: backend 2 rejoined");
+            for b in (0..3).map(BackendId) {
+                let in_flight = m.ops.pending.values().filter(|(_, at, _)| *at == b).count() as u64;
+                assert_eq!(m.balancer.outstanding(b), in_flight, "{mode:?} backend {}", b.0);
+            }
+        });
+    }
 }
 
 /// BEGIN is deferred, so a session in a transaction without a delegate
@@ -406,10 +518,14 @@ impl Actor<Msg> for Recorded {
         match &msg {
             Msg::Db(DbOp::Ping { .. }) => {}
             Msg::Db(op) => {
-                if let DbOp::Execute { conn, plan, .. } = op {
-                    if *plan.template == Statement::Commit {
-                        let c = self.node.conn_of(*conn).expect("the transaction's connection");
-                        self.at_commit = self.node.engine().pending_writeset(c).ok();
+                if let DbOp::Apply { entries, .. } = op {
+                    for e in entries {
+                        if let LogPayload::Plan { conn, plan } = &e.payload {
+                            if *plan.template == Statement::Commit {
+                                let c = self.node.conn_of(*conn).expect("the transaction's connection");
+                                self.at_commit = self.node.engine().pending_writeset(c).ok();
+                            }
+                        }
                     }
                 }
                 self.ops.push(op.clone());
@@ -444,11 +560,16 @@ fn an_explicit_commit_certifies_the_records_its_statements_returned() {
     let stmt = |plan: &PlanExec| (*plan.template).clone();
     let (ops, at_commit) = &seen[delegate];
     match &ops[..] {
-        [DbOp::Delegate { begin: Some(_), stmt: insert, implicit: false, .. }, DbOp::Delegate { begin: None, stmt: update, implicit: false, .. }, DbOp::Execute { plan: commit, marks, .. }] if marks == &[(0, 1)] =>
+        [DbOp::Delegate { begin: Some(_), stmt: insert, implicit: false, .. }, DbOp::Delegate { begin: None, stmt: update, implicit: false, .. }, DbOp::Apply { entries, .. }] =>
         {
             assert_eq!(stmt(insert), parse_statement(stmts[1]).unwrap());
             assert_eq!(stmt(update), parse_statement(stmts[2]).unwrap());
-            assert_eq!(stmt(commit), Statement::Commit);
+            match &entries[..] {
+                [ApplyEntry { payload: LogPayload::Plan { plan: commit, .. }, marks }] if marks == &[(0, 1)] => {
+                    assert_eq!(stmt(commit), Statement::Commit);
+                }
+                other => panic!("the delegate's COMMIT: {other:?}"),
+            }
         }
         other => panic!("the delegate saw {other:?}"),
     }
@@ -462,6 +583,32 @@ fn an_explicit_commit_certifies_the_records_its_statements_returned() {
         other => panic!("the other host saw {other:?}"),
     }
     sim.with_actor::<Middleware, _>(mw, |m| assert_eq!(m.metrics.certifier.commits, 1));
+}
+
+/// A certified transaction whose delegate refuses its COMMIT (the
+/// delegate's own 1SR read validation): the delegate's positions are not
+/// credited and its part fails, so one divergence is counted; the other
+/// host applies the writeset and is credited. The transaction is
+/// committed cluster-wide, so the client is told it committed.
+#[test]
+fn a_refused_delegate_commit_credits_nothing() {
+    let (mut sim, dbs, mw, client) = writeset_cluster(vec![ScriptedDb::new(0), ScriptedDb::new(0)], None);
+    for &d in &dbs {
+        sim.with_actor::<ScriptedDb, _>(d, |d| d.refuse_commit = true);
+    }
+    request(&mut sim, (client, mw), 1_000, 1, 1, "INSERT INTO t1 VALUES (1, 1)");
+    sim.run_until(SimTime(10_000));
+    let delegate = (0..2)
+        .find(|&b| sim.with_actor::<ScriptedDb, _>(dbs[b], |d| d.ops.iter().any(|op| matches!(op, DbOp::Delegate { .. }))))
+        .expect("a delegate ran the statement");
+    sim.with_actor::<Middleware, _>(mw, |m| {
+        assert_eq!(m.pw_mark(BackendId(delegate), 0), 0);
+        assert_eq!(m.pw_mark(BackendId(1 - delegate), 0), 1);
+        assert_eq!(m.metrics.counters.divergence_detected, 1);
+        assert_eq!(m.metrics.counters.commits, 1);
+    });
+    let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+    assert_eq!(replies, [Ok(ReplyBody::Ack)]);
 }
 
 /// A statement error inside an explicit transaction. Where it poisons

@@ -211,17 +211,12 @@ impl PlanExec {
 /// correlation id echoed in the response.
 #[derive(Debug, Clone)]
 pub enum DbOp {
-    /// Execute one statement on the (lazily created) connection `conn`.
-    /// The node binds the plan's params and runs `Engine::execute_prepared`.
-    /// `marks` are the ordered positions the statement applies: every
-    /// (group, position) a delegate's COMMIT settles, none for a read or a
-    /// temp-table statement. The node records them durably and *skips* an
-    /// operation whose marks it has all applied — this is what makes
-    /// recovery replay idempotent when an acknowledgment raced a failure
-    /// declaration (§4.4.2: "the middleware has often no information on
-    /// which transactions committed prior to the failure; this information
-    /// is only known to the database").
-    Execute { op: u64, conn: u64, plan: PlanExec, marks: Vec<Mark> },
+    /// Execute one client statement on the (lazily created) connection
+    /// `conn`: a read, a temp-table statement, a master-slave write, or a
+    /// writeset session's ROLLBACK or read-only COMMIT. The node binds the
+    /// plan's params and runs `Engine::execute_prepared`. It settles no
+    /// ordered position: those travel only in `Apply`.
+    Execute { op: u64, conn: u64, plan: PlanExec },
     /// Writeset mode's one op per statement at a transaction's delegate, on
     /// connection `conn`: `begin` (the BEGIN opening the transaction's
     /// snapshot) when present, then `stmt`. The answer (`DelegateOut`)
@@ -231,17 +226,22 @@ pub enum DbOp {
     /// transaction (an autocommit write) is rolled back at the node when
     /// its statement fails, charged as that ROLLBACK.
     Delegate { op: u64, conn: u64, begin: Option<PlanExec>, stmt: PlanExec, implicit: bool },
-    /// Apply ordered entries, live fan-out or rejoin replay alike: each is
-    /// a plan on its session's (lazily created) connection or a certified
-    /// writeset, with the ordered positions it settles (see `Execute`'s
-    /// `marks`). The node runs them in order: it skips an entry whose marks
-    /// it has all applied, and notes the marks of the rest, a plan's inside
-    /// an open transaction when that transaction ends. A plan's error
-    /// is that entry's outcome, as it was on every live replica; a
-    /// writeset's error fails the op (divergence). `parallel`: entries
-    /// whose commits wrote disjoint tables apply concurrently, so the op is
-    /// charged its longest chain of entries sharing a table (the §4.4.2
-    /// "extraction of parallelism from the log"); otherwise the sum.
+    /// Apply ordered entries: live fan-out, rejoin replay, and a certified
+    /// transaction's COMMIT at its writeset delegate alike. Each entry is a
+    /// plan on its session's (lazily created) connection or a certified
+    /// writeset, with the (group, position) pairs it settles. The node
+    /// records those durably and runs the entries in order: it *skips* an
+    /// entry whose marks it has all applied, and notes the marks of the
+    /// rest, a plan's inside an open transaction when that transaction
+    /// ends. The skip is what makes replay idempotent when an
+    /// acknowledgment raced a failure declaration (§4.4.2: "the middleware
+    /// has often no information on which transactions committed prior to
+    /// the failure; this information is only known to the database"). A
+    /// plan's error is that entry's outcome, as it was on every live
+    /// replica; a writeset's error fails the op (divergence). `parallel`:
+    /// entries whose commits wrote disjoint tables apply concurrently, so
+    /// the op is charged its longest chain of entries sharing a table (the
+    /// §4.4.2 "extraction of parallelism from the log"); otherwise the sum.
     Apply { op: u64, entries: Vec<ApplyEntry>, parallel: bool },
     /// Apply binlog entries shipped from the master (master-slave slave
     /// side). Entry LSNs live in the master's LSN space: the node tracks
@@ -283,7 +283,7 @@ pub struct ApplyEntry {
 /// an `Ok` with `ReplyBody::Ack`.
 #[derive(Debug, Clone)]
 pub enum EntryResult {
-    Ok { body: ReplyBody, commit: Option<CommitNote>, tainted: bool },
+    Ok { body: ReplyBody, commit: Option<CommitNote> },
     Err { err: SqlError },
 }
 
@@ -295,7 +295,6 @@ pub enum DbResp {
         body: ReplyBody,
         /// Set when this statement committed a transaction.
         commit: Option<CommitNote>,
-        tainted: bool,
     },
     ExecErr { op: u64, err: SqlError },
     /// A [`DbOp::Apply`]'s answer, one result per entry, in op order.

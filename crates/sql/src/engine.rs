@@ -1001,12 +1001,6 @@ impl Engine {
         &self.ordered
     }
 
-    /// At least one mark given, and every one already applied: an ordered
-    /// operation to skip.
-    pub fn has_applied(&self, marks: &[Mark]) -> bool {
-        !marks.is_empty() && marks.iter().all(|&m| self.ordered.has(m))
-    }
-
     /// Record ordered positions an operation applied. The next
     /// [`Self::wal_maintain`] logs each with the first commit at or after
     /// it, so a torn tail keeps a position exactly when it keeps what the

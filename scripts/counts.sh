@@ -47,6 +47,10 @@ echo "self.partial sites:               $(cat $mw | grep -c 'self\.partial')"
 # SQL text on the middleware -> backend request wire: `String` fields of
 # `DbOp` and of its batch structs.
 echo "SQL String fields on DbOp wire:   $(awk '/^pub (enum DbOp|struct [A-Za-z]*Batch[A-Za-z]*) \{/ { on = 1; next } on && /^\}/ { on = 0 } on { n += gsub(/: (Option<)?String[,>]/, "") } END { print n + 0 }' crates/core/src/msg.rs)"
+# Ordered positions on the middleware -> backend request wire: `marks`
+# fields of `DbOp` variants. Positions travel only in `ApplyEntry`, the
+# entries of `DbOp::Apply`, so this is 0.
+echo "marks fields on DbOp outside ApplyEntry: $(awk '/^pub enum DbOp \{/ { on = 1; next } on && /^\}/ { exit } on && !/^ *\/\// { n += gsub(/marks: /, "") } END { print n + 0 }' crates/core/src/msg.rs)"
 # The wire and bookkeeping surface: variants of the middleware -> backend
 # request enum and of the middleware's in-flight op table. Variants of the
 # enum read on stdin whose opening line matches $1.
