@@ -124,6 +124,61 @@ fn cross_group_commit_smoke() {
     assert_eq!(rows_at(&mut cluster, 0, "t0"), rows_at(&mut cluster, 1, "t0"));
 }
 
+/// Certification decides between two transactions that write the same row
+/// and overlap (each began before the other committed), at two delegates
+/// (round-robin): the first to certify commits and the other gets a
+/// retryable `WriteConflict`. One group: a quorum of one, no cross-group
+/// decision. Two co-hosted groups, where one transaction writes both
+/// tables and the other one of them: the decision over both groups is one
+/// cross-group commit or abort.
+#[test]
+fn first_committer_wins_in_one_group_and_across_two() {
+    let update = |table: &str| format!("UPDATE {table} SET v = v + 1 WHERE k = 1");
+    let arms = [
+        (None, vec![update("t0")], 0),
+        (
+            Some(Placement::new(vec![vec![0, 1], vec![0, 1]]).assign("t0", 0).assign("t1", 1)),
+            vec![update("t0"), update("t1")],
+            1,
+        ),
+    ];
+    for (placement, first, xgroup) in arms {
+        let mut cfg = partial_ws_cfg(2, 2, placement);
+        cfg.schema = micro::disjoint_schema("bench", 2, 4);
+        let mut cluster = Cluster::build(cfg);
+        let script = |writes: Vec<String>| {
+            let mut tx = vec!["BEGIN".to_string()];
+            tx.extend(writes);
+            tx.push("COMMIT".into());
+            replimid_core::ScriptSource::new(vec![tx])
+        };
+        let clients: Vec<NodeId> = [first, vec![update("t0")]]
+            .into_iter()
+            .map(|writes| {
+                cluster.add_client(script(writes), |cc| {
+                    cc.tx_limit = 1;
+                    cc.max_retries = 0;
+                })
+            })
+            .collect();
+        run_and_drain(&mut cluster, 1);
+        let ms: Vec<_> = clients.iter().map(|&c| cluster.client_metrics(c)).collect();
+        let arm = format!("{} group(s)", xgroup + 1);
+        assert_eq!(ms.iter().map(|m| m.committed).sum::<u64>(), 1, "{arm}: commits");
+        let loser = ms.iter().find(|m| m.committed == 0).expect("one transaction lost");
+        assert_eq!(loser.failed, 1, "{arm}");
+        let err = loser.last_error.as_deref().unwrap_or("");
+        // A write conflict is retryable (`SqlError::is_retryable`); the
+        // client here has no retries left, so it reports it as failed.
+        assert!(err.starts_with("Sql(WriteConflict"), "{arm}: {err}");
+        let c = cluster.mw_metrics(0).counters;
+        assert_eq!(c.certification_failures, 1, "{arm}");
+        assert_eq!(c.xgroup_commits + c.xgroup_aborts, xgroup, "{arm}");
+        let sums = cluster.backend_checksums();
+        assert_eq!(sums[0][0], sums[0][1], "{arm}");
+    }
+}
+
 /// Random placements, client mixes, and seeds: every committed single-group
 /// insert lands exactly once on every hosting backend and nowhere else, the
 /// hosting replicas of each group never diverge, and no client observes a

@@ -1,7 +1,7 @@
 //! Writeset replication: statements at one delegate, certification of the
 //! transaction's writeset in each involved group's total order, and the
-//! commit fan-out — one group as a plain certify, several as a cross-group
-//! commit whose votes every peer computes identically.
+//! commit fan-out. Every commit is a vote of the groups it writes, which
+//! every peer computes identically; one group is a quorum of one.
 
 use replimid_simnet::Ctx;
 use replimid_sql::ast::{IsolationLevel, Statement};
@@ -15,44 +15,53 @@ use crate::msg::{
 use crate::recovery::LogPayload;
 use crate::trace::Stage;
 
-/// One multi-group transaction between its first prepare delivery and the
-/// decision. The vote for each involved group is that group's local
-/// certification verdict at delivery time; yes-votes reserve their keys
-/// and log slot immediately (in delivery order — reserving at decision
-/// time would order the log by decision arrival, which differs across
-/// peers). The decision is the AND of the votes, reached when the last
-/// involved stream delivers locally: deterministic at every peer with no
-/// extra wire round.
+/// One transaction between its first part's delivery and the decision.
+/// The vote for each involved group is that group's local certification
+/// verdict at delivery time; yes-votes reserve their keys and log slot
+/// immediately (in delivery order — reserving at decision time would
+/// order the log by decision arrival, which differs across peers). The
+/// decision is the AND of the votes, reached when the last involved
+/// stream delivers locally: deterministic at every peer with no extra
+/// wire round. Only a multi-group record outlives the delivery that made
+/// it.
 pub(super) struct XTx {
-    pub(super) groups: Vec<u32>,
-    votes: Vec<Option<bool>>,
-    /// Log/certifier position reserved per involved group (0 = no vote yet
-    /// or a no-vote).
-    pub(super) pos: Vec<u64>,
-    parts: Vec<Option<Writeset>>,
-    /// Local arrival time of the first involved prepare (origin's Certify
-    /// span start; first → decision is the CrossGroupWait window).
+    /// One per involved group, in the (sorted) order of `Certify::groups`.
+    votes: Vec<Vote>,
+    /// Local arrival time of the first involved part (origin's Certify
+    /// span end; first → decision is the CrossGroupWait window).
     first_us: u64,
+}
+
+/// One involved group's vote: `None` until its part is delivered, then the
+/// log/certifier position it reserved (`None` for a no) and the part.
+struct Vote {
+    group: u32,
+    cast: Option<(Option<u64>, Writeset)>,
 }
 
 impl XTx {
     fn new(groups: Vec<u32>, first_us: u64) -> Self {
-        let n = groups.len();
-        XTx { votes: vec![None; n], pos: vec![0; n], parts: vec![None; n], first_us, groups }
+        XTx { votes: groups.into_iter().map(|group| Vote { group, cast: None }).collect(), first_us }
     }
 
     /// Group `g`'s vote: the position it reserved, `None` for a no. True
     /// once every involved group has voted.
     fn vote(&mut self, g: usize, reserved: Option<u64>, part: Writeset) -> bool {
-        let idx = self
-            .groups
-            .iter()
-            .position(|&eg| eg as usize == g)
-            .expect("group not involved in its own XPrepare");
-        self.votes[idx] = Some(reserved.is_some());
-        self.pos[idx] = reserved.unwrap_or(0);
-        self.parts[idx] = Some(part);
-        self.votes.iter().all(Option::is_some)
+        let vote = self
+            .votes
+            .iter_mut()
+            .find(|v| v.group as usize == g)
+            .expect("group not involved in its own Certify");
+        vote.cast = Some((reserved, part));
+        self.votes.iter().all(|v| v.cast.is_some())
+    }
+
+    /// The (group, position, part) of every yes vote so far.
+    pub(super) fn reserved(&self) -> impl Iterator<Item = (u32, u64, &Writeset)> {
+        self.votes.iter().filter_map(|v| match &v.cast {
+            Some((Some(pos), part)) => Some((v.group, *pos, part)),
+            _ => None,
+        })
     }
 }
 
@@ -248,9 +257,7 @@ impl Middleware {
     // ------------------------------------------------------------------
 
     /// Split the prepared writeset row by row along group boundaries and
-    /// publish: one group → a plain per-group Certify; several → an
-    /// XPrepare slot in every involved group's stream (cross-group 2PC,
-    /// deterministic votes).
+    /// publish one `Certify` slot in every involved group's stream.
     pub(super) fn pw_publish_prepare(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId, stmt_seq: u64, ws: Writeset) {
         // Both callers answer a request of this session, so it exists.
         let Some(s) = self.sessions.get_mut(session.0) else { return };
@@ -264,24 +271,13 @@ impl Middleware {
             // that names no table) so the commit acks in order.
             slices.push((0, Writeset::default()));
         }
-        let start = |g: usize| gstart.get(g).copied().unwrap_or(0);
-        if slices.len() == 1 {
-            let (g, part) = slices.swap_remove(0);
-            let start_pos = start(g);
-            self.shard_publish_write(
-                ctx,
-                g,
-                ReplEvent::Certify { session, stmt_seq, start_pos, ws: part },
-            );
-            return;
-        }
         let groups: Vec<u32> = slices.iter().map(|(g, _)| *g as u32).collect();
         for (g, part) in slices {
-            let start_pos = start(g);
+            let start_pos = gstart.get(g).copied().unwrap_or(0);
             self.shard_publish_write(
                 ctx,
                 g,
-                ReplEvent::XPrepare { session, stmt_seq, groups: groups.clone(), start_pos, part },
+                ReplEvent::Certify { session, stmt_seq, groups: groups.clone(), start_pos, part },
             );
         }
     }
@@ -293,46 +289,15 @@ impl Middleware {
         matches!(&s.current, Some(c) if c.stmt_seq == stmt_seq && matches!(c.kind, CurrentKind::WsCertifyWait))
     }
 
-    /// Single-group certification request delivered on group `g`'s stream:
-    /// certify and log it (see [`super::ordering::Shards::certify`]), then
-    /// reply to the origin on abort or fan the commit out to the group's
-    /// hosts.
-    pub(super) fn deliver_shard_certify(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        g: usize,
-        session: SessionId,
-        stmt_seq: u64,
-        start_pos: u64,
-        ws: Writeset,
-    ) {
-        let cert_pos = self.shards.certify(g, start_pos, &ws, &self.cfg.pk_map);
-        self.metrics.certifier = self.shards.agg_stats();
-        let origin = self.certify_origin(session, stmt_seq);
-        if origin {
-            // Certify publish → delivery plus the (instantaneous) conflict
-            // check itself.
-            self.mw_span(session, stmt_seq, Stage::Certify, ctx.now().micros());
-        }
-        match cert_pos {
-            None => {
-                self.metrics.counters.certification_failures += 1;
-                if origin {
-                    self.certification_lost(ctx, session, stmt_seq, "first committer won");
-                }
-            }
-            Some(pos) => self.fan_out_commit(ctx, session, stmt_seq, origin, &[(g as u32, pos, &ws)]),
-        }
-    }
-
-    /// A cross-group prepare slot delivered on group `g`'s stream. The vote
-    /// is the group-local certification verdict, computed AT DELIVERY — a
+    /// A transaction's part delivered on group `g`'s stream. The vote is
+    /// the group-local certification verdict, computed AT DELIVERY — a
     /// pure function of the group's ordered stream, so every middleware
     /// votes identically and no vote messages need exchanging. A yes vote
     /// optimistically reserves a log position; the decision (AND of all
-    /// votes) fires when the last involved stream delivers locally.
+    /// votes) fires when the last involved stream delivers locally, at
+    /// once for a transaction that writes one group.
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn deliver_xprepare(
+    pub(super) fn deliver_certify(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         g: usize,
@@ -344,14 +309,19 @@ impl Middleware {
     ) {
         let now = ctx.now().micros();
         let reserved = self.shards.certify(g, start_pos, &part, &self.cfg.pk_map);
-        let entry = self.shards.xtx.entry((session.0, stmt_seq)).or_insert_with(|| XTx::new(groups, now));
-        let done = entry.vote(g, reserved, part);
+        let key = (session.0, stmt_seq);
+        let mut xtx = self.shards.xtx.remove(&key).unwrap_or_else(|| XTx::new(groups, now));
+        let done = xtx.vote(g, reserved, part);
         self.metrics.certifier = self.shards.agg_stats();
         if !done {
+            self.shards.xtx.insert(key, xtx);
             return;
         }
-        let Some(xtx) = self.shards.xtx.remove(&(session.0, stmt_seq)) else { return };
-        self.finish_xgroup(ctx, session, stmt_seq, xtx);
+        let multi = xtx.votes.len() > 1;
+        self.decide(ctx, session, stmt_seq, xtx);
+        if !multi {
+            return;
+        }
         // The decision may unblock a recovering backend whose replay
         // was capped below the (previously undecided) reserved slot.
         let recovering: Vec<BackendId> = (0..self.backends.len())
@@ -367,39 +337,38 @@ impl Middleware {
     /// yes. On abort, yes-voting groups retract their optimistic
     /// reservation (certifier entry out, log slot voided, watermark marked
     /// everywhere so apply tracking never stalls on the hole); the group's
-    /// next fan-out tells its hosts, so theirs do not stall either.
-    fn finish_xgroup(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId, stmt_seq: u64, xtx: XTx) {
-        let commit = xtx.votes.iter().all(|v| *v == Some(true));
+    /// next fan-out tells its hosts, so theirs do not stall either. The
+    /// cross-group counters count only decisions over several groups.
+    fn decide(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId, stmt_seq: u64, xtx: XTx) {
+        let parts: Vec<(u32, u64, &Writeset)> = xtx.reserved().collect();
+        let commit = parts.len() == xtx.votes.len();
+        let multi = xtx.votes.len() > 1;
         let origin = self.certify_origin(session, stmt_seq);
-        let now = ctx.now().micros();
         if origin {
             // Publish → first local vote is the certify window; first vote
-            // → decision is the cross-group wait (the 2PC tax E22 measures).
+            // → decision is the cross-group wait (the 2PC tax E22 measures),
+            // which only a transaction over several groups has.
             self.mw_span(session, stmt_seq, Stage::Certify, xtx.first_us);
-            self.mw_span(session, stmt_seq, Stage::CrossGroupWait, now);
+            if multi {
+                self.mw_span(session, stmt_seq, Stage::CrossGroupWait, ctx.now().micros());
+            }
         }
         if !commit {
-            self.metrics.counters.xgroup_aborts += 1;
+            self.metrics.counters.xgroup_aborts += u64::from(multi);
             self.metrics.counters.certification_failures += 1;
-            for (idx, vote) in xtx.votes.iter().enumerate() {
-                if *vote != Some(true) {
-                    continue;
-                }
-                let (g, pos) = (xtx.groups[idx] as usize, xtx.pos[idx]);
+            for (g, pos, _) in parts {
+                let g = g as usize;
                 self.shards.certs[g].retract(pos);
                 self.shards.voided[g].push(pos);
                 self.shards.void(g, pos);
             }
             self.metrics.certifier = self.shards.agg_stats();
             if origin {
-                self.certification_lost(ctx, session, stmt_seq, "cross-group certification lost");
+                self.certification_lost(ctx, session, stmt_seq);
             }
             return;
         }
-        self.metrics.counters.xgroup_commits += 1;
-        // Every vote was yes, and a yes vote recorded its part.
-        let parts: Vec<(u32, u64, &Writeset)> =
-            xtx.groups.iter().zip(&xtx.pos).zip(xtx.parts.iter().flatten()).map(|((&g, &pos), p)| (g, pos, p)).collect();
+        self.metrics.counters.xgroup_commits += u64::from(multi);
         self.fan_out_commit(ctx, session, stmt_seq, origin, &parts);
     }
 
@@ -475,10 +444,10 @@ impl Middleware {
 
     /// The origin's transaction lost certification: roll it back at its
     /// delegate and tell the client.
-    fn certification_lost(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId, stmt_seq: u64, detail: &str) {
+    fn certification_lost(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId, stmt_seq: u64) {
         self.rollback_at_delegate(ctx, session);
         self.metrics.counters.aborts += 1;
-        let err = SqlError::WriteConflict { table: "certification".into(), detail: detail.into() };
+        let err = SqlError::WriteConflict { table: "certification".into(), detail: "first committer won".into() };
         self.reply(ctx, session, stmt_seq, Err(ReplyError::Sql(err)));
     }
 

@@ -50,7 +50,7 @@ pub(super) struct Shards {
     /// Per-group group-commit buffers and armed deadline-timer flags.
     batches: Vec<Vec<ReplEvent>>,
     batch_armed: Vec<bool>,
-    /// In-flight cross-group transactions keyed by (session, stmt_seq):
+    /// Undecided multi-group transactions keyed by (session, stmt_seq):
     /// votes collected between the first involved delivery and the
     /// decision.
     pub(super) xtx: HashMap<(u64, u64), XTx>,
@@ -158,9 +158,9 @@ impl Shards {
     pub(super) fn undecided_floor(&self, g: usize) -> Option<u64> {
         self.xtx
             .values()
-            .flat_map(|x| x.groups.iter().zip(&x.pos))
-            .filter(|&(&gg, &pos)| gg as usize == g && pos != 0)
-            .map(|(_, &pos)| pos)
+            .flat_map(XTx::reserved)
+            .filter(|&(gg, ..)| gg as usize == g)
+            .map(|(_, pos, _)| pos)
             .min()
     }
 
@@ -329,8 +329,7 @@ impl Middleware {
         for ev in &events {
             let (session, stmt_seq) = match ev {
                 ReplEvent::Statement { session, stmt_seq, .. }
-                | ReplEvent::Certify { session, stmt_seq, .. }
-                | ReplEvent::XPrepare { session, stmt_seq, .. } => (*session, *stmt_seq),
+                | ReplEvent::Certify { session, stmt_seq, .. } => (*session, *stmt_seq),
                 _ => continue,
             };
             self.mw_span(session, stmt_seq, Stage::BatchWait, now);
@@ -353,11 +352,8 @@ impl Middleware {
             ReplEvent::Statement { session, stmt_seq, ast } => {
                 self.deliver_statement_batch(ctx, vec![(session, stmt_seq, ast)])
             }
-            ReplEvent::Certify { session, stmt_seq, start_pos, ws } => {
-                self.deliver_shard_certify(ctx, g, session, stmt_seq, start_pos, ws)
-            }
-            ReplEvent::XPrepare { session, stmt_seq, groups, start_pos, part } => {
-                self.deliver_xprepare(ctx, g, session, stmt_seq, groups, start_pos, part)
+            ReplEvent::Certify { session, stmt_seq, groups, start_pos, part } => {
+                self.deliver_certify(ctx, g, session, stmt_seq, groups, start_pos, part)
             }
             ReplEvent::SessionEnd { session } => self.end_session(ctx, session),
             ReplEvent::Batch { events } => self.deliver_batch(ctx, g, events),
@@ -377,7 +373,7 @@ impl Middleware {
                 ReplEvent::SessionEnd { session } => self.end_session(ctx, session),
                 // Batches never nest (`Shards::admit` only buffers leaves).
                 ReplEvent::Batch { .. } => {}
-                ev @ (ReplEvent::Certify { .. } | ReplEvent::XPrepare { .. }) => certs.push(ev),
+                ev @ ReplEvent::Certify { .. } => certs.push(ev),
             }
         }
         if !stmts.is_empty() {

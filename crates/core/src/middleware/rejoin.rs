@@ -262,7 +262,7 @@ impl Middleware {
         // Replay must not cross a prepared-but-undecided cross-group slot:
         // its logged payload may still be voided by an abort decision. Cap
         // each group's replay just below its lowest undecided position; the
-        // decision re-pumps (see `deliver_xprepare`).
+        // decision re-pumps (see `deliver_certify`).
         let Some((g, n, cap)) = next.iter().find_map(|&(g, n)| {
             let head = self.shards.logs[g].head();
             let cap = self.shards.undecided_floor(g).map_or(head, |f| f - 1).min(head);

@@ -6,7 +6,7 @@ use std::sync::{Arc, LazyLock};
 
 use replimid_gcs::GcsMsg;
 use replimid_sql::ast::{IsolationLevel, Statement};
-use replimid_sql::{keycode, BinlogEntry, Dump, Lsn, Mark, ResultSet, SqlError, Value, Writeset};
+use replimid_sql::{BinlogEntry, Dump, Lsn, Mark, ResultSet, SqlError, Value, Writeset};
 
 use crate::recovery::LogPayload;
 
@@ -128,82 +128,6 @@ impl PlanExec {
         } else {
             replimid_sql::bind(&self.template, &self.params).map(Cow::Owned)
         }
-    }
-
-    /// Compact wire encoding: the template's canonical text (parameters
-    /// render as `?`) plus keycode-encoded params. This is what would cross
-    /// a real network — far smaller than a serialized AST, and the receiver
-    /// still skips per-statement parsing by caching templates keyed on the
-    /// template text (which IS the normalization key).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        keycode::encode_str(&mut out, &self.template.to_string());
-        keycode::encode_u64(&mut out, self.params.len() as u64);
-        for v in &self.params {
-            match v {
-                Value::Null => out.push(0),
-                Value::Int(i) => {
-                    out.push(1);
-                    keycode::encode_i64(&mut out, *i);
-                }
-                Value::Float(f) => {
-                    out.push(2);
-                    keycode::encode_u64(&mut out, f.to_bits());
-                }
-                Value::Text(s) => {
-                    out.push(3);
-                    keycode::encode_str(&mut out, s);
-                }
-                Value::Bool(b) => out.push(4 + *b as u8),
-                Value::Timestamp(t) => {
-                    out.push(6);
-                    keycode::encode_i64(&mut out, *t);
-                }
-            }
-        }
-        out
-    }
-
-    pub fn decode(bytes: &[u8]) -> Result<PlanExec, String> {
-        let e = |e: keycode::KeycodeError| format!("{e:?}");
-        let (text, mut rest) = keycode::decode_str(bytes).map_err(e)?;
-        let template =
-            replimid_sql::parse_statement(&text).map_err(|err| format!("template: {err}"))?;
-        let (n, r) = keycode::decode_u64(rest).map_err(e)?;
-        rest = r;
-        let mut params = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let (&tag, r) = rest.split_first().ok_or("truncated param tag")?;
-            rest = r;
-            let v = match tag {
-                0 => Value::Null,
-                1 => {
-                    let (i, r) = keycode::decode_i64(rest).map_err(e)?;
-                    rest = r;
-                    Value::Int(i)
-                }
-                2 => {
-                    let (b, r) = keycode::decode_u64(rest).map_err(e)?;
-                    rest = r;
-                    Value::Float(f64::from_bits(b))
-                }
-                3 => {
-                    let (s, r) = keycode::decode_str(rest).map_err(e)?;
-                    rest = r;
-                    Value::Text(s)
-                }
-                4 => Value::Bool(false),
-                5 => Value::Bool(true),
-                6 => {
-                    let (i, r) = keycode::decode_i64(rest).map_err(e)?;
-                    rest = r;
-                    Value::Timestamp(i)
-                }
-                t => return Err(format!("bad param tag {t}")),
-            };
-            params.push(v);
-        }
-        Ok(PlanExec { template: Arc::new(template), params })
     }
 }
 
@@ -376,31 +300,23 @@ pub enum ReplEvent {
         /// every backend executes and what the recovery log keeps.
         ast: PlanExec,
     },
-    /// Certification request for a transaction's writeset.
+    /// One transaction's writeset part for one group's stream, published
+    /// into the stream of *every* group the transaction writes: one event
+    /// when it writes one group. Each peer certifies the part in that
+    /// group's certifier shard at delivery (the vote is a pure function of
+    /// the group-local stream, so every replica computes the same vote
+    /// without extra wire messages) and the decision is the AND over the
+    /// involved groups' votes, reached when the last involved stream
+    /// delivers its part. A single-group commit is a quorum of one.
     Certify {
         session: SessionId,
         stmt_seq: u64,
-        /// Certifier position when the transaction began.
-        start_pos: u64,
-        ws: Writeset,
-    },
-    /// Cross-group prepare (partial replication): one multi-group
-    /// transaction's writeset slice for this group's stream. Published into
-    /// *every* involved group's total order; each peer certifies the slice
-    /// in that group's certifier shard at delivery (the vote is a pure
-    /// function of the group-local stream, so every replica computes the
-    /// same vote without extra wire messages) and the global decision is
-    /// the AND over all involved groups' votes, reached when the last
-    /// involved stream delivers its slice.
-    XPrepare {
-        session: SessionId,
-        stmt_seq: u64,
-        /// Every group the transaction touches (sorted; identifies the
+        /// Every group the transaction writes (sorted; identifies the
         /// decision quorum).
         groups: Vec<u32>,
         /// This group's certifier position when the transaction began.
         start_pos: u64,
-        /// The writeset slice touching this group's tables only.
+        /// The writeset part touching this group's tables only.
         part: Writeset,
     },
     /// Session teardown (propagated so peers drop replicated session state).
@@ -451,9 +367,6 @@ pub enum Msg {
     /// own independent `GroupMember` stream (full replication: the one
     /// group 0); the tag routes the message to the right shard.
     GroupShard { group: u32, msg: GcsMsg<ReplEvent> },
-    /// Master→slave binlog shipping (master-slave mode, no GCS involved).
-    Ship { entries: Vec<BinlogEntry>, seq: u64 },
-    ShipAck { upto: Lsn, seq: u64 },
 }
 
 #[cfg(test)]
@@ -467,32 +380,6 @@ mod tests {
         assert!(ReplyError::Degraded("x".into()).is_retryable());
         assert!(ReplyError::Sql(SqlError::SerializationFailure("r".into())).is_retryable());
         assert!(!ReplyError::Sql(SqlError::DuplicateKey("k".into())).is_retryable());
-    }
-
-    #[test]
-    fn plan_exec_codec_round_trip() {
-        let form = replimid_sql::normalize("UPDATE t SET v = -2.5, s = 'o''brien' WHERE k = 7")
-            .unwrap();
-        let cached = replimid_sql::CachedPlan::prepare(&form).unwrap();
-        let plan = PlanExec { template: cached.template.clone(), params: form.params };
-        let decoded = PlanExec::decode(&plan.encode()).unwrap();
-        assert_eq!(*decoded.template, *plan.template);
-        assert_eq!(decoded.params, plan.params);
-        assert_eq!(decoded.bind().unwrap(), plan.bind().unwrap());
-        // The wire image is the compact form: template text + params, far
-        // smaller than the rendered-per-literal SQL would be for large text.
-        let all_params = [
-            Value::Null,
-            Value::Int(-5),
-            Value::Float(2.5),
-            Value::Text("x?y".into()),
-            Value::Bool(true),
-            Value::Bool(false),
-            Value::Timestamp(42),
-        ];
-        let p2 = PlanExec { template: plan.template.clone(), params: all_params.to_vec() };
-        let d2 = PlanExec::decode(&p2.encode()).unwrap();
-        assert_eq!(d2.params, p2.params);
     }
 
     #[test]

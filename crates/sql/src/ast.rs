@@ -1,10 +1,10 @@
 //! Abstract syntax tree for the supported SQL dialect, plus a renderer that
 //! turns the AST back into canonical SQL text.
 //!
-//! The renderer matters for replication: statement-based replication ships
-//! (possibly rewritten) SQL text to the replicas and into the recovery log,
-//! so `parse(render(ast)) == ast` is a load-bearing invariant, checked by a
-//! property test.
+//! The renderer matters where text is read back: master-slave shipping
+//! replays the binlog's statement text, and WAL checkpoints store schemas
+//! as SQL, so `parse(render(ast)) == ast` is a load-bearing invariant,
+//! checked by a property test (see `render`).
 
 use std::fmt;
 

@@ -1,9 +1,13 @@
 //! Render the AST back to canonical SQL text.
 //!
-//! Statement-based replication and the recovery log store statements as SQL
-//! text; a rejoining replica replays that text through the parser. The
-//! invariant `parse(render(stmt)) == stmt` is verified by a property test in
-//! the workspace test suite.
+//! Replication between the middleware and its backends never ships text:
+//! statements travel parsed, and the recovery log keeps them parsed. Text
+//! remains where a node reads back what it wrote itself: the binlog records
+//! each committed statement as text, which master-slave shipping parses at
+//! the slave (`DbNode::apply_binlog` in `replimid-core`), and a WAL
+//! checkpoint stores each table's schema as a rendered `CREATE TABLE`. Both
+//! rely on `parse(render(stmt)) == stmt`, verified by a property test in
+//! `tests/properties_sql.rs`.
 
 use std::fmt;
 

@@ -179,7 +179,7 @@ fn assert_round_trip(stmt: &Statement) {
 }
 
 /// The statement renderer and parser are inverses: load-bearing for
-/// statement-based replication and recovery-log replay.
+/// master-slave binlog shipping and WAL checkpoint schemas.
 #[test]
 fn render_parse_round_trip() {
     detcheck::check("render_parse_round_trip", 256, |rng| {

@@ -8,9 +8,6 @@
 //!
 //! * [`broker`] — the Fortune-500 travel-broker mix from the introduction:
 //!   95% reads / 5% writes, but at volumes where the 5% dominates.
-//! * [`bookstore`] — a TPC-W-flavoured e-commerce mix (browse/buy).
-//! * [`auction`] — a RUBiS-flavoured auction mix (browse/bid) with tunable
-//!   conflict (bids contend on hot items).
 //! * [`micro`] — microbenchmarks: keyed updates with a controllable conflict
 //!   rate (for the consistency-spectrum experiment) and read-only point
 //!   queries.
@@ -23,17 +20,13 @@
 //!   elasticity experiments: arrivals do not wait for completions, so
 //!   overload during a management operation is observable.
 
-pub mod auction;
 pub mod batch;
-pub mod bookstore;
 pub mod broker;
 pub mod faults;
 pub mod micro;
 pub mod openloop;
 
-pub use auction::Auction;
 pub use batch::BatchUpdate;
-pub use bookstore::Bookstore;
 pub use broker::Broker;
 pub use faults::{FaultSchedule, GrayFault, GrayFaultSchedule, GrayKind, GraySpec};
 pub use micro::{KeyedUpdates, PointReads, ReadWriteMix};

@@ -52,14 +52,18 @@ echo "SQL String fields on DbOp wire:   $(awk '/^pub (enum DbOp|struct [A-Za-z]*
 # entries of `DbOp::Apply`, so this is 0.
 echo "marks fields on DbOp outside ApplyEntry: $(awk '/^pub enum DbOp \{/ { on = 1; next } on && /^\}/ { exit } on && !/^ *\/\// { n += gsub(/marks: /, "") } END { print n + 0 }' crates/core/src/msg.rs)"
 # The wire and bookkeeping surface: variants of the middleware -> backend
-# request enum and of the middleware's in-flight op table. Variants of the
-# enum read on stdin whose opening line matches $1.
+# request enum, of the events the middleware peers order and of the
+# middleware's in-flight op table. Variants of the enum read on stdin whose
+# opening line matches $1.
 variants() {
     awk -v head="$1" '$0 ~ head { on = 1; next } on && /^\}/ { exit } on && /^    [A-Z][A-Za-z0-9]*( \{|,|\(|$)/ { n++ } END { print n + 0 }'
 }
 # Replication modes (partitioning is a placement, not a mode).
 echo "Mode variants:                    $(cat $mw | variants '^pub enum Mode \\{')"
 echo "DbOp variants:                    $(variants '^pub enum DbOp \\{' < crates/core/src/msg.rs)"
+# The events middleware peers totally order: a second certification event
+# would be a second certification path.
+echo "ReplEvent variants:               $(variants '^pub enum ReplEvent \\{' < crates/core/src/msg.rs)"
 echo "Pending variants:                 $(cat $mw | variants '^enum Pending \\{')"
 # Entry points of a backend's rejoin: the log replay and its dump
 # fallback. A placement-only dump-first entry would be a second rejoin.
