@@ -177,8 +177,10 @@ pub struct TraceSummary {
     pub start_us: u64,
     pub end_us: u64,
     /// Total microseconds attributed to each stage (indexed by
-    /// [`Stage::idx`]); sums to exactly `end_us - start_us`.
-    pub stage_us: [u64; N_STAGES],
+    /// [`Stage::idx`]); sums to exactly `end_us - start_us` unless a stage
+    /// held more than `u32::MAX` µs (71 virtual minutes), where it
+    /// saturates. `u32` keeps a summary at 96 bytes instead of 168.
+    pub stage_us: [u32; N_STAGES],
     pub span_count: u32,
 }
 
@@ -307,6 +309,7 @@ impl TraceSink {
         for s in &open.spans {
             stage_us[s.stage.idx()] += s.duration_us();
         }
+        let stage_us = stage_us.map(|us| u32::try_from(us).unwrap_or(u32::MAX));
         let summary = TraceSummary {
             trace,
             start_us: open.start_us,
@@ -446,7 +449,7 @@ mod tests {
         sink.end(t, 1_000); // 100us unclaimed -> Other
         let s = sink.completed().next().unwrap();
         assert_eq!(s.duration_us(), 900);
-        assert_eq!(s.stage_us.iter().sum::<u64>(), 900);
+        assert_eq!(s.stage_us.iter().map(|&us| u64::from(us)).sum::<u64>(), 900);
         assert_eq!(s.stage_us[Stage::Order.idx()], 250);
         assert_eq!(s.stage_us[Stage::Execute.idx()], 550);
         assert_eq!(s.stage_us[Stage::Other.idx()], 100);
@@ -492,7 +495,36 @@ mod tests {
         sink.end(t, 80);
         let s = sink.completed().next().unwrap();
         assert_eq!(s.duration_us(), 0);
-        assert_eq!(s.stage_us.iter().sum::<u64>(), 0);
+        assert_eq!(s.stage_us.iter().map(|&us| u64::from(us)).sum::<u64>(), 0);
+    }
+
+    #[test]
+    fn long_stage_saturates_and_shorter_traces_still_tile() {
+        let mut sink = TraceSink::new();
+        let long = u64::from(u32::MAX) + 5;
+        sink.begin(TraceId(1), 0);
+        sink.span(TraceId(1), Stage::Order, 10);
+        sink.span(TraceId(1), Stage::Execute, 10 + long);
+        sink.end(TraceId(1), 20 + long);
+        let just_fits = u64::from(u32::MAX) - 30;
+        sink.begin(TraceId(2), 0);
+        sink.span(TraceId(2), Stage::Execute, just_fits);
+        sink.end(TraceId(2), just_fits + 30);
+        let s: Vec<_> = sink.completed().collect();
+        assert_eq!(s[0].duration_us(), 20 + long, "the window itself stays exact");
+        assert_eq!(s[0].stage_us[Stage::Execute.idx()], u32::MAX);
+        assert_eq!(s[0].stage_us[Stage::Order.idx()], 10);
+        assert_eq!(s[0].stage_us[Stage::Other.idx()], 10);
+        let sum: u64 = s[1].stage_us.iter().map(|&us| u64::from(us)).sum();
+        assert_eq!(sum, s[1].duration_us(), "a trace under u32::MAX µs per stage tiles");
+        assert_eq!(s[1].stage_us[Stage::Other.idx()], 30);
+    }
+
+    #[test]
+    fn a_summary_is_96_bytes() {
+        let size = std::mem::size_of::<TraceSummary>();
+        println!("footprint: size_of TraceSummary: {size} bytes");
+        assert_eq!(size, 96);
     }
 
     #[test]

@@ -68,6 +68,11 @@ impl Binlog {
         lsn
     }
 
+    /// Whether `append` keeps what it is given (see [`Binlog::set_floor`]).
+    pub fn keeps_entries(&self) -> bool {
+        !self.unread
+    }
+
     /// Highest LSN written, or 0 if empty.
     pub fn head(&self) -> Lsn {
         Lsn(self.next_lsn - 1)

@@ -57,7 +57,7 @@ impl Database {
     }
 
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, SqlError> {
-        let db = self.name.clone();
+        let db = &self.name;
         self.tables
             .get_mut(name)
             .ok_or_else(|| SqlError::UnknownTable(format!("{db}.{name}")))

@@ -609,7 +609,9 @@ impl Engine {
 
         match exec_result {
             Ok(outcome) => {
-                if !stmt.is_read_only() {
+                // An autocommit's text only lives as long as its binlog
+                // entry, so it is rendered only when the binlog keeps one.
+                if !stmt.is_read_only() && (!implicit || self.keeps_binlog()) {
                     let text =
                         sql_text.map(str::to_string).unwrap_or_else(|| stmt.to_string());
                     session.tx_statements.push(text);
@@ -705,6 +707,11 @@ impl Engine {
         match result {
             Ok(()) => {
                 let mut empty_temp = BTreeMap::new();
+                let statements = if self.keeps_binlog() {
+                    vec![format!("-- applied writeset ({} rows)", ws.len())]
+                } else {
+                    Vec::new()
+                };
                 let commit = commit_tx(
                     &mut self.catalog,
                     &mut empty_temp,
@@ -714,7 +721,7 @@ impl Engine {
                     &self.config,
                     tx,
                     None,
-                    vec![format!("-- applied writeset ({} rows)", ws.len())],
+                    statements,
                 )?;
                 if self.config.apply_counter_sync {
                     if let Some(cs) = &ws.counters {
@@ -810,18 +817,23 @@ impl Engine {
     /// How many write records (temp ones included) `conn`'s open
     /// transaction holds; 0 with none open.
     pub fn pending_mark(&self, conn: ConnId) -> usize {
-        self.open_tx(conn).map_or(0, |st| st.writes.len())
+        self.tx_of(conn).map_or(0, |st| st.writes.len())
     }
 
     /// Whether a failed statement poisoned `conn`'s open transaction
     /// ([`ErrorMode::AbortTransaction`]): it can only roll back now.
     pub fn tx_poisoned(&self, conn: ConnId) -> bool {
-        self.open_tx(conn).is_ok_and(|st| st.poisoned)
+        self.tx_of(conn).is_some_and(|st| st.poisoned)
     }
 
     /// Whether `conn` has an open transaction.
     pub fn in_transaction(&self, conn: ConnId) -> bool {
-        self.open_tx(conn).is_ok()
+        self.tx_of(conn).is_some()
+    }
+
+    /// `conn`'s open transaction, if any; [`Engine::open_tx`] says why not.
+    fn tx_of(&self, conn: ConnId) -> Option<&TxState> {
+        self.txm.get(self.sessions.get(&conn)?.tx?)
     }
 
     fn open_tx(&self, conn: ConnId) -> Result<&TxState, SqlError> {
@@ -864,6 +876,13 @@ impl Engine {
             None => self.binlog_horizon,
         };
         self.binlog.set_floor(floor);
+    }
+
+    /// Whether a commit now leaves a binlog entry behind: not when the
+    /// binlog is off, nor when nobody reads it and it is not mirrored into a
+    /// WAL (then each entry is purged as it lands).
+    fn keeps_binlog(&self) -> bool {
+        self.config.binlog && self.binlog.keeps_entries()
     }
 
     /// Entries the binlog still holds (trimming bounds it; the head keeps
@@ -1414,22 +1433,20 @@ fn commit_tx(
         }
     }
 
-    let entries: Vec<_> = state.writes.iter().filter(|w| !w.temp).cloned().collect();
-    let counters = if config.capture_counters && !entries.is_empty() {
+    let entries = state.writes.into_iter().filter(|w| !w.temp).collect();
+    let mut writeset = Writeset { entries, counters: None };
+    if config.capture_counters && !writeset.is_empty() {
         let mut cs = CounterSync::default();
         for (key, v) in seqs.iter() {
             cs.sequences.push((key.clone(), v));
         }
-        for (db, table) in (Writeset { entries: entries.clone(), counters: None }).tables() {
+        for (db, table) in writeset.tables() {
             if let Ok(t) = catalog.database(&db).and_then(|d| d.table(&table)) {
                 cs.auto_increments.push(((db, table), t.auto_inc));
             }
         }
-        Some(cs)
-    } else {
-        None
-    };
-    let writeset = Writeset { entries, counters };
+        writeset.counters = Some(cs);
+    }
 
     if config.binlog && !writeset.is_empty() {
         binlog.append(ts, default_db, statements, &writeset);

@@ -126,9 +126,13 @@ impl TxManager {
         id
     }
 
+    /// The state of `tx`, if it is active.
+    pub fn get(&self, tx: TxId) -> Option<&TxState> {
+        self.active.get(&tx)
+    }
+
     pub fn state(&self, tx: TxId) -> Result<&TxState, SqlError> {
-        self.active
-            .get(&tx)
+        self.get(tx)
             .ok_or_else(|| SqlError::Internal(format!("transaction {tx:?} not active")))
     }
 

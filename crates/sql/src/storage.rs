@@ -3,7 +3,9 @@
 //! interleaving of statements from different connections, which is exactly
 //! the concurrency a replication middleware deals in.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::num::NonZeroU64;
 
 use crate::ast::ColumnDef;
 use crate::checksum::Fnv64;
@@ -27,29 +29,55 @@ impl TableSchema {
     }
 }
 
-/// One MVCC version of a row.
+/// One MVCC version of a row: 48 bytes. Transaction ids and commit
+/// timestamps start at 1, so each optional stamp is a [`Stamp`] that packs
+/// `None` into the zero its value never takes.
 #[derive(Debug, Clone)]
-pub struct Version {
+struct Version {
     /// Transaction that created this version.
-    pub begin_tx: TxId,
+    begin_tx: TxId,
     /// Commit timestamp of the creator; `None` while uncommitted.
-    pub begin_ts: Option<CommitTs>,
+    begin_ts: Stamp,
     /// Transaction that deleted/superseded this version, if any.
-    pub end_tx: Option<TxId>,
+    end_tx: Stamp,
     /// Commit timestamp of the ender; `None` while the ender is uncommitted.
-    pub end_ts: Option<CommitTs>,
-    pub values: Vec<Value>,
+    end_ts: Stamp,
+    values: Box<[Value]>,
+}
+
+/// A transaction id or commit timestamp that may be absent, in 8 bytes.
+type Stamp = Option<NonZeroU64>;
+
+fn stamp(n: u64) -> Stamp {
+    Some(NonZeroU64::new(n).expect("transaction ids and commit timestamps start at 1"))
 }
 
 impl Version {
+    /// A fresh, uncommitted version written by `tx`.
+    fn new(tx: TxId, values: Vec<Value>) -> Self {
+        Version { begin_tx: tx, begin_ts: None, end_tx: None, end_ts: None, values: values.into() }
+    }
+
+    fn begin_ts(&self) -> Option<CommitTs> {
+        self.begin_ts.map(|t| CommitTs(t.get()))
+    }
+
+    fn end_tx(&self) -> Option<TxId> {
+        self.end_tx.map(|t| TxId(t.get()))
+    }
+
+    fn end_ts(&self) -> Option<CommitTs> {
+        self.end_ts.map(|t| CommitTs(t.get()))
+    }
+
     /// Is this version visible to `snap` (its own uncommitted writes are)?
-    pub fn visible_to(&self, snap: Snapshot) -> bool {
+    fn visible_to(&self, snap: Snapshot) -> bool {
         let created_visible = if self.begin_tx == snap.tx {
             // Own write: visible unless this version was already superseded
             // by the same transaction.
             true
         } else {
-            match self.begin_ts {
+            match self.begin_ts() {
                 Some(ts) => ts <= snap.ts,
                 None => false, // other transaction's uncommitted insert
             }
@@ -57,7 +85,7 @@ impl Version {
         if !created_visible {
             return false;
         }
-        match (self.end_tx, self.end_ts) {
+        match (self.end_tx(), self.end_ts()) {
             (None, _) => true,
             (Some(etx), _) if etx == snap.tx => false, // deleted by self
             (Some(_), Some(ets)) => ets > snap.ts,     // deleted after my snapshot?
@@ -68,7 +96,51 @@ impl Version {
     /// True when no snapshot at or after `horizon` (nor any future one) can
     /// see this version.
     fn garbage(&self, horizon: CommitTs) -> bool {
-        matches!(self.end_ts, Some(ets) if ets <= horizon)
+        matches!(self.end_ts(), Some(ets) if ets <= horizon)
+    }
+}
+
+/// Version chains by row id, oldest version first.
+type Chains = BTreeMap<RowId, Vec<Version>>;
+
+/// The rows the primary-key index lists under one key: one, unless a key
+/// was deleted and reinserted or moved by an update before vacuum pruned
+/// the stale rows, so the one is kept inline.
+#[derive(Debug, Clone)]
+enum RowIds {
+    One(RowId),
+    Many(Vec<RowId>),
+}
+
+impl RowIds {
+    fn as_slice(&self) -> &[RowId] {
+        match self {
+            RowIds::One(id) => std::slice::from_ref(id),
+            RowIds::Many(ids) => ids,
+        }
+    }
+
+    /// List `id` too, once.
+    fn add(&mut self, id: RowId) {
+        match self {
+            RowIds::One(first) if *first != id => *self = RowIds::Many(vec![*first, id]),
+            RowIds::Many(ids) if !ids.contains(&id) => ids.push(id),
+            _ => {}
+        }
+    }
+
+    /// Keep the ids `keep` accepts; false when none is left.
+    fn retain(&mut self, keep: impl Fn(&RowId) -> bool) -> bool {
+        match self {
+            RowIds::One(id) => keep(id),
+            RowIds::Many(ids) => {
+                ids.retain(keep);
+                if let [id] = ids[..] {
+                    *self = RowIds::One(id);
+                }
+                !self.as_slice().is_empty()
+            }
+        }
     }
 }
 
@@ -86,9 +158,9 @@ pub enum ConflictKind {
 #[derive(Debug, Clone)]
 pub struct Table {
     pub schema: TableSchema,
-    rows: BTreeMap<RowId, Vec<Version>>,
+    rows: Chains,
     /// PK value -> candidate row ids (stale entries pruned lazily).
-    pk_index: BTreeMap<IndexKey, Vec<RowId>>,
+    pk_index: BTreeMap<IndexKey, RowIds>,
     next_row_id: u64,
     /// Non-transactional AUTO_INCREMENT counter: advances even when the
     /// surrounding transaction rolls back (§4.2.3 / §4.3.2).
@@ -144,7 +216,7 @@ impl Table {
                 .iter()
                 .rev()
                 .find(|v| v.visible_to(snap))
-                .map(|v| (*id, v.values.as_slice()))
+                .map(|v| (*id, &v.values[..]))
         })
     }
 
@@ -155,7 +227,7 @@ impl Table {
             .iter()
             .rev()
             .find(|v| v.visible_to(snap))
-            .map(|v| v.values.as_slice())
+            .map(|v| &v.values[..])
     }
 
     /// The row with primary key `key` visible to `snap`, and its values.
@@ -164,43 +236,21 @@ impl Table {
     pub fn lookup_pk(&self, key: &Value, snap: Snapshot) -> Option<(RowId, &[Value])> {
         let pk = self.schema.primary_key?;
         let ids = self.pk_index.get(&IndexKey(key.clone()))?;
-        ids.iter().find_map(|&id| {
+        ids.as_slice().iter().find_map(|&id| {
             let vals = self.get(id, snap)?;
             (vals[pk] == *key).then_some((id, vals))
         })
     }
 
-    /// Every version, of the rows the index lists under `key`, whose
-    /// primary key (column `pk`) is `key`.
-    fn key_versions<'a>(&'a self, pk: usize, key: &'a Value) -> impl Iterator<Item = &'a Version> + 'a {
-        let ids = self.pk_index.get(&IndexKey(key.clone()));
-        ids.into_iter()
-            .flatten()
-            .filter_map(|id| self.rows.get(id))
-            .flatten()
-            .filter(move |v| v.values[pk] == *key)
+    /// The rows the index lists under `key`.
+    fn key_rows(&self, key: &Value) -> &[RowId] {
+        self.pk_index.get(&IndexKey(key.clone())).map_or(&[], RowIds::as_slice)
     }
 
-    /// May `snap` write a row whose primary key (column `pk`) is `key`? Not
-    /// if a version of the key is visible to it or still uncommitted (a
-    /// duplicate), nor if one committed after its snapshot:
-    /// first-committer-wins, as for an update of a row committed since.
+    /// May `snap` write a row whose primary key (column `pk`) is `key`?
+    /// See [`claim_key`].
     fn claim_key(&self, pk: usize, key: &Value, snap: Snapshot) -> Result<(), SqlError> {
-        let mut newer = false;
-        for v in self.key_versions(pk, key) {
-            if v.visible_to(snap) || (v.begin_ts.is_none() && v.end_tx.is_none()) {
-                let name = &self.schema.columns[pk].name;
-                return Err(SqlError::DuplicateKey(format!("{name}={key}")));
-            }
-            newer |= v.begin_ts.is_some_and(|ts| ts > snap.ts);
-        }
-        if newer {
-            return Err(SqlError::WriteConflict {
-                table: self.schema.name.clone(),
-                detail: format!("{:?}", ConflictKind::NewerCommit),
-            });
-        }
-        Ok(())
+        claim_key(&self.schema, &self.rows, self.key_rows(key), pk, key, snap)
     }
 
     /// Open transactions other than `me` that hold `row`: each created a
@@ -213,14 +263,16 @@ impl Table {
     /// a version not committed yet.
     pub fn key_holders(&self, key: &Value, me: TxId) -> Vec<TxId> {
         match self.schema.primary_key {
-            Some(pk) => holders(self.key_versions(pk, key), me),
+            Some(pk) => holders(key_versions(&self.rows, self.key_rows(key), pk, key), me),
             None => Vec::new(),
         }
     }
 
-    /// Insert a row version for transaction `snap.tx`.
+    /// Insert a row version for transaction `snap.tx`. Claiming the key
+    /// and listing the row under it take one index descent.
     pub fn insert(&mut self, values: Vec<Value>, snap: Snapshot) -> Result<RowId, SqlError> {
         debug_assert_eq!(values.len(), self.schema.columns.len());
+        let id = RowId(self.next_row_id);
         if let Some(pk) = self.schema.primary_key {
             let key = &values[pk];
             if key.is_null() {
@@ -229,26 +281,18 @@ impl Table {
                     self.schema.columns[pk].name
                 )));
             }
-            self.claim_key(pk, key, snap)?;
+            match self.pk_index.entry(IndexKey(key.clone())) {
+                Entry::Vacant(e) => {
+                    e.insert(RowIds::One(id));
+                }
+                Entry::Occupied(mut e) => {
+                    claim_key(&self.schema, &self.rows, e.get().as_slice(), pk, key, snap)?;
+                    e.get_mut().add(id);
+                }
+            }
         }
-        let id = RowId(self.next_row_id);
         self.next_row_id += 1;
-        if let Some(pk) = self.schema.primary_key {
-            self.pk_index
-                .entry(IndexKey(values[pk].clone()))
-                .or_default()
-                .push(id);
-        }
-        self.rows.insert(
-            id,
-            vec![Version {
-                begin_tx: snap.tx,
-                begin_ts: None,
-                end_tx: None,
-                end_ts: None,
-                values,
-            }],
-        );
+        self.rows.insert(id, vec![Version::new(snap.tx, values)]);
         Ok(id)
     }
 
@@ -264,13 +308,13 @@ impl Table {
         // The newest version is last in the chain.
         let idx = chain.len() - 1;
         let v = &chain[idx];
-        if let Some(etx) = v.end_tx {
+        if let Some(etx) = v.end_tx() {
             if etx != snap.tx && v.end_ts.is_none() {
                 return Err(ConflictKind::UncommittedWriter);
             }
         }
         if v.begin_tx != snap.tx {
-            match v.begin_ts {
+            match v.begin_ts() {
                 None => return Err(ConflictKind::UncommittedWriter),
                 Some(ts) if first_committer_wins && ts > snap.ts => {
                     return Err(ConflictKind::NewerCommit)
@@ -309,25 +353,19 @@ impl Table {
             .writable_version(row, snap, first_committer_wins)
             .map_err(ConflictOrError::Conflict)?;
         let chain = self.rows.get_mut(&row).expect("row exists");
-        let before = chain[idx].values.clone();
-        chain[idx].end_tx = Some(snap.tx);
+        let before = chain[idx].values.to_vec();
+        chain[idx].end_tx = stamp(snap.tx.0);
         chain[idx].end_ts = None;
         if let Some(pk) = self.schema.primary_key {
             if before[pk] != values[pk] {
                 self.pk_index
                     .entry(IndexKey(values[pk].clone()))
-                    .or_default()
-                    .push(row);
+                    .and_modify(|ids| ids.add(row))
+                    .or_insert(RowIds::One(row));
             }
         }
         let chain = self.rows.get_mut(&row).expect("row exists");
-        chain.push(Version {
-            begin_tx: snap.tx,
-            begin_ts: None,
-            end_tx: None,
-            end_ts: None,
-            values,
-        });
+        chain.push(Version::new(snap.tx, values));
         Ok(before)
     }
 
@@ -342,8 +380,8 @@ impl Table {
             .writable_version(row, snap, first_committer_wins)
             .map_err(ConflictOrError::Conflict)?;
         let chain = self.rows.get_mut(&row).expect("row exists");
-        let before = chain[idx].values.clone();
-        chain[idx].end_tx = Some(snap.tx);
+        let before = chain[idx].values.to_vec();
+        chain[idx].end_tx = stamp(snap.tx.0);
         chain[idx].end_ts = None;
         Ok(before)
     }
@@ -353,10 +391,10 @@ impl Table {
         if let Some(chain) = self.rows.get_mut(&row) {
             for v in chain {
                 if v.begin_tx == tx && v.begin_ts.is_none() {
-                    v.begin_ts = Some(ts);
+                    v.begin_ts = stamp(ts.0);
                 }
-                if v.end_tx == Some(tx) && v.end_ts.is_none() {
-                    v.end_ts = Some(ts);
+                if v.end_tx() == Some(tx) && v.end_ts.is_none() {
+                    v.end_ts = stamp(ts.0);
                 }
             }
         }
@@ -370,7 +408,7 @@ impl Table {
         if let Some(chain) = self.rows.get_mut(&row) {
             chain.retain(|v| !(v.begin_tx == tx && v.begin_ts.is_none()));
             for v in chain.iter_mut() {
-                if v.end_tx == Some(tx) && v.end_ts.is_none() {
+                if v.end_tx() == Some(tx) && v.end_ts.is_none() {
                     v.end_tx = None;
                 }
             }
@@ -397,11 +435,8 @@ impl Table {
             self.rows.remove(&id);
         }
         // Prune index entries pointing at vanished rows.
-        let live: std::collections::HashSet<RowId> = self.rows.keys().copied().collect();
-        self.pk_index.retain(|_, ids| {
-            ids.retain(|id| live.contains(id));
-            !ids.is_empty()
-        });
+        let rows = &self.rows;
+        self.pk_index.retain(|_, ids| ids.retain(|id| rows.contains_key(id)));
         reclaimed
     }
 
@@ -442,13 +477,54 @@ impl Table {
     }
 }
 
+/// Every version, of the rows `ids` (the index's list under `key`), whose
+/// primary key (column `pk`) is `key`.
+fn key_versions<'a>(
+    rows: &'a Chains,
+    ids: &'a [RowId],
+    pk: usize,
+    key: &'a Value,
+) -> impl Iterator<Item = &'a Version> + 'a {
+    ids.iter().filter_map(|id| rows.get(id)).flatten().filter(move |v| v.values[pk] == *key)
+}
+
+/// May `snap` write a row whose primary key (column `pk`) is `key`, given
+/// the rows `ids` the index lists under it? Not if a version of the key is
+/// visible to it or still uncommitted (a duplicate), nor if one committed
+/// after its snapshot: first-committer-wins, as for an update of a row
+/// committed since.
+fn claim_key(
+    schema: &TableSchema,
+    rows: &Chains,
+    ids: &[RowId],
+    pk: usize,
+    key: &Value,
+    snap: Snapshot,
+) -> Result<(), SqlError> {
+    let mut newer = false;
+    for v in key_versions(rows, ids, pk, key) {
+        if v.visible_to(snap) || (v.begin_ts.is_none() && v.end_tx.is_none()) {
+            let name = &schema.columns[pk].name;
+            return Err(SqlError::DuplicateKey(format!("{name}={key}")));
+        }
+        newer |= v.begin_ts().is_some_and(|ts| ts > snap.ts);
+    }
+    if newer {
+        return Err(SqlError::WriteConflict {
+            table: schema.name.clone(),
+            detail: format!("{:?}", ConflictKind::NewerCommit),
+        });
+    }
+    Ok(())
+}
+
 /// The transactions other than `me` with an uncommitted begin or end on
 /// one of `versions`, each once.
 fn holders<'a>(versions: impl Iterator<Item = &'a Version>, me: TxId) -> Vec<TxId> {
     let mut out: Vec<TxId> = Vec::new();
     for v in versions {
         let begun = v.begin_ts.is_none().then_some(v.begin_tx);
-        let ended = v.end_tx.filter(|_| v.end_ts.is_none());
+        let ended = v.end_tx().filter(|_| v.end_ts.is_none());
         for tx in [begun, ended].into_iter().flatten() {
             if tx != me && !out.contains(&tx) {
                 out.push(tx);
@@ -609,6 +685,72 @@ mod tests {
         a.checksum_into(CommitTs(1), &mut ha);
         b.checksum_into(CommitTs(1), &mut hb);
         assert_eq!(ha.finish(), hb.finish());
+    }
+
+    #[test]
+    fn a_version_is_48_bytes() {
+        let size = std::mem::size_of::<Version>();
+        println!("footprint: size_of Version: {size} bytes");
+        assert_eq!(size, 48);
+    }
+
+    /// One key listed under one row, then several, then one again, with
+    /// lookups and duplicate-key claims checked at every step.
+    #[test]
+    fn key_walks_from_one_row_to_several_and_back() {
+        let mut t = Table::new(schema());
+        let (k1, k7) = (Value::Int(1), Value::Int(7));
+        let row_of = |t: &Table, k: &Value, ts| t.lookup_pk(k, snap(99, ts)).map(|(row, _)| row);
+        let claim = |t: &Table, k: &Value, ts| t.claim_key(0, k, snap(98, ts));
+        let listed = |t: &Table, k: &Value| t.key_rows(k).to_vec();
+        let dup = |r: Result<(), SqlError>| matches!(r, Err(SqlError::DuplicateKey(_)));
+
+        let r1 = t.insert(vec![k1.clone(), Value::Null], snap(1, 0)).unwrap();
+        t.commit_stamp(r1, TxId(1), CommitTs(1));
+        assert!(matches!(t.pk_index[&IndexKey(k1.clone())], RowIds::One(r) if r == r1));
+        assert_eq!(row_of(&t, &k1, 1), Some(r1));
+        assert!(dup(claim(&t, &k1, 1)));
+
+        // Delete and reinsert before vacuum: two rows under one key.
+        t.delete(r1, snap(2, 1), true).unwrap();
+        t.commit_stamp(r1, TxId(2), CommitTs(2));
+        assert!(claim(&t, &k1, 2).is_ok());
+        let r2 = t.insert(vec![k1.clone(), Value::Null], snap(3, 2)).unwrap();
+        assert!(dup(claim(&t, &k1, 2)), "an uncommitted insert holds the key");
+        t.commit_stamp(r2, TxId(3), CommitTs(3));
+        assert_eq!(listed(&t, &k1), vec![r1, r2]);
+        assert_eq!(row_of(&t, &k1, 1), Some(r1));
+        assert_eq!(row_of(&t, &k1, 2), None);
+        assert_eq!(row_of(&t, &k1, 3), Some(r2));
+        assert!(dup(claim(&t, &k1, 3)));
+        assert!(
+            matches!(claim(&t, &k1, 2), Err(SqlError::WriteConflict { .. })),
+            "committed after the snapshot: first-committer-wins"
+        );
+
+        // A primary-key update away and back lists the row once.
+        t.update(r2, vec![k7.clone(), Value::Null], snap(4, 3), true).unwrap();
+        t.commit_stamp(r2, TxId(4), CommitTs(4));
+        assert_eq!(row_of(&t, &k1, 4), None);
+        assert_eq!(row_of(&t, &k7, 4), Some(r2));
+        assert!(claim(&t, &k1, 4).is_ok());
+        assert!(dup(claim(&t, &k7, 4)));
+        t.update(r2, vec![k1.clone(), Value::Null], snap(5, 4), true).unwrap();
+        t.commit_stamp(r2, TxId(5), CommitTs(5));
+        assert_eq!(listed(&t, &k1), vec![r1, r2]);
+        assert_eq!(row_of(&t, &k1, 5), Some(r2));
+        assert_eq!(row_of(&t, &k7, 5), None);
+        assert_eq!(row_of(&t, &k7, 4), Some(r2), "the old snapshot still sees the move");
+        assert!(dup(claim(&t, &k1, 5)));
+        assert!(claim(&t, &k7, 5).is_ok());
+
+        // Vacuum drops the dead row and the key is back to one row.
+        assert_eq!(t.vacuum(CommitTs(5)), 3);
+        assert!(matches!(t.pk_index[&IndexKey(k1.clone())], RowIds::One(r) if r == r2));
+        assert_eq!(row_of(&t, &k1, 5), Some(r2));
+        assert_eq!(row_of(&t, &k7, 5), None);
+        assert!(dup(claim(&t, &k1, 5)));
+        assert!(claim(&t, &k7, 5).is_ok());
     }
 
     #[test]

@@ -1,0 +1,150 @@
+//! Heap footprint of the two things every replica does most: keep a row,
+//! and run a prepared autocommit INSERT.
+//!
+//! A counting global allocator tallies, per thread, the bytes and blocks
+//! requested while that thread has counting switched on, so tests running
+//! in parallel do not count each other. Bytes are requested sizes, not
+//! what the allocator rounds them up to.
+//!
+//! `cargo test -p replimid-sql --test footprint -- --nocapture` prints the
+//! figures (`scripts/counts.sh` quotes them).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use replimid_sql::{bind, parse_statement, ConnId, Engine, Statement, Value};
+
+struct Counting;
+
+/// Live bytes and live blocks (net of frees), and blocks handed out
+/// (allocations and reallocations), of the current thread while [`ON`] is
+/// set.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    live_bytes: i64,
+    live_blocks: i64,
+    allocs: u64,
+}
+
+thread_local! {
+    static ON: Cell<bool> = const { Cell::new(false) };
+    static TALLY: Cell<Tally> = const { Cell::new(Tally { live_bytes: 0, live_blocks: 0, allocs: 0 }) };
+}
+
+fn note(f: impl FnOnce(&mut Tally)) {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ON.try_with(|on| {
+        if on.get() {
+            let _ = TALLY.try_with(|t| {
+                let mut v = t.get();
+                f(&mut v);
+                t.set(v);
+            });
+        }
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so the
+// caller's guarantees to this allocator are the ones `System` needs; the
+// counting only reads the layout and touches no allocated memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            note(|t| {
+                t.live_bytes += layout.size() as i64;
+                t.live_blocks += 1;
+                t.allocs += 1;
+            });
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        note(|t| {
+            t.live_bytes -= layout.size() as i64;
+            t.live_blocks -= 1;
+        });
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            note(|t| {
+                t.live_bytes += new_size as i64 - layout.size() as i64;
+                t.allocs += 1;
+            });
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// What `f` leaves allocated on this thread, and the blocks it allocated.
+fn counted(f: impl FnOnce()) -> Tally {
+    TALLY.with(|t| t.set(Tally::default()));
+    ON.with(|on| on.set(true));
+    f();
+    ON.with(|on| on.set(false));
+    TALLY.with(Cell::get)
+}
+
+/// An engine holding one two-column primary-key table, whose binlog nobody
+/// reads (a multi-master replica's), and the prepared INSERT template.
+fn engine() -> (Engine, ConnId, Statement) {
+    let (mut e, c) = Engine::with_database("fp");
+    e.execute(c, "CREATE TABLE t (k INT PRIMARY KEY, v INT)").expect("create table");
+    e.set_binlog_horizon(None);
+    let template = parse_statement("INSERT INTO t VALUES (?, ?)").expect("template parses");
+    (e, c, template)
+}
+
+fn insert(e: &mut Engine, c: ConnId, template: &Statement, k: i64) {
+    let stmt = bind(template, &[Value::Int(k), Value::Int(k * 7)]).expect("binds");
+    e.execute_prepared(c, &stmt).expect("insert");
+}
+
+const ROWS: i64 = 20_000;
+
+#[test]
+fn a_stored_row_costs_at_most_260_bytes_in_2_5_blocks() {
+    let (mut e, c, template) = engine();
+    let t = counted(|| {
+        for k in 0..ROWS {
+            insert(&mut e, c, &template, k);
+        }
+    });
+    let bytes = t.live_bytes as f64 / ROWS as f64;
+    let blocks = t.live_blocks as f64 / ROWS as f64;
+    println!("footprint: live heap per stored row: {bytes:.1} bytes in {blocks:.2} blocks");
+    assert!(bytes <= 260.0, "{bytes:.1} bytes per row");
+    assert!(blocks <= 2.5, "{blocks:.2} blocks per row");
+}
+
+/// Blocks per prepared autocommit INSERT, bind included (41.3 while an
+/// autocommit rendered its SQL text for a binlog that drops it and commit
+/// cloned its write records).
+const INSERT_BLOCKS: f64 = 28.3;
+
+#[test]
+fn a_prepared_autocommit_insert_allocates_28_3_blocks() {
+    let (mut e, c, template) = engine();
+    // Warm the engine's maps up first: what is measured is the steady state.
+    for k in 0..1_000 {
+        insert(&mut e, c, &template, k);
+    }
+    let n = 2_000;
+    let t = counted(|| {
+        for k in 1_000..1_000 + n {
+            insert(&mut e, c, &template, k);
+        }
+    });
+    let per_insert = t.allocs as f64 / n as f64;
+    println!(
+        "footprint: heap blocks per prepared autocommit INSERT (bind included): {per_insert:.1}"
+    );
+    assert!(per_insert <= INSERT_BLOCKS + 0.05, "{per_insert:.1} blocks per insert");
+}

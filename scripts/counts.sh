@@ -111,4 +111,15 @@ echo "load driver actors (impl Actor<Msg>): $(cat $drivers | grep -c '^impl Acto
 for cfg in ClientConfig FleetConfig OpenLoopConfig; do
     printf '%-34s%s\n' "$cfg fields:" "$(cat $drivers | awk -v head="^pub struct $cfg \\{" '$0 ~ head { on = 1; next } on && /^\}/ { exit } on && /^    pub [a-z_0-9]+:/ { n++ } END { print n + 0 }')"
 done
+# Per-record footprint: live heap per stored row and heap blocks per
+# prepared autocommit INSERT (crates/sql/tests/footprint.rs, a counting
+# allocator), and the size of a row version and of a trace summary. Runs
+# the tests, so only in a checkout that has them.
+if [ -f crates/sql/tests/footprint.rs ]; then
+    {
+        cargo test -q --offline -p replimid-sql --test footprint -- --nocapture --test-threads 1
+        cargo test -q --offline -p replimid-sql --lib a_version_is_48_bytes -- --nocapture
+        cargo test -q --offline -p replimid-core --lib a_summary_is_96_bytes -- --nocapture
+    } 2>/dev/null | sed -n 's/^\.*footprint: /  /p' | sed '1i per-record footprint:'
+fi
 exit 0

@@ -217,7 +217,7 @@ fn traces_tile_and_reconcile_with_latency_histograms() {
             let mut n = 0u64;
             for t in cm.trace.completed() {
                 assert_eq!(
-                    t.stage_us.iter().sum::<u64>(),
+                    t.stage_us.iter().map(|&us| u64::from(us)).sum::<u64>(),
                     t.duration_us(),
                     "spans must tile the trace exactly"
                 );
@@ -233,7 +233,7 @@ fn traces_tile_and_reconcile_with_latency_histograms() {
         assert_eq!(mw.trace.dropped, 0);
         let mut sum = 0u64;
         for t in mw.trace.completed() {
-            assert_eq!(t.stage_us.iter().sum::<u64>(), t.duration_us());
+            assert_eq!(t.stage_us.iter().map(|&us| u64::from(us)).sum::<u64>(), t.duration_us());
             assert_eq!(t.stage_us[other], 0, "unattributed middleware time");
             sum += t.duration_us();
         }
@@ -342,7 +342,7 @@ fn group_commit_batching_preserves_outcomes() {
         for (mw, label) in [(&m1, "batch=1"), (&mb, "batched")] {
             assert_eq!(mw.trace.open_count(), 0, "{label}: trace left open");
             for t in mw.trace.completed() {
-                assert_eq!(t.stage_us.iter().sum::<u64>(), t.duration_us(), "{label}: spans must tile");
+                assert_eq!(t.stage_us.iter().map(|&us| u64::from(us)).sum::<u64>(), t.duration_us(), "{label}: spans must tile");
                 assert_eq!(t.stage_us[other], 0, "{label}: unattributed time");
             }
         }
@@ -855,7 +855,7 @@ fn plan_cache_preserves_outcomes() {
             // Trace tiling stays exact.
             assert_eq!(m0.trace.open_count(), 0, "{label}: trace left open");
             for t in m0.trace.completed() {
-                assert_eq!(t.stage_us.iter().sum::<u64>(), t.duration_us(), "{label}: spans must tile");
+                assert_eq!(t.stage_us.iter().map(|&us| u64::from(us)).sum::<u64>(), t.duration_us(), "{label}: spans must tile");
                 assert_eq!(t.stage_us[Stage::Other.idx()], 0, "{label}: unattributed time");
             }
 
