@@ -276,10 +276,6 @@ impl Cluster {
         self.sim.schedule(at, ControlOp::Partition(groups));
     }
 
-    pub fn heal_at(&mut self, at: SimTime) {
-        self.sim.schedule(at, ControlOp::Heal);
-    }
-
     /// Inject a management command to middleware `mw` at time `at`.
     pub fn admin_at(&mut self, at: SimTime, mw: usize, cmd: crate::msg::AdminCmd) {
         let node = self.mw_nodes[mw];

@@ -354,9 +354,12 @@ impl DbNode {
                     out
                 }
                 LogPayload::Ws(ws) => match self.engine.apply_writeset(ws) {
-                    Ok(res) => {
+                    Ok(mut res) => {
                         self.engine.note_applied(&entry.marks);
                         let us = res.cost.cpu_us.max(ws.len() as u64 * 4);
+                        // Every host acknowledges a certified commit alike,
+                        // whichever of its parts it holds.
+                        res.outcome = Outcome::Ack;
                         (Ok(res), us)
                     }
                     Err(err) => {

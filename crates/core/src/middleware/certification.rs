@@ -7,10 +7,10 @@ use replimid_simnet::Ctx;
 use replimid_sql::ast::{IsolationLevel, Statement};
 use replimid_sql::{SqlError, Writeset};
 
+use super::ordering::Fanout;
 use super::{raise, BackendState, Current, CurrentKind, Middleware, Pending};
 use crate::msg::{
-    ApplyEntry, BackendId, ClientRequest, DbOp, DbResp, EntryResult, Msg, PlanExec, ReplEvent, ReplyBody, ReplyError,
-    SessionId,
+    ApplyEntry, BackendId, ClientRequest, DbOp, DbResp, Msg, PlanExec, ReplEvent, ReplyBody, ReplyError, SessionId,
 };
 use crate::recovery::LogPayload;
 use crate::trace::Stage;
@@ -402,7 +402,7 @@ impl Middleware {
             .iter()
             .flat_map(|&(g, ..)| std::mem::take(&mut self.shards.voided[g as usize]).into_iter().map(move |p| (g, p)))
             .collect();
-        let mut remaining = 0;
+        let mut sends = Vec::new();
         for backend in self.healthy() {
             let hosts = |g: u32| self.shards.placement.hosts(g as usize).contains(&backend.0);
             let hosted = parts.iter().filter(|(g, ..)| hosts(*g));
@@ -423,23 +423,15 @@ impl Middleware {
                 }
                 LogPayload::Ws(ws)
             };
-            remaining += usize::from(origin);
-            let sess = origin.then_some(session);
-            let entries = vec![ApplyEntry { payload, marks: marks.clone() }];
-            self.send_db(ctx, backend, Pending::PwApply { session: sess, marks }, move |op| {
-                DbOp::Apply { op, entries, parallel: true }
-            });
+            sends.push((backend, vec![(0, ApplyEntry { payload, marks })]));
         }
         if origin {
             if let Some(s) = self.sessions.get_mut(session.0) {
                 s.end_tx();
-                s.current = Some(Current { stmt_seq, kind: CurrentKind::WsFinalize { remaining, failed: false } });
-            }
-            if remaining == 0 {
-                self.metrics.counters.commits += 1;
-                self.reply(ctx, session, stmt_seq, Ok(ReplyBody::Ack));
+                s.current = Some(Current { stmt_seq, kind: CurrentKind::Fanout });
             }
         }
+        self.fan_out(ctx, vec![origin.then(|| Fanout::commit(session, stmt_seq))], sends);
     }
 
     /// The origin's transaction lost certification: roll it back at its
@@ -461,75 +453,5 @@ impl Middleware {
                 DbOp::Execute { op, conn: session.0, plan: PlanExec::rollback() }
             });
         }
-    }
-
-    /// A certified transaction's `Apply` at one host answered. An ack
-    /// credits its positions to the backend's marks. A failed entry is a
-    /// COMMIT the delegate refused (its local 1SR read validation):
-    /// no credit, and the part fails. A writeset apply cannot wait on a
-    /// local transaction (the engine wounds the holder, see
-    /// [`replimid_sql::Engine::apply_writeset`]), so its error means the
-    /// backend diverged: the certified transaction IS committed
-    /// cluster-wide, and a backend that cannot apply it is dropped and
-    /// rebuilt through the recovery log. The divergence is counted here,
-    /// once, so the origin's fan-out does not count it again.
-    pub(super) fn finish_pw_apply(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        session: Option<SessionId>,
-        backend: BackendId,
-        marks: &[(u32, u64)],
-        resp: DbResp,
-    ) {
-        let mut part_failed = false;
-        match resp {
-            DbResp::Applied { results, .. } => {
-                part_failed = results.iter().any(|r| matches!(r, EntryResult::Err { .. }));
-                if !part_failed {
-                    self.shards.credit(backend, marks);
-                }
-            }
-            DbResp::ApplyErr { .. } => {
-                self.metrics.counters.divergence_detected += 1;
-                if self.backends[backend.0].online() {
-                    self.backend_failed(ctx, backend);
-                    // A synthetic pong brings it straight back through
-                    // recovery (the node itself is alive; only its state
-                    // lagged). Its ordered positions are unknown here (no
-                    // real pong was involved); u64::MAX defers to the
-                    // middleware's own checkpoints, and the durable
-                    // positions stay the last ones a real pong reported.
-                    let b = &self.backends[backend.0];
-                    let (lsn, durable) = (b.applied_lsn, b.node_pos.clone());
-                    let unknown = vec![u64::MAX; self.shards.groups()];
-                    self.note_pong(ctx, backend, lsn, lsn, unknown, durable);
-                }
-            }
-            _ => {}
-        }
-        self.finish_ws_part(ctx, session, part_failed);
-    }
-
-    /// One part of a certified commit's fan-out is done. If any part
-    /// failed, one divergence is counted when the last part is in.
-    pub(super) fn finish_ws_part(&mut self, ctx: &mut Ctx<'_, Msg>, session: Option<SessionId>, part_failed: bool) {
-        let Some(session) = session else { return };
-        let Some(s) = self.sessions.get_mut(session.0) else { return };
-        let Some(Current { stmt_seq, kind: CurrentKind::WsFinalize { remaining, failed } }) = &mut s.current else {
-            return;
-        };
-        let stmt_seq = *stmt_seq;
-        *failed |= part_failed;
-        *remaining = remaining.saturating_sub(1);
-        if *remaining > 0 {
-            return;
-        }
-        if *failed {
-            self.metrics.counters.divergence_detected += 1;
-        }
-        self.metrics.counters.commits += 1;
-        // Certification → last replica acknowledged.
-        self.mw_span(session, stmt_seq, Stage::Fanout, ctx.now().micros());
-        self.reply(ctx, session, stmt_seq, Ok(ReplyBody::Ack));
     }
 }

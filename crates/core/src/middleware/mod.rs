@@ -29,7 +29,8 @@
 //! One file per concern, each owning its concern's state in one struct:
 //! `admission` (the plan cache, temp-table stickiness), `reads` (the one
 //! read router and its freshness wait queue), `ordering` (per-group
-//! sequencers, group commit, delivery, statement replication),
+//! sequencers, group commit, delivery, statement replication, and the one
+//! fan-out every ordered statement and certified commit settles through),
 //! `certification` (writeset certification and cross-group commit),
 //! `rejoin` (recovery-log replay, the dump fallback, the global barrier,
 //! drain and add), `detection` (liveness, health scoring, quarantine,
@@ -68,7 +69,7 @@ use crate::trace::{Stage, TraceId, TraceSink};
 
 use admission::{Admission, Admitted};
 use detection::Detection;
-use ordering::{ExecGroups, FlushReason, Shards};
+use ordering::{ApplyPart, Fanouts, FlushReason, Shards};
 use reads::Reads;
 use rejoin::Rejoin;
 use ship::Ship;
@@ -310,8 +311,9 @@ enum CurrentKind {
     Read,
     /// Waiting for our published write to come back through the total order.
     OrderedWait,
-    /// Waiting for the local exec fan-out to finish.
-    ExecGroup,
+    /// Its ordered statement or certified commit is at the backends,
+    /// settling through one fan-out record.
+    Fanout,
     /// Writeset mode: statement executing at the delegate. `opened`: the
     /// same op ran the transaction's BEGIN first.
     WsStmt { opened: bool },
@@ -320,8 +322,6 @@ enum CurrentKind {
     WsPrepare,
     /// Writeset mode: certification published, waiting for delivery.
     WsCertifyWait,
-    /// Writeset mode: delegate commit + remote applies in flight.
-    WsFinalize { remaining: usize, failed: bool },
     /// Master-slave: write executing at the master.
     MsWrite,
     /// Master-slave 2-safe: waiting for slave appliance.
@@ -407,16 +407,10 @@ impl Sess {
 #[derive(Debug)]
 enum Pending {
     ClientExec { session: SessionId },
-    /// One `Apply` of ordered statements at one backend: a flushed batch,
-    /// or a single statement (a batch of one); `groups` are the
-    /// per-statement exec groups, in batch order.
-    GroupExecBatch { groups: Vec<u64> },
-    /// A certified transaction at one host, one `Apply`: the delegate's
-    /// COMMIT, or at any other host the writeset parts of every involved
-    /// group it hosts. `marks` are the (group, position) pairs its ack
-    /// credits to the backend's per-group watermarks. `session` is set at
-    /// the origin, whose client waits on every part.
-    PwApply { session: Option<SessionId>, marks: Vec<(u32, u64)> },
+    /// One `Apply` of ordered units at one host, one part per entry in
+    /// op order: ordered statements (a flushed batch, or a batch of one),
+    /// or a certified transaction's delegate COMMIT or writeset.
+    Apply { parts: Vec<ApplyPart> },
     Ping,
     /// A `BinlogAfter` at the master; `after` pins the ship horizon until
     /// the answer is back.
@@ -555,7 +549,7 @@ pub struct Middleware {
     /// apply tracking. Full replication is the one group every backend
     /// hosts.
     shards: Shards,
-    exec: ExecGroups,
+    fanouts: Fanouts,
     rejoin: Rejoin,
     detect: Detection,
     ship: Ship,
@@ -601,7 +595,7 @@ impl Middleware {
             admission: Admission::new(cfg.plan_cache),
             reads: Reads::default(),
             shards,
-            exec: ExecGroups::new(),
+            fanouts: Fanouts::new(),
             rejoin: Rejoin::default(),
             detect: Detection::new(n, cfg.quarantine.unwrap_or_default(), cfg.adaptive_detection),
             ship: Ship::new(),
@@ -741,12 +735,7 @@ impl Middleware {
                     self.reply(ctx, session, seq, Err(ReplyError::Unavailable("backend failed mid-request".into())));
                 }
             }
-            Pending::GroupExecBatch { groups } => {
-                for group in groups {
-                    self.finish_group_exec(ctx, group, backend, None);
-                }
-            }
-            Pending::PwApply { session: Some(session), .. } => self.finish_ws_part(ctx, Some(session), true),
+            Pending::Apply { parts } => self.finish_apply(ctx, parts, backend, None),
             Pending::ShipApply { session } => {
                 self.ship.busy.remove(&backend);
                 if let Some(session) = session {
@@ -932,11 +921,12 @@ impl Middleware {
                 self.note_completion(ctx.now().micros(), backend, started, op);
                 self.finish_client_exec(ctx, session, backend, resp);
             }
-            Pending::GroupExecBatch { groups } => {
-                self.note_completion(ctx.now().micros(), backend, started, op);
-                self.finish_exec_batch(ctx, groups, backend, resp);
+            Pending::Apply { parts } => {
+                if self.fanouts.executes(&parts) {
+                    self.note_completion(ctx.now().micros(), backend, started, op);
+                }
+                self.finish_apply(ctx, parts, backend, Some(resp));
             }
-            Pending::PwApply { session, marks } => self.finish_pw_apply(ctx, session, backend, &marks, resp),
             Pending::Ping => {
                 if let DbResp::Pong { applied_lsn, head, ordered_applied, durable_ordered, .. } = resp
                 {

@@ -1,7 +1,8 @@
 //! Ordering and group commit: the per-group sequencers and their commit
-//! buffers, delivery of the ordered streams, and statement replication
-//! (every ordered statement reaches each backend as a batch, of one
-//! statement unless group commit filled it).
+//! buffers, delivery of the ordered streams, statement replication (every
+//! ordered statement reaches each backend as a batch, of one statement
+//! unless group commit filled it), and the fan-out that ordered statements
+//! and certified commits both settle their `Apply` answers through.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -219,52 +220,93 @@ impl Shards {
     }
 }
 
-/// Fan-out of one ordered statement to the local backends.
+/// One ordered unit at this middleware's backends: an ordered statement,
+/// or a certified transaction this middleware originated. Both modes
+/// settle their `Apply` answers through it.
 #[derive(Debug)]
-struct ExecGroup {
+pub(super) struct Fanout {
     session: SessionId,
     stmt_seq: u64,
-    remaining: usize,
-    /// First result received (canonical; divergent results are counted).
-    canonical: Option<Result<ReplyBody, SqlError>>,
+    /// This middleware answers the client; a peer caches the reply of a
+    /// statement for a client that fails over to it.
     origin: bool,
-    log_seq: u64,
+    /// Hosts still to answer.
+    remaining: usize,
+    /// What every host must answer: an ordered statement's first answer,
+    /// or a certified commit's `Ack`, preset because certification decided
+    /// it before any host answered. An answer that differs is a divergence
+    /// and credits nothing.
+    canonical: Option<Result<ReplyBody, SqlError>>,
+    /// A host answered with a commit; preset for a certified commit.
+    committed: bool,
+    /// The trace stage the last answer closes: `Execute` (delivery →
+    /// slowest backend) or `Fanout` (certification → last replica).
+    stage: Stage,
+    /// An ordered statement's recovery-log position in group 0: voided if
+    /// no host answers, and the session's read floor once one has. A
+    /// certified commit raises its floors at its fan-out.
+    slot: Option<u64>,
 }
 
-impl ExecGroup {
-    /// Count one backend's outcome in (`None`: it failed before answering);
-    /// true if it differs from the first outcome.
-    fn record(&mut self, result: Option<Result<ReplyBody, SqlError>>) -> bool {
+impl Fanout {
+    fn statement(session: SessionId, stmt_seq: u64, origin: bool, slot: u64) -> Self {
+        let stage = Stage::Execute;
+        Fanout { session, stmt_seq, origin, remaining: 0, canonical: None, committed: false, stage, slot: Some(slot) }
+    }
+
+    pub(super) fn commit(session: SessionId, stmt_seq: u64) -> Self {
+        let (canonical, stage) = (Some(Ok(ReplyBody::Ack)), Stage::Fanout);
+        Fanout { session, stmt_seq, origin: true, remaining: 0, canonical, committed: true, stage, slot: None }
+    }
+
+    /// Count one host's answer in (`None`: it failed before answering,
+    /// which is no divergence: it rejoins by replay). Whether the answer
+    /// agrees with the canonical one, which an unset canonical takes.
+    fn answer(&mut self, r: Option<EntryResult>) -> Option<bool> {
         self.remaining = self.remaining.saturating_sub(1);
-        match (&self.canonical, result) {
-            (None, Some(r)) => {
-                self.canonical = Some(r);
-                false
+        let r = match r? {
+            EntryResult::Ok { body, commit } => {
+                self.committed |= commit.is_some();
+                Ok(body)
             }
-            (Some(c), Some(r)) => *c != r,
-            _ => false,
-        }
+            EntryResult::Err { err } => Err(err),
+        };
+        Some(match &self.canonical {
+            Some(c) => *c == r,
+            None => {
+                self.canonical = Some(r);
+                true
+            }
+        })
     }
 }
 
-/// The ordering seam's statement fan-outs in flight, by exec group id.
+/// One entry of an `Apply` in flight: its unit's record id and the
+/// (group, position) pairs the entry's answer credits.
 #[derive(Debug)]
-pub(super) struct ExecGroups {
-    groups: HashMap<u64, ExecGroup>,
+pub(super) struct ApplyPart {
+    record: Option<u64>,
+    marks: Vec<(u32, u64)>,
+}
+
+/// The ordered units in flight at this middleware's backends, by id.
+#[derive(Debug)]
+pub(super) struct Fanouts {
+    records: HashMap<u64, Fanout>,
     next: u64,
 }
 
-impl ExecGroups {
+impl Fanouts {
     pub(super) fn new() -> Self {
-        ExecGroups { groups: HashMap::new(), next: 1 }
+        Fanouts { records: HashMap::new(), next: 1 }
     }
 
-    /// Open the fan-out of one statement to `remaining` backends.
-    fn open(&mut self, session: SessionId, stmt_seq: u64, remaining: usize, origin: bool, log_seq: u64) -> u64 {
-        let id = self.next;
-        self.next += 1;
-        self.groups.insert(id, ExecGroup { session, stmt_seq, remaining, canonical: None, origin, log_seq });
-        id
+    /// Whether an `Apply` of `parts` runs ordered statements, a client op
+    /// whose answer feeds its backend's liveness and latency score. A
+    /// certified commit's does not.
+    pub(super) fn executes(&self, parts: &[ApplyPart]) -> bool {
+        let record = parts.first().and_then(|p| p.record).and_then(|id| self.records.get(&id));
+        record.is_some_and(|f| f.stage == Stage::Execute)
     }
 }
 
@@ -459,139 +501,163 @@ impl Middleware {
     /// statement's cost.
     fn deliver_statement_batch(&mut self, ctx: &mut Ctx<'_, Msg>, stmts: Vec<(SessionId, u64, PlanExec)>) {
         let now = ctx.now().micros();
-        // Append the whole batch first: seqs are dense ([head+1 ..= head+n]).
-        let mut entries: Vec<(SessionId, u64, u64, bool)> = Vec::with_capacity(stmts.len());
-        let mut apply: Vec<ApplyEntry> = Vec::with_capacity(stmts.len());
+        let mut records = Vec::with_capacity(stmts.len());
+        let mut apply = Vec::with_capacity(stmts.len());
         for (session, stmt_seq, ast) in stmts {
             let payload = LogPayload::Plan { conn: session.0, plan: ast };
             let log_seq = self.shards.logs[0].append(payload.clone());
-            apply.push(ApplyEntry { payload, marks: vec![(0, log_seq)] });
             // A shadow session for non-origin peers.
-            let origin = {
-                let s = self.session(session, None);
-                matches!(&s.current, Some(c) if c.stmt_seq == stmt_seq)
-            };
+            let s = self.session(session, None);
+            let origin = matches!(&s.current, Some(c) if c.stmt_seq == stmt_seq);
             if origin {
+                s.current = Some(Current { stmt_seq, kind: CurrentKind::Fanout });
                 // Publish (or flush) → self-delivery through the total order.
                 self.mw_span(session, stmt_seq, Stage::Order, now);
             }
-            entries.push((session, stmt_seq, log_seq, origin));
+            records.push(Some(Fanout::statement(session, stmt_seq, origin, log_seq)));
+            apply.push(ApplyEntry { payload, marks: vec![(0, log_seq)] });
         }
-        let targets = self.healthy();
-        if targets.is_empty() {
-            // Nobody executed them: void the log slots so recovery replay
-            // does not resurrect transactions the clients were told failed.
-            for (session, stmt_seq, log_seq, origin) in entries {
-                self.shards.void(0, log_seq);
-                if origin {
-                    self.reply(ctx, session, stmt_seq, Err(ReplyError::Unavailable("no backend".into())));
-                }
+        let sends = self.healthy().into_iter().map(|b| (b, apply.iter().cloned().enumerate().collect())).collect();
+        self.fan_out(ctx, records, sends);
+    }
+
+    // ------------------------------------------------------------------
+    // Fan-out: ordered units to the backends, and their answers
+    // ------------------------------------------------------------------
+
+    /// Send each host one `Apply` of its entries, and open the units'
+    /// records over the hosts that got them. `records` are the units'
+    /// records in unit order (`None`: a peer's certified commit, which
+    /// nothing here waits on); `sends` are each host's entries in unit
+    /// order, each with its unit's index. A unit no host got settles at
+    /// once.
+    pub(super) fn fan_out(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        records: Vec<Option<Fanout>>,
+        sends: Vec<(BackendId, Vec<(usize, ApplyEntry)>)>,
+    ) {
+        let mut hosts = vec![0; records.len()];
+        for (_, sent) in &sends {
+            for &(unit, _) in sent {
+                hosts[unit] += 1;
             }
-            return;
         }
-        // One exec group per statement — the reply/divergence bookkeeping is
-        // per statement; only the transport is grouped.
-        let mut groups: Vec<u64> = Vec::with_capacity(entries.len());
-        for &(session, stmt_seq, log_seq, origin) in &entries {
-            let group_id = self.exec.open(session, stmt_seq, targets.len(), origin, log_seq);
-            if origin {
-                if let Some(s) = self.sessions.get_mut(session.0) {
-                    s.current = Some(Current { stmt_seq, kind: CurrentKind::ExecGroup });
-                }
+        let mut ids = Vec::with_capacity(records.len());
+        for (record, &remaining) in records.into_iter().zip(&hosts) {
+            ids.push(record.map(|f| {
+                let id = self.fanouts.next;
+                self.fanouts.next += 1;
+                self.fanouts.records.insert(id, Fanout { remaining, ..f });
+                id
+            }));
+        }
+        for (backend, sent) in sends {
+            let mut parts = Vec::with_capacity(sent.len());
+            let mut entries = Vec::with_capacity(sent.len());
+            for (unit, entry) in sent {
+                parts.push(ApplyPart { record: ids[unit], marks: entry.marks.clone() });
+                entries.push(entry);
             }
-            groups.push(group_id);
+            self.send_db(ctx, backend, Pending::Apply { parts }, move |op| DbOp::Apply { op, entries, parallel: true });
         }
-        for backend in targets {
-            let groups = groups.clone();
-            let entries = apply.clone();
-            self.send_db(ctx, backend, Pending::GroupExecBatch { groups }, move |op| {
-                DbOp::Apply { op, entries, parallel: true }
-            });
+        for (id, remaining) in ids.into_iter().zip(hosts) {
+            if let Some(f) = id.filter(|_| remaining == 0).and_then(|id| self.fanouts.records.remove(&id)) {
+                self.settle(ctx, f);
+            }
         }
     }
 
-    /// One backend's answer to an ordered statements' `Apply`: it resolves
-    /// every statement's exec group, in op order. Any other answer fails
-    /// the whole batch at that backend.
-    pub(super) fn finish_exec_batch(&mut self, ctx: &mut Ctx<'_, Msg>, groups: Vec<u64>, backend: BackendId, resp: DbResp) {
-        let DbResp::Applied { results, .. } = resp else {
-            for group in groups {
-                self.finish_group_exec(ctx, group, backend, None);
+    /// One host's answer to an `Apply` of ordered units, `None` when it
+    /// failed before answering. Each entry that agrees with its unit's
+    /// canonical answer credits its marks at the host, and the last answer
+    /// of a unit settles it. A writeset apply cannot wait on a local
+    /// transaction (the engine wounds the holder, see
+    /// [`replimid_sql::Engine::apply_writeset`]), so an `ApplyErr` means
+    /// the host diverged: the certified transaction IS committed
+    /// cluster-wide, and the host is dropped and rebuilt through the
+    /// recovery log.
+    pub(super) fn finish_apply(&mut self, ctx: &mut Ctx<'_, Msg>, parts: Vec<ApplyPart>, backend: BackendId, resp: Option<DbResp>) {
+        let results = match resp {
+            Some(DbResp::Applied { results, .. }) => results,
+            Some(DbResp::ApplyErr { .. }) => {
+                self.metrics.counters.divergence_detected += 1;
+                if self.backends[backend.0].online() {
+                    self.backend_failed(ctx, backend);
+                    // A synthetic pong brings it straight back through
+                    // recovery (the node itself is alive; only its state
+                    // lagged). Its ordered positions are unknown here (no
+                    // real pong was involved); u64::MAX defers to the
+                    // middleware's own checkpoints, and the durable
+                    // positions stay the last ones a real pong reported.
+                    let b = &self.backends[backend.0];
+                    let (lsn, durable) = (b.applied_lsn, b.node_pos.clone());
+                    let unknown = vec![u64::MAX; self.shards.groups()];
+                    self.note_pong(ctx, backend, lsn, lsn, unknown, durable);
+                }
+                Vec::new()
             }
-            return;
+            _ => Vec::new(),
         };
-        for (group, r) in groups.into_iter().zip(results) {
-            self.finish_group_exec(ctx, group, backend, Some(r));
+        let mut results = results.into_iter();
+        for ApplyPart { record, marks } in parts {
+            let r = results.next();
+            let (agrees, done) = match record.and_then(|id| self.fanouts.records.get_mut(&id)) {
+                Some(f) => (f.answer(r), f.remaining == 0),
+                None => (r.map(|r| matches!(r, EntryResult::Ok { .. })), false),
+            };
+            match agrees {
+                Some(true) => self.shards.credit(backend, &marks),
+                Some(false) => self.metrics.counters.divergence_detected += 1,
+                None => {}
+            }
+            if let Some(f) = record.filter(|_| done).and_then(|id| self.fanouts.records.remove(&id)) {
+                self.settle(ctx, f);
+            }
         }
     }
 
-    /// One backend's outcome of one ordered statement;
-    /// `None` when the backend failed before answering. The last outcome
-    /// in answers the origin, or on a peer caches the reply for a client
-    /// that fails over to it.
-    pub(super) fn finish_group_exec(&mut self, ctx: &mut Ctx<'_, Msg>, group: u64, backend: BackendId, r: Option<EntryResult>) {
-        let Some(g) = self.exec.groups.get_mut(&group) else { return };
-        let result = match r {
-            Some(EntryResult::Ok { body, commit, .. }) => {
-                if commit.is_some() && g.origin {
-                    self.metrics.counters.commits += 1;
-                }
-                Some(Ok(body))
-            }
-            Some(EntryResult::Err { err }) => Some(Err(err)),
-            None => None,
-        };
-        if result.is_some() {
-            // Record progress for recovery checkpoints.
-            self.shards.marks[backend.0][0].mark(g.log_seq);
+    /// A unit's last host answered, or it reached none. The origin answers
+    /// its client if the client still waits on the unit; a peer caches a
+    /// statement's successful reply, so a client that retries here after
+    /// its home middleware died gets it instead of a re-execution
+    /// (Sequoia-style transparent failover, §4.3.3).
+    fn settle(&mut self, ctx: &mut Ctx<'_, Msg>, f: Fanout) {
+        let Fanout { session, stmt_seq, origin, canonical, committed, stage, slot, .. } = f;
+        if let (None, Some(slot)) = (&canonical, slot) {
+            // No host executed it: the entry must not survive into
+            // recovery replay (see RecoveryLog::void).
+            self.shards.void(0, slot);
         }
-        if g.record(result) {
-            self.metrics.counters.divergence_detected += 1;
-        }
-        if g.remaining > 0 {
-            return;
-        }
-        let Some(g) = self.exec.groups.remove(&group) else { return };
-        if g.canonical.is_none() {
-            // Every backend failed before executing: the entry must not
-            // survive into recovery replay (see RecoveryLog::void).
-            self.shards.void(0, g.log_seq);
-        }
-        let result = match g.canonical {
+        let result = match canonical {
             Some(Ok(body)) => Ok(body),
             Some(Err(e)) => {
-                if g.origin && e.is_retryable() {
+                if origin && e.is_retryable() {
                     self.metrics.counters.aborts += 1;
                 }
                 Err(ReplyError::Sql(e))
             }
-            None => Err(ReplyError::Unavailable("all backends failed".into())),
+            None => Err(ReplyError::Unavailable("no backend executed it".into())),
         };
-        if result.is_ok() {
-            // Freshness stamp: the write is applied up to this ordered
-            // seq; later reads for the session require at least it.
-            if let Some(sess) = self.sessions.get_mut(g.session.0) {
-                raise(&mut sess.gstamps, 0, g.log_seq);
-            }
+        if let (Ok(_), Some(slot), Some(sess)) = (&result, slot, self.sessions.get_mut(session.0)) {
+            // Freshness stamp: later reads for the session require a
+            // replica that applied the write.
+            raise(&mut sess.gstamps, 0, slot);
         }
-        if g.origin {
-            // Delivery → slowest backend done.
-            self.mw_span(g.session, g.stmt_seq, Stage::Execute, ctx.now().micros());
-            self.reply(ctx, g.session, g.stmt_seq, result);
+        if origin {
+            // An open-loop client whose request timed out has moved on to
+            // its next statement, under a new `stmt_seq`: leave that one
+            // alone.
+            let current = self.sessions.get(session.0).and_then(|s| s.current.as_ref());
+            if current.is_some_and(|c| c.stmt_seq == stmt_seq) {
+                self.metrics.counters.commits += u64::from(committed && result.is_ok());
+                self.mw_span(session, stmt_seq, stage, ctx.now().micros());
+                self.reply(ctx, session, stmt_seq, result);
+            }
         } else if result.is_ok() {
-            // Sequoia-style transparent failover (§4.3.3): every peer
-            // caches the outcome of the ordered statement, so a client
-            // that retries here after its home middleware died gets the
-            // cached reply instead of a re-execution.
-            if let Some(sess) = self.sessions.get_mut(g.session.0) {
-                if g.stmt_seq > sess.last_replied {
-                    sess.last_replied = g.stmt_seq;
-                    sess.cached = Some(ClientReply {
-                        session: g.session,
-                        stmt_seq: g.stmt_seq,
-                        result,
-                    });
-                }
+            if let Some(sess) = self.sessions.get_mut(session.0).filter(|s| stmt_seq > s.last_replied) {
+                sess.last_replied = stmt_seq;
+                sess.cached = Some(ClientReply { session, stmt_seq, result });
             }
         }
     }

@@ -11,20 +11,24 @@ use crate::msg::{ApplyEntry, EntryResult, PlanExec};
 use crate::recovery::LogPayload;
 
 /// A backend that answers from a script: statements, ordered statement
-/// batches and COMMIT succeed (unless `refuse_commit`), a delegate op
-/// running a write of session `n` returns `insert_ws(n)`, the first
-/// `refuse` writeset applies fail, and later ones apply, as do the dump
-/// and restore of a rejoin. It logs every op but pings, which it never
-/// answers (an unanswered backend is never evicted).
+/// batches and COMMIT succeed (unless `refuse_commit`), but an ordered
+/// statement that writes a table other than `t1` fails (the script knows
+/// no other), a delegate op running a write of session `n` returns
+/// `insert_ws(n)`, the first `refuse` writeset applies fail, and later ones
+/// apply, as do the dump and restore of a rejoin. With `silent_applies` it
+/// answers no `Apply`. It logs every op but pings, which it never answers:
+/// the silence check evicts a backend only once it has answered a client
+/// op, a heartbeat timeout after its last answer.
 struct ScriptedDb {
     refuse: usize,
     refuse_commit: bool,
+    silent_applies: bool,
     ops: Vec<DbOp>,
 }
 
 impl ScriptedDb {
     fn new(refuse: usize) -> Self {
-        ScriptedDb { refuse, refuse_commit: false, ops: Vec::new() }
+        ScriptedDb { refuse, refuse_commit: false, silent_applies: false, ops: Vec::new() }
     }
 
     /// The writesets of every `Apply` received, each with the op's
@@ -61,6 +65,7 @@ impl Actor<Msg> for ScriptedDb {
             DbOp::Execute { op, .. } => {
                 DbResp::ExecOk { op, body: ReplyBody::Ack, commit: None }
             }
+            DbOp::Apply { .. } if self.silent_applies => return,
             DbOp::Apply { op, entries, .. } => {
                 let ws_applies = self.applies().len();
                 let commit = |e: &ApplyEntry| {
@@ -73,8 +78,13 @@ impl Actor<Msg> for ScriptedDb {
                     let err = SqlError::SerializationFailure("read validation".into());
                     DbResp::Applied { op, results: vec![EntryResult::Err { err }] }
                 } else {
+                    let result = |e: &ApplyEntry| {
+                        let LogPayload::Plan { plan, .. } = &e.payload else { return None };
+                        let unknown = plan.template.written_tables().into_iter().find(|t| t.name != "t1")?;
+                        Some(EntryResult::Err { err: SqlError::UnknownTable(unknown.name) })
+                    };
                     let ok = EntryResult::Ok { body: ReplyBody::Ack, commit: None };
-                    DbResp::Applied { op, results: vec![ok; entries.len()] }
+                    DbResp::Applied { op, results: entries.iter().map(|e| result(e).unwrap_or(ok.clone())).collect() }
                 }
             }
             DbOp::ApplyBinlog { op, .. } => DbResp::ApplyOk { op, applied_lsn: Lsn(0) },
@@ -96,16 +106,19 @@ impl Actor<Msg> for Silent {
     fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, _msg: Msg) {}
 }
 
-/// A client that keeps what it is told.
+/// A client that keeps what it is told, and the `stmt_seq` each reply
+/// answers.
 #[derive(Default)]
 struct Sink {
     replies: Vec<Result<ReplyBody, ReplyError>>,
+    seqs: Vec<u64>,
 }
 
 impl Actor<Msg> for Sink {
     fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
         if let Msg::Reply(reply) = msg {
             self.replies.push(reply.result);
+            self.seqs.push(reply.stmt_seq);
         }
     }
 }
@@ -655,17 +668,23 @@ fn commit_after_a_failed_statement_follows_the_error_mode() {
 /// Statement replication delivers every ordered statement as a batch:
 /// unbatched, a batch of one, carrying the statement's log position; with
 /// group commit, one batch for the statements flushed together. Each
-/// statement is answered from its own result.
+/// entry settles on its own: its marks are credited whatever its outcome
+/// (a statement that fails on every backend failed the same way
+/// everywhere), and each client is answered from its own statement's
+/// result.
 #[test]
 fn an_ordered_statement_is_a_batch_of_one() {
     let statement = Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject };
-    for batch_max in [1, 2] {
+    let ok = "INSERT INTO t1 VALUES (2, 1)";
+    let fails = "INSERT INTO t2 VALUES (2, 1)";
+    for (batch_max, second) in [(1, ok), (2, ok), (2, fails)] {
         let mut cfg = MwConfig::defaults(statement.clone());
         cfg.batch_max = batch_max;
         cfg.batch_deadline_us = 5_000;
         let (mut sim, dbs, mw, client) = cluster(cfg, vec![ScriptedDb::new(0), ScriptedDb::new(0)]);
+        let other = sim.add_node(Sink::default());
         request(&mut sim, (client, mw), 1_000, 1, 1, "INSERT INTO t1 VALUES (1, 1)");
-        request(&mut sim, (client, mw), 1_000, 2, 1, "INSERT INTO t1 VALUES (2, 1)");
+        request(&mut sim, (other, mw), 1_000, 2, 1, second);
         sim.run_until(SimTime(20_000));
         for &d in &dbs {
             let batches: Vec<Vec<Vec<(u32, u64)>>> = sim.with_actor::<ScriptedDb, _>(d, |d| {
@@ -680,12 +699,92 @@ fn an_ordered_statement_is_a_batch_of_one() {
             let expected = if batch_max == 1 { vec![vec![vec![(0, 1)]], vec![vec![(0, 2)]]] } else { vec![vec![vec![(0, 1)], vec![(0, 2)]]] };
             assert_eq!(batches, expected, "batch_max={batch_max}");
         }
-        let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
-        assert_eq!(replies, vec![Ok(ReplyBody::Ack); 2]);
+        let replies = |sim: &mut Sim<Msg>, c: NodeId| sim.with_actor::<Sink, _>(c, |c| c.replies.clone());
+        assert_eq!(replies(&mut sim, client), [Ok(ReplyBody::Ack)]);
+        let unknown = Err(ReplyError::Sql(SqlError::UnknownTable("t2".into())));
+        let own = if second == ok { Ok(ReplyBody::Ack) } else { unknown };
+        assert_eq!(replies(&mut sim, other), [own], "{second}");
         sim.with_actor::<Middleware, _>(mw, |m| {
             assert_eq!(m.pw_mark(BackendId(0), 0), 2);
             assert_eq!(m.pw_mark(BackendId(1), 0), 2);
+            assert_eq!(m.metrics.counters.divergence_detected, 0);
         });
+    }
+}
+
+/// A backend that fails, or times out, before it answers an ordered
+/// unit's `Apply` is failed and rejoins by replay; that is no divergence,
+/// for an ordered statement and a certified commit alike. Its positions
+/// stay uncredited, and the client is answered from the other backend.
+#[test]
+fn an_unanswered_apply_is_no_divergence() {
+    let statement = Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject };
+    for mode in [statement, Mode::MultiMasterWriteset] {
+        let cfg = MwConfig::defaults(mode.clone());
+        let timeout = cfg.op_timeout_us;
+        let (mut sim, dbs, mw, client) = cluster(cfg, vec![ScriptedDb::new(0), ScriptedDb::new(0)]);
+        sim.with_actor::<ScriptedDb, _>(dbs[1], |d| d.silent_applies = true);
+        request(&mut sim, (client, mw), 1_000, 1, 1, "INSERT INTO t1 VALUES (1, 1)");
+        sim.run_until(SimTime(1_000 + 2 * timeout));
+        let replies = sim.with_actor::<Sink, _>(client, |c| c.replies.clone());
+        assert_eq!(replies, [Ok(ReplyBody::Ack)], "{mode:?}");
+        sim.with_actor::<Middleware, _>(mw, |m| {
+            assert!(!m.backends[1].online(), "{mode:?}: the silent backend was failed");
+            assert_eq!(m.metrics.counters.divergence_detected, 0, "{mode:?}");
+            assert_eq!((m.pw_mark(BackendId(0), 0), m.pw_mark(BackendId(1), 0)), (1, 0), "{mode:?}");
+        });
+    }
+}
+
+/// An ordered statement whose last backend fails after its client moved
+/// on (an open-loop client sends its next statement under a new
+/// `stmt_seq` once a request times out) settles without answering: the
+/// session's next statement, still waiting in the group-commit buffer,
+/// keeps its place and is answered.
+#[test]
+fn a_late_settle_leaves_the_sessions_next_statement_alone() {
+    let mut cfg = MwConfig::defaults(Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject });
+    cfg.batch_max = 2;
+    cfg.batch_deadline_us = 20_000;
+    let (mut sim, dbs, mw, client) = cluster(cfg, vec![ScriptedDb::new(0), ScriptedDb::new(0)]);
+    sim.with_actor::<ScriptedDb, _>(dbs[1], |d| d.silent_applies = true);
+    // Statement 1 fans out at 21 ms and waits on backend 1. Statement 2
+    // waits in the buffer from 40 ms to 60 ms, and backend 1 is removed
+    // in between, which settles statement 1.
+    request(&mut sim, (client, mw), 1_000, 1, 1, "INSERT INTO t1 VALUES (1, 1)");
+    request(&mut sim, (client, mw), 40_000, 1, 2, "INSERT INTO t1 VALUES (2, 1)");
+    sim.inject(SimTime(50_000), mw, Msg::Admin(AdminCmd::RemoveBackend { backend: BackendId(1) }));
+    sim.run_until(SimTime(100_000));
+    let (replies, seqs) = sim.with_actor::<Sink, _>(client, |c| (c.replies.clone(), c.seqs.clone()));
+    assert_eq!((replies, seqs), (vec![Ok(ReplyBody::Ack)], vec![2]));
+}
+
+/// The middleware counts one commit per committed transaction, in every
+/// mode: a statement's commit is counted once, not once per backend
+/// that ran it.
+#[test]
+fn commits_count_once_per_transaction_in_every_mode() {
+    use crate::cluster::{Cluster, ClusterConfig};
+    let schema = ["CREATE DATABASE d", "USE d", "CREATE TABLE t (k INT PRIMARY KEY, v INT)"].map(String::from).to_vec();
+    let master_slave = Mode::MasterSlave {
+        two_safe: false,
+        ship_interval_us: 20_000,
+        use_writesets: false,
+        parallel_apply: false,
+        read_master: false,
+    };
+    let statement = Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject };
+    for mode in [statement, Mode::MultiMasterWriteset, master_slave] {
+        let mut c = Cluster::build(ClusterConfig::new(mode.clone(), schema.clone(), "d"));
+        let inserts = (0..100).map(|k| vec![format!("INSERT INTO t VALUES ({k}, 1)")]).collect();
+        let client = c.add_client(crate::ScriptSource::new(inserts), |cc| {
+            cc.think_time_us = 1_000;
+            cc.tx_limit = 100;
+        });
+        c.run_for(2_000_000);
+        let committed = c.client_metrics(client).committed;
+        assert_eq!(committed, 100, "{mode:?}");
+        assert_eq!(c.mw_metrics(0).counters.commits, committed, "{mode:?}");
     }
 }
 

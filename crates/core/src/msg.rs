@@ -203,8 +203,8 @@ pub struct ApplyEntry {
 }
 
 /// One entry's outcome inside a [`DbResp::Applied`]: the payload the
-/// corresponding `ExecOk`/`ExecErr` would have carried. A skipped entry is
-/// an `Ok` with `ReplyBody::Ack`.
+/// corresponding `ExecOk`/`ExecErr` would have carried. A skipped entry and
+/// an applied writeset are an `Ok` with `ReplyBody::Ack`.
 #[derive(Debug, Clone)]
 pub enum EntryResult {
     Ok { body: ReplyBody, commit: Option<CommitNote> },

@@ -65,6 +65,8 @@ echo "DbOp variants:                    $(variants '^pub enum DbOp \\{' < crates
 # would be a second certification path.
 echo "ReplEvent variants:               $(variants '^pub enum ReplEvent \\{' < crates/core/src/msg.rs)"
 echo "Pending variants:                 $(cat $mw | variants '^enum Pending \\{')"
+# What a session's statement waits on between admission and its reply.
+echo "CurrentKind variants:             $(cat $mw | variants '^enum CurrentKind \\{')"
 # Entry points of a backend's rejoin: the log replay and its dump
 # fallback. A placement-only dump-first entry would be a second rejoin.
 echo "rejoin entry functions:           $(cat $mw | grep -cE 'fn start_(log_recovery|full_resync|pw_resync)\(')"
