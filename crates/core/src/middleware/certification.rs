@@ -1,14 +1,15 @@
 //! Writeset replication: statements at one delegate, certification of the
-//! transaction's writeset in each involved group's total order, and the
-//! commit fan-out. Every commit is a vote of the groups it writes, which
-//! every peer computes identically; one group is a quorum of one.
+//! transaction's writeset in each involved group's total order, and each
+//! commit's entries for its slot's fan-out. Every commit is a vote of the
+//! groups it writes, which every peer computes identically; one group is a
+//! quorum of one.
 
 use replimid_simnet::Ctx;
 use replimid_sql::ast::{IsolationLevel, Statement};
 use replimid_sql::{SqlError, Writeset};
 
-use super::ordering::Fanout;
-use super::{raise, BackendState, Current, CurrentKind, Middleware, Pending};
+use super::ordering::{Fanout, Unit};
+use super::{raise, Current, CurrentKind, Middleware, Pending};
 use crate::msg::{
     ApplyEntry, BackendId, ClientRequest, DbOp, DbResp, Msg, PlanExec, ReplEvent, ReplyBody, ReplyError, SessionId,
 };
@@ -54,6 +55,11 @@ impl XTx {
             .expect("group not involved in its own Certify");
         vote.cast = Some((reserved, part));
         self.votes.iter().all(|v| v.cast.is_some())
+    }
+
+    /// Whether the transaction writes several groups.
+    pub(super) fn multi(&self) -> bool {
+        self.votes.len() > 1
     }
 
     /// The (group, position, part) of every yes vote so far.
@@ -253,7 +259,7 @@ impl Middleware {
     }
 
     // ------------------------------------------------------------------
-    // Certification and commit fan-out, per group
+    // Certification and the commit's entries, per group
     // ------------------------------------------------------------------
 
     /// Split the prepared writeset row by row along group boundaries and
@@ -289,60 +295,47 @@ impl Middleware {
         matches!(&s.current, Some(c) if c.stmt_seq == stmt_seq && matches!(c.kind, CurrentKind::WsCertifyWait))
     }
 
-    /// A transaction's part delivered on group `g`'s stream. The vote is
-    /// the group-local certification verdict, computed AT DELIVERY — a
-    /// pure function of the group's ordered stream, so every middleware
-    /// votes identically and no vote messages need exchanging. A yes vote
-    /// optimistically reserves a log position; the decision (AND of all
-    /// votes) fires when the last involved stream delivers locally, at
-    /// once for a transaction that writes one group.
+    /// A transaction's part delivered on group `g`'s stream at `now`. The
+    /// vote is the group-local certification verdict, computed AT DELIVERY
+    /// — a pure function of the group's ordered stream, so every
+    /// middleware votes identically and no vote messages need exchanging.
+    /// A yes vote optimistically reserves a log position. The transaction
+    /// is returned for its decision once every involved stream has
+    /// delivered its part: at once for a transaction that writes one group.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn deliver_certify(
         &mut self,
-        ctx: &mut Ctx<'_, Msg>,
+        now: u64,
         g: usize,
         session: SessionId,
         stmt_seq: u64,
         groups: Vec<u32>,
         start_pos: u64,
         part: Writeset,
-    ) {
-        let now = ctx.now().micros();
+    ) -> Option<XTx> {
         let reserved = self.shards.certify(g, start_pos, &part, &self.cfg.pk_map);
         let key = (session.0, stmt_seq);
         let mut xtx = self.shards.xtx.remove(&key).unwrap_or_else(|| XTx::new(groups, now));
         let done = xtx.vote(g, reserved, part);
         self.metrics.certifier = self.shards.agg_stats();
-        if !done {
-            self.shards.xtx.insert(key, xtx);
-            return;
+        if done {
+            return Some(xtx);
         }
-        let multi = xtx.votes.len() > 1;
-        self.decide(ctx, session, stmt_seq, xtx);
-        if !multi {
-            return;
-        }
-        // The decision may unblock a recovering backend whose replay
-        // was capped below the (previously undecided) reserved slot.
-        let recovering: Vec<BackendId> = (0..self.backends.len())
-            .filter(|&i| matches!(self.backends[i].state, BackendState::Recovering { .. }))
-            .map(BackendId)
-            .collect();
-        for b in recovering {
-            self.pump_recovery(ctx, b);
-        }
+        self.shards.xtx.insert(key, xtx);
+        None
     }
 
     /// All involved groups have voted locally: commit iff every vote is
-    /// yes. On abort, yes-voting groups retract their optimistic
-    /// reservation (certifier entry out, log slot voided, watermark marked
-    /// everywhere so apply tracking never stalls on the hole); the group's
-    /// next fan-out tells its hosts, so theirs do not stall either. The
-    /// cross-group counters count only decisions over several groups.
-    fn decide(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId, stmt_seq: u64, xtx: XTx) {
+    /// yes, and return the commit's unit. On abort, yes-voting groups
+    /// retract their optimistic reservation (certifier entry out, log slot
+    /// voided, watermark marked everywhere so apply tracking never stalls
+    /// on the hole); the group's next commit tells its hosts, so theirs do
+    /// not stall either. The cross-group counters count only decisions
+    /// over several groups.
+    pub(super) fn decide(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId, stmt_seq: u64, xtx: XTx) -> Option<Unit> {
         let parts: Vec<(u32, u64, &Writeset)> = xtx.reserved().collect();
         let commit = parts.len() == xtx.votes.len();
-        let multi = xtx.votes.len() > 1;
+        let multi = xtx.multi();
         let origin = self.certify_origin(session, stmt_seq);
         if origin {
             // Publish → first local vote is the certify window; first vote
@@ -366,30 +359,23 @@ impl Middleware {
             if origin {
                 self.certification_lost(ctx, session, stmt_seq);
             }
-            return;
+            return None;
         }
         self.metrics.counters.xgroup_commits += u64::from(multi);
-        self.fan_out_commit(ctx, session, stmt_seq, origin, &parts);
+        Some(self.commit_unit(session, stmt_seq, origin, &parts))
     }
 
-    /// Fan a certified transaction out, one `Apply` of one entry per
-    /// healthy host of its groups. `parts` are (group, certified position,
-    /// writeset part). The origin's delegate hosts every group (enforced at
-    /// pick time), and its entry is the SQL COMMIT of the transaction it
-    /// holds open, which marks all its group positions at once; any other
-    /// host's entry is the parts of the groups it hosts as one writeset.
-    /// The parts touch disjoint groups, so merging them keeps each row's
-    /// certified order. Each entry carries the positions it settles at its
-    /// node, with the groups' voided positions, so the node's own
-    /// per-group position stays contiguous.
-    fn fan_out_commit(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        session: SessionId,
-        stmt_seq: u64,
-        origin: bool,
-        parts: &[(u32, u64, &Writeset)],
-    ) {
+    /// A certified transaction's unit: the origin's record, and one entry
+    /// per healthy host of its groups. `parts` are (group, certified
+    /// position, writeset part). The origin's delegate hosts every group
+    /// (enforced at pick time), and its entry is the SQL COMMIT of the
+    /// transaction it holds open, which marks all its group positions at
+    /// once; any other host's entry is the parts of the groups it hosts as
+    /// one writeset. The parts touch disjoint groups, so merging them keeps
+    /// each row's certified order. Each entry carries the positions it
+    /// settles at its node, with the groups' voided positions, so the
+    /// node's own per-group position stays contiguous.
+    fn commit_unit(&mut self, session: SessionId, stmt_seq: u64, origin: bool, parts: &[(u32, u64, &Writeset)]) -> Unit {
         // Freshness stamp: reads for this session must come from a backend
         // whose group marks reached these positions.
         if let Some(s) = self.sessions.get_mut(session.0) {
@@ -402,7 +388,7 @@ impl Middleware {
             .iter()
             .flat_map(|&(g, ..)| std::mem::take(&mut self.shards.voided[g as usize]).into_iter().map(move |p| (g, p)))
             .collect();
-        let mut sends = Vec::new();
+        let mut entries = Vec::new();
         for backend in self.healthy() {
             let hosts = |g: u32| self.shards.placement.hosts(g as usize).contains(&backend.0);
             let hosted = parts.iter().filter(|(g, ..)| hosts(*g));
@@ -423,7 +409,7 @@ impl Middleware {
                 }
                 LogPayload::Ws(ws)
             };
-            sends.push((backend, vec![(0, ApplyEntry { payload, marks })]));
+            entries.push((backend, ApplyEntry { payload, marks }));
         }
         if origin {
             if let Some(s) = self.sessions.get_mut(session.0) {
@@ -431,7 +417,7 @@ impl Middleware {
                 s.current = Some(Current { stmt_seq, kind: CurrentKind::Fanout });
             }
         }
-        self.fan_out(ctx, vec![origin.then(|| Fanout::commit(session, stmt_seq))], sends);
+        (origin.then(|| Fanout::commit(session, stmt_seq)), entries)
     }
 
     /// The origin's transaction lost certification: roll it back at its

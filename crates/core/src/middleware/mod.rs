@@ -175,9 +175,6 @@ pub struct MwConfig {
     pub pk_map: HashMap<(String, String), usize>,
     pub recovery_batch: usize,
     pub replay_mode: ReplayMode,
-    /// When a rejoining replica is within this many log entries of the head,
-    /// the middleware enacts the global barrier for the final hop (§4.4.2).
-    pub barrier_threshold: u64,
     /// §4.3.4.3: refuse writes unless this middleware's group view holds a
     /// strict majority of the peers — the C-and-A-over-P stance. Off by
     /// default (a 2-replica middleware pair has no useful majority).
@@ -246,7 +243,6 @@ impl MwConfig {
             pk_map: HashMap::new(),
             recovery_batch: 64,
             replay_mode: ReplayMode::Serial,
-            barrier_threshold: 16,
             require_majority: false,
             quarantine: None,
             degrade_to_read_only: false,

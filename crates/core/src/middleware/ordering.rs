@@ -1,8 +1,8 @@
 //! Ordering and group commit: the per-group sequencers and their commit
-//! buffers, delivery of the ordered streams, statement replication (every
-//! ordered statement reaches each backend as a batch, of one statement
-//! unless group commit filled it), and the fan-out that ordered statements
-//! and certified commits both settle their `Apply` answers through.
+//! buffers, delivery of the ordered streams one total-order slot at a time,
+//! statement replication, and the one fan-out per slot through which
+//! ordered statements and certified commits reach each host as one `Apply`
+//! and settle its answers.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -13,7 +13,7 @@ use replimid_sql::ast::Statement;
 use replimid_sql::{SqlError, Watermark, Writeset};
 
 use super::certification::XTx;
-use super::{raise, Current, CurrentKind, Middleware, Pending, SHARD_BATCH_BASE, SHARD_TICK_BASE};
+use super::{raise, BackendState, Current, CurrentKind, Middleware, Pending, SHARD_BATCH_BASE, SHARD_TICK_BASE};
 use crate::certifier::{Certifier, CertifierStats, Verdict};
 use crate::msg::{
     ApplyEntry, BackendId, ClientReply, ClientRequest, DbOp, DbResp, EntryResult, Msg, PlanExec, ReplEvent,
@@ -33,7 +33,7 @@ use crate::trace::Stage;
 /// events of statement and master-slave replication.
 pub(super) struct Shards {
     pub(super) placement: Placement,
-    pub(super) member: ShardedMember<ReplEvent>,
+    pub(super) member: ShardedMember<Vec<ReplEvent>>,
     pub(super) certs: Vec<Certifier>,
     pub(super) logs: Vec<RecoveryLog>,
     /// `marks[backend][group]`: the positions of the group's stream the
@@ -44,9 +44,9 @@ pub(super) struct Shards {
     /// applied from the conflict window of a snapshot that cannot see it
     /// (a lost update).
     pub(super) marks: Vec<Vec<Watermark>>,
-    /// Per group, positions voided since the group's last commit fan-out
-    /// (aborted cross-group reservations). The next fan-out carries them
-    /// to every host in rotation; a host out of rotation replays them.
+    /// Per group, positions voided since the group's last certified commit
+    /// (aborted cross-group reservations). The next commit's entries carry
+    /// them to every host in rotation; a host out of rotation replays them.
     pub(super) voided: Vec<Vec<u64>>,
     /// Per-group group-commit buffers and armed deadline-timer flags.
     batches: Vec<Vec<ReplEvent>>,
@@ -55,14 +55,14 @@ pub(super) struct Shards {
     /// votes collected between the first involved delivery and the
     /// decision.
     pub(super) xtx: HashMap<(u64, u64), XTx>,
-    /// Deliveries buffered behind a recovery barrier, in arrival order.
-    buffered: VecDeque<(usize, ReplEvent)>,
+    /// Slots delivered behind a recovery barrier, in arrival order.
+    buffered: VecDeque<(usize, Vec<ReplEvent>)>,
 }
 
 /// What [`Shards::admit`] decided for one write-path event.
 #[derive(Debug)]
 enum Admit {
-    /// Batching is off: the event takes a total-order slot of its own.
+    /// Batching is off: the event is a total-order slot of its own.
     Direct(ReplEvent),
     /// Buffered, and the group's batch is now full: flush it.
     Full,
@@ -281,6 +281,10 @@ impl Fanout {
     }
 }
 
+/// One unit of a slot's fan-out: its record (`None`: a peer's certified
+/// commit, which nothing here waits on) and its entry at each host.
+pub(super) type Unit = (Option<Fanout>, Vec<(BackendId, ApplyEntry)>);
+
 /// One entry of an `Apply` in flight: its unit's record id and the
 /// (group, position) pairs the entry's answer credits.
 #[derive(Debug)]
@@ -315,7 +319,7 @@ impl Middleware {
     // Per-group sequencers, group commit, delivery
     // ------------------------------------------------------------------
 
-    pub(super) fn run_shard_actions(&mut self, ctx: &mut Ctx<'_, Msg>, actions: Vec<(usize, GAction<ReplEvent>)>) {
+    pub(super) fn run_shard_actions(&mut self, ctx: &mut Ctx<'_, Msg>, actions: Vec<(usize, GAction<Vec<ReplEvent>>)>) {
         for (g, a) in actions {
             match a {
                 GAction::Send { to, msg } => {
@@ -333,8 +337,8 @@ impl Middleware {
         }
     }
 
-    fn shard_publish(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, ev: ReplEvent) {
-        let actions = self.shards.member.publish(g, ev, ctx.now().micros());
+    fn shard_publish(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, slot: Vec<ReplEvent>) {
+        let actions = self.shards.member.publish(g, slot, ctx.now().micros());
         self.run_shard_actions(ctx, actions);
     }
 
@@ -342,7 +346,7 @@ impl Middleware {
     /// (see [`Shards::admit`]).
     pub(super) fn shard_publish_write(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, ev: ReplEvent) {
         match self.shards.admit(g, ev, self.cfg.batch_max) {
-            Admit::Direct(ev) => self.shard_publish(ctx, g, ev),
+            Admit::Direct(ev) => self.shard_publish(ctx, g, vec![ev]),
             Admit::Full => self.flush_shard_batch(ctx, g, FlushReason::Size),
             Admit::Arm => {
                 ctx.set_timer(self.cfg.batch_deadline_us, SHARD_BATCH_BASE + g as u64);
@@ -351,9 +355,8 @@ impl Middleware {
         }
     }
 
-    /// Ship group `g`'s buffered batch as ONE total-order slot. The
-    /// buffered admission order is preserved verbatim inside the `Batch`
-    /// event.
+    /// Ship group `g`'s buffered batch as ONE total-order slot, in
+    /// admission order.
     pub(super) fn flush_shard_batch(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, reason: FlushReason) {
         let events = self.shards.take_batch(g);
         if events.is_empty() {
@@ -376,61 +379,90 @@ impl Middleware {
             };
             self.mw_span(session, stmt_seq, Stage::BatchWait, now);
         }
-        self.shard_publish(ctx, g, ReplEvent::Batch { events });
+        self.shard_publish(ctx, g, events);
     }
 
-    /// Group `g`'s totally-ordered event arrives (identically at every
-    /// peer). The recovery barrier buffers deliveries of every group.
-    fn on_shard_delivery(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, ev: ReplEvent) {
+    /// Group `g`'s total-order slot arrives (identically at every peer).
+    /// The recovery barrier buffers the slots of every group.
+    fn on_shard_delivery(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, slot: Vec<ReplEvent>) {
         if self.rejoin.barrier_for.is_some() {
-            self.shards.buffered.push_back((g, ev));
+            self.shards.buffered.push_back((g, slot));
             return;
         }
-        self.apply_shard_delivery(ctx, g, ev);
+        self.deliver_slot(ctx, g, slot);
     }
 
-    fn apply_shard_delivery(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, ev: ReplEvent) {
-        match ev {
-            ReplEvent::Statement { session, stmt_seq, ast } => {
-                self.deliver_statement_batch(ctx, vec![(session, stmt_seq, ast)])
-            }
-            ReplEvent::Certify { session, stmt_seq, groups, start_pos, part } => {
-                self.deliver_certify(ctx, g, session, stmt_seq, groups, start_pos, part)
-            }
-            ReplEvent::SessionEnd { session } => self.end_session(ctx, session),
-            ReplEvent::Batch { events } => self.deliver_batch(ctx, g, events),
-        }
-    }
-
-    /// A group-committed batch arrives (one total-order slot): session
-    /// ends first, then the batch's statements fan out to each backend as
-    /// ONE grouped message, then its certification requests one by one.
-    /// Each class keeps the admission order recorded in the event vector.
-    fn deliver_batch(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, events: Vec<ReplEvent>) {
-        let mut stmts: Vec<(SessionId, u64, PlanExec)> = Vec::new();
-        let mut certs: Vec<ReplEvent> = Vec::new();
-        for ev in events {
-            match ev {
-                ReplEvent::Statement { session, stmt_seq, ast } => stmts.push((session, stmt_seq, ast)),
-                ReplEvent::SessionEnd { session } => self.end_session(ctx, session),
-                // Batches never nest (`Shards::admit` only buffers leaves).
-                ReplEvent::Batch { .. } => {}
-                ev @ ReplEvent::Certify { .. } => certs.push(ev),
-            }
-        }
-        if !stmts.is_empty() {
-            self.deliver_statement_batch(ctx, stmts);
-        }
-        for ev in certs {
-            self.apply_shard_delivery(ctx, g, ev);
-        }
-    }
-
-    /// Drain deliveries buffered behind a (now released) barrier.
+    /// Drain slots buffered behind a (now released) barrier.
     pub(super) fn drain_shard_buffer(&mut self, ctx: &mut Ctx<'_, Msg>) {
         while self.rejoin.barrier_for.is_none() {
-            let Some((g, ev)) = self.shards.buffered.pop_front() else { break };
-            self.apply_shard_delivery(ctx, g, ev);
+            let Some((g, slot)) = self.shards.buffered.pop_front() else { break };
+            self.deliver_slot(ctx, g, slot);
+        }
+    }
+
+    /// Run one total-order slot of group `g`, its events in slot order. A
+    /// session end takes effect at once. An ordered statement takes group
+    /// 0's next recovery-log position (every peer logs identically, so
+    /// positions agree) and runs as its plan on its session's connection at
+    /// every healthy backend. A certified transaction's part votes, and a
+    /// commit that this part decided runs at its groups' hosts. Every
+    /// statement and decided commit is one unit of the slot's one fan-out:
+    /// each host gets one `Apply` of its entries, one network round-trip
+    /// and one parallel-grouped cost charge per host per slot, which is
+    /// where group commit wins. A slot of one statement is charged exactly
+    /// that statement's cost.
+    fn deliver_slot(&mut self, ctx: &mut Ctx<'_, Msg>, g: usize, events: Vec<ReplEvent>) {
+        let now = ctx.now().micros();
+        let mut records = Vec::with_capacity(events.len());
+        let mut per_host: Vec<Vec<(usize, ApplyEntry)>> = vec![Vec::new(); self.backends.len()];
+        let mut multi = false;
+        for ev in events {
+            let (record, entries) = match ev {
+                ReplEvent::SessionEnd { session } => {
+                    self.end_session(ctx, session);
+                    continue;
+                }
+                ReplEvent::Statement { session, stmt_seq, ast } => {
+                    let payload = LogPayload::Plan { conn: session.0, plan: ast };
+                    let log_seq = self.shards.logs[0].append(payload.clone());
+                    // A shadow session for non-origin peers.
+                    let s = self.session(session, None);
+                    let origin = matches!(&s.current, Some(c) if c.stmt_seq == stmt_seq);
+                    if origin {
+                        s.current = Some(Current { stmt_seq, kind: CurrentKind::Fanout });
+                        // Publish (or flush) → self-delivery through the total order.
+                        self.mw_span(session, stmt_seq, Stage::Order, now);
+                    }
+                    let entry = ApplyEntry { payload, marks: vec![(0, log_seq)] };
+                    let entries = self.healthy().into_iter().map(|b| (b, entry.clone())).collect();
+                    (Some(Fanout::statement(session, stmt_seq, origin, log_seq)), entries)
+                }
+                ReplEvent::Certify { session, stmt_seq, groups, start_pos, part } => {
+                    let Some(xtx) = self.deliver_certify(now, g, session, stmt_seq, groups, start_pos, part) else {
+                        continue;
+                    };
+                    multi |= xtx.multi();
+                    let Some(unit) = self.decide(ctx, session, stmt_seq, xtx) else { continue };
+                    unit
+                }
+            };
+            for (b, entry) in entries {
+                per_host[b.0].push((records.len(), entry));
+            }
+            records.push(record);
+        }
+        let sends = per_host.into_iter().enumerate().filter(|(_, sent)| !sent.is_empty());
+        self.fan_out(ctx, records, sends.map(|(b, sent)| (BackendId(b), sent)).collect());
+        if multi {
+            // A decision over several groups may unblock a recovering
+            // backend whose replay was capped below its reserved slot.
+            let recovering: Vec<BackendId> = (0..self.backends.len())
+                .filter(|&i| matches!(self.backends[i].state, BackendState::Recovering { .. }))
+                .map(BackendId)
+                .collect();
+            for b in recovering {
+                self.pump_recovery(ctx, b);
+            }
         }
     }
 
@@ -490,35 +522,6 @@ impl Middleware {
             }
         }
         self.shard_publish_write(ctx, 0, ReplEvent::Statement { session: req.session, stmt_seq: req.stmt_seq, ast });
-    }
-
-    /// Ordered statements arrive, one or a group-committed batch: they take
-    /// a dense recovery-log seq range (every peer logs identically, so
-    /// positions agree), each as its plan on its session's connection, and
-    /// each backend receives them as one `Apply` — one network round-trip
-    /// and one parallel-grouped cost charge per backend per delivery, which
-    /// is where group commit wins. A batch of one is charged exactly its
-    /// statement's cost.
-    fn deliver_statement_batch(&mut self, ctx: &mut Ctx<'_, Msg>, stmts: Vec<(SessionId, u64, PlanExec)>) {
-        let now = ctx.now().micros();
-        let mut records = Vec::with_capacity(stmts.len());
-        let mut apply = Vec::with_capacity(stmts.len());
-        for (session, stmt_seq, ast) in stmts {
-            let payload = LogPayload::Plan { conn: session.0, plan: ast };
-            let log_seq = self.shards.logs[0].append(payload.clone());
-            // A shadow session for non-origin peers.
-            let s = self.session(session, None);
-            let origin = matches!(&s.current, Some(c) if c.stmt_seq == stmt_seq);
-            if origin {
-                s.current = Some(Current { stmt_seq, kind: CurrentKind::Fanout });
-                // Publish (or flush) → self-delivery through the total order.
-                self.mw_span(session, stmt_seq, Stage::Order, now);
-            }
-            records.push(Some(Fanout::statement(session, stmt_seq, origin, log_seq)));
-            apply.push(ApplyEntry { payload, marks: vec![(0, log_seq)] });
-        }
-        let sends = self.healthy().into_iter().map(|b| (b, apply.iter().cloned().enumerate().collect())).collect();
-        self.fan_out(ctx, records, sends);
     }
 
     // ------------------------------------------------------------------

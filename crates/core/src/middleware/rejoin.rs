@@ -12,6 +12,10 @@ use super::{Backend, BackendState, Middleware, Pending};
 use crate::msg::{ApplyEntry, BackendId, DbOp, DbResp, Msg};
 use crate::recovery::{RecoveryLog, ReplayMode};
 
+/// When a rejoining replica is within this many log entries of the head,
+/// the middleware enacts the global barrier for the final hop (§4.4.2).
+const BARRIER_THRESHOLD: u64 = 16;
+
 /// The rejoin seam's state.
 #[derive(Debug, Default)]
 pub(super) struct Rejoin {
@@ -253,7 +257,7 @@ impl Middleware {
         // undecided cross-group transaction needs further deliveries to
         // decide, and replay cannot cross its reserved slot: arming the
         // barrier then would deadlock, so wait for the decision first.
-        if remaining <= self.cfg.barrier_threshold
+        if remaining <= BARRIER_THRESHOLD
             && self.rejoin.barrier_for.is_none()
             && next.iter().all(|&(g, _)| self.shards.undecided_floor(g).is_none())
         {

@@ -712,6 +712,69 @@ fn an_ordered_statement_is_a_batch_of_one() {
     }
 }
 
+/// A total-order slot reaches each host as one `Apply` in writeset mode
+/// too: two sessions' autocommit INSERTs certified in one group-committed
+/// slot give each backend one op of both commits' entries, in slot order.
+/// A delegate's entry is its own transaction's COMMIT, and any other
+/// host's is the writeset. Both clients are answered, and both positions
+/// are credited at both backends.
+#[test]
+fn a_slot_of_certified_commits_is_one_apply_per_host() {
+    let mut cfg = MwConfig::defaults(Mode::MultiMasterWriteset);
+    cfg.batch_max = 2;
+    cfg.batch_deadline_us = 5_000;
+    let (mut sim, dbs, mw, client) = cluster(cfg, vec![ScriptedDb::new(0), ScriptedDb::new(0)]);
+    let other = sim.add_node(Sink::default());
+    request(&mut sim, (client, mw), 1_000, 1, 1, "INSERT INTO t1 VALUES (1, 1)");
+    request(&mut sim, (other, mw), 1_000, 2, 1, "INSERT INTO t1 VALUES (2, 1)");
+    sim.run_until(SimTime(20_000));
+    let mut orders = Vec::new();
+    for &d in &dbs {
+        let ops = sim.with_actor::<ScriptedDb, _>(d, |d| d.ops.clone());
+        let delegated: Vec<u64> = ops
+            .iter()
+            .filter_map(|op| match op {
+                DbOp::Delegate { conn, .. } => Some(*conn),
+                _ => None,
+            })
+            .collect();
+        let applies: Vec<&Vec<ApplyEntry>> = ops
+            .iter()
+            .filter_map(|op| match op {
+                DbOp::Apply { entries, .. } => Some(entries),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(applies.len(), 1, "one Apply per host per slot: {ops:?}");
+        let mut order = Vec::new();
+        for (i, e) in applies[0].iter().enumerate() {
+            let (session, commit) = match &e.payload {
+                LogPayload::Plan { conn, plan } => {
+                    assert_eq!(*plan.template, Statement::Commit);
+                    (*conn, true)
+                }
+                LogPayload::Ws(ws) => ((1..=2).find(|&s| *ws == insert_ws(s as i64)).expect("a session's rows"), false),
+            };
+            assert_eq!(commit, delegated.contains(&session), "session {session}: {ops:?}");
+            assert_eq!(e.marks, [(0, i as u64 + 1)]);
+            order.push(session);
+        }
+        orders.push(order);
+    }
+    let mut sessions = orders[0].clone();
+    sessions.sort_unstable();
+    assert_eq!(sessions, [1, 2]);
+    assert_eq!(orders[0], orders[1], "both hosts apply in slot order");
+    for c in [client, other] {
+        assert_eq!(sim.with_actor::<Sink, _>(c, |c| c.replies.clone()), [Ok(ReplyBody::Ack)]);
+    }
+    sim.with_actor::<Middleware, _>(mw, |m| {
+        assert_eq!((m.pw_mark(BackendId(0), 0), m.pw_mark(BackendId(1), 0)), (2, 2));
+        assert_eq!(m.metrics.counters.commits, 2);
+        assert_eq!(m.metrics.counters.divergence_detected, 0);
+    });
+}
+
 /// A backend that fails, or times out, before it answers an ordered
 /// unit's `Apply` is failed and rejoins by replay; that is no divergence,
 /// for an ordered statement and a certified commit alike. Its positions
@@ -885,6 +948,5 @@ fn mode_defaults_are_sane() {
     let cfg = MwConfig::defaults(Mode::MultiMasterWriteset);
     assert!(cfg.op_timeout_us >= cfg.heartbeat.timeout_us);
     assert!(!cfg.require_majority);
-    assert!(cfg.barrier_threshold > 0);
 }
 

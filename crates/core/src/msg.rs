@@ -286,8 +286,10 @@ pub struct CommitNote {
     pub lsn: Lsn,
 }
 
-/// Payload totally ordered among middleware peers (the replication traffic
-/// itself).
+/// One event totally ordered among middleware peers (the replication
+/// traffic itself). A total-order slot carries a `Vec` of them: one event
+/// unbatched, or a group-committed batch whose events every peer runs in
+/// vector order.
 #[derive(Debug, Clone)]
 pub enum ReplEvent {
     /// Statement-based replication: one (possibly rewritten) write
@@ -321,10 +323,6 @@ pub enum ReplEvent {
     },
     /// Session teardown (propagated so peers drop replicated session state).
     SessionEnd { session: SessionId },
-    /// A group-committed batch: the contained events occupy ONE total-order
-    /// slot and are applied in vector order at every peer, so the admission
-    /// order inside the batch is preserved exactly. Batches never nest.
-    Batch { events: Vec<ReplEvent> },
 }
 
 /// Management commands injected by the operator/harness (§4.4: backup and
@@ -365,8 +363,9 @@ pub enum Msg {
     DbR(DbResp),
     /// GCS traffic for one per-group sequencer. Each table group runs its
     /// own independent `GroupMember` stream (full replication: the one
-    /// group 0); the tag routes the message to the right shard.
-    GroupShard { group: u32, msg: GcsMsg<ReplEvent> },
+    /// group 0); the tag routes the message to the right shard. Each payload
+    /// is one total-order slot: the events it delivers together.
+    GroupShard { group: u32, msg: GcsMsg<Vec<ReplEvent>> },
 }
 
 #[cfg(test)]

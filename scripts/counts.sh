@@ -64,6 +64,10 @@ echo "DbOp variants:                    $(variants '^pub enum DbOp \\{' < crates
 # The events middleware peers totally order: a second certification event
 # would be a second certification path.
 echo "ReplEvent variants:               $(variants '^pub enum ReplEvent \\{' < crates/core/src/msg.rs)"
+# Call sites of the one fan-out, through which every delivered slot
+# reaches its hosts: a second would be a second path from an ordered unit
+# to a backend.
+echo "fan_out( call sites:              $(cat $mw | grep -c 'self\.fan_out(')"
 echo "Pending variants:                 $(cat $mw | variants '^enum Pending \\{')"
 # What a session's statement waits on between admission and its reply.
 echo "CurrentKind variants:             $(cat $mw | variants '^enum CurrentKind \\{')"

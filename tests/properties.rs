@@ -373,6 +373,106 @@ fn group_commit_batching_preserves_outcomes() {
     });
 }
 
+/// One writeset arm of the group-commit comparison: client `i` inserts
+/// fresh keys into table `t{i % 3}` of three, over full replication
+/// (`placement` `None`) or a placement of the tables in three groups.
+/// Returns the clients' metrics, the middleware's, and per table the
+/// checksum of its rows at each backend that hosts it.
+fn run_ws_batch_case(
+    seed: u64,
+    clients: usize,
+    placement: Option<Placement>,
+    batch_max: usize,
+    deadline_us: u64,
+) -> (Vec<ClientMetrics>, MwMetrics, Vec<Vec<u64>>) {
+    use std::hash::{DefaultHasher, Hash, Hasher};
+    let mut cfg = ClusterConfig::new(Mode::MultiMasterWriteset, micro::disjoint_schema("bench", 3, 0), "bench");
+    cfg.seed = seed;
+    cfg.backends_per_mw = 3;
+    cfg.mw.placement = placement.clone();
+    cfg.mw.batch_max = batch_max;
+    cfg.mw.batch_deadline_us = deadline_us;
+    let mut cluster = Cluster::build(cfg);
+    let handles: Vec<_> = (0..clients)
+        .map(|i| {
+            cluster.add_client(micro::DisjointInsert::new(1_000_000 * (i as i64 + 1), i % 3), |cc| {
+                cc.think_time_us = 500;
+                cc.tx_limit = 60;
+            })
+        })
+        .collect();
+    cluster.run_for(dur::secs(4));
+    cluster.run_for(dur::secs(1)); // drain
+    let cms = handles.iter().map(|&h| cluster.client_metrics(h)).collect();
+    let sums = (0..3)
+        .map(|g| {
+            let hosts = placement.as_ref().map_or(vec![0, 1, 2], |p| p.hosts(g).to_vec());
+            hosts
+                .into_iter()
+                .map(|b| {
+                    cluster.with_backend_engine(0, b, |e| {
+                        let c = e.connect(replimid_sql::ADMIN_USER, replimid_sql::ADMIN_PASSWORD).expect("admin login");
+                        e.execute(c, "USE bench").expect("USE");
+                        let out = e.execute(c, &format!("SELECT k, v FROM t{g} ORDER BY k")).expect("scan").outcome;
+                        e.disconnect(c);
+                        let mut h = DefaultHasher::new();
+                        format!("{out:?}").hash(&mut h);
+                        h.finish()
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    (cms, cluster.mw_metrics(0), sums)
+}
+
+/// The writeset twin of `group_commit_batching_preserves_outcomes`: a
+/// slot of several certified commits reaches each host as one `Apply`,
+/// and that changes no outcome. At G = 1 and with three groups on two of
+/// three backends each, `batch_max = 1` and `batch_max = N` commit every
+/// client's allotment, every host of a group ends with the same rows, the
+/// same in both arms, and the spans tile every trace.
+#[test]
+fn writeset_group_commit_preserves_outcomes() {
+    detcheck::check("writeset_group_commit_preserves_outcomes", 3, |rng| {
+        let seed = rng.gen_range(0u64..1000);
+        // At least two clients per table in some group, so that slots of
+        // several commits form under either placement.
+        let clients = rng.gen_range(4usize..7);
+        let batch_max = rng.gen_range(2usize..17);
+        let deadline_us = rng.gen_range(100u64..1500);
+        let mut striped = Placement::striped(3, 3, 2);
+        for g in 0..3 {
+            striped = striped.assign(&format!("t{g}"), g);
+        }
+        for placement in [None, Some(striped)] {
+            let label = if placement.is_some() { "G=3" } else { "G=1" };
+            let (c1, m1, s1) = run_ws_batch_case(seed, clients, placement.clone(), 1, 200);
+            let (cb, mb, sb) = run_ws_batch_case(seed, clients, placement, batch_max, deadline_us);
+            for (cm, arm) in c1.iter().map(|c| (c, "batch=1")).chain(cb.iter().map(|c| (c, "batched"))) {
+                assert_eq!(cm.committed, 60, "{label} {arm}: incomplete allotment");
+                assert_eq!(cm.aborted, 0, "{label} {arm}: unexpected aborts");
+                assert_eq!(cm.failed, 0, "{label} {arm}: failed transactions");
+            }
+            for (sums, arm) in [(&s1, "batch=1"), (&sb, "batched")] {
+                for (g, hosts) in sums.iter().enumerate() {
+                    assert!(hosts.windows(2).all(|w| w[0] == w[1]), "{label} {arm}: group {g} diverged: {sums:?}");
+                }
+            }
+            assert_eq!(s1, sb, "{label}: the batched arm reached a different final state");
+            let (slots, events) = (mb.batch_sizes.count(), mb.batch_sizes.sum_us());
+            assert!(events > slots, "{label}: no slot held several commits ({events} in {slots})");
+            let other = Stage::Other.idx();
+            for (mw, arm) in [(&m1, "batch=1"), (&mb, "batched")] {
+                assert_eq!(mw.trace.open_count(), 0, "{label} {arm}: trace left open");
+                for t in mw.trace.completed() {
+                    assert_eq!(t.stage_us[other], 0, "{label} {arm}: unattributed time");
+                }
+            }
+        }
+    });
+}
+
 /// Scan-only readers: service time dominates the scored latency, so a
 /// brownout factor of f shows up as roughly f x the healthy latency
 /// (point reads are network-dominated and can hide a mild brownout from

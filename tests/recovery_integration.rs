@@ -101,7 +101,6 @@ fn rejoin_under_load_uses_barrier_and_converges() {
     // Heavy write load while a replica replays: the final hop needs the
     // global barrier; the cluster still converges once the writers stop.
     let mut cfg = mm_cfg();
-    cfg.mw.barrier_threshold = 32;
     cfg.mw.recovery_batch = 128;
     let mut cluster = Cluster::build(cfg);
     let c1 = cluster.add_client(SeqInsert { next: 100_000 }, |cc| {
