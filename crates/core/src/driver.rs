@@ -263,11 +263,6 @@ impl Driver {
         self.stopped = true;
     }
 
-    /// The session ids the driver's slots hold.
-    pub fn sessions(&self) -> std::ops::Range<u64> {
-        self.first_session..self.first_session + self.slots.len() as u64
-    }
-
     /// Arm slot `idx`'s one timer, cancelling the one before it.
     fn arm(&mut self, ctx: &mut Ctx<'_, Msg>, idx: usize, delay_us: u64, wait: Wait) {
         let slot = &mut self.slots[idx];

@@ -48,7 +48,7 @@ mod ship;
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use replimid_gcs::{AdaptiveConfig, GcsConfig, HeartbeatConfig, MemberId};
+use replimid_gcs::{AdaptiveConfig, HeartbeatConfig, MemberId};
 use replimid_simnet::{Actor, Ctx, NodeId, SimTime};
 
 use replimid_sql::ast::{IsolationLevel, Statement};
@@ -169,7 +169,6 @@ pub struct MwConfig {
     pub heartbeat: HeartbeatConfig,
     /// Per-operation timeout (detects backend death mid-request).
     pub op_timeout_us: u64,
-    pub gcs: GcsConfig,
     /// (database, table) -> primary key column index (the certifier's schema
     /// knowledge; built by the cluster builder).
     pub pk_map: HashMap<(String, String), usize>,
@@ -239,7 +238,6 @@ impl MwConfig {
             read_policy: ReadPolicy::Any,
             heartbeat: HeartbeatConfig::lan(),
             op_timeout_us: 1_000_000,
-            gcs: GcsConfig::lan(replimid_gcs::OrderProtocol::FixedSequencer),
             pk_map: HashMap::new(),
             recovery_batch: 64,
             replay_mode: ReplayMode::Serial,
@@ -577,7 +575,7 @@ impl Middleware {
         // by every backend.
         let placement =
             cfg.placement.clone().unwrap_or_else(|| Placement::new(vec![(0..n).collect()]));
-        let shards = Shards::new(placement, MemberId(me_idx), peers.len(), cfg.gcs, n);
+        let shards = Shards::new(placement, MemberId(me_idx), peers.len(), n);
         Middleware {
             backends: backends
                 .into_iter()

@@ -7,7 +7,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use replimid_gcs::{Action as GAction, GcsConfig, MemberId, ShardedMember};
+use replimid_gcs::{Action as GAction, GcsConfig, MemberId, OrderProtocol, ShardedMember};
 use replimid_simnet::Ctx;
 use replimid_sql::ast::Statement;
 use replimid_sql::{SqlError, Watermark, Writeset};
@@ -23,6 +23,10 @@ use crate::partition::Placement;
 use crate::recovery::{LogPayload, RecoveryLog};
 use crate::rewrite::{prepare_for_broadcast, NondetPolicy, Prepared};
 use crate::trace::Stage;
+
+/// The group communication every middleware runs: LAN timings, and a
+/// fixed sequencer ordering each group's stream.
+const GCS: GcsConfig = GcsConfig::lan(OrderProtocol::FixedSequencer);
 
 /// Per-group replication state. Group `g` has its own sequencer (`member`
 /// shard `g`), certifier shard, recovery-log stream, and group-commit
@@ -80,11 +84,11 @@ pub(super) enum FlushReason {
 }
 
 impl Shards {
-    pub(super) fn new(placement: Placement, me: MemberId, peers: usize, gcs: GcsConfig, backends: usize) -> Self {
+    pub(super) fn new(placement: Placement, me: MemberId, peers: usize, backends: usize) -> Self {
         let groups = placement.groups();
         let members: Vec<MemberId> = (0..peers).map(MemberId).collect();
         Shards {
-            member: ShardedMember::new(me, members, gcs, 0, groups),
+            member: ShardedMember::new(me, members, GCS, 0, groups),
             certs: (0..groups).map(|_| Certifier::new()).collect(),
             logs: (0..groups).map(|_| RecoveryLog::new()).collect(),
             marks: (0..backends).map(|_| (0..groups).map(|_| Watermark::new()).collect()).collect(),
@@ -672,8 +676,7 @@ mod tests {
 
     fn shards(groups: usize) -> Shards {
         let placement = Placement::new(vec![vec![0, 1]; groups]);
-        let gcs = GcsConfig::lan(replimid_gcs::OrderProtocol::FixedSequencer);
-        Shards::new(placement, MemberId(0), 1, gcs, 2)
+        Shards::new(placement, MemberId(0), 1, 2)
     }
 
     fn end(session: u64) -> ReplEvent {

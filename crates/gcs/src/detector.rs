@@ -29,7 +29,7 @@ pub struct HeartbeatConfig {
 
 impl HeartbeatConfig {
     /// A tuned LAN detector: 20ms beats, 100ms timeout.
-    pub fn lan() -> Self {
+    pub const fn lan() -> Self {
         HeartbeatConfig { interval_us: 20_000, timeout_us: 100_000 }
     }
 

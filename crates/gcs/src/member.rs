@@ -53,7 +53,7 @@ pub struct GcsConfig {
 }
 
 impl GcsConfig {
-    pub fn lan(protocol: OrderProtocol) -> Self {
+    pub const fn lan(protocol: OrderProtocol) -> Self {
         GcsConfig {
             heartbeat: HeartbeatConfig::lan(),
             protocol,

@@ -63,6 +63,11 @@ impl Database {
             .ok_or_else(|| SqlError::UnknownTable(format!("{db}.{name}")))
     }
 
+    /// Does any trigger fire for `event` on `table`?
+    pub fn has_triggers(&self, table: &str, event: TriggerEvent) -> bool {
+        self.triggers.iter().any(|t| t.table == table && t.event == event)
+    }
+
     /// Triggers firing for `event` on `table`, in definition order.
     pub fn triggers_for(&self, table: &str, event: TriggerEvent) -> Vec<TriggerDef> {
         self.triggers

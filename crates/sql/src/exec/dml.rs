@@ -178,10 +178,15 @@ pub fn execute_insert(
             inserted.push((id, row));
         }
     }
-    let mut new_images = Vec::with_capacity(inserted.len());
+    // Only an INSERT trigger needs the new rows after this: without one,
+    // each moves into its write record.
+    let triggered = has_triggers(ctx, &loc, TriggerEvent::Insert)?;
+    let mut new_images = Vec::new();
     for (id, row) in inserted {
-        record_write(ctx, &loc, id, WriteKind::Insert, None, Some(row.clone()))?;
-        new_images.push(row);
+        if triggered {
+            new_images.push(row.clone());
+        }
+        record_write(ctx, &loc, id, WriteKind::Insert, None, Some(row))?;
     }
     ctx.rows_written += count;
 
@@ -344,6 +349,13 @@ pub fn lock_for_update(
 // ---------------------------------------------------------------------
 // Triggers
 // ---------------------------------------------------------------------
+
+/// Does `event` on the table at `loc` fire a trigger? Temp tables never
+/// have triggers.
+fn has_triggers(ctx: &StmtCtx<'_>, loc: &TableLoc, event: TriggerEvent) -> Result<bool, SqlError> {
+    let TableLoc::Db(db, table) = loc else { return Ok(false) };
+    Ok(ctx.catalog.database(db)?.has_triggers(table, event))
+}
 
 /// Fire AFTER triggers for `event`. `news`/`olds` are per-affected-row
 /// images; bodies see `NEW.<col>` and `OLD.<col>` bindings. Trigger bodies

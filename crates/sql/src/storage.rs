@@ -100,16 +100,85 @@ impl Version {
     }
 }
 
-/// Version chains by row id, oldest version first.
-type Chains = BTreeMap<RowId, Vec<Version>>;
+/// One row's versions, oldest first: 48 bytes. Nearly every row has a
+/// single version, kept inline so the row needs no heap block of its own.
+/// A chain with no versions is a slot emptied by an abort or by vacuum; it
+/// allocates nothing.
+#[derive(Debug, Clone)]
+enum Chain {
+    One(Version),
+    Many(Vec<Version>),
+}
+
+impl Chain {
+    const EMPTY: Chain = Chain::Many(Vec::new());
+
+    fn versions(&self) -> &[Version] {
+        match self {
+            Chain::One(v) => std::slice::from_ref(v),
+            Chain::Many(vs) => vs,
+        }
+    }
+
+    fn versions_mut(&mut self) -> &mut [Version] {
+        match self {
+            Chain::One(v) => std::slice::from_mut(v),
+            Chain::Many(vs) => vs,
+        }
+    }
+
+    /// Append `v` as the newest version.
+    fn push(&mut self, v: Version) {
+        *self = match std::mem::replace(self, Chain::EMPTY) {
+            Chain::One(first) => Chain::Many(vec![first, v]),
+            Chain::Many(mut vs) => {
+                vs.push(v);
+                Chain::Many(vs)
+            }
+        };
+    }
+
+    /// Keep the versions `keep` accepts, back inline when one is left.
+    fn retain(&mut self, mut keep: impl FnMut(&Version) -> bool) {
+        *self = match std::mem::replace(self, Chain::EMPTY) {
+            Chain::One(v) if keep(&v) => Chain::One(v),
+            Chain::One(_) => Chain::EMPTY,
+            Chain::Many(mut vs) => {
+                vs.retain(keep);
+                match vs.len() {
+                    0 => Chain::EMPTY,
+                    1 => Chain::One(vs.pop().expect("one version")),
+                    _ => Chain::Many(vs),
+                }
+            }
+        };
+    }
+}
+
+/// Version chains in a slab: row ids are minted densely from 1 by
+/// [`Table::insert`] and never reused, so `RowId(n)` lives in slot `n - 1`
+/// and slot order is row-id order. A slot emptied by an aborted insert or
+/// by vacuum keeps its 48 bytes.
+type Chains = Vec<Chain>;
+
+/// The slot of `row` (none for `RowId(0)`, which is never minted).
+fn slot(row: RowId) -> usize {
+    row.0.wrapping_sub(1) as usize
+}
+
+/// The versions of `row`, oldest first; none if it has no slot or its slot
+/// was emptied.
+fn versions(rows: &[Chain], row: RowId) -> &[Version] {
+    rows.get(slot(row)).map_or(&[], Chain::versions)
+}
 
 /// The rows the primary-key index lists under one key: one, unless a key
 /// was deleted and reinserted or moved by an update before vacuum pruned
-/// the stale rows, so the one is kept inline.
+/// the stale rows, so the one is kept inline. 16 bytes.
 #[derive(Debug, Clone)]
 enum RowIds {
     One(RowId),
-    Many(Vec<RowId>),
+    Many(Box<[RowId]>),
 }
 
 impl RowIds {
@@ -122,10 +191,9 @@ impl RowIds {
 
     /// List `id` too, once.
     fn add(&mut self, id: RowId) {
-        match self {
-            RowIds::One(first) if *first != id => *self = RowIds::Many(vec![*first, id]),
-            RowIds::Many(ids) if !ids.contains(&id) => ids.push(id),
-            _ => {}
+        let ids = self.as_slice();
+        if !ids.contains(&id) {
+            *self = RowIds::Many(ids.iter().copied().chain([id]).collect());
         }
     }
 
@@ -134,10 +202,11 @@ impl RowIds {
         match self {
             RowIds::One(id) => keep(id),
             RowIds::Many(ids) => {
-                ids.retain(keep);
-                if let [id] = ids[..] {
-                    *self = RowIds::One(id);
-                }
+                let kept: Vec<RowId> = ids.iter().copied().filter(|id| keep(id)).collect();
+                *self = match kept[..] {
+                    [id] => RowIds::One(id),
+                    _ => RowIds::Many(kept.into()),
+                };
                 !self.as_slice().is_empty()
             }
         }
@@ -161,7 +230,6 @@ pub struct Table {
     rows: Chains,
     /// PK value -> candidate row ids (stale entries pruned lazily).
     pk_index: BTreeMap<IndexKey, RowIds>,
-    next_row_id: u64,
     /// Non-transactional AUTO_INCREMENT counter: advances even when the
     /// surrounding transaction rolls back (§4.2.3 / §4.3.2).
     pub auto_inc: i64,
@@ -192,38 +260,38 @@ impl Table {
     pub fn new(schema: TableSchema) -> Self {
         Table {
             schema,
-            rows: BTreeMap::new(),
+            rows: Vec::new(),
             pk_index: BTreeMap::new(),
-            next_row_id: 1,
             auto_inc: 0,
             last_commit_ts: CommitTs::ZERO,
         }
     }
 
-    /// Number of row version chains (live + dead); exposed for vacuum tests.
+    /// Number of row version chains (live + dead) that hold a version;
+    /// exposed for vacuum tests.
     pub fn chain_count(&self) -> usize {
-        self.rows.len()
+        self.rows.iter().filter(|c| !c.versions().is_empty()).count()
     }
 
     pub fn version_count(&self) -> usize {
-        self.rows.values().map(|c| c.len()).sum()
+        self.rows.iter().map(|c| c.versions().len()).sum()
     }
 
     /// Iterate over rows visible to `snap`.
     pub fn scan<'a>(&'a self, snap: Snapshot) -> impl Iterator<Item = (RowId, &'a [Value])> + 'a {
-        self.rows.iter().filter_map(move |(id, chain)| {
+        self.rows.iter().enumerate().filter_map(move |(i, chain)| {
             chain
+                .versions()
                 .iter()
                 .rev()
                 .find(|v| v.visible_to(snap))
-                .map(|v| (*id, &v.values[..]))
+                .map(|v| (RowId(i as u64 + 1), &v.values[..]))
         })
     }
 
     /// Read one row if visible.
     pub fn get(&self, row: RowId, snap: Snapshot) -> Option<&[Value]> {
-        self.rows
-            .get(&row)?
+        versions(&self.rows, row)
             .iter()
             .rev()
             .find(|v| v.visible_to(snap))
@@ -256,7 +324,7 @@ impl Table {
     /// Open transactions other than `me` that hold `row`: each created a
     /// version of it that is not committed yet, or ended one.
     pub fn row_holders(&self, row: RowId, me: TxId) -> Vec<TxId> {
-        holders(self.rows.get(&row).into_iter().flatten(), me)
+        holders(versions(&self.rows, row).iter(), me)
     }
 
     /// Open transactions other than `me` that hold primary key `key` with
@@ -272,7 +340,7 @@ impl Table {
     /// and listing the row under it take one index descent.
     pub fn insert(&mut self, values: Vec<Value>, snap: Snapshot) -> Result<RowId, SqlError> {
         debug_assert_eq!(values.len(), self.schema.columns.len());
-        let id = RowId(self.next_row_id);
+        let id = RowId(self.rows.len() as u64 + 1);
         if let Some(pk) = self.schema.primary_key {
             let key = &values[pk];
             if key.is_null() {
@@ -291,8 +359,7 @@ impl Table {
                 }
             }
         }
-        self.next_row_id += 1;
-        self.rows.insert(id, vec![Version::new(snap.tx, values)]);
+        self.rows.push(Chain::One(Version::new(snap.tx, values)));
         Ok(id)
     }
 
@@ -304,9 +371,9 @@ impl Table {
         snap: Snapshot,
         first_committer_wins: bool,
     ) -> Result<usize, ConflictKind> {
-        let chain = self.rows.get(&row).expect("writable_version on missing row");
+        let chain = versions(&self.rows, row);
         // The newest version is last in the chain.
-        let idx = chain.len() - 1;
+        let idx = chain.len().checked_sub(1).expect("writable_version on missing row");
         let v = &chain[idx];
         if let Some(etx) = v.end_tx() {
             if etx != snap.tx && v.end_ts.is_none() {
@@ -352,10 +419,10 @@ impl Table {
         let idx = self
             .writable_version(row, snap, first_committer_wins)
             .map_err(ConflictOrError::Conflict)?;
-        let chain = self.rows.get_mut(&row).expect("row exists");
-        let before = chain[idx].values.to_vec();
-        chain[idx].end_tx = stamp(snap.tx.0);
-        chain[idx].end_ts = None;
+        let newest = &mut self.rows[slot(row)].versions_mut()[idx];
+        let before = newest.values.to_vec();
+        newest.end_tx = stamp(snap.tx.0);
+        newest.end_ts = None;
         if let Some(pk) = self.schema.primary_key {
             if before[pk] != values[pk] {
                 self.pk_index
@@ -364,8 +431,7 @@ impl Table {
                     .or_insert(RowIds::One(row));
             }
         }
-        let chain = self.rows.get_mut(&row).expect("row exists");
-        chain.push(Version::new(snap.tx, values));
+        self.rows[slot(row)].push(Version::new(snap.tx, values));
         Ok(before)
     }
 
@@ -379,17 +445,17 @@ impl Table {
         let idx = self
             .writable_version(row, snap, first_committer_wins)
             .map_err(ConflictOrError::Conflict)?;
-        let chain = self.rows.get_mut(&row).expect("row exists");
-        let before = chain[idx].values.to_vec();
-        chain[idx].end_tx = stamp(snap.tx.0);
-        chain[idx].end_ts = None;
+        let newest = &mut self.rows[slot(row)].versions_mut()[idx];
+        let before = newest.values.to_vec();
+        newest.end_tx = stamp(snap.tx.0);
+        newest.end_ts = None;
         Ok(before)
     }
 
     /// Stamp all versions written by `tx` with its commit timestamp.
     pub fn commit_stamp(&mut self, row: RowId, tx: TxId, ts: CommitTs) {
-        if let Some(chain) = self.rows.get_mut(&row) {
-            for v in chain {
+        if let Some(chain) = self.rows.get_mut(slot(row)) {
+            for v in chain.versions_mut() {
                 if v.begin_tx == tx && v.begin_ts.is_none() {
                     v.begin_ts = stamp(ts.0);
                 }
@@ -405,15 +471,12 @@ impl Table {
 
     /// Unwind the effects of an aborted transaction on `row`.
     pub fn abort_unwind(&mut self, row: RowId, tx: TxId) {
-        if let Some(chain) = self.rows.get_mut(&row) {
+        if let Some(chain) = self.rows.get_mut(slot(row)) {
             chain.retain(|v| !(v.begin_tx == tx && v.begin_ts.is_none()));
-            for v in chain.iter_mut() {
+            for v in chain.versions_mut() {
                 if v.end_tx() == Some(tx) && v.end_ts.is_none() {
                     v.end_tx = None;
                 }
-            }
-            if chain.is_empty() {
-                self.rows.remove(&row);
             }
         }
     }
@@ -422,21 +485,14 @@ impl Table {
     /// §4.4.4). Returns the number of versions reclaimed.
     pub fn vacuum(&mut self, horizon: CommitTs) -> usize {
         let mut reclaimed = 0;
-        let mut dead_rows = Vec::new();
-        for (id, chain) in &mut self.rows {
-            let before = chain.len();
+        for chain in &mut self.rows {
+            let before = chain.versions().len();
             chain.retain(|v| !v.garbage(horizon));
-            reclaimed += before - chain.len();
-            if chain.is_empty() {
-                dead_rows.push(*id);
-            }
+            reclaimed += before - chain.versions().len();
         }
-        for id in dead_rows {
-            self.rows.remove(&id);
-        }
-        // Prune index entries pointing at vanished rows.
+        // Prune index entries pointing at emptied slots.
         let rows = &self.rows;
-        self.pk_index.retain(|_, ids| ids.retain(|id| rows.contains_key(id)));
+        self.pk_index.retain(|_, ids| ids.retain(|&id| !versions(rows, id).is_empty()));
         reclaimed
     }
 
@@ -480,12 +536,12 @@ impl Table {
 /// Every version, of the rows `ids` (the index's list under `key`), whose
 /// primary key (column `pk`) is `key`.
 fn key_versions<'a>(
-    rows: &'a Chains,
+    rows: &'a [Chain],
     ids: &'a [RowId],
     pk: usize,
     key: &'a Value,
 ) -> impl Iterator<Item = &'a Version> + 'a {
-    ids.iter().filter_map(|id| rows.get(id)).flatten().filter(move |v| v.values[pk] == *key)
+    ids.iter().flat_map(|&id| versions(rows, id)).filter(move |v| v.values[pk] == *key)
 }
 
 /// May `snap` write a row whose primary key (column `pk`) is `key`, given
@@ -495,7 +551,7 @@ fn key_versions<'a>(
 /// committed since.
 fn claim_key(
     schema: &TableSchema,
-    rows: &Chains,
+    rows: &[Chain],
     ids: &[RowId],
     pk: usize,
     key: &Value,
@@ -692,6 +748,113 @@ mod tests {
         let size = std::mem::size_of::<Version>();
         println!("footprint: size_of Version: {size} bytes");
         assert_eq!(size, 48);
+    }
+
+    #[test]
+    fn a_chain_is_48_bytes_and_a_key_list_16() {
+        let chain = std::mem::size_of::<Chain>();
+        let ids = std::mem::size_of::<RowIds>();
+        println!("footprint: size_of Chain: {chain} bytes, RowIds: {ids} bytes");
+        assert_eq!(chain, 48);
+        assert_eq!(ids, 16);
+    }
+
+    fn row(k: i64) -> Vec<Value> {
+        vec![Value::Int(k), Value::Null]
+    }
+
+    fn is_one(t: &Table, id: RowId) -> bool {
+        matches!(t.rows[slot(id)], Chain::One(_))
+    }
+
+    #[test]
+    fn a_slot_emptied_by_an_aborted_insert_is_invisible() {
+        let mut t = Table::new(schema());
+        let kept = t.insert(row(1), snap(1, 0)).unwrap();
+        t.commit_stamp(kept, TxId(1), CommitTs(1));
+        let gone = t.insert(row(2), snap(2, 1)).unwrap();
+        t.abort_unwind(gone, TxId(2));
+        // Its own transaction, another one and a committed snapshot alike.
+        for s in [snap(2, 1), snap(3, 1), snap(4, 9)] {
+            assert_eq!(t.scan(s).map(|(id, _)| id).collect::<Vec<_>>(), vec![kept]);
+            assert!(t.get(gone, s).is_none());
+            assert!(t.lookup_pk(&Value::Int(2), s).is_none());
+        }
+        assert!(t.row_holders(gone, TxId(9)).is_empty());
+        assert!(t.key_holders(&Value::Int(2), TxId(9)).is_empty());
+        assert!(t.get(RowId(0), snap(4, 9)).is_none(), "row id 0 is never minted");
+        assert!(t.get(RowId(99), snap(4, 9)).is_none());
+        // The key is free again, and the slot is not reused.
+        let again = t.insert(row(2), snap(5, 1)).unwrap();
+        assert_eq!(again, RowId(3));
+        assert_eq!((t.chain_count(), t.version_count()), (2, 2));
+    }
+
+    #[test]
+    fn counts_stay_exact_from_insert_to_vacuum() {
+        let mut t = Table::new(schema());
+        let counts = |t: &Table| (t.chain_count(), t.version_count());
+        let a = t.insert(row(1), snap(1, 0)).unwrap();
+        let b = t.insert(row(2), snap(1, 0)).unwrap();
+        assert_eq!(counts(&t), (2, 2));
+        t.commit_stamp(a, TxId(1), CommitTs(1));
+        t.commit_stamp(b, TxId(1), CommitTs(1));
+        // An update adds a version; its abort takes it away again.
+        t.update(a, vec![Value::Int(1), Value::Text("x".into())], snap(2, 1), true).unwrap();
+        assert_eq!(counts(&t), (2, 3));
+        t.abort_unwind(a, TxId(2));
+        assert_eq!(counts(&t), (2, 2));
+        // A committed update keeps both versions until vacuum.
+        t.update(a, vec![Value::Int(1), Value::Text("y".into())], snap(3, 1), true).unwrap();
+        t.commit_stamp(a, TxId(3), CommitTs(3));
+        assert_eq!(counts(&t), (2, 3));
+        // A delete adds no version.
+        t.delete(b, snap(4, 3), true).unwrap();
+        t.commit_stamp(b, TxId(4), CommitTs(4));
+        assert_eq!(counts(&t), (2, 3));
+        // A horizon before the delete keeps `b`; the last one empties its slot.
+        assert_eq!(t.vacuum(CommitTs(3)), 1);
+        assert_eq!(counts(&t), (2, 2));
+        assert_eq!(t.vacuum(CommitTs(4)), 1);
+        assert_eq!(counts(&t), (1, 1));
+        assert_eq!(t.vacuum(CommitTs(4)), 0);
+        assert_eq!(counts(&t), (1, 1));
+    }
+
+    #[test]
+    fn a_chain_goes_inline_to_a_list_and_back() {
+        let mut t = Table::new(schema());
+        let id = t.insert(row(1), snap(1, 0)).unwrap();
+        t.commit_stamp(id, TxId(1), CommitTs(1));
+        assert!(is_one(&t, id));
+        t.update(id, vec![Value::Int(1), Value::Text("x".into())], snap(2, 1), true).unwrap();
+        t.commit_stamp(id, TxId(2), CommitTs(2));
+        assert!(!is_one(&t, id));
+        assert_eq!(t.get(id, snap(9, 1)).unwrap()[1], Value::Null);
+        assert_eq!(t.get(id, snap(9, 2)).unwrap()[1], Value::Text("x".into()));
+        assert_eq!(t.vacuum(CommitTs(2)), 1);
+        assert!(is_one(&t, id));
+        assert_eq!(t.get(id, snap(9, 2)).unwrap()[1], Value::Text("x".into()));
+        assert_eq!(t.lookup_pk(&Value::Int(1), snap(9, 2)).map(|(r, _)| r), Some(id));
+    }
+
+    #[test]
+    fn a_table_whose_first_rows_aborted_scans_and_inserts() {
+        let mut t = Table::new(schema());
+        for k in 1..=3 {
+            let id = t.insert(row(k), snap(1, 0)).unwrap();
+            t.abort_unwind(id, TxId(1));
+        }
+        assert_eq!(t.scan(snap(9, 9)).count(), 0);
+        assert_eq!(t.chain_count(), 0);
+        let id = t.insert(row(1), snap(2, 0)).unwrap();
+        assert_eq!(id, RowId(4));
+        t.commit_stamp(id, TxId(2), CommitTs(1));
+        let seen: Vec<(RowId, Vec<Value>)> =
+            t.scan(snap(9, 1)).map(|(r, v)| (r, v.to_vec())).collect();
+        assert_eq!(seen, vec![(id, row(1))]);
+        assert_eq!(t.lookup_pk(&Value::Int(1), snap(9, 1)).map(|(r, _)| r), Some(id));
+        assert!(matches!(t.insert(row(1), snap(3, 1)), Err(SqlError::DuplicateKey(_))));
     }
 
     /// One key listed under one row, then several, then one again, with

@@ -110,7 +110,7 @@ fn insert(e: &mut Engine, c: ConnId, template: &Statement, k: i64) {
 const ROWS: i64 = 20_000;
 
 #[test]
-fn a_stored_row_costs_at_most_260_bytes_in_2_5_blocks() {
+fn a_stored_row_costs_at_most_210_bytes_in_1_2_blocks() {
     let (mut e, c, template) = engine();
     let t = counted(|| {
         for k in 0..ROWS {
@@ -120,17 +120,18 @@ fn a_stored_row_costs_at_most_260_bytes_in_2_5_blocks() {
     let bytes = t.live_bytes as f64 / ROWS as f64;
     let blocks = t.live_blocks as f64 / ROWS as f64;
     println!("footprint: live heap per stored row: {bytes:.1} bytes in {blocks:.2} blocks");
-    assert!(bytes <= 260.0, "{bytes:.1} bytes per row");
-    assert!(blocks <= 2.5, "{blocks:.2} blocks per row");
+    assert!(bytes <= 210.0, "{bytes:.1} bytes per row");
+    assert!(blocks <= 1.2, "{blocks:.2} blocks per row");
 }
 
 /// Blocks per prepared autocommit INSERT, bind included (41.3 while an
 /// autocommit rendered its SQL text for a binlog that drops it and commit
-/// cloned its write records).
-const INSERT_BLOCKS: f64 = 28.3;
+/// cloned its write records; 28.3 while each row had a chain block of its
+/// own and a second copy kept for triggers the table did not have).
+const INSERT_BLOCKS: f64 = 25.2;
 
 #[test]
-fn a_prepared_autocommit_insert_allocates_28_3_blocks() {
+fn a_prepared_autocommit_insert_allocates_25_2_blocks() {
     let (mut e, c, template) = engine();
     // Warm the engine's maps up first: what is measured is the steady state.
     for k in 0..1_000 {

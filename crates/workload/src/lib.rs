@@ -30,7 +30,4 @@ pub use batch::BatchUpdate;
 pub use broker::Broker;
 pub use faults::{FaultSchedule, GrayFault, GrayFaultSchedule, GrayKind, GraySpec};
 pub use micro::{KeyedUpdates, PointReads, ReadWriteMix};
-pub use openloop::{
-    add_open_loop, end_open_loop_sessions, open_loop_metrics, ArrivalProcess, OpenLoopConfig,
-    OpenLoopMetrics,
-};
+pub use openloop::{add_open_loop, open_loop_metrics, ArrivalProcess, OpenLoopConfig, OpenLoopMetrics};

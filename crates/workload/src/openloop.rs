@@ -1,7 +1,6 @@
 //! The open-loop driver (`replimid_core::driver`'s open shape) attached to
 //! a built cluster.
 
-use replimid_core::msg::{AdminCmd, Msg, SessionId};
 use replimid_core::{Cluster, Driver};
 use replimid_simnet::NodeId;
 
@@ -20,17 +19,6 @@ pub fn add_open_loop(cluster: &mut Cluster, mw: usize, mut cfg: OpenLoopConfig) 
 /// Snapshot an attached driver's metrics.
 pub fn open_loop_metrics(cluster: &mut Cluster, node: NodeId) -> OpenLoopMetrics {
     cluster.sim.with_actor::<Driver, _>(node, |d| OpenLoopMetrics::from(&d.metrics))
-}
-
-/// End the sessions a finished driver holds open (the middleware keeps
-/// per-session state until told otherwise — the session-leak lesson).
-pub fn end_open_loop_sessions(cluster: &mut Cluster, mw: usize, driver: NodeId) {
-    let sessions = cluster.sim.with_actor::<Driver, _>(driver, |d| d.sessions());
-    let at = cluster.sim.now() + 1;
-    let node = cluster.mw_nodes[mw];
-    for session in sessions {
-        cluster.sim.inject(at, node, Msg::Admin(AdminCmd::EndSession { session: SessionId(session) }));
-    }
 }
 
 #[cfg(test)]
