@@ -759,3 +759,37 @@ fn partition_host_rejoins_by_log_replay() {
     let sums = &cluster.backend_checksums()[0];
     assert_eq!(sums[victim], sums[peer], "the rejoined host differs from its peer");
 }
+
+/// Inserts into one named table, one fresh key per transaction.
+struct InsertInto {
+    table: &'static str,
+    next: i64,
+}
+
+impl TxSource for InsertInto {
+    fn next_tx(&mut self, _rng: &mut DetRng) -> Vec<String> {
+        self.next += 1;
+        vec![format!("INSERT INTO {} VALUES ({}, 1)", self.table, self.next)]
+    }
+}
+
+/// A bare name in a placement means the cluster's default database: with
+/// `bench.t0` in group 1, a write to `other.t0`, a table of another
+/// database with the same name, certifies in group 0, and a write to
+/// `bench.t0` in group 1.
+#[test]
+fn a_bare_placement_name_is_a_table_of_the_default_database() {
+    let mut cfg = partial_ws_cfg(1, 2, Some(Placement::new(vec![vec![0, 1], vec![0, 1]]).assign("t0", 1)));
+    cfg.schema.extend(["CREATE DATABASE other".to_string(), "CREATE TABLE other.t0 (k INT PRIMARY KEY, v INT)".to_string()]);
+    let mut cluster = Cluster::build(cfg);
+    let limit = |cc: &mut replimid_core::ClientConfig| cc.tx_limit = 5;
+    let other = cluster.add_client(InsertInto { table: "other.t0", next: 0 }, limit);
+    let bench = cluster.add_client(InsertInto { table: "t0", next: 100 }, limit);
+    run_and_drain(&mut cluster, 1);
+    for c in [other, bench] {
+        let m = cluster.client_metrics(c);
+        assert_eq!((m.committed, m.failed), (5, 0));
+    }
+    let heads = cluster.with_middleware(0, |m| (m.group_log(0).head(), m.group_log(1).head()));
+    assert_eq!(heads, (5, 5), "other.t0 certifies in group 0, bench.t0 in group 1");
+}

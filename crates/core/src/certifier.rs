@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use replimid_sql::{Writeset, WsKey};
+use replimid_sql::{TableName, Writeset, WsKey};
 
 /// One certified transaction in the conflict window.
 #[derive(Debug, Clone)]
@@ -83,15 +83,16 @@ impl Certifier {
     }
 
     /// Certify a transaction that began at `start_pos` with writeset `ws`.
-    /// `pk_of` resolves primary keys for key extraction. Deterministic:
-    /// every replica feeding the same ordered stream gets the same verdicts.
-    pub fn certify(
-        &mut self,
-        start_pos: u64,
-        ws: &Writeset,
-        pk_of: impl Fn(&str, &str) -> Option<usize>,
-    ) -> Verdict {
-        let keys: Vec<WsKey> = ws.keys(&pk_of);
+    /// `pk_of` resolves primary keys, by database and table name, for key
+    /// extraction. Deterministic: every replica feeding the same ordered
+    /// stream gets the same verdicts.
+    pub fn certify(&mut self, start_pos: u64, ws: &Writeset, pk_of: impl Fn(&str, &str) -> Option<usize>) -> Verdict {
+        self.certify_by_table(start_pos, ws, |t| pk_of(t.database(), t.table()))
+    }
+
+    /// [`Certifier::certify`], with primary keys resolved by table.
+    pub fn certify_by_table(&mut self, start_pos: u64, ws: &Writeset, pk_of: impl Fn(&TableName) -> Option<usize>) -> Verdict {
+        let keys: Vec<WsKey> = ws.keys(pk_of);
         let hashes: Vec<u64> = keys.iter().map(WsKey::hash).collect();
         self.stats.checks += 1;
         self.stats.keys_checked += hashes.len() as u64;
@@ -184,13 +185,11 @@ mod tests {
             entries: keys
                 .iter()
                 .map(|&k| WriteRecord {
-                    database: "d".into(),
-                    table: "t".into(),
+                    table: TableName::new("d", "t"),
                     row: RowId(k as u64),
                     kind: WriteKind::Update,
                     old: Some(vec![Value::Int(k), Value::Int(0)]),
                     new: Some(vec![Value::Int(k), Value::Int(1)]),
-                    temp: false,
                 })
                 .collect(),
             counters: None,

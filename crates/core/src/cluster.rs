@@ -4,7 +4,7 @@
 //! surface used by examples, integration tests, and the experiment binary.
 
 use replimid_simnet::{ControlOp, LinkFault, NetworkModel, NodeId, Sim, SimTime};
-use replimid_sql::{Engine, EngineConfig, ADMIN_PASSWORD, ADMIN_USER};
+use replimid_sql::{Engine, EngineConfig, TableName, ADMIN_PASSWORD, ADMIN_USER};
 
 use crate::client::{Client, ClientConfig, ClientMetrics};
 use crate::db_node::DbNode;
@@ -66,21 +66,12 @@ impl Cluster {
     /// backend, like replicas initialized from the same dump).
     pub fn build(cfg: ClusterConfig) -> Cluster {
         let mut cfg = cfg;
-        // Fill in the certifier's schema knowledge from the schema script,
-        // and key each partitioned table of the placement by the same index.
-        let keys = primary_keys(&cfg.schema);
-        if cfg.mw.pk_map.is_empty() {
-            cfg.mw.pk_map = keys.iter().map(|(db, table, at, _)| ((db.clone(), table.clone()), *at)).collect();
-        }
-        if let Some(p) = &mut cfg.mw.placement {
-            p.bind_keys(|t| keys.iter().find(|k| k.1 == t).map(|k| (k.2, k.3.as_str())))
-                .unwrap_or_else(|e| panic!("invalid placement: {e}"));
-        }
         let mut sim: Sim<Msg> = Sim::new(cfg.net.clone(), cfg.seed);
         let total_backends = cfg.middlewares * cfg.backends_per_mw;
 
         // Node id layout: [db nodes 0..B) [middlewares B..B+M) [clients...].
         let mut db_nodes: Vec<Vec<NodeId>> = Vec::with_capacity(cfg.middlewares);
+        let mut keys = Vec::new();
         let mut engine_seed = cfg.seed.wrapping_mul(1000);
         for mwi in 0..cfg.middlewares {
             let mut group = Vec::with_capacity(cfg.backends_per_mw);
@@ -90,6 +81,9 @@ impl Cluster {
                 econf.name = format!("mw{mwi}-db{bi}");
                 econf.seed = engine_seed;
                 let engine = build_engine(econf, &cfg.schema);
+                if (mwi, bi) == (0, 0) {
+                    keys = primary_keys(&engine);
+                }
                 let speed = cfg.backend_speed
                     [(mwi * cfg.backends_per_mw + bi) % cfg.backend_speed.len()];
                 let node = sim.add_node(
@@ -98,6 +92,16 @@ impl Cluster {
                 group.push(node);
             }
             db_nodes.push(group);
+        }
+        // Fill in the certifier's schema knowledge from a backend's
+        // catalog, and key each partitioned table of the placement by the
+        // same index.
+        if cfg.mw.pk_map.is_empty() {
+            cfg.mw.pk_map = keys.iter().map(|(table, at, _)| (table.clone(), *at)).collect();
+        }
+        if let Some(p) = &mut cfg.mw.placement {
+            p.bind(&cfg.default_db, |t| keys.iter().find(|k| k.0 == *t).map(|k| (k.1, k.2.as_str())))
+                .unwrap_or_else(|e| panic!("invalid placement: {e}"));
         }
         let mw_ids: Vec<NodeId> =
             (0..cfg.middlewares).map(|i| NodeId(total_backends + i)).collect();
@@ -388,27 +392,17 @@ pub fn build_engine(config: EngineConfig, schema: &[String]) -> Engine {
     engine
 }
 
-/// The primary key of every table a schema script creates: (database,
-/// table, key column position, key column name). The certifier's
-/// catalog knowledge, and where each partition scheme finds its key.
-fn primary_keys(schema: &[String]) -> Vec<(String, String, usize, String)> {
-    use replimid_sql::ast::Statement;
-    let mut keys = Vec::new();
-    let mut current_db: Option<String> = None;
-    for sql in schema {
-        let Ok(stmt) = replimid_sql::parse_statement(sql) else { continue };
-        match stmt {
-            Statement::UseDatabase { name } => current_db = Some(name),
-            Statement::CreateTable { name, columns, temporary: false, .. } => {
-                let db = name.database.clone().or_else(|| current_db.clone());
-                if let (Some(db), Some(at)) = (db, columns.iter().position(|c| c.primary_key)) {
-                    keys.push((db, name.name, at, columns[at].name.clone()));
-                }
-            }
-            _ => {}
-        }
-    }
-    keys
+/// The primary key of every table in `engine`'s catalog: (table, key
+/// column position, key column name). The certifier's schema knowledge,
+/// and where each partition scheme finds its key.
+fn primary_keys(engine: &Engine) -> Vec<(TableName, usize, String)> {
+    let tables = engine.catalog().databases.values().flat_map(|db| db.tables.values());
+    tables
+        .filter_map(|t| {
+            let at = t.schema.primary_key?;
+            Some((t.schema.name.clone(), at, t.schema.columns[at].name.clone()))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -422,12 +416,13 @@ mod tests {
             "USE shop".to_string(),
             "CREATE TABLE a (id INT PRIMARY KEY, v INT)".to_string(),
             "CREATE TABLE b (x INT, y INT)".to_string(),
+            "CREATE DATABASE other".to_string(),
             "CREATE TABLE other.c (k INT PRIMARY KEY)".to_string(),
         ];
-        let keys = primary_keys(&schema);
+        let keys = primary_keys(&build_engine(EngineConfig::default(), &schema));
         assert_eq!(
             keys,
-            [("shop".into(), "a".into(), 0, "id".into()), ("other".into(), "c".into(), 0, "k".into())],
+            [(TableName::new("other", "c"), 0, "k".into()), (TableName::new("shop", "a"), 0, "id".into())],
             "b has no primary key"
         );
     }

@@ -9,7 +9,7 @@ use replimid_simnet::{Actor, Ctx, DiskModel, NodeId};
 use replimid_sql::engine::ConnId;
 use replimid_sql::{
     BinlogEntry, CrashKind, DumpOptions, Engine, ExecResult, Lsn, Mark, Outcome, Positions,
-    RecoveryReport, SqlError, WalStats, Writeset, ADMIN_PASSWORD, ADMIN_USER,
+    RecoveryReport, SqlError, TableName, WalStats, Writeset, ADMIN_PASSWORD, ADMIN_USER,
 };
 
 use crate::msg::{ApplyEntry, CommitNote, DbOp, DbResp, EntryResult, Msg, PlanExec, ReplyBody};
@@ -386,7 +386,7 @@ impl DbNode {
     /// and its cost: the longest chain of entries sharing a table when
     /// `parallel` (the §4.4.2 "extraction of parallelism from the log"),
     /// else the sum.
-    fn charge(&self, ctx: &mut Ctx<'_, Msg>, charged: &[(Vec<(String, String)>, u64)], parallel: bool) {
+    fn charge(&self, ctx: &mut Ctx<'_, Msg>, charged: &[(Vec<TableName>, u64)], parallel: bool) {
         let us = if parallel {
             grouped_chain_cost(charged.iter().map(|(t, us)| (&t[..], *us)))
         } else {
@@ -441,24 +441,9 @@ impl DbNode {
             if entry.lsn <= self.applied_lsn {
                 continue; // already applied (overlapping batches / pre-crash races)
             }
-            let mut entry_cost = 0u64;
-            let result: Result<(), SqlError> = if use_writesets {
-                self.engine.apply_writeset(&entry.writeset).map(|r| {
-                    entry_cost += r.cost.cpu_us.max(entry.writeset.len() as u64 * 4);
-                })
-            } else {
-                (|| {
-                    let c = self.repl_conn()?;
-                    if let Some(db) = &entry.default_db {
-                        self.engine.execute(c, &format!("USE {db}"))?;
-                    }
-                    for stmt in &entry.statements {
-                        let r = self.engine.execute(c, stmt)?;
-                        entry_cost += r.cost.cpu_us;
-                    }
-                    Ok(())
-                })()
-            };
+            let conn = if use_writesets { Ok(None) } else { self.repl_conn().map(Some) };
+            let (entry_cost, result) =
+                conn.map_or_else(|err| (0, Err(err)), |conn| self.engine.apply_binlog_entry(entry, conn));
             if let Err(err) = result {
                 // Entries before the failure are applied (and marked).
                 charged.push((Vec::new(), entry_cost));

@@ -52,7 +52,7 @@ use replimid_gcs::{AdaptiveConfig, HeartbeatConfig, MemberId};
 use replimid_simnet::{Actor, Ctx, NodeId, SimTime};
 
 use replimid_sql::ast::{IsolationLevel, Statement};
-use replimid_sql::{Lsn, SqlError, Writeset};
+use replimid_sql::{Lsn, SqlError, TableName, Writeset};
 
 use crate::balancer::{Balancer, Granularity, Policy};
 use crate::health::{HealthEvent, QuarantineConfig};
@@ -169,9 +169,9 @@ pub struct MwConfig {
     pub heartbeat: HeartbeatConfig,
     /// Per-operation timeout (detects backend death mid-request).
     pub op_timeout_us: u64,
-    /// (database, table) -> primary key column index (the certifier's schema
+    /// Table -> primary key column index (the certifier's schema
     /// knowledge; built by the cluster builder).
-    pub pk_map: HashMap<(String, String), usize>,
+    pub pk_map: HashMap<TableName, usize>,
     pub recovery_batch: usize,
     pub replay_mode: ReplayMode,
     /// §4.3.4.3: refuse writes unless this middleware's group view holds a

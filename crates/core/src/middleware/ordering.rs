@@ -10,7 +10,7 @@ use std::sync::Arc;
 use replimid_gcs::{Action as GAction, GcsConfig, MemberId, OrderProtocol, ShardedMember};
 use replimid_simnet::Ctx;
 use replimid_sql::ast::Statement;
-use replimid_sql::{SqlError, Watermark, Writeset};
+use replimid_sql::{SqlError, TableName, Watermark, Writeset};
 
 use super::certification::XTx;
 use super::{raise, BackendState, Current, CurrentKind, Middleware, Pending, SHARD_BATCH_BASE, SHARD_TICK_BASE};
@@ -151,10 +151,9 @@ impl Shards {
         g: usize,
         start_pos: u64,
         ws: &Writeset,
-        pk_map: &HashMap<(String, String), usize>,
+        pk_map: &HashMap<TableName, usize>,
     ) -> Option<u64> {
-        let verdict =
-            self.certs[g].certify(start_pos, ws, |db, t| pk_map.get(&(db.to_string(), t.to_string())).copied());
+        let verdict = self.certs[g].certify_by_table(start_pos, ws, |t| pk_map.get(t).copied());
         (verdict == Verdict::Commit).then(|| self.logs[g].append(LogPayload::Ws(ws.clone())))
     }
 

@@ -124,11 +124,15 @@ impl Actor<Msg> for Sink {
 }
 
 /// A writeset middleware over `dbs`, and a `Sink` client: (sim,
-/// backends, middleware, client).
+/// backends, middleware, client). The placement's bare names are tables
+/// of database `d`, which the scripted backends write.
 fn writeset_cluster<A: Actor<Msg> + 'static>(
     dbs: Vec<A>,
-    placement: Option<Placement>,
+    mut placement: Option<Placement>,
 ) -> (Sim<Msg>, Vec<NodeId>, NodeId, NodeId) {
+    if let Some(p) = &mut placement {
+        p.bind("d", |_| None).expect("no partitioned table");
+    }
     let mut cfg = MwConfig::defaults(Mode::MultiMasterWriteset);
     cfg.placement = placement;
     cluster(cfg, dbs)
@@ -158,13 +162,11 @@ fn insert_ws(key: i64) -> Writeset {
     use replimid_sql::Value;
     Writeset {
         entries: vec![WriteRecord {
-            database: "d".into(),
-            table: "t1".into(),
+            table: replimid_sql::TableName::new("d", "t1"),
             row: RowId(1),
             kind: WriteKind::Insert,
             old: None,
             new: Some(vec![Value::Int(key), Value::Int(1)]),
-            temp: false,
         }],
         counters: None,
     }

@@ -5,9 +5,9 @@
 //! hash or list (Fig. 2, [`Placement::partition`]), each partition mapped to
 //! a group. Full replication is the one group every backend hosts.
 
-use replimid_sql::ast::{Expr, InsertSource, Statement, TableRef};
+use replimid_sql::ast::{Expr, InsertSource, ObjectName, Statement, TableRef};
 use replimid_sql::mvcc::WriteRecord;
-use replimid_sql::Value;
+use replimid_sql::{TableName, Value};
 
 /// Partitioning criterion for one table (§2.1: "range partitioning, list
 /// partitioning and hash partitioning" on a primary key).
@@ -72,7 +72,7 @@ impl PartitionScheme {
 /// How one table's rows map to groups.
 #[derive(Debug, Clone, PartialEq)]
 struct TableMap {
-    table: String,
+    table: TableName,
     /// `None`: the whole table is one partition.
     scheme: Option<PartitionScheme>,
     /// Position of the scheme's column in the table's rows, its primary
@@ -94,7 +94,7 @@ enum KeySite<'a> {
 /// The table a statement can pin to partitions, and where its keys are.
 /// `None` when it has a subquery, which may read any partition of any
 /// table it names, or when it is not a single-table statement.
-fn key_site(stmt: &Statement) -> Option<(&str, KeySite<'_>)> {
+fn key_site(stmt: &Statement) -> Option<(&ObjectName, KeySite<'_>)> {
     let mut nested = false;
     stmt.walk_exprs(&mut |e| {
         nested |= matches!(e, Expr::InSelect { .. } | Expr::ScalarSubquery(_) | Expr::Exists { .. })
@@ -104,14 +104,14 @@ fn key_site(stmt: &Statement) -> Option<(&str, KeySite<'_>)> {
     }
     match stmt {
         Statement::Insert { table, columns, source: InsertSource::Values(rows) } => {
-            Some((&table.name, KeySite::Rows { columns, rows }))
+            Some((table, KeySite::Rows { columns, rows }))
         }
         Statement::Update { table, filter, .. } | Statement::Delete { table, filter } => {
-            Some((&table.name, KeySite::Filter { qualifier: &table.name, filter: filter.as_ref() }))
+            Some((table, KeySite::Filter { qualifier: &table.name, filter: filter.as_ref() }))
         }
         Statement::Select(s) => match &s.from {
             Some(TableRef::Table { name, alias }) => Some((
-                &name.name,
+                name,
                 KeySite::Filter { qualifier: alias.as_deref().unwrap_or(&name.name), filter: s.filter.as_ref() },
             )),
             _ => None,
@@ -152,11 +152,15 @@ const UNLISTED: &[usize] = &[0];
 /// Placement for partial replication (Sutra–Shapiro): each group lives on a
 /// declared subset of backends, and writes are ordered, certified and
 /// applied only among the replicas that host the groups a transaction
-/// touches. Tables not listed belong to group 0.
+/// touches. Tables not listed belong to group 0. A bare table name, in the
+/// placement as in a statement, is a table of the cluster's default database.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// `hosts[g]` = sorted backend indices hosting group `g`.
     hosts: Vec<Vec<usize>>,
+    /// The database a bare name is in: the cluster's default database once
+    /// [`bind`](Self::bind) has run, `""` before.
+    database: String,
     tables: Vec<TableMap>,
 }
 
@@ -175,7 +179,7 @@ impl Placement {
                 h
             })
             .collect();
-        Placement { hosts, tables: Vec::new() }
+        Placement { hosts, database: String::new(), tables: Vec::new() }
     }
 
     /// The canonical scale-out layout: `groups` groups over `backends`
@@ -192,7 +196,7 @@ impl Placement {
     /// The whole of `table` is one partition, in `group`.
     pub fn assign(mut self, table: &str, group: usize) -> Self {
         assert!(group < self.hosts.len(), "group {group} out of range");
-        self.tables.push(TableMap { table: table.to_string(), scheme: None, key: None, groups: vec![group] });
+        self.tables.push(TableMap { table: self.qualified(table), scheme: None, key: None, groups: vec![group] });
         self
     }
 
@@ -206,29 +210,40 @@ impl Placement {
             groups.len()
         );
         assert!(groups.iter().all(|&g| g < self.hosts.len()), "{table}: group out of range");
-        self.tables.push(TableMap { table: table.to_string(), scheme: Some(scheme), key: None, groups });
+        self.tables.push(TableMap { table: self.qualified(table), scheme: Some(scheme), key: None, groups });
         self
     }
 
-    /// Bind every partitioned table to its rows: `primary_key(table)` is the
-    /// table's key column (position, name) in the schema. A scheme on any
-    /// other column is an error, since a row's partition is read off the
-    /// key the certifier uses for it.
-    pub(crate) fn bind_keys<'a>(&mut self, primary_key: impl Fn(&str) -> Option<(usize, &'a str)>) -> Result<(), String> {
+    /// Bind the placement to the cluster's schema: a bare name is a table of
+    /// the default `database`, and `primary_key(table)` is a table's key
+    /// column (position, name). A scheme on any other column is an error,
+    /// since a row's partition is read off the key the certifier uses.
+    pub(crate) fn bind<'a>(&mut self, database: &str, primary_key: impl Fn(&TableName) -> Option<(usize, &'a str)>) -> Result<(), String> {
+        database.clone_into(&mut self.database);
         for m in &mut self.tables {
+            if m.table.database().is_empty() {
+                m.table = TableName::new(database, m.table.table());
+            }
             let Some(scheme) = &m.scheme else { continue };
             match primary_key(&m.table) {
                 Some((at, name)) if name == scheme.column() => m.key = Some(at),
                 _ => {
                     return Err(format!(
                         "table {} is partitioned on {}, which is not its primary key",
-                        m.table,
+                        m.table.table(),
                         scheme.column()
                     ))
                 }
             }
         }
         Ok(())
+    }
+
+    /// The table a placement name means: `db.table`, or a bare name in
+    /// the default database.
+    fn qualified(&self, name: &str) -> TableName {
+        let (database, table) = name.split_once('.').unwrap_or((&self.database, name));
+        TableName::new(database, table)
     }
 
     pub fn groups(&self) -> usize {
@@ -239,20 +254,23 @@ impl Placement {
         &self.hosts[group]
     }
 
-    fn table(&self, table: &str) -> Option<&TableMap> {
-        self.tables.iter().find(|m| m.table == table)
+    /// Whether a statement's `name` is `m`'s table: a bare name is in the
+    /// default database.
+    fn names(&self, m: &TableMap, name: &ObjectName) -> bool {
+        m.table.is(name.database.as_deref().unwrap_or(&self.database), &name.name)
     }
 
     /// The groups `table`'s partitions belong to, one per partition.
     pub fn table_groups(&self, table: &str) -> &[usize] {
-        self.table(table).map_or(UNLISTED, |m| &m.groups)
+        let table = self.qualified(table);
+        self.tables.iter().find(|m| m.table == table).map_or(UNLISTED, |m| &m.groups)
     }
 
     /// The group one written row belongs to: its table's, or the one its
     /// partition maps to, located by the row's key (the before-image, as
     /// certification keys it).
     pub(crate) fn group_of_record(&self, rec: &WriteRecord) -> usize {
-        let Some(m) = self.table(&rec.table) else { return 0 };
+        let Some(m) = self.tables.iter().find(|m| m.table == rec.table) else { return 0 };
         let keyed = m.scheme.as_ref().zip(m.key).zip(rec.old.as_ref().or(rec.new.as_ref()));
         match keyed.and_then(|((scheme, at), image)| Some(scheme.locate(image.get(at)?))) {
             Some(p) => m.groups[p],
@@ -272,7 +290,7 @@ impl Placement {
         let mut site = None;
         let mut gs: Vec<usize> = Vec::new();
         for t in &tables {
-            let Some(m) = self.table(&t.name) else {
+            let Some(m) = self.tables.iter().find(|m| self.names(m, t)) else {
                 gs.push(0);
                 continue;
             };
@@ -281,7 +299,7 @@ impl Placement {
                 continue;
             };
             let site = site.get_or_insert_with(|| key_site(stmt));
-            match site.as_ref().filter(|(name, _)| *name == m.table).and_then(|(_, s)| m.pinned(scheme, s)) {
+            match site.as_ref().filter(|(name, _)| self.names(m, name)).and_then(|(_, s)| m.pinned(scheme, s)) {
                 Some(parts) => gs.extend(parts.into_iter().map(|p| m.groups[p])),
                 None => gs.extend(&m.groups),
             }
@@ -309,7 +327,7 @@ impl Placement {
             }
         }
         match self.tables.iter().find(|m| m.scheme.is_some() && m.key.is_none()) {
-            Some(m) => Err(format!("partitioned table {} is not bound to its primary key", m.table)),
+            Some(m) => Err(format!("partitioned table {} is not bound to its primary key", m.table.table())),
             None => Ok(()),
         }
     }
@@ -328,7 +346,7 @@ mod tests {
             PartitionScheme::Range { column: "id".into(), bounds: vec![100, 200] },
             vec![1, 2, 3],
         );
-        p.bind_keys(|t| (t == "orders").then_some((0, "id"))).unwrap();
+        p.bind("db", |t| (t.table() == "orders").then_some((0, "id"))).unwrap();
         p
     }
 
@@ -409,9 +427,9 @@ mod tests {
         let mut p = Placement::new(vec![vec![0], vec![1]]).partition("t", scheme, vec![0, 1]);
         let err = p.validate(2).unwrap_err();
         assert!(err.contains("not bound"), "unexpected error: {err}");
-        let err = p.bind_keys(|_| Some((0, "k"))).unwrap_err();
+        let err = p.bind("d", |_| Some((0, "k"))).unwrap_err();
         assert!(err.contains("not its primary key"), "unexpected error: {err}");
-        assert!(p.bind_keys(|_| Some((1, "v"))).is_ok());
+        assert!(p.bind("d", |_| Some((1, "v"))).is_ok());
         assert!(p.validate(2).is_ok());
     }
 
@@ -453,13 +471,11 @@ mod tests {
     fn a_written_row_belongs_to_its_keys_partition() {
         let p = range_placement();
         let rec = |table: &str, old: Option<i64>, new: Option<i64>| WriteRecord {
-            database: "db".into(),
-            table: table.into(),
+            table: TableName::new("db", table),
             row: replimid_sql::mvcc::RowId(0),
             kind: replimid_sql::mvcc::WriteKind::Insert,
             old: old.map(|k| vec![Value::Int(k), Value::Int(0)]),
             new: new.map(|k| vec![Value::Int(k), Value::Int(1)]),
-            temp: false,
         };
         assert_eq!(p.group_of_record(&rec("orders", None, Some(150))), 2, "insert: the new image");
         assert_eq!(p.group_of_record(&rec("orders", Some(250), Some(250))), 3, "update: the before-image");

@@ -157,12 +157,13 @@ impl RecoveryLog {
     /// per-table-group chain (entries writing a common table serialize).
     ///
     /// This is a *model* — a flat per-entry price with no IO, keyed by the
-    /// tables each entry names — kept for the E9 what-if comparison of
-    /// replay scheduling strategies. Replay itself is charged what the node
-    /// executed (`DbOp::Apply`), and the MTTR numbers reported by the
-    /// durability experiments (E20) add the measured cost of loading a
-    /// checkpoint and re-executing the WAL suffix (`DbNode::on_restart`,
-    /// `Stage::Replay`).
+    /// bare names of the tables each entry writes (a logged plan names
+    /// them without the session's database) — kept for the E9 what-if
+    /// comparison of replay scheduling strategies. Replay itself is
+    /// charged what the node executed (`DbOp::Apply`), and the MTTR
+    /// numbers reported by the durability experiments (E20) add the
+    /// measured cost of loading a checkpoint and re-executing the WAL
+    /// suffix (`DbNode::on_restart`, `Stage::Replay`).
     pub fn replay_cost_us(entries: &[LogEntry], mode: ReplayMode, per_entry_us: u64) -> u64 {
         match mode {
             ReplayMode::Serial => entries.len() as u64 * per_entry_us,
@@ -173,7 +174,7 @@ impl RecoveryLog {
                         LogPayload::Plan { plan, .. } => {
                             plan.template.written_tables().into_iter().map(|t| t.name).collect()
                         }
-                        LogPayload::Ws(ws) => ws.tables().into_iter().map(|(_, t)| t).collect(),
+                        LogPayload::Ws(ws) => ws.tables().iter().map(|t| t.table().to_string()).collect(),
                     })
                     .collect();
                 grouped_chain_cost(tables.iter().map(|t| (&t[..], per_entry_us)))
@@ -303,13 +304,11 @@ mod tests {
         let mut ws = Writeset::default();
         for t in ["t1", "t2"] {
             ws.entries.push(replimid_sql::mvcc::WriteRecord {
-                database: "d".into(),
-                table: t.into(),
+                table: replimid_sql::TableName::new("d", t),
                 row: replimid_sql::mvcc::RowId(1),
                 kind: replimid_sql::mvcc::WriteKind::Update,
                 old: None,
                 new: None,
-                temp: false,
             });
         }
         l.append(LogPayload::Ws(ws));

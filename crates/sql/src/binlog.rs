@@ -47,11 +47,12 @@ impl Binlog {
     }
 
     /// Append a committed transaction. When nobody reads the log it is
-    /// purged as it lands, and the writeset is never copied.
+    /// purged as it lands, and neither the default database nor the
+    /// writeset is copied.
     pub fn append(
         &mut self,
         commit_ts: CommitTs,
-        default_db: Option<String>,
+        default_db: Option<&str>,
         statements: Vec<String>,
         writeset: &Writeset,
     ) -> Lsn {
@@ -62,7 +63,7 @@ impl Binlog {
             debug_assert!(self.entries.is_empty());
             self.truncated = lsn.0;
         } else {
-            let writeset = writeset.clone();
+            let (default_db, writeset) = (default_db.map(str::to_string), writeset.clone());
             self.entries.push(BinlogEntry { lsn, commit_ts, default_db, statements, writeset });
         }
         lsn

@@ -6,10 +6,100 @@
 //! them. Queries may qualify tables as `db.table`.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-use crate::ast::{Statement, TriggerEvent};
+use crate::ast::{ColumnDef, Statement, TriggerEvent};
+use crate::checksum::Fnv64;
 use crate::error::SqlError;
-use crate::storage::Table;
+use crate::storage::{Table, TableSchema};
+
+/// A table's identity past the planner: its database and table names,
+/// shared, with the FNV-64 state after hashing both. The catalog mints one
+/// per table when the table is created (CREATE TABLE, which WAL DDL replay
+/// re-executes, and dump restore); every write record, writeset key and
+/// placement lookup of the table holds a clone of it, so copying it is a
+/// refcount bump and hashing it reads a cached `u64`. A session temporary
+/// table's database is `""`.
+#[derive(Clone)]
+pub struct TableName(Arc<Names>);
+
+struct Names {
+    database: Box<str>,
+    table: Box<str>,
+    /// After `write_str(database)` and `write_str(table)`.
+    hasher: Fnv64,
+}
+
+impl TableName {
+    pub fn new(database: &str, table: &str) -> Self {
+        let mut hasher = Fnv64::new();
+        hasher.write_str(database);
+        hasher.write_str(table);
+        TableName(Arc::new(Names { database: database.into(), table: table.into(), hasher }))
+    }
+
+    /// The name of session temporary table `table`.
+    pub fn temp(table: &str) -> Self {
+        TableName::new("", table)
+    }
+
+    pub fn database(&self) -> &str {
+        &self.0.database
+    }
+
+    pub fn table(&self) -> &str {
+        &self.0.table
+    }
+
+    /// Whether this names a session temporary table.
+    pub fn is_temp(&self) -> bool {
+        self.0.database.is_empty()
+    }
+
+    /// Whether this is table `table` of database `database`.
+    pub fn is(&self, database: &str, table: &str) -> bool {
+        *self.0.table == *table && *self.0.database == *database
+    }
+
+    /// An FNV-64 hasher that has hashed the database name, then the table
+    /// name.
+    pub fn hasher(&self) -> Fnv64 {
+        self.0.hasher.clone()
+    }
+}
+
+impl PartialEq for TableName {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.0.hasher.finish() == other.0.hasher.finish() && self.is(other.database(), other.table()))
+    }
+}
+
+impl Eq for TableName {}
+
+impl Hash for TableName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.hasher.finish());
+    }
+}
+
+/// `database.table`, or `table` for a temporary table.
+impl fmt::Display for TableName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if !self.is_temp() {
+            write!(f, "{}.", self.database())?;
+        }
+        f.write_str(self.table())
+    }
+}
+
+impl fmt::Debug for TableName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "TableName({self})")
+    }
+}
 
 /// A trigger definition: AFTER <event> ON <table> DO BEGIN ... END.
 /// Bodies may reference `NEW.<column>` and may write other databases —
@@ -54,6 +144,14 @@ impl Database {
         self.tables
             .get(name)
             .ok_or_else(|| SqlError::UnknownTable(format!("{}.{name}", self.name)))
+    }
+
+    /// Create table `name`, which does not exist yet, minting its
+    /// [`TableName`].
+    pub fn add_table(&mut self, name: &str, columns: Vec<ColumnDef>) -> &mut Table {
+        debug_assert!(!self.tables.contains_key(name), "table {name} exists");
+        let table = Table::new(TableSchema::new(TableName::new(&self.name, name), columns));
+        self.tables.entry(name.to_string()).or_insert(table)
     }
 
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, SqlError> {

@@ -11,8 +11,8 @@ use std::collections::{BTreeMap, HashMap};
 
 use crate::ast::{IsolationLevel, ObjectName, Privilege, Statement};
 use crate::auth::{AuthRegistry, ADMIN_USER};
-use crate::binlog::{Binlog, Lsn};
-use crate::catalog::{Catalog, ProcedureDef, TriggerDef};
+use crate::binlog::{Binlog, BinlogEntry, Lsn};
+use crate::catalog::{Catalog, ProcedureDef, TableName, TriggerDef};
 use crate::checksum::Fnv64;
 use crate::det::Determinism;
 use crate::dump::{DatabaseDump, Dump, DumpOptions, TableDump};
@@ -370,7 +370,7 @@ impl Engine {
             &mut self.binlog,
             &self.config,
             tx,
-            session.current_db.clone(),
+            session.current_db.as_deref(),
             statements,
         )?;
         let mut cost = Cost::for_statement(0, 0, false);
@@ -432,7 +432,7 @@ impl Engine {
                         }
                         return Err(SqlError::AlreadyExists(name.name.clone()));
                     }
-                    let schema = TableSchema::new(name.name.clone(), columns.clone());
+                    let schema = TableSchema::new(TableName::temp(&name.name), columns.clone());
                     session.temp.insert(name.name.clone(), Table::new(schema));
                 } else {
                     let db = resolve_db(name)?;
@@ -444,8 +444,7 @@ impl Engine {
                         }
                         return Err(SqlError::AlreadyExists(name.to_string()));
                     }
-                    let schema = TableSchema::new(name.name.clone(), columns.clone());
-                    database.tables.insert(name.name.clone(), Table::new(schema));
+                    database.add_table(&name.name, columns.clone());
                 }
             }
             Statement::DropTable { name, if_exists } => {
@@ -542,7 +541,7 @@ impl Engine {
             let text = sql_text.map(str::to_string).unwrap_or_else(|| stmt.to_string());
             let ts = self.bump_ddl_ts();
             self.binlog
-                .append(ts, session.current_db.clone(), vec![text], &Writeset::default());
+                .append(ts, session.current_db.as_deref(), vec![text], &Writeset::default());
         }
         Ok(ack(Cost::for_statement(0, 0, true), false))
     }
@@ -592,7 +591,7 @@ impl Engine {
             det: &mut self.det,
             txm: &mut self.txm,
             tx,
-            current_db: session.current_db.clone(),
+            current_db: session.current_db.as_deref(),
             vars: session.vars.clone(),
             depth: 0,
             rows_read: 0,
@@ -628,7 +627,7 @@ impl Engine {
                         &mut self.binlog,
                         &self.config,
                         tx,
-                        session.current_db.clone(),
+                        session.current_db.as_deref(),
                         statements,
                     )?)
                 } else {
@@ -743,10 +742,39 @@ impl Engine {
         }
     }
 
+    /// Apply one binlog entry, shipped from a master or replayed from the
+    /// WAL: by its writeset, or by `USE default_db` and its statement
+    /// texts on connection `statements_on`. Returns the CPU µs to charge
+    /// with the outcome: the writeset apply's cost but at least 4 µs a
+    /// row, or the sum of the statements' costs (the `USE` is free),
+    /// counting those that ran before a failure.
+    pub fn apply_binlog_entry(
+        &mut self,
+        entry: &BinlogEntry,
+        statements_on: Option<ConnId>,
+    ) -> (u64, Result<(), SqlError>) {
+        let mut cpu_us = 0;
+        let result = match statements_on {
+            None => self
+                .apply_writeset(&entry.writeset)
+                .map(|r| cpu_us = r.cost.cpu_us.max(entry.writeset.len() as u64 * 4)),
+            Some(conn) => (|| {
+                if let Some(db) = &entry.default_db {
+                    self.execute(conn, &format!("USE {db}"))?;
+                }
+                for stmt in &entry.statements {
+                    cpu_us += self.execute(conn, stmt)?.cost.cpu_us;
+                }
+                Ok(())
+            })(),
+        };
+        (cpu_us, result)
+    }
+
     fn apply_writeset_inner(&mut self, ws: &Writeset, snap: Snapshot) -> Result<(), SqlError> {
-        for entry in ws.entries.iter().filter(|e| !e.temp) {
-            let mut table =
-                self.catalog.database_mut(&entry.database)?.table_mut(&entry.table)?;
+        for entry in ws.entries.iter().filter(|e| !e.table.is_temp()) {
+            let (db, name) = (entry.table.database(), entry.table.table());
+            let mut table = self.catalog.database_mut(db)?.table_mut(name)?;
             let row = match apply_entry(table, entry, snap) {
                 Ok(row) => row,
                 Err((err, holders)) => {
@@ -756,12 +784,12 @@ impl Engine {
                     for tx in holders {
                         self.wound(tx)?;
                     }
-                    table = self.catalog.database_mut(&entry.database)?.table_mut(&entry.table)?;
+                    table = self.catalog.database_mut(db)?.table_mut(name)?;
                     apply_entry(table, entry, snap).map_err(|(err, _)| err)?
                 }
             };
             // Register the write so commit stamping finds the versions.
-            self.txm.state_mut(snap.tx)?.writes.push(WriteRecord { row, temp: false, ..entry.clone() });
+            self.txm.state_mut(snap.tx)?.writes.push(WriteRecord { row, ..entry.clone() });
         }
         Ok(())
     }
@@ -772,10 +800,11 @@ impl Engine {
     fn wound(&mut self, tx: TxId) -> Result<(), SqlError> {
         let st = self.txm.state_mut(tx)?;
         st.wounded = true;
-        let (temp, shared): (Vec<_>, Vec<_>) = std::mem::take(&mut st.writes).into_iter().partition(|w| w.temp);
+        let (temp, shared): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut st.writes).into_iter().partition(|w| w.table.is_temp());
         st.writes = temp;
         for w in shared.iter().rev() {
-            if let Ok(t) = self.catalog.database_mut(&w.database).and_then(|d| d.table_mut(&w.table)) {
+            if let Ok(t) = self.catalog.database_mut(w.table.database()).and_then(|d| d.table_mut(w.table.table())) {
                 t.abort_unwind(w.row, tx);
             }
         }
@@ -786,8 +815,8 @@ impl Engine {
         for ((db, seq), v) in &cs.sequences {
             self.seqs.set(db, seq, *v);
         }
-        for ((db, table), v) in &cs.auto_increments {
-            if let Ok(t) = self.catalog.database_mut(db).and_then(|d| d.table_mut(table)) {
+        for (table, v) in &cs.auto_increments {
+            if let Ok(t) = self.catalog.database_mut(table.database()).and_then(|d| d.table_mut(table.table())) {
                 t.auto_inc = (*v).max(t.auto_inc);
             }
         }
@@ -810,7 +839,7 @@ impl Engine {
         if st.wounded {
             return Err(wound_conflict());
         }
-        let entries: Vec<_> = st.writes.iter().skip(mark).filter(|w| !w.temp).cloned().collect();
+        let entries: Vec<_> = st.writes.iter().skip(mark).filter(|w| !w.table.is_temp()).cloned().collect();
         Ok(Writeset { entries, counters: None })
     }
 
@@ -933,7 +962,7 @@ impl Engine {
                 .tables
                 .values()
                 .map(|t| TableDump {
-                    name: t.schema.name.clone(),
+                    name: t.schema.name.table().to_string(),
                     columns: t.schema.columns.clone(),
                     rows: t.committed_rows(at_ts),
                     auto_inc: t.auto_inc,
@@ -972,8 +1001,7 @@ impl Engine {
             self.seqs.drop_database(&dbd.name);
             let mut db = crate::catalog::Database::new(dbd.name.clone());
             for td in &dbd.tables {
-                let schema = TableSchema::new(td.name.clone(), td.columns.clone());
-                let mut table = Table::new(schema);
+                let table = db.add_table(&td.name, td.columns.clone());
                 let snap = Snapshot { ts: CommitTs::ZERO, tx };
                 let mut inserted = Vec::with_capacity(td.rows.len());
                 for row in &td.rows {
@@ -983,7 +1011,6 @@ impl Engine {
                     table.commit_stamp(id, tx, restore_ts);
                 }
                 table.auto_inc = td.auto_inc;
-                db.tables.insert(td.name.clone(), table);
             }
             db.triggers = dbd.triggers.clone();
             for p in &dbd.procedures {
@@ -1138,10 +1165,10 @@ impl Engine {
         for (key, v) in self.seqs.iter() {
             cs.sequences.push((key.clone(), v));
         }
-        for (db_name, db) in &self.catalog.databases {
-            for (t_name, t) in &db.tables {
+        for db in self.catalog.databases.values() {
+            for t in db.tables.values() {
                 if t.schema.columns.iter().any(|c| c.auto_increment) {
-                    cs.auto_increments.push(((db_name.clone(), t_name.clone()), t.auto_inc));
+                    cs.auto_increments.push((t.schema.name.clone(), t.auto_inc));
                 }
             }
         }
@@ -1202,34 +1229,16 @@ impl Engine {
             match rec {
                 crate::wal::WalRecord::Commit { entry, applied_lsn, marks } => {
                     if entry.lsn.0 > self.binlog.head().0 {
-                        if !entry.writeset.is_empty() {
-                            let r = self
-                                .apply_writeset(&entry.writeset)
-                                .expect("WAL writeset replay against own checkpoint");
-                            report.replay_cpu_us +=
-                                r.cost.cpu_us.max(entry.writeset.len() as u64 * 4);
-                        } else {
-                            // Statement-only entries are auto-committed DDL.
-                            let conn = match replay_conn {
-                                Some(c) => c,
-                                None => {
-                                    let c = self
-                                        .connect(ADMIN_USER, crate::auth::ADMIN_PASSWORD)
-                                        .expect("replay connection");
-                                    replay_conn = Some(c);
-                                    c
-                                }
-                            };
-                            if let Some(db) = &entry.default_db {
-                                self.execute(conn, &format!("USE {db}"))
-                                    .expect("WAL replay USE");
-                            }
-                            for stmt in &entry.statements {
-                                let r =
-                                    self.execute(conn, stmt).expect("WAL DDL replay");
-                                report.replay_cpu_us += r.cost.cpu_us;
-                            }
-                        }
+                        // Statement-only entries are auto-committed DDL.
+                        let statements_on = entry.writeset.is_empty().then(|| {
+                            *replay_conn.get_or_insert_with(|| {
+                                self.connect(ADMIN_USER, crate::auth::ADMIN_PASSWORD)
+                                    .expect("replay connection")
+                            })
+                        });
+                        let (cpu_us, applied) = self.apply_binlog_entry(entry, statements_on);
+                        applied.expect("WAL replay against own checkpoint");
+                        report.replay_cpu_us += cpu_us;
                         self.binlog.push_raw(entry.clone());
                         report.entries_replayed += 1;
                     }
@@ -1368,7 +1377,7 @@ fn apply_entry(
     let row = found.ok_or_else(|| {
         let verb = if entry.kind == WriteKind::Update { "update" } else { "delete" };
         let detail = format!("row to {verb} not found (divergence?)");
-        (SqlError::WriteConflict { table: entry.table.clone(), detail }, Vec::new())
+        (SqlError::WriteConflict { table: entry.table.table().to_string(), detail }, Vec::new())
     })?;
     let written = match entry.kind {
         WriteKind::Update => table.update(row, image(&entry.new, "after-image")?, snap, true).map(drop),
@@ -1376,7 +1385,7 @@ fn apply_entry(
     };
     written.map_err(|e| match e {
         ConflictOrError::Conflict(k) => (
-            SqlError::WriteConflict { table: entry.table.clone(), detail: format!("{k:?}") },
+            SqlError::WriteConflict { table: entry.table.table().to_string(), detail: format!("{k:?}") },
             table.row_holders(row, snap.tx),
         ),
         ConflictOrError::Error(e) => (e, Vec::new()),
@@ -1395,7 +1404,7 @@ fn commit_tx(
     binlog: &mut Binlog,
     config: &EngineConfig,
     tx: TxId,
-    default_db: Option<String>,
+    default_db: Option<&str>,
     statements: Vec<String>,
 ) -> Result<CommitInfo, SqlError> {
     // Serializable: table-level optimistic read validation.
@@ -1403,12 +1412,12 @@ fn commit_tx(
         let st = txm.state(tx)?;
         if st.isolation == IsolationLevel::Serializable {
             let snapshot_ts = st.snapshot_ts;
-            for (db, table) in &st.read_tables {
-                if let Ok(d) = catalog.database(db) {
-                    if let Ok(t) = d.table(table) {
+            for name in &st.read_tables {
+                if let Ok(d) = catalog.database(name.database()) {
+                    if let Ok(t) = d.table(name.table()) {
                         if t.last_commit_ts > snapshot_ts {
                             // Abort before allocating a commit timestamp.
-                            let reads = format!("{db}.{table}");
+                            let reads = name.to_string();
                             abort_tx(catalog, temp, txm, tx)?;
                             return Err(SqlError::SerializationFailure(format!(
                                 "table {reads} changed after snapshot"
@@ -1422,27 +1431,21 @@ fn commit_tx(
 
     let (ts, state) = txm.finish_commit(tx)?;
     for w in &state.writes {
-        if w.temp {
-            if let Some(t) = temp.get_mut(&w.table) {
-                t.commit_stamp(w.row, tx, ts);
-            }
-        } else if let Ok(d) = catalog.database_mut(&w.database) {
-            if let Ok(t) = d.table_mut(&w.table) {
-                t.commit_stamp(w.row, tx, ts);
-            }
+        if let Some(t) = write_target(catalog, temp, &w.table) {
+            t.commit_stamp(w.row, tx, ts);
         }
     }
 
-    let entries = state.writes.into_iter().filter(|w| !w.temp).collect();
+    let entries = state.writes.into_iter().filter(|w| !w.table.is_temp()).collect();
     let mut writeset = Writeset { entries, counters: None };
     if config.capture_counters && !writeset.is_empty() {
         let mut cs = CounterSync::default();
         for (key, v) in seqs.iter() {
             cs.sequences.push((key.clone(), v));
         }
-        for (db, table) in writeset.tables() {
-            if let Ok(t) = catalog.database(&db).and_then(|d| d.table(&table)) {
-                cs.auto_increments.push(((db, table), t.auto_inc));
+        for name in writeset.tables() {
+            if let Ok(t) = catalog.database(name.database()).and_then(|d| d.table(name.table())) {
+                cs.auto_increments.push((name, t.auto_inc));
             }
         }
         writeset.counters = Some(cs);
@@ -1464,15 +1467,22 @@ fn abort_tx(
 ) -> Result<(), SqlError> {
     let state = txm.finish_abort(tx)?;
     for w in state.writes.iter().rev() {
-        if w.temp {
-            if let Some(t) = temp.get_mut(&w.table) {
-                t.abort_unwind(w.row, tx);
-            }
-        } else if let Ok(d) = catalog.database_mut(&w.database) {
-            if let Ok(t) = d.table_mut(&w.table) {
-                t.abort_unwind(w.row, tx);
-            }
+        if let Some(t) = write_target(catalog, temp, &w.table) {
+            t.abort_unwind(w.row, tx);
         }
     }
     Ok(())
+}
+
+/// The table a write record names: a session temporary table, or one of
+/// the catalog's. `None` once it was dropped.
+fn write_target<'a>(
+    catalog: &'a mut Catalog,
+    temp: &'a mut BTreeMap<String, Table>,
+    name: &TableName,
+) -> Option<&'a mut Table> {
+    if name.is_temp() {
+        return temp.get_mut(name.table());
+    }
+    catalog.database_mut(name.database()).ok()?.tables.get_mut(name.table())
 }

@@ -31,7 +31,7 @@
 
 use crate::ast::{Expr, ObjectName};
 use crate::error::SqlError;
-use crate::expr::{eval, EvalEnv, RowScope, TableLoc};
+use crate::expr::{eval, EvalEnv, RowScope};
 use crate::mvcc::RowId;
 use crate::storage::Table;
 use crate::value::{DataType, Value};
@@ -61,7 +61,6 @@ pub(super) fn choose<'e>(
 
 /// The rows of a statement's target table that pass its filter.
 pub(super) struct Matched<'a> {
-    pub loc: TableLoc,
     pub table: &'a Table,
     /// Column names, for binding a row into a [`RowScope`].
     pub columns: Vec<String>,
@@ -80,7 +79,6 @@ pub(super) fn matching_rows<'a>(
     filter: Option<&Expr>,
     outer: &RowScope<'_>,
 ) -> Result<Matched<'a>, SqlError> {
-    let loc = env.table_location(name)?;
     let table = env.resolve_table(name)?;
     let qualifier = alias.unwrap_or(&name.name);
     let columns: Vec<String> = table.schema.columns.iter().map(|c| c.name.clone()).collect();
@@ -114,7 +112,7 @@ pub(super) fn matching_rows<'a>(
             }
         }
     }
-    Ok(Matched { loc, table, columns, rows })
+    Ok(Matched { table, columns, rows })
 }
 
 #[cfg(test)]

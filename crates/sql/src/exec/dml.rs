@@ -4,8 +4,9 @@
 use std::collections::BTreeMap;
 
 use crate::ast::{Expr, InsertSource, ObjectName, Statement, TriggerEvent};
+use crate::catalog::TableName;
 use crate::error::SqlError;
-use crate::expr::{eval, RowScope, TableLoc};
+use crate::expr::{eval, RowScope};
 use crate::mvcc::{RowId, WriteKind, WriteRecord};
 use crate::result::Outcome;
 use crate::storage::{ConflictOrError, Table};
@@ -32,32 +33,22 @@ fn fcw(ctx: &StmtCtx<'_>) -> bool {
         .unwrap_or(true)
 }
 
-fn table_mut<'a>(ctx: &'a mut StmtCtx<'_>, loc: &TableLoc) -> Result<&'a mut Table, SqlError> {
-    match loc {
-        TableLoc::Temp(name) => ctx
-            .temp
-            .get_mut(name)
-            .ok_or_else(|| SqlError::UnknownTable(name.clone())),
-        TableLoc::Db(db, name) => ctx.catalog.database_mut(db)?.table_mut(name),
+fn table_mut<'a>(ctx: &'a mut StmtCtx<'_>, name: &TableName) -> Result<&'a mut Table, SqlError> {
+    if name.is_temp() {
+        return ctx.temp.get_mut(name.table()).ok_or_else(|| SqlError::UnknownTable(name.table().to_string()));
     }
+    ctx.catalog.database_mut(name.database())?.table_mut(name.table())
 }
 
 fn record_write(
     ctx: &mut StmtCtx<'_>,
-    loc: &TableLoc,
+    table: &TableName,
     row: RowId,
     kind: WriteKind,
     old: Option<Vec<Value>>,
     new: Option<Vec<Value>>,
 ) -> Result<(), SqlError> {
-    let (database, table, temp) = match loc {
-        TableLoc::Temp(name) => (String::new(), name.clone(), true),
-        TableLoc::Db(db, name) => (db.clone(), name.clone(), false),
-    };
-    ctx.txm
-        .state_mut(ctx.tx)?
-        .writes
-        .push(WriteRecord { database, table, row, kind, old, new, temp });
+    ctx.txm.state_mut(ctx.tx)?.writes.push(WriteRecord { table: table.clone(), row, kind, old, new });
     Ok(())
 }
 
@@ -75,9 +66,9 @@ pub fn execute_insert(
 
     // Phase A: evaluate the source rows and default expressions.
     let mut env = ctx.eval_env(snap);
-    let loc = env.table_location(table_name)?;
-    let table = env.table_at(&loc)?;
-    let schema_cols = table.schema.columns.clone();
+    let table = env.table(table_name)?;
+    let name = table.schema.name.clone();
+    let schema_cols = &table.schema.columns;
     let provided_rows: Vec<Vec<Value>> = match source {
         InsertSource::Values(rows) => {
             let mut out = Vec::with_capacity(rows.len());
@@ -149,10 +140,10 @@ pub fn execute_insert(
     let count = complete_rows.len() as u64;
     let mut inserted: Vec<(RowId, Vec<Value>)> = Vec::with_capacity(complete_rows.len());
     {
-        let table = table_mut(ctx, &loc)?;
+        let table = table_mut(ctx, &name)?;
         let mut staged: Vec<Vec<Value>> = Vec::with_capacity(complete_rows.len());
         for mut row in complete_rows {
-            for (i, col) in schema_cols.iter().enumerate() {
+            for (i, col) in table.schema.columns.iter().enumerate() {
                 if row[i].is_null() {
                     if col.auto_increment {
                         table.auto_inc += 1;
@@ -180,17 +171,17 @@ pub fn execute_insert(
     }
     // Only an INSERT trigger needs the new rows after this: without one,
     // each moves into its write record.
-    let triggered = has_triggers(ctx, &loc, TriggerEvent::Insert)?;
+    let triggered = has_triggers(ctx, &name, TriggerEvent::Insert)?;
     let mut new_images = Vec::new();
     for (id, row) in inserted {
         if triggered {
             new_images.push(row.clone());
         }
-        record_write(ctx, &loc, id, WriteKind::Insert, None, Some(row))?;
+        record_write(ctx, &name, id, WriteKind::Insert, None, Some(row))?;
     }
     ctx.rows_written += count;
 
-    fire_triggers(ctx, &loc, TriggerEvent::Insert, &new_images, &[], &schema_cols)?;
+    fire_triggers(ctx, &name, TriggerEvent::Insert, &new_images, &[])?;
     Ok(Outcome::Affected(count))
 }
 
@@ -210,8 +201,8 @@ pub fn execute_update(
     // Phase A: find matching rows and compute the new images.
     let mut env = ctx.eval_env(snap);
     let m = access::matching_rows(&mut env, table_name, None, filter, &RowScope::empty())?;
-    let (loc, names) = (m.loc, m.columns);
-    let schema_cols = m.table.schema.columns.clone();
+    let (name, names) = (m.table.schema.name.clone(), m.columns);
+    let schema_cols = &m.table.schema.columns;
     let qualifier = &table_name.name;
 
     let mut updates: Vec<(RowId, Vec<Value>, Vec<Value>)> = Vec::new(); // (id, old, new)
@@ -240,7 +231,7 @@ pub fn execute_update(
     // Phase B: apply.
     let count = updates.len() as u64;
     {
-        let table = table_mut(ctx, &loc)?;
+        let table = table_mut(ctx, &name)?;
         for (id, _, new) in &updates {
             table
                 .update(*id, new.clone(), snap, first_committer_wins)
@@ -250,13 +241,13 @@ pub fn execute_update(
     let mut news = Vec::with_capacity(updates.len());
     let mut olds = Vec::with_capacity(updates.len());
     for (id, old, new) in updates {
-        record_write(ctx, &loc, id, WriteKind::Update, Some(old.clone()), Some(new.clone()))?;
+        record_write(ctx, &name, id, WriteKind::Update, Some(old.clone()), Some(new.clone()))?;
         olds.push(old);
         news.push(new);
     }
     ctx.rows_written += count;
 
-    fire_triggers(ctx, &loc, TriggerEvent::Update, &news, &olds, &schema_cols)?;
+    fire_triggers(ctx, &name, TriggerEvent::Update, &news, &olds)?;
     Ok(Outcome::Affected(count))
 }
 
@@ -274,15 +265,14 @@ pub fn execute_delete(
 
     let mut env = ctx.eval_env(snap);
     let m = access::matching_rows(&mut env, table_name, None, filter, &RowScope::empty())?;
-    let (loc, doomed) = (m.loc, m.rows);
-    let schema_cols = m.table.schema.columns.clone();
+    let (name, doomed) = (m.table.schema.name.clone(), m.rows);
     let (read_log, rows_read) = (std::mem::take(&mut env.read_log), env.rows_read);
     drop(env);
     ctx.absorb(read_log, rows_read);
 
     let count = doomed.len() as u64;
     {
-        let table = table_mut(ctx, &loc)?;
+        let table = table_mut(ctx, &name)?;
         for (id, _) in &doomed {
             table
                 .delete(*id, snap, first_committer_wins)
@@ -291,12 +281,12 @@ pub fn execute_delete(
     }
     let mut olds = Vec::with_capacity(doomed.len());
     for (id, old) in doomed {
-        record_write(ctx, &loc, id, WriteKind::Delete, Some(old.clone()), None)?;
+        record_write(ctx, &name, id, WriteKind::Delete, Some(old.clone()), None)?;
         olds.push(old);
     }
     ctx.rows_written += count;
 
-    fire_triggers(ctx, &loc, TriggerEvent::Delete, &[], &olds, &schema_cols)?;
+    fire_triggers(ctx, &name, TriggerEvent::Delete, &[], &olds)?;
     Ok(Outcome::Affected(count))
 }
 
@@ -326,14 +316,14 @@ pub fn lock_for_update(
     let mut env = ctx.eval_env(snap);
     let filter = select.filter.as_ref();
     let m = access::matching_rows(&mut env, name, alias.as_deref(), filter, &RowScope::empty())?;
-    let (loc, locked) = (m.loc, m.rows);
+    let (table_name, locked) = (m.table.schema.name.clone(), m.rows);
     let read_log = std::mem::take(&mut env.read_log);
     drop(env);
     // The SELECT that matched these rows has already been charged for them.
     ctx.absorb(read_log, 0);
 
     {
-        let table = table_mut(ctx, &loc)?;
+        let table = table_mut(ctx, &table_name)?;
         for (id, vals) in &locked {
             table
                 .update(*id, vals.clone(), snap, first_committer_wins)
@@ -341,7 +331,7 @@ pub fn lock_for_update(
         }
     }
     for (id, vals) in locked {
-        record_write(ctx, &loc, id, WriteKind::Update, Some(vals.clone()), Some(vals))?;
+        record_write(ctx, &table_name, id, WriteKind::Update, Some(vals.clone()), Some(vals))?;
     }
     Ok(())
 }
@@ -350,11 +340,13 @@ pub fn lock_for_update(
 // Triggers
 // ---------------------------------------------------------------------
 
-/// Does `event` on the table at `loc` fire a trigger? Temp tables never
-/// have triggers.
-fn has_triggers(ctx: &StmtCtx<'_>, loc: &TableLoc, event: TriggerEvent) -> Result<bool, SqlError> {
-    let TableLoc::Db(db, table) = loc else { return Ok(false) };
-    Ok(ctx.catalog.database(db)?.has_triggers(table, event))
+/// Does `event` on `table` fire a trigger? Temp tables never have
+/// triggers.
+fn has_triggers(ctx: &StmtCtx<'_>, table: &TableName, event: TriggerEvent) -> Result<bool, SqlError> {
+    if table.is_temp() {
+        return Ok(false);
+    }
+    Ok(ctx.catalog.database(table.database())?.has_triggers(table.table(), event))
 }
 
 /// Fire AFTER triggers for `event`. `news`/`olds` are per-affected-row
@@ -362,18 +354,22 @@ fn has_triggers(ctx: &StmtCtx<'_>, loc: &TableLoc, event: TriggerEvent) -> Resul
 /// run in the same transaction and may write any database (§4.1.1).
 fn fire_triggers(
     ctx: &mut StmtCtx<'_>,
-    loc: &TableLoc,
+    table: &TableName,
     event: TriggerEvent,
     news: &[Vec<Value>],
     olds: &[Vec<Value>],
-    schema_cols: &[crate::ast::ColumnDef],
 ) -> Result<(), SqlError> {
     // Temp tables never have triggers.
-    let TableLoc::Db(db, table) = loc else { return Ok(()) };
-    let defs = ctx.catalog.database(db)?.triggers_for(table, event);
+    if table.is_temp() {
+        return Ok(());
+    }
+    let database = ctx.catalog.database(table.database())?;
+    let defs = database.triggers_for(table.table(), event);
     if defs.is_empty() {
         return Ok(());
     }
+    let columns: Vec<String> =
+        database.table(table.table())?.schema.columns.iter().map(|c| c.name.clone()).collect();
     if ctx.depth >= MAX_NESTING {
         return Err(SqlError::ConstraintViolation(format!(
             "trigger nesting exceeds {MAX_NESTING}"
@@ -383,13 +379,13 @@ fn fire_triggers(
     for i in 0..row_count {
         let mut vars = ctx.vars.clone();
         if let Some(new) = news.get(i) {
-            for (col, v) in schema_cols.iter().zip(new) {
-                vars.insert(format!("new.{}", col.name), v.clone());
+            for (col, v) in columns.iter().zip(new) {
+                vars.insert(format!("new.{col}"), v.clone());
             }
         }
         if let Some(old) = olds.get(i) {
-            for (col, v) in schema_cols.iter().zip(old) {
-                vars.insert(format!("old.{}", col.name), v.clone());
+            for (col, v) in columns.iter().zip(old) {
+                vars.insert(format!("old.{col}"), v.clone());
             }
         }
         for def in &defs {

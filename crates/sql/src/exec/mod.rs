@@ -8,7 +8,7 @@ pub mod stmt;
 
 use std::collections::BTreeMap;
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, TableName};
 use crate::det::Determinism;
 use crate::error::SqlError;
 use crate::expr::EvalEnv;
@@ -30,7 +30,7 @@ pub struct StmtCtx<'a> {
     pub det: &'a mut Determinism,
     pub txm: &'a mut TxManager,
     pub tx: TxId,
-    pub current_db: Option<String>,
+    pub current_db: Option<&'a str>,
     /// Session variables plus procedure-parameter / trigger NEW.* bindings.
     pub vars: BTreeMap<String, Value>,
     /// Trigger/procedure nesting depth.
@@ -56,7 +56,7 @@ impl<'a> StmtCtx<'a> {
             seqs: &mut *self.seqs,
             det: &mut *self.det,
             snap,
-            current_db: self.current_db.as_deref(),
+            current_db: self.current_db,
             vars: &self.vars,
             read_log: Vec::new(),
             rows_read: 0,
@@ -64,7 +64,7 @@ impl<'a> StmtCtx<'a> {
     }
 
     /// Merge a finished env's accounting into the transaction state.
-    pub fn absorb(&mut self, read_log: Vec<(String, String)>, rows_read: u64) {
+    pub fn absorb(&mut self, read_log: Vec<TableName>, rows_read: u64) {
         self.rows_read += rows_read;
         if let Ok(st) = self.txm.state_mut(self.tx) {
             st.read_tables.extend(read_log);

@@ -62,15 +62,12 @@ fn execute_call(
         )));
     }
     let db = match &name.database {
-        Some(d) => d.clone(),
-        None => ctx
-            .current_db
-            .clone()
-            .ok_or_else(|| SqlError::UnknownProcedure(name.to_string()))?,
+        Some(d) => d.as_str(),
+        None => ctx.current_db.ok_or_else(|| SqlError::UnknownProcedure(name.to_string()))?,
     };
     let def = ctx
         .catalog
-        .database(&db)?
+        .database(db)?
         .procedures
         .get(&name.name)
         .cloned()

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use crate::ast::{BinOp, ColumnRef, Expr, UnOp};
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, TableName};
 use crate::det::Determinism;
 use crate::error::SqlError;
 use crate::mvcc::Snapshot;
@@ -32,29 +32,25 @@ pub struct EvalEnv<'a> {
     pub current_db: Option<&'a str>,
     /// Session variables, procedure parameters, and trigger NEW.* bindings.
     pub vars: &'a BTreeMap<String, Value>,
-    /// (database, table) pairs read through this env — merged into the
-    /// transaction's read set for serializable validation.
-    pub read_log: Vec<(String, String)>,
+    /// Tables read through this env — merged into the transaction's read
+    /// set for serializable validation.
+    pub read_log: Vec<TableName>,
     /// Rows materialized by scans, for the cost model.
     pub rows_read: u64,
-}
-
-/// Where a table name resolved to.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TableLoc {
-    /// A session temporary table (connection-local, §4.1.4).
-    Temp(String),
-    /// A regular table: (database, table).
-    Db(String, String),
 }
 
 impl<'a> EvalEnv<'a> {
     /// Resolve a table name: unqualified names check session temp tables
     /// first, then the current database; qualified names go straight to the
-    /// named database.
-    pub fn table_location(&self, name: &crate::ast::ObjectName) -> Result<TableLoc, SqlError> {
-        if name.database.is_none() && self.temp.contains_key(&name.name) {
-            return Ok(TableLoc::Temp(name.name.clone()));
+    /// named database. The table's [`TableName`] is `table.schema.name`.
+    /// The borrow is of the catalog, not of this env, so rows can be read
+    /// in place while expressions evaluate against them.
+    pub fn table(&self, name: &crate::ast::ObjectName) -> Result<&'a Table, SqlError> {
+        let (catalog, temp) = (self.catalog, self.temp);
+        if name.database.is_none() {
+            if let Some(t) = temp.get(&name.name) {
+                return Ok(t);
+            }
         }
         let db = match &name.database {
             Some(d) => d.as_str(),
@@ -62,19 +58,7 @@ impl<'a> EvalEnv<'a> {
                 .current_db
                 .ok_or_else(|| SqlError::UnknownTable(format!("{name} (no database selected)")))?,
         };
-        Ok(TableLoc::Db(db.to_string(), name.name.clone()))
-    }
-
-    /// The table at `loc`. The borrow is of the catalog, not of this env,
-    /// so rows can be read in place while expressions evaluate against them.
-    pub fn table_at(&self, loc: &TableLoc) -> Result<&'a Table, SqlError> {
-        let (catalog, temp) = (self.catalog, self.temp);
-        match loc {
-            TableLoc::Temp(name) => {
-                temp.get(name).ok_or_else(|| SqlError::UnknownTable(name.clone()))
-            }
-            TableLoc::Db(db, name) => catalog.database(db)?.table(name),
-        }
+        catalog.database(db)?.table(&name.name)
     }
 
     /// Resolve a table for reading and record the read for serializable
@@ -83,11 +67,11 @@ impl<'a> EvalEnv<'a> {
         &mut self,
         name: &crate::ast::ObjectName,
     ) -> Result<&'a Table, SqlError> {
-        let loc = self.table_location(name)?;
-        if let TableLoc::Db(db, table) = &loc {
-            self.read_log.push((db.clone(), table.clone()));
+        let table = self.table(name)?;
+        if !table.schema.name.is_temp() {
+            self.read_log.push(table.schema.name.clone());
         }
-        self.table_at(&loc)
+        Ok(table)
     }
 }
 

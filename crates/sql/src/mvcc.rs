@@ -14,6 +14,7 @@
 use std::collections::HashMap;
 
 use crate::ast::IsolationLevel;
+use crate::catalog::TableName;
 use crate::error::SqlError;
 use crate::value::Value;
 
@@ -53,18 +54,17 @@ pub enum WriteKind {
 /// entry shipped by transaction-based replication (§4.3.2).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WriteRecord {
-    pub database: String,
-    pub table: String,
+    /// A write to a session temporary table ([`TableName::is_temp`]) is
+    /// part of the transaction (commit/abort must visit it) but excluded
+    /// from extracted writesets, because temp tables are connection-local
+    /// and must never replicate (§4.1.4).
+    pub table: TableName,
     pub row: RowId,
     pub kind: WriteKind,
     /// Before-image (None for inserts).
     pub old: Option<Vec<Value>>,
     /// After-image (None for deletes).
     pub new: Option<Vec<Value>>,
-    /// Write to a session temporary table: part of the transaction (commit/
-    /// abort must visit it) but excluded from extracted writesets, because
-    /// temp tables are connection-local and must never replicate (§4.1.4).
-    pub temp: bool,
 }
 
 /// Per-transaction bookkeeping.
@@ -73,8 +73,8 @@ pub struct TxState {
     pub snapshot_ts: CommitTs,
     pub isolation: IsolationLevel,
     pub writes: Vec<WriteRecord>,
-    /// Tables read, as (database, table) — used by serializable validation.
-    pub read_tables: Vec<(String, String)>,
+    /// Tables read — used by serializable validation.
+    pub read_tables: Vec<TableName>,
     /// Set when a statement failed and the engine is in PostgreSQL-style
     /// `ErrorMode::AbortTransaction`: all further statements are rejected
     /// until ROLLBACK (§4.1.2).

@@ -8,6 +8,7 @@ use std::collections::BTreeMap;
 use std::num::NonZeroU64;
 
 use crate::ast::ColumnDef;
+use crate::catalog::TableName;
 use crate::checksum::Fnv64;
 use crate::error::SqlError;
 use crate::mvcc::{CommitTs, RowId, Snapshot, TxId};
@@ -16,16 +17,16 @@ use crate::value::Value;
 /// Schema of a table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableSchema {
-    pub name: String,
+    pub name: TableName,
     pub columns: Vec<ColumnDef>,
     /// Index into `columns` of the primary key, if any.
     pub primary_key: Option<usize>,
 }
 
 impl TableSchema {
-    pub fn new(name: impl Into<String>, columns: Vec<ColumnDef>) -> Self {
+    pub fn new(name: TableName, columns: Vec<ColumnDef>) -> Self {
         let primary_key = columns.iter().position(|c| c.primary_key);
-        TableSchema { name: name.into(), columns, primary_key }
+        TableSchema { name, columns, primary_key }
     }
 }
 
@@ -499,7 +500,7 @@ impl Table {
     /// Checksum of the *committed* state visible at `ts` — the divergence
     /// detector replicas compare (§4.3.2).
     pub fn checksum_into(&self, ts: CommitTs, h: &mut Fnv64) {
-        h.write_str(&self.schema.name);
+        h.write_str(self.schema.name.table());
         let snap = Snapshot { ts, tx: TxId(u64::MAX) };
         // Hash rows in a canonical order: by primary key when present, else
         // by full row contents, so row-id allocation differences between
@@ -567,7 +568,7 @@ fn claim_key(
     }
     if newer {
         return Err(SqlError::WriteConflict {
-            table: schema.name.clone(),
+            table: schema.name.table().to_string(),
             detail: format!("{:?}", ConflictKind::NewerCommit),
         });
     }
@@ -605,7 +606,7 @@ mod tests {
 
     fn schema() -> TableSchema {
         TableSchema::new(
-            "t",
+            TableName::new("d", "t"),
             vec![
                 ColumnDef {
                     name: "id".into(),
@@ -748,6 +749,17 @@ mod tests {
         let size = std::mem::size_of::<Version>();
         println!("footprint: size_of Version: {size} bytes");
         assert_eq!(size, 48);
+    }
+
+    /// A write record and a certification key name their table by one
+    /// shared [`TableName`] pointer, not two owned strings.
+    #[test]
+    fn a_write_record_is_72_bytes_and_a_writeset_key_32() {
+        let record = std::mem::size_of::<crate::mvcc::WriteRecord>();
+        let key = std::mem::size_of::<crate::writeset::WsKey>();
+        println!("footprint: size_of WriteRecord: {record} bytes, WsKey: {key} bytes");
+        assert_eq!(record, 72);
+        assert_eq!(key, 32);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use crate::ast::{ObjectName, Statement};
 use crate::auth::User;
 use crate::binlog::{BinlogEntry, Lsn};
-use crate::catalog::{ProcedureDef, TriggerDef};
+use crate::catalog::{ProcedureDef, TableName, TriggerDef};
 use crate::checksum::Fnv64;
 use crate::dump::{DatabaseDump, Dump, TableDump};
 use crate::keycode;
@@ -356,8 +356,8 @@ fn get_opt_row(rd: &mut Rd<'_>) -> DecodeResult<Option<Vec<Value>>> {
 }
 
 fn put_write_record(out: &mut Vec<u8>, w: &WriteRecord) {
-    put_str(out, &w.database);
-    put_str(out, &w.table);
+    put_str(out, w.table.database());
+    put_str(out, w.table.table());
     keycode::encode_u64(out, w.row.0);
     out.push(match w.kind {
         WriteKind::Insert => 0,
@@ -366,13 +366,12 @@ fn put_write_record(out: &mut Vec<u8>, w: &WriteRecord) {
     });
     put_opt_row(out, &w.old);
     put_opt_row(out, &w.new);
-    out.push(w.temp as u8);
+    out.push(w.table.is_temp() as u8);
 }
 
 fn get_write_record(rd: &mut Rd<'_>) -> DecodeResult<WriteRecord> {
-    Ok(WriteRecord {
-        database: rd.str()?,
-        table: rd.str()?,
+    let record = WriteRecord {
+        table: get_table_name(rd)?,
         row: RowId(rd.u64()?),
         kind: match rd.u8()? {
             0 => WriteKind::Insert,
@@ -382,8 +381,15 @@ fn get_write_record(rd: &mut Rd<'_>) -> DecodeResult<WriteRecord> {
         },
         old: get_opt_row(rd)?,
         new: get_opt_row(rd)?,
-        temp: rd.bool()?,
-    })
+    };
+    // The temp flag: the empty database name says the same.
+    rd.bool()?;
+    Ok(record)
+}
+
+fn get_table_name(rd: &mut Rd<'_>) -> DecodeResult<TableName> {
+    let database = rd.str()?;
+    Ok(TableName::new(&database, &rd.str()?))
 }
 
 fn put_counter_sync(out: &mut Vec<u8>, cs: &CounterSync) {
@@ -394,9 +400,9 @@ fn put_counter_sync(out: &mut Vec<u8>, cs: &CounterSync) {
         keycode::encode_i64(out, *v);
     }
     keycode::encode_u64(out, cs.auto_increments.len() as u64);
-    for ((db, table), v) in &cs.auto_increments {
-        put_str(out, db);
-        put_str(out, table);
+    for (table, v) in &cs.auto_increments {
+        put_str(out, table.database());
+        put_str(out, table.table());
         keycode::encode_i64(out, *v);
     }
 }
@@ -407,7 +413,7 @@ fn get_counter_sync(rd: &mut Rd<'_>) -> DecodeResult<CounterSync> {
         cs.sequences.push(((rd.str()?, rd.str()?), rd.i64()?));
     }
     for _ in 0..rd.u64()? {
-        cs.auto_increments.push(((rd.str()?, rd.str()?), rd.i64()?));
+        cs.auto_increments.push((get_table_name(rd)?, rd.i64()?));
     }
     Ok(cs)
 }
@@ -1151,8 +1157,7 @@ mod tests {
     fn entry(lsn: u64, rows: usize) -> BinlogEntry {
         let entries = (0..rows)
             .map(|i| WriteRecord {
-                database: "db".into(),
-                table: "t".into(),
+                table: TableName::new("db", "t"),
                 row: RowId(i as u64 + 1),
                 kind: WriteKind::Insert,
                 old: None,
@@ -1164,7 +1169,6 @@ mod tests {
                     Value::Bool(true),
                     Value::Timestamp(-7),
                 ]),
-                temp: false,
             })
             .collect();
         BinlogEntry {
@@ -1185,6 +1189,27 @@ mod tests {
         s
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The WAL bytes of one write record and of one commit record. They
+    /// feed the device model (bytes written are virtual disk time) and are
+    /// what crash recovery reads back, so how a record names its table in
+    /// memory must not move them.
+    #[test]
+    fn wal_bytes_are_pinned() {
+        let e = entry(3, 1);
+        let mut rec = Vec::new();
+        put_write_record(&mut rec, &e.writeset.entries[0]);
+        assert_eq!(hex(&rec), "646200007400000000000000000001000001000000000000000601800000000000000003726f772d3000ff776974682d6e756c0000023ff8000000000000000401057ffffffffffffff900");
+        let commit = WalRecord::Commit { entry: e, applied_lsn: 7, marks: vec![(0, 9), (3, 2)] };
+        assert_eq!(
+            hex(&commit.encode()),
+            "00000000000000010000000000000003000000000000000702000903020000000000000003000000000000001e01646200000000000000000001494e5345525420494e544f20742056414c5545532028332900000000000000000001646200007400000000000000000001000001000000000000000601800000000000000003726f772d3000ff776974682d6e756c0000023ff8000000000000000401057ffffffffffffff90000"
+        );
+    }
+
     #[test]
     fn record_round_trip() {
         for rec in [
@@ -1193,7 +1218,7 @@ mod tests {
             WalRecord::Meta { applied_lsn: 1, marks: Vec::new() },
             WalRecord::Counters(CounterSync {
                 sequences: vec![(("shop".into(), "s".into()), 42)],
-                auto_increments: vec![(("shop".into(), "t".into()), 7)],
+                auto_increments: vec![(TableName::new("shop", "t"), 7)],
             }),
         ] {
             let enc = rec.encode();

@@ -9,8 +9,9 @@
 //! `CounterSync` extension (the paper's industrial-agenda fix) closes that
 //! hole by shipping counter states alongside the row images.
 
-use crate::checksum::Fnv64;
+use crate::catalog::TableName;
 use crate::mvcc::WriteRecord;
+use crate::sequence::SeqKey;
 use crate::value::Value;
 
 /// Counter states a transaction bumped, shipped only when the engine is
@@ -18,10 +19,10 @@ use crate::value::Value;
 /// default to reproduce the gap).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CounterSync {
-    /// (database, sequence) -> value after the transaction.
-    pub sequences: Vec<((String, String), i64)>,
-    /// (database, table) -> AUTO_INCREMENT counter after the transaction.
-    pub auto_increments: Vec<((String, String), i64)>,
+    /// Sequence -> value after the transaction.
+    pub sequences: Vec<(SeqKey, i64)>,
+    /// Table -> AUTO_INCREMENT counter after the transaction.
+    pub auto_increments: Vec<(TableName, i64)>,
 }
 
 impl CounterSync {
@@ -42,17 +43,15 @@ pub struct Writeset {
 /// has one, else its full before-image.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WsKey {
-    pub database: String,
-    pub table: String,
+    pub table: TableName,
     pub key: Vec<Value>,
 }
 
 impl WsKey {
-    /// Stable hash for conflict-window indexing in the certifier.
+    /// Stable hash for conflict-window indexing in the certifier: FNV-64
+    /// of the database name, the table name and the key values.
     pub fn hash(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_str(&self.database);
-        h.write_str(&self.table);
+        let mut h = self.table.hasher();
         for v in &self.key {
             v.hash_into(&mut h);
         }
@@ -69,31 +68,30 @@ impl Writeset {
         self.entries.len()
     }
 
-    /// Tables touched, deduplicated, as (database, table).
-    pub fn tables(&self) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = Vec::new();
+    /// Tables touched, deduplicated, in order of first write.
+    pub fn tables(&self) -> Vec<TableName> {
+        let mut out: Vec<TableName> = Vec::new();
         for e in &self.entries {
-            let k = (e.database.clone(), e.table.clone());
-            if !out.contains(&k) {
-                out.push(k);
+            if !out.contains(&e.table) {
+                out.push(e.table.clone());
             }
         }
         out
     }
 
-    /// Row identities for certification. `pk_of` maps (database, table) to
-    /// the primary-key column index, if the table has one.
-    pub fn keys(&self, pk_of: impl Fn(&str, &str) -> Option<usize>) -> Vec<WsKey> {
+    /// Row identities for certification. `pk_of` maps a table to its
+    /// primary-key column index, if it has one.
+    pub fn keys(&self, pk_of: impl Fn(&TableName) -> Option<usize>) -> Vec<WsKey> {
         self.entries
             .iter()
             .map(|e| {
                 let image = e.old.as_ref().or(e.new.as_ref());
-                let key = match (pk_of(&e.database, &e.table), image) {
+                let key = match (pk_of(&e.table), image) {
                     (Some(pk), Some(img)) => vec![img[pk].clone()],
                     (_, Some(img)) => img.clone(),
                     (_, None) => Vec::new(),
                 };
-                WsKey { database: e.database.clone(), table: e.table.clone(), key }
+                WsKey { table: e.table.clone(), key }
             })
             .collect()
     }
@@ -103,20 +101,17 @@ impl Writeset {
     /// class; entry order within each slice is preserved. Counter syncs
     /// ride with the lowest class (they are global by nature — the
     /// limitation the paper's §4.2.3 gap already documents).
-    pub fn split_by(&self, class_of: impl Fn(&WriteRecord) -> usize) -> Vec<(usize, Writeset)> {
+    pub fn split_by(self, class_of: impl Fn(&WriteRecord) -> usize) -> Vec<(usize, Writeset)> {
         let mut out: Vec<(usize, Writeset)> = Vec::new();
-        for e in &self.entries {
-            let c = class_of(e);
+        for e in self.entries {
+            let c = class_of(&e);
             match out.iter_mut().find(|(cc, _)| *cc == c) {
-                Some((_, ws)) => ws.entries.push(e.clone()),
-                None => out.push((
-                    c,
-                    Writeset { entries: vec![e.clone()], counters: None },
-                )),
+                Some((_, ws)) => ws.entries.push(e),
+                None => out.push((c, Writeset { entries: vec![e], counters: None })),
             }
         }
         out.sort_by_key(|&(c, _)| c);
-        if let (Some(counters), Some((_, first))) = (self.counters.clone(), out.first_mut()) {
+        if let (Some(counters), Some((_, first))) = (self.counters, out.first_mut()) {
             first.counters = Some(counters);
         }
         out
@@ -129,15 +124,7 @@ mod tests {
     use crate::mvcc::{RowId, WriteKind};
 
     fn rec(kind: WriteKind, old: Option<Vec<Value>>, new: Option<Vec<Value>>) -> WriteRecord {
-        WriteRecord {
-            database: "d".into(),
-            table: "t".into(),
-            row: RowId(1),
-            kind,
-            old,
-            new,
-            temp: false,
-        }
+        WriteRecord { table: TableName::new("d", "t"), row: RowId(1), kind, old, new }
     }
 
     #[test]
@@ -150,9 +137,9 @@ mod tests {
             )],
             counters: None,
         };
-        let keys = ws.keys(|_, _| Some(0));
+        let keys = ws.keys(|_| Some(0));
         assert_eq!(keys[0].key, vec![Value::Int(7)]);
-        let keys = ws.keys(|_, _| None);
+        let keys = ws.keys(|_| None);
         assert_eq!(keys[0].key.len(), 2, "falls back to the full image");
     }
 
@@ -162,27 +149,41 @@ mod tests {
             entries: vec![rec(WriteKind::Insert, None, Some(vec![Value::Int(3)]))],
             counters: None,
         };
-        let keys = ws.keys(|_, _| Some(0));
+        let keys = ws.keys(|_| Some(0));
         assert_eq!(keys[0].key, vec![Value::Int(3)]);
     }
 
     #[test]
     fn key_hash_distinguishes_rows() {
-        let a = WsKey { database: "d".into(), table: "t".into(), key: vec![Value::Int(1)] };
-        let b = WsKey { database: "d".into(), table: "t".into(), key: vec![Value::Int(2)] };
+        let a = WsKey { table: TableName::new("d", "t"), key: vec![Value::Int(1)] };
+        let b = WsKey { table: TableName::new("d", "t"), key: vec![Value::Int(2)] };
         assert_ne!(a.hash(), b.hash());
+    }
+
+    /// The hashes the certifier keys its conflict window by: FNV-64 of the
+    /// length-prefixed database and table names, then the key values. The
+    /// certified streams of every replica depend on them.
+    #[test]
+    fn key_hashes_are_pinned() {
+        assert_eq!(ws_key("bench", "t0", vec![Value::Int(42)]).hash(), 5688391833256766033);
+        assert_eq!(ws_key("shop", "acct", vec![Value::Text("alice".into()), Value::Null]).hash(), 13472693203114643035);
+        assert_eq!(ws_key("d", "t", Vec::new()).hash(), 17105561236574065327);
+    }
+
+    fn ws_key(database: &str, table: &str, key: Vec<Value>) -> WsKey {
+        WsKey { table: TableName::new(database, table), key }
     }
 
     #[test]
     fn split_by_partitions_entries_and_keeps_order() {
         let mut r1 = rec(WriteKind::Insert, None, Some(vec![Value::Int(1)]));
-        r1.table = "a".into();
+        r1.table = TableName::new("d", "a");
         let mut r2 = rec(WriteKind::Insert, None, Some(vec![Value::Int(2)]));
-        r2.table = "b".into();
+        r2.table = TableName::new("d", "b");
         let mut r3 = rec(WriteKind::Insert, None, Some(vec![Value::Int(3)]));
-        r3.table = "a".into();
+        r3.table = TableName::new("d", "a");
         let ws = Writeset { entries: vec![r1, r2, r3], counters: Some(CounterSync::default()) };
-        let parts = ws.split_by(|r| if r.table == "a" { 0 } else { 1 });
+        let parts = ws.split_by(|r| if r.table.table() == "a" { 0 } else { 1 });
         assert_eq!(parts.len(), 2);
         assert_eq!(parts[0].0, 0);
         assert_eq!(parts[0].1.entries.len(), 2);

@@ -3,7 +3,7 @@
 
 use replimid_sql::engine::{ConnId, Engine, EngineConfig};
 use replimid_sql::writeset::Writeset;
-use replimid_sql::{DumpOptions, Outcome, SqlError, Value, ADMIN_PASSWORD, ADMIN_USER};
+use replimid_sql::{DumpOptions, Outcome, SqlError, TableName, Value, ADMIN_PASSWORD, ADMIN_USER};
 
 fn setup() -> (Engine, ConnId) {
     let (mut e, c) = Engine::with_database("shop");
@@ -222,8 +222,8 @@ fn cross_database_trigger_reporting() {
     e.execute(c, "INSERT INTO acct VALUES (9, 90)").unwrap();
     let commit = e.execute(c, "COMMIT").unwrap().commit.unwrap();
     let tables = commit.writeset.tables();
-    assert!(tables.contains(&("shop".into(), "acct".into())));
-    assert!(tables.contains(&("reportdb".into(), "audit".into())));
+    assert!(tables.contains(&TableName::new("shop", "acct")));
+    assert!(tables.contains(&TableName::new("reportdb", "audit")));
 }
 
 // ---------------------------------------------------------------------

@@ -127,11 +127,14 @@ fn a_stored_row_costs_at_most_210_bytes_in_1_2_blocks() {
 /// Blocks per prepared autocommit INSERT, bind included (41.3 while an
 /// autocommit rendered its SQL text for a binlog that drops it and commit
 /// cloned its write records; 28.3 while each row had a chain block of its
-/// own and a second copy kept for triggers the table did not have).
-const INSERT_BLOCKS: f64 = 25.2;
+/// own and a second copy kept for triggers the table did not have; 25.2
+/// while a write record owned copies of its database and table names and
+/// every INSERT copied the table's column list and the session's database
+/// name).
+const INSERT_BLOCKS: f64 = 16.2;
 
 #[test]
-fn a_prepared_autocommit_insert_allocates_25_2_blocks() {
+fn a_prepared_autocommit_insert_allocates_16_2_blocks() {
     let (mut e, c, template) = engine();
     // Warm the engine's maps up first: what is measured is the steady state.
     for k in 0..1_000 {

@@ -120,12 +120,12 @@ done
 # Per-record footprint: live heap per stored row and heap blocks per
 # prepared autocommit INSERT (crates/sql/tests/footprint.rs, a counting
 # allocator), and the size of a row version, of a row's version chain, of
-# a primary-key index entry and of a trace summary. Runs the tests, so
-# only in a checkout that has them.
+# a primary-key index entry, of a write record, of a writeset key and of a
+# trace summary. Runs the tests, so only in a checkout that has them.
 if [ -f crates/sql/tests/footprint.rs ]; then
     {
         cargo test -q --offline -p replimid-sql --test footprint -- --nocapture --test-threads 1
-        cargo test -q --offline -p replimid-sql --lib -- --nocapture a_version_is_48_bytes a_chain_is_48_bytes
+        cargo test -q --offline -p replimid-sql --lib -- --nocapture a_version_is_48_bytes a_chain_is_48_bytes a_write_record_is
         cargo test -q --offline -p replimid-core --lib a_summary_is_96_bytes -- --nocapture
     } 2>/dev/null | sed -n 's/^\.*footprint: /  /p' | sed '1i per-record footprint:'
 fi
