@@ -942,7 +942,6 @@ fn e14_group_communication() {
                     protocol: proto,
                     token_timeout_us: 2_000_000,
                     flush_timeout_us: 2_000_000,
-                    adaptive: None,
                 };
                 let nodes: Vec<NodeId> = (0..group)
                     .map(|i| {
@@ -2423,10 +2422,6 @@ fn e23_arm(
     }
     cluster.run_for(dur::secs(secs));
     let m = replimid_workload::open_loop_metrics(&mut cluster, driver);
-    if std::env::var("E23_DEBUG").is_ok() {
-        eprintln!("completed/s {:?}", m.per_sec_completed);
-        eprintln!("shed/s      {:?}", m.per_sec_shed);
-    }
     (m, cluster.mw_metrics(0))
 }
 

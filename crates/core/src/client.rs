@@ -71,8 +71,6 @@ pub struct ClientMetrics {
     pub tx_latency: Histogram,
     /// Committed-transaction count per virtual second (throughput series).
     pub commits_per_sec: BTreeMap<u64, u64>,
-    /// Errors per virtual second (degraded-mode visibility).
-    pub errors_per_sec: BTreeMap<u64, u64>,
     /// The most recent error, for diagnostics.
     pub last_error: Option<String>,
     /// One trace per transaction, retries included.
@@ -89,7 +87,7 @@ impl From<&DriverMetrics> for ClientMetrics {
             committed: m.committed, aborted: m.aborted, failed: m.failed,
             timeouts: m.timeouts, failovers: m.timeouts,
             stmt_latency: m.stmt_latency.clone(), tx_latency: m.tx_latency.clone(),
-            commits_per_sec: by_sec(&m.per_sec_committed), errors_per_sec: by_sec(&m.per_sec_errors),
+            commits_per_sec: by_sec(&m.per_sec_committed),
             last_error: m.last_error.clone(), trace: m.trace.clone(),
         }
     }

@@ -22,8 +22,6 @@ pub mod cost {
     pub const DUMP_ROW_US: u64 = 3;
     /// Fixed dump/restore overhead.
     pub const DUMP_BASE_US: u64 = 2_000;
-    /// Checksum cost per call (scan-ish).
-    pub const CHECKSUM_US: u64 = 500;
 }
 
 /// What a statement that fails at the node costs it: the fixed
@@ -127,6 +125,12 @@ impl DbNode {
 
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
+    }
+
+    /// How many middleware sessions hold a connection here (the log
+    /// shipping connection is not one).
+    pub fn session_conns(&self) -> usize {
+        self.conns.len()
     }
 
     /// The engine connection serving the middleware's connection `token`.
@@ -303,15 +307,6 @@ impl DbNode {
                     Err(err) => Some(DbResp::ApplyErr { op, err }),
                 }
             }
-            DbOp::Checksum { op, full } => {
-                ctx.consume(self.scaled(cost::CHECKSUM_US));
-                let value = if full {
-                    self.engine.checksum_full()
-                } else {
-                    self.engine.checksum_data()
-                };
-                Some(DbResp::ChecksumOut { op, value })
-            }
             DbOp::Ping { op, binlog_horizon } => {
                 self.engine.set_binlog_horizon(binlog_horizon);
                 // `head` is this node's own binlog position (meaningful when
@@ -477,7 +472,6 @@ fn op_id(op: &DbOp) -> Option<u64> {
         | DbOp::BinlogAfter { op, .. }
         | DbOp::Dump { op, .. }
         | DbOp::Restore { op, .. }
-        | DbOp::Checksum { op, .. }
         | DbOp::Ping { op, .. } => Some(*op),
         DbOp::Disconnect { .. } => None,
     }

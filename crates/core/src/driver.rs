@@ -197,10 +197,9 @@ pub struct DriverMetrics {
     /// Send → reply of successful point reads and writes.
     pub read_latency: Histogram,
     pub write_latency: Histogram,
-    /// Per virtual second: successes, failed or timed-out attempts,
-    /// arrivals, sheds, and the sojourns of successes.
+    /// Per virtual second: successes, arrivals, sheds, and the sojourns
+    /// of successes.
     pub per_sec_committed: Vec<u64>,
-    pub per_sec_errors: Vec<u64>,
     pub per_sec_arrivals: Vec<u64>,
     pub per_sec_shed: Vec<u64>,
     pub per_sec_sojourn: Vec<Histogram>,
@@ -478,7 +477,6 @@ impl Driver {
             }
         };
         let m = &mut self.metrics;
-        *at(&mut m.per_sec_errors, now) += 1;
         let slot = &mut self.slots[idx];
         let Some(unit) = &mut slot.unit else { return };
         let (Retry::InPlace { max_retries } | Retry::Requeue { max_retries }) = self.retry;

@@ -20,45 +20,41 @@
 //! still replicate to quarantined backends so they stay consistent and can
 //! rejoin without a resync. Every transition is appended to an event log so
 //! property tests can assert same-seed runs produce identical histories.
+//!
+//! The policy is fixed; no experiment varies it. All trips are relative to
+//! the backend's own learned baseline, so a uniformly slow backend is not
+//! punished — only a backend that got *worse*: the fast EWMA
+//! ([`EWMA_ALPHA`]) trips at [`TRIP_FACTOR`] x the slow baseline
+//! ([`BASELINE_ALPHA`]) for [`TRIP_CONSECUTIVE`] completions in a row, once
+//! [`MIN_SAMPLES`] completions have been scored; a quarantined backend
+//! dwells [`MIN_QUARANTINE_US`] before its probe, which re-trips when slower
+//! than [`PROBE_TIMEOUT_US`] or [`TRIP_FACTOR`] x baseline.
 
-/// Quarantine policy knobs. All trips are relative to the backend's own
-/// learned baseline, so a uniformly slow backend is not punished — only a
-/// backend that got *worse*.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuarantineConfig {
-    /// Smoothing for the fast (current-health) latency EWMA.
-    pub ewma_alpha: f64,
-    /// Smoothing for the slow baseline EWMA (learned while healthy).
-    pub baseline_alpha: f64,
-    /// Trip when the fast EWMA exceeds `trip_factor` x baseline...
-    pub trip_factor: f64,
-    /// ...for this many consecutive completions (debounce).
-    pub trip_consecutive: u32,
-    /// Ignore everything until this many completions have been scored.
-    pub min_samples: u64,
-    /// Dwell in Quarantined at least this long before the half-open probe.
-    pub min_quarantine_us: u64,
-    /// A probe completing slower than `trip_factor` x baseline re-trips.
-    pub probe_timeout_us: u64,
-}
+/// Smoothing for the fast (current-health) latency EWMA.
+pub const EWMA_ALPHA: f64 = 0.2;
+/// Smoothing for the slow baseline EWMA (learned while healthy).
+pub const BASELINE_ALPHA: f64 = 0.02;
+/// Trip when the fast EWMA exceeds `TRIP_FACTOR` x baseline...
+pub const TRIP_FACTOR: f64 = 4.0;
+/// ...for this many consecutive completions (debounce).
+pub const TRIP_CONSECUTIVE: u32 = 3;
+/// Ignore everything until this many completions have been scored.
+pub const MIN_SAMPLES: u64 = 10;
+/// Dwell in Quarantined at least this long before the half-open probe.
+pub const MIN_QUARANTINE_US: u64 = 500_000;
+/// A probe completing slower than this (or than `TRIP_FACTOR` x baseline)
+/// re-trips.
+pub const PROBE_TIMEOUT_US: u64 = 1_000_000;
 
-impl Default for QuarantineConfig {
-    fn default() -> Self {
-        QuarantineConfig {
-            ewma_alpha: 0.2,
-            baseline_alpha: 0.02,
-            trip_factor: 4.0,
-            trip_consecutive: 3,
-            min_samples: 10,
-            min_quarantine_us: 500_000,
-            probe_timeout_us: 1_000_000,
-        }
-    }
-}
+/// Turns quarantine on as `MwConfig::quarantine = Some(..)`; the policy
+/// itself is the constants above.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct QuarantineConfig {}
 
 /// Where a backend sits in the circuit-breaker cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HealthState {
+    #[default]
     Healthy,
     Quarantined { since_us: u64 },
     /// Half-open: eligible for exactly one probe read at a time.
@@ -76,9 +72,8 @@ pub enum HealthEvent {
 }
 
 /// Latency health score and quarantine state for a single backend.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HealthTracker {
-    cfg: QuarantineConfig,
     state: HealthState,
     ewma_us: f64,
     baseline_us: f64,
@@ -89,19 +84,6 @@ pub struct HealthTracker {
 }
 
 impl HealthTracker {
-    pub fn new(cfg: QuarantineConfig) -> Self {
-        HealthTracker {
-            cfg,
-            state: HealthState::Healthy,
-            ewma_us: 0.0,
-            baseline_us: 0.0,
-            samples: 0,
-            over_threshold: 0,
-            probe_in_flight: false,
-            events: Vec::new(),
-        }
-    }
-
     pub fn state(&self) -> HealthState {
         self.state
     }
@@ -135,18 +117,18 @@ impl HealthTracker {
             self.baseline_us = lat;
             return false;
         }
-        self.ewma_us += self.cfg.ewma_alpha * (lat - self.ewma_us);
+        self.ewma_us += EWMA_ALPHA * (lat - self.ewma_us);
         // The baseline only learns from samples that look normal, so a
         // brownout cannot drag the reference point up underneath itself.
-        if lat <= self.cfg.trip_factor * self.baseline_us {
-            self.baseline_us += self.cfg.baseline_alpha * (lat - self.baseline_us);
+        if lat <= TRIP_FACTOR * self.baseline_us {
+            self.baseline_us += BASELINE_ALPHA * (lat - self.baseline_us);
         }
-        if self.state != HealthState::Healthy || self.samples < self.cfg.min_samples {
+        if self.state != HealthState::Healthy || self.samples < MIN_SAMPLES {
             return false;
         }
-        if self.ewma_us > self.cfg.trip_factor * self.baseline_us.max(1.0) {
+        if self.ewma_us > TRIP_FACTOR * self.baseline_us.max(1.0) {
             self.over_threshold += 1;
-            if self.over_threshold >= self.cfg.trip_consecutive {
+            if self.over_threshold >= TRIP_CONSECUTIVE {
                 self.state = HealthState::Quarantined { since_us: now_us };
                 self.over_threshold = 0;
                 self.events.push((
@@ -165,7 +147,7 @@ impl HealthTracker {
     /// quarantine time has elapsed. Returns `true` on that transition.
     pub fn tick(&mut self, now_us: u64) -> bool {
         if let HealthState::Quarantined { since_us } = self.state {
-            if now_us.saturating_sub(since_us) >= self.cfg.min_quarantine_us {
+            if now_us.saturating_sub(since_us) >= MIN_QUARANTINE_US {
                 self.state = HealthState::Probing { since_us: now_us };
                 self.probe_in_flight = false;
                 return true;
@@ -194,8 +176,8 @@ impl HealthTracker {
             return false;
         }
         self.probe_in_flight = false;
-        let ok = latency_us <= self.cfg.probe_timeout_us
-            && (latency_us as f64) <= self.cfg.trip_factor * self.baseline_us.max(1.0);
+        let ok = latency_us <= PROBE_TIMEOUT_US
+            && (latency_us as f64) <= TRIP_FACTOR * self.baseline_us.max(1.0);
         if ok {
             self.state = HealthState::Healthy;
             // Forget the brownout-era score so the next completion doesn't
@@ -230,18 +212,9 @@ impl HealthTracker {
 mod tests {
     use super::*;
 
-    fn cfg() -> QuarantineConfig {
-        QuarantineConfig {
-            min_samples: 5,
-            trip_consecutive: 2,
-            min_quarantine_us: 1_000,
-            ..QuarantineConfig::default()
-        }
-    }
-
     #[test]
     fn steady_latency_never_trips() {
-        let mut t = HealthTracker::new(cfg());
+        let mut t = HealthTracker::default();
         for i in 0..200 {
             assert!(!t.on_completion(i * 100, 900 + (i % 7) * 30));
         }
@@ -250,30 +223,42 @@ mod tests {
     }
 
     #[test]
+    fn arms_at_min_samples_and_trips_on_the_third_completion_over() {
+        // One fast completion sets the baseline; every later one is far
+        // over it. Nothing counts before MIN_SAMPLES completions, and then
+        // TRIP_CONSECUTIVE completions in a row over the threshold trip.
+        let mut t = HealthTracker::default();
+        assert!(!t.on_completion(100, 1_000));
+        let trip_at = MIN_SAMPLES + TRIP_CONSECUTIVE as u64 - 1;
+        for n in 2..trip_at {
+            assert!(!t.on_completion(n * 100, 100_000), "completion {n}");
+        }
+        assert!(t.on_completion(trip_at * 100, 100_000));
+        assert_eq!(trip_at, 12);
+        assert_eq!(t.state(), HealthState::Quarantined { since_us: trip_at * 100 });
+    }
+
+    #[test]
     fn brownout_trips_then_probe_rejoins() {
-        let mut t = HealthTracker::new(cfg());
+        let mut t = HealthTracker::default();
         let mut now = 0u64;
         for _ in 0..20 {
             now += 100;
             t.on_completion(now, 1_000);
         }
-        // 10x latency: the fast EWMA blows past 4x baseline within a few
-        // completions while the outlier-gated baseline stays put.
-        let mut tripped = false;
-        for _ in 0..20 {
+        // 10x latency: the fast EWMA crosses 4x baseline on the second slow
+        // completion while the outlier-gated baseline stays put, so the
+        // fourth trips.
+        for slow in 1..=4 {
             now += 100;
-            if t.on_completion(now, 10_000) {
-                tripped = true;
-                break;
-            }
+            assert_eq!(t.on_completion(now, 10_000), slow == 4, "slow completion {slow}");
         }
-        assert!(tripped);
         assert!(t.quarantined());
         assert!(matches!(t.events()[0].1, HealthEvent::Trip { .. }));
 
         // Dwell, then half-open.
-        assert!(!t.tick(now + 10)); // too soon
-        now += 2_000;
+        assert!(!t.tick(now + MIN_QUARANTINE_US - 1)); // too soon
+        now += MIN_QUARANTINE_US;
         assert!(t.tick(now));
         assert!(t.wants_probe());
         t.probe_sent(now);
@@ -287,7 +272,7 @@ mod tests {
 
     #[test]
     fn slow_probe_retrips() {
-        let mut t = HealthTracker::new(cfg());
+        let mut t = HealthTracker::default();
         let mut now = 0;
         for _ in 0..10 {
             now += 100;
@@ -298,20 +283,20 @@ mod tests {
             t.on_completion(now, 20_000);
         }
         assert!(t.quarantined());
-        now += 2_000;
+        now += MIN_QUARANTINE_US;
         t.tick(now);
         t.probe_sent(now);
         assert!(!t.probe_completed(now + 9_000, 9_000)); // still 9x baseline
         assert!(matches!(t.state(), HealthState::Quarantined { .. }));
         // And the dwell timer starts over.
-        assert!(!t.tick(now + 9_500));
-        assert!(t.tick(now + 9_000 + 1_000));
+        assert!(!t.tick(now + 9_000 + MIN_QUARANTINE_US - 1));
+        assert!(t.tick(now + 9_000 + MIN_QUARANTINE_US));
     }
 
     #[test]
     fn uniformly_slow_backend_is_not_punished() {
         // 20ms from the very first sample: that IS its baseline.
-        let mut t = HealthTracker::new(cfg());
+        let mut t = HealthTracker::default();
         for i in 0..100 {
             assert!(!t.on_completion(i * 100, 20_000));
         }
@@ -320,7 +305,7 @@ mod tests {
 
     #[test]
     fn reset_wipes_history() {
-        let mut t = HealthTracker::new(cfg());
+        let mut t = HealthTracker::default();
         let mut now = 0;
         for _ in 0..10 {
             now += 100;

@@ -192,7 +192,6 @@ impl Middleware {
                 let Some(s) = self.sessions.get_mut(session.0) else { return };
                 if write {
                     s.wrote_in_tx = true;
-                    s.last_write_us = ctx.now().micros();
                     s.last_write_backend = Some(backend);
                 }
                 // One op at the delegate: the (remembered or implicit) BEGIN

@@ -10,7 +10,7 @@ use replimid_simnet::Ctx;
 use replimid_sql::Lsn;
 
 use super::{BackendState, Middleware, Mode, Pending, TIMER_PING};
-use crate::health::{HealthEvent, HealthTracker, QuarantineConfig};
+use crate::health::{HealthEvent, HealthTracker};
 use crate::metrics::Counters;
 use crate::msg::{BackendId, DbOp, Msg};
 
@@ -28,9 +28,9 @@ pub(super) struct Detection {
 }
 
 impl Detection {
-    pub(super) fn new(backends: usize, quarantine: QuarantineConfig, adaptive: Option<AdaptiveConfig>) -> Self {
+    pub(super) fn new(backends: usize, adaptive: Option<AdaptiveConfig>) -> Self {
         Detection {
-            health: (0..backends).map(|_| HealthTracker::new(quarantine)).collect(),
+            health: vec![HealthTracker::default(); backends],
             seen: vec![0; backends],
             probe_op: HashMap::new(),
             adaptive: adaptive.map_or_else(Vec::new, |ad| (0..backends).map(|_| AdaptiveThreshold::new(ad)).collect()),

@@ -359,7 +359,6 @@ struct Sess {
     /// applied position has reached the floor in every group it reads.
     /// Grown on demand; groups the session never touched stay 0.
     gstamps: Vec<u64>,
-    last_write_us: u64,
     last_write_backend: Option<BackendId>,
     /// Writeset mode: the client's BEGIN (its isolation level),
     /// acknowledged but not yet executed anywhere. `Some` until the
@@ -591,7 +590,7 @@ impl Middleware {
             shards,
             fanouts: Fanouts::new(),
             rejoin: Rejoin::default(),
-            detect: Detection::new(n, cfg.quarantine.unwrap_or_default(), cfg.adaptive_detection),
+            detect: Detection::new(n, cfg.adaptive_detection),
             ship: Ship::new(),
             peers,
             cfg,
@@ -755,13 +754,16 @@ impl Middleware {
 
     /// Full session teardown: the slab entry goes — taking its open
     /// request metas and any stashed 2-safe body with it — and so do the
-    /// session's parked reads. Pre-PR, `SessionEnd` removed only the
-    /// session struct while the side maps (`request_started`,
-    /// `two_safe_bodies`) kept their entries forever: a leak at session
-    /// churn. Folding that metadata into `Sess` fixes it by construction.
+    /// session's parked reads. Each backend in rotation drops the session's
+    /// connection, which aborts its open transaction: left open, its
+    /// uncommitted row versions would make every later write to those rows
+    /// a write conflict.
     fn end_session(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId) {
         self.sessions.remove(session.0);
         self.reads.end_session(ctx, session);
+        for b in self.healthy() {
+            ctx.send(self.backends[b.0].node, Msg::Db(DbOp::Disconnect { conn: session.0 }));
+        }
     }
 
     /// Sessions stuck to `backend`, which left rotation, re-route on their

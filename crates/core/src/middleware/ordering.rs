@@ -404,7 +404,10 @@ impl Middleware {
     }
 
     /// Run one total-order slot of group `g`, its events in slot order. A
-    /// session end takes effect at once. An ordered statement takes group
+    /// session ends after the slot's fan-out, so each backend gets its
+    /// `Disconnect` behind the slot's `Apply`: ended first, the session's
+    /// own statement or COMMIT in the same slot would run on a fresh
+    /// connection with no transaction. An ordered statement takes group
     /// 0's next recovery-log position (every peer logs identically, so
     /// positions agree) and runs as its plan on its session's connection at
     /// every healthy backend. A certified transaction's part votes, and a
@@ -419,10 +422,11 @@ impl Middleware {
         let mut records = Vec::with_capacity(events.len());
         let mut per_host: Vec<Vec<(usize, ApplyEntry)>> = vec![Vec::new(); self.backends.len()];
         let mut multi = false;
+        let mut ended = Vec::new();
         for ev in events {
             let (record, entries) = match ev {
                 ReplEvent::SessionEnd { session } => {
-                    self.end_session(ctx, session);
+                    ended.push(session);
                     continue;
                 }
                 ReplEvent::Statement { session, stmt_seq, ast } => {
@@ -456,6 +460,9 @@ impl Middleware {
         }
         let sends = per_host.into_iter().enumerate().filter(|(_, sent)| !sent.is_empty());
         self.fan_out(ctx, records, sends.map(|(b, sent)| (BackendId(b), sent)).collect());
+        for session in ended {
+            self.end_session(ctx, session);
+        }
         if multi {
             // A decision over several groups may unblock a recovering
             // backend whose replay was capped below its reserved slot.
@@ -521,7 +528,6 @@ impl Middleware {
             }
             _ => {
                 s.wrote_in_tx = true;
-                s.last_write_us = ctx.now().micros();
             }
         }
         self.shard_publish_write(ctx, 0, ReplEvent::Statement { session: req.session, stmt_seq: req.stmt_seq, ast });

@@ -93,7 +93,6 @@ impl Middleware {
             Statement::Commit | Statement::Rollback => s.in_tx = false,
             _ => {
                 s.wrote_in_tx = true;
-                s.last_write_us = ctx.now().micros();
                 s.last_write_backend = Some(master);
             }
         }

@@ -183,8 +183,6 @@ pub enum DbOp {
     /// holds, per group, the ordered-stream position the dump is consistent
     /// with.
     Restore { op: u64, dump: Box<Dump>, baseline: Lsn, ordered_baseline: Vec<u64> },
-    /// State checksum for divergence detection.
-    Checksum { op: u64, full: bool },
     /// Liveness probe, carrying who still reads the node's binlog: `Some`
     /// the lowest LSN a reader may still ask for (`BinlogAfter`'s `after`),
     /// `None` when nothing ever will (see `Engine::set_binlog_horizon`).
@@ -238,7 +236,6 @@ pub enum DbResp {
     },
     DumpOut { op: u64, dump: Box<Dump>, head: Lsn },
     RestoreOk { op: u64 },
-    ChecksumOut { op: u64, value: u64 },
     Pong {
         op: u64,
         applied_lsn: Lsn,
@@ -270,7 +267,6 @@ impl DbResp {
             | DbResp::BinlogOut { op, .. }
             | DbResp::DumpOut { op, .. }
             | DbResp::RestoreOk { op }
-            | DbResp::ChecksumOut { op, .. }
             | DbResp::Pong { op, .. }
             | DbResp::ApplyOk { op, .. }
             | DbResp::ApplyErr { op, .. } => *op,

@@ -181,7 +181,6 @@ pub struct TraceSummary {
     /// held more than `u32::MAX` µs (71 virtual minutes), where it
     /// saturates. `u32` keeps a summary at 96 bytes instead of 168.
     pub stage_us: [u32; N_STAGES],
-    pub span_count: u32,
 }
 
 impl TraceSummary {
@@ -315,7 +314,6 @@ impl TraceSink {
             start_us: open.start_us,
             end_us: end,
             stage_us,
-            span_count: open.spans.len() as u32,
         };
         self.completed_count += 1;
         if self.ring_cap > 0 {

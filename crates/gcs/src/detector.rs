@@ -6,14 +6,15 @@
 //! parameterized so experiment E11 can sweep exactly that tradeoff: a
 //! "TCP-default" configuration is just `HeartbeatConfig::tcp_default()`.
 //!
-//! The *adaptive* mode ([`AdaptiveThreshold`], accrual-style after Hayashibara
-//! et al.'s φ detector) replaces the fixed timeout with a per-peer threshold
-//! learned from observed heartbeat inter-arrival times: a browned-out or
-//! loaded peer whose heartbeats stretch raises its own threshold instead of
-//! being declared dead — exactly the "slow connections classified as failed"
-//! false positive §4.3.4.2 warns about. The fixed timeout remains the floor
-//! (adaptive detection never fires *faster* than the configured timeout) and
-//! a hard cap bounds detection time for real crashes.
+//! [`AdaptiveThreshold`] (accrual-style, after Hayashibara et al.'s φ
+//! detector) learns a suspicion threshold from observed heartbeat
+//! inter-arrival times: a browned-out or loaded peer whose heartbeats
+//! stretch raises its own threshold instead of being declared dead — exactly
+//! the "slow connections classified as failed" false positive §4.3.4.2 warns
+//! about. The fixed timeout remains the floor (adaptive detection never fires
+//! *faster* than it) and a hard cap bounds detection time for real crashes.
+//! The middleware's backend detection uses it; the group members' peer
+//! detector below applies the fixed timeout.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -126,8 +127,6 @@ pub struct FailureDetector {
     /// Last time we heard from each monitored peer.
     last_heard: HashMap<MemberId, u64>,
     suspected: HashMap<MemberId, bool>,
-    /// When set, per-peer learned thresholds replace the fixed timeout.
-    adaptive: Option<(AdaptiveConfig, HashMap<MemberId, AdaptiveThreshold>)>,
 }
 
 /// Liveness transitions reported by the detector.
@@ -148,39 +147,11 @@ impl FailureDetector {
             last_heard.insert(p, now);
             suspected.insert(p, false);
         }
-        FailureDetector { config, last_heard, suspected, adaptive: None }
-    }
-
-    /// Like [`FailureDetector::new`] but with per-peer adaptive thresholds.
-    pub fn new_adaptive(
-        config: HeartbeatConfig,
-        adaptive: AdaptiveConfig,
-        peers: impl IntoIterator<Item = MemberId>,
-        now: u64,
-    ) -> Self {
-        let mut fd = Self::new(config, peers, now);
-        let per: HashMap<MemberId, AdaptiveThreshold> = fd
-            .last_heard
-            .keys()
-            .map(|&p| (p, AdaptiveThreshold::new(adaptive)))
-            .collect();
-        fd.adaptive = Some((adaptive, per));
-        fd
+        FailureDetector { config, last_heard, suspected }
     }
 
     pub fn config(&self) -> HeartbeatConfig {
         self.config
-    }
-
-    /// The threshold currently applied to `peer`.
-    pub fn timeout_for(&self, peer: MemberId) -> u64 {
-        match &self.adaptive {
-            Some((_, per)) => per
-                .get(&peer)
-                .map(|t| t.timeout_us())
-                .unwrap_or(self.config.timeout_us),
-            None => self.config.timeout_us,
-        }
     }
 
     /// Replace the monitored set (view change); fresh peers start unheard-
@@ -193,29 +164,12 @@ impl FailureDetector {
             self.last_heard.insert(p, heard);
             self.suspected.insert(p, false);
         }
-        if let Some((cfg, per)) = &mut self.adaptive {
-            // Departed peers' histories are dropped; surviving peers keep
-            // theirs; joiners start fresh.
-            let cfg = *cfg;
-            per.retain(|p, _| self.last_heard.contains_key(p));
-            for &p in self.last_heard.keys() {
-                per.entry(p).or_insert_with(|| AdaptiveThreshold::new(cfg));
-            }
-        }
     }
 
     /// A message (heartbeat or any traffic) arrived from `from` at `now`.
     pub fn heard_from(&mut self, from: MemberId, now: u64) -> Option<FdEvent> {
         if let Some(t) = self.last_heard.get_mut(&from) {
-            let gap = now.saturating_sub(*t);
             *t = (*t).max(now);
-            if let Some((_, per)) = &mut self.adaptive {
-                if gap > 0 {
-                    if let Some(th) = per.get_mut(&from) {
-                        th.observe(gap);
-                    }
-                }
-            }
             if self.suspected.insert(from, false) == Some(true) {
                 return Some(FdEvent::Restore(from));
             }
@@ -234,7 +188,7 @@ impl FailureDetector {
         for (peer, heard) in peers {
             let silent = now.saturating_sub(heard);
             let was = self.suspected.get(&peer).copied().unwrap_or(false);
-            if silent > self.timeout_for(peer) && !was {
+            if silent > self.config.timeout_us && !was {
                 self.suspected.insert(peer, true);
                 events.push(FdEvent::Suspect(peer));
             }
@@ -388,41 +342,6 @@ mod tests {
             t.observe(500);
         }
         assert_eq!(t.timeout_us(), 100, "negative learned value: floor");
-    }
-
-    #[test]
-    fn adaptive_detector_tolerates_stretched_beats_but_catches_silence() {
-        let hb = HeartbeatConfig { interval_us: 10, timeout_us: 100 };
-        let ad = AdaptiveConfig {
-            min_timeout_us: 100,
-            max_timeout_us: 5_000,
-            factor: 1.5,
-            k: 4.0,
-            window: 8,
-        };
-        // A brownout stretches heartbeat gaps progressively (backlog builds
-        // up): 20µs beats ramp 15%/beat to 400µs. The fixed 100µs timeout
-        // false-positives as soon as a gap crosses it; the adaptive
-        // threshold tracks the ramp.
-        let mut fixed = FailureDetector::new(hb, [MemberId(1)], 0);
-        let mut adaptive = FailureDetector::new_adaptive(hb, ad, [MemberId(1)], 0);
-        let mut fixed_suspects = 0;
-        let mut adaptive_suspects = 0;
-        let mut gap = 20.0f64;
-        let mut now = 0u64;
-        for _ in 0..40 {
-            now += gap as u64;
-            gap = (gap * 1.15).min(400.0);
-            fixed_suspects += fixed.tick(now).len();
-            adaptive_suspects += adaptive.tick(now).len();
-            fixed.heard_from(MemberId(1), now);
-            adaptive.heard_from(MemberId(1), now);
-        }
-        assert!(fixed_suspects > 0, "fixed timeout false-positives on stretched beats");
-        assert_eq!(adaptive_suspects, 0, "adaptive threshold absorbs the stretch");
-        // True silence still gets caught, bounded by the cap.
-        let events = adaptive.tick(now + 6_000);
-        assert_eq!(events, vec![FdEvent::Suspect(MemberId(1))]);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use std::collections::{BTreeMap, HashSet};
 
 use crate::buffer::DeliveryBuffer;
-use crate::detector::{AdaptiveConfig, FailureDetector, FdEvent, HeartbeatConfig};
+use crate::detector::{FailureDetector, FdEvent, HeartbeatConfig};
 use crate::types::{
     Action, GcsMsg, MemberId, MsgId, OrderProtocol, OrderedRecord, View, ViewId,
 };
@@ -45,11 +45,6 @@ pub struct GcsConfig {
     pub token_timeout_us: u64,
     /// How long a flush may stall before another coordinator retries.
     pub flush_timeout_us: u64,
-    /// When set, the failure detector learns per-peer suspicion thresholds
-    /// (accrual-style) instead of applying the fixed heartbeat timeout, so
-    /// a browned-out peer's stretched heartbeats do not cascade into false
-    /// view changes (§4.3.4.2).
-    pub adaptive: Option<AdaptiveConfig>,
 }
 
 impl GcsConfig {
@@ -59,7 +54,6 @@ impl GcsConfig {
             protocol,
             token_timeout_us: 300_000,
             flush_timeout_us: 500_000,
-            adaptive: None,
         }
     }
 }
@@ -71,9 +65,6 @@ struct Proposal<P> {
     awaiting: HashSet<MemberId>,
     fill: BTreeMap<u64, OrderedRecord<P>>,
     max_seen: u64,
-    /// When the proposal was started (diagnostics; retry uses flush_started).
-    #[allow(dead_code)]
-    started_at: u64,
 }
 
 /// One member of the group.
@@ -112,10 +103,7 @@ impl<P: Clone> GroupMember<P> {
         let view = View::new(ViewId(0), initial);
         assert!(view.contains(me), "founding member must be in the initial view");
         let peers: Vec<MemberId> = view.members.iter().copied().filter(|&m| m != me).collect();
-        let fd = match config.adaptive {
-            Some(ad) => FailureDetector::new_adaptive(config.heartbeat, ad, peers, now),
-            None => FailureDetector::new(config.heartbeat, peers, now),
-        };
+        let fd = FailureDetector::new(config.heartbeat, peers, now);
         let contacts = view.members.clone();
         GroupMember {
             me,
@@ -406,7 +394,6 @@ impl<P: Clone> GroupMember<P> {
             awaiting,
             fill,
             max_seen,
-            started_at: now,
         });
         let mut actions = Vec::new();
         for &m in &view_members {

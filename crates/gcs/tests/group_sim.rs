@@ -214,7 +214,6 @@ fn detection_latency_tracks_timeout() {
             protocol: OrderProtocol::FixedSequencer,
             token_timeout_us: 300_000,
             flush_timeout_us: 500_000,
-            adaptive: None,
         };
         let members: Vec<MemberId> = (0..2).map(MemberId).collect();
         let a = sim.add_node(MemberNode {

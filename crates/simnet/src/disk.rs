@@ -28,12 +28,6 @@ impl Default for DiskModel {
 }
 
 impl DiskModel {
-    /// A spinning-rust profile (~32 MB/s writes, 5 ms fsync) for experiments
-    /// that want the checkpoint-interval trade-off amplified.
-    pub fn hdd() -> Self {
-        DiskModel { write_us_per_kib: 32, read_us_per_kib: 16, fsync_us: 5_000 }
-    }
-
     /// Virtual microseconds for a batch of IO work. Partial KiBs round up
     /// per batch (a short WAL append still touches a whole block).
     pub fn io_us(&self, bytes_written: u64, bytes_read: u64, fsyncs: u64) -> u64 {
@@ -65,11 +59,5 @@ mod tests {
         assert_eq!(d.io_us(1024, 0, 0), d.write_us_per_kib);
         assert_eq!(d.io_us(1025, 0, 0), 2 * d.write_us_per_kib);
         assert_eq!(d.io_us(0, 2048, 1), 2 * d.read_us_per_kib + d.fsync_us);
-    }
-
-    #[test]
-    fn hdd_is_slower_everywhere() {
-        let (ssd, hdd) = (DiskModel::default(), DiskModel::hdd());
-        assert!(hdd.io_us(4096, 4096, 2) > ssd.io_us(4096, 4096, 2));
     }
 }

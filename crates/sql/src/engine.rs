@@ -54,6 +54,10 @@ impl Default for FeatureSet {
     }
 }
 
+/// The isolation level of a BEGIN that names none, and of an implicit
+/// (autocommit) transaction.
+const DEFAULT_ISOLATION: IsolationLevel = IsolationLevel::ReadCommitted;
+
 /// Engine configuration. The default models a PostgreSQL-flavoured engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
@@ -61,7 +65,6 @@ pub struct EngineConfig {
     pub name: String,
     /// Seed for RAND(); give each replica a different one.
     pub seed: u64,
-    pub default_isolation: IsolationLevel,
     pub error_mode: ErrorMode,
     /// Record committed write transactions in the binlog.
     pub binlog: bool,
@@ -71,9 +74,6 @@ pub struct EngineConfig {
     /// Honor [`CounterSync`] when applying writesets.
     pub apply_counter_sync: bool,
     pub features: FeatureSet,
-    /// Engine major version, for heterogeneous-cluster experiments: queries
-    /// can be gated on replica versions by the middleware.
-    pub version: u32,
     /// Durable storage ([`crate::wal`]): committed transactions mirror into
     /// an on-"disk" WAL, periodic checkpoints truncate it, and crash
     /// recovery replays the suffix. `None` (the default) keeps the
@@ -86,13 +86,11 @@ impl Default for EngineConfig {
         EngineConfig {
             name: "replica".into(),
             seed: 0,
-            default_isolation: IsolationLevel::ReadCommitted,
             error_mode: ErrorMode::AbortTransaction,
             binlog: true,
             capture_counters: false,
             apply_counter_sync: false,
             features: FeatureSet::default(),
-            version: 1,
             durability: None,
         }
     }
@@ -338,7 +336,7 @@ impl Engine {
         if session.tx.is_some() && session.explicit {
             return Err(SqlError::TransactionState("transaction already open".into()));
         }
-        let isolation = isolation.unwrap_or(self.config.default_isolation);
+        let isolation = isolation.unwrap_or(DEFAULT_ISOLATION);
         if matches!(isolation, IsolationLevel::SnapshotIsolation | IsolationLevel::Serializable)
             && !self.config.features.snapshot_isolation
         {
@@ -578,7 +576,7 @@ impl Engine {
         let (tx, implicit) = match session.tx {
             Some(tx) => (tx, false),
             None => {
-                let tx = self.txm.begin(self.config.default_isolation, true);
+                let tx = self.txm.begin(DEFAULT_ISOLATION, true);
                 session.tx = Some(tx);
                 (tx, true)
             }

@@ -33,7 +33,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::ast::{ObjectName, Statement};
+use crate::ast::Statement;
 use crate::error::SqlError;
 use crate::lexer::{tokenize, Token, TokenKind};
 use crate::parser::parse_statement;
@@ -177,20 +177,13 @@ fn token_text(kind: &TokenKind) -> String {
     }
 }
 
-/// A parsed template plus the routing facts the middleware needs per
-/// statement, computed once at insert time.
+/// A parsed template, checked once at insert time to expect exactly the
+/// parameters its normal form extracted.
 #[derive(Debug, Clone)]
 pub struct CachedPlan {
     /// Template AST with `Expr::Param` placeholders. Shared: binding clones
     /// the statement, fan-out shares the `Arc`.
     pub template: Arc<Statement>,
-    /// Number of parameters the template expects.
-    pub n_params: usize,
-    /// `Statement::is_read_only()` of the template (parameter positions do
-    /// not affect read/write classification).
-    pub is_read: bool,
-    /// `Statement::written_tables()` of the template.
-    pub written_tables: Vec<ObjectName>,
 }
 
 impl CachedPlan {
@@ -214,12 +207,7 @@ impl CachedPlan {
                 nf.params.len()
             )));
         }
-        Ok(CachedPlan {
-            is_read: template.is_read_only(),
-            written_tables: template.written_tables(),
-            n_params: nf.params.len(),
-            template: Arc::new(template),
-        })
+        Ok(CachedPlan { template: Arc::new(template) })
     }
 }
 
@@ -335,8 +323,6 @@ mod tests {
         let plan = CachedPlan::prepare(&form).unwrap();
         let bound = bind(&plan.template, &form.params).unwrap();
         assert_eq!(bound, direct, "bind(template, params) diverged for {sql:?}");
-        assert_eq!(plan.is_read, direct.is_read_only());
-        assert_eq!(plan.written_tables, direct.written_tables());
     }
 
     #[test]
@@ -456,7 +442,6 @@ mod tests {
     fn bind_rejects_missing_params() {
         let form = nf("SELECT v FROM t WHERE k = 1 AND x = 2");
         let plan = CachedPlan::prepare(&form).unwrap();
-        assert_eq!(plan.n_params, 2);
         assert!(bind(&plan.template, &form.params[..1]).is_err());
     }
 }

@@ -369,9 +369,9 @@ fn put_write_record(out: &mut Vec<u8>, w: &WriteRecord) {
     out.push(w.table.is_temp() as u8);
 }
 
-fn get_write_record(rd: &mut Rd<'_>) -> DecodeResult<WriteRecord> {
+fn get_write_record(rd: &mut Rd<'_>, names: &mut Names) -> DecodeResult<WriteRecord> {
     let record = WriteRecord {
-        table: get_table_name(rd)?,
+        table: names.get(rd)?,
         row: RowId(rd.u64()?),
         kind: match rd.u8()? {
             0 => WriteKind::Insert,
@@ -387,9 +387,23 @@ fn get_write_record(rd: &mut Rd<'_>) -> DecodeResult<WriteRecord> {
     Ok(record)
 }
 
-fn get_table_name(rd: &mut Rd<'_>) -> DecodeResult<TableName> {
-    let database = rd.str()?;
-    Ok(TableName::new(&database, &rd.str()?))
+/// The table names one decode pass has minted: every record of a table
+/// shares its one [`TableName`] instead of minting its own (`load` decodes
+/// a whole WAL with one).
+#[derive(Default)]
+struct Names(Vec<TableName>);
+
+impl Names {
+    /// Decode a (database, table) pair as the pass's name for it.
+    fn get(&mut self, rd: &mut Rd<'_>) -> DecodeResult<TableName> {
+        let (database, table) = (rd.str()?, rd.str()?);
+        if let Some(name) = self.0.iter().find(|n| n.is(&database, &table)) {
+            return Ok(name.clone());
+        }
+        let name = TableName::new(&database, &table);
+        self.0.push(name.clone());
+        Ok(name)
+    }
 }
 
 fn put_counter_sync(out: &mut Vec<u8>, cs: &CounterSync) {
@@ -407,13 +421,13 @@ fn put_counter_sync(out: &mut Vec<u8>, cs: &CounterSync) {
     }
 }
 
-fn get_counter_sync(rd: &mut Rd<'_>) -> DecodeResult<CounterSync> {
+fn get_counter_sync(rd: &mut Rd<'_>, names: &mut Names) -> DecodeResult<CounterSync> {
     let mut cs = CounterSync::default();
     for _ in 0..rd.u64()? {
         cs.sequences.push(((rd.str()?, rd.str()?), rd.i64()?));
     }
     for _ in 0..rd.u64()? {
-        cs.auto_increments.push((get_table_name(rd)?, rd.i64()?));
+        cs.auto_increments.push((names.get(rd)?, rd.i64()?));
     }
     Ok(cs)
 }
@@ -432,10 +446,10 @@ fn put_writeset(out: &mut Vec<u8>, ws: &Writeset) {
     }
 }
 
-fn get_writeset(rd: &mut Rd<'_>) -> DecodeResult<Writeset> {
+fn get_writeset(rd: &mut Rd<'_>, names: &mut Names) -> DecodeResult<Writeset> {
     let n = rd.u64()?;
-    let entries = (0..n).map(|_| get_write_record(rd)).collect::<DecodeResult<_>>()?;
-    let counters = if rd.u8()? == 0 { None } else { Some(get_counter_sync(rd)?) };
+    let entries = (0..n).map(|_| get_write_record(rd, names)).collect::<DecodeResult<_>>()?;
+    let counters = if rd.u8()? == 0 { None } else { Some(get_counter_sync(rd, names)?) };
     Ok(Writeset { entries, counters })
 }
 
@@ -450,13 +464,13 @@ fn put_binlog_entry(out: &mut Vec<u8>, e: &BinlogEntry) {
     put_writeset(out, &e.writeset);
 }
 
-fn get_binlog_entry(rd: &mut Rd<'_>) -> DecodeResult<BinlogEntry> {
+fn get_binlog_entry(rd: &mut Rd<'_>, names: &mut Names) -> DecodeResult<BinlogEntry> {
     let lsn = Lsn(rd.u64()?);
     let commit_ts = CommitTs(rd.u64()?);
     let default_db = get_opt_str(rd)?;
     let n = rd.u64()?;
     let statements = (0..n).map(|_| rd.str()).collect::<DecodeResult<_>>()?;
-    let writeset = get_writeset(rd)?;
+    let writeset = get_writeset(rd, names)?;
     Ok(BinlogEntry { lsn, commit_ts, default_db, statements, writeset })
 }
 
@@ -511,18 +525,18 @@ impl WalRecord {
         out
     }
 
-    fn decode(payload: &[u8]) -> DecodeResult<WalRecord> {
+    fn decode(payload: &[u8], names: &mut Names) -> DecodeResult<WalRecord> {
         let mut rd = Rd::new(payload);
         let rec = match rd.u64()? {
             1 => {
                 let _key_lsn = rd.u64()?;
                 let applied_lsn = rd.u64()?;
                 let marks = get_marks(&mut rd)?;
-                let entry = get_binlog_entry(&mut rd)?;
+                let entry = get_binlog_entry(&mut rd, names)?;
                 WalRecord::Commit { entry, applied_lsn, marks }
             }
             2 => WalRecord::Meta { applied_lsn: rd.u64()?, marks: get_marks(&mut rd)? },
-            3 => WalRecord::Counters(get_counter_sync(&mut rd)?),
+            3 => WalRecord::Counters(get_counter_sync(&mut rd, names)?),
             t => return Err(format!("bad record tag {t}")),
         };
         rd.done()?;
@@ -817,7 +831,6 @@ pub struct WalStats {
     pub wal_bytes: u64,
     pub wal_synced_bytes: u64,
     pub wal_records: u64,
-    pub checkpoint_bytes: u64,
     pub checkpoints_taken: u64,
 }
 
@@ -1099,8 +1112,9 @@ impl DurableStore {
         let wal_bytes = self.wal.read_all(&mut self.io).to_vec();
         let (frames, mut valid_len, mut torn) = scan_frames(&wal_bytes);
         let mut records = Vec::with_capacity(frames.len());
+        let mut names = Names::default();
         for (i, payload) in frames.iter().enumerate() {
-            match WalRecord::decode(payload) {
+            match WalRecord::decode(payload, &mut names) {
                 Ok(r) => records.push(r),
                 Err(_) => {
                     // A frame with a valid checksum but undecodable payload
@@ -1144,7 +1158,6 @@ impl DurableStore {
             wal_bytes: self.wal.len() as u64,
             wal_synced_bytes: self.wal.synced_len() as u64,
             wal_records: self.wal_records,
-            checkpoint_bytes: self.ckpt.len() as u64,
             checkpoints_taken: self.checkpoints_taken,
         }
     }
@@ -1222,7 +1235,28 @@ mod tests {
             }),
         ] {
             let enc = rec.encode();
-            assert_eq!(WalRecord::decode(&enc).unwrap(), rec);
+            assert_eq!(WalRecord::decode(&enc, &mut Names::default()).unwrap(), rec);
+        }
+    }
+
+    /// A load decodes every record of one table to one shared name: the
+    /// replayed entries (which the reborn binlog keeps) hold one `Arc` per
+    /// table, not one per record.
+    #[test]
+    fn a_load_shares_one_name_per_table() {
+        let mut s = store_with(3, 1);
+        s.crash(CrashKind::Clean, 0);
+        let (_, records, _, _) = s.load();
+        let names: Vec<&TableName> = records
+            .iter()
+            .flat_map(|r| match r {
+                WalRecord::Commit { entry, .. } => entry.writeset.entries.iter().map(|w| &w.table).collect(),
+                _ => Vec::new(),
+            })
+            .collect();
+        assert_eq!(names.len(), 6);
+        for n in &names {
+            assert!(std::ptr::eq(n.database(), names[0].database()), "a record minted its own name");
         }
     }
 

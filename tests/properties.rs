@@ -4,7 +4,7 @@
 //! case seed — see crates/det).
 
 use replimid_core::{
-    AdminCmd, Balancer, BackendId, ClientMetrics, Cluster, ClusterConfig, Granularity, HealthEvent,
+    AdminCmd, Balancer, BackendId, ClientMetrics, Cluster, ClusterConfig, DbNode, Granularity, HealthEvent,
     HealthState, Mode, MwMetrics, NondetPolicy, Placement, Policy, QuarantineConfig, ReadPolicy,
     ScriptSource, SessionId, Stage, TxSource,
 };
@@ -758,7 +758,10 @@ fn freshness_off_allows_stale_reads() {
 /// removed the session struct but left `request_started` timing metadata
 /// and stashed `two_safe_bodies` entries behind forever; both now live
 /// inside `Sess` and die with it. N connect/write/disconnect cycles must
-/// leave the middleware with zero session residue.
+/// leave the middleware with zero session residue, and every backend with
+/// no connection of those sessions; a session ended mid-transaction leaves
+/// no open transaction behind, and one that ends in its COMMIT's slot still
+/// commits on every backend.
 #[test]
 fn session_teardown_leaves_no_residue() {
     let mut cfg = ClusterConfig::new(
@@ -792,6 +795,84 @@ fn session_teardown_leaves_no_residue() {
     let residue = cluster.with_middleware(0, |m| m.session_residue());
     assert_eq!(residue, (0, 0, 0), "session-keyed state leaked past teardown");
     assert_eq!(cluster.with_middleware(0, |m| m.fresh_waiter_count()), 0);
+    let nodes = cluster.db_nodes[0].clone();
+    let conns: Vec<usize> =
+        nodes.into_iter().map(|n| cluster.sim.with_actor::<DbNode, _>(n, |d| d.session_conns())).collect();
+    assert_eq!(conns, vec![0; 3], "a backend kept an ended session's connection");
+
+    // A session that ends inside a transaction takes the transaction with
+    // it: its uncommitted row versions must not block another session's
+    // write to those rows, in statement and in writeset mode.
+    for mode in [
+        Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject },
+        Mode::MultiMasterWriteset,
+    ] {
+        let mut cfg = ClusterConfig::new(mode.clone(), micro::schema("bench", 10), "bench");
+        cfg.seed = 11;
+        let mut cluster = Cluster::build(cfg);
+        // Session 1 leaves its transaction open (no COMMIT) and ends at
+        // 200 ms; session 2 writes the same row at about 500 ms, after a
+        // first read and its think time.
+        let open = ScriptSource::new(vec![vec!["BEGIN".into(), "UPDATE bench SET v = 1 WHERE k = 1".into()]]);
+        let first = cluster.add_client(open, |cc| cc.tx_limit = 1);
+        let later = ScriptSource::new(vec![
+            vec!["SELECT v FROM bench WHERE k = 2".into()],
+            vec!["UPDATE bench SET v = 2 WHERE k = 1".into()],
+        ]);
+        let second = cluster.add_client(later, |cc| {
+            cc.think_time_us = 500_000;
+            cc.tx_limit = 2;
+        });
+        cluster.admin_at(SimTime(200_000), 0, AdminCmd::EndSession { session: SessionId(1) });
+        cluster.run_for(dur::millis(400));
+        assert_eq!(cluster.client_metrics(first).committed, 1, "{mode:?}: the open transaction's statements ran");
+        for b in 0..3 {
+            let open = cluster.with_backend_engine(0, b, |e| e.active_transactions());
+            assert_eq!(open, 0, "{mode:?}: backend {b} kept the ended session's transaction");
+        }
+        cluster.run_for(dur::millis(1_600));
+        let m = cluster.client_metrics(second);
+        assert_eq!(m.committed, 2, "{mode:?}: the ended session's row versions blocked a later write ({:?})", m.last_error);
+    }
+
+    // A session's end and its own COMMIT in one group-commit slot (the
+    // COMMIT's event waits out the 100 ms deadline and the end fills the
+    // slot): the end waits for the slot's `Apply`, so every backend commits
+    // the transaction and only then drops the connection.
+    for (mode, end_at) in [
+        (Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject }, 250_000),
+        (Mode::MultiMasterWriteset, 50_000),
+    ] {
+        let mut cfg = ClusterConfig::new(mode.clone(), micro::schema("bench", 10), "bench");
+        cfg.seed = 11;
+        cfg.mw.batch_max = 2;
+        cfg.mw.batch_deadline_us = 100_000;
+        let mut cluster = Cluster::build(cfg);
+        let script = vec!["BEGIN".into(), "UPDATE bench SET v = 1 WHERE k = 1".into(), "COMMIT".into()];
+        cluster.add_client(ScriptSource::new(vec![script]), |cc| cc.tx_limit = 1);
+        cluster.admin_at(SimTime(end_at), 0, AdminCmd::EndSession { session: SessionId(1) });
+        // Well before the client's 500 ms timeout resends the COMMIT.
+        cluster.run_for(dur::micros(end_at + 150_000));
+        let m = cluster.mw_metrics(0);
+        let (slots, events) = (m.batch_sizes.count(), m.batch_sizes.sum_us());
+        assert_eq!(events, slots + 1, "{mode:?}: the COMMIT and the end did not share one slot");
+        let nodes = cluster.db_nodes[0].clone();
+        for (b, node) in nodes.into_iter().enumerate() {
+            let conns = cluster.sim.with_actor::<DbNode, _>(node, |d| d.session_conns());
+            assert_eq!(conns, 0, "{mode:?}: backend {b} kept the ended session's connection");
+            let (open, v) = cluster.with_backend_engine(0, b, |e| {
+                let open = e.active_transactions();
+                let conn = e.connect("admin", "admin").unwrap();
+                e.execute(conn, "USE bench").unwrap();
+                let out = e.execute(conn, "SELECT v FROM bench WHERE k = 1").unwrap();
+                let v = out.outcome.rows().unwrap().rows[0][0].as_int().unwrap();
+                e.disconnect(conn);
+                (open, v)
+            });
+            assert_eq!(open, 0, "{mode:?}: backend {b} kept the ended session's transaction");
+            assert_eq!(v, 1, "{mode:?}: backend {b} missed the session's committed UPDATE");
+        }
+    }
 }
 
 /// Balancer fairness survives per-call candidate filtering (the freshness
