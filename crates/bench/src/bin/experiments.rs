@@ -17,9 +17,7 @@ use replimid_core::{
     NondetPolicy, PartitionScheme, Placement, Policy, QuarantineConfig, ReadPolicy,
     ReplayMode, ScriptSource, Stage, TraceSink,
 };
-use replimid_gcs::{
-    Action, AdaptiveConfig, GcsConfig, GroupMember, HeartbeatConfig, MemberId, OrderProtocol,
-};
+use replimid_gcs::{Action, GcsConfig, GroupMember, HeartbeatConfig, MemberId, OrderProtocol};
 use replimid_simnet::{dur, LinkFault, LinkSpec, NetworkModel, NodeId, SimTime};
 use replimid_sql::{CrashKind, DurabilityConfig};
 use replimid_workload::{micro, FaultSchedule, GrayFaultSchedule, GrayKind, GraySpec};
@@ -1139,15 +1137,7 @@ fn e16_gray_failure_campaign() {
         if quarantine {
             cfg.mw.quarantine = Some(QuarantineConfig::default());
         }
-        if adaptive {
-            cfg.mw.adaptive_detection = Some(AdaptiveConfig {
-                min_timeout_us: 30_000,
-                max_timeout_us: 2_000_000,
-                factor: 1.5,
-                k: 4.0,
-                window: 32,
-            });
-        }
+        cfg.mw.adaptive_detection = adaptive;
         let mut cluster = Cluster::build(cfg);
         let clients: Vec<NodeId> = (0..12)
             .map(|_| {

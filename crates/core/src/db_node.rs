@@ -134,8 +134,7 @@ impl DbNode {
     }
 
     /// The engine connection serving the middleware's connection `token`.
-    #[cfg(test)]
-    pub(crate) fn conn_of(&self, token: u64) -> Option<ConnId> {
+    pub fn conn_of(&self, token: u64) -> Option<ConnId> {
         self.conns.get(&token).copied()
     }
 
@@ -238,15 +237,15 @@ impl DbNode {
         }
     }
 
-    fn handle(&mut self, ctx: &mut Ctx<'_, Msg>, op: DbOp) -> Option<DbResp> {
+    fn handle(&mut self, ctx: &mut Ctx<'_, Msg>, op: DbOp) -> DbResp {
         self.engine.set_clock(ctx.now().micros() as i64);
         match op {
-            DbOp::Execute { op, conn, plan } => Some(match self.run_charged(ctx, conn, &plan) {
+            DbOp::Execute { op, conn, plan } => match self.run_charged(ctx, conn, &plan) {
                 Ok(res) => self.exec_ok(op, res),
                 Err(err) => DbResp::ExecErr { op, err },
-            }),
+            },
             DbOp::Delegate { op, conn, begin, stmt, implicit } => {
-                let out = |res, ws, poisoned| Some(DbResp::DelegateOut { op, res, ws: Box::new(ws), poisoned });
+                let out = |res, ws, poisoned| DbResp::DelegateOut { op, res, ws: Box::new(ws), poisoned };
                 if let Some(begin) = &begin {
                     if let Err(err) = self.run_charged(ctx, conn, begin) {
                         return out(Err(err), Writeset::default(), false);
@@ -266,23 +265,22 @@ impl DbNode {
                 }
                 out(res.map(|r| reply_body(r.outcome)), ws, poisoned)
             }
-            DbOp::Apply { op, entries, parallel } => Some(self.apply(ctx, op, &entries, parallel)),
+            DbOp::Apply { op, entries, parallel } => self.apply(ctx, op, &entries, parallel),
             DbOp::ApplyBinlog { op, entries, use_writesets, parallel_apply } => {
-                Some(self.apply_binlog(ctx, op, entries, use_writesets, parallel_apply))
+                self.apply_binlog(ctx, op, entries, use_writesets, parallel_apply)
             }
             DbOp::BinlogAfter { op, after } => {
                 let head = self.engine.binlog_head();
-                let resp = match self.engine.binlog_after(after) {
+                match self.engine.binlog_after(after) {
                     Some(entries) => DbResp::BinlogOut { op, entries, resync_needed: false, head },
                     None => DbResp::BinlogOut { op, entries: Vec::new(), resync_needed: true, head },
-                };
-                Some(resp)
+                }
             }
             DbOp::Dump { op, include_programs, include_principals } => {
                 let dump = self.engine.dump(DumpOptions { include_principals, include_programs });
                 ctx.consume(self.scaled(cost::DUMP_BASE_US + dump.row_count() * cost::DUMP_ROW_US));
                 let head = self.engine.binlog_head().max(self.applied_lsn);
-                Some(DbResp::DumpOut { op, dump: Box::new(dump), head })
+                DbResp::DumpOut { op, dump: Box::new(dump), head }
             }
             DbOp::Restore { op, dump, baseline, ordered_baseline } => {
                 let rows = dump.row_count();
@@ -302,9 +300,9 @@ impl DbNode {
                                 self.scaled(cost::DUMP_BASE_US + rows * cost::DUMP_ROW_US),
                             );
                         }
-                        Some(DbResp::RestoreOk { op })
+                        DbResp::RestoreOk { op }
                     }
-                    Err(err) => Some(DbResp::ApplyErr { op, err }),
+                    Err(err) => DbResp::ApplyErr { op, err },
                 }
             }
             DbOp::Ping { op, binlog_horizon } => {
@@ -313,20 +311,13 @@ impl DbNode {
                 // it acts as a master); `applied_lsn` is the foreign LSN it
                 // has applied (meaningful as a slave).
                 let ordered_applied = self.ordered_applied();
-                Some(DbResp::Pong {
+                DbResp::Pong {
                     op,
                     applied_lsn: self.applied_lsn,
                     head: self.engine.binlog_head(),
                     durable_ordered: self.engine.durable_ordered().unwrap_or_else(|| ordered_applied.clone()),
                     ordered_applied,
-                })
-            }
-            DbOp::Disconnect { conn } => {
-                self.tx_marks.remove(&conn);
-                if let Some(c) = self.conns.remove(&conn) {
-                    self.engine.disconnect(c);
                 }
-                None
             }
         }
     }
@@ -347,6 +338,16 @@ impl DbNode {
                     let out = self.run(*conn, plan);
                     self.settle_marks(*conn, &entry.marks);
                     out
+                }
+                LogPayload::End { conn } => {
+                    // Closing the connection aborts its open transaction,
+                    // whose held marks are then noted as a ROLLBACK's are.
+                    if let Some(c) = self.conns.remove(conn) {
+                        self.engine.disconnect(c);
+                    }
+                    self.settle_marks(*conn, &entry.marks);
+                    results.push(EntryResult::Ok { body: ReplyBody::Ack, commit: None });
+                    continue;
                 }
                 LogPayload::Ws(ws) => match self.engine.apply_writeset(ws) {
                     Ok(mut res) => {
@@ -394,7 +395,7 @@ impl DbNode {
     /// connection's open transaction: an entry to skip.
     fn applied(&self, entry: &ApplyEntry) -> bool {
         let held = match &entry.payload {
-            LogPayload::Plan { conn, .. } => self.tx_marks.get(conn),
+            LogPayload::Plan { conn, .. } | LogPayload::End { conn } => self.tx_marks.get(conn),
             LogPayload::Ws(_) => None,
         };
         let has = |m: &Mark| self.engine.ordered().has(*m) || held.is_some_and(|h| h.contains(m));
@@ -462,8 +463,8 @@ fn reply_body(outcome: Outcome) -> ReplyBody {
     }
 }
 
-/// The op id carried by an operation, if it expects a response.
-fn op_id(op: &DbOp) -> Option<u64> {
+/// The op id every operation carries.
+fn op_id(op: &DbOp) -> u64 {
     match op {
         DbOp::Execute { op, .. }
         | DbOp::Apply { op, .. }
@@ -472,8 +473,7 @@ fn op_id(op: &DbOp) -> Option<u64> {
         | DbOp::BinlogAfter { op, .. }
         | DbOp::Dump { op, .. }
         | DbOp::Restore { op, .. }
-        | DbOp::Ping { op, .. } => Some(*op),
-        DbOp::Disconnect { .. } => None,
+        | DbOp::Ping { op, .. } => *op,
     }
 }
 
@@ -482,22 +482,18 @@ impl Actor<Msg> for DbNode {
         if let Msg::Db(op) = msg {
             // Transport-level dedup: a link-fault duplicate of an already-
             // processed op is dropped here, as TCP would.
-            if let Some(id) = op_id(&op) {
-                if !self.seen_ops.insert(id) {
-                    return;
-                }
+            if !self.seen_ops.insert(op_id(&op)) {
+                return;
             }
             let resp = self.handle(ctx, op);
             self.wal_tick(ctx);
-            if let Some(resp) = resp {
-                // The response leaves only after this operation's own
-                // service time (accumulated via `consume`) has elapsed —
-                // including the WAL append/fsync the operation caused.
-                let service = ctx.backlog_us();
-                let now = ctx.now().micros();
-                self.trace.record_detached(Stage::DbService, now, now + service);
-                ctx.send_after(from, Msg::DbR(resp), service);
-            }
+            // The response leaves only after this operation's own service
+            // time (accumulated via `consume`) has elapsed — including the
+            // WAL append/fsync the operation caused.
+            let service = ctx.backlog_us();
+            let now = ctx.now().micros();
+            self.trace.record_detached(Stage::DbService, now, now + service);
+            ctx.send_after(from, Msg::DbR(resp), service);
         }
     }
 

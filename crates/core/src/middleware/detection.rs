@@ -1,93 +1,72 @@
-//! Failure detection and quarantine: backend liveness (fixed or adaptive
-//! silence thresholds), the heartbeat, latency health scoring with its
-//! half-open probes, and what a backend's failure does to everything in
-//! flight at it.
+//! Failure detection and quarantine: one record per backend holding its
+//! liveness clock, its latency health (`crate::health`), its half-open
+//! probe in flight and its silence-gap history; the heartbeat and its
+//! silence check (the fixed `heartbeat.timeout_us`, or with
+//! `MwConfig::adaptive_detection` a threshold learned per backend with that
+//! timeout as its floor); and what a backend's failure does to everything
+//! in flight at it. Every health transition is appended here, once, to
+//! `MwMetrics::quarantine_events`.
 
-use std::collections::HashMap;
-
-use replimid_gcs::{AdaptiveConfig, AdaptiveThreshold};
 use replimid_simnet::Ctx;
 use replimid_sql::Lsn;
 
 use super::{BackendState, Middleware, Mode, Pending, TIMER_PING};
-use crate::health::{HealthEvent, HealthTracker};
-use crate::metrics::Counters;
+use crate::health::{AdaptiveThreshold, HealthEvent, HealthTracker};
 use crate::msg::{BackendId, DbOp, Msg};
 
-/// The detection seam's state, per backend.
-pub(super) struct Detection {
+/// What the detection seam knows of one backend.
+#[derive(Debug, Default)]
+pub(super) struct Watch {
+    /// When the backend last answered (µs); 0 until its first answer.
+    last_heard_us: u64,
     /// Latency health (only consulted when `MwConfig::quarantine` is set).
-    pub(super) health: Vec<HealthTracker>,
-    /// How many health events per backend are already mirrored to metrics.
-    seen: Vec<usize>,
-    /// Backend -> op id of its in-flight half-open probe read.
-    probe_op: HashMap<BackendId, u64>,
-    /// Learned silence thresholds (`MwConfig::adaptive_detection`; empty
-    /// when off).
-    adaptive: Vec<AdaptiveThreshold>,
+    pub(super) health: HealthTracker,
+    /// Op id of its half-open probe read in flight.
+    probe: Option<u64>,
+    /// Its silence gaps (only fed when `MwConfig::adaptive_detection` is
+    /// set). It survives the backend's failure: the silence distribution is
+    /// a property of the backend and its link, and wiping it on every flap
+    /// would keep the detector permanently naive about a still-degraded
+    /// node (evict/rejoin storms).
+    silence: AdaptiveThreshold,
+}
+
+impl Watch {
+    /// Due its one half-open probe read, and none is in flight.
+    pub(super) fn wants_probe(&self) -> bool {
+        self.health.probing() && self.probe.is_none()
+    }
+
+    /// Heard from once, and silent since for longer than `fixed_us`, or
+    /// with `adaptive` than the threshold its gaps learned over that floor.
+    fn silent(&self, now: u64, fixed_us: u64, adaptive: bool) -> bool {
+        let timeout = if adaptive { self.silence.timeout_us(fixed_us) } else { fixed_us };
+        self.last_heard_us > 0 && now.saturating_sub(self.last_heard_us) > timeout
+    }
+}
+
+/// The detection seam's state: one [`Watch`] per backend.
+pub(super) struct Detection {
+    pub(super) watch: Vec<Watch>,
 }
 
 impl Detection {
-    pub(super) fn new(backends: usize, adaptive: Option<AdaptiveConfig>) -> Self {
-        Detection {
-            health: vec![HealthTracker::default(); backends],
-            seen: vec![0; backends],
-            probe_op: HashMap::new(),
-            adaptive: adaptive.map_or_else(Vec::new, |ad| (0..backends).map(|_| AdaptiveThreshold::new(ad)).collect()),
-        }
-    }
-
-    /// Append backend `i`'s health events not yet in `log`.
-    fn sync_events(&mut self, i: usize, log: &mut Vec<(u64, usize, HealthEvent)>) {
-        let events = self.health[i].events();
-        for &(t, ev) in &events[self.seen[i]..] {
-            log.push((t, i, ev));
-        }
-        self.seen[i] = events.len();
-    }
-
-    /// Score op `op`'s latency (dispatched at `started`, done at `now`)
-    /// against the backend's health EWMA; the completion of its half-open
-    /// probe resolves the half-open state instead.
-    fn score(&mut self, now: u64, backend: BackendId, started: u64, op: u64, counters: &mut Counters) {
-        let lat = now.saturating_sub(started);
-        if self.probe_op.get(&backend) == Some(&op) {
-            self.probe_op.remove(&backend);
-            if self.health[backend.0].probe_completed(now, lat) {
-                counters.quarantine_rejoins += 1;
-            }
-        } else if self.health[backend.0].on_completion(now, lat) {
-            counters.quarantine_trips += 1;
-        }
-    }
-
-    /// A live read went to `backend` as its half-open probe, op `op`.
-    pub(super) fn probe_sent(&mut self, backend: BackendId, op: u64, now: u64) {
-        self.health[backend.0].probe_sent(now);
-        self.probe_op.insert(backend, op);
-    }
-
-    /// Feed the silence gap since `last` into the backend's learned
-    /// threshold, when adaptive detection is on.
-    fn observe_gap(&mut self, backend: BackendId, last: u64, now: u64) {
-        if let Some(th) = self.adaptive.get_mut(backend.0) {
-            let gap = now.saturating_sub(last);
-            if last > 0 && gap > 0 {
-                th.observe(gap);
-            }
-        }
-    }
-
-    /// The silence threshold applied to a backend: the learned adaptive one
-    /// when enabled, `fixed` otherwise.
-    fn silence_timeout_us(&self, backend: usize, fixed: u64) -> u64 {
-        self.adaptive.get(backend).map(|t| t.timeout_us()).unwrap_or(fixed)
+    pub(super) fn new(backends: usize) -> Self {
+        Detection { watch: (0..backends).map(|_| Watch::default()).collect() }
     }
 }
 
 impl Middleware {
     pub(super) fn is_quarantined(&self, b: BackendId) -> bool {
-        self.cfg.quarantine.is_some() && self.detect.health[b.0].quarantined()
+        self.cfg.quarantine.is_some() && self.detect.watch[b.0].health.quarantined()
+    }
+
+    /// Append backend `b`'s health transition, if it made one, to the
+    /// event log.
+    fn log_health(&mut self, now: u64, b: BackendId, ev: Option<HealthEvent>) {
+        if let Some(ev) = ev {
+            self.metrics.quarantine_events.push((now, b.0, ev));
+        }
     }
 
     /// Candidates for read routing / delegate selection: quarantined
@@ -110,43 +89,61 @@ impl Middleware {
         self.filter_quarantined(self.healthy())
     }
 
-    /// Mirror new health-tracker events into the metrics log.
-    pub(super) fn sync_health_events(&mut self, i: usize) {
-        self.detect.sync_events(i, &mut self.metrics.quarantine_events);
-    }
-
     /// A client op at `backend` answered at `now`: the backend is alive,
-    /// and with quarantine on its latency is scored.
+    /// and with quarantine on its latency (dispatched at `started`) is
+    /// scored against its health EWMA; the answer to its half-open probe
+    /// resolves the half-open state instead.
     pub(super) fn note_completion(&mut self, now: u64, backend: BackendId, started: u64, op: u64) {
         self.touch_liveness(backend, now);
         if self.cfg.quarantine.is_none() {
             return;
         }
-        self.detect.score(now, backend, started, op, &mut self.metrics.counters);
-        self.sync_health_events(backend.0);
+        let lat = now.saturating_sub(started);
+        let w = &mut self.detect.watch[backend.0];
+        let counters = &mut self.metrics.counters;
+        let ev = if w.probe == Some(op) {
+            w.probe = None;
+            let ev = w.health.probe_completed(now, lat);
+            counters.quarantine_rejoins += u64::from(ev == Some(HealthEvent::Rejoin));
+            ev
+        } else {
+            let ev = w.health.on_completion(now, lat);
+            counters.quarantine_trips += u64::from(ev.is_some());
+            ev
+        };
+        self.log_health(now, backend, ev);
+    }
+
+    /// A live read went to `backend` as its half-open probe, op `op`.
+    pub(super) fn probe_sent(&mut self, backend: BackendId, op: u64, now: u64) {
+        let w = &mut self.detect.watch[backend.0];
+        debug_assert!(w.wants_probe());
+        w.probe = Some(op);
+        self.log_health(now, backend, Some(HealthEvent::ProbeStart));
     }
 
     /// A backend left rotation: its latency history and any probe in
-    /// flight are meaningless if it returns. The adaptive gap history
-    /// deliberately survives: the silence distribution is a property of
-    /// the backend and its link, and wiping it on every flap would keep the
-    /// detector permanently naive about a still-degraded node
-    /// (evict/rejoin storms).
+    /// flight are meaningless if it returns. Its silence gaps stay (see
+    /// [`Watch::silence`]).
     pub(super) fn reset_health(&mut self, backend: BackendId, now: u64) {
-        self.detect.probe_op.remove(&backend);
+        let w = &mut self.detect.watch[backend.0];
+        w.probe = None;
         if self.cfg.quarantine.is_some() {
-            self.detect.health[backend.0].reset(now);
-            self.sync_health_events(backend.0);
+            let ev = w.health.reset();
+            self.log_health(now, backend, ev);
         }
     }
 
     /// Refresh a backend's liveness clock. With adaptive detection on, the
-    /// observed silence gap feeds that backend's learned threshold, so
+    /// silence gap since its last answer feeds its learned threshold, so
     /// stretched-but-alive traffic (brownout, load) raises the timeout
     /// instead of tripping it.
     pub(super) fn touch_liveness(&mut self, backend: BackendId, now: u64) {
-        self.detect.observe_gap(backend, self.backends[backend.0].last_pong_us, now);
-        self.backends[backend.0].last_pong_us = now;
+        let w = &mut self.detect.watch[backend.0];
+        if self.cfg.adaptive_detection && w.last_heard_us > 0 && now > w.last_heard_us {
+            w.silence.observe(now - w.last_heard_us);
+        }
+        w.last_heard_us = now;
     }
 
     pub(super) fn note_pong(
@@ -184,16 +181,15 @@ impl Middleware {
         if self.cfg.quarantine.is_some() {
             for i in 0..self.backends.len() {
                 if self.backends[i].online() {
-                    self.detect.health[i].tick(now);
+                    self.detect.watch[i].health.tick(now);
                 }
             }
         }
         // Detect silent backends (per-backend threshold when adaptive).
         for i in 0..self.backends.len() {
             let b = BackendId(i);
-            let silent = now.saturating_sub(self.backends[i].last_pong_us);
-            let timeout = self.detect.silence_timeout_us(i, self.cfg.heartbeat.timeout_us);
-            if self.backends[i].online() && self.backends[i].last_pong_us > 0 && silent > timeout {
+            let silent = self.detect.watch[i].silent(now, self.cfg.heartbeat.timeout_us, self.cfg.adaptive_detection);
+            if self.backends[i].online() && silent {
                 if !ctx.oracle_is_crashed(self.backends[i].node) {
                     // The backend was alive — a brownout or lossy link
                     // fooled the detector (oracle measurement only).

@@ -48,7 +48,7 @@ mod ship;
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use replimid_gcs::{AdaptiveConfig, HeartbeatConfig, MemberId};
+use replimid_gcs::{HeartbeatConfig, MemberId};
 use replimid_simnet::{Actor, Ctx, NodeId, SimTime};
 
 use replimid_sql::ast::{IsolationLevel, Statement};
@@ -191,10 +191,10 @@ pub struct MwConfig {
     pub degrade_to_read_only: bool,
     /// Accrual-style adaptive silence thresholds for *backend* failure
     /// detection (§4.3.4.2): a browned-out backend whose pongs stretch
-    /// raises its own timeout instead of being evicted. The fixed
-    /// `heartbeat.timeout_us` should equal the adaptive floor. Off (`None`)
-    /// by default.
-    pub adaptive_detection: Option<AdaptiveConfig>,
+    /// raises its own timeout instead of being evicted. The learned
+    /// threshold never undercuts `heartbeat.timeout_us` (its floor); the
+    /// rest of the policy is `crate::health`'s constants. Off by default.
+    pub adaptive_detection: bool,
     /// Group-commit batching on the totally-ordered write path: admitted
     /// writes accumulate until `batch_max` events are buffered (size flush)
     /// or `batch_deadline_us` elapses since the first buffered event
@@ -244,7 +244,7 @@ impl MwConfig {
             require_majority: false,
             quarantine: None,
             degrade_to_read_only: false,
-            adaptive_detection: None,
+            adaptive_detection: false,
             batch_max: 1,
             batch_deadline_us: 200,
             plan_cache: 0,
@@ -277,7 +277,6 @@ enum BackendState {
 struct Backend {
     node: NodeId,
     state: BackendState,
-    last_pong_us: u64,
     /// Binlog LSN this backend reported applied (master-slave).
     applied_lsn: Lsn,
     /// Per group, the lowest ordered position the node could come back
@@ -292,7 +291,7 @@ struct Backend {
 impl Backend {
     fn new(node: NodeId, removed: bool) -> Self {
         let state = if removed { BackendState::Removed } else { BackendState::Online };
-        Backend { node, state, last_pong_us: 0, applied_lsn: Lsn(0), node_pos: Vec::new(), drain_started_us: 0 }
+        Backend { node, state, applied_lsn: Lsn(0), node_pos: Vec::new(), drain_started_us: 0 }
     }
 
     fn online(&self) -> bool {
@@ -493,9 +492,9 @@ pub struct MwMetrics {
     pub recoveries: Vec<(usize, u64, u64)>,
     /// Time spent in degraded read-only mode (write quorum lost).
     pub degraded: DegradedTracker,
-    /// Quarantine transition log: (µs, backend index, event). Mirrors the
-    /// per-backend [`crate::health::HealthTracker`] logs for post-run
-    /// assertions.
+    /// Quarantine transition log: (µs, backend index, event), each
+    /// transition of every backend's [`crate::health::HealthTracker`] in
+    /// the order it happened; the one place it is stored.
     pub quarantine_events: Vec<(u64, usize, HealthEvent)>,
     /// Per-request latency attribution: one trace window per admitted
     /// statement, spans recorded at each middleware stage transition.
@@ -590,7 +589,7 @@ impl Middleware {
             shards,
             fanouts: Fanouts::new(),
             rejoin: Rejoin::default(),
-            detect: Detection::new(n, cfg.adaptive_detection),
+            detect: Detection::new(n),
             ship: Ship::new(),
             peers,
             cfg,
@@ -752,18 +751,16 @@ impl Middleware {
         s
     }
 
-    /// Full session teardown: the slab entry goes — taking its open
-    /// request metas and any stashed 2-safe body with it — and so do the
-    /// session's parked reads. Each backend in rotation drops the session's
-    /// connection, which aborts its open transaction: left open, its
+    /// Full session teardown at the middleware: the slab entry goes —
+    /// taking its open request metas and any stashed 2-safe body with it —
+    /// and so do the session's parked reads. The backends close the
+    /// session's connection through the slot's fan-out (see
+    /// `deliver_slot`), which aborts its open transaction: left open, its
     /// uncommitted row versions would make every later write to those rows
     /// a write conflict.
     fn end_session(&mut self, ctx: &mut Ctx<'_, Msg>, session: SessionId) {
         self.sessions.remove(session.0);
         self.reads.end_session(ctx, session);
-        for b in self.healthy() {
-            ctx.send(self.backends[b.0].node, Msg::Db(DbOp::Disconnect { conn: session.0 }));
-        }
     }
 
     /// Sessions stuck to `backend`, which left rotation, re-route on their
@@ -1050,7 +1047,7 @@ impl Middleware {
 
     /// Quarantine state of a backend (harness/test introspection).
     pub fn backend_health_state(&self, b: BackendId) -> crate::health::HealthState {
-        self.detect.health[b.0].state()
+        self.detect.watch[b.0].health.state()
     }
 
     /// True if the cluster is currently in degraded read-only mode.

@@ -13,7 +13,7 @@ use replimid_sql::ast::Statement;
 use replimid_sql::{SqlError, TableName, Watermark, Writeset};
 
 use super::certification::XTx;
-use super::{raise, BackendState, Current, CurrentKind, Middleware, Pending, SHARD_BATCH_BASE, SHARD_TICK_BASE};
+use super::{raise, BackendState, Current, CurrentKind, Middleware, Mode, Pending, SHARD_BATCH_BASE, SHARD_TICK_BASE};
 use crate::certifier::{Certifier, CertifierStats, Verdict};
 use crate::msg::{
     ApplyEntry, BackendId, ClientReply, ClientRequest, DbOp, DbResp, EntryResult, Msg, PlanExec, ReplEvent,
@@ -403,15 +403,18 @@ impl Middleware {
         }
     }
 
-    /// Run one total-order slot of group `g`, its events in slot order. A
-    /// session ends after the slot's fan-out, so each backend gets its
-    /// `Disconnect` behind the slot's `Apply`: ended first, the session's
-    /// own statement or COMMIT in the same slot would run on a fresh
-    /// connection with no transaction. An ordered statement takes group
-    /// 0's next recovery-log position (every peer logs identically, so
-    /// positions agree) and runs as its plan on its session's connection at
-    /// every healthy backend. A certified transaction's part votes, and a
-    /// commit that this part decided runs at its groups' hosts. Every
+    /// Run one total-order slot of group `g`, its events in slot order,
+    /// except that sessions end last: each backend closes an ended
+    /// session's connection behind the slot's other entries (ended first,
+    /// the session's own statement or COMMIT in the same slot would run on
+    /// a fresh connection with no transaction). An ordered statement takes
+    /// group 0's next recovery-log position (every peer logs identically,
+    /// so positions agree) and runs as its plan on its session's connection
+    /// at every healthy backend. In statement mode a session's end is
+    /// logged too, so a backend out of rotation when it ended closes on
+    /// replay the transaction its replay of the session's plans opened. A
+    /// certified transaction's part votes, and a commit that this part
+    /// decided runs at its groups' hosts. Every
     /// statement and decided commit is one unit of the slot's one fan-out:
     /// each host gets one `Apply` of its entries, one network round-trip
     /// and one parallel-grouped cost charge per host per slot, which is
@@ -458,9 +461,21 @@ impl Middleware {
             }
             records.push(record);
         }
+        for &session in &ended {
+            let payload = LogPayload::End { conn: session.0 };
+            let marks = match self.cfg.mode {
+                Mode::MultiMasterStatement { .. } => vec![(0, self.shards.logs[0].append(payload.clone()))],
+                _ => Vec::new(),
+            };
+            let entry = ApplyEntry { payload, marks };
+            for b in self.healthy() {
+                per_host[b.0].push((records.len(), entry.clone()));
+            }
+            records.push(None);
+        }
         let sends = per_host.into_iter().enumerate().filter(|(_, sent)| !sent.is_empty());
         self.fan_out(ctx, records, sends.map(|(b, sent)| (BackendId(b), sent)).collect());
-        for session in ended {
+        for &session in &ended {
             self.end_session(ctx, session);
         }
         if multi {

@@ -212,7 +212,7 @@ impl Middleware {
         if self.cfg.quarantine.is_some() {
             let probe = (0..self.backends.len())
                 .map(BackendId)
-                .find(|&b| self.detect.health[b.0].wants_probe() && self.can_serve(b, &r.gset, &r.needs));
+                .find(|&b| self.detect.watch[b.0].wants_probe() && self.can_serve(b, &r.gset, &r.needs));
             if let Some(b) = probe {
                 return Some((b, true));
             }
@@ -278,8 +278,7 @@ impl Middleware {
         });
         if is_probe {
             self.metrics.counters.quarantine_probes += 1;
-            self.detect.probe_sent(backend, op, now);
-            self.sync_health_events(backend.0);
+            self.probe_sent(backend, op, now);
         } else if self.is_quarantined(backend) {
             // Tripwire (should stay 0): a normal read slipped through the
             // quarantine filter — only the fallback path can do this, and

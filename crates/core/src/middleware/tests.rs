@@ -756,6 +756,7 @@ fn a_slot_of_certified_commits_is_one_apply_per_host() {
                     (*conn, true)
                 }
                 LogPayload::Ws(ws) => ((1..=2).find(|&s| *ws == insert_ws(s as i64)).expect("a session's rows"), false),
+                LogPayload::End { .. } => panic!("no session ended: {ops:?}"),
             };
             assert_eq!(commit, delegated.contains(&session), "session {session}: {ops:?}");
             assert_eq!(e.marks, [(0, i as u64 + 1)]);
@@ -865,7 +866,7 @@ fn router(mode: Mode, policy: ReadPolicy, placement: Option<Placement>, backends
 /// Trip backend `b`'s breaker: a learned baseline, then a brownout.
 fn quarantine(m: &mut Middleware, b: usize) {
     for t in 1..200 {
-        m.detect.health[b].on_completion(t, if t <= 20 { 100 } else { 100_000 });
+        m.detect.watch[b].health.on_completion(t, if t <= 20 { 100 } else { 100_000 });
     }
     assert!(m.is_quarantined(BackendId(b)));
 }

@@ -152,15 +152,16 @@ pub enum DbOp {
     Delegate { op: u64, conn: u64, begin: Option<PlanExec>, stmt: PlanExec, implicit: bool },
     /// Apply ordered entries: live fan-out, rejoin replay, and a certified
     /// transaction's COMMIT at its writeset delegate alike. Each entry is a
-    /// plan on its session's (lazily created) connection or a certified
-    /// writeset, with the (group, position) pairs it settles. The node
-    /// records those durably and runs the entries in order: it *skips* an
-    /// entry whose marks it has all applied, and notes the marks of the
-    /// rest, a plan's inside an open transaction when that transaction
-    /// ends. The skip is what makes replay idempotent when an
-    /// acknowledgment raced a failure declaration (§4.4.2: "the middleware
-    /// has often no information on which transactions committed prior to
-    /// the failure; this information is only known to the database"). A
+    /// plan on its session's (lazily created) connection, a session's end
+    /// (its connection closes) or a certified writeset, with the (group,
+    /// position) pairs it settles. The node records those durably and runs
+    /// the entries in order: it *skips* an entry whose marks it has all
+    /// applied, and notes the marks of the rest, a plan's inside an open
+    /// transaction when that transaction ends. The skip is what makes
+    /// replay idempotent when an acknowledgment raced a failure declaration
+    /// (§4.4.2: "the middleware has often no information on which
+    /// transactions committed prior to the failure; this information is
+    /// only known to the database"). A
     /// plan's error is that entry's outcome, as it was on every live
     /// replica; a writeset's error fails the op (divergence). `parallel`:
     /// entries whose commits wrote disjoint tables apply concurrently, so
@@ -187,9 +188,6 @@ pub enum DbOp {
     /// the lowest LSN a reader may still ask for (`BinlogAfter`'s `after`),
     /// `None` when nothing ever will (see `Engine::set_binlog_horizon`).
     Ping { op: u64, binlog_horizon: Option<Lsn> },
-    /// Drop a session's connection (client disconnected): releases temp
-    /// tables and aborts open transactions.
-    Disconnect { conn: u64 },
 }
 
 /// One entry of a [`DbOp::Apply`]: what the recovery log holds at one

@@ -1,10 +1,11 @@
 //! The Sequoia-style recovery log (§4.4.2): every totally-ordered write the
 //! cluster executed — the plan of an ordered statement, on its session's
-//! connection (statement replication), or a certified writeset (writeset
-//! replication) — with per-backend checkpoints. A removed or failed replica
-//! rejoins by replaying the log from its position, through the same
-//! `DbOp::Apply` the live fan-out sends; once it is close to the head, the
-//! middleware enacts a global barrier for the final hop.
+//! connection, and the session's end (statement replication), or a
+//! certified writeset (writeset replication) — with per-backend
+//! checkpoints. A removed or failed replica rejoins by replaying the log
+//! from its position, through the same `DbOp::Apply` the live fan-out
+//! sends; once it is close to the head, the middleware enacts a global
+//! barrier for the final hop.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -18,6 +19,10 @@ use crate::msg::{BackendId, PlanExec};
 pub enum LogPayload {
     /// An ordered statement's plan, run on connection `conn` (its session's).
     Plan { conn: u64, plan: PlanExec },
+    /// A session's end: connection `conn` closes, aborting the transaction
+    /// it left open. Logged, so a backend that was out of rotation when the
+    /// session ended closes what its replay of the session's plans opened.
+    End { conn: u64 },
     Ws(Writeset),
 }
 
@@ -175,6 +180,7 @@ impl RecoveryLog {
                             plan.template.written_tables().into_iter().map(|t| t.name).collect()
                         }
                         LogPayload::Ws(ws) => ws.tables().iter().map(|t| t.table().to_string()).collect(),
+                        LogPayload::End { .. } => Vec::new(),
                     })
                     .collect();
                 grouped_chain_cost(tables.iter().map(|t| (&t[..], per_entry_us)))

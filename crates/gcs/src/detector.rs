@@ -6,17 +6,12 @@
 //! parameterized so experiment E11 can sweep exactly that tradeoff: a
 //! "TCP-default" configuration is just `HeartbeatConfig::tcp_default()`.
 //!
-//! [`AdaptiveThreshold`] (accrual-style, after Hayashibara et al.'s φ
-//! detector) learns a suspicion threshold from observed heartbeat
-//! inter-arrival times: a browned-out or loaded peer whose heartbeats
-//! stretch raises its own threshold instead of being declared dead — exactly
-//! the "slow connections classified as failed" false positive §4.3.4.2 warns
-//! about. The fixed timeout remains the floor (adaptive detection never fires
-//! *faster* than it) and a hard cap bounds detection time for real crashes.
-//! The middleware's backend detection uses it; the group members' peer
-//! detector below applies the fixed timeout.
+//! The group members' peer detector applies the fixed timeout. The
+//! middleware's *backend* detection shares [`HeartbeatConfig`] and can
+//! learn a per-backend threshold above it instead (`replimid_core::health`,
+//! `MwConfig::adaptive_detection`).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use crate::types::MemberId;
 
@@ -38,84 +33,6 @@ impl HeartbeatConfig {
     /// detector only notices after ~75 seconds.
     pub fn tcp_default() -> Self {
         HeartbeatConfig { interval_us: 20_000, timeout_us: 75_000_000 }
-    }
-}
-
-/// Knobs for the accrual-style adaptive threshold.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Floor: adaptive detection never fires faster than this (use the
-    /// fixed timeout you would otherwise have configured).
-    pub min_timeout_us: u64,
-    /// Cap: bounds detection time for real crashes no matter how noisy the
-    /// observed history was.
-    pub max_timeout_us: u64,
-    /// Safety multiplier on the learned threshold.
-    pub factor: f64,
-    /// How many standard deviations above the mean gap still count as
-    /// alive.
-    pub k: f64,
-    /// Inter-arrival history window (draws beyond it are forgotten).
-    pub window: usize,
-}
-
-impl AdaptiveConfig {
-    /// Adaptive companion to [`HeartbeatConfig::lan`]: same 100ms floor,
-    /// 2s cap.
-    pub fn lan() -> Self {
-        AdaptiveConfig {
-            min_timeout_us: 100_000,
-            max_timeout_us: 2_000_000,
-            factor: 1.5,
-            k: 4.0,
-            window: 32,
-        }
-    }
-}
-
-/// Learned suspicion threshold over one peer's heartbeat inter-arrival
-/// history. Deterministic: plain windowed mean/variance, no clocks of its
-/// own — the embedder feeds observed gaps.
-#[derive(Debug, Clone)]
-pub struct AdaptiveThreshold {
-    cfg: AdaptiveConfig,
-    gaps: VecDeque<u64>,
-}
-
-impl AdaptiveThreshold {
-    pub fn new(cfg: AdaptiveConfig) -> Self {
-        AdaptiveThreshold { cfg, gaps: VecDeque::new() }
-    }
-
-    /// Record one observed inter-arrival gap.
-    pub fn observe(&mut self, gap_us: u64) {
-        self.gaps.push_back(gap_us);
-        while self.gaps.len() > self.cfg.window.max(1) {
-            self.gaps.pop_front();
-        }
-    }
-
-    /// The current suspicion threshold:
-    /// `clamp(min, factor * (mean + k * std), max)`.
-    ///
-    /// With a short history the floor applies (behaves exactly like the
-    /// fixed-timeout detector until enough gaps are seen).
-    pub fn timeout_us(&self) -> u64 {
-        if self.gaps.len() < 4 {
-            return self.cfg.min_timeout_us;
-        }
-        let n = self.gaps.len() as f64;
-        let mean = self.gaps.iter().map(|&g| g as f64).sum::<f64>() / n;
-        let var = self.gaps.iter().map(|&g| (g as f64 - mean).powi(2)).sum::<f64>() / n;
-        // Clamp in the f64 domain, *before* the u64 cast: a NaN (poisoned
-        // factor/k) or negative product would otherwise ride the cast's
-        // saturation semantics instead of an explicit floor, and a learned
-        // timeout of 0 evicts every peer on the next tick.
-        let learned = self.cfg.factor * (mean + self.cfg.k * var.sqrt());
-        let floor = self.cfg.min_timeout_us as f64;
-        let ceil = self.cfg.max_timeout_us as f64;
-        let clamped = if learned.is_finite() { learned.clamp(floor, ceil) } else { floor };
-        clamped as u64
     }
 }
 
@@ -270,78 +187,6 @@ mod tests {
     fn unknown_peers_ignored() {
         let mut d = fd(100);
         assert_eq!(d.heard_from(MemberId(9), 10), None);
-    }
-
-    #[test]
-    fn adaptive_threshold_learns_and_clamps() {
-        let cfg = AdaptiveConfig {
-            min_timeout_us: 100,
-            max_timeout_us: 10_000,
-            factor: 1.5,
-            k: 4.0,
-            window: 8,
-        };
-        let mut t = AdaptiveThreshold::new(cfg);
-        assert_eq!(t.timeout_us(), 100, "floor before history");
-        for _ in 0..8 {
-            t.observe(20);
-        }
-        assert_eq!(t.timeout_us(), 100, "regular fast beats: floor applies");
-        // Gaps stretch 20x (brownout): the threshold follows them up.
-        for _ in 0..8 {
-            t.observe(400);
-        }
-        let th = t.timeout_us();
-        assert!(th >= 600, "learned threshold {th}");
-        assert!(th <= 10_000, "cap respected");
-        // Absurd history still clamps at the cap.
-        for _ in 0..8 {
-            t.observe(1_000_000);
-        }
-        assert_eq!(t.timeout_us(), 10_000);
-    }
-
-    #[test]
-    fn adaptive_threshold_short_history_and_nan_hold_the_floor() {
-        let cfg = AdaptiveConfig {
-            min_timeout_us: 100,
-            max_timeout_us: 10_000,
-            factor: 1.5,
-            k: 4.0,
-            window: 8,
-        };
-        // Zero and one samples: the learned path must not run at all (a
-        // single gap has zero variance and would anchor the threshold to
-        // one possibly-tiny observation).
-        let mut t = AdaptiveThreshold::new(cfg);
-        assert_eq!(t.timeout_us(), 100, "no samples: floor");
-        t.observe(3);
-        assert_eq!(t.timeout_us(), 100, "single sample: floor");
-
-        // NaN-poisoned config (factor * anything = NaN): the threshold
-        // must clamp to the configured floor in the f64 domain, never
-        // collapse toward 0 and evict every peer.
-        let mut t = AdaptiveThreshold::new(AdaptiveConfig { factor: f64::NAN, ..cfg });
-        for _ in 0..8 {
-            t.observe(20);
-        }
-        assert_eq!(t.timeout_us(), 100, "NaN learned value: floor");
-
-        // Same for an infinity (overflowed k): any non-finite learned
-        // value falls back to the floor rather than trusting saturation.
-        let mut t = AdaptiveThreshold::new(AdaptiveConfig { k: f64::INFINITY, ..cfg });
-        for g in [10, 20, 30, 40] {
-            t.observe(g);
-        }
-        assert_eq!(t.timeout_us(), 100, "non-finite learned value: floor");
-
-        // Negative factor (misconfiguration) floors instead of casting a
-        // negative f64 to 0.
-        let mut t = AdaptiveThreshold::new(AdaptiveConfig { factor: -2.0, ..cfg });
-        for _ in 0..8 {
-            t.observe(500);
-        }
-        assert_eq!(t.timeout_us(), 100, "negative learned value: floor");
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub mod sharded;
 pub mod types;
 
 pub use buffer::DeliveryBuffer;
-pub use detector::{AdaptiveConfig, AdaptiveThreshold, FailureDetector, FdEvent, HeartbeatConfig};
+pub use detector::{FailureDetector, FdEvent, HeartbeatConfig};
 pub use member::{GcsConfig, GroupMember, TICK_TAG};
 pub use sharded::ShardedMember;
 pub use types::{Action, GcsMsg, MemberId, MsgId, OrderProtocol, OrderedRecord, View, ViewId};

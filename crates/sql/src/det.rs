@@ -9,20 +9,16 @@
 
 use replimid_det::DetRng;
 
-/// Per-engine non-deterministic inputs, with taint tracking.
+/// Per-engine non-deterministic inputs.
 #[derive(Debug)]
 pub struct Determinism {
     now_us: i64,
     rng: DetRng,
-    /// Set when the current statement evaluated NOW()/RAND(); reset by the
-    /// engine at statement start. The middleware reads this to learn,
-    /// post-hoc, that a statement it broadcast was unsafe.
-    pub tainted: bool,
 }
 
 impl Determinism {
     pub fn new(seed: u64) -> Self {
-        Determinism { now_us: 0, rng: DetRng::seed_from_u64(seed), tainted: false }
+        Determinism { now_us: 0, rng: DetRng::seed_from_u64(seed) }
     }
 
     /// Set the virtual wall clock (microseconds).
@@ -30,26 +26,14 @@ impl Determinism {
         self.now_us = now_us;
     }
 
-    /// Current virtual time *without* tainting (engine-internal uses).
-    pub fn now_untainted(&self) -> i64 {
+    /// NOW()/CURRENT_TIMESTAMP.
+    pub fn now(&self) -> i64 {
         self.now_us
     }
 
-    /// NOW()/CURRENT_TIMESTAMP: taints the statement.
-    pub fn now(&mut self) -> i64 {
-        self.tainted = true;
-        self.now_us
-    }
-
-    /// RAND(): uniform in [0, 1); taints the statement.
+    /// RAND(): uniform in [0, 1).
     pub fn rand(&mut self) -> f64 {
-        self.tainted = true;
         self.rng.gen::<f64>()
-    }
-
-    /// Begin a new statement: clear the taint flag.
-    pub fn begin_statement(&mut self) {
-        self.tainted = false;
     }
 }
 
@@ -64,20 +48,5 @@ mod tests {
         assert_eq!(a.rand(), b.rand());
         let mut c = Determinism::new(43);
         assert_ne!(a.rand(), c.rand());
-    }
-
-    #[test]
-    fn taint_tracking() {
-        let mut d = Determinism::new(1);
-        assert!(!d.tainted);
-        d.set_now(99);
-        assert_eq!(d.now_untainted(), 99);
-        assert!(!d.tainted, "untainted read must not taint");
-        let _ = d.now();
-        assert!(d.tainted);
-        d.begin_statement();
-        assert!(!d.tainted);
-        let _ = d.rand();
-        assert!(d.tainted);
     }
 }

@@ -66,8 +66,6 @@ pub struct EngineConfig {
     /// Seed for RAND(); give each replica a different one.
     pub seed: u64,
     pub error_mode: ErrorMode,
-    /// Record committed write transactions in the binlog.
-    pub binlog: bool,
     /// Ship sequence/auto-increment counters inside writesets (the paper's
     /// industrial-agenda fix; off by default to reproduce the gap).
     pub capture_counters: bool,
@@ -87,7 +85,6 @@ impl Default for EngineConfig {
             name: "replica".into(),
             seed: 0,
             error_mode: ErrorMode::AbortTransaction,
-            binlog: true,
             capture_counters: false,
             apply_counter_sync: false,
             features: FeatureSet::default(),
@@ -159,6 +156,9 @@ pub struct Engine {
     /// Positions applied since the last WAL round, each with the binlog
     /// head when it was (durability only).
     unlogged: Vec<(u64, Mark)>,
+    /// Crash recovery is replaying the WAL: commits append nothing to the
+    /// binlog, which gets each replayed entry back verbatim instead.
+    replaying: bool,
 }
 
 impl Engine {
@@ -179,6 +179,7 @@ impl Engine {
             durable,
             ordered: Positions::default(),
             unlogged: Vec::new(),
+            replaying: false,
         }
     }
 
@@ -260,7 +261,6 @@ impl Engine {
         stmt: &Statement,
         sql_text: Option<&str>,
     ) -> Result<ExecResult, SqlError> {
-        self.det.begin_statement();
         let mut session = self
             .sessions
             .remove(&conn)
@@ -297,7 +297,7 @@ impl Engine {
                 if wounded && matches!(stmt, Statement::Commit) {
                     return Err(wound_conflict());
                 }
-                return Ok(ack(Cost::for_statement(0, 0, false), false));
+                return Ok(ack(Cost::for_statement(0, 0, false)));
             }
         }
 
@@ -309,7 +309,7 @@ impl Engine {
                 self.catalog.database(name)?;
                 self.auth.check(&session.user, name, Privilege::Read)?;
                 session.current_db = Some(name.clone());
-                Ok(ack(Cost::for_statement(0, 0, false), false))
+                Ok(ack(Cost::for_statement(0, 0, false)))
             }
             Statement::CreateDatabase { .. }
             | Statement::DropDatabase { .. }
@@ -349,14 +349,14 @@ impl Engine {
         session.tx = Some(tx);
         session.explicit = true;
         session.tx_statements.clear();
-        Ok(ack(Cost::for_statement(0, 0, false), false))
+        Ok(ack(Cost::for_statement(0, 0, false)))
     }
 
     fn do_commit(&mut self, session: &mut Session) -> Result<ExecResult, SqlError> {
         let Some(tx) = session.tx.take() else {
             // Committing with no transaction open is a no-op warning in most
             // engines.
-            return Ok(ack(Cost::for_statement(0, 0, false), false));
+            return Ok(ack(Cost::for_statement(0, 0, false)));
         };
         session.explicit = false;
         let statements = std::mem::take(&mut session.tx_statements);
@@ -365,7 +365,7 @@ impl Engine {
             &mut session.temp,
             &mut self.txm,
             &mut self.seqs,
-            &mut self.binlog,
+            (!self.replaying).then_some(&mut self.binlog),
             &self.config,
             tx,
             session.current_db.as_deref(),
@@ -373,7 +373,7 @@ impl Engine {
         )?;
         let mut cost = Cost::for_statement(0, 0, false);
         cost.cpu_us += crate::result::cost_model::COMMIT_US;
-        Ok(ExecResult { outcome: Outcome::Ack, cost, tainted: false, commit: Some(commit) })
+        Ok(ExecResult { outcome: Outcome::Ack, cost, commit: Some(commit) })
     }
 
     fn do_rollback(&mut self, session: &mut Session) -> Result<ExecResult, SqlError> {
@@ -382,7 +382,7 @@ impl Engine {
         }
         session.explicit = false;
         session.tx_statements.clear();
-        Ok(ack(Cost::for_statement(0, 0, false), false))
+        Ok(ack(Cost::for_statement(0, 0, false)))
     }
 
     /// DDL executes immediately and is **not transactional**: it commits on
@@ -426,7 +426,7 @@ impl Engine {
                     }
                     if session.temp.contains_key(&name.name) {
                         if *if_not_exists {
-                            return Ok(ack(Cost::for_statement(0, 0, true), false));
+                            return Ok(ack(Cost::for_statement(0, 0, true)));
                         }
                         return Err(SqlError::AlreadyExists(name.name.clone()));
                     }
@@ -438,7 +438,7 @@ impl Engine {
                     let database = self.catalog.database_mut(&db)?;
                     if database.tables.contains_key(&name.name) {
                         if *if_not_exists {
-                            return Ok(ack(Cost::for_statement(0, 0, true), false));
+                            return Ok(ack(Cost::for_statement(0, 0, true)));
                         }
                         return Err(SqlError::AlreadyExists(name.to_string()));
                     }
@@ -535,13 +535,13 @@ impl Engine {
         }
         // DDL auto-commits: record it in the binlog as a statement-only
         // entry so log-shipping slaves replay it.
-        if replicate && self.config.binlog {
+        if replicate && !self.replaying {
             let text = sql_text.map(str::to_string).unwrap_or_else(|| stmt.to_string());
             let ts = self.bump_ddl_ts();
             self.binlog
                 .append(ts, session.current_db.as_deref(), vec![text], &Writeset::default());
         }
-        Ok(ack(Cost::for_statement(0, 0, true), false))
+        Ok(ack(Cost::for_statement(0, 0, true)))
     }
 
     /// Allocate a commit timestamp for a DDL operation (so later snapshots
@@ -602,7 +602,6 @@ impl Engine {
         if matches!(stmt, Statement::Set { .. }) {
             session.vars = vars_after;
         }
-        let tainted = self.det.tainted;
 
         match exec_result {
             Ok(outcome) => {
@@ -622,7 +621,7 @@ impl Engine {
                         &mut session.temp,
                         &mut self.txm,
                         &mut self.seqs,
-                        &mut self.binlog,
+                        (!self.replaying).then_some(&mut self.binlog),
                         &self.config,
                         tx,
                         session.current_db.as_deref(),
@@ -631,7 +630,7 @@ impl Engine {
                 } else {
                     None
                 };
-                Ok(ExecResult { outcome, cost, tainted, commit })
+                Ok(ExecResult { outcome, cost, commit })
             }
             Err(e) => {
                 if implicit {
@@ -714,7 +713,7 @@ impl Engine {
                     &mut empty_temp,
                     &mut self.txm,
                     &mut self.seqs,
-                    &mut self.binlog,
+                    (!self.replaying).then_some(&mut self.binlog),
                     &self.config,
                     tx,
                     None,
@@ -728,7 +727,6 @@ impl Engine {
                 Ok(ExecResult {
                     outcome: Outcome::Affected(ws.len() as u64),
                     cost: Cost::for_statement(0, ws.len() as u64, false),
-                    tainted: false,
                     commit: Some(commit),
                 })
             }
@@ -905,11 +903,11 @@ impl Engine {
         self.binlog.set_floor(floor);
     }
 
-    /// Whether a commit now leaves a binlog entry behind: not when the
-    /// binlog is off, nor when nobody reads it and it is not mirrored into a
-    /// WAL (then each entry is purged as it lands).
+    /// Whether a commit now leaves a binlog entry behind: not while crash
+    /// recovery replays the WAL, nor when nobody reads it and it is not
+    /// mirrored into a WAL (then each entry is purged as it lands).
     fn keeps_binlog(&self) -> bool {
-        self.config.binlog && self.binlog.keeps_entries()
+        !self.replaying && self.binlog.keeps_entries()
     }
 
     /// Entries the binlog still holds (trimming bounds it; the head keeps
@@ -1220,8 +1218,7 @@ impl Engine {
         // Replay the suffix with binlog appends suppressed: each replayed
         // entry is re-pushed verbatim afterwards, so the reborn binlog
         // holds the original statements/writesets, not a paraphrase.
-        let binlog_was = self.config.binlog;
-        self.config.binlog = false;
+        self.replaying = true;
         let mut replay_conn: Option<ConnId> = None;
         for rec in &records {
             match rec {
@@ -1270,7 +1267,7 @@ impl Engine {
         if let Some(c) = replay_conn {
             self.disconnect(c);
         }
-        self.config.binlog = binlog_was;
+        self.replaying = false;
         store.rearm(self.binlog.head().0, report.applied_lsn, &report.ordered);
         store.note_counters(self.current_counters());
         self.durable = Some(store);
@@ -1332,8 +1329,8 @@ impl Engine {
     }
 }
 
-fn ack(cost: Cost, tainted: bool) -> ExecResult {
-    ExecResult { outcome: Outcome::Ack, cost, tainted, commit: None }
+fn ack(cost: Cost) -> ExecResult {
+    ExecResult { outcome: Outcome::Ack, cost, commit: None }
 }
 
 /// What a wounded transaction answers until it rolls back.
@@ -1392,14 +1389,15 @@ fn apply_entry(
 }
 
 /// Commit a transaction: serializable validation, version stamping, writeset
-/// extraction, binlog append.
+/// extraction, binlog append (`binlog` is `None` while crash recovery
+/// replays the WAL).
 #[allow(clippy::too_many_arguments)]
 fn commit_tx(
     catalog: &mut Catalog,
     temp: &mut BTreeMap<String, Table>,
     txm: &mut TxManager,
     seqs: &mut Sequences,
-    binlog: &mut Binlog,
+    binlog: Option<&mut Binlog>,
     config: &EngineConfig,
     tx: TxId,
     default_db: Option<&str>,
@@ -1449,7 +1447,7 @@ fn commit_tx(
         writeset.counters = Some(cs);
     }
 
-    if config.binlog && !writeset.is_empty() {
+    if let Some(binlog) = binlog.filter(|_| !writeset.is_empty()) {
         binlog.append(ts, default_db, statements, &writeset);
     }
     Ok(CommitInfo { commit_ts: ts, writeset })

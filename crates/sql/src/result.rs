@@ -113,8 +113,6 @@ pub struct CommitInfo {
 pub struct ExecResult {
     pub outcome: Outcome,
     pub cost: Cost,
-    /// The statement evaluated NOW()/RAND() — it was non-deterministic.
-    pub tainted: bool,
     pub commit: Option<CommitInfo>,
 }
 

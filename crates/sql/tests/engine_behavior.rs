@@ -460,18 +460,6 @@ fn vacuum_reclaims_dead_versions() {
     assert_eq!(scalar_int(&mut e, c, "SELECT bal FROM acct WHERE id = 1"), 110);
 }
 
-#[test]
-fn tainted_statements_flagged() {
-    let (mut e, c) = setup();
-    e.execute(c, "CREATE TABLE t (id INT PRIMARY KEY, ts TIMESTAMP, x FLOAT)").unwrap();
-    let r = e.execute(c, "INSERT INTO t VALUES (1, now(), 0.0)").unwrap();
-    assert!(r.tainted);
-    let r = e.execute(c, "UPDATE t SET x = rand() WHERE id = 1").unwrap();
-    assert!(r.tainted);
-    let r = e.execute(c, "SELECT * FROM t").unwrap();
-    assert!(!r.tainted);
-}
-
 // ---------------------------------------------------------------------
 // Primary-key point access (`WHERE <pk> = <literal>`) under MVCC
 // ---------------------------------------------------------------------

@@ -111,10 +111,13 @@ done
 echo "crates/gcs/src non-test lines:    $gcs"
 # The configuration surface outside MwConfig: fields of each config struct
 # (a unit struct has none), and the environment variables the sources read.
+# `AdaptiveConfig` was the gcs detector's; 0 where no file defines it.
 for spec in GcsConfig:crates/gcs/src/member.rs QuarantineConfig:crates/core/src/health.rs \
-    EngineConfig:crates/sql/src/engine.rs; do
+    EngineConfig:crates/sql/src/engine.rs AdaptiveConfig:crates/gcs/src/detector.rs; do
     printf '%-34s%s\n' "${spec%%:*} fields:" "$(awk -v head="^pub struct ${spec%%:*} \\{" '$0 ~ head { if (/\}/) exit; on = 1; next } on && /^\}/ { exit } on && /^    pub [a-z_0-9]+:/ { n++ } END { print n + 0 }' "${spec#*:}")"
 done
+# The detection seam's own state: its per-backend collections.
+printf '%-34s%s\n' "Detection fields:" "$(cat $mw | awk '/^pub\(super\) struct Detection \{/ { on = 1; next } on && /^\}/ { exit } on && /^    (pub(\(super\))? )?[a-z_0-9]+:/ { n++ } END { print n + 0 }')"
 echo "env vars read in crates/*/src:    $(grep -rhoE 'env::var(_os)?\("[A-Za-z_0-9]+"\)' crates/*/src | sed -E 's/.*\("(.*)"\)/\1/' | sort -u | tr '\n' ' ')"
 # `pub fn` names in crates/*/src that appear nowhere else in crates, tests,
 # examples or benchmark/src: a name seen exactly once is only its

@@ -1,8 +1,9 @@
 //! Failover, failback, and partition behaviour (§2.2, §4.3.3, §4.3.4.3).
 
-use replimid_core::{Cluster, ClusterConfig, Mode, NondetPolicy, Placement, TxSource};
+use replimid_core::{Cluster, ClusterConfig, Mode, NondetPolicy, Placement, Policy, TxSource};
 use replimid_gcs::HeartbeatConfig;
 use replimid_simnet::{dur, SimTime};
+use replimid_workload::micro;
 
 struct SeqInsert {
     next: i64,
@@ -235,4 +236,84 @@ fn split_brain_without_quorum_diverges_with_quorum_stays_safe() {
         assert_eq!(minority_commits, 0, "with quorum the minority suspends writes (placement: {placement})");
         assert_eq!(sums[0][0], sums[1][0], "majority agrees");
     }
+}
+
+/// Point reads and 5 % point updates over `keys` rows.
+struct ReadMostly {
+    keys: i64,
+}
+
+impl TxSource for ReadMostly {
+    fn next_tx(&mut self, rng: &mut replimid_det::DetRng) -> Vec<String> {
+        let k = rng.gen_range(0..self.keys);
+        if rng.gen::<f64>() < 0.05 {
+            vec![format!("UPDATE bench SET v = v + 1 WHERE k = {k}")]
+        } else {
+            vec![format!("SELECT v FROM bench WHERE k = {k}")]
+        }
+    }
+}
+
+/// The gray-failure cluster of E16: three statement-replicated backends at
+/// 178x CPU cost (a point read takes ~4 ms), round-robin reads from twelve
+/// clients, and an aggressive fixed detector (10 ms pings, 30 ms silence
+/// timeout). `faults` injects the failure; the middleware's metrics come
+/// back after `secs`.
+fn run_gray_case(adaptive: bool, secs: u64, faults: impl FnOnce(&mut Cluster)) -> replimid_core::MwMetrics {
+    let rows = 4_000usize;
+    let mode = Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject };
+    let mut cfg = ClusterConfig::new(mode, micro::schema("bench", rows), "bench");
+    cfg.mw.policy = Policy::RoundRobin;
+    cfg.backend_speed = vec![178.0];
+    cfg.mw.heartbeat = HeartbeatConfig { interval_us: 10_000, timeout_us: 30_000 };
+    cfg.mw.adaptive_detection = adaptive;
+    let mut cluster = Cluster::build(cfg);
+    for _ in 0..12 {
+        cluster.add_client(ReadMostly { keys: rows as i64 }, |cc| {
+            cc.think_time_us = 500;
+            cc.request_timeout_us = 2_000_000;
+        });
+    }
+    faults(&mut cluster);
+    cluster.run_for(dur::secs(secs));
+    cluster.mw_metrics(0)
+}
+
+/// With regular answers, adaptive detection finds a crashed backend no later
+/// than the fixed timeout does: the learned threshold's floor is that
+/// timeout, and regular gaps teach it nothing above the floor.
+#[test]
+fn adaptive_detection_finds_a_crash_as_fast_as_the_fixed_timeout() {
+    let detected = |adaptive| {
+        let m = run_gray_case(adaptive, 2, |c| c.crash_backend_at(SimTime::from_secs(1), 0, 1));
+        assert_eq!(m.counters.false_evictions, 0, "adaptive {adaptive}");
+        assert_eq!(m.failover_times.len(), 1, "adaptive {adaptive}: {:?}", m.failover_times);
+        m.failover_times[0]
+    };
+    let fixed = detected(false);
+    // The first ping tick past 30 ms of silence.
+    assert!(fixed <= 1_000_000 + 30_000 + 2 * 10_000, "fixed timeout detected at {fixed} µs");
+    let adaptive = detected(true);
+    assert!(adaptive <= fixed, "adaptive detected at {adaptive} µs, fixed at {fixed} µs");
+}
+
+/// A brownout of backend 1 deepening from 4x to 10x between 1 s and 2 s.
+fn deepening_brownout(c: &mut Cluster) {
+    for (at_ms, factor) in [(1_000, 4.0), (1_200, 6.0), (1_400, 8.0), (1_600, 10.0)] {
+        c.brownout_backend_at(SimTime::from_millis(at_ms), 0, 1, factor);
+    }
+    c.clear_brownout_at(SimTime::from_secs(2), 0, 1);
+}
+
+/// A deepening brownout stretches the gaps between a live backend's answers
+/// past the fixed 30 ms timeout, which evicts it (§4.3.4.2: "slow
+/// connections classified as failed"); the adaptive threshold learns the
+/// stretching gaps and keeps the backend.
+#[test]
+fn adaptive_detection_keeps_a_browned_out_backend_the_fixed_timeout_evicts() {
+    let fixed = run_gray_case(false, 3, deepening_brownout);
+    assert!(fixed.counters.false_evictions > 0, "the fixed timeout evicted nothing: {:?}", fixed.failover_times);
+    let adaptive = run_gray_case(true, 3, deepening_brownout);
+    assert_eq!(adaptive.counters.false_evictions, 0, "failovers at {:?}", adaptive.failover_times);
+    assert!(adaptive.failover_times.is_empty(), "failovers at {:?}", adaptive.failover_times);
 }

@@ -875,6 +875,48 @@ fn session_teardown_leaves_no_residue() {
     }
 }
 
+/// A session that ends while a backend is out of rotation ends there too.
+/// Statement replication logs the session's BEGIN and UPDATE, so the
+/// crashed backend replays them when it rejoins; the session's end is
+/// logged behind them, so the replay closes the transaction it reopened.
+/// Without the logged end the rejoined backend kept that transaction and
+/// its row version, and a later write to the row conflicted there.
+#[test]
+fn a_session_ended_while_a_backend_was_down_ends_on_its_rejoin() {
+    let mode = Mode::MultiMasterStatement { nondet: NondetPolicy::RewriteAndReject };
+    let mut cfg = ClusterConfig::new(mode, micro::schema("bench", 10), "bench");
+    cfg.seed = 11;
+    let mut cluster = Cluster::build(cfg);
+    let open = ScriptSource::new(vec![vec!["BEGIN".into(), "UPDATE bench SET v = 1 WHERE k = 1".into()]]);
+    let first = cluster.add_client(open, |cc| cc.tx_limit = 1);
+    // Session 2 reads at once, then writes session 1's row after 2.5 s of
+    // think time.
+    let later = ScriptSource::new(vec![
+        vec!["SELECT v FROM bench WHERE k = 2".into()],
+        vec!["UPDATE bench SET v = 2 WHERE k = 1".into()],
+    ]);
+    let second = cluster.add_client(later, |cc| {
+        cc.think_time_us = 2_500_000;
+        cc.tx_limit = 2;
+    });
+    cluster.crash_backend_at(SimTime(50_000), 0, 2);
+    cluster.admin_at(SimTime(400_000), 0, AdminCmd::EndSession { session: SessionId(1) });
+    cluster.restart_backend_at(SimTime(600_000), 0, 2);
+    cluster.run_for(dur::secs(2));
+    assert_eq!(cluster.client_metrics(first).committed, 1, "the open transaction's statements ran");
+    assert_eq!(cluster.with_middleware(0, |m| m.online_backends()), 3, "backend 2 rejoined");
+    let nodes = cluster.db_nodes[0].clone();
+    for (b, node) in nodes.into_iter().enumerate() {
+        let open = cluster.with_backend_engine(0, b, |e| e.active_transactions());
+        assert_eq!(open, 0, "backend {b} kept the ended session's transaction");
+        let conn = cluster.sim.with_actor::<DbNode, _>(node, |d| d.conn_of(1));
+        assert_eq!(conn, None, "backend {b} kept the ended session's connection");
+    }
+    cluster.run_for(dur::secs(2));
+    let m = cluster.client_metrics(second);
+    assert_eq!(m.committed, 2, "the ended session's row version blocked a later write ({:?})", m.last_error);
+}
+
 /// Balancer fairness survives per-call candidate filtering (the freshness
 /// cut hands `pick` a different subset on almost every call): for random
 /// backend counts and eligibility patterns, picks always land on eligible
