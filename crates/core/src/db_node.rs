@@ -169,7 +169,10 @@ impl DbNode {
         }
         let c = self.engine.connect(ADMIN_USER, ADMIN_PASSWORD)?;
         if let Some(db) = &self.default_db {
-            self.engine.execute(c, &format!("USE {db}"))?;
+            if let Err(e) = self.engine.use_database(c, db) {
+                self.engine.disconnect(c);
+                return Err(e);
+            }
         }
         self.conns.insert(token, c);
         Ok(c)

@@ -83,15 +83,15 @@ impl Sess {
     /// Does `stmt` create, or name, one of the session's temporary tables?
     fn touches_temp(&self, stmt: &Statement) -> bool {
         let is_create_temp = matches!(stmt, Statement::CreateTable { temporary: true, .. });
-        if self.temp_tables.is_empty() && !is_create_temp {
-            return false;
-        }
+        let Some(temp_tables) = self.cold.as_ref().map(|c| &c.temp_tables).filter(|t| !t.is_empty()) else {
+            return is_create_temp;
+        };
         is_create_temp
             || stmt
                 .read_tables()
                 .iter()
                 .chain(stmt.written_tables().iter())
-                .any(|t| t.database.is_none() && self.temp_tables.contains(&t.name))
+                .any(|t| t.database.is_none() && temp_tables.contains(&t.name))
     }
 }
 
@@ -126,10 +126,10 @@ impl Middleware {
         s.sticky = Some(backend);
         s.temp_pinned = true;
         if let Statement::CreateTable { name, temporary: true, .. } = stmt {
-            s.temp_tables.insert(name.name.clone());
+            s.cold().temp_tables.insert(name.name.clone());
         }
         if let Statement::DropTable { name, .. } = stmt {
-            s.temp_tables.remove(&name.name);
+            s.cold().temp_tables.remove(&name.name);
         }
         s.current = Some(Current { stmt_seq: req.stmt_seq, kind: CurrentKind::TempExec });
         let plan = plan.clone();

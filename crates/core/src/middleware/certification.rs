@@ -96,7 +96,7 @@ impl Middleware {
                 s.end_tx();
                 s.in_tx = true;
                 s.sticky = None;
-                s.begin = Some(*isolation);
+                s.cold().begin = Some(*isolation);
                 self.reply(ctx, session, req.stmt_seq, Ok(ReplyBody::Ack));
             }
             Statement::Commit => {
@@ -124,7 +124,7 @@ impl Middleware {
                     });
                     return;
                 }
-                if s.poisoned {
+                if s.cold.as_ref().is_some_and(|c| c.poisoned) {
                     self.rollback_at_delegate(ctx, session);
                     let aborted = SqlError::TransactionState("transaction is aborted; COMMIT rolled it back".into());
                     self.reply(ctx, session, req.stmt_seq, Err(ReplyError::Sql(aborted)));
@@ -132,7 +132,7 @@ impl Middleware {
                 }
                 // The delegate returned every record with the statement
                 // that wrote it: certify them without asking it again.
-                let ws = std::mem::take(&mut s.ws);
+                let ws = s.cold.as_mut().map(|c| std::mem::take(&mut c.ws)).unwrap_or_default();
                 self.pw_publish_prepare(ctx, session, req.stmt_seq, ws);
             }
             Statement::Rollback => {
@@ -158,7 +158,7 @@ impl Middleware {
                 if write {
                     self.metrics.counters.writes += 1;
                 }
-                let begin = if in_tx { s.begin } else { Some(Some(IsolationLevel::SnapshotIsolation)) };
+                let begin = if in_tx { s.begin() } else { Some(Some(IsolationLevel::SnapshotIsolation)) };
                 let gset = self.shards.stmt_groups(stmt);
                 // The statement that opens the transaction picks the delegate
                 // among the hosts of every group it touches (the delegate
@@ -202,7 +202,9 @@ impl Middleware {
                 if opened {
                     s.in_tx = true;
                     s.sticky = Some(backend);
-                    s.begin = None;
+                    if let Some(c) = &mut s.cold {
+                        c.begin = None;
+                    }
                 }
                 let kind = if in_tx { CurrentKind::WsStmt { opened } } else { CurrentKind::WsPrepare };
                 s.current = Some(Current { stmt_seq: req.stmt_seq, kind });
@@ -236,9 +238,10 @@ impl Middleware {
             // ran before that BEGIN. (If the BEGIN failed, or the implicit
             // transaction was rolled back, nothing will certify against
             // these positions.)
-            let gstart: Vec<u64> = self.shards.marks[backend.0].iter().map(|w| w.value()).collect();
             if let Some(s) = self.sessions.get_mut(session.0) {
-                s.gstart = gstart;
+                let gstart = &mut s.cold().gstart;
+                gstart.clear();
+                gstart.extend(self.shards.marks[backend.0].iter().map(|w| w.value()));
             }
         }
         if autocommit && res.is_ok() {
@@ -250,8 +253,9 @@ impl Middleware {
                 // The node rolled the implicit transaction back.
                 s.end_tx();
             } else {
-                s.ws.entries.extend(ws.entries);
-                s.poisoned |= poisoned;
+                let c = s.cold();
+                c.ws.entries.extend(ws.entries);
+                c.poisoned |= poisoned;
             }
         }
         Some(res)
@@ -267,7 +271,7 @@ impl Middleware {
         // Both callers answer a request of this session, so it exists.
         let Some(s) = self.sessions.get_mut(session.0) else { return };
         s.current = Some(Current { stmt_seq, kind: CurrentKind::WsCertifyWait });
-        let gstart = s.gstart.clone();
+        let gstart = s.cold.as_ref().map(|c| c.gstart.clone()).unwrap_or_default();
         let placement = &self.shards.placement;
         let mut slices = ws.split_by(|rec| placement.group_of_record(rec));
         if slices.is_empty() {

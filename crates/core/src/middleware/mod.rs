@@ -318,7 +318,7 @@ enum CurrentKind {
     /// Master-slave: write executing at the master.
     MsWrite,
     /// Master-slave 2-safe: waiting for slave appliance.
-    MsTwoSafe { remaining: usize },
+    MsTwoSafe { remaining: u32 },
     /// Statement pinned to the session's temp-table backend.
     TempExec,
     /// Read parked in the freshness wait queue ([`ReadPolicy::Fresh`]):
@@ -332,11 +332,16 @@ struct Current {
     kind: CurrentKind,
 }
 
+/// One session at the middleware. This record is what every session
+/// keeps; what only some use (writeset transactions, temporary tables,
+/// 2-safe commits, a third request in flight) is [`SessCold`], boxed the
+/// first time the session needs it and kept until it ends.
 #[derive(Debug, Default)]
 struct Sess {
     client: Option<NodeId>,
     last_replied: u64,
-    cached: Option<ClientReply>,
+    /// The answer to `last_replied`, for a retry of it.
+    cached: Option<Result<ReplyBody, ReplyError>>,
     current: Option<Current>,
     in_tx: bool,
     wrote_in_tx: bool,
@@ -344,11 +349,6 @@ struct Sess {
     /// writeset delegate.
     sticky: Option<BackendId>,
     temp_pinned: bool,
-    temp_tables: HashSet<String>,
-    /// Per-group certification start positions, sampled from the
-    /// delegate's per-group watermarks when its BEGIN executes (indexed by
-    /// group; the whole vector is sampled at once).
-    gstart: Vec<u64>,
     /// The session's per-group read floor: the position of its last
     /// acknowledged write in each group's replication space (certified
     /// stream in writeset mode; in group 0, recovery-log seq for statement
@@ -357,8 +357,24 @@ struct Sess {
     /// reads has observed. A replica is fresh for this session iff its
     /// applied position has reached the floor in every group it reads.
     /// Grown on demand; groups the session never touched stay 0.
-    gstamps: Vec<u64>,
+    gstamps: Box<[u64]>,
     last_write_backend: Option<BackendId>,
+    /// Open per-statement admission records (was the middleware-global
+    /// `request_started` map, which `SessionEnd` leaked): (stmt_seq, meta),
+    /// in the order a `Vec` would hold them, the first two here and any
+    /// more in [`SessCold::reqs`]. Dropped with the session.
+    reqs: [Option<(u64, ReqMeta)>; 2],
+    cold: Option<Box<SessCold>>,
+}
+
+/// The part of a session only some sessions use.
+#[derive(Debug, Default)]
+struct SessCold {
+    temp_tables: HashSet<String>,
+    /// Per-group certification start positions, sampled from the
+    /// delegate's per-group watermarks when its BEGIN executes (indexed by
+    /// group; the whole vector is sampled at once).
+    gstart: Vec<u64>,
     /// Writeset mode: the client's BEGIN (its isolation level),
     /// acknowledged but not yet executed anywhere. `Some` until the
     /// transaction's first statement picks the delegate and runs it there.
@@ -369,14 +385,12 @@ struct Sess {
     /// Writeset mode: a failed statement left the delegate's transaction
     /// able only to roll back, so COMMIT answers the abort.
     poisoned: bool,
-    /// Open per-statement admission records (was the middleware-global
-    /// `request_started` map, which `SessionEnd` leaked): (stmt_seq, meta).
-    /// At most a handful in flight per session; dropped with the session.
-    open_reqs: Vec<(u64, ReqMeta)>,
     /// 2-safe commits: the master's reply body held until slaves confirm
     /// (was the middleware-global `two_safe_bodies` map — same leak, plus a
     /// stale body could be drained by a later commit of a reused session).
     two_safe_body: Option<ReplyBody>,
+    /// Open request metas past the two [`Sess::reqs`] holds.
+    reqs: Vec<(u64, ReqMeta)>,
 }
 
 impl Sess {
@@ -384,13 +398,62 @@ impl Sess {
         Sess { client, ..Sess::default() }
     }
 
-    /// The session's transaction is over, however it ended.
+    fn cold(&mut self) -> &mut SessCold {
+        self.cold.get_or_insert_with(Box::default)
+    }
+
+    /// Writeset mode: the client's BEGIN not yet run at a delegate.
+    fn begin(&self) -> Option<Option<IsolationLevel>> {
+        self.cold.as_ref().and_then(|c| c.begin)
+    }
+
+    /// The session's transaction is over, however it ended. The cold
+    /// part is cleared in place, so the next transaction reuses it.
     fn end_tx(&mut self) {
         self.in_tx = false;
         self.wrote_in_tx = false;
-        self.begin = None;
-        self.ws = Writeset::default();
-        self.poisoned = false;
+        if let Some(c) = &mut self.cold {
+            c.begin = None;
+            c.ws.entries.clear();
+            c.ws.counters = None;
+            c.poisoned = false;
+        }
+    }
+
+    fn open_req_count(&self) -> usize {
+        self.reqs.iter().flatten().count() + self.cold.as_ref().map_or(0, |c| c.reqs.len())
+    }
+
+    fn push_req(&mut self, stmt_seq: u64, meta: ReqMeta) {
+        match self.reqs.iter_mut().find(|r| r.is_none()) {
+            Some(free) => *free = Some((stmt_seq, meta)),
+            None => self.cold().reqs.push((stmt_seq, meta)),
+        }
+    }
+
+    /// The first open request meta of statement `stmt_seq`.
+    fn open_req(&mut self, stmt_seq: u64) -> Option<&mut ReqMeta> {
+        let spilled = self.cold.as_mut().map_or(&mut [][..], |c| &mut c.reqs[..]);
+        self.reqs.iter_mut().flatten().chain(spilled).find(|(seq, _)| *seq == stmt_seq).map(|(_, m)| m)
+    }
+
+    /// Take the first open request meta of statement `stmt_seq` out, the
+    /// last one taking its place (`Vec::swap_remove`).
+    fn take_req(&mut self, stmt_seq: u64) -> Option<ReqMeta> {
+        let spilled = self.cold.as_ref().map_or(&[][..], |c| &c.reqs[..]);
+        let pos = self.reqs.iter().flatten().chain(spilled).position(|(seq, _)| *seq == stmt_seq)?;
+        let last = match self.cold.as_mut().and_then(|c| c.reqs.pop()) {
+            Some(last) => last,
+            None => self.reqs.iter_mut().rev().find_map(Option::take)?,
+        };
+        let slot = match pos {
+            0 | 1 => self.reqs[pos].as_mut(),
+            _ => self.cold.as_mut().and_then(|c| c.reqs.get_mut(pos - 2)),
+        };
+        Some(match slot {
+            Some(taken) => std::mem::replace(taken, last).1,
+            None => last.1,
+        })
     }
 }
 
@@ -549,9 +612,11 @@ pub struct Middleware {
 
 /// Raise entry `g` of a per-group vector to at least `pos`, growing the
 /// vector (zero-filled) to cover the group.
-fn raise(v: &mut Vec<u64>, g: usize, pos: u64) {
+fn raise(v: &mut Box<[u64]>, g: usize, pos: u64) {
     if v.len() <= g {
-        v.resize(g + 1, 0);
+        let mut grown = std::mem::take(v).into_vec();
+        grown.resize(g + 1, 0);
+        *v = grown.into_boxed_slice();
     }
     v[g] = v[g].max(pos);
 }
@@ -788,12 +853,11 @@ impl Middleware {
         let now = ctx.now().micros();
         self.close_request(session, stmt_seq, now);
         let Some(s) = self.sessions.get_mut(session.0) else { return };
-        let reply = ClientReply { session, stmt_seq, result };
         s.last_replied = stmt_seq;
-        s.cached = Some(reply.clone());
+        s.cached = Some(result.clone());
         s.current = None;
         if let Some(client) = s.client {
-            ctx.send(client, Msg::Reply(reply));
+            ctx.send(client, Msg::Reply(ClientReply { session, stmt_seq, result }));
         }
     }
 
@@ -802,10 +866,7 @@ impl Middleware {
     /// trace (any time since the last recorded span falls into
     /// `Stage::Other`, the instrumentation-coverage gauge).
     fn close_request(&mut self, session: SessionId, stmt_seq: u64, now: u64) {
-        let meta = self.sessions.get_mut(session.0).and_then(|s| {
-            let pos = s.open_reqs.iter().position(|(seq, _)| *seq == stmt_seq)?;
-            Some(s.open_reqs.swap_remove(pos).1)
-        });
+        let meta = self.sessions.get_mut(session.0).and_then(|s| s.take_req(stmt_seq));
         if let Some(meta) = meta {
             let lat = now.saturating_sub(meta.start_us);
             if meta.is_read {
@@ -823,11 +884,7 @@ impl Middleware {
     /// No-op for untraced or already-closed requests, so call sites never
     /// need to guard.
     fn mw_span(&mut self, session: SessionId, stmt_seq: u64, stage: Stage, now_us: u64) {
-        let trace = self
-            .sessions
-            .get(session.0)
-            .and_then(|s| s.open_reqs.iter().find(|(seq, _)| *seq == stmt_seq))
-            .map(|(_, m)| m.trace);
+        let trace = self.sessions.get_mut(session.0).and_then(|s| s.open_req(stmt_seq)).map(|m| m.trace);
         if let Some(trace) = trace {
             if trace != 0 {
                 self.metrics.trace.span(TraceId(trace), stage, now_us);
@@ -844,9 +901,9 @@ impl Middleware {
         let s = self.session(req.session, Some(client));
         // Retry deduplication (§4.3.3 transparent failover).
         if req.stmt_seq <= s.last_replied {
-            if let Some(cached) = s.cached.clone().filter(|c| c.stmt_seq == req.stmt_seq) {
+            if let Some(result) = s.cached.clone().filter(|_| req.stmt_seq == s.last_replied) {
                 if let Some(c) = s.client {
-                    ctx.send(c, Msg::Reply(cached));
+                    ctx.send(c, Msg::Reply(ClientReply { session: req.session, stmt_seq: req.stmt_seq, result }));
                 }
             }
             return;
@@ -854,7 +911,7 @@ impl Middleware {
         if s.current.as_ref().is_some_and(|cur| cur.stmt_seq == req.stmt_seq) {
             return; // already in flight (duplicate retry)
         }
-        s.open_reqs.push((req.stmt_seq, ReqMeta { start_us: now, trace: req.trace, is_read: false }));
+        s.push_req(req.stmt_seq, ReqMeta { start_us: now, trace: req.trace, is_read: false });
         if req.trace != 0 {
             self.metrics.trace.begin(TraceId(req.trace), now);
         }
@@ -877,11 +934,7 @@ impl Middleware {
         // they are "read-only" to the parser.
         let is_read = stmt.is_read_only()
             && !matches!(*stmt, Statement::Begin { .. } | Statement::Commit | Statement::Rollback);
-        if let Some((_, meta)) = self
-            .sessions
-            .get_mut(req.session.0)
-            .and_then(|s| s.open_reqs.iter_mut().find(|(seq, _)| *seq == req.stmt_seq))
-        {
+        if let Some(meta) = self.sessions.get_mut(req.session.0).and_then(|s| s.open_req(req.stmt_seq)) {
             meta.is_read = is_read;
         }
         // Admission is instantaneous in virtual time (the middleware has no
@@ -1067,8 +1120,8 @@ impl Middleware {
         let mut reqs = 0;
         let mut bodies = 0;
         for (_, s) in self.sessions.iter() {
-            reqs += s.open_reqs.len();
-            if s.two_safe_body.is_some() {
+            reqs += s.open_req_count();
+            if s.cold.as_ref().is_some_and(|c| c.two_safe_body.is_some()) {
                 bodies += 1;
             }
         }

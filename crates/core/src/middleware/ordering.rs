@@ -16,7 +16,7 @@ use super::certification::XTx;
 use super::{raise, BackendState, Current, CurrentKind, Middleware, Mode, Pending, SHARD_BATCH_BASE, SHARD_TICK_BASE};
 use crate::certifier::{Certifier, CertifierStats, Verdict};
 use crate::msg::{
-    ApplyEntry, BackendId, ClientReply, ClientRequest, DbOp, DbResp, EntryResult, Msg, PlanExec, ReplEvent,
+    ApplyEntry, BackendId, ClientRequest, DbOp, DbResp, EntryResult, Msg, PlanExec, ReplEvent,
     ReplyBody, ReplyError, SessionId,
 };
 use crate::partition::Placement;
@@ -684,7 +684,7 @@ impl Middleware {
         } else if result.is_ok() {
             if let Some(sess) = self.sessions.get_mut(session.0).filter(|s| stmt_seq > s.last_replied) {
                 sess.last_replied = stmt_seq;
-                sess.cached = Some(ClientReply { session, stmt_seq, result });
+                sess.cached = Some(result);
             }
         }
     }

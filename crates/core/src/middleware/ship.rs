@@ -145,7 +145,7 @@ impl Middleware {
                     let Some(s) = self.sessions.get_mut(session.0) else { return };
                     s.current = Some(Current { stmt_seq, kind: CurrentKind::MsTwoSafe { remaining: 0 } });
                     s.cached = None;
-                    s.two_safe_body = Some(body);
+                    s.cold().two_safe_body = Some(body);
                     let min_applied = self.min_slave_applied();
                     let master = self.ship.master;
                     self.send_db(
@@ -187,12 +187,13 @@ impl Middleware {
         let Some(s) = self.sessions.get_mut(session.0) else { return };
         let Some(stmt_seq) = s.current.as_ref().map(|c| c.stmt_seq) else { return };
         if slaves.is_empty() || entries.is_empty() {
-            let body = s.two_safe_body.take().unwrap_or(ReplyBody::Ack);
+            let body = s.cold.as_mut().and_then(|c| c.two_safe_body.take()).unwrap_or(ReplyBody::Ack);
             self.mw_span(session, stmt_seq, Stage::Fanout, ctx.now().micros());
             self.reply(ctx, session, stmt_seq, Ok(body));
             return;
         }
-        s.current = Some(Current { stmt_seq, kind: CurrentKind::MsTwoSafe { remaining: slaves.len() } });
+        let remaining = u32::try_from(slaves.len()).expect("fewer than 2^32 slaves");
+        s.current = Some(Current { stmt_seq, kind: CurrentKind::MsTwoSafe { remaining } });
         for backend in slaves {
             let after = self.backends[backend.0].applied_lsn;
             let to_apply: Vec<_> = entries.iter().filter(|e| e.lsn > after).cloned().collect();
@@ -214,7 +215,7 @@ impl Middleware {
         if *remaining > 0 {
             return;
         }
-        let body = s.two_safe_body.take().unwrap_or(ReplyBody::Ack);
+        let body = s.cold.as_mut().and_then(|c| c.two_safe_body.take()).unwrap_or(ReplyBody::Ack);
         // 2-safe shipping: commit → every slave confirmed the tail.
         self.mw_span(session, stmt_seq, Stage::Fanout, ctx.now().micros());
         self.reply(ctx, session, stmt_seq, Ok(body));

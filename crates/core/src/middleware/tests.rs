@@ -467,7 +467,7 @@ fn a_transaction_whose_delegate_is_lost_fails_instead_of_restarting() {
         sim.run_until(SimTime(4_000));
         let delegate = sim.with_actor::<Middleware, _>(mw, |m| {
             let s = m.sessions.get(1).expect("the session exists");
-            assert!(s.in_tx && s.begin.is_none());
+            assert!(s.in_tx && s.begin().is_none());
             s.sticky.expect("the first statement picked the delegate")
         });
         sim.inject(SimTime(4_500), mw, Msg::Admin(AdminCmd::RemoveBackend { backend: delegate }));
@@ -953,3 +953,14 @@ fn mode_defaults_are_sane() {
     assert!(!cfg.require_majority);
 }
 
+
+
+/// Every session pays for its `Sess` slot in the session table (400 bytes
+/// while the writeset, temp-table and 2-safe state sat in it and two
+/// request metas took a heap block of their own).
+#[test]
+fn a_session_record_is_at_most_224_bytes() {
+    let bytes = std::mem::size_of::<Sess>();
+    println!("footprint: middleware session record: {bytes} bytes");
+    assert!(bytes <= 224, "{bytes} bytes per session");
+}

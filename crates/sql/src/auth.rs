@@ -6,13 +6,15 @@
 //! tools) precisely to reproduce that failure mode.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::ast::Privilege;
 use crate::error::SqlError;
 
 #[derive(Debug, Clone, PartialEq)]
 pub struct User {
-    pub name: String,
+    /// Shared: every connection of the user holds a clone of it.
+    pub name: Arc<str>,
     pub password: String,
     /// database name -> privilege.
     pub grants: BTreeMap<String, Privilege>,
@@ -35,7 +37,7 @@ impl AuthRegistry {
         users.insert(
             ADMIN_USER.to_string(),
             User {
-                name: ADMIN_USER.to_string(),
+                name: ADMIN_USER.into(),
                 password: ADMIN_PASSWORD.to_string(),
                 grants: BTreeMap::new(),
             },
@@ -49,7 +51,7 @@ impl AuthRegistry {
         }
         self.users.insert(
             name.to_string(),
-            User { name: name.to_string(), password: password.to_string(), grants: BTreeMap::new() },
+            User { name: name.into(), password: password.to_string(), grants: BTreeMap::new() },
         );
         Ok(())
     }
@@ -74,7 +76,7 @@ impl AuthRegistry {
     }
 
     /// Verify credentials; returns the canonical user name.
-    pub fn authenticate(&self, user: &str, password: &str) -> Result<String, SqlError> {
+    pub fn authenticate(&self, user: &str, password: &str) -> Result<Arc<str>, SqlError> {
         match self.users.get(user) {
             Some(u) if u.password == password => Ok(u.name.clone()),
             _ => Err(SqlError::AccessDenied(format!("authentication failed for {user}"))),
@@ -116,8 +118,8 @@ impl AuthRegistry {
     pub fn restore_users(&mut self, users: Vec<User>) {
         self.users.retain(|name, _| name == ADMIN_USER);
         for u in users {
-            if u.name != ADMIN_USER {
-                self.users.insert(u.name.clone(), u);
+            if &*u.name != ADMIN_USER {
+                self.users.insert(u.name.to_string(), u);
             }
         }
     }

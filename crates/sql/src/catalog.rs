@@ -124,14 +124,15 @@ pub struct ProcedureDef {
 /// One database instance.
 #[derive(Debug, Clone)]
 pub struct Database {
-    pub name: String,
+    /// Shared: a connection's current database is a clone of it.
+    pub name: Arc<str>,
     pub tables: BTreeMap<String, Table>,
     pub triggers: Vec<TriggerDef>,
     pub procedures: BTreeMap<String, ProcedureDef>,
 }
 
 impl Database {
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>) -> Self {
         Database {
             name: name.into(),
             tables: BTreeMap::new(),

@@ -8,6 +8,7 @@
 //! (§4.1.4), and version-gated features (§4.1.3).
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use crate::ast::{IsolationLevel, ObjectName, Privilege, Statement};
 use crate::auth::{AuthRegistry, ADMIN_USER};
@@ -120,18 +121,67 @@ impl EngineConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConnId(pub u64);
 
+/// One connection. What every connection has is a few words: shared
+/// handles on its user's and current database's names (clones of the
+/// ones [`AuthRegistry`] and [`Catalog`] hold) and its open transaction.
+/// The rest, [`SessionCold`], is boxed on first use.
 #[derive(Debug)]
 struct Session {
-    user: String,
-    current_db: Option<String>,
+    user: Arc<str>,
+    current_db: Option<Arc<str>>,
     tx: Option<TxId>,
     /// True when the open transaction was started with BEGIN.
     explicit: bool,
+    cold: Option<Box<SessionCold>>,
+}
+
+/// The state of a connection that ran SET, created a temporary table or
+/// opened an explicit transaction; kept until it disconnects.
+#[derive(Debug, Default)]
+struct SessionCold {
     vars: BTreeMap<String, Value>,
     /// Connection-local temporary tables (§4.1.4).
     temp: BTreeMap<String, Table>,
-    /// SQL texts of write statements in the open transaction (binlog).
+    /// SQL texts of write statements in the open explicit transaction
+    /// (binlog).
     tx_statements: Vec<String>,
+}
+
+impl Session {
+    fn cold(&mut self) -> &mut SessionCold {
+        self.cold.get_or_insert_with(Box::default)
+    }
+
+    /// `USE name`: the database must exist and the user may read it.
+    fn use_database(&mut self, catalog: &Catalog, auth: &AuthRegistry, name: &str) -> Result<(), SqlError> {
+        let db = catalog.database(name)?;
+        auth.check(&self.user, name, Privilege::Read)?;
+        self.current_db = Some(db.name.clone());
+        Ok(())
+    }
+
+    /// Forget the open transaction's statement texts.
+    fn clear_tx_statements(&mut self) {
+        if let Some(c) = &mut self.cold {
+            c.tx_statements.clear();
+        }
+    }
+}
+
+/// The temporary tables of a connection whose cold state is `cold`, or
+/// `none` (an empty map) when it never made one.
+fn temp_of<'a>(
+    cold: &'a mut Option<Box<SessionCold>>,
+    none: &'a mut BTreeMap<String, Table>,
+) -> &'a mut BTreeMap<String, Table> {
+    match cold {
+        Some(c) => &mut c.temp,
+        None => none,
+    }
+}
+
+fn no_such_conn(conn: ConnId) -> SqlError {
+    SqlError::AccessDenied(format!("no such connection {conn:?}"))
 }
 
 /// One replica's database engine.
@@ -202,19 +252,14 @@ impl Engine {
         let user = self.auth.authenticate(user, password)?;
         let id = ConnId(self.next_conn);
         self.next_conn += 1;
-        self.sessions.insert(
-            id,
-            Session {
-                user,
-                current_db: None,
-                tx: None,
-                explicit: false,
-                vars: BTreeMap::new(),
-                temp: BTreeMap::new(),
-                tx_statements: Vec::new(),
-            },
-        );
+        self.sessions.insert(id, Session { user, current_db: None, tx: None, explicit: false, cold: None });
         Ok(id)
+    }
+
+    /// Make `db` the current database of `conn`, as `USE db` does.
+    pub fn use_database(&mut self, conn: ConnId, db: &str) -> Result<(), SqlError> {
+        let session = self.sessions.get_mut(&conn).ok_or_else(|| no_such_conn(conn))?;
+        session.use_database(&self.catalog, &self.auth, db)
     }
 
     /// Close a connection: abort any open transaction and drop its
@@ -222,7 +267,7 @@ impl Engine {
     pub fn disconnect(&mut self, conn: ConnId) {
         if let Some(mut session) = self.sessions.remove(&conn) {
             if let Some(tx) = session.tx.take() {
-                let _ = abort_tx(&mut self.catalog, &mut session.temp, &mut self.txm, tx);
+                let _ = abort_tx(&mut self.catalog, temp_of(&mut session.cold, &mut BTreeMap::new()), &mut self.txm, tx);
             }
         }
     }
@@ -261,12 +306,14 @@ impl Engine {
         stmt: &Statement,
         sql_text: Option<&str>,
     ) -> Result<ExecResult, SqlError> {
-        let mut session = self
-            .sessions
-            .remove(&conn)
-            .ok_or_else(|| SqlError::AccessDenied(format!("no such connection {conn:?}")))?;
-        let result = self.dispatch(&mut session, stmt, sql_text);
-        self.sessions.insert(conn, session);
+        // The map is lent out for the statement, so the session is used
+        // where it lies: nothing `dispatch` reaches touches `sessions`.
+        let mut sessions = std::mem::take(&mut self.sessions);
+        let result = match sessions.get_mut(&conn) {
+            Some(session) => self.dispatch(session, stmt, sql_text),
+            None => Err(no_such_conn(conn)),
+        };
+        self.sessions = sessions;
         result
     }
 
@@ -290,10 +337,10 @@ impl Engine {
                         SqlError::TransactionState("transaction is aborted; issue ROLLBACK first".into())
                     });
                 }
-                abort_tx(&mut self.catalog, &mut session.temp, &mut self.txm, tx)?;
+                abort_tx(&mut self.catalog, temp_of(&mut session.cold, &mut BTreeMap::new()), &mut self.txm, tx)?;
                 session.tx = None;
                 session.explicit = false;
-                session.tx_statements.clear();
+                session.clear_tx_statements();
                 if wounded && matches!(stmt, Statement::Commit) {
                     return Err(wound_conflict());
                 }
@@ -306,9 +353,7 @@ impl Engine {
             Statement::Commit => self.do_commit(session),
             Statement::Rollback => self.do_rollback(session),
             Statement::UseDatabase { name } => {
-                self.catalog.database(name)?;
-                self.auth.check(&session.user, name, Privilege::Read)?;
-                session.current_db = Some(name.clone());
+                session.use_database(&self.catalog, &self.auth, name)?;
                 Ok(ack(Cost::for_statement(0, 0, false)))
             }
             Statement::CreateDatabase { .. }
@@ -348,7 +393,7 @@ impl Engine {
         let tx = self.txm.begin(isolation, false);
         session.tx = Some(tx);
         session.explicit = true;
-        session.tx_statements.clear();
+        session.cold().tx_statements.clear();
         Ok(ack(Cost::for_statement(0, 0, false)))
     }
 
@@ -359,10 +404,11 @@ impl Engine {
             return Ok(ack(Cost::for_statement(0, 0, false)));
         };
         session.explicit = false;
-        let statements = std::mem::take(&mut session.tx_statements);
+        let mut no_temp = BTreeMap::new();
+        let statements = session.cold.as_mut().map(|c| std::mem::take(&mut c.tx_statements)).unwrap_or_default();
         let commit = commit_tx(
             &mut self.catalog,
-            &mut session.temp,
+            temp_of(&mut session.cold, &mut no_temp),
             &mut self.txm,
             &mut self.seqs,
             (!self.replaying).then_some(&mut self.binlog),
@@ -378,10 +424,10 @@ impl Engine {
 
     fn do_rollback(&mut self, session: &mut Session) -> Result<ExecResult, SqlError> {
         if let Some(tx) = session.tx.take() {
-            abort_tx(&mut self.catalog, &mut session.temp, &mut self.txm, tx)?;
+            abort_tx(&mut self.catalog, temp_of(&mut session.cold, &mut BTreeMap::new()), &mut self.txm, tx)?;
         }
         session.explicit = false;
-        session.tx_statements.clear();
+        session.clear_tx_statements();
         Ok(ack(Cost::for_statement(0, 0, false)))
     }
 
@@ -399,7 +445,8 @@ impl Engine {
             match &name.database {
                 Some(d) => Ok(d.clone()),
                 None => current
-                    .clone()
+                    .as_deref()
+                    .map(str::to_string)
                     .ok_or_else(|| SqlError::UnknownDatabase("(none selected)".into())),
             }
         };
@@ -424,14 +471,15 @@ impl Engine {
                             self.config.name
                         )));
                     }
-                    if session.temp.contains_key(&name.name) {
+                    let temp = &mut session.cold().temp;
+                    if temp.contains_key(&name.name) {
                         if *if_not_exists {
                             return Ok(ack(Cost::for_statement(0, 0, true)));
                         }
                         return Err(SqlError::AlreadyExists(name.name.clone()));
                     }
                     let schema = TableSchema::new(TableName::temp(&name.name), columns.clone());
-                    session.temp.insert(name.name.clone(), Table::new(schema));
+                    temp.insert(name.name.clone(), Table::new(schema));
                 } else {
                     let db = resolve_db(name)?;
                     self.auth.check(&session.user, &db, Privilege::Write)?;
@@ -446,7 +494,9 @@ impl Engine {
                 }
             }
             Statement::DropTable { name, if_exists } => {
-                if name.database.is_none() && session.temp.remove(&name.name).is_some() {
+                let dropped_temp = name.database.is_none()
+                    && session.cold.as_mut().is_some_and(|c| c.temp.remove(&name.name).is_some());
+                if dropped_temp {
                     replicate = false;
                 } else {
                     let db = resolve_db(name)?;
@@ -553,7 +603,7 @@ impl Engine {
     }
 
     fn require_admin(&self, session: &Session) -> Result<(), SqlError> {
-        if session.user == ADMIN_USER {
+        if &*session.user == ADMIN_USER {
             Ok(())
         } else {
             Err(SqlError::AccessDenied(format!(
@@ -582,15 +632,16 @@ impl Engine {
             }
         };
 
+        let mut no_temp = BTreeMap::new();
         let mut ctx = StmtCtx {
             catalog: &mut self.catalog,
-            temp: &mut session.temp,
+            vars: session.cold.as_ref().map(|c| c.vars.clone()).unwrap_or_default(),
+            temp: temp_of(&mut session.cold, &mut no_temp),
             seqs: &mut self.seqs,
             det: &mut self.det,
             txm: &mut self.txm,
             tx,
             current_db: session.current_db.as_deref(),
-            vars: session.vars.clone(),
             depth: 0,
             rows_read: 0,
             rows_written: 0,
@@ -598,27 +649,24 @@ impl Engine {
         let exec_result = exec::stmt::execute_inner(&mut ctx, stmt);
         let (rows_read, rows_written) = (ctx.rows_read, ctx.rows_written);
         let vars_after = std::mem::take(&mut ctx.vars);
-        drop(ctx);
         if matches!(stmt, Statement::Set { .. }) {
-            session.vars = vars_after;
+            session.cold().vars = vars_after;
         }
 
         match exec_result {
             Ok(outcome) => {
                 // An autocommit's text only lives as long as its binlog
-                // entry, so it is rendered only when the binlog keeps one.
-                if !stmt.is_read_only() && (!implicit || self.keeps_binlog()) {
-                    let text =
-                        sql_text.map(str::to_string).unwrap_or_else(|| stmt.to_string());
-                    session.tx_statements.push(text);
-                }
+                // entry, so it is rendered only when the binlog keeps one;
+                // an explicit transaction's waits in the session for COMMIT.
+                let text = (!stmt.is_read_only() && (!implicit || self.keeps_binlog()))
+                    .then(|| sql_text.map(str::to_string).unwrap_or_else(|| stmt.to_string()));
                 let cost = Cost::for_statement(rows_read, rows_written, false);
                 let commit = if implicit {
                     session.tx = None;
-                    let statements = std::mem::take(&mut session.tx_statements);
+                    let statements = Vec::from_iter(text);
                     Some(commit_tx(
                         &mut self.catalog,
-                        &mut session.temp,
+                        temp_of(&mut session.cold, &mut no_temp),
                         &mut self.txm,
                         &mut self.seqs,
                         (!self.replaying).then_some(&mut self.binlog),
@@ -628,6 +676,7 @@ impl Engine {
                         statements,
                     )?)
                 } else {
+                    session.cold().tx_statements.extend(text);
                     None
                 };
                 Ok(ExecResult { outcome, cost, commit })
@@ -635,8 +684,7 @@ impl Engine {
             Err(e) => {
                 if implicit {
                     session.tx = None;
-                    session.tx_statements.clear();
-                    abort_tx(&mut self.catalog, &mut session.temp, &mut self.txm, tx)?;
+                    abort_tx(&mut self.catalog, temp_of(&mut session.cold, &mut no_temp), &mut self.txm, tx)?;
                 } else if self.config.error_mode == ErrorMode::AbortTransaction {
                     self.txm.state_mut(tx)?.poisoned = true;
                 }
@@ -646,34 +694,38 @@ impl Engine {
     }
 
     fn check_privileges(&self, session: &Session, stmt: &Statement) -> Result<(), SqlError> {
-        let resolve = |t: &ObjectName| -> Option<String> {
+        // The superuser may do anything: nothing to list or resolve.
+        if &*session.user == ADMIN_USER {
+            return Ok(());
+        }
+        fn resolve<'a>(session: &'a Session, t: &'a ObjectName) -> Option<&'a str> {
             match &t.database {
-                Some(d) => Some(d.clone()),
+                Some(d) => Some(d),
                 None => {
                     // Unqualified names may be temp tables (no privilege
                     // needed) or live in the current database.
-                    if session.temp.contains_key(&t.name) {
+                    if session.cold.as_ref().is_some_and(|c| c.temp.contains_key(&t.name)) {
                         None
                     } else {
-                        session.current_db.clone()
+                        session.current_db.as_deref()
                     }
                 }
             }
-        };
+        }
         for t in stmt.read_tables() {
-            if let Some(db) = resolve(&t) {
-                self.auth.check(&session.user, &db, Privilege::Read)?;
+            if let Some(db) = resolve(session, &t) {
+                self.auth.check(&session.user, db, Privilege::Read)?;
             }
         }
         for t in stmt.written_tables() {
-            if let Some(db) = resolve(&t) {
-                self.auth.check(&session.user, &db, Privilege::Write)?;
+            if let Some(db) = resolve(session, &t) {
+                self.auth.check(&session.user, db, Privilege::Write)?;
             }
         }
         // CALL needs write on its database: bodies are opaque (§4.2.1).
         if let Statement::Call { name, .. } = stmt {
-            if let Some(db) = resolve(name) {
-                self.auth.check(&session.user, &db, Privilege::Write)?;
+            if let Some(db) = resolve(session, name) {
+                self.auth.check(&session.user, db, Privilege::Write)?;
             }
         }
         Ok(())
@@ -862,10 +914,7 @@ impl Engine {
     }
 
     fn open_tx(&self, conn: ConnId) -> Result<&TxState, SqlError> {
-        let session = self
-            .sessions
-            .get(&conn)
-            .ok_or_else(|| SqlError::AccessDenied(format!("no such connection {conn:?}")))?;
+        let session = self.sessions.get(&conn).ok_or_else(|| no_such_conn(conn))?;
         let tx = session
             .tx
             .ok_or_else(|| SqlError::TransactionState("no open transaction".into()))?;

@@ -770,7 +770,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> DecodeResult<Checkpoint> {
                 };
                 grants.insert(db, p);
             }
-            users.push(User { name, password, grants });
+            users.push(User { name: name.into(), password, grants });
         }
         Some(users)
     };

@@ -1,5 +1,5 @@
-//! Heap footprint of the two things every replica does most: keep a row,
-//! and run a prepared autocommit INSERT.
+//! Heap footprint of the three things every replica does most: keep a
+//! row, run a prepared autocommit INSERT, and hold a connection.
 //!
 //! A counting global allocator tallies, per thread, the bytes and blocks
 //! requested while that thread has counting switched on, so tests running
@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use replimid_sql::{bind, parse_statement, ConnId, Engine, Statement, Value};
+use replimid_sql::{bind, parse_statement, ConnId, Engine, Statement, Value, ADMIN_PASSWORD, ADMIN_USER};
 
 struct Counting;
 
@@ -130,11 +130,12 @@ fn a_stored_row_costs_at_most_210_bytes_in_1_2_blocks() {
 /// own and a second copy kept for triggers the table did not have; 25.2
 /// while a write record owned copies of its database and table names and
 /// every INSERT copied the table's column list and the session's database
-/// name).
-const INSERT_BLOCKS: f64 = 16.2;
+/// name; 16.2 while the privilege check listed the statement's tables and
+/// copied the database name even for the superuser, who needs no check).
+const INSERT_BLOCKS: f64 = 13.2;
 
 #[test]
-fn a_prepared_autocommit_insert_allocates_16_2_blocks() {
+fn a_prepared_autocommit_insert_allocates_13_2_blocks() {
     let (mut e, c, template) = engine();
     // Warm the engine's maps up first: what is measured is the steady state.
     for k in 0..1_000 {
@@ -151,4 +152,30 @@ fn a_prepared_autocommit_insert_allocates_16_2_blocks() {
         "footprint: heap blocks per prepared autocommit INSERT (bind included): {per_insert:.1}"
     );
     assert!(per_insert <= INSERT_BLOCKS + 0.05, "{per_insert:.1} blocks per insert");
+}
+
+const CONNS: usize = 20_000;
+
+/// A connection that ran `USE` and one point read costs its slot in the
+/// engine's connection map and nothing else (257.6 bytes in 2.00 blocks
+/// while it kept its own copies of its user and database names, and a
+/// slot of 144 bytes with the variables, temporary tables and transaction
+/// texts only some connections use).
+#[test]
+fn a_connection_costs_at_most_128_bytes_in_0_01_blocks() {
+    let (mut e, c, template) = engine();
+    insert(&mut e, c, &template, 7);
+    let read = parse_statement("SELECT v FROM t WHERE k = 7").expect("read parses");
+    let t = counted(|| {
+        for _ in 0..CONNS {
+            let conn = e.connect(ADMIN_USER, ADMIN_PASSWORD).expect("login");
+            e.execute(conn, "USE fp").expect("use");
+            e.execute_prepared(conn, &read).expect("point read");
+        }
+    });
+    let bytes = t.live_bytes as f64 / CONNS as f64;
+    let blocks = t.live_blocks as f64 / CONNS as f64;
+    println!("footprint: live heap per connection (USE and one point read): {bytes:.1} bytes in {blocks:.2} blocks");
+    assert!(bytes <= 128.0, "{bytes:.1} bytes per connection");
+    assert!(blocks <= 0.01, "{blocks:.2} blocks per connection");
 }

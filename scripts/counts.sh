@@ -147,16 +147,17 @@ echo "load driver actors (impl Actor<Msg>): $(cat $drivers | grep -c '^impl Acto
 for cfg in ClientConfig FleetConfig OpenLoopConfig; do
     printf '%-34s%s\n' "$cfg fields:" "$(cat $drivers | awk -v head="^pub struct $cfg \\{" '$0 ~ head { on = 1; next } on && /^\}/ { exit } on && /^    pub [a-z_0-9]+:/ { n++ } END { print n + 0 }')"
 done
-# Per-record footprint: live heap per stored row and heap blocks per
-# prepared autocommit INSERT (crates/sql/tests/footprint.rs, a counting
-# allocator), and the size of a row version, of a row's version chain, of
-# a primary-key index entry, of a write record, of a writeset key and of a
-# trace summary. Runs the tests, so only in a checkout that has them.
+# Per-record footprint: live heap per stored row, heap blocks per
+# prepared autocommit INSERT and live heap per backend connection
+# (crates/sql/tests/footprint.rs, a counting allocator), and the size of a
+# row version, of a row's version chain, of a primary-key index entry, of a
+# write record, of a writeset key, of a trace summary and of a middleware
+# session record. Runs the tests, so only in a checkout that has them.
 if [ -f crates/sql/tests/footprint.rs ]; then
     {
         cargo test -q --offline -p replimid-sql --test footprint -- --nocapture --test-threads 1
         cargo test -q --offline -p replimid-sql --lib -- --nocapture a_version_is_48_bytes a_chain_is_48_bytes a_write_record_is
-        cargo test -q --offline -p replimid-core --lib a_summary_is_96_bytes -- --nocapture
+        cargo test -q --offline -p replimid-core --lib -- --nocapture a_summary_is_96_bytes a_session_record_is
     } 2>/dev/null | sed -n 's/^\.*footprint: /  /p' | sed '1i per-record footprint:'
 fi
 exit 0
