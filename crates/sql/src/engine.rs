@@ -791,11 +791,12 @@ impl Engine {
     }
 
     /// Apply one binlog entry, shipped from a master or replayed from the
-    /// WAL: by its writeset, or by `USE default_db` and its statement
-    /// texts on connection `statements_on`. Returns the CPU µs to charge
-    /// with the outcome: the writeset apply's cost but at least 4 µs a
-    /// row, or the sum of the statements' costs (the `USE` is free),
-    /// counting those that ran before a failure.
+    /// WAL: by its writeset, or by its statement texts on connection
+    /// `statements_on` with `default_db` as its database (set as `USE`
+    /// does). Returns the CPU µs to charge with the outcome: the writeset
+    /// apply's cost but at least 4 µs a row, or the sum of the statements'
+    /// costs (setting the database is free), counting those that ran
+    /// before a failure.
     pub fn apply_binlog_entry(
         &mut self,
         entry: &BinlogEntry,
@@ -808,7 +809,7 @@ impl Engine {
                 .map(|r| cpu_us = r.cost.cpu_us.max(entry.writeset.len() as u64 * 4)),
             Some(conn) => (|| {
                 if let Some(db) = &entry.default_db {
-                    self.execute(conn, &format!("USE {db}"))?;
+                    self.use_database(conn, db)?;
                 }
                 for stmt in &entry.statements {
                     cpu_us += self.execute(conn, stmt)?.cost.cpu_us;

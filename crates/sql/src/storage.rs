@@ -3,8 +3,6 @@
 //! interleaving of statements from different connections, which is exactly
 //! the concurrency a replication middleware deals in.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 use std::num::NonZeroU64;
 
 use crate::ast::ColumnDef;
@@ -173,42 +171,111 @@ fn versions(rows: &[Chain], row: RowId) -> &[Version] {
     rows.get(slot(row)).map_or(&[], Chain::versions)
 }
 
-/// The rows the primary-key index lists under one key: one, unless a key
-/// was deleted and reinserted or moved by an update before vacuum pruned
-/// the stale rows, so the one is kept inline. 16 bytes.
-#[derive(Debug, Clone)]
-enum RowIds {
-    One(RowId),
-    Many(Box<[RowId]>),
+/// The primary-key index: a keyless open-addressing table of row ids,
+/// rebuilt from the slab it indexes. A row is placed once for each distinct
+/// primary-key value its versions hold, by linear probing from the home
+/// slot of that value's hash, and a probe reads each candidate's key back
+/// from the row, as a hash index that keeps only a hash code and a tuple id
+/// rechecks the heap tuple. Nothing is deleted in place: a slot whose row
+/// no longer holds the key (an aborted insert, a vacuumed row) stays until
+/// the next rebuild, on growth or by vacuum.
+#[derive(Debug, Clone, Default)]
+struct KeyIndex {
+    /// A power-of-two number of slots, at most 7/8 of them used.
+    slots: Vec<Slot>,
+    used: usize,
 }
 
-impl RowIds {
-    fn as_slice(&self) -> &[RowId] {
-        match self {
-            RowIds::One(id) => std::slice::from_ref(id),
-            RowIds::Many(ids) => ids,
+/// One index entry, 8 bytes: a row id in the low [`ROW_BITS`] and the top
+/// bits of the key's hash above it, so a probe reads back only the rows
+/// whose hash matches. 0 is an empty slot (row ids start at 1).
+type Slot = u64;
+
+const ROW_BITS: u32 = 40;
+const ROW_MASK: u64 = (1 << ROW_BITS) - 1;
+
+/// The hash a key is placed and probed by: FNV over the value, finished
+/// with a multiply so its top bits pick the home slot.
+fn key_hash(key: &Value) -> u64 {
+    let mut h = Fnv64::new();
+    key.hash_into(&mut h);
+    h.finish().wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// The hash bits a slot keeps beside its row id.
+fn tag(hash: u64) -> u64 {
+    hash & !ROW_MASK
+}
+
+/// Each distinct primary-key value (column `pk`) the versions of `chain`
+/// hold, once.
+fn chain_keys(chain: &Chain, pk: usize) -> impl Iterator<Item = &Value> {
+    let vs = chain.versions();
+    vs.iter()
+        .enumerate()
+        .filter(move |&(i, v)| vs[..i].iter().all(|w| w.values[pk] != v.values[pk]))
+        .map(move |(_, v)| &v.values[pk])
+}
+
+impl KeyIndex {
+    /// The occupied slots from `hash`'s home slot to the first empty one.
+    fn run(&self, hash: u64) -> impl Iterator<Item = Slot> + '_ {
+        let (home, mask) = (self.home(hash), self.slots.len().wrapping_sub(1));
+        (0..self.slots.len()).map(move |i| self.slots[(home + i) & mask]).take_while(|&s| s != 0)
+    }
+
+    /// The slot `hash`'s probe starts at: its top bits.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (u64::BITS - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The rows placed under `hash`, each once and in ascending row id:
+    /// each step takes the least matching row id above the last one.
+    fn rows(&self, hash: u64) -> impl Iterator<Item = RowId> + '_ {
+        let mut last = 0;
+        std::iter::from_fn(move || {
+            last = self
+                .run(hash)
+                .filter(|&s| tag(s) == tag(hash) && s & ROW_MASK > last)
+                .map(|s| s & ROW_MASK)
+                .min()?;
+            Some(RowId(last))
+        })
+    }
+
+    /// Place `row` under `hash`, or, if that would pass 7/8 load, rebuild
+    /// from the slab `rows`, which already holds `row`'s version.
+    fn add(&mut self, hash: u64, row: RowId, rows: &[Chain], pk: usize) {
+        if (self.used + 1) * 8 <= self.slots.len() * 7 {
+            self.place(hash, row);
+        } else {
+            self.rebuild(rows, pk);
         }
     }
 
-    /// List `id` too, once.
-    fn add(&mut self, id: RowId) {
-        let ids = self.as_slice();
-        if !ids.contains(&id) {
-            *self = RowIds::Many(ids.iter().copied().chain([id]).collect());
+    /// Place `row` under `hash`; there is room.
+    fn place(&mut self, hash: u64, row: RowId) {
+        assert!(row.0 != 0 && row.0 <= ROW_MASK, "row id {} does not fit an index slot", row.0);
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash);
+        while self.slots[i] != 0 {
+            i = (i + 1) & mask;
         }
+        self.slots[i] = tag(hash) | row.0;
+        self.used += 1;
     }
 
-    /// Keep the ids `keep` accepts; false when none is left.
-    fn retain(&mut self, keep: impl Fn(&RowId) -> bool) -> bool {
-        match self {
-            RowIds::One(id) => keep(id),
-            RowIds::Many(ids) => {
-                let kept: Vec<RowId> = ids.iter().copied().filter(|id| keep(id)).collect();
-                *self = match kept[..] {
-                    [id] => RowIds::One(id),
-                    _ => RowIds::Many(kept.into()),
-                };
-                !self.as_slice().is_empty()
+    /// Index the slab `rows` afresh in the fewest slots that keep it under
+    /// 7/8 full: twice the slots when it grew full, fewer after a vacuum.
+    fn rebuild(&mut self, rows: &[Chain], pk: usize) {
+        let n: usize = rows.iter().map(|c| chain_keys(c, pk).count()).sum();
+        // The old slots are dropped first: the slab is the source.
+        self.slots = Vec::new();
+        self.slots = vec![0; (n * 8 / 7 + 1).next_power_of_two().max(8)];
+        self.used = 0;
+        for (i, chain) in rows.iter().enumerate() {
+            for key in chain_keys(chain, pk) {
+                self.place(key_hash(key), RowId(i as u64 + 1));
             }
         }
     }
@@ -229,8 +296,8 @@ pub enum ConflictKind {
 pub struct Table {
     pub schema: TableSchema,
     rows: Chains,
-    /// PK value -> candidate row ids (stale entries pruned lazily).
-    pk_index: BTreeMap<IndexKey, RowIds>,
+    /// Candidate row ids by primary-key hash (empty without a key).
+    pk_index: KeyIndex,
     /// Non-transactional AUTO_INCREMENT counter: advances even when the
     /// surrounding transaction rolls back (§4.2.3 / §4.3.2).
     pub auto_inc: i64,
@@ -239,30 +306,12 @@ pub struct Table {
     pub last_commit_ts: CommitTs,
 }
 
-/// Orderable index key wrapping a `Value`.
-#[derive(Debug, Clone, PartialEq)]
-struct IndexKey(Value);
-
-impl Eq for IndexKey {}
-
-impl PartialOrd for IndexKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for IndexKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 impl Table {
     pub fn new(schema: TableSchema) -> Self {
         Table {
             schema,
             rows: Vec::new(),
-            pk_index: BTreeMap::new(),
+            pk_index: KeyIndex::default(),
             auto_inc: 0,
             last_commit_ts: CommitTs::ZERO,
         }
@@ -304,16 +353,16 @@ impl Table {
     /// most one.
     pub fn lookup_pk(&self, key: &Value, snap: Snapshot) -> Option<(RowId, &[Value])> {
         let pk = self.schema.primary_key?;
-        let ids = self.pk_index.get(&IndexKey(key.clone()))?;
-        ids.as_slice().iter().find_map(|&id| {
+        self.key_rows(key).find_map(|id| {
             let vals = self.get(id, snap)?;
             (vals[pk] == *key).then_some((id, vals))
         })
     }
 
-    /// The rows the index lists under `key`.
-    fn key_rows(&self, key: &Value) -> &[RowId] {
-        self.pk_index.get(&IndexKey(key.clone())).map_or(&[], RowIds::as_slice)
+    /// The rows the index places under `key`'s hash, ascending: every row
+    /// a version of which holds `key`, and maybe others.
+    fn key_rows(&self, key: &Value) -> impl Iterator<Item = RowId> + '_ {
+        self.pk_index.rows(key_hash(key))
     }
 
     /// May `snap` write a row whose primary key (column `pk`) is `key`?
@@ -337,30 +386,29 @@ impl Table {
         }
     }
 
-    /// Insert a row version for transaction `snap.tx`. Claiming the key
-    /// and listing the row under it take one index descent.
+    /// Insert a row version for transaction `snap.tx`.
     pub fn insert(&mut self, values: Vec<Value>, snap: Snapshot) -> Result<RowId, SqlError> {
         debug_assert_eq!(values.len(), self.schema.columns.len());
         let id = RowId(self.rows.len() as u64 + 1);
-        if let Some(pk) = self.schema.primary_key {
-            let key = &values[pk];
-            if key.is_null() {
-                return Err(SqlError::ConstraintViolation(format!(
-                    "primary key '{}' may not be NULL",
-                    self.schema.columns[pk].name
-                )));
-            }
-            match self.pk_index.entry(IndexKey(key.clone())) {
-                Entry::Vacant(e) => {
-                    e.insert(RowIds::One(id));
+        let keyed = match self.schema.primary_key {
+            Some(pk) => {
+                let key = &values[pk];
+                if key.is_null() {
+                    return Err(SqlError::ConstraintViolation(format!(
+                        "primary key '{}' may not be NULL",
+                        self.schema.columns[pk].name
+                    )));
                 }
-                Entry::Occupied(mut e) => {
-                    claim_key(&self.schema, &self.rows, e.get().as_slice(), pk, key, snap)?;
-                    e.get_mut().add(id);
-                }
+                let hash = key_hash(key);
+                claim_key(&self.schema, &self.rows, self.pk_index.rows(hash), pk, key, snap)?;
+                Some((pk, hash))
             }
-        }
+            None => None,
+        };
         self.rows.push(Chain::One(Version::new(snap.tx, values)));
+        if let Some((pk, hash)) = keyed {
+            self.pk_index.add(hash, id, &self.rows, pk);
+        }
         Ok(id)
     }
 
@@ -403,7 +451,7 @@ impl Table {
         first_committer_wins: bool,
     ) -> Result<Vec<Value>, ConflictOrError> {
         if let Some(pk) = self.schema.primary_key {
-            let new_key = values[pk].clone();
+            let new_key = &values[pk];
             if new_key.is_null() {
                 return Err(ConflictOrError::Error(SqlError::ConstraintViolation(format!(
                     "primary key '{}' may not be NULL",
@@ -413,26 +461,26 @@ impl Table {
             let old = self
                 .get(row, snap)
                 .ok_or_else(|| ConflictOrError::Error(SqlError::Internal("row vanished".into())))?;
-            if old[pk] != new_key {
-                self.claim_key(pk, &new_key, snap).map_err(ConflictOrError::Error)?;
+            if old[pk] != *new_key {
+                self.claim_key(pk, new_key, snap).map_err(ConflictOrError::Error)?;
             }
         }
         let idx = self
             .writable_version(row, snap, first_committer_wins)
             .map_err(ConflictOrError::Conflict)?;
-        let newest = &mut self.rows[slot(row)].versions_mut()[idx];
+        let chain = &mut self.rows[slot(row)];
+        let newest = &mut chain.versions_mut()[idx];
         let before = newest.values.to_vec();
         newest.end_tx = stamp(snap.tx.0);
         newest.end_ts = None;
-        if let Some(pk) = self.schema.primary_key {
-            if before[pk] != values[pk] {
-                self.pk_index
-                    .entry(IndexKey(values[pk].clone()))
-                    .and_modify(|ids| ids.add(row))
-                    .or_insert(RowIds::One(row));
-            }
+        // A key another version of the row holds is placed already.
+        let moved = (self.schema.primary_key)
+            .filter(|&pk| chain.versions().iter().all(|v| v.values[pk] != values[pk]))
+            .map(|pk| (pk, key_hash(&values[pk])));
+        chain.push(Version::new(snap.tx, values));
+        if let Some((pk, hash)) = moved {
+            self.pk_index.add(hash, row, &self.rows, pk);
         }
-        self.rows[slot(row)].push(Version::new(snap.tx, values));
         Ok(before)
     }
 
@@ -491,9 +539,9 @@ impl Table {
             chain.retain(|v| !v.garbage(horizon));
             reclaimed += before - chain.versions().len();
         }
-        // Prune index entries pointing at emptied slots.
-        let rows = &self.rows;
-        self.pk_index.retain(|_, ids| ids.retain(|&id| !versions(rows, id).is_empty()));
+        if let Some(pk) = self.schema.primary_key {
+            self.pk_index.rebuild(&self.rows, pk);
+        }
         reclaimed
     }
 
@@ -534,26 +582,26 @@ impl Table {
     }
 }
 
-/// Every version, of the rows `ids` (the index's list under `key`), whose
-/// primary key (column `pk`) is `key`.
+/// Every version, of the rows `ids` (the index's candidates for `key`),
+/// whose primary key (column `pk`) is `key`.
 fn key_versions<'a>(
     rows: &'a [Chain],
-    ids: &'a [RowId],
+    ids: impl Iterator<Item = RowId> + 'a,
     pk: usize,
     key: &'a Value,
 ) -> impl Iterator<Item = &'a Version> + 'a {
-    ids.iter().flat_map(|&id| versions(rows, id)).filter(move |v| v.values[pk] == *key)
+    ids.flat_map(|id| versions(rows, id)).filter(move |v| v.values[pk] == *key)
 }
 
 /// May `snap` write a row whose primary key (column `pk`) is `key`, given
-/// the rows `ids` the index lists under it? Not if a version of the key is
+/// the index's candidate rows `ids` for it? Not if a version of the key is
 /// visible to it or still uncommitted (a duplicate), nor if one committed
 /// after its snapshot: first-committer-wins, as for an update of a row
 /// committed since.
 fn claim_key(
     schema: &TableSchema,
     rows: &[Chain],
-    ids: &[RowId],
+    ids: impl Iterator<Item = RowId>,
     pk: usize,
     key: &Value,
     snap: Snapshot,
@@ -603,6 +651,7 @@ pub enum ConflictOrError {
 mod tests {
     use super::*;
     use crate::value::DataType;
+    use replimid_det::{detcheck, DetRng};
 
     fn schema() -> TableSchema {
         TableSchema::new(
@@ -763,12 +812,12 @@ mod tests {
     }
 
     #[test]
-    fn a_chain_is_48_bytes_and_a_key_list_16() {
+    fn a_chain_is_48_bytes_and_an_index_slot_8() {
         let chain = std::mem::size_of::<Chain>();
-        let ids = std::mem::size_of::<RowIds>();
-        println!("footprint: size_of Chain: {chain} bytes, RowIds: {ids} bytes");
+        let slot = std::mem::size_of::<Slot>();
+        println!("footprint: size_of Chain: {chain} bytes, primary-key index slot: {slot} bytes");
         assert_eq!(chain, 48);
-        assert_eq!(ids, 16);
+        assert_eq!(slot, 8);
     }
 
     fn row(k: i64) -> Vec<Value> {
@@ -877,12 +926,12 @@ mod tests {
         let (k1, k7) = (Value::Int(1), Value::Int(7));
         let row_of = |t: &Table, k: &Value, ts| t.lookup_pk(k, snap(99, ts)).map(|(row, _)| row);
         let claim = |t: &Table, k: &Value, ts| t.claim_key(0, k, snap(98, ts));
-        let listed = |t: &Table, k: &Value| t.key_rows(k).to_vec();
+        let listed = |t: &Table, k: &Value| t.key_rows(k).collect::<Vec<_>>();
         let dup = |r: Result<(), SqlError>| matches!(r, Err(SqlError::DuplicateKey(_)));
 
         let r1 = t.insert(vec![k1.clone(), Value::Null], snap(1, 0)).unwrap();
         t.commit_stamp(r1, TxId(1), CommitTs(1));
-        assert!(matches!(t.pk_index[&IndexKey(k1.clone())], RowIds::One(r) if r == r1));
+        assert_eq!(listed(&t, &k1), vec![r1]);
         assert_eq!(row_of(&t, &k1, 1), Some(r1));
         assert!(dup(claim(&t, &k1, 1)));
 
@@ -921,11 +970,124 @@ mod tests {
 
         // Vacuum drops the dead row and the key is back to one row.
         assert_eq!(t.vacuum(CommitTs(5)), 3);
-        assert!(matches!(t.pk_index[&IndexKey(k1.clone())], RowIds::One(r) if r == r2));
+        assert_eq!(listed(&t, &k1), vec![r2]);
         assert_eq!(row_of(&t, &k1, 5), Some(r2));
         assert_eq!(row_of(&t, &k7, 5), None);
         assert!(dup(claim(&t, &k1, 5)));
         assert!(claim(&t, &k7, 5).is_ok());
+    }
+
+    /// Every row id of `t`: the candidates a scan of every version checks.
+    fn every_row(t: &Table) -> impl Iterator<Item = RowId> {
+        (1..=t.rows.len() as u64).map(RowId)
+    }
+
+    /// `claim_key` over every row instead of the index's candidates.
+    fn scan_claim(t: &Table, key: &Value, s: Snapshot) -> Result<(), SqlError> {
+        claim_key(&t.schema, &t.rows, every_row(t), 0, key, s)
+    }
+
+    /// After every step, lookups at several snapshots, key claims and key
+    /// holders agree with a scan of every version.
+    fn agrees_with_a_scan(t: &Table, open: &[(Snapshot, Vec<RowId>)], now: u64, rng: &mut DetRng) {
+        let committed = |ts| snap(u64::MAX, ts);
+        let snaps: Vec<Snapshot> = open
+            .iter()
+            .map(|(s, _)| *s)
+            .chain([committed(now), committed(rng.gen_range(0..=now))])
+            .collect();
+        for key in (-1..=KEYS).map(Value::Int) {
+            for &s in &snaps {
+                let seen = t.scan(s).find(|(_, v)| v[0] == key);
+                assert_eq!(t.lookup_pk(&key, s), seen, "lookup of {key} at {s:?}");
+                assert_eq!(t.claim_key(0, &key, s), scan_claim(t, &key, s), "claim of {key} at {s:?}");
+                let scanned = holders(key_versions(&t.rows, every_row(t), 0, &key), s.tx);
+                assert_eq!(t.key_holders(&key, s.tx), scanned, "holders of {key} for {:?}", s.tx);
+            }
+        }
+    }
+
+    const KEYS: i64 = 24;
+
+    /// The index against a scan of every version, over random inserts,
+    /// updates (key moves among them), deletes and reinserts, commits,
+    /// aborts and an occasional vacuum. The key domain is small, so rows
+    /// pile up under each key while the index grows through several
+    /// rebuilds and probes collide at 7/8 load.
+    #[test]
+    fn the_index_finds_what_a_scan_of_every_version_finds() {
+        detcheck::check("key_index_model", 4, |rng| {
+            let mut t = Table::new(schema());
+            let (mut next_tx, mut now) = (1, 0);
+            // Open transactions: their snapshots and the rows they wrote.
+            let mut open: Vec<(Snapshot, Vec<RowId>)> = Vec::new();
+            let (mut sizes, mut full) = (vec![0], false);
+            for _ in 0..600 {
+                if open.len() < 3 && (open.is_empty() || rng.gen_bool(0.3)) {
+                    open.push((snap(next_tx, now), Vec::new()));
+                    next_tx += 1;
+                }
+                let i = rng.gen_range(0..open.len());
+                let s = open[i].0;
+                let key = Value::Int(rng.gen_range(0..KEYS));
+                let visible: Vec<(RowId, Value)> = t.scan(s).map(|(r, v)| (r, v[0].clone())).collect();
+                let target = (!visible.is_empty()).then(|| visible[rng.gen_range(0..visible.len())].clone());
+                let wrote = match (rng.gen_range(0..100), target) {
+                    (0..=39, _) => {
+                        let want = scan_claim(&t, &key, s);
+                        let got = t.insert(vec![key.clone(), Value::Null], s);
+                        assert_eq!(got.as_ref().err(), want.as_ref().err(), "insert of {key}");
+                        got.ok()
+                    }
+                    (40..=59, Some((row, old))) => {
+                        let new = if rng.gen_bool(0.5) { key } else { old.clone() };
+                        let want = if new == old { Ok(()) } else { scan_claim(&t, &new, s) };
+                        match t.update(row, vec![new, Value::Text("u".into())], s, true) {
+                            Ok(_) => {
+                                assert_eq!(want, Ok(()), "update of row {row:?}");
+                                Some(row)
+                            }
+                            Err(ConflictOrError::Error(e)) => {
+                                assert_eq!(Err(e), want, "update of row {row:?}");
+                                None
+                            }
+                            Err(ConflictOrError::Conflict(_)) => None,
+                        }
+                    }
+                    (60..=79, Some((row, _))) => t.delete(row, s, true).ok().map(|_| row),
+                    (80..=89, _) => {
+                        now += 1;
+                        for &row in &open.swap_remove(i).1 {
+                            t.commit_stamp(row, s.tx, CommitTs(now));
+                        }
+                        None
+                    }
+                    (90..=96, _) => {
+                        for &row in &open.swap_remove(i).1 {
+                            t.abort_unwind(row, s.tx);
+                        }
+                        None
+                    }
+                    (97.., _) => {
+                        let horizon = open.iter().map(|(s, _)| s.ts.0).min().unwrap_or(now);
+                        t.vacuum(CommitTs(horizon));
+                        None
+                    }
+                    _ => None,
+                };
+                if let Some(row) = wrote {
+                    open[i].1.push(row);
+                }
+                if sizes.last() != Some(&t.pk_index.slots.len()) {
+                    sizes.push(t.pk_index.slots.len());
+                }
+                full |= t.pk_index.used * 8 == t.pk_index.slots.len() * 7;
+                agrees_with_a_scan(&t, &open, now, rng);
+            }
+            let grown = sizes.windows(2).filter(|w| w[1] > w[0]).count();
+            assert!(grown >= 3, "the index went through sizes {sizes:?} only");
+            assert!(full, "the index never reached 7/8 load");
+        });
     }
 
     #[test]

@@ -109,8 +109,11 @@ fn insert(e: &mut Engine, c: ConnId, template: &Statement, k: i64) {
 
 const ROWS: i64 = 20_000;
 
+/// A stored row costs its values' block and its share of the slab and of
+/// the primary-key index's slots (204.9 bytes in 1.17 blocks while the
+/// index was a B-tree holding a copy of each key and a row list).
 #[test]
-fn a_stored_row_costs_at_most_210_bytes_in_1_2_blocks() {
+fn a_stored_row_costs_at_most_145_bytes_in_1_01_blocks() {
     let (mut e, c, template) = engine();
     let t = counted(|| {
         for k in 0..ROWS {
@@ -120,8 +123,8 @@ fn a_stored_row_costs_at_most_210_bytes_in_1_2_blocks() {
     let bytes = t.live_bytes as f64 / ROWS as f64;
     let blocks = t.live_blocks as f64 / ROWS as f64;
     println!("footprint: live heap per stored row: {bytes:.1} bytes in {blocks:.2} blocks");
-    assert!(bytes <= 210.0, "{bytes:.1} bytes per row");
-    assert!(blocks <= 1.2, "{blocks:.2} blocks per row");
+    assert!(bytes <= 145.0, "{bytes:.1} bytes per row");
+    assert!(blocks <= 1.01, "{blocks:.2} blocks per row");
 }
 
 /// Blocks per prepared autocommit INSERT, bind included (41.3 while an
@@ -131,11 +134,13 @@ fn a_stored_row_costs_at_most_210_bytes_in_1_2_blocks() {
 /// while a write record owned copies of its database and table names and
 /// every INSERT copied the table's column list and the session's database
 /// name; 16.2 while the privilege check listed the statement's tables and
-/// copied the database name even for the superuser, who needs no check).
-const INSERT_BLOCKS: f64 = 13.2;
+/// copied the database name even for the superuser, who needs no check;
+/// 13.2 while the primary-key index was a B-tree whose nodes an insert
+/// allocated now and then).
+const INSERT_BLOCKS: f64 = 13.0;
 
 #[test]
-fn a_prepared_autocommit_insert_allocates_13_2_blocks() {
+fn a_prepared_autocommit_insert_allocates_13_0_blocks() {
     let (mut e, c, template) = engine();
     // Warm the engine's maps up first: what is measured is the steady state.
     for k in 0..1_000 {

@@ -150,7 +150,7 @@ done
 # Per-record footprint: live heap per stored row, heap blocks per
 # prepared autocommit INSERT and live heap per backend connection
 # (crates/sql/tests/footprint.rs, a counting allocator), and the size of a
-# row version, of a row's version chain, of a primary-key index entry, of a
+# row version, of a row's version chain, of a primary-key index slot, of a
 # write record, of a writeset key, of a trace summary and of a middleware
 # session record. Runs the tests, so only in a checkout that has them.
 if [ -f crates/sql/tests/footprint.rs ]; then
