@@ -16,6 +16,7 @@
 //! `scripts/verify.sh` covers every number derived from them.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use crate::metrics::Histogram;
 
@@ -208,7 +209,9 @@ impl CompletedTrace {
 /// Bounded, deterministic in-memory sink for trace spans.
 ///
 /// - per-stage [`Histogram`]s aggregate every span ever recorded;
-/// - a capped ring buffer keeps the most recent [`TraceSummary`]s;
+/// - a capped ring buffer keeps the most recent [`TraceSummary`]s; it is
+///   copy-on-write, so a clone (a metrics snapshot) shares it until either
+///   side writes;
 /// - the top-K slowest completed traces are retained with full spans for
 ///   waterfall rendering.
 ///
@@ -219,7 +222,7 @@ impl CompletedTrace {
 pub struct TraceSink {
     stage_hist: Vec<Histogram>,
     open: BTreeMap<u64, OpenTrace>,
-    completed: VecDeque<TraceSummary>,
+    completed: Arc<VecDeque<TraceSummary>>,
     slowest: Vec<CompletedTrace>,
     /// Completed traces ever recorded (ring evictions included).
     pub completed_count: u64,
@@ -246,7 +249,7 @@ impl TraceSink {
         TraceSink {
             stage_hist: (0..N_STAGES).map(|_| Histogram::new()).collect(),
             open: BTreeMap::new(),
-            completed: VecDeque::new(),
+            completed: Arc::default(),
             slowest: Vec::new(),
             completed_count: 0,
             dropped: 0,
@@ -316,12 +319,7 @@ impl TraceSink {
             stage_us,
         };
         self.completed_count += 1;
-        if self.ring_cap > 0 {
-            if self.completed.len() >= self.ring_cap {
-                self.completed.pop_front();
-            }
-            self.completed.push_back(summary);
-        }
+        self.push_completed(summary);
         if self.top_k > 0 {
             self.slowest.push(CompletedTrace {
                 trace,
@@ -335,6 +333,18 @@ impl TraceSink {
                 .sort_by(|a, b| b.duration_us().cmp(&a.duration_us()).then(a.trace.cmp(&b.trace)));
             self.slowest.truncate(self.top_k);
         }
+    }
+
+    /// Append to the ring, evicting the oldest summary at `ring_cap`.
+    fn push_completed(&mut self, summary: TraceSummary) {
+        if self.ring_cap == 0 {
+            return;
+        }
+        let ring = Arc::make_mut(&mut self.completed);
+        if ring.len() >= self.ring_cap {
+            ring.pop_front();
+        }
+        ring.push_back(summary);
     }
 
     /// Record a stand-alone span into the stage histograms without opening
@@ -370,13 +380,8 @@ impl TraceSink {
         }
         self.completed_count += other.completed_count;
         self.dropped += other.dropped;
-        for s in &other.completed {
-            if self.ring_cap > 0 {
-                if self.completed.len() >= self.ring_cap {
-                    self.completed.pop_front();
-                }
-                self.completed.push_back(s.clone());
-            }
+        for s in other.completed.iter() {
+            self.push_completed(s.clone());
         }
         if self.top_k > 0 {
             self.slowest.extend(other.slowest.iter().cloned());
@@ -535,6 +540,63 @@ mod tests {
         assert_eq!(sink.completed_count, 10);
         let kept: Vec<u64> = sink.completed().map(|s| s.trace.0).collect();
         assert_eq!(kept, vec![7, 8, 9]);
+    }
+
+    fn ring_ids(sink: &TraceSink) -> Vec<u64> {
+        sink.completed().map(|s| s.trace.0).collect()
+    }
+
+    fn complete(sink: &mut TraceSink, ids: std::ops::Range<u64>) {
+        for id in ids {
+            sink.begin(TraceId(id), id * 10);
+            sink.end(TraceId(id), id * 10 + 5);
+        }
+    }
+
+    #[test]
+    fn a_clone_shares_the_ring() {
+        let mut sink = TraceSink::with_bounds(8, 4, 1);
+        complete(&mut sink, 0..3);
+        let snap = sink.clone();
+        assert!(Arc::ptr_eq(&sink.completed, &snap.completed));
+        assert_eq!(ring_ids(&snap), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_write_after_a_clone_leaves_the_clone_alone() {
+        let mut sink = TraceSink::with_bounds(8, 4, 1);
+        complete(&mut sink, 0..4);
+        let snap = sink.clone();
+        complete(&mut sink, 4..6);
+        assert!(!Arc::ptr_eq(&sink.completed, &snap.completed));
+        assert_eq!(ring_ids(&snap), vec![0, 1, 2, 3]);
+        assert_eq!(snap.completed_count, 4);
+        assert_eq!(ring_ids(&sink), vec![2, 3, 4, 5]);
+        // Once the snapshot is gone the sink writes in place again.
+        drop(snap);
+        let before = Arc::as_ptr(&sink.completed);
+        complete(&mut sink, 6..7);
+        assert_eq!(Arc::as_ptr(&sink.completed), before);
+        assert_eq!(ring_ids(&sink), vec![3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn merge_appends_in_order_and_evicts_the_oldest() {
+        let mut a = TraceSink::with_bounds(8, 5, 1);
+        complete(&mut a, 0..3);
+        let mut b = TraceSink::with_bounds(8, 5, 1);
+        complete(&mut b, 10..14);
+        let a_snap = a.clone();
+        a.merge(&b);
+        assert_eq!(ring_ids(&a), vec![2, 10, 11, 12, 13]);
+        assert_eq!(a.completed_count, 7);
+        assert_eq!(ring_ids(&a_snap), vec![0, 1, 2], "the snapshot keeps its ring");
+        assert_eq!(ring_ids(&b), vec![10, 11, 12, 13]);
+        // A sink without a ring keeps nothing from a merge either.
+        let mut none = TraceSink::with_bounds(8, 0, 1);
+        none.merge(&b);
+        assert_eq!(ring_ids(&none), Vec::<u64>::new());
+        assert_eq!(none.completed_count, 4);
     }
 
     #[test]

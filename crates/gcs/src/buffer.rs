@@ -1,13 +1,16 @@
-//! In-order delivery buffer with duplicate suppression and a bounded
-//! retransmission history (used by the view-change flush protocol).
+//! In-order delivery buffer with duplicate suppression and a retransmission
+//! history (used by the view-change flush protocol) that keeps a delivered
+//! record only until it is stable: delivered by every member that may ask
+//! for it in a flush.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
 use crate::types::{MemberId, MsgId, OrderedRecord};
 
-/// How many delivered records each member retains for retransmission during
-/// view changes. Must cover the divergence window between the fastest and
-/// slowest member; sized generously.
+/// The most delivered records a member retains for retransmission during
+/// view changes, stable or not. Must cover the divergence window between
+/// the fastest and slowest member; sized generously. A member that stopped
+/// reporting (crashed, partitioned) pins the history at this cap.
 pub const HISTORY_CAP: usize = 1024;
 
 #[derive(Debug, Clone)]
@@ -18,8 +21,13 @@ pub struct DeliveryBuffer<P> {
     pending: BTreeMap<u64, OrderedRecord<P>>,
     /// (origin, id) of everything ever delivered (dedup across re-publish).
     delivered_ids: HashSet<(MemberId, MsgId)>,
-    /// Recently delivered records, for flush retransmission.
+    /// Delivered records above `stable`, at most `HISTORY_CAP` of them, for
+    /// flush retransmission.
     history: VecDeque<OrderedRecord<P>>,
+    /// Every member that may ask for a retransmission has delivered through
+    /// this sequence number (`u64::MAX` when no other member may ask; 0
+    /// until the owner says).
+    stable: u64,
 }
 
 impl<P: Clone> DeliveryBuffer<P> {
@@ -29,6 +37,7 @@ impl<P: Clone> DeliveryBuffer<P> {
             pending: BTreeMap::new(),
             delivered_ids: HashSet::new(),
             history: VecDeque::new(),
+            stable: 0,
         }
     }
 
@@ -63,14 +72,42 @@ impl<P: Clone> DeliveryBuffer<P> {
         while let Some(rec) = self.pending.remove(&self.next_seq) {
             self.next_seq += 1;
             if self.delivered_ids.insert((rec.origin, rec.id)) {
-                self.history.push_back(rec.clone());
-                if self.history.len() > HISTORY_CAP {
-                    self.history.pop_front();
-                }
+                self.retain(&rec);
                 out.push(rec);
             }
         }
         out
+    }
+
+    /// Keep a copy of a just-delivered record unless it is already stable.
+    fn retain(&mut self, rec: &OrderedRecord<P>) {
+        if rec.seq <= self.stable {
+            return;
+        }
+        self.history.push_back(rec.clone());
+        if self.history.len() > HISTORY_CAP {
+            self.history.pop_front();
+        }
+    }
+
+    /// Every member that may ask for a retransmission has delivered through
+    /// `stable` (`u64::MAX`: no other member may ask); drop what that makes
+    /// stable.
+    pub fn set_stable(&mut self, stable: u64) {
+        self.stable = stable;
+        while self.history.front().is_some_and(|r| r.seq <= stable) {
+            self.history.pop_front();
+        }
+    }
+
+    /// Delivered records held for retransmission.
+    pub fn retained(&self) -> usize {
+        self.history.len()
+    }
+
+    /// Sequence number of the oldest record held for retransmission.
+    pub fn oldest_retained(&self) -> Option<u64> {
+        self.history.front().map(|r| r.seq)
     }
 
     /// Deliver everything buffered below `horizon`, skipping holes (view
@@ -81,10 +118,7 @@ impl<P: Clone> DeliveryBuffer<P> {
         while self.next_seq < horizon {
             if let Some(rec) = self.pending.remove(&self.next_seq) {
                 if self.delivered_ids.insert((rec.origin, rec.id)) {
-                    self.history.push_back(rec.clone());
-                    if self.history.len() > HISTORY_CAP {
-                        self.history.pop_front();
-                    }
+                    self.retain(&rec);
                     out.push(rec);
                 }
             }
@@ -95,8 +129,8 @@ impl<P: Clone> DeliveryBuffer<P> {
         out
     }
 
-    /// Records this member can retransmit during a flush: its recent history
-    /// plus everything still buffered.
+    /// Records this member can retransmit during a flush: its unstable
+    /// history plus everything still buffered.
     pub fn retransmittable(&self) -> Vec<OrderedRecord<P>> {
         let mut out: Vec<OrderedRecord<P>> = self.history.iter().cloned().collect();
         out.extend(self.pending.values().cloned());
@@ -156,6 +190,24 @@ mod tests {
         let r = b.retransmittable();
         let seqs: Vec<u64> = r.iter().map(|x| x.seq).collect();
         assert!(seqs.contains(&1) && seqs.contains(&3));
+    }
+
+    #[test]
+    fn the_history_keeps_only_what_is_not_stable() {
+        let mut b = DeliveryBuffer::new();
+        for s in 1..=5 {
+            b.offer(rec(s, s));
+        }
+        assert_eq!(b.retained(), 5, "nothing is stable until the owner says");
+        b.set_stable(3);
+        assert_eq!((b.retained(), b.oldest_retained()), (2, Some(4)));
+        b.offer(rec(6, 6));
+        assert_eq!(b.retained(), 3);
+        b.set_stable(u64::MAX);
+        b.offer(rec(7, 7));
+        assert_eq!((b.retained(), b.oldest_retained()), (0, None));
+        let seqs: Vec<u64> = b.retransmittable().iter().map(|r| r.seq).collect();
+        assert!(seqs.is_empty());
     }
 
     #[test]

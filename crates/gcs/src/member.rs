@@ -95,6 +95,11 @@ pub struct GroupMember<P> {
     /// installed a view whose NewView is still in flight to us. Replayed
     /// after installation (dropping it would open permanent sequence gaps).
     future_msgs: Vec<(MemberId, GcsMsg<P>)>,
+    /// The delivered prefix each other member that ever shared a view with
+    /// this one last reported on its heartbeat (0 until it reports). A
+    /// member that left keeps its entry: readmitted, it asks for what lies
+    /// above it. The history keeps only records above the minimum.
+    prefixes: BTreeMap<MemberId, u64>,
 }
 
 impl<P: Clone> GroupMember<P> {
@@ -103,9 +108,10 @@ impl<P: Clone> GroupMember<P> {
         let view = View::new(ViewId(0), initial);
         assert!(view.contains(me), "founding member must be in the initial view");
         let peers: Vec<MemberId> = view.members.iter().copied().filter(|&m| m != me).collect();
+        let prefixes = peers.iter().map(|&m| (m, 0)).collect();
         let fd = FailureDetector::new(config.heartbeat, peers, now);
         let contacts = view.members.clone();
-        GroupMember {
+        let mut member = GroupMember {
             me,
             config,
             view,
@@ -123,7 +129,10 @@ impl<P: Clone> GroupMember<P> {
             joined: true,
             contacts,
             future_msgs: Vec::new(),
-        }
+            prefixes,
+        };
+        member.update_stable();
+        member
     }
 
     /// A (re)joining member: not in any view until admitted.
@@ -162,6 +171,14 @@ impl<P: Clone> GroupMember<P> {
             .iter()
             .copied()
             .find(|&m| m == self.me || !self.fd.is_suspected(m))
+    }
+
+    /// Tell the history what every member that may ask for a retransmission
+    /// has delivered (everything, for a member that has shared a view with
+    /// no other).
+    fn update_stable(&mut self) {
+        let stable = self.prefixes.values().copied().min().unwrap_or(u64::MAX);
+        self.buffer.set_stable(stable);
     }
 
     /// Start the member: arms the periodic tick; token-mode coordinators
@@ -256,7 +273,13 @@ impl<P: Clone> GroupMember<P> {
         // Any traffic proves liveness.
         let _ = self.fd.heard_from(from, now);
         match msg {
-            GcsMsg::Heartbeat => Vec::new(),
+            GcsMsg::Heartbeat { delivered } => {
+                if let Some(prefix) = self.prefixes.get_mut(&from) {
+                    *prefix = delivered;
+                    self.update_stable();
+                }
+                Vec::new()
+            }
             GcsMsg::Publish { id, payload } => {
                 if self.flushing || !self.joined {
                     return Vec::new(); // origin re-publishes after NewView
@@ -475,6 +498,10 @@ impl<P: Clone> GroupMember<P> {
         self.proposal = None;
         let peers: Vec<MemberId> =
             view.members.iter().copied().filter(|&m| m != self.me).collect();
+        for &m in &peers {
+            self.prefixes.entry(m).or_insert(0);
+        }
+        self.update_stable();
         self.fd.reset_peers(peers, now);
         self.last_token_seen = now;
 
@@ -546,9 +573,10 @@ impl<P: Clone> GroupMember<P> {
             }
             return actions;
         }
+        let delivered = self.buffer.next_seq() - 1;
         for &m in &self.view.members {
             if m != self.me {
-                actions.push(Action::Send { to: m, msg: GcsMsg::Heartbeat });
+                actions.push(Action::Send { to: m, msg: GcsMsg::Heartbeat { delivered } });
             }
         }
         let events = self.fd.tick(now);
@@ -630,11 +658,22 @@ impl<P: Clone> GroupMember<P> {
     pub fn pending_local_len(&self) -> usize {
         self.pending_local.len()
     }
+
+    /// Delivered records held for flush retransmission.
+    pub fn retained(&self) -> usize {
+        self.buffer.retained()
+    }
+
+    /// Sequence number of the oldest record held for flush retransmission.
+    pub fn oldest_retained(&self) -> Option<u64> {
+        self.buffer.oldest_retained()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::HISTORY_CAP;
     use crate::types::GcsMsg;
 
     fn group3(proto: OrderProtocol) -> Vec<GroupMember<u32>> {
@@ -749,6 +788,23 @@ mod tests {
         let rec2 = OrderedRecord { seq: 2, origin: MemberId(0), id: MsgId(2), payload: 43u32 };
         let a = g[2].on_message(MemberId(0), GcsMsg::Ordered { view: ViewId(0), rec: rec2 }, 30);
         assert!(delivers(&a).is_empty());
+    }
+
+    #[test]
+    fn a_lone_member_retains_nothing() {
+        let mut m = GroupMember::new(
+            MemberId(0),
+            vec![MemberId(0)],
+            GcsConfig::lan(OrderProtocol::FixedSequencer),
+            0,
+        );
+        for p in 0..10_000u32 {
+            assert_eq!(delivers(&m.publish(p, u64::from(p))).len(), 1);
+        }
+        assert_eq!(m.next_deliver_seq(), 10_001);
+        assert_eq!(m.retained(), 0, "no other member can ask for a retransmission");
+        println!("footprint: gcs history retained by a lone member: {} slots", m.retained());
+        println!("footprint: gcs HISTORY_CAP: {HISTORY_CAP} slots");
     }
 
     #[test]

@@ -82,8 +82,9 @@ pub enum GcsMsg<P> {
     Publish { id: MsgId, payload: P },
     /// Ordering broadcast.
     Ordered { view: ViewId, rec: OrderedRecord<P> },
-    /// Liveness.
-    Heartbeat,
+    /// Liveness, carrying the sender's delivered prefix (its next sequence
+    /// number − 1), below which peers may drop their retransmission history.
+    Heartbeat { delivered: u64 },
     /// Coordinator -> members: report your state for view `proposed`.
     FlushReq { proposed: ViewId },
     /// Member -> coordinator: everything I have at or above my delivery

@@ -425,8 +425,15 @@ impl Table {
         let idx = chain.len().checked_sub(1).expect("writable_version on missing row");
         let v = &chain[idx];
         if let Some(etx) = v.end_tx() {
-            if etx != snap.tx && v.end_ts.is_none() {
-                return Err(ConflictKind::UncommittedWriter);
+            // Another transaction ended the newest version: still open, it
+            // holds the row; committed, it deleted the row (an update ends a
+            // version only beneath a newer one), and overwriting its stamp
+            // would lose the delete.
+            if etx != snap.tx {
+                return Err(match v.end_ts {
+                    None => ConflictKind::UncommittedWriter,
+                    Some(_) => ConflictKind::NewerCommit,
+                });
             }
         }
         if v.begin_tx != snap.tx {
@@ -997,6 +1004,8 @@ mod tests {
             .chain([committed(now), committed(rng.gen_range(0..=now))])
             .collect();
         for key in (-1..=KEYS).map(Value::Int) {
+            let live = t.scan(committed(now)).filter(|(_, v)| v[0] == key).count();
+            assert!(live <= 1, "{live} committed rows hold {key}");
             for &s in &snaps {
                 let seen = t.scan(s).find(|(_, v)| v[0] == key);
                 assert_eq!(t.lookup_pk(&key, s), seen, "lookup of {key} at {s:?}");

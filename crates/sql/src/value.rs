@@ -249,6 +249,13 @@ impl From<bool> for Value {
 mod tests {
     use super::*;
 
+    /// `String`'s capacity niche holds the tag, so a value is no wider than
+    /// its widest payload.
+    #[test]
+    fn a_value_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+    }
+
     #[test]
     fn coercion_widens_int() {
         assert_eq!(

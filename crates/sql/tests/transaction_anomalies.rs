@@ -140,3 +140,20 @@ fn dirty_reads_never_happen() {
     assert_eq!(bal(&mut e, c2, 1), 50);
     let _ = Value::Null;
 }
+
+#[test]
+fn a_delete_committed_after_a_snapshot_is_not_lost() {
+    // First-committer-wins covers deletes too: a snapshot that still sees
+    // the row may not update it over a delete that committed since.
+    let (mut e, c1, c2) = setup();
+    e.execute(c1, "BEGIN ISOLATION LEVEL SNAPSHOT").unwrap();
+    assert_eq!(bal(&mut e, c1, 1), 50);
+    e.execute(c2, "DELETE FROM acct WHERE id = 1").unwrap();
+    let err = e.execute(c1, "UPDATE acct SET bal = 5 WHERE id = 1").unwrap_err();
+    assert!(matches!(err, SqlError::WriteConflict { .. }), "{err:?}");
+    e.execute(c1, "ROLLBACK").unwrap();
+    match e.execute(c2, "SELECT bal FROM acct WHERE id = 1").unwrap().outcome {
+        Outcome::Rows(rs) => assert!(rs.rows.is_empty(), "the row stays deleted: {:?}", rs.rows),
+        other => panic!("{other:?}"),
+    }
+}

@@ -152,12 +152,14 @@ done
 # (crates/sql/tests/footprint.rs, a counting allocator), and the size of a
 # row version, of a row's version chain, of a primary-key index slot, of a
 # write record, of a writeset key, of a trace summary and of a middleware
-# session record. Runs the tests, so only in a checkout that has them.
+# session record, and the gcs history a lone member retains against its
+# cap. Runs the tests, so only in a checkout that has them.
 if [ -f crates/sql/tests/footprint.rs ]; then
     {
         cargo test -q --offline -p replimid-sql --test footprint -- --nocapture --test-threads 1
         cargo test -q --offline -p replimid-sql --lib -- --nocapture a_version_is_48_bytes a_chain_is_48_bytes a_write_record_is
         cargo test -q --offline -p replimid-core --lib -- --nocapture a_summary_is_96_bytes a_session_record_is
+        cargo test -q --offline -p replimid-gcs --lib -- --nocapture a_lone_member_retains_nothing
     } 2>/dev/null | sed -n 's/^\.*footprint: /  /p' | sed '1i per-record footprint:'
 fi
 exit 0
