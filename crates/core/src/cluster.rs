@@ -61,29 +61,42 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Build the cluster: engines are created and schema-loaded *before*
-    /// the simulation starts (time-zero state is identical on every
-    /// backend, like replicas initialized from the same dump).
+    /// Build the cluster. The schema runs once, on the first backend's
+    /// engine, *before* the simulation starts; every other backend gets a
+    /// copy of that image under its own name and RAND() seed
+    /// ([`Engine::copy_as`]). Time-zero state is one image, like replicas
+    /// initialized from the same dump, and the copies' binlogs share the
+    /// schema load's entries.
     pub fn build(cfg: ClusterConfig) -> Cluster {
         let mut cfg = cfg;
         let mut sim: Sim<Msg> = Sim::new(cfg.net.clone(), cfg.seed);
         let total_backends = cfg.middlewares * cfg.backends_per_mw;
 
+        let mut engines: Vec<Engine> = Vec::with_capacity(total_backends);
+        let mut engine_seed = cfg.seed.wrapping_mul(1000);
+        for mwi in 0..cfg.middlewares {
+            for bi in 0..cfg.backends_per_mw {
+                engine_seed += 1;
+                let name = format!("mw{mwi}-db{bi}");
+                let engine = match engines.first() {
+                    Some(image) => image.copy_as(name, engine_seed),
+                    None => {
+                        let econf = EngineConfig { name, seed: engine_seed, ..cfg.engine.clone() };
+                        build_engine(econf, &cfg.schema)
+                    }
+                };
+                engines.push(engine);
+            }
+        }
+        let keys = engines.first().map(primary_keys).unwrap_or_default();
+
         // Node id layout: [db nodes 0..B) [middlewares B..B+M) [clients...].
         let mut db_nodes: Vec<Vec<NodeId>> = Vec::with_capacity(cfg.middlewares);
-        let mut keys = Vec::new();
-        let mut engine_seed = cfg.seed.wrapping_mul(1000);
+        let mut engines = engines.into_iter();
         for mwi in 0..cfg.middlewares {
             let mut group = Vec::with_capacity(cfg.backends_per_mw);
             for bi in 0..cfg.backends_per_mw {
-                engine_seed += 1;
-                let mut econf = cfg.engine.clone();
-                econf.name = format!("mw{mwi}-db{bi}");
-                econf.seed = engine_seed;
-                let engine = build_engine(econf, &cfg.schema);
-                if (mwi, bi) == (0, 0) {
-                    keys = primary_keys(&engine);
-                }
+                let engine = engines.next().expect("one engine per backend");
                 let speed = cfg.backend_speed
                     [(mwi * cfg.backends_per_mw + bi) % cfg.backend_speed.len()];
                 let node = sim.add_node(
@@ -408,6 +421,7 @@ fn primary_keys(engine: &Engine) -> Vec<(TableName, usize, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use replimid_sql::Lsn;
 
     #[test]
     fn pk_map_extraction() {
@@ -425,5 +439,72 @@ mod tests {
             [(TableName::new("other", "c"), 0, "k".into()), (TableName::new("shop", "a"), 0, "id".into())],
             "b has no primary key"
         );
+    }
+
+    fn schema() -> Vec<String> {
+        [
+            "CREATE DATABASE shop",
+            "USE shop",
+            "CREATE TABLE a (id INT PRIMARY KEY, v INT)",
+            "CREATE TABLE b (id INT PRIMARY KEY AUTO_INCREMENT, v TEXT)",
+            "CREATE SEQUENCE ids START 10",
+            "INSERT INTO a VALUES (1, 10), (2, 20), (3, 30)",
+            "INSERT INTO b (v) VALUES ('x'), ('y')",
+            "UPDATE a SET v = v + 1 WHERE id = 2",
+            "DELETE FROM a WHERE id = 3",
+            "SELECT NEXTVAL('ids')",
+        ]
+        .map(str::to_string)
+        .to_vec()
+    }
+
+    fn conf(name: &str, seed: u64) -> EngineConfig {
+        EngineConfig { name: name.into(), seed, ..EngineConfig::default() }
+    }
+
+    /// A backend provisioned from another's image under its own name and
+    /// seed is the engine the schema would have built under them: same
+    /// data and counters, same binlog, same ordered positions, and the
+    /// same next connection id.
+    #[test]
+    fn a_copied_image_equals_an_engine_built_from_the_schema() {
+        let image = build_engine(conf("mw0-db0", 1), &schema());
+        let (mut copy, mut built) = (image.copy_as("mw0-db1", 2), build_engine(conf("mw0-db1", 2), &schema()));
+        assert_eq!(copy.config, built.config);
+        assert_eq!(copy.checksum_full(), built.checksum_full());
+        // Entries compare by LSN, commit timestamp, database, statements
+        // and writeset.
+        let copied = copy.binlog_after(Lsn(0)).unwrap();
+        assert!(!copied.is_empty());
+        assert_eq!(copied, built.binlog_after(Lsn(0)).unwrap());
+        assert_eq!(copy.ordered(), built.ordered());
+        let login = |e: &mut Engine| e.connect(ADMIN_USER, ADMIN_PASSWORD).unwrap();
+        assert_eq!(login(&mut copy), login(&mut built));
+    }
+
+    /// The copy draws RAND() from its own seed, as a fresh engine does.
+    #[test]
+    fn a_copy_draws_rand_from_its_own_seed() {
+        let image = build_engine(conf("mw0-db0", 1), &schema());
+        let draws = |mut e: Engine| {
+            let c = e.connect(ADMIN_USER, ADMIN_PASSWORD).unwrap();
+            (0..5).map(|_| format!("{:?}", e.execute(c, "SELECT RAND()").unwrap().outcome)).collect::<Vec<_>>()
+        };
+        let copied = draws(image.copy_as("mw0-db1", 7));
+        assert_eq!(copied, draws(Engine::new(conf("fresh", 7))));
+        assert_ne!(copied, draws(image), "the image keeps its own seed");
+    }
+
+    /// Every backend is a copy of one image; a cluster with none builds.
+    #[test]
+    fn every_backend_starts_from_one_image_and_none_is_fine() {
+        let nondet = crate::rewrite::NondetPolicy::RewriteAndReject;
+        let mut cfg = ClusterConfig::new(Mode::MultiMasterStatement { nondet }, schema(), "shop");
+        cfg.middlewares = 2;
+        let sums = Cluster::build(cfg.clone()).backend_full_checksums().concat();
+        assert_eq!(sums.len(), 6);
+        assert!(sums.iter().all(|&s| s == sums[0]), "{sums:?}");
+        cfg.middlewares = 0;
+        assert!(Cluster::build(cfg).db_nodes.is_empty());
     }
 }

@@ -6,6 +6,9 @@
 //! (statement-based shipping) and the extracted writeset (transaction-based
 //! shipping). Consumers pick one; experiments E6/E15 compare them.
 
+use std::ops::Deref;
+use std::sync::Arc;
+
 use crate::mvcc::CommitTs;
 use crate::writeset::Writeset;
 
@@ -13,18 +16,43 @@ use crate::writeset::Writeset;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Lsn(pub u64);
 
+/// One committed transaction in the log: its position and timestamp, and
+/// what it wrote behind one shared [`Arc`]. A copy of an entry (a read of
+/// the log, a shipped batch, the WAL mirror, a backend provisioned from
+/// another's image) shares that payload instead of copying its rows; the
+/// payload's fields read through the entry (`entry.writeset`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinlogEntry {
     pub lsn: Lsn,
     pub commit_ts: CommitTs,
+    payload: Arc<BinlogPayload>,
+}
+
+/// What a committed transaction wrote, in both shipping representations.
+#[derive(Debug, PartialEq)]
+pub struct BinlogPayload {
     /// The session's selected database when the transaction ran; a replayer
     /// must `USE` it before executing unqualified statements (real binlogs
     /// record the default database the same way).
-    pub default_db: Option<String>,
+    pub default_db: Option<Arc<str>>,
     /// SQL texts of the write statements the transaction executed, in order.
     pub statements: Vec<String>,
     /// Extracted row-level writeset.
     pub writeset: Writeset,
+}
+
+impl BinlogEntry {
+    pub fn new(lsn: Lsn, commit_ts: CommitTs, payload: BinlogPayload) -> Self {
+        BinlogEntry { lsn, commit_ts, payload: Arc::new(payload) }
+    }
+}
+
+impl Deref for BinlogEntry {
+    type Target = BinlogPayload;
+
+    fn deref(&self) -> &BinlogPayload {
+        &self.payload
+    }
 }
 
 /// Append-only commit log with truncation (log purging is routine
@@ -47,12 +75,12 @@ impl Binlog {
     }
 
     /// Append a committed transaction. When nobody reads the log it is
-    /// purged as it lands, and neither the default database nor the
-    /// writeset is copied.
+    /// purged as it lands and nothing is copied; a kept entry shares the
+    /// session's default-database name and copies the writeset.
     pub fn append(
         &mut self,
         commit_ts: CommitTs,
-        default_db: Option<&str>,
+        default_db: Option<&Arc<str>>,
         statements: Vec<String>,
         writeset: &Writeset,
     ) -> Lsn {
@@ -63,8 +91,8 @@ impl Binlog {
             debug_assert!(self.entries.is_empty());
             self.truncated = lsn.0;
         } else {
-            let (default_db, writeset) = (default_db.map(str::to_string), writeset.clone());
-            self.entries.push(BinlogEntry { lsn, commit_ts, default_db, statements, writeset });
+            let payload = BinlogPayload { default_db: default_db.cloned(), statements, writeset: writeset.clone() };
+            self.entries.push(BinlogEntry::new(lsn, commit_ts, payload));
         }
         lsn
     }

@@ -10,7 +10,7 @@
 use replimid_det::DetRng;
 
 /// Per-engine non-deterministic inputs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Determinism {
     now_us: i64,
     rng: DetRng,
@@ -19,6 +19,11 @@ pub struct Determinism {
 impl Determinism {
     pub fn new(seed: u64) -> Self {
         Determinism { now_us: 0, rng: DetRng::seed_from_u64(seed) }
+    }
+
+    /// Whether RAND() has drawn nothing since seeding from `seed`.
+    pub fn rng_unused(&self, seed: u64) -> bool {
+        self.rng == DetRng::seed_from_u64(seed)
     }
 
     /// Set the virtual wall clock (microseconds).

@@ -125,7 +125,7 @@ pub struct ConnId(pub u64);
 /// handles on its user's and current database's names (clones of the
 /// ones [`AuthRegistry`] and [`Catalog`] hold) and its open transaction.
 /// The rest, [`SessionCold`], is boxed on first use.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Session {
     user: Arc<str>,
     current_db: Option<Arc<str>>,
@@ -137,7 +137,7 @@ struct Session {
 
 /// The state of a connection that ran SET, created a temporary table or
 /// opened an explicit transaction; kept until it disconnects.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct SessionCold {
     vars: BTreeMap<String, Value>,
     /// Connection-local temporary tables (§4.1.4).
@@ -185,7 +185,7 @@ fn no_such_conn(conn: ConnId) -> SqlError {
 }
 
 /// One replica's database engine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Engine {
     pub config: EngineConfig,
     catalog: Catalog,
@@ -231,6 +231,26 @@ impl Engine {
             unlogged: Vec::new(),
             replaying: false,
         }
+    }
+
+    /// This engine as a replica built from the same SQL would be: a copy
+    /// named `name` whose RAND() draws from `seed`, its binlog sharing
+    /// every entry with this one's. A backend's name appears only in error
+    /// messages and its seed only seeds RAND(), so the copy equals an
+    /// engine built under that name and seed, provided nothing has drawn
+    /// from RAND() yet (what was drawn would have differed per seed).
+    pub fn copy_as(&self, name: impl Into<String>, seed: u64) -> Engine {
+        debug_assert!(
+            self.det.rng_unused(self.config.seed),
+            "engine '{}' drew from RAND(): a copy is not what another seed would have built",
+            self.config.name
+        );
+        let mut copy = self.clone();
+        copy.config.name = name.into();
+        copy.config.seed = seed;
+        copy.det = Determinism::new(seed);
+        copy.det.set_now(self.det.now());
+        copy
     }
 
     /// Convenience: a default engine with an admin connection and one
@@ -414,7 +434,7 @@ impl Engine {
             (!self.replaying).then_some(&mut self.binlog),
             &self.config,
             tx,
-            session.current_db.as_deref(),
+            session.current_db.as_ref(),
             statements,
         )?;
         let mut cost = Cost::for_statement(0, 0, false);
@@ -588,8 +608,7 @@ impl Engine {
         if replicate && !self.replaying {
             let text = sql_text.map(str::to_string).unwrap_or_else(|| stmt.to_string());
             let ts = self.bump_ddl_ts();
-            self.binlog
-                .append(ts, session.current_db.as_deref(), vec![text], &Writeset::default());
+            self.binlog.append(ts, session.current_db.as_ref(), vec![text], &Writeset::default());
         }
         Ok(ack(Cost::for_statement(0, 0, true)))
     }
@@ -672,7 +691,7 @@ impl Engine {
                         (!self.replaying).then_some(&mut self.binlog),
                         &self.config,
                         tx,
-                        session.current_db.as_deref(),
+                        session.current_db.as_ref(),
                         statements,
                     )?)
                 } else {
@@ -1347,8 +1366,9 @@ impl Engine {
         Ok((c.applied_lsn, c.ordered))
     }
 
-    /// Vacuum all tables (routine maintenance, §4.4.4). Returns versions
-    /// reclaimed.
+    /// Vacuum all tables (routine maintenance, §4.4.4): drop the dead
+    /// versions a commit had to keep because an open snapshot could still
+    /// read them. Returns versions reclaimed.
     pub fn vacuum(&mut self) -> usize {
         let horizon = self.txm.gc_horizon();
         let mut reclaimed = 0;
@@ -1438,7 +1458,8 @@ fn apply_entry(
     Ok(row)
 }
 
-/// Commit a transaction: serializable validation, version stamping, writeset
+/// Commit a transaction: serializable validation, version stamping, pruning
+/// of the written rows' versions nobody can read any more, writeset
 /// extraction, binlog append (`binlog` is `None` while crash recovery
 /// replays the WAL).
 #[allow(clippy::too_many_arguments)]
@@ -1450,7 +1471,7 @@ fn commit_tx(
     binlog: Option<&mut Binlog>,
     config: &EngineConfig,
     tx: TxId,
-    default_db: Option<&str>,
+    default_db: Option<&Arc<str>>,
     statements: Vec<String>,
 ) -> Result<CommitInfo, SqlError> {
     // Serializable: table-level optimistic read validation.
@@ -1476,9 +1497,13 @@ fn commit_tx(
     }
 
     let (ts, state) = txm.finish_commit(tx)?;
+    // The versions this commit ended are garbage unless an open snapshot
+    // still reads them; the ones it pins are left to `Engine::vacuum`.
+    let horizon = txm.gc_horizon();
     for w in &state.writes {
         if let Some(t) = write_target(catalog, temp, &w.table) {
             t.commit_stamp(w.row, tx, ts);
+            t.prune(w.row, horizon);
         }
     }
 

@@ -65,7 +65,7 @@ pub mod writeset;
 
 pub use ast::{IsolationLevel, Privilege, Statement};
 pub use auth::{ADMIN_PASSWORD, ADMIN_USER};
-pub use binlog::{BinlogEntry, Lsn};
+pub use binlog::{BinlogEntry, BinlogPayload, Lsn};
 pub use catalog::TableName;
 pub use dump::{Dump, DumpOptions};
 pub use engine::{ConnId, Engine, EngineConfig, ErrorMode, FeatureSet};

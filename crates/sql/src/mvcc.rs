@@ -68,7 +68,7 @@ pub struct WriteRecord {
 }
 
 /// Per-transaction bookkeeping.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TxState {
     pub snapshot_ts: CommitTs,
     pub isolation: IsolationLevel,
@@ -91,7 +91,7 @@ pub struct TxState {
 /// Allocates transaction ids and commit timestamps, and tracks active
 /// transactions. One per engine; single-writer (the engine is externally
 /// synchronized, concurrency is statement interleaving across connections).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TxManager {
     next_tx: u64,
     next_ts: u64,

@@ -101,8 +101,8 @@ impl Version {
 
 /// One row's versions, oldest first: 48 bytes. Nearly every row has a
 /// single version, kept inline so the row needs no heap block of its own.
-/// A chain with no versions is a slot emptied by an abort or by vacuum; it
-/// allocates nothing.
+/// A chain with no versions is a slot emptied by an abort, a prune or
+/// vacuum; it allocates nothing.
 #[derive(Debug, Clone)]
 enum Chain {
     One(Version),
@@ -137,6 +137,16 @@ impl Chain {
         };
     }
 
+    /// Drop the versions that are garbage below `horizon`
+    /// ([`Version::garbage`]); returns how many.
+    fn prune(&mut self, horizon: CommitTs) -> usize {
+        let before = self.versions().len();
+        if self.versions().iter().any(|v| v.garbage(horizon)) {
+            self.retain(|v| !v.garbage(horizon));
+        }
+        before - self.versions().len()
+    }
+
     /// Keep the versions `keep` accepts, back inline when one is left.
     fn retain(&mut self, mut keep: impl FnMut(&Version) -> bool) {
         *self = match std::mem::replace(self, Chain::EMPTY) {
@@ -156,8 +166,8 @@ impl Chain {
 
 /// Version chains in a slab: row ids are minted densely from 1 by
 /// [`Table::insert`] and never reused, so `RowId(n)` lives in slot `n - 1`
-/// and slot order is row-id order. A slot emptied by an aborted insert or
-/// by vacuum keeps its 48 bytes.
+/// and slot order is row-id order. A slot emptied by an aborted insert, a
+/// prune or vacuum keeps its 48 bytes.
 type Chains = Vec<Chain>;
 
 /// The slot of `row` (none for `RowId(0)`, which is never minted).
@@ -177,8 +187,8 @@ fn versions(rows: &[Chain], row: RowId) -> &[Version] {
 /// slot of that value's hash, and a probe reads each candidate's key back
 /// from the row, as a hash index that keeps only a hash code and a tuple id
 /// rechecks the heap tuple. Nothing is deleted in place: a slot whose row
-/// no longer holds the key (an aborted insert, a vacuumed row) stays until
-/// the next rebuild, on growth or by vacuum.
+/// no longer holds the key (an aborted insert, a pruned or vacuumed row)
+/// stays until the next rebuild, on growth or by vacuum.
 #[derive(Debug, Clone, Default)]
 struct KeyIndex {
     /// A power-of-two number of slots, at most 7/8 of them used.
@@ -537,15 +547,18 @@ impl Table {
         }
     }
 
-    /// Drop versions no active snapshot can see (vacuum-style maintenance,
-    /// §4.4.4). Returns the number of versions reclaimed.
+    /// Drop the versions of `row` that no snapshot at or after `horizon`
+    /// can see: what a commit does to each row it wrote. Index slots of
+    /// keys no version holds any more stay until the next rebuild, as
+    /// after an abort. Returns the number of versions dropped.
+    pub fn prune(&mut self, row: RowId, horizon: CommitTs) -> usize {
+        self.rows.get_mut(slot(row)).map_or(0, |chain| chain.prune(horizon))
+    }
+
+    /// [`Table::prune`] every row and rebuild the index (vacuum-style
+    /// maintenance, §4.4.4). Returns the number of versions reclaimed.
     pub fn vacuum(&mut self, horizon: CommitTs) -> usize {
-        let mut reclaimed = 0;
-        for chain in &mut self.rows {
-            let before = chain.versions().len();
-            chain.retain(|v| !v.garbage(horizon));
-            reclaimed += before - chain.versions().len();
-        }
+        let reclaimed = self.rows.iter_mut().map(|chain| chain.prune(horizon)).sum();
         if let Some(pk) = self.schema.primary_key {
             self.pk_index.rebuild(&self.rows, pk);
         }
@@ -659,6 +672,7 @@ mod tests {
     use super::*;
     use crate::value::DataType;
     use replimid_det::{detcheck, DetRng};
+    use std::collections::BTreeSet;
 
     fn schema() -> TableSchema {
         TableSchema::new(
@@ -1018,19 +1032,32 @@ mod tests {
 
     const KEYS: i64 = 24;
 
+    /// The rows `s` sees.
+    fn seen(t: &Table, s: Snapshot) -> Vec<(RowId, Vec<Value>)> {
+        t.scan(s).map(|(r, v)| (r, v.to_vec())).collect()
+    }
+
     /// The index against a scan of every version, over random inserts,
     /// updates (key moves among them), deletes and reinserts, commits,
     /// aborts and an occasional vacuum. The key domain is small, so rows
     /// pile up under each key while the index grows through several
-    /// rebuilds and probes collide at 7/8 load.
+    /// rebuilds and probes collide at 7/8 load. Each commit prunes the
+    /// rows it wrote, as the engine's does, and a twin table that never
+    /// drops a version shows every open snapshot the same rows.
     #[test]
     fn the_index_finds_what_a_scan_of_every_version_finds() {
         detcheck::check("key_index_model", 4, |rng| {
-            let mut t = Table::new(schema());
+            let (mut t, mut unpruned) = (Table::new(schema()), Table::new(schema()));
             let (mut next_tx, mut now) = (1, 0);
             // Open transactions: their snapshots and the rows they wrote.
             let mut open: Vec<(Snapshot, Vec<RowId>)> = Vec::new();
-            let (mut sizes, mut full) = (vec![0], false);
+            // Rows a commit left more than one version because an open
+            // snapshot pinned them; a vacuum at the latest commit clears it.
+            let mut pinned: BTreeSet<RowId> = BTreeSet::new();
+            let (mut sizes, mut full, mut idle_checks) = (vec![0], false, 0);
+            let horizon = |open: &[(Snapshot, Vec<RowId>)], now| {
+                CommitTs(open.iter().map(|(s, _)| s.ts.0).min().unwrap_or(now))
+            };
             for _ in 0..600 {
                 if open.len() < 3 && (open.is_empty() || rng.gen_bool(0.3)) {
                     open.push((snap(next_tx, now), Vec::new()));
@@ -1046,12 +1073,17 @@ mod tests {
                         let want = scan_claim(&t, &key, s);
                         let got = t.insert(vec![key.clone(), Value::Null], s);
                         assert_eq!(got.as_ref().err(), want.as_ref().err(), "insert of {key}");
+                        assert_eq!(unpruned.insert(vec![key.clone(), Value::Null], s), got);
                         got.ok()
                     }
                     (40..=59, Some((row, old))) => {
                         let new = if rng.gen_bool(0.5) { key } else { old.clone() };
                         let want = if new == old { Ok(()) } else { scan_claim(&t, &new, s) };
-                        match t.update(row, vec![new, Value::Text("u".into())], s, true) {
+                        let values = vec![new, Value::Text("u".into())];
+                        let twin = unpruned.update(row, values.clone(), s, true).is_ok();
+                        let got = t.update(row, values, s, true);
+                        assert_eq!(got.is_ok(), twin, "the unpruned twin's update of {row:?}");
+                        match got {
                             Ok(_) => {
                                 assert_eq!(want, Ok(()), "update of row {row:?}");
                                 Some(row)
@@ -1063,23 +1095,40 @@ mod tests {
                             Err(ConflictOrError::Conflict(_)) => None,
                         }
                     }
-                    (60..=79, Some((row, _))) => t.delete(row, s, true).ok().map(|_| row),
+                    (60..=79, Some((row, _))) => {
+                        let got = t.delete(row, s, true).ok().map(|_| row);
+                        assert_eq!(unpruned.delete(row, s, true).ok().map(|_| row), got);
+                        got
+                    }
                     (80..=89, _) => {
                         now += 1;
-                        for &row in &open.swap_remove(i).1 {
+                        let rows = open.swap_remove(i).1;
+                        let h = horizon(&open, now);
+                        for &row in &rows {
                             t.commit_stamp(row, s.tx, CommitTs(now));
+                            unpruned.commit_stamp(row, s.tx, CommitTs(now));
+                            t.prune(row, h);
+                            if h.0 < now {
+                                pinned.insert(row);
+                            } else {
+                                pinned.remove(&row);
+                            }
                         }
                         None
                     }
                     (90..=96, _) => {
                         for &row in &open.swap_remove(i).1 {
                             t.abort_unwind(row, s.tx);
+                            unpruned.abort_unwind(row, s.tx);
                         }
                         None
                     }
                     (97.., _) => {
-                        let horizon = open.iter().map(|(s, _)| s.ts.0).min().unwrap_or(now);
-                        t.vacuum(CommitTs(horizon));
+                        let h = horizon(&open, now);
+                        t.vacuum(h);
+                        if h.0 == now {
+                            pinned.clear();
+                        }
                         None
                     }
                     _ => None,
@@ -1092,7 +1141,19 @@ mod tests {
                 }
                 full |= t.pk_index.used * 8 == t.pk_index.slots.len() * 7;
                 agrees_with_a_scan(&t, &open, now, rng);
+                for s in open.iter().map(|(s, _)| *s).chain([snap(u64::MAX, now)]) {
+                    assert_eq!(seen(&t, s), seen(&unpruned, s), "rows at {s:?}");
+                }
+                if open.is_empty() {
+                    idle_checks += 1;
+                    for row in every_row(&t).filter(|r| !pinned.contains(r)) {
+                        let n = versions(&t.rows, row).len();
+                        assert!(n <= 1, "row {row:?} kept {n} versions with no snapshot open");
+                    }
+                }
             }
+            assert!(idle_checks > 0, "no transaction was ever left open alone");
+            assert!(t.version_count() < unpruned.version_count(), "nothing was pruned");
             let grown = sizes.windows(2).filter(|w| w[1] > w[0]).count();
             assert!(grown >= 3, "the index went through sizes {sizes:?} only");
             assert!(full, "the index never reached 7/8 load");

@@ -29,9 +29,11 @@
 //! guarantee the recovery property tests pin down: zero committed loss past
 //! the last fsync.
 
+use std::sync::Arc;
+
 use crate::ast::{ObjectName, Statement};
 use crate::auth::User;
-use crate::binlog::{BinlogEntry, Lsn};
+use crate::binlog::{BinlogEntry, BinlogPayload, Lsn};
 use crate::catalog::{ProcedureDef, TableName, TriggerDef};
 use crate::checksum::Fnv64;
 use crate::dump::{DatabaseDump, Dump, TableDump};
@@ -277,7 +279,7 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     keycode::encode_str(out, s);
 }
 
-fn put_opt_str(out: &mut Vec<u8>, s: &Option<String>) {
+fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
     match s {
         None => out.push(0),
         Some(s) => {
@@ -287,8 +289,8 @@ fn put_opt_str(out: &mut Vec<u8>, s: &Option<String>) {
     }
 }
 
-fn get_opt_str(rd: &mut Rd<'_>) -> DecodeResult<Option<String>> {
-    Ok(if rd.u8()? == 0 { None } else { Some(rd.str()?) })
+fn get_opt_str(rd: &mut Rd<'_>) -> DecodeResult<Option<Arc<str>>> {
+    Ok(if rd.u8()? == 0 { None } else { Some(rd.str()?.into()) })
 }
 
 fn put_value(out: &mut Vec<u8>, v: &Value) {
@@ -456,7 +458,7 @@ fn get_writeset(rd: &mut Rd<'_>, names: &mut Names) -> DecodeResult<Writeset> {
 fn put_binlog_entry(out: &mut Vec<u8>, e: &BinlogEntry) {
     keycode::encode_u64(out, e.lsn.0);
     keycode::encode_u64(out, e.commit_ts.0);
-    put_opt_str(out, &e.default_db);
+    put_opt_str(out, e.default_db.as_deref());
     keycode::encode_u64(out, e.statements.len() as u64);
     for s in &e.statements {
         put_str(out, s);
@@ -471,7 +473,7 @@ fn get_binlog_entry(rd: &mut Rd<'_>, names: &mut Names) -> DecodeResult<BinlogEn
     let n = rd.u64()?;
     let statements = (0..n).map(|_| rd.str()).collect::<DecodeResult<_>>()?;
     let writeset = get_writeset(rd, names)?;
-    Ok(BinlogEntry { lsn, commit_ts, default_db, statements, writeset })
+    Ok(BinlogEntry::new(lsn, commit_ts, BinlogPayload { default_db, statements, writeset }))
 }
 
 // ---------------------------------------------------------------------
@@ -1184,13 +1186,15 @@ mod tests {
                 ]),
             })
             .collect();
-        BinlogEntry {
-            lsn: Lsn(lsn),
-            commit_ts: CommitTs(lsn * 10),
-            default_db: Some("db".into()),
-            statements: vec![format!("INSERT INTO t VALUES ({lsn})")],
-            writeset: Writeset { entries, counters: None },
-        }
+        BinlogEntry::new(
+            Lsn(lsn),
+            CommitTs(lsn * 10),
+            BinlogPayload {
+                default_db: Some("db".into()),
+                statements: vec![format!("INSERT INTO t VALUES ({lsn})")],
+                writeset: Writeset { entries, counters: None },
+            },
+        )
     }
 
     fn store_with(n: u64, fsync_every: u64) -> DurableStore {

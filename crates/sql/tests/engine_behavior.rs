@@ -449,14 +449,44 @@ fn binlog_replays_to_an_identical_replica() {
     assert_eq!(master.checksum_data(), slave.checksum_data());
 }
 
+/// The versions `acct` holds, live and dead.
+fn acct_versions(e: &Engine) -> usize {
+    e.catalog().database("shop").unwrap().table("acct").unwrap().version_count()
+}
+
+/// A commit drops the versions it ended that nobody can read: with no
+/// snapshot open, each autocommit UPDATE leaves its row one version.
 #[test]
-fn vacuum_reclaims_dead_versions() {
+fn a_commit_prunes_the_versions_nobody_reads() {
     let (mut e, c) = setup();
     for _ in 0..10 {
         e.execute(c, "UPDATE acct SET bal = bal + 1 WHERE id = 1").unwrap();
     }
+    assert_eq!(acct_versions(&e), 2, "one version per row");
+    e.execute(c, "DELETE FROM acct WHERE id = 2").unwrap();
+    assert_eq!(acct_versions(&e), 1, "a committed delete leaves no version");
+    assert_eq!(e.vacuum(), 0, "nothing left for vacuum");
+    assert_eq!(scalar_int(&mut e, c, "SELECT bal FROM acct WHERE id = 1"), 110);
+}
+
+/// Vacuum reclaims what an open snapshot pinned while the rows were
+/// written: a snapshot taken before the updates keeps every version it
+/// may read, and once it ends a vacuum drops them.
+#[test]
+fn vacuum_reclaims_dead_versions() {
+    let (mut e, c) = setup();
+    let reader = e.connect(ADMIN_USER, ADMIN_PASSWORD).unwrap();
+    e.execute(reader, "USE shop").unwrap();
+    e.execute(reader, "BEGIN ISOLATION LEVEL SNAPSHOT").unwrap();
+    for _ in 0..10 {
+        e.execute(c, "UPDATE acct SET bal = bal + 1 WHERE id = 1").unwrap();
+    }
+    assert_eq!(e.vacuum(), 0, "the open snapshot pins every dead version");
+    assert_eq!(scalar_int(&mut e, reader, "SELECT bal FROM acct WHERE id = 1"), 100);
+    e.execute(reader, "COMMIT").unwrap();
     let reclaimed = e.vacuum();
     assert!(reclaimed >= 9, "reclaimed {reclaimed}");
+    assert_eq!(acct_versions(&e), 2);
     assert_eq!(scalar_int(&mut e, c, "SELECT bal FROM acct WHERE id = 1"), 110);
 }
 

@@ -1,5 +1,6 @@
 //! Heap footprint of the three things every replica does most: keep a
-//! row, run a prepared autocommit INSERT, and hold a connection.
+//! row, run a prepared autocommit INSERT, and hold a connection; and of
+//! what a master's binlog costs to keep and to read.
 //!
 //! A counting global allocator tallies, per thread, the bytes and blocks
 //! requested while that thread has counting switched on, so tests running
@@ -95,9 +96,16 @@ fn counted(f: impl FnOnce()) -> Tally {
 /// An engine holding one two-column primary-key table, whose binlog nobody
 /// reads (a multi-master replica's), and the prepared INSERT template.
 fn engine() -> (Engine, ConnId, Statement) {
+    let (mut e, c, template) = master();
+    e.set_binlog_horizon(None);
+    (e, c, template)
+}
+
+/// [`engine`] with its binlog kept, as a master's is until its slaves
+/// have read it.
+fn master() -> (Engine, ConnId, Statement) {
     let (mut e, c) = Engine::with_database("fp");
     e.execute(c, "CREATE TABLE t (k INT PRIMARY KEY, v INT)").expect("create table");
-    e.set_binlog_horizon(None);
     let template = parse_statement("INSERT INTO t VALUES (?, ?)").expect("template parses");
     (e, c, template)
 }
@@ -183,4 +191,46 @@ fn a_connection_costs_at_most_128_bytes_in_0_01_blocks() {
     println!("footprint: live heap per connection (USE and one point read): {bytes:.1} bytes in {blocks:.2} blocks");
     assert!(bytes <= 128.0, "{bytes:.1} bytes per connection");
     assert!(blocks <= 0.01, "{blocks:.2} blocks per connection");
+}
+
+/// Blocks per prepared autocommit INSERT on an engine whose binlog is kept:
+/// the rendered statement text, its list, the entry's payload and its copy
+/// of the writeset come on top of [`INSERT_BLOCKS`]. The payload's shared
+/// block costs what the entry's own copy of the session's database name
+/// did, so this is the figure of entries that held their fields inline.
+const KEPT_INSERT_BLOCKS: f64 = 22.0;
+
+#[test]
+fn a_prepared_autocommit_insert_with_its_binlog_kept_allocates_22_0_blocks() {
+    let (mut e, c, template) = master();
+    for k in 0..1_000 {
+        insert(&mut e, c, &template, k);
+    }
+    let n = 2_000;
+    let t = counted(|| {
+        for k in 1_000..1_000 + n {
+            insert(&mut e, c, &template, k);
+        }
+    });
+    let per_insert = t.allocs as f64 / n as f64;
+    println!("footprint: heap blocks per prepared autocommit INSERT, binlog kept: {per_insert:.1}");
+    assert!(per_insert <= KEPT_INSERT_BLOCKS + 0.05, "{per_insert:.1} blocks per insert");
+}
+
+/// Reading a master's binlog copies no entry: the list it returns is the
+/// one block, and every entry in it shares its payload with the log's
+/// (a deep copy of each entry's statements and writeset before).
+#[test]
+fn reading_1000_kept_binlog_entries_allocates_1_block() {
+    let (mut e, c, template) = master();
+    let from = e.binlog_head();
+    for k in 0..1_000 {
+        insert(&mut e, c, &template, k);
+    }
+    let mut read = None;
+    let t = counted(|| read = e.binlog_after(from));
+    let read = read.expect("nothing was purged");
+    assert_eq!(read.len(), 1_000);
+    println!("footprint: heap blocks to read 1000 kept binlog entries: {}", t.allocs);
+    assert!(t.allocs <= 1, "{} blocks to read the binlog", t.allocs);
 }

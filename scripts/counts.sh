@@ -148,8 +148,9 @@ for cfg in ClientConfig FleetConfig OpenLoopConfig; do
     printf '%-34s%s\n' "$cfg fields:" "$(cat $drivers | awk -v head="^pub struct $cfg \\{" '$0 ~ head { on = 1; next } on && /^\}/ { exit } on && /^    pub [a-z_0-9]+:/ { n++ } END { print n + 0 }')"
 done
 # Per-record footprint: live heap per stored row, heap blocks per
-# prepared autocommit INSERT and live heap per backend connection
-# (crates/sql/tests/footprint.rs, a counting allocator), and the size of a
+# prepared autocommit INSERT (binlog unread and kept), live heap per
+# backend connection and the blocks a read of 1 000 kept binlog entries
+# allocates (crates/sql/tests/footprint.rs, a counting allocator), and the size of a
 # row version, of a row's version chain, of a primary-key index slot, of a
 # write record, of a writeset key, of a trace summary and of a middleware
 # session record, and the gcs history a lone member retains against its

@@ -7,7 +7,8 @@
 #   5. determinism: the full experiments suite, run twice, must be
 #      byte-identical (same seeds => same numbers, see DESIGN.md) and must
 #      equal the committed experiments_output.txt (E1..E23 regenerate
-#      byte-identically, or the file is re-baselined in the same change)
+#      byte-identically, or the file is re-baselined in the same change);
+#      prints each run's wall seconds
 #   6. repo benchmark: its own unit tests, then all five workloads at
 #      smoke size (asserts replica convergence, RYW = 0 and cross-process
 #      bit-identity of the virtual metrics; benchmark/README.md)
@@ -79,11 +80,16 @@ fi
 # byte. A diff here means nondeterminism leaked into the simulation (wall
 # clock, hash order, thread timing), which invalidates every table in
 # EXPERIMENTS.md.
+# Each run's wall seconds are printed for the record (informational: the
+# suite's run time is tracked across changes, no check reads it).
 out_a=$(mktemp)
 out_b=$(mktemp)
 trap 'rm -f "$out_a" "$out_b"' EXIT
-cargo run --release -q --offline -p replimid-bench --bin experiments > "$out_a"
-cargo run --release -q --offline -p replimid-bench --bin experiments > "$out_b"
+for out in "$out_a" "$out_b"; do
+    start=$SECONDS
+    cargo run --release -q --offline -p replimid-bench --bin experiments > "$out"
+    echo "verify: experiments run took $((SECONDS - start)) s wall"
+done
 if ! diff -q "$out_a" "$out_b" > /dev/null; then
     echo "verify: determinism FAILED — two same-seed runs differ:" >&2
     diff "$out_a" "$out_b" | head -20 >&2
